@@ -38,8 +38,8 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 	sc := &l.scratch
 	mark := func(v graph.VertexID) {
 		if int(v) < l.flatN() {
-			sc.touched.add(v)
-			sc.dirtyRoles.add(v)
+			sc.touched.Add(v)
+			sc.dirtyRoles.Add(v)
 		}
 	}
 	for _, m := range res.Moved {
@@ -70,7 +70,7 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 		mark(m.V)
 		for _, ie := range l.g.In(m.V) {
 			if int(ie.To) < l.flatN() {
-				sc.touched.add(ie.To)
+				sc.touched.Add(ie.To)
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 			mark(v)
 			for _, ie := range l.g.In(v) {
 				if int(ie.To) < l.flatN() {
-					sc.touched.add(ie.To)
+					sc.touched.Add(ie.To)
 				}
 			}
 		}

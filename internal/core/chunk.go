@@ -9,6 +9,11 @@ package core
 // edge-weight-balanced chunks gives every worker a task fat enough to
 // amortize its dispatch.
 
+// chunksPerWorker is the number of chunks per pool worker the fan-outs
+// target: each chunk carries roughly a quarter of the touched edges per
+// thread.
+const chunksPerWorker = 4
+
 // subWeight estimates the fixpoint cost of one subgraph task: internal
 // edges plus members when a local frame exists, member count otherwise
 // (rebuild tasks construct the frame inside the task, so only a member
@@ -29,11 +34,10 @@ func subWeight(s *Subgraph) int {
 }
 
 // subgraphChunks packs ID-sorted subgraphs into contiguous chunks weighted
-// by subWeight, targeting chunksPerWorker chunks per pool worker (default
-// 4, i.e. each chunk carries roughly a quarter of the touched edges per
-// thread). Chunk boundaries depend only on the sorted input, the worker
-// count and the knob — not on timing — so for a fixed Threads setting the
-// grouping, and therefore the fan-out and merge order, is deterministic.
+// by subWeight, targeting chunksPerWorker chunks per pool worker. Chunk
+// boundaries depend only on the sorted input and the worker count — not on
+// timing — so for a fixed Threads setting the grouping, and therefore the
+// fan-out and merge order, is deterministic.
 func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	if len(subs) == 0 {
 		return nil
@@ -42,7 +46,7 @@ func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	if len(subs) == 1 || workers <= 1 {
 		return [][]*Subgraph{subs}
 	}
-	maxChunks := workers * l.opt.chunksPerWorker()
+	maxChunks := workers * chunksPerWorker
 	if maxChunks > len(subs) {
 		maxChunks = len(subs)
 	}

@@ -10,6 +10,7 @@ import (
 	"layph/internal/inc"
 	"layph/internal/metrics"
 	"layph/internal/pool"
+	"layph/internal/scratch"
 )
 
 // Update incrementally adjusts the memoized result to the applied batch
@@ -300,7 +301,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	sc := &l.scratch
 	tagged := boolBuf(&sc.tagged, n)
 	var resets []graph.VertexID
-	sc.repair.reset(n)
+	sc.repair.Reset(n)
 
 	var localChanged []graph.VertexID
 	var lupChanged []graph.VertexID
@@ -312,7 +313,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	// and the dense offer store replacing the per-update offer maps:
 	// offerSet marks targets, offerVal carries the folded candidate.
 	active := make(map[int32]*Subgraph)
-	sc.offerSet.reset(n)
+	sc.offerSet.Reset(n)
 	offerVal := filledBuf(&sc.offerVal, n, zero)
 
 	actsMark := func(name string, before int64) int64 {
@@ -351,12 +352,12 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		if len(queue) > 0 {
 			// CSR over the dependency forest: two counting passes instead
 			// of a per-parent map of child slices.
-			sc.depChildren(l.parent)
+			sc.forest.Build(l.parent)
 			for len(queue) > 0 {
 				v := queue[0]
 				queue = queue[1:]
 				resets = append(resets, v)
-				for _, c := range sc.children(v) {
+				for _, c := range sc.forest.Children(v) {
 					tag(c)
 				}
 			}
@@ -364,7 +365,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		for _, v := range resets {
 			l.x[v] = zero
 			l.parent[v] = engine.NoParent
-			sc.repair.add(v)
+			sc.repair.Add(v)
 			if c := l.subOf[v]; c != NoSubgraph {
 				resetsBySub[c] = true
 			}
@@ -395,7 +396,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			if offer == zero {
 				continue
 			}
-			if sc.offerSet.add(e.to) || l.sr.Plus(offerVal[e.to], offer) != offerVal[e.to] {
+			if sc.offerSet.Add(e.to) || l.sr.Plus(offerVal[e.to], offer) != offerVal[e.to] {
 				offerVal[e.to] = offer
 			}
 		}
@@ -433,7 +434,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			st.Activations += r.acts
 			localChanged = append(localChanged, r.changed...)
 			for _, v := range r.changed {
-				sc.repair.add(v)
+				sc.repair.Add(v)
 			}
 		}
 	})
@@ -441,9 +442,9 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 
 	ph.Time("lup-iteration", func() {
 		m0 := filledBuf(&sc.m0, n, zero)
-		sc.inActive.reset(n)
+		sc.inActive.Reset(n)
 		activate := func(v graph.VertexID) {
-			sc.inActive.add(v)
+			sc.inActive.Add(v)
 		}
 		// Re-seed tagged skeleton vertices from intact skeleton in-edges and
 		// root messages.
@@ -481,7 +482,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// Remaining direct candidates on skeleton targets: offers whose
 		// target sits in an active subgraph were already consumed by that
 		// subgraph's local task.
-		for _, v := range sc.offerSet.list {
+		for _, v := range sc.offerSet.List {
 			if c := l.subOf[v]; c != NoSubgraph {
 				if _, isActive := active[c]; isActive {
 					continue
@@ -496,35 +497,35 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				activate(v)
 			}
 		}
-		if len(sc.inActive.list) == 0 {
+		if len(sc.inActive.List) == 0 {
 			return
 		}
 		res := engine.Run(&engine.Frame{Out: l.upOut}, l.sr, l.x, m0, engine.Options{
 			Workers:       l.opt.Workers,
 			Tolerance:     l.tol,
-			InitialActive: sc.inActive.list,
+			InitialActive: sc.inActive.List,
 			TrackChanged:  true,
 		})
 		l.x = res.X
 		st.Activations += res.Activations
 		st.Rounds = res.Rounds
 		for _, v := range res.Changed {
-			sc.repair.add(v)
+			sc.repair.Add(v)
 		}
 		lupChanged = res.Changed
 	})
 	mark = actsMark("lup-iteration", mark)
 
 	ph.Time("assignment", func() {
-		sc.changedUp.reset(n)
+		sc.changedUp.Reset(n)
 		for _, v := range lupChanged {
-			sc.changedUp.add(v)
+			sc.changedUp.Add(v)
 		}
 		// Entries are absorbing in local runs, so an entry improved during
 		// upload also needs its shortcuts replayed.
 		for _, v := range localChanged {
 			if l.role[v].IsEntry() {
-				sc.changedUp.add(v)
+				sc.changedUp.Add(v)
 			}
 		}
 		// Replay entry→internal shortcuts of the triggered subgraphs, one
@@ -537,7 +538,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			trigger := resetsBySub[s.ID]
 			if !trigger {
 				for _, u := range s.Entries {
-					if sc.changedUp.has(u) {
+					if sc.changedUp.Has(u) {
 						trigger = true
 						break
 					}
@@ -583,7 +584,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			scApps += r.acts
 			scHits += int64(len(r.repaired))
 			for _, v := range r.repaired {
-				sc.repair.add(v)
+				sc.repair.Add(v)
 			}
 		}
 	})
@@ -613,7 +614,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	// States are final by now and each repair writes only parent[v], so the
 	// scan fans out over the pool in chunks (per-vertex tasks would drown
 	// in scheduling overhead).
-	repList := sc.repair.list
+	repList := sc.repair.List
 	l.pool.ForEachChunk(len(repList), 512, func(lo, hi int) {
 		for _, v := range repList[lo:hi] {
 			l.repairParent(v)
@@ -631,7 +632,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 // states for this subgraph's own members, which no other task writes),
 // the shared offer store is only read (at this subgraph's own members),
 // and l.x is written only at this subgraph's members.
-func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged []bool, xRead, offerVal []float64, offerSet *vset) (changed []graph.VertexID, acts int64) {
+func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged []bool, xRead, offerVal []float64, offerSet *scratch.Set) (changed []graph.VertexID, acts int64) {
 	zero := l.sr.Zero()
 	lf := s.Local
 	k := lf.size()
@@ -662,7 +663,7 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged []bool, xRead, offerVal []
 				}
 			}
 		}
-		if offerSet.has(v) {
+		if offerSet.Has(v) {
 			m0[i] = l.sr.Plus(m0[i], offerVal[v])
 		}
 		if m0[i] != zero && l.sr.Plus(x0[i], m0[i]) != x0[i] {

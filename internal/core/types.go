@@ -226,11 +226,6 @@ type Options struct {
 	// in LastCheck. Testing/debugging aid; costs a full structure scan
 	// per update.
 	SelfCheck bool
-	// FusionChunksPerWorker tunes chunked task fusion: lower-layer
-	// fan-outs pack the touched subgraphs into about this many
-	// edge-weight-balanced chunks per pool worker instead of one task per
-	// subgraph (0 = default 4). Higher values mean finer-grained tasks.
-	FusionChunksPerWorker int
 	// AdaptiveCommunities makes every Update run the incremental community
 	// adjustment (community.AdjustDetailed) on the applied batch and migrate
 	// dense-subgraph membership to follow the partition — subgraph splits
@@ -238,13 +233,6 @@ type Options struct {
 	// subgraphs' layer structures. Off (the default) the memberships
 	// computed at build time stay frozen until a full re-layer.
 	AdaptiveCommunities bool
-}
-
-func (o Options) chunksPerWorker() int {
-	if o.FusionChunksPerWorker > 0 {
-		return o.FusionChunksPerWorker
-	}
-	return 4
 }
 
 func (o Options) replication() int {

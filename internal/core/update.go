@@ -64,9 +64,9 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	}
 	l.growForNewVertices(applied)
 	sc := &l.scratch
-	sc.touched.reset(l.flatN())
-	sc.dirtyRoles.reset(l.flatN())
-	sc.oldSeen.reset(l.flatN())
+	sc.touched.Reset(l.flatN())
+	sc.dirtyRoles.Reset(l.flatN())
+	sc.oldSeen.Reset(l.flatN())
 	sc.oldRows = sc.oldRows[:0]
 
 	// Adaptive phase: evolve the community partition with the batch and
@@ -85,7 +85,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	// carry a changed cross edge on behalf of their host.
 	markTouched := func(v graph.VertexID) {
 		if int(v) < l.flatN() {
-			sc.touched.add(v)
+			sc.touched.Add(v)
 		}
 	}
 	subOfSafe := func(v graph.VertexID) int32 {
@@ -138,22 +138,22 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		// Keep the FIRST (true pre-batch) list if v is refreshed twice —
 		// rebuilds reroute proxies, forcing a second pass; the sum-scheme
 		// corrections must cancel against the pre-batch contributions.
-		if sc.oldSeen.add(v) {
+		if sc.oldSeen.Add(v) {
 			sc.oldRows = append(sc.oldRows, old)
 		}
 		for _, e := range added {
 			d.added = append(d.added, flatEdge{from: v, to: e.To, w: e.W})
-			sc.dirtyRoles.add(e.To)
+			sc.dirtyRoles.Add(e.To)
 		}
 		for _, e := range removed {
 			d.removed = append(d.removed, flatEdge{from: v, to: e.To, w: e.W})
 			if int(e.To) < l.flatN() {
-				sc.dirtyRoles.add(e.To)
+				sc.dirtyRoles.Add(e.To)
 			}
 		}
-		sc.dirtyRoles.add(v)
+		sc.dirtyRoles.Add(v)
 	}
-	for _, v := range sc.touched.list {
+	for _, v := range sc.touched.List {
 		refresh(v)
 	}
 
@@ -183,8 +183,8 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	}
 	// Role flips among diff endpoints. roleCands is the current dirtyRoles
 	// prefix (capacity-clamped: the set keeps growing below).
-	nCands := len(sc.dirtyRoles.list)
-	roleCands := sc.dirtyRoles.list[:nCands:nCands]
+	nCands := len(sc.dirtyRoles.List)
+	roleCands := sc.dirtyRoles.List[:nCands:nCands]
 	sc.oldRoles = sc.oldRoles[:0]
 	for _, v := range roleCands {
 		sc.oldRoles = append(sc.oldRoles, l.role[v])
@@ -246,7 +246,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	for _, c := range rebuildIDs {
 		s := l.subs[c]
 		for _, v := range s.Members {
-			sc.dirtyRoles.add(v)
+			sc.dirtyRoles.Add(v)
 			markTouched(v)
 			if int(v) < l.g.Cap() && l.g.Alive(v) {
 				for _, ie := range l.g.In(v) {
@@ -259,7 +259,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		for _, p := range s.proxies {
 			l.proxyAlive[p] = false
 			l.subOf[p] = NoSubgraph
-			sc.dirtyRoles.add(p)
+			sc.dirtyRoles.Add(p)
 			markTouched(p)
 		}
 		s.proxies = s.proxies[:0]
@@ -275,7 +275,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		if !dec.dense || len(s.origMembers) < 2 {
 			for _, v := range s.origMembers {
 				l.subOf[v] = NoSubgraph
-				sc.dirtyRoles.add(v)
+				sc.dirtyRoles.Add(v)
 				markTouched(v)
 			}
 			delete(l.subs, c)
@@ -284,25 +284,25 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		for _, h := range dec.entryHosts {
 			p := l.allocProxy(l.entryProxy, c, h)
 			s.proxies = append(s.proxies, p)
-			sc.dirtyRoles.add(p)
+			sc.dirtyRoles.Add(p)
 			markTouched(p)
 			markTouched(h)
 		}
 		for _, h := range dec.exitHosts {
 			p := l.allocProxy(l.exitProxy, c, h)
 			s.proxies = append(s.proxies, p)
-			sc.dirtyRoles.add(p)
+			sc.dirtyRoles.Add(p)
 			markTouched(p)
 		}
 		d.affectedSubs[c] = s
 		d.rebuiltSubs[c] = s
 	}
-	for _, v := range sc.touched.list {
+	for _, v := range sc.touched.List {
 		refresh(v)
 	}
-	d.oldSrc, d.oldRows = sc.oldSeen.list, sc.oldRows
+	d.oldSrc, d.oldRows = sc.oldSeen.List, sc.oldRows
 
-	l.recomputeRoles(sc.dirtyRoles.list)
+	l.recomputeRoles(sc.dirtyRoles.List)
 
 	rebuildActs, rebuildTasks := l.buildSubgraphs(subgraphList(d.rebuiltSubs))
 	d.parallelSubs += rebuildTasks
@@ -384,16 +384,16 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		d.affectedSubs[s.ID] = s
 	}
 
-	sc.upDirty.reset(l.flatN())
-	for _, v := range sc.dirtyRoles.list {
-		sc.upDirty.add(v)
+	sc.upDirty.Reset(l.flatN())
+	for _, v := range sc.dirtyRoles.List {
+		sc.upDirty.Add(v)
 	}
 	for _, s := range subgraphList(d.affectedSubs) {
 		for _, u := range s.Entries {
-			sc.upDirty.add(u)
+			sc.upDirty.Add(u)
 		}
 	}
-	for _, v := range sc.upDirty.list {
+	for _, v := range sc.upDirty.List {
 		l.refreshUpVertex(v)
 	}
 	return d

@@ -28,62 +28,17 @@ type WEdge struct {
 }
 
 // Frame is the message-passing structure: per-vertex out-lists of
-// semiring-weighted edges over a dense ID space.
-//
-// Two storages are supported. Row-list form fills Out — one slice per
-// vertex — and is what the incremental engines maintain in place. Flat
-// (CSR) form fills Off/Edges — all rows packed into one contiguous edge
-// array indexed by offsets — which batch runs prefer because the hot loop
-// then walks a single cache-friendly array. Readers go through Row, which
-// serves whichever storage is populated (flat wins when both are set).
+// semiring-weighted edges over a dense ID space. The incremental engines
+// replace rows in place between runs.
 type Frame struct {
 	Out [][]WEdge
-
-	// Flat storage: row v is Edges[Off[v]:Off[v+1]]; len(Off) = N+1.
-	Off   []int32
-	Edges []WEdge
-}
-
-// Row returns v's weighted out-edges from whichever storage the frame uses.
-func (f *Frame) Row(v graph.VertexID) []WEdge {
-	if f.Off != nil {
-		return f.Edges[f.Off[v]:f.Off[v+1]]
-	}
-	return f.Out[v]
-}
-
-// Thaw converts a flat frame to row-list form so rows can be replaced in
-// place (incremental engines refresh per-source rows between runs). Rows
-// initially alias the packed edge array (capacity-clamped, so appends
-// reallocate instead of clobbering neighbors). No-op on row-list frames.
-func (f *Frame) Thaw() {
-	if f.Off == nil {
-		return
-	}
-	n := len(f.Off) - 1
-	f.Out = make([][]WEdge, n)
-	for v := 0; v < n; v++ {
-		lo, hi := f.Off[v], f.Off[v+1]
-		if lo < hi {
-			f.Out[v] = f.Edges[lo:hi:hi]
-		}
-	}
-	f.Off, f.Edges = nil, nil
 }
 
 // N returns the size of the frame's ID space.
-func (f *Frame) N() int {
-	if f.Off != nil {
-		return len(f.Off) - 1
-	}
-	return len(f.Out)
-}
+func (f *Frame) N() int { return len(f.Out) }
 
 // NumEdges returns the total weighted-edge count.
 func (f *Frame) NumEdges() int {
-	if f.Off != nil {
-		return len(f.Edges)
-	}
 	n := 0
 	for _, l := range f.Out {
 		n += len(l)
@@ -91,25 +46,28 @@ func (f *Frame) NumEdges() int {
 	return n
 }
 
-// BuildFrame projects g under a in flat form: every live edge u→v becomes a
-// WEdge with weight a.EdgeWeight, packed contiguously through the graph's
-// CSR view. Dead vertices get empty rows.
+// BuildFrame projects g under a: every live edge u→v becomes a WEdge with
+// weight a.EdgeWeight. All rows are packed into one contiguous backing
+// array, so a batch run walks the edges in order, and each row's capacity
+// is clamped to its length, so an append to a row reallocates it instead of
+// clobbering its neighbour. Dead vertices get empty rows.
 func BuildFrame(g *graph.Graph, a algo.Algorithm) *Frame {
-	g.EnsureCSR()
 	n := g.Cap()
-	off := make([]int32, n+1)
+	out := make([][]WEdge, n)
 	edges := make([]WEdge, 0, g.NumEdges())
 	for u := 0; u < n; u++ {
-		off[u] = int32(len(edges))
 		if !g.Alive(graph.VertexID(u)) {
 			continue
 		}
-		for _, e := range g.CSROut(graph.VertexID(u)) {
+		lo := len(edges)
+		for _, e := range g.Out(graph.VertexID(u)) {
 			edges = append(edges, WEdge{To: e.To, W: a.EdgeWeight(g, graph.VertexID(u), e)})
 		}
+		if hi := len(edges); hi > lo {
+			out[u] = edges[lo:hi:hi]
+		}
 	}
-	off[n] = int32(len(edges))
-	return &Frame{Off: off, Edges: edges}
+	return &Frame{Out: out}
 }
 
 // InitVectors returns x0 and m0 vectors sized to g's ID space per the
@@ -308,7 +266,7 @@ func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
 					if val == zero {
 						continue
 					}
-					for _, e := range f.Row(v) {
+					for _, e := range f.Out[v] {
 						msg := sr.Times(val, e.W)
 						if msg == zero {
 							continue

@@ -21,23 +21,34 @@ func randomFrameGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// TestFlatFrameMatchesRowFrame pins that the flat (CSR) frame is an exact
-// projection: same rows, and Run produces identical results on both forms.
+// TestFlatFrameMatchesRowFrame pins that the packed frame BuildFrame
+// returns is an exact projection of the graph — every row holds the
+// source's weighted out-edges in graph order — and that Run produces
+// identical results on it and on a frame of separately allocated rows.
 func TestFlatFrameMatchesRowFrame(t *testing.T) {
 	g := randomFrameGraph(3, 80)
 	g.DeleteVertex(7) // dead rows must stay empty
 	a := algo.NewSSSP(0)
 
 	flat := BuildFrame(g, a)
-	if flat.Off == nil {
-		t.Fatal("BuildFrame did not produce a flat frame")
+	rows := &Frame{Out: make([][]WEdge, g.Cap())}
+	for u := 0; u < g.Cap(); u++ {
+		for _, e := range g.Out(graph.VertexID(u)) {
+			rows.Out[u] = append(rows.Out[u], WEdge{To: e.To, W: a.EdgeWeight(g, graph.VertexID(u), e)})
+		}
 	}
-	rows := &Frame{Out: make([][]WEdge, flat.N())}
-	for v := 0; v < flat.N(); v++ {
-		rows.Out[v] = append([]WEdge(nil), flat.Row(graph.VertexID(v))...)
+	if flat.N() != rows.N() || flat.NumEdges() != rows.NumEdges() || flat.NumEdges() != g.NumEdges() {
+		t.Fatalf("shape mismatch: N %d/%d E %d/%d/%d", flat.N(), rows.N(), flat.NumEdges(), rows.NumEdges(), g.NumEdges())
 	}
-	if flat.N() != rows.N() || flat.NumEdges() != rows.NumEdges() {
-		t.Fatalf("shape mismatch: N %d/%d E %d/%d", flat.N(), rows.N(), flat.NumEdges(), rows.NumEdges())
+	for v := range rows.Out {
+		if len(flat.Out[v]) != len(rows.Out[v]) {
+			t.Fatalf("row %d: %d edges, graph has %d", v, len(flat.Out[v]), len(rows.Out[v]))
+		}
+		for i := range rows.Out[v] {
+			if flat.Out[v][i] != rows.Out[v][i] {
+				t.Fatalf("row %d edge %d: %v, want %v", v, i, flat.Out[v][i], rows.Out[v][i])
+			}
+		}
 	}
 
 	x0, m0 := InitVectors(g, a)
@@ -52,45 +63,23 @@ func TestFlatFrameMatchesRowFrame(t *testing.T) {
 	}
 }
 
-// TestFrameThaw pins that thawing keeps rows identical and makes them
-// independently replaceable.
-func TestFrameThaw(t *testing.T) {
+// TestBuildFrameRowsAppendSafely pins that packed rows are capacity-clamped:
+// appending to one row reallocates it and leaves its neighbour intact.
+func TestBuildFrameRowsAppendSafely(t *testing.T) {
 	g := randomFrameGraph(4, 40)
-	a := algo.NewPageRank(0.85, 1e-9)
-	f := BuildFrame(g, a)
-	want := make([][]WEdge, f.N())
-	for v := range want {
-		want[v] = append([]WEdge(nil), f.Row(graph.VertexID(v))...)
-	}
-	f.Thaw()
-	if f.Off != nil || f.Edges != nil {
-		t.Fatal("thaw left flat storage populated")
-	}
-	for v := range want {
-		got := f.Row(graph.VertexID(v))
-		if len(got) != len(want[v]) {
-			t.Fatalf("row %d length changed across thaw", v)
-		}
-		for i := range got {
-			if got[i] != want[v][i] {
-				t.Fatalf("row %d edge %d changed across thaw", v, i)
-			}
-		}
-	}
-	// Appending to a thawed row must not clobber the neighboring row.
+	f := BuildFrame(g, algo.NewPageRank(0.85, 1e-9))
 	var v0 graph.VertexID
-	for v := range want {
-		if len(want[v]) > 0 {
+	for v := 0; v+1 < len(f.Out); v++ {
+		if len(f.Out[v]) > 0 && len(f.Out[v+1]) > 0 {
 			v0 = graph.VertexID(v)
 			break
 		}
 	}
-	next := f.Row(v0 + 1)
-	nextCopy := append([]WEdge(nil), next...)
+	next := append([]WEdge(nil), f.Out[v0+1]...)
 	f.Out[v0] = append(f.Out[v0], WEdge{To: 0, W: 99})
-	for i := range nextCopy {
-		if f.Row(v0 + 1)[i] != nextCopy[i] {
-			t.Fatal("append to thawed row clobbered neighbor")
+	for i := range next {
+		if f.Out[v0+1][i] != next[i] {
+			t.Fatal("append to a packed row clobbered its neighbour")
 		}
 	}
 }

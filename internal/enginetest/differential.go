@@ -34,15 +34,6 @@ type DifferentialConfig struct {
 	Atol float64
 	// Weighted draws random edge weights (otherwise unit weights).
 	Weighted bool
-	// CSRCompactFraction, when positive, overrides the compaction
-	// threshold on every engine graph (and the driver) so the flat-view
-	// overlay compacts repeatedly mid-stream instead of once at the end.
-	CSRCompactFraction float64
-	// CheckCSR validates overlay coherence (CheckCSR) on every graph
-	// after each batch, and forces an EnsureCSR compaction pass between
-	// batches so engines see the view flip from overlay-served to
-	// freshly compacted rows under them.
-	CheckCSR bool
 	// MigrationSize/MigrationRewire, when positive, mix a community-
 	// migration churn sub-batch into every batch (delta.MigrationBatch):
 	// a cluster of MigrationSize vertices is rewired with MigrationRewire
@@ -77,20 +68,17 @@ func ShortDifferentialConfig() DifferentialConfig {
 	return c
 }
 
-// CSRDifferentialConfig returns the CSR-overlay stress schedule: a tiny
-// compaction threshold so the flat view compacts several times
-// mid-stream, heavy vertex churn so deletes tombstone vertices whose
-// rows are still in the flat arrays (and Layph rewires its entry proxies
-// across compactions), and per-batch CheckCSR coherence validation.
-func CSRDifferentialConfig() DifferentialConfig {
+// ChurnDifferentialConfig returns the vertex-churn stress schedule: heavy
+// vertex churn in every batch, so deletes tombstone vertices whose frame
+// rows and dependency subtrees are live, revivals reuse their ids, and
+// Layph rewires its entry proxies around them.
+func ChurnDifferentialConfig() DifferentialConfig {
 	c := DefaultDifferentialConfig()
 	c.Seeds = []int64{21}
 	c.Batches = 6
 	c.BatchSize = 40
 	c.AddVertices = 5
 	c.DelVertices = 4
-	c.CSRCompactFraction = 0.01
-	c.CheckCSR = true
 	return c
 }
 
@@ -132,16 +120,10 @@ func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg
 			Weighted:      cfg.Weighted,
 			Seed:          seed,
 		})
-		if cfg.CSRCompactFraction > 0 {
-			driver.SetCSRCompactFraction(cfg.CSRCompactFraction)
-		}
 		sys := make([]inc.System, len(engines))
 		graphs := make([]*graph.Graph, len(engines))
 		for i, e := range engines {
 			graphs[i] = driver.Clone()
-			if cfg.CSRCompactFraction > 0 {
-				graphs[i].SetCSRCompactFraction(cfg.CSRCompactFraction)
-			}
 			sys[i] = e.New(graphs[i], mkAlgo())
 		}
 		genr := delta.NewGenerator(seed*131 + 7)
@@ -162,19 +144,6 @@ func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg
 			for i, e := range engines {
 				applied := delta.Apply(graphs[i], batch)
 				sys[i].Update(applied)
-				if cfg.CheckCSR {
-					// Pin overlay coherence after the engine consumed the
-					// batch, then force a compaction pass so the next batch
-					// runs against freshly rebuilt flat arrays (tombstoned
-					// rows dropped, proxy hosts reindexed).
-					if err := graphs[i].CheckCSR(); err != nil {
-						t.Fatalf("%s seed=%d batch=%d: %v", e.Name, seed, b, err)
-					}
-					graphs[i].EnsureCSR()
-					if err := graphs[i].CheckCSR(); err != nil {
-						t.Fatalf("%s seed=%d batch=%d after compaction: %v", e.Name, seed, b, err)
-					}
-				}
 				got := sys[i].States()
 				if len(got) < driver.Cap() {
 					t.Fatalf("%s seed=%d batch=%d: state vector too short (%d < %d)",
@@ -184,13 +153,6 @@ func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg
 					t.Fatalf("%s seed=%d batch=%d: diverged from restart, max diff %v",
 						e.Name, seed, b, maxDiffLive(driver, got, want.X))
 				}
-			}
-		}
-		if cfg.CheckCSR {
-			// The schedule is only exercising what it claims if the flat
-			// view actually compacted mid-stream.
-			if st := graphs[0].CSRStats(); st.Compactions == 0 {
-				t.Fatalf("seed=%d: CSR schedule never compacted (%+v); lower CSRCompactFraction or add batches", seed, st)
 			}
 		}
 	}

@@ -37,13 +37,6 @@ type Graph struct {
 	alive []bool
 	numV  int // live vertices
 	numE  int // live edges
-
-	// Compact adjacency view (see csr.go). Lazily built by EnsureCSR and
-	// kept coherent by the mutators via a row-granular dirty overlay.
-	csr            *csrView
-	csrFrac        float64
-	csrBuilds      int64
-	csrCompactions int64
 }
 
 // New returns an empty graph with n live vertices (IDs 0..n-1) and no edges.
@@ -144,7 +137,6 @@ func (g *Graph) DeleteVertex(v VertexID) (removed []DeletedEdge) {
 	for _, e := range g.out[v] {
 		removed = append(removed, DeletedEdge{From: v, To: e.To, W: e.W})
 		g.removeIn(e.To, v)
-		g.csrLogEdge(v, e.To)
 		g.numE--
 	}
 	g.out[v] = nil
@@ -154,7 +146,6 @@ func (g *Graph) DeleteVertex(v VertexID) (removed []DeletedEdge) {
 		}
 		removed = append(removed, DeletedEdge{From: e.To, To: v, W: e.W})
 		g.removeOut(e.To, v)
-		g.csrLogEdge(e.To, v)
 		g.numE--
 	}
 	g.in[v] = nil
@@ -186,13 +177,11 @@ func (g *Graph) AddEdge(u, v VertexID, w float64) (prev float64, replaced bool) 
 					break
 				}
 			}
-			g.csrLogEdge(u, v)
 			return prev, true
 		}
 	}
 	g.out[u] = append(g.out[u], Edge{To: v, W: w})
 	g.in[v] = append(g.in[v], Edge{To: u, W: w})
-	g.csrLogEdge(u, v)
 	g.numE++
 	return 0, false
 }
@@ -208,7 +197,6 @@ func (g *Graph) DeleteEdge(u, v VertexID) (w float64, ok bool) {
 			w = g.out[u][i].W
 			g.out[u] = append(g.out[u][:i], g.out[u][i+1:]...)
 			g.removeIn(v, u)
-			g.csrLogEdge(u, v)
 			g.numE--
 			return w, true
 		}
@@ -246,8 +234,6 @@ func (g *Graph) Clone() *Graph {
 		alive: append([]bool(nil), g.alive...),
 		numV:  g.numV,
 		numE:  g.numE,
-		// The compact view is not cloned (it is a cache); the tuning knob is.
-		csrFrac: g.csrFrac,
 	}
 	for i := range g.out {
 		if g.out[i] != nil {
@@ -284,7 +270,6 @@ func (g *Graph) Edges(f func(u, v VertexID, w float64)) {
 // SortAdjacency sorts every adjacency list by destination ID. Generators and
 // tests use it to make iteration order canonical; engines do not rely on it.
 func (g *Graph) SortAdjacency() {
-	g.csr = nil // reordering rows in place would desync the compact view
 	for i := range g.out {
 		sort.Slice(g.out[i], func(a, b int) bool { return g.out[i][a].To < g.out[i][b].To })
 		sort.Slice(g.in[i], func(a, b int) bool { return g.in[i][a].To < g.in[i][b].To })

@@ -46,6 +46,17 @@ func (s Stats) String() string {
 		s.Vertices, s.Edges, s.AvgDegree, s.MaxOutDegree, s.MaxInDegree, s.DegreeP99)
 }
 
+// CSRStats is the record of a compact adjacency view the graph no longer
+// keeps. It is retained, always zero, for reporters that still print its
+// counters.
+type CSRStats struct {
+	DirtyRows   int
+	Compactions int64
+}
+
+// CSRStats returns the zero record.
+func (g *Graph) CSRStats() CSRStats { return CSRStats{} }
+
 // UndirectedDegree returns the degree of v counting both directions, with
 // reciprocal edges counted twice. Community detection works on this view.
 func (g *Graph) UndirectedDegree(v VertexID) int {

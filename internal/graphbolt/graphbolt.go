@@ -147,18 +147,17 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 	// changed — targets of added/removed edges plus all current out-targets
 	// of sources whose out-lists (and hence per-edge weights) changed.
 	dirty := make(map[graph.VertexID]struct{})
-	for _, ed := range applied.AddedEdges {
-		dirty[ed.To] = struct{}{}
-	}
-	for _, ed := range applied.RemovedEdges {
-		dirty[ed.To] = struct{}{}
-	}
-	for u := range inc.TouchedSources(applied) {
-		if !e.g.Alive(u) {
-			continue
-		}
-		for _, oe := range e.g.Out(u) {
-			dirty[oe.To] = struct{}{}
+	sources := make(map[graph.VertexID]struct{})
+	for _, l := range [][]graph.DeletedEdge{applied.AddedEdges, applied.RemovedEdges} {
+		for _, ed := range l {
+			dirty[ed.To] = struct{}{}
+			if _, seen := sources[ed.From]; seen || !e.g.Alive(ed.From) {
+				continue
+			}
+			sources[ed.From] = struct{}{}
+			for _, oe := range e.g.Out(ed.From) {
+				dirty[oe.To] = struct{}{}
+			}
 		}
 	}
 	// An added vertex's aggregation formula changed from nonexistent to

@@ -18,12 +18,14 @@
 //     change (u,v): w0→w1 is compensated exactly by the delta message
 //     x_old(u)·(w1−w0); no per-edge memoization beyond the converged states
 //     is needed. This is Ingress's memoization-free engine.
+//
+// Kernel runs both schemes over one frame; Ingress and the shard engines
+// are kernels.
 package inc
 
 import (
 	"time"
 
-	"layph/internal/algo"
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
@@ -127,24 +129,6 @@ type System interface {
 	Update(applied *delta.Applied) Stats
 }
 
-// TouchedSources returns the vertices whose out-edge semiring weights may
-// have changed: sources of added/removed edges (PageRank-style weights
-// depend on the source's degree, so any out-list change invalidates all of
-// that source's weights) plus removed vertices.
-func TouchedSources(applied *delta.Applied) map[graph.VertexID]struct{} {
-	s := make(map[graph.VertexID]struct{})
-	for _, e := range applied.AddedEdges {
-		s[e.From] = struct{}{}
-	}
-	for _, e := range applied.RemovedEdges {
-		s[e.From] = struct{}{}
-	}
-	for _, v := range applied.RemovedVertices {
-		s[v] = struct{}{}
-	}
-	return s
-}
-
 // GrowVectors extends state/message vectors (and optional parent vectors) to
 // n entries, filling new slots with fill (resp. NoParent).
 func GrowVectors(x []float64, n int, fill float64) []float64 {
@@ -160,252 +144,4 @@ func GrowParents(p []graph.VertexID, n int) []graph.VertexID {
 		p = append(p, engine.NoParent)
 	}
 	return p
-}
-
-// RefreshFrame rebuilds the out-lists of the touched source vertices against
-// the current graph and returns the previous lists (needed by the
-// non-idempotent scheme to cancel old contributions). It also grows the
-// frame if the graph gained vertices.
-func RefreshFrame(f *engine.Frame, g *graph.Graph, a algo.Algorithm, touched map[graph.VertexID]struct{}) map[graph.VertexID][]engine.WEdge {
-	f.Thaw() // flat frames can't swap rows in place
-	for len(f.Out) < g.Cap() {
-		f.Out = append(f.Out, nil)
-	}
-	old := make(map[graph.VertexID][]engine.WEdge, len(touched))
-	for u := range touched {
-		old[u] = f.Out[u]
-		if !g.Alive(u) {
-			f.Out[u] = nil
-			continue
-		}
-		es := g.Out(u)
-		if len(es) == 0 {
-			f.Out[u] = nil
-			continue
-		}
-		l := make([]engine.WEdge, len(es))
-		for i, e := range es {
-			l[i] = engine.WEdge{To: e.To, W: a.EdgeWeight(g, u, e)}
-		}
-		f.Out[u] = l
-	}
-	return old
-}
-
-// SumDeduction computes the revision messages of the non-idempotent scheme:
-// for every touched source u, cancel x_old(u)·w over the old out-list and
-// compensate x_old(u)·w over the new out-list; root-message corrections
-// cover added vertices. The returned activation count is the number of
-// non-zero messages produced.
-func SumDeduction(xOld []float64, oldLists map[graph.VertexID][]engine.WEdge,
-	f *engine.Frame, a algo.Algorithm, applied *delta.Applied) (pending []float64, activations int64) {
-	pending = make([]float64, len(f.Out))
-	for u, old := range oldLists {
-		xu := 0.0
-		if int(u) < len(xOld) {
-			xu = xOld[u]
-		}
-		if xu != 0 {
-			for _, e := range old {
-				if m := xu * e.W; m != 0 {
-					pending[e.To] -= m
-					activations++
-				}
-			}
-			for _, e := range f.Out[u] {
-				if m := xu * e.W; m != 0 {
-					pending[e.To] += m
-					activations++
-				}
-			}
-		}
-	}
-	for _, v := range applied.AddedVertices {
-		pending[v] += a.InitMessage(v)
-	}
-	// A removed vertex's root message was already delivered into the old
-	// states via its (now cancelled) out-edges; the residue parked on the
-	// vertex itself is cleared by the caller after the run.
-	return pending, activations
-}
-
-// MinDeduction implements the idempotent scheme's cancellation/compensation:
-// it tags the dependency subtrees hanging off deleted/reweighted dependency
-// edges and deleted vertices, resets them to 0̄, and computes fresh offers
-// for every reset vertex from its intact in-neighbors plus the root message.
-//
-// x and parent are mutated in place (they are the engine's memoized state).
-// The returned pending vector and active list seed engine.Run; activations
-// counts the offer computations (F applications during deduction).
-type MinDeduction struct {
-	Pending []float64
-	Active  []graph.VertexID
-	// ResetList holds the vertices whose states were invalidated; callers
-	// need it to repair dependency parents after the propagation run.
-	ResetList   []graph.VertexID
-	Activations int64
-}
-
-// DeduceMin prepares an incremental min-semiring run. g must already
-// reflect the post-batch graph.
-func DeduceMin(x []float64, parent []graph.VertexID, g *graph.Graph,
-	a algo.Algorithm, applied *delta.Applied) *MinDeduction {
-	sr := a.Semiring()
-	zero := sr.Zero()
-	n := g.Cap()
-
-	// Seed tags: dependency edges that disappeared or changed weight, and
-	// removed vertices (their whole dependency subtree is invalid).
-	tagged := make([]bool, n)
-	var queue []graph.VertexID
-	tag := func(v graph.VertexID) {
-		if int(v) < n && !tagged[v] {
-			tagged[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for _, e := range applied.RemovedEdges {
-		if int(e.To) < len(parent) && parent[e.To] == e.From {
-			tag(e.To)
-		}
-	}
-	for _, v := range applied.RemovedVertices {
-		tag(v)
-	}
-
-	// Propagate tags down the dependency tree. children is built lazily only
-	// when there is something to tag.
-	var resets []graph.VertexID
-	if len(queue) > 0 {
-		children := make(map[graph.VertexID][]graph.VertexID, len(parent))
-		for v, p := range parent {
-			if p != engine.NoParent {
-				children[p] = append(children[p], graph.VertexID(v))
-			}
-		}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			resets = append(resets, v)
-			for _, c := range children[v] {
-				tag(c)
-			}
-		}
-	}
-
-	d := &MinDeduction{Pending: make([]float64, n)}
-	for i := range d.Pending {
-		d.Pending[i] = zero
-	}
-	for _, v := range resets {
-		x[v] = zero
-		parent[v] = engine.NoParent
-	}
-	d.ResetList = resets
-
-	inActive := make([]bool, n)
-	activate := func(v graph.VertexID) {
-		if !inActive[v] {
-			inActive[v] = true
-			d.Active = append(d.Active, v)
-		}
-	}
-
-	// Fresh offers for reset vertices: intact in-neighbors propose
-	// x(u) ⊗ w(u,v); the root message (m0) re-seeds sources.
-	for _, v := range resets {
-		if !g.Alive(v) {
-			continue
-		}
-		if m0 := a.InitMessage(v); m0 != zero {
-			d.Pending[v] = sr.Plus(d.Pending[v], m0)
-		}
-		for _, ie := range g.In(v) {
-			u := ie.To
-			if tagged[u] || x[u] == zero {
-				continue
-			}
-			offer := sr.Times(x[u], a.EdgeWeight(g, u, graph.Edge{To: v, W: ie.W}))
-			d.Activations++
-			if offer != zero {
-				d.Pending[v] = sr.Plus(d.Pending[v], offer)
-			}
-		}
-		if d.Pending[v] != zero {
-			activate(v)
-		}
-	}
-
-	// Compensation for added/reweighted edges whose target survived: offer
-	// the new candidate directly.
-	for _, e := range applied.AddedEdges {
-		u, v := e.From, e.To
-		if !g.Alive(u) || !g.Alive(v) || tagged[v] {
-			continue // reset targets already collected offers above
-		}
-		if x[u] == zero {
-			continue
-		}
-		offer := sr.Times(x[u], a.EdgeWeight(g, u, graph.Edge{To: v, W: e.W}))
-		d.Activations++
-		if sr.Plus(x[v], offer) != x[v] {
-			d.Pending[v] = sr.Plus(d.Pending[v], offer)
-			activate(v)
-		}
-	}
-
-	// Added vertices start from their algorithm-defined initial state.
-	for _, v := range applied.AddedVertices {
-		x[v] = a.InitState(v)
-		if m0 := a.InitMessage(v); m0 != zero {
-			d.Pending[v] = sr.Plus(d.Pending[v], m0)
-			activate(v)
-		}
-	}
-	return d
-}
-
-// RepairParents recomputes dependency parents for every vertex whose state
-// differs between pre and post (plus explicitly listed vertices), by scanning
-// in-edges for a witness u with x(u) ⊗ w(u,v) == x(v). It returns the number
-// of repaired entries.
-func RepairParents(x, pre []float64, extra []graph.VertexID, parent []graph.VertexID,
-	g *graph.Graph, a algo.Algorithm) int {
-	sr := a.Semiring()
-	zero := sr.Zero()
-	repair := func(v graph.VertexID) {
-		if !g.Alive(v) || x[v] == zero {
-			parent[v] = engine.NoParent
-			return
-		}
-		parent[v] = engine.NoParent
-		for _, ie := range g.In(v) {
-			u := ie.To
-			if x[u] == zero {
-				continue
-			}
-			if sr.Times(x[u], a.EdgeWeight(g, u, graph.Edge{To: v, W: ie.W})) == x[v] {
-				parent[v] = u
-				return
-			}
-		}
-	}
-	count := 0
-	done := make(map[graph.VertexID]struct{})
-	for v := range x {
-		if v < len(pre) && x[v] == pre[v] {
-			continue
-		}
-		repair(graph.VertexID(v))
-		done[graph.VertexID(v)] = struct{}{}
-		count++
-	}
-	for _, v := range extra {
-		if _, ok := done[v]; ok {
-			continue
-		}
-		repair(v)
-		count++
-	}
-	return count
 }

@@ -20,20 +20,26 @@ func buildDiamond() *graph.Graph {
 	return g
 }
 
-func TestTouchedSources(t *testing.T) {
-	a := &delta.Applied{
+func TestRefreshTouchesSources(t *testing.T) {
+	g := graph.New(8)
+	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k.Touch(5)
+	k.Update(&delta.Applied{
 		AddedEdges:      []graph.DeletedEdge{{From: 1, To: 2}},
-		RemovedEdges:    []graph.DeletedEdge{{From: 3, To: 4}},
+		RemovedEdges:    []graph.DeletedEdge{{From: 3, To: 4}, {From: 1, To: 6}},
 		RemovedVertices: []graph.VertexID{7},
+	})
+	want := []graph.VertexID{1, 3, 7, 5}
+	if len(k.touched.List) != len(want) {
+		t.Fatalf("touched %v, want %v", k.touched.List, want)
 	}
-	s := TouchedSources(a)
-	for _, v := range []graph.VertexID{1, 3, 7} {
-		if _, ok := s[v]; !ok {
-			t.Fatalf("missing %d in %v", v, s)
+	for i, v := range want {
+		if k.touched.List[i] != v {
+			t.Fatalf("touched %v, want %v (edge targets are not sources)", k.touched.List, want)
 		}
 	}
-	if _, ok := s[2]; ok {
-		t.Fatal("edge targets must not be touched sources")
+	if len(k.touch) != 0 {
+		t.Fatal("queued touches survive the update")
 	}
 }
 
@@ -50,22 +56,27 @@ func TestGrowVectors(t *testing.T) {
 
 func TestRefreshFrame(t *testing.T) {
 	g := buildDiamond()
-	a := algo.NewSSSP(0)
-	f := engine.BuildFrame(g, a)
-	g.DeleteEdge(1, 3)
-	g.AddEdge(1, 4, 7)
-	old := RefreshFrame(f, g, a, map[graph.VertexID]struct{}{1: {}})
-	if len(old[1]) != 1 || old[1][0].To != 3 {
-		t.Fatalf("old list: %v", old[1])
+	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k.Update(delta.Apply(g, delta.Batch{
+		{Kind: delta.DelEdge, U: 1, V: 3},
+		{Kind: delta.AddEdge, U: 1, V: 4, W: 7},
+	}))
+	if r := k.frame.Out[1]; len(r) != 1 || r[0].To != 4 || r[0].W != 7 {
+		t.Fatalf("new row: %v", r)
 	}
-	if len(f.Out[1]) != 1 || f.Out[1][0].To != 4 || f.Out[1][0].W != 7 {
-		t.Fatalf("new list: %v", f.Out[1])
-	}
-	// Dead vertex loses its list.
-	g.DeleteVertex(2)
-	RefreshFrame(f, g, a, map[graph.VertexID]struct{}{2: {}})
-	if len(f.Out[2]) != 0 {
+	// A dead vertex loses its row.
+	k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelVertex, U: 2}}))
+	if len(k.frame.Out[2]) != 0 {
 		t.Fatal("dead vertex keeps frame edges")
+	}
+	// The sum scheme keeps the previous row to cancel it.
+	s := NewKernel(g, algo.NewPageRank(0.85, 1e-9), engine.Options{})
+	s.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 3, W: 1}}))
+	if len(s.oldRows) != 1 || len(s.oldRows[0]) != 1 || s.oldRows[0][0].To != 1 {
+		t.Fatalf("old rows: %v", s.oldRows)
+	}
+	if len(s.frame.Out[0]) != 2 {
+		t.Fatalf("new row: %v", s.frame.Out[0])
 	}
 }
 
@@ -74,100 +85,98 @@ func TestSumDeduction(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 1)
 	a := algo.NewPageRank(0.85, 1e-9)
-	f := engine.BuildFrame(g, a)
-	xOld := []float64{2, 0, 0} // pretend state
-	// Delete (0,2): out-degree 2 -> 1, so weight of (0,1) changes too.
-	oldLists := map[graph.VertexID][]engine.WEdge{0: f.Row(0)}
-	g.DeleteEdge(0, 2)
-	RefreshFrame(f, g, a, map[graph.VertexID]struct{}{0: {}})
-	applied := &delta.Applied{RemovedEdges: []graph.DeletedEdge{{From: 0, To: 2, W: 1}}}
-	pending, acts := SumDeduction(xOld, oldLists, f, a, applied)
-	if acts == 0 {
+	k := NewKernel(g, a, engine.Options{})
+	x0 := k.States()[0]
+	// Delete (0,2): out-degree 2 -> 1, so the weight of (0,1) changes too.
+	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 2}}))
+	if st.Activations == 0 {
 		t.Fatal("no activations counted")
 	}
 	// Vertex 2 loses x0*0.425; vertex 1 gains x0*(0.85-0.425).
-	if math.Abs(pending[2]-(-2*0.425)) > 1e-12 {
-		t.Fatalf("pending[2] = %v", pending[2])
+	if math.Abs(k.pending[2]-(-x0*0.425)) > 1e-12 {
+		t.Fatalf("pending[2] = %v", k.pending[2])
 	}
-	if math.Abs(pending[1]-2*0.425) > 1e-12 {
-		t.Fatalf("pending[1] = %v", pending[1])
+	if math.Abs(k.pending[1]-x0*0.425) > 1e-12 {
+		t.Fatalf("pending[1] = %v", k.pending[1])
 	}
 }
 
 func TestDeduceMinTagsSubtree(t *testing.T) {
 	g := buildDiamond()
-	a := algo.NewSSSP(0)
-	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
-	x, parent := res.X, res.Parent
+	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
 	// Delete the dependency edge (1,3): 3 and its child 4 must reset.
-	g.DeleteEdge(1, 3)
-	applied := &delta.Applied{RemovedEdges: []graph.DeletedEdge{{From: 1, To: 3, W: 1}}}
-	d := DeduceMin(x, parent, g, a, applied)
-	if len(d.ResetList) != 2 {
-		t.Fatalf("resets: %v", d.ResetList)
+	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 1, V: 3}}))
+	if st.Resets != 2 || len(k.trim.Tagged.List) != 2 {
+		t.Fatalf("resets: %d %v", st.Resets, k.trim.Tagged.List)
 	}
-	if !math.IsInf(x[3], 1) || !math.IsInf(x[4], 1) {
-		t.Fatalf("states not reset: %v", x)
+	// Offer for 3 via the surviving path through 2 (cost 6), recorded with
+	// its source.
+	if k.pending[3] != 6 || k.from[3] != 2 {
+		t.Fatalf("offer for 3: %v from %v", k.pending[3], k.from[3])
 	}
-	// Offer for 3 via the surviving path through 2 (cost 6).
-	if d.Pending[3] != 6 {
-		t.Fatalf("offer for 3: %v", d.Pending[3])
-	}
-	if d.Activations == 0 {
+	if st.Activations == 0 {
 		t.Fatal("offer scans not counted")
+	}
+	if x := k.States(); x[3] != 6 || x[4] != 7 {
+		t.Fatalf("states: %v", x)
 	}
 }
 
 func TestDeduceMinAddedEdgeCandidate(t *testing.T) {
 	g := buildDiamond()
-	a := algo.NewSSSP(0)
-	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
-	x, parent := res.X, res.Parent
-	g.AddEdge(0, 4, 1)
-	applied := &delta.Applied{AddedEdges: []graph.DeletedEdge{{From: 0, To: 4, W: 1}}}
-	d := DeduceMin(x, parent, g, a, applied)
-	if d.Pending[4] != 1 {
-		t.Fatalf("candidate for 4: %v", d.Pending[4])
+	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 4, W: 1}}))
+	if k.pending[4] != 1 {
+		t.Fatalf("candidate for 4: %v", k.pending[4])
 	}
-	if len(d.Active) != 1 || d.Active[0] != 4 {
-		t.Fatalf("active: %v", d.Active)
+	if a := k.active.List; len(a) != 1 || a[0] != 4 {
+		t.Fatalf("active: %v", a)
+	}
+	if k.Parents()[4] != 0 {
+		t.Fatalf("parent of 4 = %v, want 0", k.Parents()[4])
 	}
 }
 
 func TestDeduceMinAddedVertex(t *testing.T) {
 	g := buildDiamond()
-	a := algo.NewSSSP(0)
-	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
-	x, parent := res.X, res.Parent
+	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
 	id := g.AddVertex()
-	x = GrowVectors(x, g.Cap(), math.Inf(1))
-	parent = GrowParents(parent, g.Cap())
-	applied := &delta.Applied{AddedVertices: []graph.VertexID{id}}
-	d := DeduceMin(x, parent, g, a, applied)
-	if !math.IsInf(x[id], 1) {
-		t.Fatalf("new vertex state: %v", x[id])
+	k.Update(&delta.Applied{AddedVertices: []graph.VertexID{id}})
+	if !math.IsInf(k.States()[id], 1) {
+		t.Fatalf("new vertex state: %v", k.States()[id])
 	}
-	if len(d.Active) != 0 {
+	if len(k.active.List) != 0 {
 		t.Fatal("isolated non-source vertex should not activate")
 	}
 }
 
-func TestRepairParents(t *testing.T) {
-	g := buildDiamond()
-	a := algo.NewSSSP(0)
-	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
-	pre := append([]float64(nil), res.X...)
-	// Corrupt parents, change one state, then repair.
-	parent := GrowParents(nil, g.Cap())
-	x := res.X
-	n := RepairParents(x, pre, []graph.VertexID{0, 1, 2, 3, 4}, parent, g, a)
-	if n == 0 {
-		t.Fatal("nothing repaired")
+// TestParentsFromFixpoint pins that min-scheme parents are the sources that
+// set each value. On a zero-weight cycle every member's value matches every
+// other member's offer, so a parent re-derived by matching values can point
+// into the cycle and survive the loss of the cycle's only support.
+func TestParentsFromFixpoint(t *testing.T) {
+	// CC labels: 0 reaches the cycle 2<->3 through 1; 4 hangs off 3.
+	g := graph.New(5)
+	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 2}, {3, 4}} {
+		g.AddEdge(e[0], e[1], 1)
 	}
-	if parent[3] != 1 {
-		t.Fatalf("parent[3] = %v, want 1", parent[3])
+	k := NewKernel(g, algo.NewCC(), engine.Options{Workers: 1})
+	if p := k.Parents(); p[2] != 1 || p[3] != 2 || p[4] != 3 {
+		t.Fatalf("initial parents: %v", p)
 	}
-	if parent[0] != engine.NoParent {
-		t.Fatalf("source parent = %v", parent[0])
+	// Re-route the cycle's support: 0 -> 3 directly, and drop 1 -> 2. Value
+	// matching would now make 2 and 3 each other's parent.
+	k.Update(delta.Apply(g, delta.Batch{
+		{Kind: delta.AddEdge, U: 0, V: 3, W: 1},
+		{Kind: delta.DelEdge, U: 1, V: 2},
+	}))
+	if p := k.Parents(); p[3] != 0 || p[2] != 3 {
+		t.Fatalf("parents after re-route: %v", p)
+	}
+	// Removing the new support must relabel the whole cycle.
+	k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 3}}))
+	want := engine.RunBatch(g, algo.NewCC(), engine.Options{})
+	if !algo.StatesClose(k.States(), want.X, 0) {
+		t.Fatalf("states %v, want %v", k.States(), want.X)
 	}
 }

@@ -10,115 +10,28 @@
 //     as SSSP and BFS: converged states plus the dependency (critical-path)
 //     tree are memoized; deletions reset the invalidated subtree with ⊥
 //     cancellations and recompute it from intact offers.
+//
+// Both schemes are inc.Kernel's; Ingress adds no policy of its own.
 package ingress
 
 import (
-	"time"
-
 	"layph/internal/algo"
-	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
 
-// Engine is an Ingress instance bound to one graph and one algorithm.
+// Engine is an Ingress instance bound to one graph and one algorithm. The
+// caller mutates the graph via delta.Apply between Update calls.
 type Engine struct {
-	g      *graph.Graph
-	a      algo.Algorithm
-	opt    engine.Options
-	frame  *engine.Frame
-	x      []float64
-	parent []graph.VertexID // idempotent scheme only
-	// InitialStats records the cost of the initial batch run.
-	InitialStats inc.Stats
+	*inc.Kernel
 }
 
 // New builds an engine over g and runs the batch computation to convergence,
 // memoizing whatever the selected scheme needs.
 func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
-	e := &Engine{g: g, a: a, opt: opt}
-	if opt.Tolerance == 0 {
-		e.opt.Tolerance = a.Tolerance()
-	}
-	start := time.Now()
-	e.frame = engine.BuildFrame(g, a)
-	x0, m0 := engine.InitVectors(g, a)
-	runOpt := e.opt
-	runOpt.TrackParents = a.Semiring().Idempotent()
-	res := engine.Run(e.frame, a.Semiring(), x0, m0, runOpt)
-	e.x = res.X
-	e.parent = res.Parent
-	e.InitialStats = inc.Stats{
-		Activations: res.Activations,
-		Rounds:      res.Rounds,
-		Duration:    time.Since(start),
-	}
-	return e
+	return &Engine{inc.NewKernel(g, a, opt)}
 }
 
 // Name returns "ingress".
 func (e *Engine) Name() string { return "ingress" }
-
-// Graph returns the engine's graph (the caller mutates it via delta.Apply
-// between Update calls).
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Algorithm returns the bound algorithm.
-func (e *Engine) Algorithm() algo.Algorithm { return e.a }
-
-// States returns the converged states (live view; do not mutate).
-func (e *Engine) States() []float64 { return e.x }
-
-// Frame exposes the engine's semiring-weighted frame. Layph reuses it when
-// sharing a base engine.
-func (e *Engine) Frame() *engine.Frame { return e.frame }
-
-// Update incrementally adjusts the memoized result to the applied batch.
-// The engine's graph must already reflect the batch (delta.Apply first).
-func (e *Engine) Update(applied *delta.Applied) inc.Stats {
-	start := time.Now()
-	sr := e.a.Semiring()
-	n := e.g.Cap()
-	e.x = inc.GrowVectors(e.x, n, sr.Zero())
-
-	touched := inc.TouchedSources(applied)
-	oldLists := inc.RefreshFrame(e.frame, e.g, e.a, touched)
-
-	var st inc.Stats
-	if sr.Idempotent() {
-		e.parent = inc.GrowParents(e.parent, n)
-		pre := append([]float64(nil), e.x...)
-		d := inc.DeduceMin(e.x, e.parent, e.g, e.a, applied)
-		res := engine.Run(e.frame, sr, e.x, d.Pending, engine.Options{
-			Workers:       e.opt.Workers,
-			MaxRounds:     e.opt.MaxRounds,
-			Tolerance:     e.opt.Tolerance,
-			InitialActive: d.Active,
-		})
-		e.x = res.X
-		inc.RepairParents(e.x, pre, d.ResetList, e.parent, e.g, e.a)
-		st = inc.Stats{
-			Activations: d.Activations + res.Activations,
-			Rounds:      res.Rounds,
-			Resets:      len(d.ResetList),
-		}
-	} else {
-		pending, dedAct := inc.SumDeduction(e.x, oldLists, e.frame, e.a, applied)
-		res := engine.Run(e.frame, sr, e.x, pending, engine.Options{
-			Workers:   e.opt.Workers,
-			MaxRounds: e.opt.MaxRounds,
-			Tolerance: e.opt.Tolerance,
-		})
-		e.x = res.X
-		for _, v := range applied.RemovedVertices {
-			e.x[v] = sr.Zero()
-		}
-		st = inc.Stats{
-			Activations: dedAct + res.Activations,
-			Rounds:      res.Rounds,
-		}
-	}
-	st.Duration = time.Since(start)
-	return st
-}

@@ -32,11 +32,12 @@ import (
 type Engine struct {
 	g      *graph.Graph
 	a      algo.Algorithm
-	opt    engine.Options
 	x      []float64
 	parent []graph.VertexID
 	// InitialStats records the cost of the initial batch run.
 	InitialStats inc.Stats
+
+	trim inc.Trimmer
 }
 
 // New builds the engine and runs the batch computation, memoizing the value
@@ -46,13 +47,10 @@ func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
 	if !a.Semiring().Idempotent() {
 		panic(fmt.Sprintf("kickstarter: %s is not a single-dependency (idempotent) algorithm", a.Name()))
 	}
-	e := &Engine{g: g, a: a, opt: opt}
+	e := &Engine{g: g, a: a}
 	start := time.Now()
-	f := engine.BuildFrame(g, a)
-	x0, m0 := engine.InitVectors(g, a)
-	runOpt := opt
-	runOpt.TrackParents = true
-	res := engine.Run(f, a.Semiring(), x0, m0, runOpt)
+	opt.TrackParents = true
+	res := engine.RunBatch(g, a, opt)
 	e.x = res.X
 	e.parent = res.Parent
 	e.InitialStats = inc.Stats{Activations: res.Activations, Rounds: res.Rounds, Duration: time.Since(start)}
@@ -77,13 +75,11 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 
 	var st inc.Stats
 
-	// Trim phase: tag and reset invalidated dependency subtrees (shared with
-	// the other min-path engines). The deduced offers seed the worklist but
-	// KickStarter re-derives values by pulling, so only the activation cost
-	// of the deduction's offer scan is kept.
-	d := inc.DeduceMin(e.x, e.parent, e.g, e.a, applied)
-	st.Resets = len(d.ResetList)
-	st.Activations += d.Activations
+	// Trim phase: reset the dependency subtrees the batch invalidated. The
+	// correction loop re-derives trimmed values by pulling (and counts
+	// those pulls).
+	e.trim.Trim(e.x, e.parent, zero, applied, nil)
+	st.Resets = len(e.trim.Tagged.List)
 
 	inWork := make([]bool, n)
 	var work []graph.VertexID
@@ -93,10 +89,7 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 			work = append(work, v)
 		}
 	}
-	for _, v := range d.ResetList {
-		push(v)
-	}
-	for _, v := range d.Active {
+	for _, v := range e.trim.Tagged.List {
 		push(v)
 	}
 	for _, ed := range applied.AddedEdges {

@@ -34,7 +34,6 @@ import (
 type Engine struct {
 	g      *graph.Graph
 	a      algo.Algorithm
-	opt    engine.Options
 	x      []float64
 	parent []graph.VertexID
 	// children mirrors parent for subtree invalidation; maintained
@@ -52,13 +51,10 @@ func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
 	if !a.Semiring().Idempotent() {
 		panic(fmt.Sprintf("risgraph: %s violates the single-dependency requirement", a.Name()))
 	}
-	e := &Engine{g: g, a: a, opt: opt}
+	e := &Engine{g: g, a: a}
 	start := time.Now()
-	f := engine.BuildFrame(g, a)
-	x0, m0 := engine.InitVectors(g, a)
-	runOpt := opt
-	runOpt.TrackParents = true
-	res := engine.Run(f, a.Semiring(), x0, m0, runOpt)
+	opt.TrackParents = true
+	res := engine.RunBatch(g, a, opt)
 	e.x = res.X
 	e.parent = res.Parent
 	e.children = make(map[graph.VertexID]map[graph.VertexID]struct{})

@@ -6,6 +6,7 @@ import (
 	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
+	"layph/internal/scratch"
 )
 
 // pinUpdate carries an owner's published state to a shard that mirrors
@@ -52,24 +53,24 @@ func (s shardAlgo) InitMessage(v graph.VertexID) float64 {
 	return s.u.zero
 }
 
-// unit is one shard's engine: an Ingress-style incremental core over the
-// shard graph (which holds every in-edge of the vertices the shard owns),
-// extended with pinned mirror vertices. The invariant between runs is
-// x[m] == pins[m] for every mirror m; mirrors have no in-edges here, so
-// only pin updates ever move them.
+// unit is one shard's engine: an inc.Kernel over the shard graph (which
+// holds every in-edge of the vertices the shard owns) whose pinned mirror
+// vertices enter as seeds. The invariant between runs is x[m] == pins[m]
+// for every mirror m; mirrors have no in-edges here, so only pin updates
+// ever move them.
 type unit struct {
-	id     int32
-	grp    *Group
-	gs     *graph.Graph
-	base   algo.Algorithm
-	sr     algo.Semiring
-	zero   float64
-	tol    float64
-	frame  *engine.Frame
-	x      []float64
-	parent []graph.VertexID // idempotent scheme only
-	pins   []float64
-	wrap   shardAlgo
+	id   int32
+	grp  *Group
+	gs   *graph.Graph
+	base algo.Algorithm
+	sr   algo.Semiring
+	zero float64
+	k    *inc.Kernel
+	pins []float64
+
+	// Tag-closure scratch (min scheme), reused across batches.
+	forest scratch.Forest
+	tagged scratch.Set
 
 	// cumulative counters for Info
 	activations int64
@@ -85,26 +86,11 @@ func (u *unit) owned(v graph.VertexID) bool {
 // computation to its LOCAL fixpoint (all pins zero); the group's
 // construction exchange then iterates pins to the global fixpoint.
 func newUnit(id int32, grp *Group, gs *graph.Graph) *unit {
-	u := &unit{
-		id: id, grp: grp, gs: gs, base: grp.base,
-		sr: grp.sr, zero: grp.sr.Zero(), tol: grp.base.Tolerance(),
-	}
-	u.wrap = shardAlgo{u: u}
-	u.pins = make([]float64, gs.Cap())
-	for i := range u.pins {
-		u.pins[i] = u.zero
-	}
-	u.frame = engine.BuildFrame(gs, u.wrap)
-	x0, m0 := engine.InitVectors(gs, u.wrap)
-	res := engine.Run(u.frame, u.sr, x0, m0, engine.Options{
-		Workers:      grp.workers,
-		Tolerance:    u.tol,
-		TrackParents: u.sr.Idempotent(),
-	})
-	u.x = res.X
-	u.parent = res.Parent
-	u.activations += res.Activations
-	u.rounds += res.Rounds
+	u := &unit{id: id, grp: grp, gs: gs, base: grp.base, sr: grp.sr, zero: grp.sr.Zero()}
+	u.pins = inc.GrowVectors(nil, gs.Cap(), u.zero)
+	u.k = inc.NewKernel(gs, shardAlgo{u: u}, engine.Options{Workers: grp.workers})
+	u.activations = u.k.InitialStats.Activations
+	u.rounds = u.k.InitialStats.Rounds
 	return u
 }
 
@@ -143,50 +129,23 @@ func (u *unit) apply(sub *delta.Applied, targetCap int) {
 // Pin semantics per scheme:
 //
 //   - sum: a pin change old→new is the exact inverse-delta message
-//     (new − old) injected at the mirror; the engine accumulates it into
+//     (new − old) offered at the mirror; the kernel accumulates it into
 //     the mirror's state and propagates the delta over its out-edges.
-//   - min: an improving pin is folded into the mirror's pending offers; a
-//     worsening pin is handled like a deleted dependency — the mirror is
-//     listed as removed so DeduceMin resets its dependency subtree, and
-//     the mirror re-seeds from its root message, which IS the new pin
-//     (shardAlgo.InitMessage). extraResets lists mirrors invalidated by
-//     the router's cross-shard tag closure; their pins are zeroed so no
-//     stale cyclic support survives (the owner republishes after its own
-//     recompute).
-func (u *unit) update(sub *delta.Applied, pins []pinUpdate, extraResets []graph.VertexID,
-	globalTouched map[graph.VertexID]struct{}) (inc.Stats, []graph.VertexID) {
-	n := u.gs.Cap()
-	u.x = inc.GrowVectors(u.x, n, u.zero)
-	u.pins = inc.GrowVectors(u.pins, n, u.zero)
-
-	empty := sub == nil
-	if empty {
-		sub = &delta.Applied{}
-	}
-	var oldLists map[graph.VertexID][]engine.WEdge
-	if !empty {
-		touched := inc.TouchedSources(sub)
-		if !u.sr.Idempotent() {
-			// Degree-coupled weights: a source's out-list change in ANY
-			// shard reweights its edges here, so refresh against the
-			// global touched set (a superset of the local one).
-			touched = globalTouched
-		}
-		oldLists = inc.RefreshFrame(u.frame, u.gs, u.wrap, touched)
-	}
-
-	var st inc.Stats
-	var candidates []graph.VertexID
+//     global is the whole batch in round 0: weights are degree-coupled, so
+//     a source's out-list change in ANY shard reweights its edges here.
+//   - min: an improving pin is offered to the mirror; a worsening pin
+//     invalidates the mirror like a deleted dependency — its dependency
+//     subtree resets and the mirror re-seeds from its root message, which
+//     IS the new pin (shardAlgo.InitMessage). extraResets lists mirrors
+//     invalidated by the router's cross-shard tag closure; their pins are
+//     zeroed so no stale cyclic support survives (the owner republishes
+//     after its own recompute).
+func (u *unit) update(sub, global *delta.Applied, pins []pinUpdate, extraResets []graph.VertexID) (inc.Stats, []graph.VertexID) {
+	u.pins = inc.GrowVectors(u.pins, u.gs.Cap(), u.zero)
 	if u.sr.Idempotent() {
-		u.parent = inc.GrowParents(u.parent, n)
-		pre := append([]float64(nil), u.x...)
-
-		eff := *sub
-		var improved []pinUpdate
-		var worsened []graph.VertexID
 		for _, m := range extraResets {
 			u.pins[m] = u.zero
-			worsened = append(worsened, m)
+			u.k.Invalidate(m)
 		}
 		for _, p := range pins {
 			old := u.pins[p.v]
@@ -195,83 +154,36 @@ func (u *unit) update(sub *delta.Applied, pins []pinUpdate, extraResets []graph.
 			}
 			u.pins[p.v] = p.x
 			if u.sr.Plus(old, p.x) == p.x {
-				improved = append(improved, p)
+				u.k.Offer(p.v, p.x)
 			} else {
-				worsened = append(worsened, p.v)
+				u.k.Invalidate(p.v)
 			}
-		}
-		if len(worsened) > 0 {
-			rv := make([]graph.VertexID, 0, len(eff.RemovedVertices)+len(worsened))
-			rv = append(rv, eff.RemovedVertices...)
-			rv = append(rv, worsened...)
-			eff.RemovedVertices = rv
-		}
-
-		d := inc.DeduceMin(u.x, u.parent, u.gs, u.wrap, &eff)
-		for _, p := range improved {
-			if u.sr.Plus(u.x[p.v], p.x) == u.x[p.v] {
-				continue // mirror already at least as good
-			}
-			already := d.Pending[p.v] != u.zero
-			d.Pending[p.v] = u.sr.Plus(d.Pending[p.v], p.x)
-			if !already {
-				d.Active = append(d.Active, p.v)
-			}
-		}
-		res := engine.Run(u.frame, u.sr, u.x, d.Pending, engine.Options{
-			Workers:       u.grp.workers,
-			Tolerance:     u.tol,
-			InitialActive: d.Active,
-			TrackChanged:  true,
-		})
-		u.x = res.X
-		inc.RepairParents(u.x, pre, d.ResetList, u.parent, u.gs, u.wrap)
-		candidates = append(res.Changed, d.ResetList...)
-		st = inc.Stats{
-			Activations: d.Activations + res.Activations,
-			Rounds:      res.Rounds,
-			Resets:      len(d.ResetList),
 		}
 	} else {
-		var pending []float64
-		var dedAct int64
-		if !empty {
-			pending, dedAct = inc.SumDeduction(u.x, oldLists, u.frame, u.wrap, sub)
-		} else {
-			pending = make([]float64, len(u.x))
+		if global != nil {
+			for _, e := range global.AddedEdges {
+				u.k.Touch(e.From)
+			}
+			for _, e := range global.RemovedEdges {
+				u.k.Touch(e.From)
+			}
 		}
 		for _, p := range pins {
-			old := u.pins[p.v]
-			if p.x == old {
-				continue
+			if old := u.pins[p.v]; p.x != old {
+				u.pins[p.v] = p.x
+				u.k.Offer(p.v, p.x-old)
 			}
-			u.pins[p.v] = p.x
-			pending[p.v] += p.x - old
-		}
-		res := engine.Run(u.frame, u.sr, u.x, pending, engine.Options{
-			Workers:      u.grp.workers,
-			Tolerance:    u.tol,
-			TrackChanged: true,
-		})
-		u.x = res.X
-		for _, v := range sub.RemovedVertices {
-			u.x[v] = u.zero
-			u.pins[v] = u.zero
-		}
-		candidates = append(res.Changed, sub.RemovedVertices...)
-		st = inc.Stats{
-			Activations: dedAct + res.Activations,
-			Rounds:      res.Rounds,
 		}
 	}
-	if u.sr.Idempotent() {
+	st := u.k.Update(sub)
+	if sub != nil {
 		for _, v := range sub.RemovedVertices {
 			u.pins[v] = u.zero
 		}
 	}
 	u.activations += st.Activations
 	u.rounds += st.Rounds
-	return st, candidates
+	return st, u.k.Changed()
 }
 
 // localTagSeeds returns the vertices this shard's sub-batch invalidates
@@ -280,8 +192,9 @@ func (u *unit) update(sub *delta.Applied, pins []pinUpdate, extraResets []graph.
 // cross-shard reset closure before round 0 (min scheme only).
 func (u *unit) localTagSeeds(sub *delta.Applied) []graph.VertexID {
 	var seeds []graph.VertexID
+	parent := u.k.Parents()
 	for _, e := range sub.RemovedEdges {
-		if int(e.To) < len(u.parent) && u.parent[e.To] == e.From {
+		if int(e.To) < len(parent) && parent[e.To] == e.From {
 			seeds = append(seeds, e.To)
 		}
 	}

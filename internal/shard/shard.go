@@ -49,7 +49,6 @@ import (
 	"layph/internal/algo"
 	"layph/internal/community"
 	"layph/internal/delta"
-	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -187,7 +186,7 @@ func New(g *graph.Graph, base algo.Algorithm, opt Options) *Group {
 			if gr.owner[v] != int32(s) {
 				continue
 			}
-			nx := gr.engines[s].x[v]
+			nx := gr.engines[s].k.States()[v]
 			if !gr.significant(nx, gr.published[v]) {
 				continue
 			}
@@ -195,7 +194,7 @@ func New(g *graph.Graph, base algo.Algorithm, opt Options) *Group {
 			boundary += gr.fanOut(vid, nx, cur)
 		}
 	}
-	rounds, pins, _ := gr.exchange(nil, cur, nil, nil, false)
+	rounds, pins, _ := gr.exchange(nil, nil, cur, nil)
 	gr.assembleMerged()
 	gr.refreshInfos()
 
@@ -277,11 +276,6 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 		subs[s].AddedEdges = append(subs[s].AddedEdges, e)
 	}
 
-	var globalTouched map[graph.VertexID]struct{}
-	if !gr.idem {
-		globalTouched = inc.TouchedSources(applied)
-	}
-
 	// Min scheme: close the cross-shard invalidation tags BEFORE any
 	// recomputation, so no shard rebuilds a value out of mirror pins that
 	// are themselves about to be invalidated (ghost cycles).
@@ -308,7 +302,7 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 		}
 	}
 
-	rounds, pins, agg := gr.exchange(subs, cur, extraResets, globalTouched, true)
+	rounds, pins, agg := gr.exchange(applied, subs, cur, extraResets)
 	gr.assembleMerged()
 	gr.refreshInfos()
 
@@ -321,12 +315,12 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 // exchange drives the iterate-until-global-fixpoint loop: every shard
 // engine runs one round in its own goroutine, the deterministic merge
 // barrier collects boundary changes in shard-then-vertex order, and the
-// changed values become the next round's pins. Round 0 carries the
-// sub-batches (when hasBatch); later rounds are pin-only. extraResets is
-// consumed in round 0 only.
-func (gr *Group) exchange(subs []*delta.Applied, cur [][]pinUpdate,
-	extraResets [][]graph.VertexID, globalTouched map[graph.VertexID]struct{},
-	hasBatch bool) (rounds int, pins int64, agg inc.Stats) {
+// changed values become the next round's pins. Round 0 carries the batch
+// and its per-shard slices (when applied is non-nil); later rounds are
+// pin-only. extraResets is consumed in round 0 only.
+func (gr *Group) exchange(applied *delta.Applied, subs []*delta.Applied, cur [][]pinUpdate,
+	extraResets [][]graph.VertexID) (rounds int, pins int64, agg inc.Stats) {
+	hasBatch := applied != nil
 	stats := make([]inc.Stats, gr.k)
 	cands := make([][]graph.VertexID, gr.k)
 	targetCap := gr.global.Cap()
@@ -352,16 +346,16 @@ func (gr *Group) exchange(subs []*delta.Applied, cur [][]pinUpdate,
 			go func(s int) {
 				defer wg.Done()
 				u := gr.engines[s]
-				var sub *delta.Applied
+				var sub, global *delta.Applied
 				var resets []graph.VertexID
 				if rounds == 0 && hasBatch {
-					sub = subs[s]
+					sub, global = subs[s], applied
 					u.apply(sub, targetCap)
 					if extraResets != nil {
 						resets = extraResets[s]
 					}
 				}
-				stats[s], cands[s] = u.update(sub, cur[s], resets, globalTouched)
+				stats[s], cands[s] = u.update(sub, global, cur[s], resets)
 			}(s)
 		}
 		wg.Wait()
@@ -375,7 +369,7 @@ func (gr *Group) exchange(subs []*delta.Applied, cur [][]pinUpdate,
 				if int(v) >= len(gr.owner) || gr.owner[v] != int32(s) {
 					continue
 				}
-				nx := gr.engines[s].x[v]
+				nx := gr.engines[s].k.States()[v]
 				if !gr.significant(nx, gr.published[v]) {
 					continue
 				}
@@ -427,23 +421,13 @@ func (gr *Group) significant(nx, old float64) bool {
 // there too. Owned tagged boundary vertices have their published value
 // reset to zero so their post-recompute value is republished even when it
 // recovers unchanged. The per-shard result lists the MIRRORS each shard
-// must invalidate (its own seeds are rediscovered by DeduceMin).
+// must invalidate (its own seeds are rediscovered by its kernel).
 func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 	cap := gr.global.Cap()
-	// Dependency children per shard, from the pre-batch parent arrays.
-	children := make([]map[graph.VertexID][]graph.VertexID, gr.k)
-	for s, u := range gr.engines {
-		m := make(map[graph.VertexID][]graph.VertexID)
-		for v, p := range u.parent {
-			if p != engine.NoParent {
-				m[p] = append(m[p], graph.VertexID(v))
-			}
-		}
-		children[s] = m
-	}
-	tagged := make([][]bool, gr.k)
-	for s := range tagged {
-		tagged[s] = make([]bool, cap)
+	// Dependency forests from the pre-batch parent vectors.
+	for _, u := range gr.engines {
+		u.forest.Build(u.k.Parents())
+		u.tagged.Reset(cap)
 	}
 	type ev struct {
 		s int
@@ -451,8 +435,7 @@ func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 	}
 	var queue []ev
 	push := func(s int, v graph.VertexID) {
-		if int(v) < cap && !tagged[s][v] {
-			tagged[s][v] = true
+		if int(v) < len(gr.engines[s].k.Parents()) && gr.engines[s].tagged.Add(v) {
 			queue = append(queue, ev{s, v})
 		}
 	}
@@ -464,7 +447,7 @@ func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		for _, c := range children[e.s][e.v] {
+		for _, c := range gr.engines[e.s].forest.Children(e.v) {
 			push(e.s, c)
 		}
 		if gr.owner[e.v] == int32(e.s) {
@@ -477,10 +460,10 @@ func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 		}
 	}
 	out := make([][]graph.VertexID, gr.k)
-	for s := 0; s < gr.k; s++ {
-		for v := 0; v < cap; v++ {
-			if tagged[s][v] && gr.owner[v] != int32(s) {
-				out[s] = append(out[s], graph.VertexID(v))
+	for s, u := range gr.engines {
+		for _, v := range u.tagged.List {
+			if gr.owner[v] != int32(s) {
+				out[s] = append(out[s], v)
 			}
 		}
 	}
@@ -508,10 +491,11 @@ func (gr *Group) growTo(cap int) {
 func (gr *Group) assembleMerged() {
 	for v := range gr.merged {
 		s := gr.owner[v]
-		if s >= 0 && v < len(gr.engines[s].x) {
-			gr.merged[v] = gr.engines[s].x[v]
-		} else {
-			gr.merged[v] = gr.zero
+		gr.merged[v] = gr.zero
+		if s >= 0 {
+			if x := gr.engines[s].k.States(); v < len(x) {
+				gr.merged[v] = x[v]
+			}
 		}
 	}
 }

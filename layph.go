@@ -158,13 +158,6 @@ type Config struct {
 	ReplicationThreshold int
 	// DisableReplication turns vertex replication off (Figure 8 ablation).
 	DisableReplication bool
-	// FusionChunksPerWorker tunes chunked task fusion: the lower-layer
-	// fan-outs pack touched subgraphs into about this many edge-weight-
-	// balanced chunks per pool worker instead of one task per subgraph
-	// (0 = default 4). Chunk boundaries are a pure function of the sorted
-	// subgraph list, the thread count and this knob, so the determinism
-	// contract above is unaffected.
-	FusionChunksPerWorker int
 	// AdaptiveCommunities wires the incremental community adjustment into
 	// every Update: vertex migrations, subgraph splits and merges are
 	// applied in place (refreshing only the affected subgraphs' layer
@@ -179,12 +172,11 @@ type Config struct {
 // initial batch computation, and returns the incremental engine.
 func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 	return core.New(g, a, core.Options{
-		Workers:               cfg.Threads,
-		ReplicationThreshold:  cfg.ReplicationThreshold,
-		DisableReplication:    cfg.DisableReplication,
-		Community:             community.Config{MaxSize: cfg.MaxCommunitySize},
-		FusionChunksPerWorker: cfg.FusionChunksPerWorker,
-		AdaptiveCommunities:   cfg.AdaptiveCommunities,
+		Workers:              cfg.Threads,
+		ReplicationThreshold: cfg.ReplicationThreshold,
+		DisableReplication:   cfg.DisableReplication,
+		Community:            community.Config{MaxSize: cfg.MaxCommunitySize},
+		AdaptiveCommunities:  cfg.AdaptiveCommunities,
 	})
 }
 

@@ -116,15 +116,28 @@ func TestDifferentialFuzzSum(t *testing.T) {
 	}
 }
 
-// TestDifferentialFuzzCSR drives Layph (sequential and parallel) through
-// the CSR stress schedule: a near-zero compaction threshold makes the
-// flat-view overlay compact several times mid-stream, heavy vertex churn
-// deletes vertices whose rows are still baked into the flat arrays
-// (tombstoned deletes), and the forced per-batch compaction makes Layph's
-// entry proxies rewire against freshly rebuilt arrays. CheckCSR pins
-// view/live coherence after every batch; states are still cross-checked
-// against the restart oracle as usual.
-func TestDifferentialFuzzCSR(t *testing.T) {
+// minBaselines are the min-scheme comparators the CC runs below drive.
+// Layph is left out of those runs: it still re-derives CC parents by value
+// matching and diverges at drift seeds 101 and 114 and churn seed 118.
+func minBaselines() []enginetest.NamedFactory {
+	return []enginetest.NamedFactory{
+		{Name: "ingress", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewIngress(g, a, 2) }},
+		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a, 2) }},
+		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a, 2) }},
+		{Name: "sharded-2", New: func(g *graph.Graph, a algo.Algorithm) inc.System {
+			return NewShardedSystem(g, a, ShardConfig{Shards: 2, Threads: 2})
+		}},
+	}
+}
+
+// TestDifferentialFuzzChurn drives Layph (sequential and parallel) through
+// the vertex-churn schedule: heavy vertex churn every batch tombstones
+// vertices whose rows and dependency subtrees are live and makes Layph
+// rewire its entry proxies around them. The cc run drives the min
+// baselines through the same schedule on a seed where zero-weight label
+// cycles once left parents without support. States are cross-checked
+// against the restart oracle after every batch.
+func TestDifferentialFuzzChurn(t *testing.T) {
 	engines := []enginetest.NamedFactory{
 		{Name: "layph-t1", New: layphFactory(1)},
 		{Name: "layph-t8", New: layphFactory(8)},
@@ -135,9 +148,14 @@ func TestDifferentialFuzzCSR(t *testing.T) {
 	}
 	for name, mk := range algos {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunDifferential(t, engines, mk, enginetest.CSRDifferentialConfig())
+			enginetest.RunDifferential(t, engines, mk, enginetest.ChurnDifferentialConfig())
 		})
 	}
+	t.Run("cc", func(t *testing.T) {
+		cfg := enginetest.ChurnDifferentialConfig()
+		cfg.Seeds, cfg.Batches = []int64{118}, 8
+		enginetest.RunDifferential(t, minBaselines(), enginetest.MinAlgorithms()["cc"], cfg)
+	})
 }
 
 // layphAdaptiveFactory is layphFactory with adaptive community migration
@@ -154,7 +172,7 @@ func layphAdaptiveFactory(threads int) enginetest.Factory {
 // neighborhood, so a frozen layering drifts while the adaptive engines
 // split/merge subgraphs each batch. Adaptive Layph (sequential and
 // parallel) and frozen Layph are all checked against the restart oracle
-// after every batch.
+// after every batch; the cc run drives the min baselines instead.
 func TestDifferentialFuzzDrift(t *testing.T) {
 	engines := []enginetest.NamedFactory{
 		{Name: "layph-adaptive-t1", New: layphAdaptiveFactory(1)},
@@ -174,6 +192,11 @@ func TestDifferentialFuzzDrift(t *testing.T) {
 			enginetest.RunDifferential(t, engines, mk, cfg)
 		})
 	}
+	t.Run("cc", func(t *testing.T) {
+		cfg := enginetest.DriftDifferentialConfig()
+		cfg.Seeds, cfg.Batches = []int64{101, 114}, 8
+		enginetest.RunDifferential(t, minBaselines(), enginetest.MinAlgorithms()["cc"], cfg)
+	})
 }
 
 // TestAdaptiveMinDeterminism pins the determinism contract with adaptive
