@@ -39,7 +39,7 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 	mark := func(v graph.VertexID) {
 		if int(v) < l.flatN() {
 			sc.touched.Add(v)
-			sc.dirtyRoles.Add(v)
+			sc.dirty.Add(v)
 		}
 	}
 	for _, m := range res.Moved {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"layph/internal/algo"
@@ -16,14 +17,7 @@ import (
 // so the cycle can repeat indefinitely — a steady-state incremental
 // workload with no drift in graph size.
 func allocWorkload(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch) {
-	g, _ := gen.CommunityGraph(gen.CommunityConfig{
-		Vertices:      vertices,
-		MeanCommunity: 40,
-		IntraDegree:   8,
-		InterDegree:   0.3,
-		Weighted:      true,
-		Seed:          7,
-	})
+	g := allocGraph(vertices)
 	addB := make(delta.Batch, 0, batch)
 	delB := make(delta.Batch, 0, batch)
 	// Deterministic fresh edges: stride enumeration. Every (u, u+d) pair
@@ -45,6 +39,38 @@ outer:
 				break outer
 			}
 		}
+	}
+	return g, addB, delB
+}
+
+func allocGraph(vertices int) *graph.Graph {
+	g, _ := gen.CommunityGraph(gen.CommunityConfig{
+		Vertices:      vertices,
+		MeanCommunity: 40,
+		IntraDegree:   8,
+		InterDegree:   0.3,
+		Weighted:      true,
+		Seed:          7,
+	})
+	return g
+}
+
+// spreadWorkload is allocWorkload with uniformly random endpoints: nearly
+// every added edge crosses communities, so the cycle flips roles in most of
+// the subgraphs it enters.
+func spreadWorkload(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch) {
+	g := allocGraph(vertices)
+	var addB, delB delta.Batch
+	rng := rand.New(rand.NewSource(11))
+	seen := map[[2]graph.VertexID]bool{}
+	for len(addB) < batch {
+		u, v := graph.VertexID(rng.Intn(vertices)), graph.VertexID(rng.Intn(vertices))
+		if _, ok := g.HasEdge(u, v); ok || u == v || seen[[2]graph.VertexID{u, v}] {
+			continue
+		}
+		seen[[2]graph.VertexID{u, v}] = true
+		addB = append(addB, delta.Update{Kind: delta.AddEdge, U: u, V: v, W: 1 + 9*rng.Float64()})
+		delB = append(delB, delta.Update{Kind: delta.DelEdge, U: u, V: v})
 	}
 	return g, addB, delB
 }
@@ -113,11 +139,14 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 // -benchmem to track bytes/op and allocs/op across layout changes:
 //
 //	go test ./internal/core -bench BenchmarkUpdate -benchmem
+//
+// The spread cases draw uniformly random endpoints, so most batches flip
+// roles across the subgraphs they enter.
 func BenchmarkUpdate(b *testing.B) {
 	for _, name := range []string{"SSSP", "PageRank"} {
-		for _, batch := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(b *testing.B) {
-				g, addB, delB := allocWorkload(8000, batch)
+		run := func(label string, workload func(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch), batch int) {
+			b.Run(fmt.Sprintf("%s/%sbatch=%d", name, label, batch), func(b *testing.B) {
+				g, addB, delB := workload(8000, batch)
 				var a algo.Algorithm
 				if name == "SSSP" {
 					a = algo.NewSSSP(0)
@@ -133,5 +162,9 @@ func BenchmarkUpdate(b *testing.B) {
 				}
 			})
 		}
+		for _, batch := range []int{100, 1000} {
+			run("", allocWorkload, batch)
+		}
+		run("spread/", spreadWorkload, 1000)
 	}
 }

@@ -25,6 +25,8 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 		entryProxy: make(map[proxyKey]graph.VertexID),
 		exitProxy:  make(map[proxyKey]graph.VertexID),
 		LastPhases: metrics.NewPhases(),
+
+		entryProxiesOf: make(map[graph.VertexID][]graph.VertexID),
 	}
 	l.pool = pool.New(opt.Workers)
 	l.tol = opt.Tolerance
@@ -80,10 +82,10 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 			l.subOf[v] = c
 		}
 		for _, h := range d.entryHosts {
-			s.proxies = append(s.proxies, l.allocProxy(l.entryProxy, c, h))
+			s.proxies = append(s.proxies, l.allocProxy(true, c, h))
 		}
 		for _, h := range d.exitHosts {
-			s.proxies = append(s.proxies, l.allocProxy(l.exitProxy, c, h))
+			s.proxies = append(s.proxies, l.allocProxy(false, c, h))
 		}
 		l.subs[c] = s
 	}
@@ -166,51 +168,72 @@ func sortSubgraphs(subs []*Subgraph) {
 // buildSubgraphs (re)constructs each listed subgraph — member
 // classification, local frame, full shortcut deduction — and returns the
 // total F applications spent plus the number of pool tasks dispatched.
-// The fan-out axis adapts to the work shape: with several subgraphs, one
-// pool task per fused chunk of subgraphs (entries within each deduced
-// sequentially); with a single subgraph, the per-entry deductions
-// fan out instead. One level of fan-out either way keeps the pool's
-// busy-time accounting exact (no task ever blocks inside another task);
-// the pool's inline fallback would keep even accidental nesting
-// deadlock-free. Tasks write only their own subgraph and read shared
-// structure that is frozen for the duration of the fan-out.
 func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
-	if len(subs) == 1 {
-		s := subs[0]
+	_, acts, tasks := l.forSubgraphs(subs, func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
 		l.classifyMembers(s)
 		l.buildLocalFrame(s)
-		return l.deduceShortcutsPar(s, true), 1
+		return listed, l.deduceShortcutsPar(s, parallelEntries)
+	})
+	return acts, tasks
+}
+
+// subgraphTask is one subgraph's share of a shortcut fan-out: it may fan
+// out over the subgraph's entries when parallelEntries is set, appends the
+// entries whose shortcut lists it re-derived to listed, and returns the F
+// applications spent.
+type subgraphTask func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64)
+
+// forSubgraphs runs task over subs on the worker pool and merges the
+// results in task order. The fan-out axis adapts to the work shape: with
+// several subgraphs, one pool task per fused chunk of subgraphs (entries
+// within each handled sequentially); with a single subgraph, the task may
+// fan out over its entries instead. One level of fan-out either way keeps
+// the pool's busy-time accounting exact (no task ever blocks inside another
+// task); the pool's inline fallback would keep even accidental nesting
+// deadlock-free. Tasks write only their own subgraph and read shared
+// structure that is frozen for the duration of the fan-out. Returns the
+// listed entries, the F applications and the number of pool tasks.
+func (l *Layph) forSubgraphs(subs []*Subgraph, task subgraphTask) ([]graph.VertexID, int64, int64) {
+	if len(subs) == 0 {
+		return nil, 0, 0
+	}
+	if len(subs) == 1 {
+		listed, acts := task(subs[0], true, nil)
+		return listed, acts, 1
 	}
 	chunks := l.subgraphChunks(subs)
-	acts := make([]int64, len(chunks))
+	type result struct {
+		listed []graph.VertexID
+		acts   int64
+	}
+	results := make([]result, len(chunks))
 	grp := l.pool.Group()
 	for i, ch := range chunks {
 		i, ch := i, ch
 		grp.Go(func() {
-			var a int64
+			var r result
 			for _, s := range ch {
-				l.classifyMembers(s)
-				l.buildLocalFrame(s)
-				a += l.deduceShortcutsPar(s, false)
+				var a int64
+				r.listed, a = task(s, false, r.listed)
+				r.acts += a
 			}
-			acts[i] = a
+			results[i] = r
 		})
 	}
 	grp.Wait()
-	var total int64
-	for _, a := range acts {
-		total += a
+	var listed []graph.VertexID
+	var acts int64
+	for _, r := range results {
+		listed = append(listed, r.listed...)
+		acts += r.acts
 	}
-	return total, int64(len(chunks))
+	return listed, acts, int64(len(chunks))
 }
 
-// classifyMembers fills the subgraph's member/role lists from the current
-// liveness and role assignments.
+// classifyMembers fills the subgraph's member and role lists from the
+// current liveness and role assignments.
 func (l *Layph) classifyMembers(s *Subgraph) {
 	s.Members = s.Members[:0]
-	s.Entries = s.Entries[:0]
-	s.Exits = s.Exits[:0]
-	s.Internal = s.Internal[:0]
 	for _, v := range s.origMembers {
 		if l.flatAlive(v) && l.subOf[v] == s.ID {
 			s.Members = append(s.Members, v)
@@ -221,6 +244,15 @@ func (l *Layph) classifyMembers(s *Subgraph) {
 			s.Members = append(s.Members, p)
 		}
 	}
+	l.classifyRoles(s)
+}
+
+// classifyRoles re-partitions the subgraph's members into its Entries,
+// Exits and Internal lists by their current roles.
+func (l *Layph) classifyRoles(s *Subgraph) {
+	s.Entries = s.Entries[:0]
+	s.Exits = s.Exits[:0]
+	s.Internal = s.Internal[:0]
 	for _, v := range s.Members {
 		r := l.role[v]
 		if r.IsEntry() {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"layph/internal/engine"
 	"layph/internal/graph"
 )
 
@@ -132,25 +134,155 @@ func (l *Layph) CheckInvariants() error {
 			}
 		}
 	}
-	// Subgraph member lists consistent.
-	for c, s := range l.subs {
-		if s.ID != c {
-			return fmt.Errorf("subgraph id mismatch %d vs %d", s.ID, c)
+	// Flat rows equal their derivation from the graph and proxy tables (a
+	// proxy whose host's layout changed must have been refreshed).
+	for v := 0; v < n; v++ {
+		if !sameEdges(l.flatOut[v], l.computeFlatOut(graph.VertexID(v))) {
+			return fmt.Errorf("vertex %d: flat row stale", v)
 		}
-		for _, v := range s.Members {
-			if l.subOf[v] != c {
-				return fmt.Errorf("member %d of sub %d has subOf %d", v, c, l.subOf[v])
-			}
-			if !l.flatAlive(v) {
-				return fmt.Errorf("dead member %d in sub %d", v, c)
-			}
+	}
+	// Subgraphs: members, role lists, frames and shortcut storage.
+	assigned := make(map[int32]int, len(l.subs))
+	for v := 0; v < n; v++ {
+		if l.flatAlive(graph.VertexID(v)) && l.subOf[v] != NoSubgraph {
+			assigned[l.subOf[v]]++
 		}
-		if len(s.Entries)+len(s.Exits) == 0 && len(s.Members) > 0 {
-			// A dense subgraph completely disconnected from the rest is
-			// possible but suspicious enough to flag only if it has
-			// external edges in the graph; skip.
-			continue
+	}
+	for _, s := range subgraphList(l.subs) {
+		if err := l.checkSubgraph(s, assigned[s.ID]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkSubgraph validates one subgraph against the flat graph and roles:
+// its members are the live vertices assigned to it, in compact-ID order;
+// Entries, Exits and Internal classify them by role; every frame row is the
+// compact projection of the member's flat row; an entry has an empty
+// absorbing row and a shortcut vector, every other member an absorbing row
+// equal to its frame row and none; absorbIn mirrors absorbOut; and every
+// shortcut targets a member of the matching class.
+func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
+	c := s.ID
+	if l.subs[c] != s {
+		return fmt.Errorf("subgraph id mismatch %d", c)
+	}
+	for _, v := range s.Members {
+		if l.subOf[v] != c {
+			return fmt.Errorf("member %d of sub %d has subOf %d", v, c, l.subOf[v])
+		}
+		if !l.flatAlive(v) {
+			return fmt.Errorf("dead member %d in sub %d", v, c)
+		}
+	}
+	if len(s.Members) != assigned {
+		return fmt.Errorf("sub %d: %d members but %d live vertices assigned", c, len(s.Members), assigned)
+	}
+	var entries, exits, internal []graph.VertexID
+	for _, v := range s.Members {
+		r := l.role[v]
+		if r.IsEntry() {
+			entries = append(entries, v)
+		}
+		if r == RoleExit || r == RoleEntryExit {
+			exits = append(exits, v)
+		}
+		if r == RoleInternal {
+			internal = append(internal, v)
+		}
+	}
+	if !sameVertices(s.Entries, entries) || !sameVertices(s.Exits, exits) || !sameVertices(s.Internal, internal) {
+		return fmt.Errorf("sub %d: role lists (%d/%d/%d entries/exits/internal) differ from the roles (%d/%d/%d)",
+			c, len(s.Entries), len(s.Exits), len(s.Internal), len(entries), len(exits), len(internal))
+	}
+	lf := s.Local
+	if lf == nil || lf.size() != len(s.Members) {
+		return fmt.Errorf("sub %d: frame does not cover the members", c)
+	}
+	k := lf.size()
+	if len(s.scVec) != k || len(s.scToB) != k || len(s.scToI) != k {
+		return fmt.Errorf("sub %d: shortcut storage not frame-sized", c)
+	}
+	edges, absorbing := 0, 0
+	for ci, v := range lf.ids {
+		if s.Members[ci] != v || l.localIdx[v] != int32(ci) {
+			return fmt.Errorf("sub %d: member %d not at compact slot %d", c, v, ci)
+		}
+		var want []engine.WEdge
+		for _, e := range l.flatOut[v] {
+			if tj, ok := l.compactID(s, e.To); ok {
+				want = append(want, engine.WEdge{To: graph.VertexID(tj), W: e.W})
+			}
+		}
+		if !sameEdges(lf.out[ci], want) {
+			return fmt.Errorf("sub %d: frame row of %d is not the projection of its flat row", c, v)
+		}
+		edges += len(lf.out[ci])
+		if l.role[v].IsEntry() {
+			if len(lf.absorbOut[ci]) != 0 {
+				return fmt.Errorf("sub %d: entry %d has an absorbing row", c, v)
+			}
+			if len(s.scVec[ci]) != k || (l.sr.Idempotent() && len(s.scParent[ci]) != k) {
+				return fmt.Errorf("sub %d: entry %d has no shortcut vector", c, v)
+			}
+			for _, e := range s.scToB[ci] {
+				if t, ok := l.compactID(s, e.To); !ok || (e.To != v && l.role[e.To] == RoleInternal) {
+					return fmt.Errorf("sub %d: boundary shortcut (%d,%d) targets slot %d of role %v", c, v, e.To, t, l.role[e.To])
+				}
+			}
+			for _, e := range s.scToI[ci] {
+				if t, ok := l.compactID(s, e.To); !ok || l.role[e.To] != RoleInternal {
+					return fmt.Errorf("sub %d: internal shortcut (%d,%d) targets slot %d of role %v", c, v, e.To, t, l.role[e.To])
+				}
+			}
+		} else {
+			if !sameEdges(lf.absorbOut[ci], lf.out[ci]) {
+				return fmt.Errorf("sub %d: absorbing row of non-entry %d differs from its frame row", c, v)
+			}
+			if s.scVec[ci] != nil || len(s.scToB[ci])+len(s.scToI[ci]) != 0 {
+				return fmt.Errorf("sub %d: non-entry %d has shortcuts", c, v)
+			}
+			absorbing += len(lf.absorbOut[ci])
+		}
+	}
+	if edges != lf.edges {
+		return fmt.Errorf("sub %d: frame counts %d edges, rows hold %d", c, lf.edges, edges)
+	}
+	mirrored := 0
+	for ci, in := range lf.absorbIn {
+		mirrored += len(in)
+		for _, e := range in {
+			if !slices.Contains(lf.absorbOut[e.To], engine.WEdge{To: graph.VertexID(ci), W: e.W}) {
+				return fmt.Errorf("sub %d: absorbIn edge (%d,%d) has no absorbing row edge", c, e.To, ci)
+			}
+		}
+	}
+	if mirrored != absorbing {
+		return fmt.Errorf("sub %d: absorbIn holds %d edges, absorbOut %d", c, mirrored, absorbing)
+	}
+	return nil
+}
+
+// sameEdges reports whether two rows hold the same edges in any order.
+func sameEdges(a, b []engine.WEdge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	w := make(map[graph.VertexID]float64, len(a))
+	for _, e := range a {
+		w[e.To] = e.W
+	}
+	for _, e := range b {
+		if x, ok := w[e.To]; !ok || x != e.W {
+			return false
+		}
+	}
+	return len(w) == len(b)
+}
+
+// sameVertices reports whether two lists hold the same vertices in any
+// order.
+func sameVertices(a, b []graph.VertexID) bool {
+	return slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b)))
 }

@@ -77,11 +77,6 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 	return st
 }
 
-// debugFlatOnly short-circuits the layered propagation: revision messages
-// run directly on the flat frame. Debug/testing aid for isolating whether a
-// divergence comes from deduction or from the layered phases.
-var debugFlatOnly = false
-
 // updateSum is the non-idempotent (memoization-free) online path: exact
 // inverse-delta revision messages, local absorption, skeleton iteration,
 // delta assignment.
@@ -128,16 +123,13 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			pending[v] += l.a.InitMessage(v)
 		}
 
-		if debugFlatOnly {
-			return
-		}
 		// Local absorption: one fixpoint per affected subgraph consumes the
 		// revision messages addressed to its members and turns them into
 		// boundary deltas for the skeleton. Subgraphs own disjoint member
 		// sets and each task reads/writes pending, fromLocal and l.x only
 		// at its own members, so the fused chunks run as independent pool
 		// tasks; results are identical to sequential execution.
-		chunks := l.subgraphChunks(subgraphList(d.affectedSubs))
+		chunks := l.subgraphChunks(d.affectedSubs)
 		st.SubgraphsParallel += int64(len(chunks))
 		acts := make([]int64, len(chunks))
 		grp := l.pool.Group()
@@ -159,9 +151,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 
 	ph.Time("lup-iteration", func() {
 		frame := &engine.Frame{Out: l.upOut}
-		if debugFlatOnly {
-			frame = &engine.Frame{Out: l.flatOut}
-		}
 		m0 := floatBuf(&sc.m0, n)
 		x0 := copyBuf(&sc.xSnap, l.x)
 		any := false
@@ -190,9 +179,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	})
 
 	ph.Time("assignment", func() {
-		if debugFlatOnly {
-			return
-		}
 		// One task per fused chunk: a task reads entry states (boundary
 		// vertices, not written here) and writes only its own subgraphs'
 		// internal vertices via the entry→internal shortcuts — disjoint
@@ -307,12 +293,14 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	var lupChanged []graph.VertexID
 	var triggered []*Subgraph // assignment-phase subgraphs (hoisted for the quality gauges)
 	var scApps, scHits int64  // shortcut replays / improving replays
-	resetsBySub := make(map[int32]bool)
-	// Active subgraphs (filled during upload; lup-iteration consults the
-	// set to route the offer candidates the local fixpoints did not consume)
-	// and the dense offer store replacing the per-update offer maps:
-	// offerSet marks targets, offerVal carries the folded candidate.
-	active := make(map[int32]*Subgraph)
+	// Subgraphs holding resets, and the active subgraphs (filled during
+	// upload; lup-iteration consults the set to route the offer candidates
+	// the local fixpoints did not consume), both keyed by subgraph ID; and
+	// the dense offer store replacing the per-update offer maps: offerSet
+	// marks targets, offerVal carries the folded candidate.
+	sc.resetSubs.Reset(0)
+	sc.activeSubs.Reset(0)
+	var active []*Subgraph
 	sc.offerSet.Reset(n)
 	offerVal := filledBuf(&sc.offerVal, n, zero)
 
@@ -367,20 +355,22 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			l.parent[v] = engine.NoParent
 			sc.repair.Add(v)
 			if c := l.subOf[v]; c != NoSubgraph {
-				resetsBySub[c] = true
+				sc.resetSubs.Add(graph.VertexID(c))
 			}
 		}
 		st.Resets = len(resets)
 
 		// Active subgraphs: structure-affected plus any holding resets.
-		for c, s := range d.affectedSubs {
-			active[c] = s
+		for _, s := range d.affectedSubs {
+			sc.activeSubs.Add(graph.VertexID(s.ID))
+			active = append(active, s)
 		}
-		for c := range resetsBySub {
-			if s, ok := l.subs[c]; ok {
-				active[c] = s
+		for _, c := range sc.resetSubs.List {
+			if s, ok := l.subs[int32(c)]; ok && sc.activeSubs.Add(c) {
+				active = append(active, s)
 			}
 		}
+		sortSubgraphs(active)
 
 		// Direct compensation candidates from added flat edges, folded into
 		// the dense offer store. An offer targeting a member of an active
@@ -409,7 +399,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// improves during upload lands in localChanged and is
 		// re-propagated by the skeleton iteration and assignment phases.
 		xSnap := copyBuf(&sc.xSnap, l.x)
-		chunks := l.subgraphChunks(subgraphList(active))
+		chunks := l.subgraphChunks(active)
 		st.SubgraphsParallel += int64(len(chunks))
 		type upRes struct {
 			changed []graph.VertexID
@@ -483,10 +473,8 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// target sits in an active subgraph were already consumed by that
 		// subgraph's local task.
 		for _, v := range sc.offerSet.List {
-			if c := l.subOf[v]; c != NoSubgraph {
-				if _, isActive := active[c]; isActive {
-					continue
-				}
+			if c := l.subOf[v]; c != NoSubgraph && sc.activeSubs.Has(graph.VertexID(c)) {
+				continue
 			}
 			if !l.flatAlive(v) || !l.onUp(v) {
 				continue
@@ -535,7 +523,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// order-independent, so the parallel result equals the sequential
 		// one.
 		for _, s := range subgraphList(l.subs) {
-			trigger := resetsBySub[s.ID]
+			trigger := sc.resetSubs.Has(graph.VertexID(s.ID))
 			if !trigger {
 				for _, u := range s.Entries {
 					if sc.changedUp.Has(u) {
@@ -598,7 +586,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	// community structure it decays toward 0 (1 when nothing was replayed).
 	touchedSubs := len(active)
 	for _, s := range triggered {
-		if _, ok := active[s.ID]; !ok {
+		if !sc.activeSubs.Has(graph.VertexID(s.ID)) {
 			touchedSubs++
 		}
 	}

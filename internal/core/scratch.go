@@ -14,10 +14,15 @@ import (
 // either read-only (snapshots) or written at disjoint member indices, so
 // plain reuse is race-free.
 type updScratch struct {
-	touched    scratch.Set
-	dirtyRoles scratch.Set
-	upDirty    scratch.Set
-	oldRoles   []Role // parallel to the role-candidate prefix of dirtyRoles
+	// touched and dirty hold the flat rows to refresh and the roles to
+	// recompute in the current round of layeredUpdate.
+	touched scratch.Set
+	dirty   scratch.Set
+	upDirty scratch.Set
+	// roleSeen lists every vertex whose role was recomputed in this update;
+	// oldRole[v] holds its pre-update role while roleSeen.Has(v).
+	roleSeen scratch.Set
+	oldRole  []Role
 
 	// oldSeen guards first-touch snapshots of pre-batch out-lists; oldRows
 	// carries the rows (parallel to oldSeen.List). Both are exposed via
@@ -25,15 +30,26 @@ type updScratch struct {
 	oldSeen scratch.Set
 	oldRows [][]engine.WEdge
 
-	// hostProxies maps a host to its live entry proxies; rebuilt each
-	// update but reused so the buckets stay warm.
-	hostProxies map[graph.VertexID][]graph.VertexID
+	// Subgraph-ID sets of layeredUpdate: structural holds the subgraphs
+	// rebuilt or dissolved, edited those whose frames were edited in place.
+	structural scratch.Set
+	edited     scratch.Set
+	// cands collects the current round's frame-edit candidates.
+	cands []graph.VertexID
 
-	// updateMin working sets.
-	repair    scratch.Set
-	inActive  scratch.Set
-	changedUp scratch.Set
-	offerSet  scratch.Set
+	// rows diffs out-rows for the flat and skeleton refreshes; rowBuf and
+	// upBuf are editFrame's and refreshUpVertex's row buffers.
+	rows   rowDiff
+	rowBuf []engine.WEdge
+	upBuf  []engine.WEdge
+
+	// updateMin working sets (subgraph-ID sets for activeSubs/resetSubs).
+	repair     scratch.Set
+	inActive   scratch.Set
+	changedUp  scratch.Set
+	offerSet   scratch.Set
+	activeSubs scratch.Set
+	resetSubs  scratch.Set
 
 	// O(n) vectors. Callers re-zero (or re-fill) the prefix they use.
 	pending   []float64
@@ -47,6 +63,63 @@ type updScratch struct {
 	// Dependency-forest CSR for ⊥-cancellation, rebuilt per update that
 	// resets.
 	forest scratch.Forest
+}
+
+// rowDiff diffs two out-rows through an epoch-stamped index of the old
+// row's targets instead of a per-call map. The returned slices are reused
+// by the next call.
+type rowDiff struct {
+	old, kept      scratch.Set
+	w              []float64
+	added, removed []engine.WEdge
+}
+
+// diff returns the edges of fresh that are not in old with the same weight,
+// and the edges of old (with their old weights) that are not in fresh with
+// the same weight: a reweighted edge appears in both.
+func (rd *rowDiff) diff(old, fresh []engine.WEdge) (added, removed []engine.WEdge) {
+	if sameRow(old, fresh) {
+		return nil, nil
+	}
+	rd.added, rd.removed = rd.added[:0], rd.removed[:0]
+	rd.old.Reset(0)
+	rd.kept.Reset(0)
+	for _, e := range old {
+		rd.old.Add(e.To)
+		if int(e.To) >= len(rd.w) {
+			rd.w = append(rd.w, make([]float64, int(e.To)+1-len(rd.w)+len(rd.w)/2)...)
+		}
+		rd.w[e.To] = e.W
+	}
+	for _, e := range fresh {
+		if rd.old.Has(e.To) {
+			rd.kept.Add(e.To)
+			if rd.w[e.To] == e.W {
+				continue
+			}
+			rd.removed = append(rd.removed, engine.WEdge{To: e.To, W: rd.w[e.To]})
+		}
+		rd.added = append(rd.added, e)
+	}
+	for _, e := range old {
+		if !rd.kept.Has(e.To) {
+			rd.removed = append(rd.removed, e)
+		}
+	}
+	return rd.added, rd.removed
+}
+
+// sameRow reports whether two rows hold the same edges in the same order.
+func sameRow(a, b []engine.WEdge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // floatBuf returns a zeroed n-sized view of one of the reusable vectors.

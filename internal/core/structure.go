@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
+	"layph/internal/algo"
 	"layph/internal/engine"
 	"layph/internal/graph"
+	"layph/internal/scratch"
 )
 
 // commOf returns the community id of an original vertex (NoSubgraph if
@@ -19,6 +22,15 @@ func (l *Layph) commOf(v graph.VertexID) int32 {
 	return NoSubgraph
 }
 
+// denseEnough is the paper's density test (Definition 2), |V_I|·|V_O| <
+// |E_i|: a subgraph keeps its shortcuts only while its internal edges
+// outnumber the entry×exit pairs they stand for. evaluateCommunity applies
+// it to a community's prospective layout, layeredUpdate to the frame of a
+// subgraph whose roles an update edited.
+func denseEnough(entries, exits, internalEdges int) bool {
+	return entries*exits < internalEdges
+}
+
 // denseDecision is the outcome of evaluating one community for dense-
 // subgraph status (Definition 2) including prospective vertex replication.
 type denseDecision struct {
@@ -31,9 +43,10 @@ type denseDecision struct {
 }
 
 // evaluateCommunity counts boundary vertices and internal edges of the
-// community as they would look after replication, and applies the paper's
-// density test |V_I|·|V_O| < |E_i|.
+// community as they would look after replication, and applies the density
+// test.
 func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecision {
+	l.evaluations++
 	var d denseDecision
 	if len(members) < 2 {
 		return d
@@ -111,7 +124,7 @@ func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecisi
 	d.numEntries = len(entries) + len(d.entryHosts)
 	d.numExits = len(exits) + len(d.exitHosts)
 	d.numInternal = len(members) - len(entries) - len(exits) // approximate; overlap ignored
-	d.dense = d.numEntries*d.numExits < internalEdges
+	d.dense = denseEnough(d.numEntries, d.numExits, internalEdges)
 	return d
 }
 
@@ -119,31 +132,59 @@ func sortVertices(vs []graph.VertexID) {
 	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
 }
 
-// allocProxy returns the proxy id for (sub, host) in the given registry,
+// allocProxy returns the entry (or exit) proxy id for (sub, host),
 // allocating a fresh flat vertex when absent, and revives it if orphaned.
-func (l *Layph) allocProxy(reg map[proxyKey]graph.VertexID, sub int32, host graph.VertexID) graph.VertexID {
+func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.VertexID {
+	reg := l.exitProxy
+	if entry {
+		reg = l.entryProxy
+	}
 	k := proxyKey{sub: sub, host: host}
-	if p, ok := reg[k]; ok {
+	p, ok := reg[k]
+	if ok {
+		if l.proxyAlive[p] {
+			return p
+		}
 		l.proxyAlive[p] = true
 		l.subOf[p] = sub
-		return p
+	} else {
+		p = graph.VertexID(l.flatN())
+		reg[k] = p
+		l.subOf = append(l.subOf, sub)
+		l.role = append(l.role, RoleInternal) // refined by recomputeRoles
+		l.proxyHost = append(l.proxyHost, host)
+		l.proxyAlive = append(l.proxyAlive, true)
+		l.localIdx = append(l.localIdx, -1)
+		l.flatOut = append(l.flatOut, nil)
+		l.flatIn = append(l.flatIn, nil)
+		l.upOut = append(l.upOut, nil)
+		l.upIn = append(l.upIn, nil)
+		l.x = append(l.x, l.sr.Zero())
+		if l.parent != nil {
+			l.parent = append(l.parent, engine.NoParent)
+		}
 	}
-	p := graph.VertexID(l.flatN())
-	reg[k] = p
-	l.subOf = append(l.subOf, sub)
-	l.role = append(l.role, RoleInternal) // refined by recomputeRoles
-	l.proxyHost = append(l.proxyHost, host)
-	l.proxyAlive = append(l.proxyAlive, true)
-	l.localIdx = append(l.localIdx, -1)
-	l.flatOut = append(l.flatOut, nil)
-	l.flatIn = append(l.flatIn, nil)
-	l.upOut = append(l.upOut, nil)
-	l.upIn = append(l.upIn, nil)
-	l.x = append(l.x, l.sr.Zero())
-	if l.parent != nil {
-		l.parent = append(l.parent, engine.NoParent)
+	if entry {
+		l.entryProxiesOf[host] = append(l.entryProxiesOf[host], p)
 	}
 	return p
+}
+
+// orphanProxy retires a live proxy: it leaves its subgraph and the host's
+// entry-proxy index. Its registry slot stays, so a later allocProxy revives
+// the same id.
+func (l *Layph) orphanProxy(p graph.VertexID) {
+	if !l.proxyAlive[p] {
+		return
+	}
+	l.proxyAlive[p] = false
+	l.subOf[p] = NoSubgraph
+	h := l.proxyHost[p]
+	if ps := removeVertex(l.entryProxiesOf[h], p); len(ps) > 0 {
+		l.entryProxiesOf[h] = ps
+	} else {
+		delete(l.entryProxiesOf, h)
+	}
 }
 
 // computeFlatOut derives the flat out-list of a flat vertex from the graph
@@ -159,7 +200,7 @@ func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
 	}
 	sv := l.subOf[v]
 	var out []engine.WEdge
-	linkEmitted := make(map[int32]struct{})
+	var linked []int32 // subgraphs v already links to through its entry proxy
 	for _, e := range l.g.Out(v) {
 		w := l.a.EdgeWeight(l.g, v, e)
 		st := l.subOf[e.To]
@@ -169,8 +210,8 @@ func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
 		case sv != NoSubgraph && l.hasProxy(l.exitProxy, sv, e.To):
 			out = append(out, engine.WEdge{To: l.exitProxy[proxyKey{sv, e.To}], W: w})
 		case st != NoSubgraph && l.hasProxy(l.entryProxy, st, v):
-			if _, done := linkEmitted[st]; !done {
-				linkEmitted[st] = struct{}{}
+			if !slices.Contains(linked, st) {
+				linked = append(linked, st)
 				out = append(out, engine.WEdge{To: l.entryProxy[proxyKey{st, v}], W: l.sr.One()})
 			}
 			// The real edge belongs to the proxy's out-list.
@@ -215,30 +256,13 @@ func (l *Layph) computeProxyOut(p graph.VertexID) []engine.WEdge {
 }
 
 // refreshFlatVertex recomputes v's flat out-list, updates the mirrored
-// in-lists, and returns the previous list together with the diff.
+// in-lists, and returns the previous list together with the diff (the
+// diff slices are reused by the next call).
 func (l *Layph) refreshFlatVertex(v graph.VertexID) (old, added, removed []engine.WEdge) {
 	old = l.flatOut[v]
 	fresh := l.computeFlatOut(v)
 	l.flatOut[v] = fresh
-
-	oldM := make(map[graph.VertexID]float64, len(old))
-	for _, e := range old {
-		oldM[e.To] = e.W
-	}
-	for _, e := range fresh {
-		if w, ok := oldM[e.To]; ok && w == e.W {
-			delete(oldM, e.To)
-			continue
-		}
-		if w, ok := oldM[e.To]; ok {
-			removed = append(removed, engine.WEdge{To: e.To, W: w})
-			delete(oldM, e.To)
-		}
-		added = append(added, e)
-	}
-	for to, w := range oldM {
-		removed = append(removed, engine.WEdge{To: to, W: w})
-	}
+	added, removed = l.scratch.rows.diff(old, fresh)
 	for _, e := range removed {
 		l.flatIn[e.To] = dropEdge(l.flatIn[e.To], v)
 	}
@@ -345,7 +369,6 @@ func (l *Layph) deduceShortcutsPar(s *Subgraph, parallelEntries bool) int64 {
 	lf := s.Local
 	k := lf.size()
 	var acts int64
-	zero := l.sr.Zero()
 	s.scToB = make([][]engine.WEdge, k)
 	s.scToI = make([][]engine.WEdge, k)
 	s.scVec = make([][]float64, k)
@@ -366,50 +389,17 @@ func (l *Layph) deduceShortcutsPar(s *Subgraph, parallelEntries bool) int64 {
 	// shortcut maps are filled sequentially after the join, in entry
 	// order, keeping results deterministic.
 	frame := &engine.Frame{Out: lf.absorbOut}
-	type entryRes struct {
-		vec  []float64
-		par  []graph.VertexID
-		acts int64
-	}
-	deduceEntry := func(u graph.VertexID) entryRes {
-		cu := l.localIdx[u]
-		x0 := make([]float64, k)
-		m0 := make([]float64, k)
-		for j := range x0 {
-			x0[j] = zero
-			m0[j] = zero
-		}
-		var a int64
-		for _, e := range lf.out[cu] {
-			m0[e.To] = l.sr.Plus(m0[e.To], l.sr.Times(l.sr.One(), e.W))
-			a++
-		}
-		res := engine.Run(frame, l.sr, x0, m0, engine.Options{
-			Workers:   1,
-			Tolerance: l.scTol(),
-		})
-		a += res.Activations
-		er := entryRes{vec: res.X, acts: a}
-		if s.scParent != nil {
-			par := make([]graph.VertexID, k)
-			for ci := range par {
-				par[ci] = l.scWitness(s, u, res.X, graph.VertexID(ci))
-			}
-			er.par = par
-		}
-		return er
-	}
 	results := make([]entryRes, len(s.Entries))
 	if parallelEntries {
 		grp := l.pool.Group()
 		for i, u := range s.Entries {
 			i, u := i, u
-			grp.Go(func() { results[i] = deduceEntry(u) })
+			grp.Go(func() { results[i] = l.deduceEntry(s, frame, u) })
 		}
 		grp.Wait()
 	} else {
 		for i, u := range s.Entries {
-			results[i] = deduceEntry(u)
+			results[i] = l.deduceEntry(s, frame, u)
 		}
 	}
 	for i, u := range s.Entries {
@@ -424,16 +414,54 @@ func (l *Layph) deduceShortcutsPar(s *Subgraph, parallelEntries bool) int64 {
 	return acts
 }
 
-// scWitness finds a compact dependency parent for target ci in entry u's
-// shortcut vector: an absorbing-frame in-neighbor (or u's own direct edge)
+// entryRes is one entry's deduced shortcut vector, its compact dependency
+// parents (idempotent algorithms only) and the F applications spent.
+type entryRes struct {
+	vec  []float64
+	par  []graph.VertexID
+	acts int64
+}
+
+// deduceEntry runs Equation (6) for entry u over the absorbing frame.
+func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) entryRes {
+	lf := s.Local
+	k := lf.size()
+	zero := l.sr.Zero()
+	cu := l.localIdx[u]
+	x0 := make([]float64, k)
+	m0 := make([]float64, k)
+	for j := range x0 {
+		x0[j] = zero
+		m0[j] = zero
+	}
+	var a int64
+	for _, e := range lf.out[cu] {
+		m0[e.To] = l.sr.Plus(m0[e.To], l.sr.Times(l.sr.One(), e.W))
+		a++
+	}
+	res := engine.Run(frame, l.sr, x0, m0, engine.Options{
+		Workers:   1,
+		Tolerance: l.scTol(),
+	})
+	r := entryRes{vec: res.X, acts: a + res.Activations}
+	if l.sr.Idempotent() {
+		r.par = make([]graph.VertexID, k)
+		for ci := range r.par {
+			r.par[ci] = l.scWitness(s, cu, res.X, graph.VertexID(ci))
+		}
+	}
+	return r
+}
+
+// scWitness finds a compact dependency parent for target ci in entry cu's
+// shortcut vector: an absorbing-frame in-neighbor (or cu's own direct edge)
 // whose value composes to vec[ci] within rounding.
-func (l *Layph) scWitness(s *Subgraph, u graph.VertexID, vec []float64, ci graph.VertexID) graph.VertexID {
+func (l *Layph) scWitness(s *Subgraph, cu int32, vec []float64, ci graph.VertexID) graph.VertexID {
 	zero := l.sr.Zero()
 	if vec[ci] == zero {
 		return engine.NoParent
 	}
 	lf := s.Local
-	cu := l.localIdx[u]
 	eps := 1e-9 * (1 + absF(vec[ci]))
 	for _, e := range lf.out[cu] {
 		if e.To == ci && absF(l.sr.Times(l.sr.One(), e.W)-vec[ci]) <= eps {
@@ -465,157 +493,343 @@ func (l *Layph) rebuildShortcutLists(s *Subgraph, u graph.VertexID) {
 	zero := l.sr.Zero()
 	lf := s.Local
 	cu := l.localIdx[u]
-	var toB, toI []engine.WEdge
-	for ci, w := range s.scVec[cu] {
+	vec := s.scVec[cu]
+	// Self-shortcut: cycles that return to the entry. For idempotent
+	// semirings cycles cannot improve anything.
+	self := vec[cu] != zero && !l.sr.Idempotent()
+	// Size both lists first so they share one exact allocation.
+	nB, nI := 0, 0
+	if self {
+		nB++
+	}
+	for ci, w := range vec {
+		if w != zero && ci != int(cu) {
+			if l.role[lf.ids[ci]] == RoleInternal {
+				nI++
+			} else {
+				nB++
+			}
+		}
+	}
+	buf := make([]engine.WEdge, 0, nB+nI)
+	toB, toI := buf[:0:nB], buf[nB:nB:nB+nI]
+	for ci, w := range vec {
 		if w == zero {
 			continue
 		}
 		v := lf.ids[ci]
-		if v == u {
-			// Self-shortcut: cycles that return to the entry. For
-			// idempotent semirings cycles cannot improve anything.
-			if !l.sr.Idempotent() {
+		switch {
+		case ci == int(cu):
+			if self {
 				toB = append(toB, engine.WEdge{To: u, W: w})
 			}
-			continue
-		}
-		sc := engine.WEdge{To: v, W: w}
-		if l.role[v] == RoleInternal {
-			toI = append(toI, sc)
-		} else {
-			toB = append(toB, sc)
+		case l.role[v] == RoleInternal:
+			toI = append(toI, engine.WEdge{To: v, W: w})
+		default:
+			toB = append(toB, engine.WEdge{To: v, W: w})
 		}
 	}
-	s.scToB[cu] = toB
-	s.scToI[cu] = toI
+	s.scToB[cu], s.scToI[cu] = toB, toI
 }
 
-// updateShortcutsIncremental absorbs internal edge diffs into every entry's
-// memoized shortcut vector with revision messages — the paper's incremental
-// shortcut weight update — instead of re-deducing from scratch. The caller
-// guarantees the subgraph's membership, roles and proxies are unchanged.
-// Returns the F applications spent.
-func (l *Layph) updateShortcutsIncremental(s *Subgraph, added, removed []flatEdge) int64 {
+// editFrame re-syncs member v's rows in the frame of its (non-rebuilt)
+// subgraph s with v's flat row and current role, in place: the compact
+// out-row is re-projected, and the absorbing row is emptied for an entry or
+// set to the out-row otherwise, with absorbIn mirrored. The first edit of a
+// vertex in an update snapshots its previous rows for patchShortcuts;
+// roleFlip forces the snapshot even when no row moved, so the patch also
+// sees flips that only change v's boundary/internal class. Reports whether
+// anything was recorded.
+func (l *Layph) editFrame(s *Subgraph, v graph.VertexID, roleFlip bool) bool {
 	lf := s.Local
-	zero := l.sr.Zero()
-	var acts int64
-
-	// Map diffs to compact IDs; rebuild the compact adjacency rows of the
-	// changed sources first. changedSrc is a k-sized scoreboard, not a
-	// map: diffs arrive in deterministic order and k is subgraph-sized.
-	var cAdded, cRemoved []cDiff
-	changedSrc := make([]bool, lf.size())
-	var changedList []graph.VertexID
-	markSrc := func(cf graph.VertexID) {
-		if !changedSrc[cf] {
-			changedSrc[cf] = true
-			changedList = append(changedList, cf)
+	ci := graph.VertexID(l.localIdx[v])
+	row := l.scratch.rowBuf[:0]
+	for _, e := range l.flatOut[v] {
+		if tj, ok := l.compactID(s, e.To); ok {
+			row = append(row, engine.WEdge{To: graph.VertexID(tj), W: e.W})
 		}
 	}
-	for _, e := range added {
-		cf, okF := l.compactID(s, e.from)
-		ct, okT := l.compactID(s, e.to)
-		if okF && okT {
-			cAdded = append(cAdded, cDiff{graph.VertexID(cf), graph.VertexID(ct), e.w})
-			markSrc(graph.VertexID(cf))
-		}
+	l.scratch.rowBuf = row
+	out := lf.out[ci]
+	outChanged := !sameRow(out, row)
+	if outChanged {
+		out = slices.Clone(row)
 	}
-	for _, e := range removed {
-		cf, okF := l.compactID(s, e.from)
-		ct, okT := l.compactID(s, e.to)
-		if okF && okT {
-			cRemoved = append(cRemoved, cDiff{graph.VertexID(cf), graph.VertexID(ct), e.w})
-			markSrc(graph.VertexID(cf))
-		}
+	var abs []engine.WEdge
+	if !l.role[v].IsEntry() {
+		abs = out
 	}
-	if len(cAdded) == 0 && len(cRemoved) == 0 {
-		return 0
+	absChanged := !sameRow(lf.absorbOut[ci], abs)
+	if !outChanged && !absChanged && !roleFlip {
+		return false
 	}
-	for _, cf := range changedList {
-		v := lf.ids[cf]
-		var row []engine.WEdge
-		for _, e := range l.flatOut[v] {
-			if tj, ok := l.compactID(s, e.To); ok {
-				row = append(row, engine.WEdge{To: graph.VertexID(tj), W: e.W})
-			}
-		}
-		// Update absorbIn by diffing the old row.
-		oldRow := lf.out[cf]
-		lf.out[cf] = row
-		lf.edges += len(row) - len(oldRow)
-		isEntry := l.role[v].IsEntry()
-		if !isEntry {
-			for _, e := range oldRow {
-				lf.absorbIn[e.To] = dropEdge(lf.absorbIn[e.To], cf)
-			}
-			for _, e := range row {
-				lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: cf, W: e.W})
-			}
-			lf.absorbOut[cf] = row
-		}
+	lf.snapshot(ci, l.epoch)
+	if outChanged {
+		lf.edges += len(out) - len(lf.out[ci])
+		lf.out[ci] = out
 	}
-
-	frame := &engine.Frame{Out: lf.absorbOut}
-	for _, u := range s.Entries {
-		cu := l.localIdx[u]
-		vec := s.scVec[cu]
-		if vec == nil {
-			continue
+	if absChanged {
+		for _, e := range lf.absorbOut[ci] {
+			lf.absorbIn[e.To] = dropEdge(lf.absorbIn[e.To], ci)
 		}
-		if l.sr.Idempotent() {
-			acts += l.updateEntryMin(s, u, cu, vec, frame, cAdded, cRemoved)
-		} else {
-			acts += l.updateEntrySum(s, u, cu, vec, frame, cAdded, cRemoved)
+		for _, e := range abs {
+			lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: ci, W: e.W})
 		}
+		lf.absorbOut[ci] = abs
 	}
-	_ = zero
-	return acts
+	return true
 }
 
-// cDiff is an internal edge diff in a subgraph's compact ID space.
+// snapshot records compact vertex ci's current rows at its first edit in
+// the update numbered epoch.
+func (lf *localFrame) snapshot(ci graph.VertexID, epoch uint32) {
+	ed := &lf.edit
+	if ed.epoch != epoch {
+		ed.done()
+		ed.epoch = epoch
+	}
+	if ed.mark == nil {
+		ed.mark = make([]uint32, lf.size())
+	}
+	if ed.mark[ci] == epoch {
+		return
+	}
+	ed.mark[ci] = epoch
+	ed.cis = append(ed.cis, ci)
+	ed.oldOut = append(ed.oldOut, lf.out[ci])
+	ed.oldAbs = append(ed.oldAbs, lf.absorbOut[ci])
+}
+
+// done drops the snapshots (and the old rows they keep alive).
+func (ed *frameEdit) done() {
+	clear(ed.oldOut)
+	clear(ed.oldAbs)
+	ed.cis, ed.oldOut, ed.oldAbs = ed.cis[:0], ed.oldOut[:0], ed.oldAbs[:0]
+}
+
+// cDiff is an edge change in a subgraph's compact ID space.
 type cDiff struct {
 	from, to graph.VertexID
 	w        float64
 }
 
-// updateEntrySum applies exact inverse deltas for one entry's vector.
-func (l *Layph) updateEntrySum(s *Subgraph, u graph.VertexID, cu int32, vec []float64,
-	frame *engine.Frame, added, removed []cDiff) int64 {
-	k := len(vec)
-	pending := make([]float64, k)
+// compactDiff is a set of compact edge changes; a reweighted edge is both
+// deleted (old weight) and added (new weight).
+type compactDiff struct {
+	add, del []cDiff
+}
+
+func (cd *compactDiff) empty() bool { return len(cd.add) == 0 && len(cd.del) == 0 }
+
+// diffRow appends the change from row old to row fresh of compact source
+// from. Rows are subgraph-sized, so a pairwise scan beats an index.
+func (cd *compactDiff) diffRow(from graph.VertexID, old, fresh []engine.WEdge) {
+	if sameRow(old, fresh) {
+		return
+	}
+	for _, e := range old {
+		if !slices.Contains(fresh, e) {
+			cd.del = append(cd.del, cDiff{from, e.To, e.W})
+		}
+	}
+	for _, e := range fresh {
+		if !slices.Contains(old, e) {
+			cd.add = append(cd.add, cDiff{from, e.To, e.W})
+		}
+	}
+}
+
+// seedDiff is a change to a persisting entry's own out-row, which seeds its
+// shortcut vector.
+type seedDiff struct {
+	cu graph.VertexID
+	compactDiff
+}
+
+// patchBudget is how many incremental patches a sum-scheme frame absorbs
+// before its shortcuts are deduced afresh. Every patch converges only to
+// scTol, so truncation error grows with the number of patches; a fixed
+// budget bounds it. Min-scheme patches are exact and need none.
+const patchBudget = 32
+
+// patchShortcuts brings a non-rebuilt subgraph's memoized shortcuts in line
+// with the frame edits of the current update — the paper's Section IV-B
+// deletion, addition and weight-update cases, applied as the net change of
+// the absorbing frame:
+//
+//   - a vertex that became an entry left the absorbing frame (its row is a
+//     deleted diff) and gets one fresh deduction;
+//   - a vertex that stopped being an entry re-joined it (an added diff) and
+//     its vector is dropped;
+//   - every persisting entry absorbs the frame diff, plus any change to its
+//     own seeding row, with revision messages (updateEntryMin/Sum);
+//   - a flip between the internal and boundary classes re-splits every
+//     entry's scToB/scToI lists.
+//
+// Entries whose shortcut lists were re-derived are appended to listed (their
+// skeleton rows are stale). Returns listed and the F applications spent.
+func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.VertexID, int64) {
+	lf := s.Local
+	ed := &lf.edit
+	if ed.epoch != l.epoch || len(ed.cis) == 0 {
+		return listed, 0
+	}
+	defer ed.done()
+	idem := l.sr.Idempotent()
+	if !idem {
+		lf.patches++
+		if lf.patches > patchBudget {
+			lf.patches = 0
+			acts := l.deduceShortcutsPar(s, false)
+			return append(listed, s.Entries...), acts
+		}
+	}
+
+	var ab compactDiff
+	var seeds []seedDiff
+	var fresh []graph.VertexID
+	reclass := false
+	for i, ci := range ed.cis {
+		v := lf.ids[ci]
+		ab.diffRow(ci, ed.oldAbs[i], lf.absorbOut[ci])
+		entry, hasVec := l.role[v].IsEntry(), s.scVec[ci] != nil
+		switch {
+		case entry && !hasVec:
+			fresh = append(fresh, v)
+		case !entry && hasVec:
+			s.scVec[ci], s.scToB[ci], s.scToI[ci] = nil, nil, nil
+			if idem {
+				s.scParent[ci] = nil
+			}
+		case entry:
+			sd := seedDiff{cu: ci}
+			sd.diffRow(ci, ed.oldOut[i], lf.out[ci])
+			if !sd.empty() {
+				seeds = append(seeds, sd)
+			}
+		}
+		if (l.scratch.oldRole[v] == RoleInternal) != (l.role[v] == RoleInternal) {
+			reclass = true
+		}
+	}
+
+	frame := &engine.Frame{Out: lf.absorbOut}
+	ps := newPatchScratch(lf.size(), l.sr.Zero())
 	var acts int64
-	seeded := false
-	contrib := func(from graph.VertexID, w float64) float64 {
-		if from == graph.VertexID(cu) {
-			return l.sr.One() * w // direct seed edge from the entry
+	for _, u := range s.Entries {
+		cu := l.localIdx[u]
+		if s.scVec[cu] == nil {
+			continue // a fresh entry, deduced below
 		}
-		if l.role[s.Local.ids[from]].IsEntry() {
-			return 0 // other entries are absorbing: their edges carry nothing
+		var seed compactDiff
+		for _, sd := range seeds {
+			if sd.cu == graph.VertexID(cu) {
+				seed = sd.compactDiff
+			}
 		}
-		return vec[from] * w
+		changed := false
+		if !ab.empty() || !seed.empty() {
+			var a int64
+			if idem {
+				a, changed = l.updateEntryMin(s, cu, frame, &ab, &seed, ps)
+			} else {
+				a, changed = l.updateEntrySum(s, cu, frame, &ab, &seed, ps)
+			}
+			acts += a
+		}
+		if changed || reclass {
+			l.rebuildShortcutLists(s, u)
+			listed = append(listed, u)
+		}
 	}
-	for _, e := range removed {
-		if m := contrib(e.from, e.w); m != 0 {
-			pending[e.to] -= m
-			seeded = true
+	for _, u := range fresh {
+		r := l.deduceEntry(s, frame, u)
+		cu := l.localIdx[u]
+		s.scVec[cu] = r.vec
+		if idem {
+			s.scParent[cu] = r.par
+		}
+		acts += r.acts
+		l.rebuildShortcutLists(s, u)
+		listed = append(listed, u)
+	}
+	return listed, acts
+}
+
+// patchScratch holds the compact-sized working arrays of one subgraph's
+// patch. Every entry update leaves them clean for the next.
+type patchScratch struct {
+	tagged, inAct []bool
+	pending       []float64
+	forest        scratch.Forest
+	queue, act    []graph.VertexID
+}
+
+func newPatchScratch(k int, zero float64) *patchScratch {
+	ps := &patchScratch{tagged: make([]bool, k), inAct: make([]bool, k), pending: make([]float64, k)}
+	for i := range ps.pending {
+		ps.pending[i] = zero
+	}
+	return ps
+}
+
+// offer folds message m for compact vertex c into the pending vector and
+// activates c.
+func (ps *patchScratch) offer(sr algo.Semiring, c graph.VertexID, m float64) {
+	ps.pending[c] = sr.Plus(ps.pending[c], m)
+	if !ps.inAct[c] {
+		ps.inAct[c] = true
+		ps.act = append(ps.act, c)
+	}
+}
+
+// clear resets what the last entry update wrote.
+func (ps *patchScratch) clear(zero float64) {
+	for _, c := range ps.act {
+		ps.inAct[c] = false
+		ps.pending[c] = zero
+	}
+	for _, c := range ps.queue {
+		ps.tagged[c] = false
+	}
+	ps.act, ps.queue = ps.act[:0], ps.queue[:0]
+}
+
+// updateEntrySum applies exact inverse deltas for entry cu's vector: with x
+// the old fixpoint, the new one is x + (x·ΔA + Δs)(I - A')⁻¹, so every
+// removed absorbing-frame edge seeds -x[from]·w, every added one
+// +x[from]·w, and a changed seeding edge ∓w, and the run propagates them
+// over the new frame. Reports the F applications and whether the vector
+// moved.
+func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ps *patchScratch) (int64, bool) {
+	defer ps.clear(0)
+	vec := s.scVec[cu]
+	var acts int64
+	put := func(to graph.VertexID, m float64) {
+		if m != 0 {
+			ps.offer(l.sr, to, m)
 			acts++
 		}
 	}
-	for _, e := range added {
-		if m := contrib(e.from, e.w); m != 0 {
-			pending[e.to] += m
-			seeded = true
-			acts++
-		}
+	one := l.sr.One()
+	for _, e := range ab.del {
+		put(e.to, -vec[e.from]*e.w)
 	}
-	if !seeded {
-		return acts
+	for _, e := range ab.add {
+		put(e.to, vec[e.from]*e.w)
 	}
-	res := engine.Run(frame, l.sr, vec, pending, engine.Options{Workers: 1, Tolerance: l.scTol()})
-	acts += res.Activations
+	for _, e := range seed.del {
+		put(e.to, -one*e.w)
+	}
+	for _, e := range seed.add {
+		put(e.to, one*e.w)
+	}
+	if len(ps.act) == 0 {
+		return acts, false
+	}
+	res := engine.Run(frame, l.sr, vec, ps.pending, engine.Options{Workers: 1, Tolerance: l.scTol()})
 	s.scVec[cu] = res.X
-	l.rebuildShortcutLists(s, u)
-	return acts
+	return acts + res.Activations, true
 }
 
 // scTol is the tolerance of shortcut-maintenance fixpoints: tighter than the
@@ -623,137 +837,114 @@ func (l *Layph) updateEntrySum(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 // update, so truncation would accumulate across batches.
 func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 
-// updateEntryMin applies ⊥-cancellation resets and recomputation for one
-// entry's vector.
-func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []float64,
-	frame *engine.Frame, added, removed []cDiff) int64 {
+// updateEntryMin applies ⊥-cancellation resets and recomputation for entry
+// cu's vector: the dependency subtrees hanging off removed edges are reset,
+// re-offered from intact in-neighbours and cu's own row, added edges offer
+// their candidates, and a local fixpoint settles the rest. Reports the F
+// applications and whether the vector moved.
+func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ps *patchScratch) (int64, bool) {
 	lf := s.Local
-	k := len(vec)
-	zero := l.sr.Zero()
+	vec := s.scVec[cu]
 	par := s.scParent[cu]
+	zero, one := l.sr.Zero(), l.sr.One()
+	defer ps.clear(zero)
 	var acts int64
 
-	// Everything below runs in compact-ID space, so k-sized scoreboards
-	// replace maps: cheaper, and iteration order is the insertion order of
+	// Everything below runs in compact-ID space, so the scratch arrays are
+	// k-sized scoreboards, and iteration follows the insertion order of
 	// the queues, which is deterministic.
-	tagged := make([]bool, k)
-	var queue []graph.VertexID
 	tag := func(c graph.VertexID) {
-		if !tagged[c] {
-			tagged[c] = true
-			queue = append(queue, c)
+		if !ps.tagged[c] {
+			ps.tagged[c] = true
+			ps.queue = append(ps.queue, c)
 		}
 	}
-	for _, e := range removed {
-		if e.from == graph.VertexID(cu) || par[e.to] == e.from {
+	for _, e := range seed.del {
+		tag(e.to)
+	}
+	for _, e := range ab.del {
+		if par[e.to] == e.from {
 			tag(e.to)
 		}
 	}
-	var resets []graph.VertexID
-	if len(queue) > 0 {
-		children := make([][]graph.VertexID, k)
-		for c, p := range par {
-			if p != engine.NoParent {
-				children[p] = append(children[p], graph.VertexID(c))
-			}
-		}
-		for len(queue) > 0 {
-			c := queue[0]
-			queue = queue[1:]
-			resets = append(resets, c)
-			for _, ch := range children[c] {
+	if len(ps.queue) > 0 {
+		// The reset set is the tagged roots' dependency subtrees: the queue
+		// grows while it is walked.
+		ps.forest.Build(par)
+		for i := 0; i < len(ps.queue); i++ {
+			for _, ch := range ps.forest.Children(ps.queue[i]) {
 				tag(ch)
 			}
 		}
-	}
-	for _, c := range resets {
-		vec[c] = zero
-		par[c] = engine.NoParent
-	}
-
-	pending := make([]float64, k)
-	for i := range pending {
-		pending[i] = zero
-	}
-	var act []graph.VertexID
-	inAct := make([]bool, k)
-	activate := func(c graph.VertexID) {
-		if !inAct[c] {
-			inAct[c] = true
-			act = append(act, c)
+		for _, c := range ps.queue {
+			vec[c] = zero
+			par[c] = engine.NoParent
 		}
 	}
-	// Offers for reset targets from intact sources: u's direct edges plus
+	resets := ps.queue
+
+	relax := func(c graph.VertexID, m float64) {
+		acts++
+		if m != zero && l.sr.Plus(vec[c], m) != vec[c] {
+			ps.offer(l.sr, c, m)
+		}
+	}
+	// Offers for reset targets from intact sources: cu's direct edges plus
 	// non-tagged absorbing-frame in-neighbors.
 	for _, c := range resets {
 		for _, e := range lf.out[cu] {
 			if e.To == c {
-				pending[c] = l.sr.Plus(pending[c], l.sr.Times(l.sr.One(), e.W))
-				acts++
+				relax(c, l.sr.Times(one, e.W))
 			}
 		}
 		for _, ie := range lf.absorbIn[c] {
-			a := ie.To
-			if tagged[a] || vec[a] == zero {
-				continue
+			if a := ie.To; !ps.tagged[a] && vec[a] != zero {
+				relax(c, l.sr.Times(vec[a], ie.W))
 			}
-			offer := l.sr.Times(vec[a], ie.W)
-			acts++
-			if offer != zero {
-				pending[c] = l.sr.Plus(pending[c], offer)
-			}
-		}
-		if pending[c] != zero {
-			activate(c)
 		}
 	}
 	// Compensation candidates from added edges.
-	for _, e := range added {
-		var offer float64
-		switch {
-		case e.from == graph.VertexID(cu):
-			offer = l.sr.Times(l.sr.One(), e.w)
-		case l.role[lf.ids[e.from]].IsEntry():
-			continue
-		case vec[e.from] != zero:
-			offer = l.sr.Times(vec[e.from], e.w)
-		default:
-			continue
-		}
-		acts++
-		if l.sr.Plus(vec[e.to], offer) != vec[e.to] {
-			pending[e.to] = l.sr.Plus(pending[e.to], offer)
-			activate(e.to)
+	for _, e := range seed.add {
+		relax(e.to, l.sr.Times(one, e.w))
+	}
+	for _, e := range ab.add {
+		if vec[e.from] != zero {
+			relax(e.to, l.sr.Times(vec[e.from], e.w))
 		}
 	}
-	if len(act) == 0 && len(resets) == 0 {
-		return acts
+	if len(ps.act) == 0 && len(resets) == 0 {
+		return acts, false
 	}
-	res := engine.Run(frame, l.sr, vec, pending, engine.Options{
-		Workers: 1, Tolerance: l.scTol(), InitialActive: act, TrackChanged: true,
-	})
-	acts += res.Activations
-	s.scVec[cu] = res.X
-	// Repair compact parents for everything that moved.
-	for _, c := range res.Changed {
-		par[c] = l.scWitness(s, u, res.X, c)
+	if len(ps.act) > 0 {
+		res := engine.Run(frame, l.sr, vec, ps.pending, engine.Options{
+			Workers: 1, Tolerance: l.scTol(), InitialActive: ps.act, TrackChanged: true,
+		})
+		acts += res.Activations
+		vec = res.X
+		s.scVec[cu] = vec
+		for _, c := range res.Changed {
+			par[c] = l.scWitness(s, cu, vec, c)
+		}
 	}
 	for _, c := range resets {
-		par[c] = l.scWitness(s, u, res.X, c)
+		par[c] = l.scWitness(s, cu, vec, c)
 	}
-	l.rebuildShortcutLists(s, u)
-	return acts
+	return acts, true
 }
 
 // computeUpOut derives a flat vertex's upper-layer out-list: flat edges
 // leaving its subgraph (or any flat edge, for outliers) plus, for entries,
 // their boundary shortcuts.
 func (l *Layph) computeUpOut(v graph.VertexID) []engine.WEdge {
+	return l.appendUpOut(nil, v)
+}
+
+// appendUpOut appends v's upper-layer out-list (see computeUpOut) to out.
+func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) || !l.onUp(v) {
-		return nil
+		return out
 	}
 	sv := l.subOf[v]
-	var out []engine.WEdge
 	for _, e := range l.flatOut[v] {
 		if sv != NoSubgraph && l.subOf[e.To] == sv {
 			continue
@@ -769,27 +960,22 @@ func (l *Layph) computeUpOut(v graph.VertexID) []engine.WEdge {
 }
 
 // refreshUpVertex recomputes v's Lup out-list and mirrors the diff into the
-// Lup in-lists.
+// Lup in-lists. The list is built in a scratch buffer, so an unchanged one
+// costs no allocation.
 func (l *Layph) refreshUpVertex(v graph.VertexID) {
 	old := l.upOut[v]
-	fresh := l.computeUpOut(v)
+	fresh := l.appendUpOut(l.scratch.upBuf[:0], v)
+	l.scratch.upBuf = fresh
+	if sameRow(old, fresh) {
+		return
+	}
+	fresh = slices.Clone(fresh)
 	l.upOut[v] = fresh
-	oldM := make(map[graph.VertexID]float64, len(old))
-	for _, e := range old {
-		oldM[e.To] = e.W
+	added, removed := l.scratch.rows.diff(old, fresh)
+	for _, e := range removed {
+		l.upIn[e.To] = dropEdge(l.upIn[e.To], v)
 	}
-	for _, e := range fresh {
-		if w, ok := oldM[e.To]; ok && w == e.W {
-			delete(oldM, e.To)
-			continue
-		}
-		if _, ok := oldM[e.To]; ok {
-			l.upIn[e.To] = dropEdge(l.upIn[e.To], v)
-			delete(oldM, e.To)
-		}
+	for _, e := range added {
 		l.upIn[e.To] = append(l.upIn[e.To], engine.WEdge{To: v, W: e.W})
-	}
-	for to := range oldM {
-		l.upIn[to] = dropEdge(l.upIn[to], v)
 	}
 }

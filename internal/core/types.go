@@ -186,12 +186,31 @@ type localFrame struct {
 	absorbOut [][]engine.WEdge // adjacency with absorbing entries
 	absorbIn  [][]engine.WEdge // reverse of absorbOut (To = source)
 	// edges counts the internal adjacency's entries; the chunked task
-	// fusion sizes pool tasks by it.
+	// fusion sizes pool tasks by it, and the density test of an edited
+	// subgraph reads it as |E_i|.
 	edges int
 	// x0Buf/m0Buf seed the per-subgraph upload fixpoints, reused across
 	// updates: a subgraph is processed by at most one pool task at a time
 	// and engine.Run copies its inputs, so reuse is race-free.
 	x0Buf, m0Buf []float64
+	// edit holds this update's pre-edit rows of the vertices editFrame
+	// changed; patchShortcuts derives the net frame diff from it.
+	edit frameEdit
+	// patches counts the incremental shortcut patches since the frame's
+	// last full deduction (see patchBudget).
+	patches int
+}
+
+// frameEdit snapshots, at their first edit in an update, the rows of the
+// compact vertices whose frame rows or roles an update changed. Entries of
+// cis, oldOut and oldAbs are parallel; mark[ci] == epoch flags a snapshot
+// taken in the current update.
+type frameEdit struct {
+	epoch  uint32
+	mark   []uint32
+	cis    []graph.VertexID
+	oldOut [][]engine.WEdge
+	oldAbs [][]engine.WEdge
 }
 
 func (lf *localFrame) size() int { return len(lf.ids) }
@@ -281,6 +300,11 @@ type Layph struct {
 	localIdx   []int32
 	entryProxy map[proxyKey]graph.VertexID
 	exitProxy  map[proxyKey]graph.VertexID
+	// entryProxiesOf lists each host's live entry proxies. An entry proxy
+	// carries its host's out-edges, so any change to the host's out-list or
+	// to its subgraph's exit proxies dirties all of them. allocProxy,
+	// orphanProxy and remapProxies keep it current.
+	entryProxiesOf map[graph.VertexID][]graph.VertexID
 
 	// Flat layered graph (original + proxy rewiring, semiring weights).
 	flatOut [][]engine.WEdge
@@ -300,6 +324,12 @@ type Layph struct {
 	// (dense sets and O(n) vectors) so steady-state batches stop paying
 	// per-vertex map allocations.
 	scratch updScratch
+	// epoch numbers the layeredUpdate calls; frame edit snapshots carry it.
+	epoch uint32
+	// evaluations counts density evaluations of a community's prospective
+	// layout and builds the subgraphs updates rebuilt, so tests can pin
+	// which updates do structural work.
+	evaluations, builds int64
 
 	// OfflineStats records construction + initial batch run cost (Fig 11b);
 	// LastPhases records the most recent Update's per-phase runtime (Fig 7);

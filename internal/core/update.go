@@ -1,30 +1,15 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
 )
 
-// layeredUpdate is the first online phase (Section IV-B): bring the layered
-// structure in sync with the already-applied batch. It
-//
-//   - grows the flat ID space for fresh vertices (they join Lup as outliers;
-//     by default memberships are frozen between full rebuilds, as the paper
-//     prescribes: "we update the dense subgraphs only when enough ΔG are
-//     accumulated" — with Options.AdaptiveCommunities the adaptMembership
-//     phase instead migrates memberships incrementally and forces rebuilds
-//     of the drifted subgraphs),
-//   - rebuilds the structure (roles, proxies, local frames, shortcuts) of
-//     every dense subgraph touched by the batch — shortcut deletion,
-//     addition and reweighting from the paper collapse into this local
-//     recomputation, which is confined to the affected subgraphs,
-//   - refreshes the flat out-lists of every source whose edges or weights
-//     may have changed, returning the edge-level diff that drives
-//     revision-message deduction, and
-//   - refreshes the upper-layer skeleton for the dirty vertices.
+// layeredDiff is what layeredUpdate hands the online phases.
 type layeredDiff struct {
 	// oldSrc/oldRows snapshot pre-update flat out-lists of touched sources
 	// in first-touch order (the non-idempotent scheme cancels old
@@ -36,19 +21,19 @@ type layeredDiff struct {
 	added   []flatEdge
 	removed []flatEdge
 	// affectedSubs are the subgraphs whose interior changed (rebuilt or
-	// incrementally re-shortcut); the upload phase runs local fixpoints on
-	// them.
-	affectedSubs map[int32]*Subgraph
-	// rebuiltSubs is the subset whose structure (roles/proxies) was fully
+	// edited in place), in ID order; the upload phase runs local
+	// fixpoints on them.
+	affectedSubs []*Subgraph
+	// rebuiltSubs is the subset whose structure (proxies, frame) was
 	// rebuilt; their proxies' memoized values are invalidated.
-	rebuiltSubs map[int32]*Subgraph
+	rebuiltSubs []*Subgraph
 	// shortcutActivations counts F applications spent maintaining shortcuts.
 	shortcutActivations int64
 	// membershipMoves counts the vertices the adaptive community adjustment
 	// migrated during this update (0 when AdaptiveCommunities is off).
 	membershipMoves int64
 	// parallelSubs counts the subgraph tasks dispatched to the worker pool
-	// during shortcut maintenance (rebuilds + incremental updates).
+	// during shortcut maintenance (rebuilds + patches).
 	parallelSubs int64
 }
 
@@ -57,146 +42,90 @@ type flatEdge struct {
 	w        float64
 }
 
+// layeredUpdate is the first online phase (Section IV-B): bring the layered
+// structure in sync with the already-applied batch. A role flip is a
+// shortcut edit; only a change to a subgraph's vertex set rebuilds it. It
+//
+//   - grows the flat ID space for fresh vertices (they join Lup as outliers;
+//     by default memberships are frozen between full rebuilds, as the paper
+//     prescribes: "we update the dense subgraphs only when enough ΔG are
+//     accumulated" — with Options.AdaptiveCommunities the adaptMembership
+//     phase instead migrates memberships incrementally),
+//   - decides the structural rebuilds first: a subgraph is re-decided
+//     (proxies re-allocated, or dissolved when it fails the density test)
+//     only when a changed cross edge flips a replication decision, adaptive
+//     migration changed its membership, or one of its members was removed,
+//   - refreshes every touched flat row once, against the settled proxy
+//     tables, collecting the edge-level diff that drives revision-message
+//     deduction, and recomputes the touched roles once,
+//   - edits the frames of all other subgraphs in place, sorted by subgraph
+//     and vertex, and re-runs the density test on those with a role flip;
+//     one that fails is dissolved as a structural change, which costs one
+//     more refresh-and-roles round for the rows that depended on it,
+//   - rebuilds the structurally changed subgraphs and patches the shortcuts
+//     of the edited ones (patchShortcuts), fanned out over the worker pool,
+//   - refreshes the skeleton rows of every vertex whose row, role or
+//     shortcut lists changed.
 func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
-	d := &layeredDiff{
-		affectedSubs: make(map[int32]*Subgraph),
-		rebuiltSubs:  make(map[int32]*Subgraph),
-	}
+	d := &layeredDiff{}
 	l.growForNewVertices(applied)
+	l.epoch++
 	sc := &l.scratch
-	sc.touched.Reset(l.flatN())
-	sc.dirtyRoles.Reset(l.flatN())
-	sc.oldSeen.Reset(l.flatN())
+	n := l.flatN()
+	sc.touched.Reset(n)
+	sc.dirty.Reset(n)
+	sc.roleSeen.Reset(n)
+	sc.oldSeen.Reset(n)
 	sc.oldRows = sc.oldRows[:0]
+	sc.upDirty.Reset(n)
+	sc.structural.Reset(0)
+	sc.edited.Reset(0)
 
 	// Adaptive phase: evolve the community partition with the batch and
 	// migrate subgraph membership before any flat row is refreshed, so the
-	// first refresh pass snapshots true pre-batch routing and the rebuilt
-	// rows already reflect the new memberships. Subgraphs whose membership
-	// changed are force-rebuilt below.
-	var forcedRebuild []int32
+	// refresh snapshots true pre-batch routing and the refreshed rows
+	// already reflect the new memberships. Subgraphs whose membership
+	// changed are rebuilt.
+	var forced []int32
 	if l.opt.AdaptiveCommunities {
-		forcedRebuild, d.membershipMoves = l.adaptMembership(applied)
+		forced, d.membershipMoves = l.adaptMembership(applied)
 	}
 
-	// Pass 1: refresh the flat lists of sources whose out-edges (or, for
-	// degree-dependent weights, out-weights) changed: sources of changed
-	// edges, removed vertices, added vertices, and the entry proxies that
-	// carry a changed cross edge on behalf of their host.
-	markTouched := func(v graph.VertexID) {
-		if int(v) < l.flatN() {
-			sc.touched.Add(v)
-		}
+	// Rows whose out-edges (or, for degree-dependent weights, out-weights)
+	// changed: sources of changed edges and removed vertices together with
+	// the entry proxies carrying their edges, and added vertices.
+	changedEdges := append(append([]graph.DeletedEdge(nil), applied.AddedEdges...), applied.RemovedEdges...)
+	for _, e := range changedEdges {
+		l.touchSource(e.From)
 	}
+	for _, v := range applied.RemovedVertices {
+		l.touchSource(v)
+	}
+	for _, v := range applied.AddedVertices {
+		l.touch(v)
+	}
+
+	// Structural rebuilds, decided before any row is refreshed: they are
+	// the only changes to a subgraph's vertex set.
 	subOfSafe := func(v graph.VertexID) int32 {
 		if int(v) < len(l.subOf) {
-			if c := l.subOf[v]; c != NoSubgraph {
-				if _, ok := l.subs[c]; ok {
-					return c
-				}
+			if c := l.subOf[v]; c != NoSubgraph && l.subs[c] != nil {
+				return c
 			}
 		}
 		return NoSubgraph
 	}
-	// Entry proxies inherit their host's degree-dependent edge weights, so
-	// any change to a host's out-list dirties every entry proxy replicating
-	// it — in every subgraph, not just the one the changed edge targets.
-	if sc.hostProxies == nil {
-		sc.hostProxies = make(map[graph.VertexID][]graph.VertexID)
-	}
-	clear(sc.hostProxies)
-	hostProxies := sc.hostProxies
-	for k, p := range l.entryProxy {
-		if l.proxyAlive[p] {
-			hostProxies[k.host] = append(hostProxies[k.host], p)
+	var pending []int32
+	markStructural := func(c int32) {
+		if c != NoSubgraph && l.subs[c] != nil && sc.structural.Add(graph.VertexID(c)) {
+			pending = append(pending, c)
 		}
 	}
-	touchSource := func(u graph.VertexID) {
-		markTouched(u)
-		for _, p := range hostProxies[u] {
-			markTouched(p)
-		}
+	for _, c := range forced {
+		markStructural(c)
 	}
-	changedEdges := append(append([]graph.DeletedEdge(nil), applied.AddedEdges...), applied.RemovedEdges...)
-	for _, e := range changedEdges {
-		touchSource(e.From)
-		if sv := subOfSafe(e.To); sv != NoSubgraph && subOfSafe(e.From) != sv {
-			if p, ok := l.entryProxy[proxyKey{sv, e.From}]; ok && l.proxyAlive[p] {
-				markTouched(p)
-			}
-		}
-	}
-	for _, v := range applied.RemovedVertices {
-		touchSource(v)
-	}
-	for _, v := range applied.AddedVertices {
-		markTouched(v)
-	}
-
-	refresh := func(v graph.VertexID) {
-		old, added, removed := l.refreshFlatVertex(v)
-		// Keep the FIRST (true pre-batch) list if v is refreshed twice —
-		// rebuilds reroute proxies, forcing a second pass; the sum-scheme
-		// corrections must cancel against the pre-batch contributions.
-		if sc.oldSeen.Add(v) {
-			sc.oldRows = append(sc.oldRows, old)
-		}
-		for _, e := range added {
-			d.added = append(d.added, flatEdge{from: v, to: e.To, w: e.W})
-			sc.dirtyRoles.Add(e.To)
-		}
-		for _, e := range removed {
-			d.removed = append(d.removed, flatEdge{from: v, to: e.To, w: e.W})
-			if int(e.To) < l.flatN() {
-				sc.dirtyRoles.Add(e.To)
-			}
-		}
-		sc.dirtyRoles.Add(v)
-	}
-	for _, v := range sc.touched.List {
-		refresh(v)
-	}
-
-	// Decide which dense subgraphs need a structural rebuild. The paper's
-	// three shortcut-update cases (deletion, addition, weight update) map to:
-	//
-	//   - an internal flat edge changed (weight updates included) — the
-	//     subgraph's path sums move;
-	//   - a member's role flipped (a new external in-edge turns an internal
-	//     vertex into an entry whose shortcuts must be deduced; deleting the
-	//     last one reverses it) — the absorbing structure moves;
-	//   - a replication decision flipped (a host crossed the threshold R);
-	//   - a member vertex was removed.
-	rebuild := make(map[int32]struct{})
-	markRebuild := func(c int32) {
-		if c != NoSubgraph {
-			if _, ok := l.subs[c]; ok {
-				rebuild[c] = struct{}{}
-			}
-		}
-	}
-	// Membership drift forces a structural rebuild regardless of role or
-	// replication flips (this includes subgraphs freshly promoted by
-	// adaptMembership, whose frames don't exist yet).
-	for _, c := range forcedRebuild {
-		markRebuild(c)
-	}
-	// Role flips among diff endpoints. roleCands is the current dirtyRoles
-	// prefix (capacity-clamped: the set keeps growing below).
-	nCands := len(sc.dirtyRoles.List)
-	roleCands := sc.dirtyRoles.List[:nCands:nCands]
-	sc.oldRoles = sc.oldRoles[:0]
-	for _, v := range roleCands {
-		sc.oldRoles = append(sc.oldRoles, l.role[v])
-	}
-	l.recomputeRoles(roleCands)
-	for i, v := range roleCands {
-		if l.role[v] != sc.oldRoles[i] {
-			markRebuild(subOfSafe(v))
-		}
-	}
-
-	// Replication-decision flips on changed cross edges.
+	// Replication-decision flips on changed cross edges (a host crossed the
+	// threshold R into or out of a subgraph).
 	r := l.opt.replication()
 	for _, e := range changedEdges {
 		u, v := e.From, e.To
@@ -210,9 +139,8 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 					}
 				}
 			}
-			desire := r > 0 && count >= r
-			if desire != l.hasProxy(l.entryProxy, sv, u) {
-				markRebuild(sv)
+			if desire := r > 0 && count >= r; desire != l.hasProxy(l.entryProxy, sv, u) {
+				markStructural(sv)
 			}
 		}
 		if su != NoSubgraph && su != sv {
@@ -224,179 +152,244 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 					}
 				}
 			}
-			desire := r > 0 && count >= r
-			if desire != l.hasProxy(l.exitProxy, su, v) {
-				markRebuild(su)
+			if desire := r > 0 && count >= r; desire != l.hasProxy(l.exitProxy, su, v) {
+				markStructural(su)
 			}
 		}
 	}
 	for _, v := range applied.RemovedVertices {
-		markRebuild(subOfSafe(v))
+		markStructural(subOfSafe(v))
 	}
 
-	// Rebuild phase: memberships are taken as-is (frozen, or already
-	// migrated by adaptMembership); proxies are re-decided, the local frame
-	// and every shortcut of the subgraph are re-deduced. Sorted order keeps
-	// fresh proxy IDs reproducible between runs.
-	rebuildIDs := make([]int32, 0, len(rebuild))
-	for c := range rebuild {
-		rebuildIDs = append(rebuildIDs, c)
+	refresh := func(v graph.VertexID) {
+		old, added, removed := l.refreshFlatVertex(v)
+		// Keep the FIRST (true pre-batch) list if v is refreshed in a later
+		// round: the sum-scheme corrections must cancel against the
+		// pre-batch contributions.
+		if sc.oldSeen.Add(v) {
+			sc.oldRows = append(sc.oldRows, old)
+		}
+		if len(added)+len(removed) > 0 {
+			sc.upDirty.Add(v)
+		}
+		for _, e := range added {
+			d.added = append(d.added, flatEdge{from: v, to: e.To, w: e.W})
+			sc.dirty.Add(e.To)
+		}
+		for _, e := range removed {
+			d.removed = append(d.removed, flatEdge{from: v, to: e.To, w: e.W})
+			if int(e.To) < l.flatN() {
+				sc.dirty.Add(e.To)
+			}
+		}
+		sc.dirty.Add(v)
 	}
-	sort.Slice(rebuildIDs, func(a, b int) bool { return rebuildIDs[a] < rebuildIDs[b] })
-	for _, c := range rebuildIDs {
-		s := l.subs[c]
-		for _, v := range s.Members {
-			sc.dirtyRoles.Add(v)
-			markTouched(v)
-			if int(v) < l.g.Cap() && l.g.Alive(v) {
-				for _, ie := range l.g.In(v) {
-					if l.subOf[ie.To] != c {
-						markTouched(ie.To)
-					}
-				}
+	// Rounds: restructure, refresh, recompute roles, edit frames. Only a
+	// subgraph that an edit thinned below the density test starts another
+	// round, in which it is dissolved.
+	dissolve := false
+	for {
+		slices.Sort(pending)
+		for _, c := range pending {
+			if s := l.restructure(l.subs[c], dissolve); s != nil {
+				d.rebuiltSubs = append(d.rebuiltSubs, s)
 			}
 		}
-		for _, p := range s.proxies {
-			l.proxyAlive[p] = false
-			l.subOf[p] = NoSubgraph
-			sc.dirtyRoles.Add(p)
-			markTouched(p)
+		for _, v := range sc.touched.List {
+			refresh(v)
 		}
-		s.proxies = s.proxies[:0]
-
-		live := s.origMembers[:0]
-		for _, v := range s.origMembers {
-			if l.g.Alive(v) {
-				live = append(live, v)
-			}
+		l.recomputeDirtyRoles()
+		if pending = l.editFrames(); len(pending) == 0 {
+			break
 		}
-		s.origMembers = live
-		dec := l.evaluateCommunity(c, s.origMembers)
-		if !dec.dense || len(s.origMembers) < 2 {
-			for _, v := range s.origMembers {
-				l.subOf[v] = NoSubgraph
-				sc.dirtyRoles.Add(v)
-				markTouched(v)
-			}
-			delete(l.subs, c)
-			continue
-		}
-		for _, h := range dec.entryHosts {
-			p := l.allocProxy(l.entryProxy, c, h)
-			s.proxies = append(s.proxies, p)
-			sc.dirtyRoles.Add(p)
-			markTouched(p)
-			markTouched(h)
-		}
-		for _, h := range dec.exitHosts {
-			p := l.allocProxy(l.exitProxy, c, h)
-			s.proxies = append(s.proxies, p)
-			sc.dirtyRoles.Add(p)
-			markTouched(p)
-		}
-		d.affectedSubs[c] = s
-		d.rebuiltSubs[c] = s
-	}
-	for _, v := range sc.touched.List {
-		refresh(v)
+		dissolve = true
+		sc.touched.Reset(l.flatN())
+		sc.dirty.Reset(l.flatN())
 	}
 	d.oldSrc, d.oldRows = sc.oldSeen.List, sc.oldRows
 
-	l.recomputeRoles(sc.dirtyRoles.List)
+	var edited []*Subgraph
+	for _, c := range sc.edited.List {
+		if s := l.subs[int32(c)]; s != nil && !sc.structural.Has(c) {
+			edited = append(edited, s)
+		}
+	}
+	d.affectedSubs = append(append(d.affectedSubs, d.rebuiltSubs...), edited...)
+	sortSubgraphs(d.affectedSubs)
+	l.builds += int64(len(d.rebuiltSubs))
+	listed, acts, tasks := l.forSubgraphs(d.affectedSubs, l.maintainShortcuts)
+	d.shortcutActivations += acts
+	d.parallelSubs += tasks
 
-	rebuildActs, rebuildTasks := l.buildSubgraphs(subgraphList(d.rebuiltSubs))
-	d.parallelSubs += rebuildTasks
-	d.shortcutActivations += rebuildActs
-
-	// Incremental shortcut maintenance (the paper's Section IV-B weight
-	// updates): subgraphs whose internal edges changed without any
-	// structural flip absorb the diffs into their memoized per-entry
-	// vectors instead of re-deducing from scratch.
-	intraAdd := make(map[int32][]flatEdge)
-	intraDel := make(map[int32][]flatEdge)
-	markIntra := func(m map[int32][]flatEdge, e flatEdge) {
-		if c := subOfSafe(e.from); c != NoSubgraph && subOfSafe(e.to) == c {
-			if _, full := d.rebuiltSubs[c]; !full {
-				m[c] = append(m[c], e)
-			}
+	// Skeleton rows move with a vertex's flat row (queued by refresh), its
+	// role, its subgraph's layout (a rebuild) or its shortcut lists.
+	for _, v := range sc.roleSeen.List {
+		if l.role[v] != sc.oldRole[v] {
+			sc.upDirty.Add(v)
 		}
 	}
-	for _, e := range d.added {
-		markIntra(intraAdd, e)
-	}
-	for _, e := range d.removed {
-		markIntra(intraDel, e)
-	}
-	for c := range intraAdd {
-		if _, ok := intraDel[c]; !ok {
-			intraDel[c] = nil
+	for _, s := range d.rebuiltSubs {
+		for _, v := range s.Members {
+			sc.upDirty.Add(v)
 		}
 	}
-	// Conservative guard: batches that delete vertices fall back to full
-	// re-deduction for the intra-changed subgraphs. Vertex deletions ripple
-	// through proxy routing in ways the row-level diff above does not fully
-	// capture; deletions are rare in the paper's workloads (Figure 5e), so
-	// correctness is bought here at negligible average cost.
-	//
-	// Each subgraph's shortcut maintenance touches only its own frame and
-	// memoized vectors (the flat adjacency is frozen by now), so the
-	// per-subgraph work fans out over the worker pool.
-	forceFull := len(applied.RemovedVertices) > 0
-	intraSubs := make([]*Subgraph, 0, len(intraDel))
-	for c := range intraDel {
-		intraSubs = append(intraSubs, l.subs[c])
-	}
-	sortSubgraphs(intraSubs)
-	maintain := func(s *Subgraph, parallelEntries bool) int64 {
-		if forceFull {
-			l.classifyMembers(s)
-			l.buildLocalFrame(s)
-			return l.deduceShortcutsPar(s, parallelEntries)
-		}
-		return l.updateShortcutsIncremental(s, intraAdd[s.ID], intraDel[s.ID])
-	}
-	if len(intraSubs) == 1 {
-		// Single subgraph: fan out inside it (per-entry deduction) rather
-		// than spending the pool on a one-task outer level.
-		d.parallelSubs++
-		d.shortcutActivations += maintain(intraSubs[0], true)
-	} else if len(intraSubs) > 1 {
-		chunks := l.subgraphChunks(intraSubs)
-		d.parallelSubs += int64(len(chunks))
-		intraActs := make([]int64, len(chunks))
-		grp := l.pool.Group()
-		for i, ch := range chunks {
-			i, ch := i, ch
-			grp.Go(func() {
-				var a int64
-				for _, s := range ch {
-					a += maintain(s, false)
-				}
-				intraActs[i] = a
-			})
-		}
-		grp.Wait()
-		for _, a := range intraActs {
-			d.shortcutActivations += a
-		}
-	}
-	for _, s := range intraSubs {
-		d.affectedSubs[s.ID] = s
-	}
-
-	sc.upDirty.Reset(l.flatN())
-	for _, v := range sc.dirtyRoles.List {
+	for _, v := range listed {
 		sc.upDirty.Add(v)
-	}
-	for _, s := range subgraphList(d.affectedSubs) {
-		for _, u := range s.Entries {
-			sc.upDirty.Add(u)
-		}
 	}
 	for _, v := range sc.upDirty.List {
 		l.refreshUpVertex(v)
 	}
 	return d
+}
+
+// touch queues v's flat row for refresh in the current round.
+func (l *Layph) touch(v graph.VertexID) {
+	if int(v) < l.flatN() {
+		l.scratch.touched.Add(v)
+	}
+}
+
+// touchSource queues v's row and those of its live entry proxies, which
+// carry v's out-edges (with v's degree-dependent weights) into other
+// subgraphs.
+func (l *Layph) touchSource(v graph.VertexID) {
+	l.touch(v)
+	for _, p := range l.entryProxiesOf[v] {
+		l.touch(p)
+	}
+}
+
+// restructure re-decides subgraph s from its membership. It queues every
+// row that depends on s's layout — its members', their in-neighbours' and
+// their entry proxies' in other subgraphs — orphans s's proxies, and then
+// either dissolves s (when dissolve is set or evaluateCommunity finds it
+// sparse) or re-allocates its proxies. The frame and shortcuts are rebuilt
+// after the refresh. Returns s, or nil when it was dissolved.
+func (l *Layph) restructure(s *Subgraph, dissolve bool) *Subgraph {
+	sc := &l.scratch
+	c := s.ID
+	for _, v := range s.Members {
+		sc.dirty.Add(v)
+		l.touchSource(v)
+		if int(v) < l.g.Cap() && l.g.Alive(v) {
+			for _, ie := range l.g.In(v) {
+				if l.subOf[ie.To] != c {
+					l.touch(ie.To)
+				}
+			}
+		}
+	}
+	for _, p := range s.proxies {
+		l.orphanProxy(p)
+		sc.dirty.Add(p)
+		l.touch(p)
+	}
+	s.proxies = s.proxies[:0]
+
+	live := s.origMembers[:0]
+	for _, v := range s.origMembers {
+		if l.g.Alive(v) {
+			live = append(live, v)
+		}
+	}
+	s.origMembers = live
+	var dec denseDecision
+	if !dissolve {
+		dec = l.evaluateCommunity(c, live)
+	}
+	if !dec.dense {
+		for _, v := range live {
+			l.subOf[v] = NoSubgraph
+			sc.dirty.Add(v)
+			l.touchSource(v)
+		}
+		delete(l.subs, c)
+		return nil
+	}
+	for _, h := range dec.entryHosts {
+		p := l.allocProxy(true, c, h)
+		s.proxies = append(s.proxies, p)
+		sc.dirty.Add(p)
+		l.touch(p)
+		l.touch(h)
+	}
+	for _, h := range dec.exitHosts {
+		p := l.allocProxy(false, c, h)
+		s.proxies = append(s.proxies, p)
+		sc.dirty.Add(p)
+		l.touch(p)
+	}
+	return s
+}
+
+// recomputeDirtyRoles recomputes the roles of the current round's dirty
+// vertices, first recording the pre-update role of each one recomputed for
+// the first time in the update.
+func (l *Layph) recomputeDirtyRoles() {
+	sc := &l.scratch
+	if n := l.flatN(); len(sc.oldRole) < n {
+		sc.oldRole = append(sc.oldRole, make([]Role, n+n/2-len(sc.oldRole))...)
+	}
+	for _, v := range sc.dirty.List {
+		if sc.roleSeen.Add(v) {
+			sc.oldRole[v] = l.role[v]
+		}
+	}
+	l.recomputeRoles(sc.dirty.List)
+}
+
+// editFrames applies the current round's row and role changes to the frames
+// of the subgraphs that are not restructured, in subgraph then vertex
+// order, re-classifies their members, and re-runs the density test on each
+// one with a role flip. It returns the subgraphs that failed the test,
+// already marked structural.
+func (l *Layph) editFrames() []int32 {
+	sc := &l.scratch
+	sc.cands = sc.cands[:0]
+	for _, v := range sc.dirty.List {
+		if c := l.subOf[v]; c != NoSubgraph && l.subs[c] != nil && !sc.structural.Has(graph.VertexID(c)) {
+			sc.cands = append(sc.cands, v)
+		}
+	}
+	slices.SortFunc(sc.cands, func(a, b graph.VertexID) int {
+		if ca, cb := l.subOf[a], l.subOf[b]; ca != cb {
+			return cmp.Compare(ca, cb)
+		}
+		return cmp.Compare(a, b)
+	})
+	var failed []int32
+	for i := 0; i < len(sc.cands); {
+		c := l.subOf[sc.cands[i]]
+		s := l.subs[c]
+		flipped := false
+		for ; i < len(sc.cands) && l.subOf[sc.cands[i]] == c; i++ {
+			v := sc.cands[i]
+			flip := l.role[v] != sc.oldRole[v]
+			flipped = flipped || flip
+			if l.editFrame(s, v, flip) {
+				sc.edited.Add(graph.VertexID(c))
+			}
+		}
+		l.classifyRoles(s)
+		if flipped && !denseEnough(len(s.Entries), len(s.Exits), s.Local.edges) {
+			sc.structural.Add(graph.VertexID(c))
+			failed = append(failed, c)
+		}
+	}
+	return failed
+}
+
+// maintainShortcuts is the per-subgraph task of the shortcut phase: a
+// restructured subgraph gets its member lists, frame and every shortcut
+// rebuilt, an edited one is patched in place (listing the entries whose
+// shortcut lists it re-derived).
+func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
+	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
+		l.classifyMembers(s)
+		l.buildLocalFrame(s)
+		return listed, l.deduceShortcutsPar(s, parallelEntries)
+	}
+	return l.patchShortcuts(s, listed)
 }
 
 // growForNewVertices extends all flat-space vectors when the graph gained
@@ -520,6 +513,11 @@ func (l *Layph) remapProxies(newCap int) {
 	}
 	for k, p := range l.exitProxy {
 		l.exitProxy[k] = mapID(p)
+	}
+	for _, ps := range l.entryProxiesOf {
+		for i, p := range ps {
+			ps[i] = mapID(p)
+		}
 	}
 	for _, s := range l.subs {
 		for i, p := range s.proxies {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -137,8 +138,41 @@ func TestProxyDecisionFlip(t *testing.T) {
 	}
 }
 
+// crossBatch draws n updates, alternating add and delete, between members
+// of two different dense subgraphs: each flips roles on both sides.
+func crossBatch(rng *rand.Rand, l *Layph, n int) delta.Batch {
+	g := l.Graph()
+	var members []graph.VertexID
+	for _, s := range subgraphList(l.subs) {
+		for _, v := range s.Members {
+			if int(v) < g.Cap() {
+				members = append(members, v)
+			}
+		}
+	}
+	var b delta.Batch
+	for tries := 0; len(b) < n && tries < 100*n; tries++ {
+		u := members[rng.Intn(len(members))]
+		if len(b)%2 == 0 {
+			v := members[rng.Intn(len(members))]
+			if _, exists := g.HasEdge(u, v); !exists && l.subOf[u] != l.subOf[v] {
+				b = append(b, delta.Update{Kind: delta.AddEdge, U: u, V: v, W: 1 + 9*rng.Float64()})
+			}
+			continue
+		}
+		for _, e := range g.Out(u) {
+			if c := l.subOf[e.To]; c != NoSubgraph && c != l.subOf[u] {
+				b = append(b, delta.Update{Kind: delta.DelEdge, U: u, V: e.To})
+				break
+			}
+		}
+	}
+	return b
+}
+
 // Property: incremental shortcut maintenance must agree with full
-// re-deduction after arbitrary intra-subgraph weight churn.
+// re-deduction after arbitrary intra-subgraph weight churn and after
+// cross-subgraph batches that flip roles.
 func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 	f := func(seed int64) bool {
 		g, _ := gen.CommunityGraph(gen.CommunityConfig{
@@ -155,6 +189,10 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 			for b := 0; b < 3; b++ {
 				applied := delta.Apply(gLocal, genr.EdgeBatch(gLocal, 30, true))
 				l.Update(applied)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for b := 0; b < 3; b++ {
+				l.Update(delta.Apply(gLocal, crossBatch(rng, l, 20)))
 			}
 			for _, s := range l.subs {
 				fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies,
