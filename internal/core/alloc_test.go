@@ -141,17 +141,21 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 //	go test ./internal/core -bench BenchmarkUpdate -benchmem
 //
 // The spread cases draw uniformly random endpoints, so most batches flip
-// roles across the subgraphs they enter.
+// roles across the subgraphs they enter. The CC case runs the zero-weight
+// label ties through the shortcut-mapped dependency parents.
 func BenchmarkUpdate(b *testing.B) {
-	for _, name := range []string{"SSSP", "PageRank"} {
+	for _, name := range []string{"SSSP", "PageRank", "CC"} {
 		run := func(label string, workload func(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch), batch int) {
 			b.Run(fmt.Sprintf("%s/%sbatch=%d", name, label, batch), func(b *testing.B) {
 				g, addB, delB := workload(8000, batch)
 				var a algo.Algorithm
-				if name == "SSSP" {
+				switch name {
+				case "SSSP":
 					a = algo.NewSSSP(0)
-				} else {
+				case "PageRank":
 					a = algo.NewPageRank(0.85, 1e-6)
+				default:
+					a = algo.NewCC()
 				}
 				l := New(g, a, Options{Workers: 1})
 				cycleOnce(l, g, addB, delB) // warm scratch
@@ -161,6 +165,10 @@ func BenchmarkUpdate(b *testing.B) {
 					cycleOnce(l, g, addB, delB)
 				}
 			})
+		}
+		if name == "CC" {
+			run("", allocWorkload, 1000)
+			continue
 		}
 		for _, batch := range []int{100, 1000} {
 			run("", allocWorkload, batch)

@@ -172,7 +172,7 @@ func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
 	_, acts, tasks := l.forSubgraphs(subs, func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
 		l.classifyMembers(s)
 		l.buildLocalFrame(s)
-		return listed, l.deduceShortcutsPar(s, parallelEntries)
+		return listed, l.deduceShortcuts(s, parallelEntries)
 	})
 	return acts, tasks
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"layph/internal/engine"
@@ -22,7 +23,7 @@ import (
 func (l *Layph) CheckInvariants() error {
 	n := l.flatN()
 	if len(l.flatIn) != n || len(l.upOut) != n || len(l.upIn) != n ||
-		len(l.role) != n || len(l.subOf) != n || len(l.x) != n {
+		len(l.role) != n || len(l.subOf) != n || len(l.x) != n || (l.parent != nil && len(l.parent) != n) {
 		return fmt.Errorf("vector length mismatch (n=%d)", n)
 	}
 	// Original vertices must map identically; proxies must carry hosts.
@@ -56,54 +57,18 @@ func (l *Layph) CheckInvariants() error {
 	if inCount != outCount {
 		return fmt.Errorf("flat in/out edge counts differ: %d vs %d", inCount, outCount)
 	}
-	// Dead vertices carry no flat edges.
+	// Dead vertices carry no flat edges; roles are consistent with flat
+	// adjacency and membership.
 	for v := 0; v < n; v++ {
-		if !l.flatAlive(graph.VertexID(v)) {
-			if len(l.flatOut[v]) != 0 {
-				return fmt.Errorf("dead vertex %d has flat out-edges", v)
-			}
-			if l.role[v] != RoleDead {
-				return fmt.Errorf("dead vertex %d has role %v", v, l.role[v])
-			}
+		vid := graph.VertexID(v)
+		if !l.flatAlive(vid) && len(l.flatOut[v]) != 0 {
+			return fmt.Errorf("dead vertex %d has flat out-edges", v)
 		}
-	}
-	// Roles consistent with flat adjacency and membership.
-	for v := 0; v < n; v++ {
-		if !l.flatAlive(graph.VertexID(v)) {
-			continue
-		}
-		sv := l.subOf[v]
-		if sv == NoSubgraph {
-			if l.role[v] != RoleOutlier {
-				return fmt.Errorf("vertex %d: no subgraph but role %v", v, l.role[v])
-			}
-			continue
-		}
-		if _, ok := l.subs[sv]; !ok {
+		if sv := l.subOf[v]; l.flatAlive(vid) && sv != NoSubgraph && l.subs[sv] == nil {
 			return fmt.Errorf("vertex %d references missing subgraph %d", v, sv)
 		}
-		entry, exit := false, false
-		for _, e := range l.flatIn[v] {
-			if l.subOf[e.To] != sv {
-				entry = true
-			}
-		}
-		for _, e := range l.flatOut[v] {
-			if l.subOf[e.To] != sv {
-				exit = true
-			}
-		}
-		want := RoleInternal
-		switch {
-		case entry && exit:
-			want = RoleEntryExit
-		case entry:
-			want = RoleEntry
-		case exit:
-			want = RoleExit
-		}
-		if l.role[v] != want {
-			return fmt.Errorf("vertex %d (sub %d): role %v, want %v", v, sv, l.role[v], want)
+		if want := l.roleOf(vid); l.role[v] != want {
+			return fmt.Errorf("vertex %d (sub %d): role %v, want %v", v, l.subOf[v], l.role[v], want)
 		}
 	}
 	// Upper layer: internal vertices never appear; lists match recomputation.
@@ -115,7 +80,7 @@ func (l *Layph) CheckInvariants() error {
 			}
 			continue
 		}
-		want := l.computeUpOut(vid)
+		want := l.appendUpOut(nil, vid)
 		if len(want) != len(l.upOut[v]) {
 			return fmt.Errorf("vertex %d: up out-list stale (%d vs %d edges)", v, len(l.upOut[v]), len(want))
 		}
@@ -153,6 +118,46 @@ func (l *Layph) CheckInvariants() error {
 			return err
 		}
 	}
+	if l.parent != nil {
+		return l.checkParents()
+	}
+	return nil
+}
+
+// near reports whether a equals b up to a relative 1e-9: shortcut and
+// stepwise sums of one path round differently.
+func near(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
+}
+
+// checkParents validates the min-scheme dependency forest: every live
+// vertex with a value is a root (its root message, no parent) or has a
+// parent that is a live flat in-neighbour whose value composes to its own,
+// and no parent chain revisits a vertex.
+func (l *Layph) checkParents() error {
+	n := l.flatN()
+	walk := make([]int, n) // 1 + the first vertex whose chain reached this one
+	for v := 0; v < n; v++ {
+		vid, p := graph.VertexID(v), l.parent[v]
+		if l.flatAlive(vid) && l.x[v] != l.sr.Zero() {
+			ok := p == engine.NoParent && v < l.origCap && near(l.a.InitMessage(vid), l.x[v])
+			for _, e := range l.flatIn[v] {
+				ok = ok || (e.To == p && l.flatAlive(p) && near(l.sr.Times(l.x[p], e.W), l.x[v]))
+			}
+			if !ok {
+				return fmt.Errorf("vertex %d = %v: parent %d is neither its root message nor a live flat in-neighbour composing to it", v, l.x[v], p)
+			}
+		}
+		for u := vid; int(u) < n; u = l.parent[u] {
+			if walk[u] == v+1 {
+				return fmt.Errorf("parent cycle through vertex %d", u)
+			}
+			if walk[u] != 0 {
+				break
+			}
+			walk[u] = v + 1
+		}
+	}
 	return nil
 }
 
@@ -179,22 +184,11 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	if len(s.Members) != assigned {
 		return fmt.Errorf("sub %d: %d members but %d live vertices assigned", c, len(s.Members), assigned)
 	}
-	var entries, exits, internal []graph.VertexID
-	for _, v := range s.Members {
-		r := l.role[v]
-		if r.IsEntry() {
-			entries = append(entries, v)
-		}
-		if r == RoleExit || r == RoleEntryExit {
-			exits = append(exits, v)
-		}
-		if r == RoleInternal {
-			internal = append(internal, v)
-		}
-	}
-	if !sameVertices(s.Entries, entries) || !sameVertices(s.Exits, exits) || !sameVertices(s.Internal, internal) {
+	want := &Subgraph{Members: s.Members}
+	l.classifyRoles(want)
+	if !sameVertices(s.Entries, want.Entries) || !sameVertices(s.Exits, want.Exits) || !sameVertices(s.Internal, want.Internal) {
 		return fmt.Errorf("sub %d: role lists (%d/%d/%d entries/exits/internal) differ from the roles (%d/%d/%d)",
-			c, len(s.Entries), len(s.Exits), len(s.Internal), len(entries), len(exits), len(internal))
+			c, len(s.Entries), len(s.Exits), len(s.Internal), len(want.Entries), len(want.Exits), len(want.Internal))
 	}
 	lf := s.Local
 	if lf == nil || lf.size() != len(s.Members) {
@@ -225,6 +219,11 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 			}
 			if len(s.scVec[ci]) != k || (l.sr.Idempotent() && len(s.scParent[ci]) != k) {
 				return fmt.Errorf("sub %d: entry %d has no shortcut vector", c, v)
+			}
+			if l.sr.Idempotent() {
+				if err := l.checkShortcutParents(s, graph.VertexID(ci)); err != nil {
+					return err
+				}
 			}
 			for _, e := range s.scToB[ci] {
 				if t, ok := l.compactID(s, e.To); !ok || (e.To != v && l.role[e.To] == RoleInternal) {
@@ -260,6 +259,27 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	}
 	if mirrored != absorbing {
 		return fmt.Errorf("sub %d: absorbIn holds %d edges, absorbOut %d", c, mirrored, absorbing)
+	}
+	return nil
+}
+
+// checkShortcutParents validates entry cu's deduction parents: each slot
+// with a value was set either by cu's own edge or by an absorbing-frame
+// in-neighbour whose value composes to it.
+func (l *Layph) checkShortcutParents(s *Subgraph, cu graph.VertexID) error {
+	lf := s.Local
+	vec, par := s.scVec[cu], s.scParent[cu]
+	for c, x := range vec {
+		p, ok := par[c], x == l.sr.Zero()
+		for _, e := range lf.out[cu] {
+			ok = ok || (p == cu && int(e.To) == c && near(l.sr.Times(l.sr.One(), e.W), x))
+		}
+		for _, e := range lf.absorbIn[c] {
+			ok = ok || (e.To == p && near(l.sr.Times(vec[p], e.W), x))
+		}
+		if !ok {
+			return fmt.Errorf("sub %d: entry %d's shortcut to slot %d has unsupported deduction parent %d", s.ID, lf.ids[cu], c, p)
+		}
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func assertFreshShortcuts(t *testing.T, l *Layph, tol float64) {
 func freshShortcutsDiff(l *Layph, tol float64) error {
 	for _, s := range subgraphList(l.subs) {
 		fresh := &Subgraph{ID: s.ID, Local: s.Local, Members: s.Members, Entries: s.Entries}
-		l.deduceShortcuts(fresh)
+		l.deduceShortcuts(fresh, true)
 		for _, u := range s.Entries {
 			cu := l.localIdx[u]
 			mem, ref := s.scVec[cu], fresh.scVec[cu]
@@ -418,6 +418,12 @@ func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
 			s.scToB[cu] = append(slices.Clone(s.scToB[cu]), s.scToI[cu][0])
 			l.refreshUpVertex(u) // keep the skeleton in step with the lists
 		},
+		"deduction parent off the frame": func(l *Layph) {
+			s, u, _ := pick(l)
+			cu := l.localIdx[u]
+			c := l.localIdx[s.scToI[cu][0].To]
+			s.scParent[cu][c] = graph.VertexID(c)
+		},
 		"stale flat row": func(l *Layph) {
 			// Reweight one flat edge on both mirrors: only the derivation
 			// from the graph can tell.
@@ -435,17 +441,46 @@ func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
 		},
 	} {
 		l := New(flipGraph(), algo.NewSSSP(0), Options{Community: commCfg(12), Workers: 1})
-		if err := l.CheckInvariants(); err != nil {
-			t.Fatalf("%s: clean structure rejected: %v", name, err)
-		}
 		if _, u, _ := pick(l); u == 0 {
 			t.Fatal("no entry with both shortcut kinds in block 2")
 		}
-		corrupt(l)
-		if err := l.CheckInvariants(); err == nil {
-			t.Errorf("%s: not detected", name)
-		} else {
-			t.Logf("%s: %v", name, err)
+		expectReported(t, name, l, corrupt)
+	}
+	// Dependency-forest corruptions run under CC: every vertex is reachable
+	// from vertex 0, so every label is 0 and every weight the tropical one,
+	// and each corruption passes every check but the one it targets.
+	for name, corrupt := range map[string]func(l *Layph){
+		"parent two-cycle": func(l *Layph) {
+			l.parent[3], l.parent[4] = 4, 3
+		},
+		"parent not an in-neighbour": func(l *Layph) {
+			l.parent[5] = 20
+		},
+		"non-root vertex without a parent": func(l *Layph) {
+			l.parent[6] = engine.NoParent
+		},
+	} {
+		l := New(flipGraph(), algo.NewCC(), Options{Community: commCfg(12), Workers: 1})
+		for _, v := range []graph.VertexID{3, 4, 5, 6, 20} {
+			if l.x[v] != 0 {
+				t.Fatalf("vertex %d has label %v, want 0", v, l.x[v])
+			}
 		}
+		expectReported(t, name, l, corrupt)
+	}
+}
+
+// expectReported checks that CheckInvariants accepts l, applies corrupt and
+// expects CheckInvariants to report it.
+func expectReported(t *testing.T, name string, l *Layph, corrupt func(*Layph)) {
+	t.Helper()
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatalf("%s: clean structure rejected: %v", name, err)
+	}
+	corrupt(l)
+	if err := l.CheckInvariants(); err == nil {
+		t.Errorf("%s: not detected", name)
+	} else {
+		t.Logf("%s: %v", name, err)
 	}
 }

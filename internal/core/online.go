@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"layph/internal/delta"
@@ -280,14 +282,17 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 
 // updateMin is the idempotent (memoization-path) online path: dependency-
 // tree resets, local recomputation in affected subgraphs, skeleton
-// iteration with offer re-seeding, shortcut assignment, parent repair.
+// iteration with offer re-seeding, and shortcut assignment. Every phase
+// sets a dependency parent where it sets a value, as inc.Kernel does: the
+// flat in-neighbour whose message the fixpoint took, or the source that
+// seeded it. A value that came through a shortcut takes the last hop of the
+// shortcut's deduction path (lastHop), from one ranked entry per tie.
 func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Phases, st *inc.Stats) {
 	n := l.flatN()
 	zero := l.sr.Zero()
 	sc := &l.scratch
-	tagged := boolBuf(&sc.tagged, n)
+	tagged := &sc.trim.Tagged
 	var resets []graph.VertexID
-	sc.repair.Reset(n)
 
 	var localChanged []graph.VertexID
 	var lupChanged []graph.VertexID
@@ -303,6 +308,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	var active []*Subgraph
 	sc.offerSet.Reset(n)
 	offerVal := filledBuf(&sc.offerVal, n, zero)
+	offerFrom := rawBuf(&sc.offerFrom, n)
 
 	actsMark := func(name string, before int64) int64 {
 		l.LastActs[name] = st.Activations - before
@@ -310,50 +316,28 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	}
 	mark := st.Activations
 	ph.Time("upload", func() {
-		// ⊥ cancellation: tag the dependency subtrees hanging off removed
-		// flat dependency edges, removed vertices and rebuilt proxies.
-		var queue []graph.VertexID
-		tag := func(v graph.VertexID) {
-			if int(v) < n && !tagged[v] {
-				tagged[v] = true
-				queue = append(queue, v)
-			}
-		}
+		// ⊥ cancellation: reset the dependency subtrees hanging off removed
+		// flat dependency edges, removed vertices, dead sources and rebuilt
+		// proxies.
+		roots := sc.roots[:0]
 		for _, e := range d.removed {
 			if l.parent[e.to] == e.from {
-				tag(e.to)
+				roots = append(roots, e.to)
 			}
 		}
-		for _, v := range applied.RemovedVertices {
-			tag(v)
-		}
+		roots = append(roots, applied.RemovedVertices...)
 		for _, u := range d.oldSrc {
 			if !l.flatAlive(u) {
-				tag(u)
+				roots = append(roots, u)
 			}
 		}
 		for _, s := range d.rebuiltSubs {
-			for _, p := range s.proxies {
-				tag(p)
-			}
+			roots = append(roots, s.proxies...)
 		}
-		if len(queue) > 0 {
-			// CSR over the dependency forest: two counting passes instead
-			// of a per-parent map of child slices.
-			sc.forest.Build(l.parent)
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				resets = append(resets, v)
-				for _, c := range sc.forest.Children(v) {
-					tag(c)
-				}
-			}
-		}
+		sc.roots = roots
+		sc.trim.Trim(l.x, l.parent, zero, &delta.Applied{}, roots)
+		resets = tagged.List
 		for _, v := range resets {
-			l.x[v] = zero
-			l.parent[v] = engine.NoParent
-			sc.repair.Add(v)
 			if c := l.subOf[v]; c != NoSubgraph {
 				sc.resetSubs.Add(graph.VertexID(c))
 			}
@@ -387,7 +371,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				continue
 			}
 			if sc.offerSet.Add(e.to) || l.sr.Plus(offerVal[e.to], offer) != offerVal[e.to] {
-				offerVal[e.to] = offer
+				offerVal[e.to], offerFrom[e.to] = offer, e.from
 			}
 		}
 
@@ -412,7 +396,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			grp.Go(func() {
 				var r upRes
 				for _, s := range cs {
-					ch, a := l.uploadMinSubgraph(s, tagged, xSnap, offerVal, &sc.offerSet)
+					ch, a := l.uploadMinSubgraph(s, tagged, xSnap, offerVal, offerFrom, &sc.offerSet)
 					r.changed = append(r.changed, ch...)
 					r.acts += a
 				}
@@ -423,16 +407,16 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		for _, r := range results {
 			st.Activations += r.acts
 			localChanged = append(localChanged, r.changed...)
-			for _, v := range r.changed {
-				sc.repair.Add(v)
-			}
 		}
 	})
 	mark = actsMark("upload", mark)
 
 	ph.Time("lup-iteration", func() {
 		m0 := filledBuf(&sc.m0, n, zero)
+		from := rawBuf(&sc.m0From, n)
 		sc.inActive.Reset(n)
+		sc.lupRun.Reset(n)
+		sc.viaShortcut.Reset(n)
 		activate := func(v graph.VertexID) {
 			sc.inActive.Add(v)
 		}
@@ -444,7 +428,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 			if int(v) < l.origCap {
 				if m := l.a.InitMessage(v); m != zero {
-					m0[v] = l.sr.Plus(m0[v], m)
+					fold(l.sr, m0, from, v, m, engine.NoParent)
 				}
 			}
 			for _, e := range l.upIn[v] {
@@ -455,7 +439,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				offer := l.sr.Times(l.x[src], e.W)
 				st.Activations++
 				if offer != zero {
-					m0[v] = l.sr.Plus(m0[v], offer)
+					fold(l.sr, m0, from, v, offer, src)
 				}
 			}
 			if m0[v] != zero {
@@ -481,7 +465,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 			offer := offerVal[v]
 			if l.sr.Plus(l.x[v], offer) != l.x[v] {
-				m0[v] = l.sr.Plus(m0[v], offer)
+				fold(l.sr, m0, from, v, offer, offerFrom[v])
 				activate(v)
 			}
 		}
@@ -492,15 +476,49 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			Workers:       l.opt.Workers,
 			Tolerance:     l.tol,
 			InitialActive: sc.inActive.List,
+			TrackParents:  true,
 			TrackChanged:  true,
 		})
 		l.x = res.X
 		st.Activations += res.Activations
 		st.Rounds = res.Rounds
-		for _, v := range res.Changed {
-			sc.repair.Add(v)
-		}
 		lupChanged = res.Changed
+
+		// Number the changed vertices by depth in the run's own parent
+		// forest, which orders them the way the run settled them.
+		depth := rawBuf(&sc.depth, n)
+		for _, v := range res.Changed {
+			sc.lupRun.Add(v)
+			depth[v] = -1
+		}
+		var number func(v graph.VertexID) int32
+		number = func(v graph.VertexID) int32 {
+			if depth[v] < 0 {
+				depth[v] = 0
+				if p := res.Parent[v]; p != engine.NoParent && sc.lupRun.Has(p) {
+					depth[v] = number(p) + 1
+				}
+			}
+			return depth[v]
+		}
+		for _, v := range res.Changed {
+			number(v)
+			// A value the run set from a seeded message has no in-run
+			// parent; its parent is the source that seeded it. A source in
+			// v's own subgraph is an entry whose shortcut carried the value:
+			// assignment picks that parent (shortcutParent), keeping the
+			// source in from as the fallback.
+			p := res.Parent[v]
+			if p == engine.NoParent {
+				p = from[v]
+			}
+			if c := l.subOf[v]; c != NoSubgraph && p != engine.NoParent && l.subOf[p] == c {
+				from[v] = p
+				sc.viaShortcut.Add(v)
+			} else {
+				l.parent[v] = p
+			}
+		}
 	})
 	mark = actsMark("lup-iteration", mark)
 
@@ -518,10 +536,19 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		}
 		// Replay entry→internal shortcuts of the triggered subgraphs, one
 		// pool task each: a task reads its own entries' states (boundary
-		// vertices, never written here) and writes only its own internal
-		// vertices — disjoint across subgraphs. The min-replay outcome is
-		// order-independent, so the parallel result equals the sequential
-		// one.
+		// vertices, never written here) and writes only its own members'
+		// states and parents — disjoint across subgraphs. The min-replay
+		// values are order-independent, so the parallel result equals the
+		// sequential one.
+		//
+		// Entries that tie for a value (zero-weight cycles, as in CC) would
+		// stand for different deduction paths; parents drawn from two of
+		// them can close a cycle. Every shortcut-set parent of a subgraph is
+		// therefore taken from the first tying entry in one order that
+		// follows how the values were settled (rankedEntries): replays run
+		// in that order, so the first improving replay to reach the final
+		// value wins, and the skeleton values that came through shortcuts
+		// are re-attributed the same way.
 		for _, s := range subgraphList(l.subs) {
 			trigger := sc.resetSubs.Has(graph.VertexID(s.ID))
 			if !trigger {
@@ -539,8 +566,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		chunks := l.subgraphChunks(triggered)
 		st.SubgraphsParallel += int64(len(chunks))
 		type asgRes struct {
-			repaired []graph.VertexID
-			acts     int64
+			acts, hits int64
 		}
 		results := make([]asgRes, len(chunks))
 		grp := l.pool.Group()
@@ -548,17 +574,26 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			i, cs := i, cs
 			grp.Go(func() {
 				var r asgRes
+				var order []graph.VertexID
 				for _, s := range cs {
-					for _, u := range s.Entries {
+					order = l.rankedEntries(order, s)
+					for _, v := range s.Members {
+						if sc.viaShortcut.Has(v) {
+							l.parent[v] = l.shortcutParent(s, order, v, sc.m0From[v])
+						}
+					}
+					for _, u := range order {
 						if l.x[u] == zero {
 							continue
 						}
-						for _, e := range s.scToI[l.localIdx[u]] {
+						cu := l.localIdx[u]
+						for _, e := range s.scToI[cu] {
 							cand := l.sr.Times(l.x[u], e.W)
 							r.acts++
 							if l.sr.Plus(l.x[e.To], cand) != l.x[e.To] {
 								l.x[e.To] = cand
-								r.repaired = append(r.repaired, e.To)
+								l.parent[e.To] = s.lastHop(cu, l.localIdx[e.To])
+								r.hits++
 							}
 						}
 					}
@@ -570,10 +605,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		for _, r := range results {
 			st.Activations += r.acts
 			scApps += r.acts
-			scHits += int64(len(r.repaired))
-			for _, v := range r.repaired {
-				sc.repair.Add(v)
-			}
+			scHits += r.hits
 		}
 	})
 
@@ -597,17 +629,44 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	if scApps > 0 {
 		st.ShortcutHitRate = float64(scHits) / float64(scApps)
 	}
+}
 
-	// Dependency-parent repair for every vertex whose state may have moved.
-	// States are final by now and each repair writes only parent[v], so the
-	// scan fans out over the pool in chunks (per-vertex tasks would drown
-	// in scheduling overhead).
-	repList := sc.repair.List
-	l.pool.ForEachChunk(len(repList), 512, func(lo, hi int) {
-		for _, v := range repList[lo:hi] {
-			l.repairParent(v)
+// lastHop returns the flat parent a value set through entry cu's shortcut
+// to compact vertex cv stands for: the last hop of cu's deduction path to
+// cv, which is the entry itself when that hop is the entry's own edge.
+func (s *Subgraph) lastHop(cu, cv int32) graph.VertexID {
+	return s.Local.ids[s.scParent[cu][cv]]
+}
+
+// rankedEntries returns s's entries in the order the last skeleton run
+// settled them: entries it did not change first, then by depth in the run's
+// parent forest, ties in Entries order. An entry whose value came through
+// another entry's shortcut always ranks after that entry.
+func (l *Layph) rankedEntries(buf []graph.VertexID, s *Subgraph) []graph.VertexID {
+	rank := func(u graph.VertexID) int32 {
+		if l.scratch.lupRun.Has(u) {
+			return l.scratch.depth[u]
 		}
-	})
+		return -1
+	}
+	buf = append(buf[:0], s.Entries...)
+	slices.SortStableFunc(buf, func(a, b graph.VertexID) int { return cmp.Compare(rank(a), rank(b)) })
+	return buf
+}
+
+// shortcutParent returns the parent of member v, whose skeleton value came
+// through a shortcut of its subgraph from entry cause: the last hop behind
+// the first entry in order whose shortcut gives v exactly its value (cause's
+// when rounding hides every tie).
+func (l *Layph) shortcutParent(s *Subgraph, order []graph.VertexID, v, cause graph.VertexID) graph.VertexID {
+	cv := l.localIdx[v]
+	for _, u := range order {
+		cu := l.localIdx[u]
+		if u != v && l.sr.Times(l.x[u], s.scVec[cu][cv]) == l.x[v] {
+			return s.lastHop(cu, cv)
+		}
+	}
+	return s.lastHop(l.localIdx[cause], cv)
 }
 
 // uploadMinSubgraph recomputes one subgraph locally: offers for tagged
@@ -619,43 +678,45 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 // are read from xRead, the post-reset snapshot (identical to the live
 // states for this subgraph's own members, which no other task writes),
 // the shared offer store is only read (at this subgraph's own members),
-// and l.x is written only at this subgraph's members.
-func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged []bool, xRead, offerVal []float64, offerSet *scratch.Set) (changed []graph.VertexID, acts int64) {
+// and l.x and l.parent are written only at this subgraph's members.
+func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, xRead, offerVal []float64, offerFrom []graph.VertexID, offerSet *scratch.Set) (changed []graph.VertexID, acts int64) {
 	zero := l.sr.Zero()
 	lf := s.Local
 	k := lf.size()
-	if cap(lf.x0Buf) < k {
+	if cap(lf.x0Buf) < k || cap(lf.fromBuf) < k {
 		lf.x0Buf = make([]float64, k)
 		lf.m0Buf = make([]float64, k)
+		lf.fromBuf = make([]graph.VertexID, k)
 	}
-	x0, m0 := lf.x0Buf[:k], lf.m0Buf[:k]
+	x0, m0, from := lf.x0Buf[:k], lf.m0Buf[:k], lf.fromBuf[:k]
 	var act []graph.VertexID
 	for i, v := range lf.ids {
+		ci := graph.VertexID(i)
 		x0[i] = xRead[v]
 		m0[i] = zero
-		if tagged[v] && l.flatAlive(v) {
+		if tagged.Has(v) && l.flatAlive(v) {
 			if int(v) < l.origCap {
 				if m := l.a.InitMessage(v); m != zero {
-					m0[i] = l.sr.Plus(m0[i], m)
+					fold(l.sr, m0, from, ci, m, engine.NoParent)
 				}
 			}
 			for _, e := range l.flatIn[v] {
 				src := e.To
-				if tagged[src] || xRead[src] == zero {
+				if tagged.Has(src) || xRead[src] == zero {
 					continue
 				}
 				offer := l.sr.Times(xRead[src], e.W)
 				acts++
 				if offer != zero {
-					m0[i] = l.sr.Plus(m0[i], offer)
+					fold(l.sr, m0, from, ci, offer, src)
 				}
 			}
 		}
 		if offerSet.Has(v) {
-			m0[i] = l.sr.Plus(m0[i], offerVal[v])
+			fold(l.sr, m0, from, ci, offerVal[v], offerFrom[v])
 		}
 		if m0[i] != zero && l.sr.Plus(x0[i], m0[i]) != x0[i] {
-			act = append(act, graph.VertexID(i))
+			act = append(act, ci)
 		}
 	}
 	if len(act) == 0 {
@@ -665,38 +726,19 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged []bool, xRead, offerVal []
 		Workers:       1,
 		Tolerance:     l.tol,
 		InitialActive: act,
+		TrackParents:  true,
 		TrackChanged:  true,
 	})
 	acts += res.Activations
 	for _, ci := range res.Changed {
 		v := lf.ids[ci]
 		l.x[v] = res.X[ci]
+		p := from[ci]
+		if q := res.Parent[ci]; q != engine.NoParent {
+			p = lf.ids[q]
+		}
+		l.parent[v] = p
 		changed = append(changed, v)
 	}
 	return changed, acts
-}
-
-// repairParent re-derives v's dependency parent by scanning its flat
-// in-edges for a witness. Witness matching uses a relative epsilon: values
-// set through shortcut assignment differ from the edge-by-edge sum by float
-// rounding, and an orphaned parent would silently exempt the vertex from
-// future ⊥ cancellations (a stale-value correctness hole).
-func (l *Layph) repairParent(v graph.VertexID) {
-	zero := l.sr.Zero()
-	if !l.flatAlive(v) || l.x[v] == zero {
-		l.parent[v] = engine.NoParent
-		return
-	}
-	l.parent[v] = engine.NoParent
-	eps := 1e-9 * (1 + math.Abs(l.x[v]))
-	for _, e := range l.flatIn[v] {
-		src := e.To
-		if l.x[src] == zero {
-			continue
-		}
-		if math.Abs(l.sr.Times(l.x[src], e.W)-l.x[v]) <= eps {
-			l.parent[v] = src
-			return
-		}
-	}
 }

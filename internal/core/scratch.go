@@ -1,8 +1,10 @@
 package core
 
 import (
+	"layph/internal/algo"
 	"layph/internal/engine"
 	"layph/internal/graph"
+	"layph/internal/inc"
 	"layph/internal/scratch"
 )
 
@@ -44,7 +46,6 @@ type updScratch struct {
 	upBuf  []engine.WEdge
 
 	// updateMin working sets (subgraph-ID sets for activeSubs/resetSubs).
-	repair     scratch.Set
 	inActive   scratch.Set
 	changedUp  scratch.Set
 	offerSet   scratch.Set
@@ -58,11 +59,22 @@ type updScratch struct {
 	xSnap     []float64
 	m0        []float64
 	offerVal  []float64
-	tagged    []bool
+	// offerFrom and m0From hold the source of the message in offerVal and
+	// m0; only the slots seeded in the current update are ever read.
+	offerFrom []graph.VertexID
+	m0From    []graph.VertexID
 
-	// Dependency-forest CSR for ⊥-cancellation, rebuilt per update that
-	// resets.
-	forest scratch.Forest
+	// trim is the ⊥ cancellation over the flat dependency forest; roots
+	// collects its roots.
+	trim  inc.Trimmer
+	roots []graph.VertexID
+
+	// The skeleton run's changed vertices (lupRun), their depth in its
+	// parent forest (valid at lupRun members), and those whose value came
+	// through a shortcut (viaShortcut).
+	lupRun      scratch.Set
+	viaShortcut scratch.Set
+	depth       []int32
 }
 
 // rowDiff diffs two out-rows through an epoch-stamped index of the old
@@ -156,13 +168,20 @@ func copyBuf(buf *[]float64, src []float64) []float64 {
 	return b
 }
 
-func boolBuf(buf *[]bool, n int) []bool {
+// rawBuf returns an n-sized view of a reusable vector without clearing
+// it: callers write a slot before they read it.
+func rawBuf[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]bool, n+n/2)
+		*buf = make([]T, n+n/2)
 	}
-	b := (*buf)[:n]
-	for i := range b {
-		b[i] = false
+	return (*buf)[:n]
+}
+
+// fold folds message m, sent by src, into slot i of a seed vector and keeps
+// the source of the best message beside it: a value the seed sets takes
+// that source as its dependency parent.
+func fold(sr algo.Semiring, m0 []float64, from []graph.VertexID, i graph.VertexID, m float64, src graph.VertexID) {
+	if p := sr.Plus(m0[i], m); p != m0[i] {
+		m0[i], from[i] = p, src
 	}
-	return b
 }

@@ -2,25 +2,13 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"layph/internal/algo"
+	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
-	"layph/internal/scratch"
+	"layph/internal/inc"
 )
-
-// commOf returns the community id of an original vertex (NoSubgraph if
-// outside the partition or dead).
-func (l *Layph) commOf(v graph.VertexID) int32 {
-	if int(v) >= len(l.part.Comm) {
-		return NoSubgraph
-	}
-	if c := l.part.Comm[v]; c >= 0 {
-		return c
-	}
-	return NoSubgraph
-}
 
 // denseEnough is the paper's density test (Definition 2), |V_I|·|V_O| <
 // |E_i|: a subgraph keeps its shortcuts only while its internal edges
@@ -34,12 +22,9 @@ func denseEnough(entries, exits, internalEdges int) bool {
 // denseDecision is the outcome of evaluating one community for dense-
 // subgraph status (Definition 2) including prospective vertex replication.
 type denseDecision struct {
-	dense       bool
-	entryHosts  []graph.VertexID // external sources to replicate (entry side)
-	exitHosts   []graph.VertexID // external targets to replicate (exit side)
-	numEntries  int
-	numExits    int
-	numInternal int
+	dense      bool
+	entryHosts []graph.VertexID // external sources to replicate (entry side)
+	exitHosts  []graph.VertexID // external targets to replicate (exit side)
 }
 
 // evaluateCommunity counts boundary vertices and internal edges of the
@@ -90,8 +75,8 @@ func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecisi
 			}
 		}
 	}
-	sortVertices(d.entryHosts)
-	sortVertices(d.exitHosts)
+	slices.Sort(d.entryHosts)
+	slices.Sort(d.exitHosts)
 
 	// Post-replication boundary/edge counts: an edge from a replicated host
 	// becomes internal (it now targets vertices from the in-subgraph proxy),
@@ -121,15 +106,8 @@ func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecisi
 			}
 		}
 	}
-	d.numEntries = len(entries) + len(d.entryHosts)
-	d.numExits = len(exits) + len(d.exitHosts)
-	d.numInternal = len(members) - len(entries) - len(exits) // approximate; overlap ignored
-	d.dense = denseEnough(d.numEntries, d.numExits, internalEdges)
+	d.dense = denseEnough(len(entries)+len(d.entryHosts), len(exits)+len(d.exitHosts), internalEdges)
 	return d
-}
-
-func sortVertices(vs []graph.VertexID) {
-	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
 }
 
 // allocProxy returns the entry (or exit) proxy id for (sub, host),
@@ -150,24 +128,30 @@ func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.Ver
 	} else {
 		p = graph.VertexID(l.flatN())
 		reg[k] = p
-		l.subOf = append(l.subOf, sub)
-		l.role = append(l.role, RoleInternal) // refined by recomputeRoles
-		l.proxyHost = append(l.proxyHost, host)
-		l.proxyAlive = append(l.proxyAlive, true)
-		l.localIdx = append(l.localIdx, -1)
-		l.flatOut = append(l.flatOut, nil)
-		l.flatIn = append(l.flatIn, nil)
-		l.upOut = append(l.upOut, nil)
-		l.upIn = append(l.upIn, nil)
-		l.x = append(l.x, l.sr.Zero())
-		if l.parent != nil {
-			l.parent = append(l.parent, engine.NoParent)
-		}
+		l.growFlat(sub, RoleInternal, host, true) // the role is refined by recomputeRoles
 	}
 	if entry {
 		l.entryProxiesOf[host] = append(l.entryProxiesOf[host], p)
 	}
 	return p
+}
+
+// growFlat appends one slot to every flat-space vector: a vertex with no
+// state, parent or rows, outside every frame.
+func (l *Layph) growFlat(sub int32, role Role, host graph.VertexID, alive bool) {
+	l.subOf = append(l.subOf, sub)
+	l.role = append(l.role, role)
+	l.proxyHost = append(l.proxyHost, host)
+	l.proxyAlive = append(l.proxyAlive, alive)
+	l.localIdx = append(l.localIdx, -1)
+	l.flatOut = append(l.flatOut, nil)
+	l.flatIn = append(l.flatIn, nil)
+	l.upOut = append(l.upOut, nil)
+	l.upIn = append(l.upIn, nil)
+	l.x = append(l.x, l.sr.Zero())
+	if l.parent != nil {
+		l.parent = append(l.parent, engine.NoParent)
+	}
 }
 
 // orphanProxy retires a live proxy: it leaves its subgraph and the host's
@@ -281,43 +265,45 @@ func dropEdge(list []engine.WEdge, to graph.VertexID) []engine.WEdge {
 	return list
 }
 
-// recomputeRoles reassigns roles for the given flat vertices from the flat
-// adjacency and subgraph membership.
+// recomputeRoles reassigns roles for the given flat vertices.
 func (l *Layph) recomputeRoles(vs []graph.VertexID) {
 	for _, v := range vs {
-		if !l.flatAlive(v) {
-			l.role[v] = RoleDead
-			continue
-		}
-		sv := l.subOf[v]
-		if sv == NoSubgraph {
-			l.role[v] = RoleOutlier
-			continue
-		}
-		entry, exit := false, false
-		for _, e := range l.flatIn[v] {
-			if l.subOf[e.To] != sv {
-				entry = true
-				break
-			}
-		}
-		for _, e := range l.flatOut[v] {
-			if l.subOf[e.To] != sv {
-				exit = true
-				break
-			}
-		}
-		switch {
-		case entry && exit:
-			l.role[v] = RoleEntryExit
-		case entry:
-			l.role[v] = RoleEntry
-		case exit:
-			l.role[v] = RoleExit
-		default:
-			l.role[v] = RoleInternal
+		l.role[v] = l.roleOf(v)
+	}
+}
+
+// roleOf classifies a flat vertex from the flat adjacency and subgraph
+// membership.
+func (l *Layph) roleOf(v graph.VertexID) Role {
+	if !l.flatAlive(v) {
+		return RoleDead
+	}
+	sv := l.subOf[v]
+	if sv == NoSubgraph {
+		return RoleOutlier
+	}
+	entry, exit := false, false
+	for _, e := range l.flatIn[v] {
+		if l.subOf[e.To] != sv {
+			entry = true
+			break
 		}
 	}
+	for _, e := range l.flatOut[v] {
+		if l.subOf[e.To] != sv {
+			exit = true
+			break
+		}
+	}
+	switch {
+	case entry && exit:
+		return RoleEntryExit
+	case entry:
+		return RoleEntry
+	case exit:
+		return RoleExit
+	}
+	return RoleInternal
 }
 
 // buildLocalFrame projects the subgraph's internal flat edges onto compact
@@ -354,18 +340,13 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 
 // deduceShortcuts runs Equation (6) for every entry vertex of the subgraph:
 // inject the semiring unit at the entry, run the local fixpoint over the
-// compact frame, and read off the aggregates as shortcut weights, fanning
-// the independent per-entry deductions out over the worker pool. Returns
-// the F applications spent.
-func (l *Layph) deduceShortcuts(s *Subgraph) int64 {
-	return l.deduceShortcutsPar(s, true)
-}
-
-// deduceShortcutsPar is deduceShortcuts with an explicit fan-out switch:
-// callers already running one task per subgraph pass parallelEntries=false
-// so entry deductions stay sequential inside the task — one level of
-// fan-out keeps pool busy-time accounting exact (see buildSubgraphs).
-func (l *Layph) deduceShortcutsPar(s *Subgraph, parallelEntries bool) int64 {
+// compact frame, and read off the aggregates as shortcut weights. With
+// parallelEntries the independent per-entry deductions fan out over the
+// worker pool; callers already running one task per subgraph pass false so
+// entry deductions stay sequential inside the task — one level of fan-out
+// keeps pool busy-time accounting exact (see buildSubgraphs). Returns the F
+// applications spent.
+func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	lf := s.Local
 	k := lf.size()
 	var acts int64
@@ -440,51 +421,19 @@ func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) 
 		a++
 	}
 	res := engine.Run(frame, l.sr, x0, m0, engine.Options{
-		Workers:   1,
-		Tolerance: l.scTol(),
+		Workers:      1,
+		Tolerance:    l.scTol(),
+		TrackParents: true,
 	})
-	r := entryRes{vec: res.X, acts: a + res.Activations}
-	if l.sr.Idempotent() {
-		r.par = make([]graph.VertexID, k)
-		for ci := range r.par {
-			r.par[ci] = l.scWitness(s, cu, res.X, graph.VertexID(ci))
+	r := entryRes{vec: res.X, par: res.Parent, acts: a + res.Activations}
+	// Every value is the run's (the start is all zero); one with no in-run
+	// parent was seeded by u's own edge.
+	for ci, p := range r.par {
+		if p == engine.NoParent && r.vec[ci] != zero {
+			r.par[ci] = graph.VertexID(cu)
 		}
 	}
 	return r
-}
-
-// scWitness finds a compact dependency parent for target ci in entry cu's
-// shortcut vector: an absorbing-frame in-neighbor (or cu's own direct edge)
-// whose value composes to vec[ci] within rounding.
-func (l *Layph) scWitness(s *Subgraph, cu int32, vec []float64, ci graph.VertexID) graph.VertexID {
-	zero := l.sr.Zero()
-	if vec[ci] == zero {
-		return engine.NoParent
-	}
-	lf := s.Local
-	eps := 1e-9 * (1 + absF(vec[ci]))
-	for _, e := range lf.out[cu] {
-		if e.To == ci && absF(l.sr.Times(l.sr.One(), e.W)-vec[ci]) <= eps {
-			return graph.VertexID(cu)
-		}
-	}
-	for _, ie := range lf.absorbIn[ci] {
-		a := ie.To
-		if vec[a] == zero {
-			continue
-		}
-		if absF(l.sr.Times(vec[a], ie.W)-vec[ci]) <= eps {
-			return a
-		}
-	}
-	return engine.NoParent
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // rebuildShortcutLists re-derives entry u's shortcut lists from its
@@ -680,7 +629,7 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 		lf.patches++
 		if lf.patches > patchBudget {
 			lf.patches = 0
-			acts := l.deduceShortcutsPar(s, false)
+			acts := l.deduceShortcuts(s, false)
 			return append(listed, s.Entries...), acts
 		}
 	}
@@ -757,26 +706,28 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 }
 
 // patchScratch holds the compact-sized working arrays of one subgraph's
-// patch. Every entry update leaves them clean for the next.
+// patch. Every entry update leaves them clean for the next; from is only
+// read at slots the current update seeded.
 type patchScratch struct {
-	tagged, inAct []bool
-	pending       []float64
-	forest        scratch.Forest
-	queue, act    []graph.VertexID
+	inAct      []bool
+	pending    []float64
+	from       []graph.VertexID
+	trim       inc.Trimmer
+	roots, act []graph.VertexID
 }
 
 func newPatchScratch(k int, zero float64) *patchScratch {
-	ps := &patchScratch{tagged: make([]bool, k), inAct: make([]bool, k), pending: make([]float64, k)}
+	ps := &patchScratch{inAct: make([]bool, k), pending: make([]float64, k), from: make([]graph.VertexID, k)}
 	for i := range ps.pending {
 		ps.pending[i] = zero
 	}
 	return ps
 }
 
-// offer folds message m for compact vertex c into the pending vector and
-// activates c.
-func (ps *patchScratch) offer(sr algo.Semiring, c graph.VertexID, m float64) {
-	ps.pending[c] = sr.Plus(ps.pending[c], m)
+// offer folds message m, sent by compact vertex src, for compact vertex c
+// into the pending vector and activates c.
+func (ps *patchScratch) offer(sr algo.Semiring, c graph.VertexID, m float64, src graph.VertexID) {
+	fold(sr, ps.pending, ps.from, c, m, src)
 	if !ps.inAct[c] {
 		ps.inAct[c] = true
 		ps.act = append(ps.act, c)
@@ -789,10 +740,7 @@ func (ps *patchScratch) clear(zero float64) {
 		ps.inAct[c] = false
 		ps.pending[c] = zero
 	}
-	for _, c := range ps.queue {
-		ps.tagged[c] = false
-	}
-	ps.act, ps.queue = ps.act[:0], ps.queue[:0]
+	ps.act = ps.act[:0]
 }
 
 // updateEntrySum applies exact inverse deltas for entry cu's vector: with x
@@ -807,7 +755,7 @@ func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 	var acts int64
 	put := func(to graph.VertexID, m float64) {
 		if m != 0 {
-			ps.offer(l.sr, to, m)
+			ps.offer(l.sr, to, m, engine.NoParent)
 			acts++
 		}
 	}
@@ -840,8 +788,9 @@ func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 // updateEntryMin applies ⊥-cancellation resets and recomputation for entry
 // cu's vector: the dependency subtrees hanging off removed edges are reset,
 // re-offered from intact in-neighbours and cu's own row, added edges offer
-// their candidates, and a local fixpoint settles the rest. Reports the F
-// applications and whether the vector moved.
+// their candidates, and a local fixpoint settles the rest, setting the
+// parents of what it changes. Reports the F applications and whether the
+// vector moved.
 func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ps *patchScratch) (int64, bool) {
 	lf := s.Local
 	vec := s.scVec[cu]
@@ -850,66 +799,49 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 	defer ps.clear(zero)
 	var acts int64
 
-	// Everything below runs in compact-ID space, so the scratch arrays are
-	// k-sized scoreboards, and iteration follows the insertion order of
-	// the queues, which is deterministic.
-	tag := func(c graph.VertexID) {
-		if !ps.tagged[c] {
-			ps.tagged[c] = true
-			ps.queue = append(ps.queue, c)
-		}
-	}
+	// The reset set is the dependency subtrees of the targets of cu's
+	// removed seeding edges and of removed dependency edges.
+	ps.roots = ps.roots[:0]
 	for _, e := range seed.del {
-		tag(e.to)
+		ps.roots = append(ps.roots, e.to)
 	}
 	for _, e := range ab.del {
 		if par[e.to] == e.from {
-			tag(e.to)
+			ps.roots = append(ps.roots, e.to)
 		}
 	}
-	if len(ps.queue) > 0 {
-		// The reset set is the tagged roots' dependency subtrees: the queue
-		// grows while it is walked.
-		ps.forest.Build(par)
-		for i := 0; i < len(ps.queue); i++ {
-			for _, ch := range ps.forest.Children(ps.queue[i]) {
-				tag(ch)
-			}
-		}
-		for _, c := range ps.queue {
-			vec[c] = zero
-			par[c] = engine.NoParent
-		}
-	}
-	resets := ps.queue
+	ps.trim.Trim(vec, par, zero, &delta.Applied{}, ps.roots)
+	tagged := &ps.trim.Tagged
+	resets := tagged.List
 
-	relax := func(c graph.VertexID, m float64) {
+	relax := func(c, src graph.VertexID, m float64) {
 		acts++
 		if m != zero && l.sr.Plus(vec[c], m) != vec[c] {
-			ps.offer(l.sr, c, m)
+			ps.offer(l.sr, c, m, src)
 		}
 	}
 	// Offers for reset targets from intact sources: cu's direct edges plus
 	// non-tagged absorbing-frame in-neighbors.
+	self := graph.VertexID(cu)
 	for _, c := range resets {
 		for _, e := range lf.out[cu] {
 			if e.To == c {
-				relax(c, l.sr.Times(one, e.W))
+				relax(c, self, l.sr.Times(one, e.W))
 			}
 		}
 		for _, ie := range lf.absorbIn[c] {
-			if a := ie.To; !ps.tagged[a] && vec[a] != zero {
-				relax(c, l.sr.Times(vec[a], ie.W))
+			if a := ie.To; !tagged.Has(a) && vec[a] != zero {
+				relax(c, a, l.sr.Times(vec[a], ie.W))
 			}
 		}
 	}
 	// Compensation candidates from added edges.
 	for _, e := range seed.add {
-		relax(e.to, l.sr.Times(one, e.w))
+		relax(e.to, self, l.sr.Times(one, e.w))
 	}
 	for _, e := range ab.add {
 		if vec[e.from] != zero {
-			relax(e.to, l.sr.Times(vec[e.from], e.w))
+			relax(e.to, e.from, l.sr.Times(vec[e.from], e.w))
 		}
 	}
 	if len(ps.act) == 0 && len(resets) == 0 {
@@ -917,29 +849,26 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 	}
 	if len(ps.act) > 0 {
 		res := engine.Run(frame, l.sr, vec, ps.pending, engine.Options{
-			Workers: 1, Tolerance: l.scTol(), InitialActive: ps.act, TrackChanged: true,
+			Workers: 1, Tolerance: l.scTol(), InitialActive: ps.act, TrackParents: true, TrackChanged: true,
 		})
 		acts += res.Activations
-		vec = res.X
-		s.scVec[cu] = vec
+		s.scVec[cu] = res.X
 		for _, c := range res.Changed {
-			par[c] = l.scWitness(s, cu, vec, c)
+			// A value set by a seed has no in-run parent: the seed's
+			// source is its parent.
+			p := res.Parent[c]
+			if p == engine.NoParent {
+				p = ps.from[c]
+			}
+			par[c] = p
 		}
-	}
-	for _, c := range resets {
-		par[c] = l.scWitness(s, cu, vec, c)
 	}
 	return acts, true
 }
 
-// computeUpOut derives a flat vertex's upper-layer out-list: flat edges
-// leaving its subgraph (or any flat edge, for outliers) plus, for entries,
-// their boundary shortcuts.
-func (l *Layph) computeUpOut(v graph.VertexID) []engine.WEdge {
-	return l.appendUpOut(nil, v)
-}
-
-// appendUpOut appends v's upper-layer out-list (see computeUpOut) to out.
+// appendUpOut appends v's upper-layer out-list to out: flat edges leaving
+// its subgraph (or any flat edge, for outliers) plus, for entries, their
+// boundary shortcuts.
 func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) || !l.onUp(v) {
 		return out

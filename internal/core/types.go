@@ -117,9 +117,12 @@ type Subgraph struct {
 	scToI [][]engine.WEdge
 	// Memoized per-entry shortcut state for incremental maintenance
 	// (Section IV-B): scVec[cu] holds the local fixpoint values over
-	// compact IDs; scParent[cu] (idempotent algorithms only) the compact
-	// dependency parents, so that internal edge changes are absorbed with
-	// revision messages instead of full re-deduction.
+	// compact IDs; scParent[cu] (idempotent algorithms only) the deduction
+	// fixpoint's compact dependency parents — cu for a value its own edge
+	// seeded, otherwise the absorbing-frame in-neighbour whose message set
+	// it — so that internal edge changes are absorbed with revision
+	// messages instead of full re-deduction, and a shortcut's flat parent is
+	// the last hop of its deduction path.
 	scVec    [][]float64
 	scParent [][]graph.VertexID
 }
@@ -189,10 +192,12 @@ type localFrame struct {
 	// fusion sizes pool tasks by it, and the density test of an edited
 	// subgraph reads it as |E_i|.
 	edges int
-	// x0Buf/m0Buf seed the per-subgraph upload fixpoints, reused across
-	// updates: a subgraph is processed by at most one pool task at a time
-	// and engine.Run copies its inputs, so reuse is race-free.
+	// x0Buf/m0Buf seed the per-subgraph upload fixpoints and fromBuf holds
+	// the flat source of each min-scheme seed, reused across updates: a
+	// subgraph is processed by at most one pool task at a time and
+	// engine.Run copies its inputs, so reuse is race-free.
 	x0Buf, m0Buf []float64
+	fromBuf      []graph.VertexID
 	// edit holds this update's pre-edit rows of the vertices editFrame
 	// changed; patchShortcuts derives the net frame diff from it.
 	edit frameEdit

@@ -387,7 +387,7 @@ func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool, listed []gr
 	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
 		l.classifyMembers(s)
 		l.buildLocalFrame(s)
-		return listed, l.deduceShortcutsPar(s, parallelEntries)
+		return listed, l.deduceShortcuts(s, parallelEntries)
 	}
 	return l.patchShortcuts(s, listed)
 }
@@ -406,19 +406,7 @@ func (l *Layph) growForNewVertices(applied *delta.Applied) {
 			l.remapProxies(capNow)
 		} else {
 			for l.flatN() < capNow {
-				l.subOf = append(l.subOf, NoSubgraph)
-				l.role = append(l.role, RoleDead)
-				l.proxyHost = append(l.proxyHost, NoHost)
-				l.proxyAlive = append(l.proxyAlive, false)
-				l.localIdx = append(l.localIdx, -1)
-				l.flatOut = append(l.flatOut, nil)
-				l.flatIn = append(l.flatIn, nil)
-				l.upOut = append(l.upOut, nil)
-				l.upIn = append(l.upIn, nil)
-				l.x = append(l.x, l.sr.Zero())
-				if l.parent != nil {
-					l.parent = append(l.parent, engine.NoParent)
-				}
+				l.growFlat(NoSubgraph, RoleDead, NoHost, false)
 			}
 		}
 		l.origCap = capNow
@@ -433,46 +421,22 @@ func (l *Layph) growForNewVertices(applied *delta.Applied) {
 	}
 }
 
-// remapProxies relocates all proxy vertices to the end of the grown ID
-// space. Proxy state (x, parents, adjacency) moves with them.
+// remapProxies shifts the proxy segment [origCap, flatN) to start at
+// newCap, past the grown original-vertex segment. Proxy state (x, parents,
+// adjacency) moves with the proxies.
 func (l *Layph) remapProxies(newCap int) {
-	oldN := l.flatN()
-	numProxies := 0
-	remap := make(map[graph.VertexID]graph.VertexID)
-	for v := l.origCap; v < oldN; v++ {
-		remap[graph.VertexID(v)] = graph.VertexID(newCap + numProxies)
-		numProxies++
-	}
-	if numProxies == 0 {
-		return
-	}
+	oldN, shift := l.flatN(), graph.VertexID(newCap-l.origCap)
+	newN := oldN + int(shift)
 	mapID := func(v graph.VertexID) graph.VertexID {
-		if nv, ok := remap[v]; ok {
-			return nv
+		if int(v) >= l.origCap && int(v) < oldN {
+			return v + shift
 		}
 		return v
 	}
-	newN := newCap + numProxies
-	subOf := make([]int32, newN)
-	role := make([]Role, newN)
-	proxyHost := make([]graph.VertexID, newN)
-	proxyAlive := make([]bool, newN)
-	flatOut := make([][]engine.WEdge, newN)
-	flatIn := make([][]engine.WEdge, newN)
-	upOut := make([][]engine.WEdge, newN)
-	upIn := make([][]engine.WEdge, newN)
-	x := make([]float64, newN)
-	var parent []graph.VertexID
-	if l.parent != nil {
-		parent = make([]graph.VertexID, newN)
-	}
-	for i := 0; i < newN; i++ {
-		subOf[i] = NoSubgraph
-		role[i] = RoleDead
-		proxyHost[i] = NoHost
-		x[i] = l.sr.Zero()
-		if parent != nil {
-			parent[i] = engine.NoParent
+	move := func(v int) int { return int(mapID(graph.VertexID(v))) }
+	mapAll := func(vs []graph.VertexID) {
+		for i, v := range vs {
+			vs[i] = mapID(v)
 		}
 	}
 	moveList := func(list []engine.WEdge) []engine.WEdge {
@@ -482,32 +446,25 @@ func (l *Layph) remapProxies(newCap int) {
 		}
 		return out
 	}
-	for v := 0; v < oldN; v++ {
-		nv := mapID(graph.VertexID(v))
-		subOf[nv] = l.subOf[v]
-		role[nv] = l.role[v]
-		proxyHost[nv] = l.proxyHost[v]
-		proxyAlive[nv] = l.proxyAlive[v]
-		flatOut[nv] = moveList(l.flatOut[v])
-		flatIn[nv] = moveList(l.flatIn[v])
-		upOut[nv] = moveList(l.upOut[v])
-		upIn[nv] = moveList(l.upIn[v])
-		x[nv] = l.x[v]
-		if parent != nil {
-			p := l.parent[v]
-			if p != engine.NoParent {
-				p = mapID(p)
-			}
-			parent[nv] = p
+	moveRows := func(rows [][]engine.WEdge) [][]engine.WEdge {
+		rows = moved(rows, newN, nil, move)
+		for v, row := range rows {
+			rows[v] = moveList(row)
 		}
+		return rows
 	}
-	l.subOf, l.role, l.proxyHost, l.proxyAlive = subOf, role, proxyHost, proxyAlive
-	l.flatOut, l.flatIn, l.upOut, l.upIn = flatOut, flatIn, upOut, upIn
-	l.x, l.parent = x, parent
-	l.localIdx = make([]int32, newN)
-	for i := range l.localIdx {
-		l.localIdx[i] = -1
+	l.subOf = moved(l.subOf, newN, NoSubgraph, move)
+	l.role = moved(l.role, newN, RoleDead, move)
+	l.proxyHost = moved(l.proxyHost, newN, NoHost, move)
+	l.proxyAlive = moved(l.proxyAlive, newN, false, move)
+	l.x = moved(l.x, newN, l.sr.Zero(), move)
+	l.localIdx = moved[int32](nil, newN, -1, move)
+	if l.parent != nil {
+		l.parent = moved(l.parent, newN, engine.NoParent, move)
+		mapAll(l.parent)
 	}
+	l.flatOut, l.flatIn = moveRows(l.flatOut), moveRows(l.flatIn)
+	l.upOut, l.upIn = moveRows(l.upOut), moveRows(l.upIn)
 	for k, p := range l.entryProxy {
 		l.entryProxy[k] = mapID(p)
 	}
@@ -515,30 +472,18 @@ func (l *Layph) remapProxies(newCap int) {
 		l.exitProxy[k] = mapID(p)
 	}
 	for _, ps := range l.entryProxiesOf {
-		for i, p := range ps {
-			ps[i] = mapID(p)
-		}
+		mapAll(ps)
 	}
 	for _, s := range l.subs {
-		for i, p := range s.proxies {
-			s.proxies[i] = mapID(p)
-		}
-		for i, v := range s.Members {
-			s.Members[i] = mapID(v)
-		}
-		for i, v := range s.Entries {
-			s.Entries[i] = mapID(v)
-		}
-		for i, v := range s.Exits {
-			s.Exits[i] = mapID(v)
-		}
-		for i, v := range s.Internal {
-			s.Internal[i] = mapID(v)
-		}
+		mapAll(s.proxies)
+		mapAll(s.Members)
+		mapAll(s.Entries)
+		mapAll(s.Exits)
+		mapAll(s.Internal)
 		if s.Local != nil {
+			mapAll(s.Local.ids)
 			for i, v := range s.Local.ids {
-				s.Local.ids[i] = mapID(v)
-				l.localIdx[s.Local.ids[i]] = int32(i)
+				l.localIdx[v] = int32(i)
 			}
 		}
 		// Shortcut lists target global flat IDs; their vectors and parents
@@ -550,4 +495,17 @@ func (l *Layph) remapProxies(newCap int) {
 			s.scToI[i] = moveList(list)
 		}
 	}
+}
+
+// moved returns vec's entries at their indices under move in an n-sized
+// vector whose other slots hold fill.
+func moved[T any](vec []T, n int, fill T, move func(int) int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = fill
+	}
+	for v, x := range vec {
+		out[move(v)] = x
+	}
+	return out
 }

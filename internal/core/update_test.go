@@ -198,7 +198,7 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 				fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies,
 					Members: s.Members, Entries: s.Entries, Exits: s.Exits, Internal: s.Internal}
 				l.buildLocalFrame(fresh)
-				l.deduceShortcuts(fresh)
+				l.deduceShortcuts(fresh, true)
 				for _, u := range s.Entries {
 					cu := l.localIdx[u]
 					mem, ref := s.scVec[cu], fresh.scVec[cu]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"layph/internal/algo"
 	"layph/internal/core"
@@ -38,13 +39,24 @@ func TestConcurrentReadersLiveWriter(t *testing.T) {
 	sys := core.New(g, algo.NewSSSP(0), core.Options{Workers: 2})
 
 	// published records every snapshot the stream ever publishes, keyed
-	// by Seq; snapshots are immutable so storing the pointer is safe.
-	var published sync.Map // uint64 -> *stream.Snapshot
+	// by Seq; snapshots are immutable so storing the pointer is safe. The
+	// stream makes a snapshot readable before OnBatch records it, so a
+	// reader can see a Seq that published does not hold yet: it waits for
+	// the Seq's ready channel, which closes once published holds it.
+	var published, ready sync.Map // uint64 -> *stream.Snapshot, chan struct{}
+	readyCh := func(seq uint64) chan struct{} {
+		ch, _ := ready.LoadOrStore(seq, make(chan struct{}))
+		return ch.(chan struct{})
+	}
+	publish := func(seq uint64, snap *stream.Snapshot) {
+		published.Store(seq, snap)
+		close(readyCh(seq))
+	}
 	st := stream.New(g, sys, stream.Config{
 		MaxBatch: 64, MaxDelay: -1,
-		OnBatch: func(r stream.BatchResult) { published.Store(r.Seq, r.Snap) },
+		OnBatch: func(r stream.BatchResult) { publish(r.Seq, r.Snap) },
 	})
-	published.Store(uint64(0), st.Query())
+	publish(0, st.Query())
 	defer st.Close()
 
 	srv := New(st, Config{})
@@ -91,6 +103,10 @@ func TestConcurrentReadersLiveWriter(t *testing.T) {
 					return
 				}
 				lastSeq = qr.Seq
+				select {
+				case <-readyCh(qr.Seq):
+				case <-time.After(time.Second):
+				}
 				v, ok := published.Load(qr.Seq)
 				if !ok {
 					t.Errorf("reader %d: response claims unpublished snapshot seq %d", r, qr.Seq)

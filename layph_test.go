@@ -116,9 +116,10 @@ func TestDifferentialFuzzSum(t *testing.T) {
 	}
 }
 
-// minBaselines are the min-scheme comparators the CC runs below drive.
-// Layph is left out of those runs: it still re-derives CC parents by value
-// matching and diverges at drift seeds 101 and 114 and churn seed 118.
+// minBaselines are the min-scheme comparators the CC runs below drive next
+// to Layph. CC's zero-weight label cycles are where value-matched
+// dependency parents go unsupported; every engine here takes its parents
+// from the fixpoint that set each value.
 func minBaselines() []enginetest.NamedFactory {
 	return []enginetest.NamedFactory{
 		{Name: "ingress", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewIngress(g, a, 2) }},
@@ -133,10 +134,10 @@ func minBaselines() []enginetest.NamedFactory {
 // TestDifferentialFuzzChurn drives Layph (sequential and parallel) through
 // the vertex-churn schedule: heavy vertex churn every batch tombstones
 // vertices whose rows and dependency subtrees are live and makes Layph
-// rewire its entry proxies around them. The cc run drives the min
-// baselines through the same schedule on a seed where zero-weight label
-// cycles once left parents without support. States are cross-checked
-// against the restart oracle after every batch.
+// rewire its entry proxies around them. The cc run adds the min baselines
+// on a seed where zero-weight label cycles once left parents without
+// support. States are cross-checked against the restart oracle after every
+// batch.
 func TestDifferentialFuzzChurn(t *testing.T) {
 	engines := []enginetest.NamedFactory{
 		{Name: "layph-t1", New: layphFactory(1)},
@@ -153,8 +154,8 @@ func TestDifferentialFuzzChurn(t *testing.T) {
 	}
 	t.Run("cc", func(t *testing.T) {
 		cfg := enginetest.ChurnDifferentialConfig()
-		cfg.Seeds, cfg.Batches = []int64{118}, 8
-		enginetest.RunDifferential(t, minBaselines(), enginetest.MinAlgorithms()["cc"], cfg)
+		cfg.Seeds, cfg.Batches = []int64{118}, 12
+		enginetest.RunDifferential(t, append(engines, minBaselines()...), enginetest.MinAlgorithms()["cc"], cfg)
 	})
 }
 
@@ -172,7 +173,8 @@ func layphAdaptiveFactory(threads int) enginetest.Factory {
 // neighborhood, so a frozen layering drifts while the adaptive engines
 // split/merge subgraphs each batch. Adaptive Layph (sequential and
 // parallel) and frozen Layph are all checked against the restart oracle
-// after every batch; the cc run drives the min baselines instead.
+// after every batch; the cc run adds the min baselines on the seeds where
+// value-matched parents once made Layph diverge.
 func TestDifferentialFuzzDrift(t *testing.T) {
 	engines := []enginetest.NamedFactory{
 		{Name: "layph-adaptive-t1", New: layphAdaptiveFactory(1)},
@@ -194,8 +196,8 @@ func TestDifferentialFuzzDrift(t *testing.T) {
 	}
 	t.Run("cc", func(t *testing.T) {
 		cfg := enginetest.DriftDifferentialConfig()
-		cfg.Seeds, cfg.Batches = []int64{101, 114}, 8
-		enginetest.RunDifferential(t, minBaselines(), enginetest.MinAlgorithms()["cc"], cfg)
+		cfg.Seeds, cfg.Batches = []int64{101, 114, 123, 124, 129, 133, 141, 150}, 12
+		enginetest.RunDifferential(t, append(engines, minBaselines()...), enginetest.MinAlgorithms()["cc"], cfg)
 	})
 }
 
