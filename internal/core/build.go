@@ -29,6 +29,7 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 		entryProxiesOf: make(map[graph.VertexID][]graph.VertexID),
 	}
 	l.pool = pool.New(opt.Workers)
+	l.lup = engine.NewRunner(l.sr)
 	l.tol = opt.Tolerance
 	if l.tol == 0 {
 		l.tol = a.Tolerance()
@@ -56,11 +57,11 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l.localIdx = make([]int32, n)
 	for v := 0; v < n; v++ {
 		l.subOf[v] = NoSubgraph
-		l.role[v] = RoleOutlier
+		l.role[v] = RoleDead
 		l.proxyHost[v] = NoHost
 		l.localIdx[v] = -1
-		if !g.Alive(graph.VertexID(v)) {
-			l.role[v] = RoleDead
+		if g.Alive(graph.VertexID(v)) {
+			l.setRole(graph.VertexID(v), RoleOutlier)
 		}
 	}
 	l.flatOut = make([][]engine.WEdge, n)

@@ -58,9 +58,16 @@ func (l *Layph) CheckInvariants() error {
 		return fmt.Errorf("flat in/out edge counts differ: %d vs %d", inCount, outCount)
 	}
 	// Dead vertices carry no flat edges; roles are consistent with flat
-	// adjacency and membership.
+	// adjacency and membership, and the maintained counts with the roles.
+	live, skel := 0, 0
 	for v := 0; v < n; v++ {
 		vid := graph.VertexID(v)
+		if l.flatAlive(vid) {
+			live++
+			if l.onUp(vid) {
+				skel++
+			}
+		}
 		if !l.flatAlive(vid) && len(l.flatOut[v]) != 0 {
 			return fmt.Errorf("dead vertex %d has flat out-edges", v)
 		}
@@ -70,6 +77,9 @@ func (l *Layph) CheckInvariants() error {
 		if want := l.roleOf(vid); l.role[v] != want {
 			return fmt.Errorf("vertex %d (sub %d): role %v, want %v", v, l.subOf[v], l.role[v], want)
 		}
+	}
+	if l.live != live || l.skel != skel {
+		return fmt.Errorf("live/skeleton counts %d/%d, scan finds %d/%d", l.live, l.skel, live, skel)
 	}
 	// Upper layer: internal vertices never appear; lists match recomputation.
 	for v := 0; v < n; v++ {

@@ -424,6 +424,12 @@ func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
 			c := l.localIdx[s.scToI[cu][0].To]
 			s.scParent[cu][c] = graph.VertexID(c)
 		},
+		"skeleton count off its roles": func(l *Layph) {
+			l.skel++
+		},
+		"live count off its roles": func(l *Layph) {
+			l.live--
+		},
 		"stale flat row": func(l *Layph) {
 			// Reweight one flat edge on both mirrors: only the derivation
 			// from the graph can tell.

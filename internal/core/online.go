@@ -52,21 +52,10 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 	l.LastPhases = ph
 
 	// Layering-quality gauges (the stream drift controller's inputs).
-	// SkeletonFraction is an O(flatN) scan, matching the per-update cost
-	// profile Update already has (state snapshots are O(flatN) too).
+	// SkeletonFraction reads the live and skeleton counts setRole keeps.
 	st.MembershipMoves = d.membershipMoves
-	live, up := 0, 0
-	for v := 0; v < l.flatN(); v++ {
-		vid := graph.VertexID(v)
-		if l.flatAlive(vid) {
-			live++
-			if l.onUp(vid) {
-				up++
-			}
-		}
-	}
-	if live > 0 {
-		st.SkeletonFraction = float64(up) / float64(live)
+	if l.live > 0 {
+		st.SkeletonFraction = float64(l.skel) / float64(l.live)
 	}
 
 	st.Duration = time.Since(start)
@@ -152,30 +141,26 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	})
 
 	ph.Time("lup-iteration", func() {
-		frame := &engine.Frame{Out: l.upOut}
-		m0 := floatBuf(&sc.m0, n)
-		x0 := copyBuf(&sc.xSnap, l.x)
 		any := false
 		for v := 0; v < n; v++ {
 			seed := pending[v] + fromLocal[v]
 			if seed == 0 {
 				continue
 			}
-			m0[v] = seed
 			// Only the already-applied part is backed out of the state; the
-			// engine re-applies the whole seed, so fresh messages land once
+			// run re-applies the whole seed, so fresh messages land once
 			// and local deltas land exactly once overall.
-			x0[v] -= fromLocal[v]
+			l.x[v] -= fromLocal[v]
+			l.lup.Seed(graph.VertexID(v), seed, engine.NoParent)
 			any = true
 		}
 		if !any {
 			return
 		}
-		res := engine.Run(frame, l.sr, x0, m0, engine.Options{
+		res := l.lup.Run(&engine.Frame{Out: l.upOut}, l.x, nil, engine.Options{
 			Workers:   l.opt.Workers,
 			Tolerance: l.tol,
 		})
-		l.x = res.X
 		st.Activations += res.Activations
 		st.Rounds = res.Rounds
 	})
@@ -243,20 +228,16 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 // Returns the F applications spent.
 func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int64 {
 	lf := s.Local
-	k := lf.size()
-	if cap(lf.x0Buf) < k {
-		lf.x0Buf = make([]float64, k)
-		lf.m0Buf = make([]float64, k)
-	}
-	x0, m0 := lf.x0Buf[:k], lf.m0Buf[:k]
+	ts := l.getTask()
+	defer l.putTask(ts)
+	x := rawBuf(&ts.x, lf.size())
 	seeded := false
 	for i, v := range lf.ids {
-		x0[i] = l.x[v]
-		m0[i] = 0
+		x[i] = l.x[v]
 		if p := pending[v]; p != 0 {
 			// Fresh revision messages: the run applies them for the first
 			// time (no state back-out).
-			m0[i] = p
+			ts.run.Seed(graph.VertexID(i), p, engine.NoParent)
 			pending[v] = 0
 			seeded = true
 		}
@@ -264,13 +245,13 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 	if !seeded {
 		return 0
 	}
-	res := engine.Run(&engine.Frame{Out: lf.absorbOut}, l.sr, x0, m0, engine.Options{
+	res := ts.run.Run(&engine.Frame{Out: lf.absorbOut}, x, nil, engine.Options{
 		Workers:   1,
 		Tolerance: l.tol,
 	})
 	for i, v := range lf.ids {
-		dl := res.X[i] - l.x[v]
-		l.x[v] = res.X[i]
+		dl := x[i] - l.x[v]
+		l.x[v] = x[i]
 		if dl != 0 && l.onUp(v) {
 			// Boundary members forward their full delta (already applied to
 			// their own state) to the skeleton.
@@ -287,6 +268,9 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 // flat in-neighbour whose message the fixpoint took, or the source that
 // seeded it. A value that came through a shortcut takes the last hop of the
 // shortcut's deduction path (lastHop), from one ranked entry per tie.
+//
+// No phase walks the flat ID space: the sets are epoch-stamped, the offer
+// store is read only at its members, and the runs work in place.
 func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Phases, st *inc.Stats) {
 	n := l.flatN()
 	zero := l.sr.Zero()
@@ -302,12 +286,13 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	// upload; lup-iteration consults the set to route the offer candidates
 	// the local fixpoints did not consume), both keyed by subgraph ID; and
 	// the dense offer store replacing the per-update offer maps: offerSet
-	// marks targets, offerVal carries the folded candidate.
+	// marks targets, offerVal carries the folded candidate (read only at
+	// offerSet members, so it needs no fill).
 	sc.resetSubs.Reset(0)
 	sc.activeSubs.Reset(0)
 	var active []*Subgraph
 	sc.offerSet.Reset(n)
-	offerVal := filledBuf(&sc.offerVal, n, zero)
+	offerVal := rawBuf(&sc.offerVal, n)
 	offerFrom := rawBuf(&sc.offerFrom, n)
 
 	actsMark := func(name string, before int64) int64 {
@@ -318,7 +303,8 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	ph.Time("upload", func() {
 		// ⊥ cancellation: reset the dependency subtrees hanging off removed
 		// flat dependency edges, removed vertices, dead sources and rebuilt
-		// proxies.
+		// proxies. The walk follows the (post-batch) flat rows: a child
+		// whose flat edge left its parent's row is one of these roots.
 		roots := sc.roots[:0]
 		for _, e := range d.removed {
 			if l.parent[e.to] == e.from {
@@ -335,7 +321,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			roots = append(roots, s.proxies...)
 		}
 		sc.roots = roots
-		sc.trim.Trim(l.x, l.parent, zero, &delta.Applied{}, roots)
+		sc.trim.Trim(l.x, l.parent, zero, &delta.Applied{}, roots, inc.RowSucc(l.flatOut))
 		resets = tagged.List
 		for _, v := range resets {
 			if c := l.subOf[v]; c != NoSubgraph {
@@ -375,18 +361,17 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 		}
 
-		// Snapshot of the post-reset states: concurrent subgraph tasks
-		// read offer sources from it, so cross-subgraph boundary reads
-		// stay stable (and scheduling-independent) while other tasks
-		// rewrite their own members. Stale cross-subgraph values are safe
-		// under the monotone min semiring: a boundary member whose value
-		// improves during upload lands in localChanged and is
-		// re-propagated by the skeleton iteration and assignment phases.
-		xSnap := copyBuf(&sc.xSnap, l.x)
+		// The local tasks read the post-reset states and return what they
+		// settle; it is applied after the join. Offer sources in other
+		// subgraphs thus read stable, scheduling-independent values. Stale
+		// cross-subgraph values are safe under the monotone min semiring:
+		// a boundary member whose value improves during upload lands in
+		// localChanged and is re-propagated by the skeleton iteration and
+		// assignment phases.
 		chunks := l.subgraphChunks(active)
 		st.SubgraphsParallel += int64(len(chunks))
 		type upRes struct {
-			changed []graph.VertexID
+			settled []settled
 			acts    int64
 		}
 		results := make([]upRes, len(chunks))
@@ -396,8 +381,8 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			grp.Go(func() {
 				var r upRes
 				for _, s := range cs {
-					ch, a := l.uploadMinSubgraph(s, tagged, xSnap, offerVal, offerFrom, &sc.offerSet)
-					r.changed = append(r.changed, ch...)
+					var a int64
+					r.settled, a = l.uploadMinSubgraph(s, tagged, offerVal, offerFrom, &sc.offerSet, r.settled)
 					r.acts += a
 				}
 				results[i] = r
@@ -406,19 +391,22 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		grp.Wait()
 		for _, r := range results {
 			st.Activations += r.acts
-			localChanged = append(localChanged, r.changed...)
+			for _, u := range r.settled {
+				l.x[u.v], l.parent[u.v] = u.x, u.p
+				localChanged = append(localChanged, u.v)
+			}
 		}
 	})
 	mark = actsMark("upload", mark)
 
 	ph.Time("lup-iteration", func() {
-		m0 := filledBuf(&sc.m0, n, zero)
-		from := rawBuf(&sc.m0From, n)
-		sc.inActive.Reset(n)
+		run := l.lup
 		sc.lupRun.Reset(n)
 		sc.viaShortcut.Reset(n)
+		seeded := false
 		activate := func(v graph.VertexID) {
-			sc.inActive.Add(v)
+			run.Activate(v)
+			seeded = true
 		}
 		// Re-seed tagged skeleton vertices from intact skeleton in-edges and
 		// root messages.
@@ -426,9 +414,11 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			if !l.flatAlive(v) || !l.onUp(v) {
 				continue
 			}
+			offered := false
 			if int(v) < l.origCap {
 				if m := l.a.InitMessage(v); m != zero {
-					fold(l.sr, m0, from, v, m, engine.NoParent)
+					run.Seed(v, m, engine.NoParent)
+					offered = true
 				}
 			}
 			for _, e := range l.upIn[v] {
@@ -439,10 +429,11 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				offer := l.sr.Times(l.x[src], e.W)
 				st.Activations++
 				if offer != zero {
-					fold(l.sr, m0, from, v, offer, src)
+					run.Seed(v, offer, src)
+					offered = true
 				}
 			}
-			if m0[v] != zero {
+			if offered {
 				activate(v)
 			}
 		}
@@ -465,27 +456,25 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 			offer := offerVal[v]
 			if l.sr.Plus(l.x[v], offer) != l.x[v] {
-				fold(l.sr, m0, from, v, offer, offerFrom[v])
+				run.Seed(v, offer, offerFrom[v])
 				activate(v)
 			}
 		}
-		if len(sc.inActive.List) == 0 {
+		if !seeded {
 			return
 		}
-		res := engine.Run(&engine.Frame{Out: l.upOut}, l.sr, l.x, m0, engine.Options{
-			Workers:       l.opt.Workers,
-			Tolerance:     l.tol,
-			InitialActive: sc.inActive.List,
-			TrackParents:  true,
-			TrackChanged:  true,
+		res := run.Run(&engine.Frame{Out: l.upOut}, l.x, l.parent, engine.Options{
+			Workers:   l.opt.Workers,
+			Tolerance: l.tol,
 		})
-		l.x = res.X
 		st.Activations += res.Activations
 		st.Rounds = res.Rounds
 		lupChanged = res.Changed
 
 		// Number the changed vertices by depth in the run's own parent
-		// forest, which orders them the way the run settled them.
+		// forest, which orders them the way the run settled them. A value
+		// the run set from a seed has the seed's source as its parent,
+		// which the run did not change.
 		depth := rawBuf(&sc.depth, n)
 		for _, v := range res.Changed {
 			sc.lupRun.Add(v)
@@ -495,7 +484,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		number = func(v graph.VertexID) int32 {
 			if depth[v] < 0 {
 				depth[v] = 0
-				if p := res.Parent[v]; p != engine.NoParent && sc.lupRun.Has(p) {
+				if p := l.parent[v]; p != engine.NoParent && sc.lupRun.Has(p) {
 					depth[v] = number(p) + 1
 				}
 			}
@@ -503,20 +492,12 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		}
 		for _, v := range res.Changed {
 			number(v)
-			// A value the run set from a seeded message has no in-run
-			// parent; its parent is the source that seeded it. A source in
-			// v's own subgraph is an entry whose shortcut carried the value:
-			// assignment picks that parent (shortcutParent), keeping the
-			// source in from as the fallback.
-			p := res.Parent[v]
-			if p == engine.NoParent {
-				p = from[v]
-			}
-			if c := l.subOf[v]; c != NoSubgraph && p != engine.NoParent && l.subOf[p] == c {
-				from[v] = p
+			// A parent in v's own subgraph is an entry whose shortcut
+			// carried the value: assignment replaces it with the flat
+			// parent behind the shortcut (shortcutParent), keeping it as
+			// the cause until then.
+			if c, p := l.subOf[v], l.parent[v]; c != NoSubgraph && p != engine.NoParent && l.subOf[p] == c {
 				sc.viaShortcut.Add(v)
-			} else {
-				l.parent[v] = p
 			}
 		}
 	})
@@ -534,6 +515,23 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				sc.changedUp.Add(v)
 			}
 		}
+		// The triggered subgraphs are those holding resets or a changed
+		// entry, in ID order.
+		sc.trigSubs.Reset(0)
+		trigger := func(c int32) {
+			if s := l.subs[c]; s != nil && sc.trigSubs.Add(graph.VertexID(c)) {
+				triggered = append(triggered, s)
+			}
+		}
+		for _, c := range sc.resetSubs.List {
+			trigger(int32(c))
+		}
+		for _, v := range sc.changedUp.List {
+			if l.role[v].IsEntry() {
+				trigger(l.subOf[v])
+			}
+		}
+		sortSubgraphs(triggered)
 		// Replay entry→internal shortcuts of the triggered subgraphs, one
 		// pool task each: a task reads its own entries' states (boundary
 		// vertices, never written here) and writes only its own members'
@@ -549,20 +547,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// in that order, so the first improving replay to reach the final
 		// value wins, and the skeleton values that came through shortcuts
 		// are re-attributed the same way.
-		for _, s := range subgraphList(l.subs) {
-			trigger := sc.resetSubs.Has(graph.VertexID(s.ID))
-			if !trigger {
-				for _, u := range s.Entries {
-					if sc.changedUp.Has(u) {
-						trigger = true
-						break
-					}
-				}
-			}
-			if trigger {
-				triggered = append(triggered, s)
-			}
-		}
 		chunks := l.subgraphChunks(triggered)
 		st.SubgraphsParallel += int64(len(chunks))
 		type asgRes struct {
@@ -579,7 +563,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 					order = l.rankedEntries(order, s)
 					for _, v := range s.Members {
 						if sc.viaShortcut.Has(v) {
-							l.parent[v] = l.shortcutParent(s, order, v, sc.m0From[v])
+							l.parent[v] = l.shortcutParent(s, order, v, l.parent[v])
 						}
 					}
 					for _, u := range order {
@@ -669,76 +653,96 @@ func (l *Layph) shortcutParent(s *Subgraph, order []graph.VertexID, v, cause gra
 	return s.lastHop(l.localIdx[cause], cv)
 }
 
+// settled is a member value an upload task settled: v takes x with
+// dependency parent p.
+type settled struct {
+	v graph.VertexID
+	x float64
+	p graph.VertexID
+}
+
 // uploadMinSubgraph recomputes one subgraph locally: offers for tagged
 // members from valid flat in-neighbors (plus root messages and the
 // subgraph's share of added-edge candidates), then a local fixpoint.
-// Returns the members whose value changed and the F applications spent.
+// Appends the members whose value changed, with their new values and
+// parents, to out and returns it with the F applications spent.
 //
-// Safe to run concurrently with other subgraphs' uploads: offer sources
-// are read from xRead, the post-reset snapshot (identical to the live
-// states for this subgraph's own members, which no other task writes),
-// the shared offer store is only read (at this subgraph's own members),
-// and l.x and l.parent are written only at this subgraph's members.
-func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, xRead, offerVal []float64, offerFrom []graph.VertexID, offerSet *scratch.Set) (changed []graph.VertexID, acts int64) {
+// Safe to run concurrently with other subgraphs' uploads: it only reads
+// l.x and the shared offer store (at this subgraph's own members), which
+// no task writes, and works on its own compact copy.
+func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, offerVal []float64, offerFrom []graph.VertexID, offerSet *scratch.Set, out []settled) ([]settled, int64) {
 	zero := l.sr.Zero()
 	lf := s.Local
 	k := lf.size()
-	if cap(lf.x0Buf) < k || cap(lf.fromBuf) < k {
-		lf.x0Buf = make([]float64, k)
-		lf.m0Buf = make([]float64, k)
-		lf.fromBuf = make([]graph.VertexID, k)
-	}
-	x0, m0, from := lf.x0Buf[:k], lf.m0Buf[:k], lf.fromBuf[:k]
-	var act []graph.VertexID
+	ts := l.getTask()
+	defer l.putTask(ts)
+	run := ts.run
+	x, par := rawBuf(&ts.x, k), rawBuf(&ts.par, k)
+	// A seed's flat source is recorded as k+j, past the compact IDs, for
+	// ext[j]: the run's parent vector then holds in-run (compact) and
+	// seeded (flat) parents alike.
+	ts.ext = ts.ext[:0]
+	var acts int64
+	activated := false
 	for i, v := range lf.ids {
 		ci := graph.VertexID(i)
-		x0[i] = xRead[v]
-		m0[i] = zero
+		x[i] = l.x[v]
+		offered := false
+		offer := func(m float64, src graph.VertexID) {
+			if l.sr.Plus(x[i], m) == x[i] {
+				return
+			}
+			if src != engine.NoParent {
+				ts.ext = append(ts.ext, src)
+				src = graph.VertexID(k + len(ts.ext) - 1)
+			}
+			run.Seed(ci, m, src)
+			offered = true
+		}
 		if tagged.Has(v) && l.flatAlive(v) {
 			if int(v) < l.origCap {
 				if m := l.a.InitMessage(v); m != zero {
-					fold(l.sr, m0, from, ci, m, engine.NoParent)
+					offer(m, engine.NoParent)
 				}
 			}
 			for _, e := range l.flatIn[v] {
 				src := e.To
-				if tagged.Has(src) || xRead[src] == zero {
+				if tagged.Has(src) || l.x[src] == zero {
 					continue
 				}
-				offer := l.sr.Times(xRead[src], e.W)
+				m := l.sr.Times(l.x[src], e.W)
 				acts++
-				if offer != zero {
-					fold(l.sr, m0, from, ci, offer, src)
+				if m != zero {
+					offer(m, src)
 				}
 			}
 		}
 		if offerSet.Has(v) {
-			fold(l.sr, m0, from, ci, offerVal[v], offerFrom[v])
+			offer(offerVal[v], offerFrom[v])
 		}
-		if m0[i] != zero && l.sr.Plus(x0[i], m0[i]) != x0[i] {
-			act = append(act, ci)
+		if offered {
+			run.Activate(ci)
+			activated = true
 		}
 	}
-	if len(act) == 0 {
-		return nil, acts
+	if !activated {
+		return out, acts
 	}
-	res := engine.Run(&engine.Frame{Out: lf.absorbOut}, l.sr, x0, m0, engine.Options{
-		Workers:       1,
-		Tolerance:     l.tol,
-		InitialActive: act,
-		TrackParents:  true,
-		TrackChanged:  true,
+	res := run.Run(&engine.Frame{Out: lf.absorbOut}, x, par, engine.Options{
+		Workers:   1,
+		Tolerance: l.tol,
 	})
 	acts += res.Activations
 	for _, ci := range res.Changed {
-		v := lf.ids[ci]
-		l.x[v] = res.X[ci]
-		p := from[ci]
-		if q := res.Parent[ci]; q != engine.NoParent {
-			p = lf.ids[q]
+		p := par[ci]
+		switch {
+		case p == engine.NoParent:
+		case int(p) < k:
+			p = lf.ids[p]
+		default:
+			p = ts.ext[int(p)-k]
 		}
-		l.parent[v] = p
-		changed = append(changed, v)
+		out = append(out, settled{v: lf.ids[ci], x: x[ci], p: p})
 	}
-	return changed, acts
+	return out, acts
 }

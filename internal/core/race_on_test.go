@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled reports a -race build, whose instrumentation makes wall-time
+// assertions meaningless.
+const raceEnabled = true

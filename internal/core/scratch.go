@@ -1,7 +1,8 @@
 package core
 
 import (
-	"layph/internal/algo"
+	"sync"
+
 	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
@@ -9,12 +10,13 @@ import (
 )
 
 // updScratch holds buffers reused across Update calls so a steady-state
-// batch allocates no per-vertex maps: the former map-based working sets are
-// epoch-stamped dense sets, and the O(n) vectors of the online phases are
-// recycled. Update processes one batch at a time and every phase joins its
+// batch allocates no per-vertex maps: the working sets are epoch-stamped
+// dense sets, and the flat-sized vectors are recycled — and, on the min
+// path, neither filled nor copied: every slot read was written in the same
+// update. Update processes one batch at a time and every phase joins its
 // pool tasks before the next starts; within a fan-out the buffers are
-// either read-only (snapshots) or written at disjoint member indices, so
-// plain reuse is race-free.
+// either read-only or written at disjoint member indices, so plain reuse
+// is race-free.
 type updScratch struct {
 	// touched and dirty hold the flat rows to refresh and the roles to
 	// recompute in the current round of layeredUpdate.
@@ -45,27 +47,25 @@ type updScratch struct {
 	rowBuf []engine.WEdge
 	upBuf  []engine.WEdge
 
-	// updateMin working sets (subgraph-ID sets for activeSubs/resetSubs).
-	inActive   scratch.Set
+	// updateMin working sets (subgraph-ID sets for activeSubs, resetSubs
+	// and trigSubs).
 	changedUp  scratch.Set
 	offerSet   scratch.Set
 	activeSubs scratch.Set
 	resetSubs  scratch.Set
+	trigSubs   scratch.Set
 
-	// O(n) vectors. Callers re-zero (or re-fill) the prefix they use.
+	// Sum-scheme O(n) vectors, re-zeroed (or re-copied) per update.
 	pending   []float64
 	fromLocal []float64
 	xPre      []float64
-	xSnap     []float64
-	m0        []float64
+	// offerVal and offerFrom hold the folded direct candidate of each
+	// offerSet member and its source; only members' slots are read.
 	offerVal  []float64
-	// offerFrom and m0From hold the source of the message in offerVal and
-	// m0; only the slots seeded in the current update are ever read.
 	offerFrom []graph.VertexID
-	m0From    []graph.VertexID
 
-	// trim is the ⊥ cancellation over the flat dependency forest; roots
-	// collects its roots.
+	// trim is the ⊥ cancellation over the flat dependency forest, walked
+	// over the flat rows; roots collects its roots.
 	trim  inc.Trimmer
 	roots []graph.VertexID
 
@@ -146,18 +146,6 @@ func floatBuf(buf *[]float64, n int) []float64 {
 	return b
 }
 
-// filledBuf is floatBuf with a custom fill value (e.g. the semiring zero).
-func filledBuf(buf *[]float64, n int, fill float64) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n+n/2)
-	}
-	b := (*buf)[:n]
-	for i := range b {
-		b[i] = fill
-	}
-	return b
-}
-
 // copyBuf returns a view of the buffer holding a copy of src.
 func copyBuf(buf *[]float64, src []float64) []float64 {
 	if cap(*buf) < len(src) {
@@ -177,11 +165,44 @@ func rawBuf[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// fold folds message m, sent by src, into slot i of a seed vector and keeps
-// the source of the best message beside it: a value the seed sets takes
-// that source as its dependency parent.
-func fold(sr algo.Semiring, m0 []float64, from []graph.VertexID, i graph.VertexID, m float64, src graph.VertexID) {
-	if p := sr.Plus(m0[i], m); p != m0[i] {
-		m0[i], from[i] = p, src
+// taskScratch is one pool task's working set for the compact-frame runs —
+// upload fixpoints, shortcut deduction and entry patches: a runner, compact
+// state and parent vectors grown to the largest frame it has served, the
+// flat sources of an upload's seeds, and the ⊥ walk of an entry patch.
+type taskScratch struct {
+	run   *engine.Runner
+	x     []float64
+	par   []graph.VertexID
+	ext   []graph.VertexID
+	trim  inc.Trimmer
+	roots []graph.VertexID
+}
+
+// taskPool is a free list of task working sets. A task takes one for the
+// duration of a run and returns it, so memory is bounded by the worker
+// count times the largest frame, not by the number of subgraphs.
+type taskPool struct {
+	mu   sync.Mutex
+	free []*taskScratch
+}
+
+// getTask takes a working set from the free list (or makes one).
+func (l *Layph) getTask() *taskScratch {
+	tp := &l.tasks
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if n := len(tp.free); n > 0 {
+		ts := tp.free[n-1]
+		tp.free = tp.free[:n-1]
+		return ts
 	}
+	return &taskScratch{run: engine.NewRunner(l.sr)}
+}
+
+// putTask returns a working set to the free list.
+func (l *Layph) putTask(ts *taskScratch) {
+	tp := &l.tasks
+	tp.mu.Lock()
+	tp.free = append(tp.free, ts)
+	tp.mu.Unlock()
 }

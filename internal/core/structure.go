@@ -3,11 +3,9 @@ package core
 import (
 	"slices"
 
-	"layph/internal/algo"
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
-	"layph/internal/inc"
 )
 
 // denseEnough is the paper's density test (Definition 2), |V_I|·|V_O| <
@@ -140,7 +138,8 @@ func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.Ver
 // state, parent or rows, outside every frame.
 func (l *Layph) growFlat(sub int32, role Role, host graph.VertexID, alive bool) {
 	l.subOf = append(l.subOf, sub)
-	l.role = append(l.role, role)
+	l.role = append(l.role, RoleDead)
+	l.setRole(graph.VertexID(len(l.role)-1), role)
 	l.proxyHost = append(l.proxyHost, host)
 	l.proxyAlive = append(l.proxyAlive, alive)
 	l.localIdx = append(l.localIdx, -1)
@@ -268,7 +267,7 @@ func dropEdge(list []engine.WEdge, to graph.VertexID) []engine.WEdge {
 // recomputeRoles reassigns roles for the given flat vertices.
 func (l *Layph) recomputeRoles(vs []graph.VertexID) {
 	for _, v := range vs {
-		l.role[v] = l.roleOf(v)
+		l.setRole(v, l.roleOf(v))
 	}
 }
 
@@ -409,30 +408,26 @@ func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) 
 	k := lf.size()
 	zero := l.sr.Zero()
 	cu := l.localIdx[u]
-	x0 := make([]float64, k)
-	m0 := make([]float64, k)
-	for j := range x0 {
-		x0[j] = zero
-		m0[j] = zero
+	r := entryRes{vec: make([]float64, k)}
+	for j := range r.vec {
+		r.vec[j] = zero
 	}
-	var a int64
-	for _, e := range lf.out[cu] {
-		m0[e.To] = l.sr.Plus(m0[e.To], l.sr.Times(l.sr.One(), e.W))
-		a++
-	}
-	res := engine.Run(frame, l.sr, x0, m0, engine.Options{
-		Workers:      1,
-		Tolerance:    l.scTol(),
-		TrackParents: true,
-	})
-	r := entryRes{vec: res.X, par: res.Parent, acts: a + res.Activations}
-	// Every value is the run's (the start is all zero); one with no in-run
-	// parent was seeded by u's own edge.
-	for ci, p := range r.par {
-		if p == engine.NoParent && r.vec[ci] != zero {
-			r.par[ci] = graph.VertexID(cu)
+	if l.sr.Idempotent() {
+		r.par = make([]graph.VertexID, k)
+		for j := range r.par {
+			r.par[j] = engine.NoParent
 		}
 	}
+	ts := l.getTask()
+	defer l.putTask(ts)
+	// u's own edges seed the vector, so a value they set has u as its
+	// parent.
+	for _, e := range lf.out[cu] {
+		ts.run.Seed(e.To, l.sr.Times(l.sr.One(), e.W), graph.VertexID(cu))
+		r.acts++
+	}
+	res := ts.run.Run(frame, r.vec, r.par, engine.Options{Workers: 1, Tolerance: l.scTol()})
+	r.acts += res.Activations
 	return r
 }
 
@@ -663,7 +658,8 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 	}
 
 	frame := &engine.Frame{Out: lf.absorbOut}
-	ps := newPatchScratch(lf.size(), l.sr.Zero())
+	ts := l.getTask()
+	defer l.putTask(ts)
 	var acts int64
 	for _, u := range s.Entries {
 		cu := l.localIdx[u]
@@ -680,9 +676,9 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 		if !ab.empty() || !seed.empty() {
 			var a int64
 			if idem {
-				a, changed = l.updateEntryMin(s, cu, frame, &ab, &seed, ps)
+				a, changed = l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
 			} else {
-				a, changed = l.updateEntrySum(s, cu, frame, &ab, &seed, ps)
+				a, changed = l.updateEntrySum(s, cu, frame, &ab, &seed, ts)
 			}
 			acts += a
 		}
@@ -705,57 +701,18 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 	return listed, acts
 }
 
-// patchScratch holds the compact-sized working arrays of one subgraph's
-// patch. Every entry update leaves them clean for the next; from is only
-// read at slots the current update seeded.
-type patchScratch struct {
-	inAct      []bool
-	pending    []float64
-	from       []graph.VertexID
-	trim       inc.Trimmer
-	roots, act []graph.VertexID
-}
-
-func newPatchScratch(k int, zero float64) *patchScratch {
-	ps := &patchScratch{inAct: make([]bool, k), pending: make([]float64, k), from: make([]graph.VertexID, k)}
-	for i := range ps.pending {
-		ps.pending[i] = zero
-	}
-	return ps
-}
-
-// offer folds message m, sent by compact vertex src, for compact vertex c
-// into the pending vector and activates c.
-func (ps *patchScratch) offer(sr algo.Semiring, c graph.VertexID, m float64, src graph.VertexID) {
-	fold(sr, ps.pending, ps.from, c, m, src)
-	if !ps.inAct[c] {
-		ps.inAct[c] = true
-		ps.act = append(ps.act, c)
-	}
-}
-
-// clear resets what the last entry update wrote.
-func (ps *patchScratch) clear(zero float64) {
-	for _, c := range ps.act {
-		ps.inAct[c] = false
-		ps.pending[c] = zero
-	}
-	ps.act = ps.act[:0]
-}
-
 // updateEntrySum applies exact inverse deltas for entry cu's vector: with x
 // the old fixpoint, the new one is x + (x·ΔA + Δs)(I - A')⁻¹, so every
 // removed absorbing-frame edge seeds -x[from]·w, every added one
 // +x[from]·w, and a changed seeding edge ∓w, and the run propagates them
 // over the new frame. Reports the F applications and whether the vector
 // moved.
-func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ps *patchScratch) (int64, bool) {
-	defer ps.clear(0)
+func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ts *taskScratch) (int64, bool) {
 	vec := s.scVec[cu]
 	var acts int64
 	put := func(to graph.VertexID, m float64) {
 		if m != 0 {
-			ps.offer(l.sr, to, m, engine.NoParent)
+			ts.run.Seed(to, m, engine.NoParent)
 			acts++
 		}
 	}
@@ -772,11 +729,10 @@ func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 	for _, e := range seed.add {
 		put(e.to, one*e.w)
 	}
-	if len(ps.act) == 0 {
+	if acts == 0 {
 		return acts, false
 	}
-	res := engine.Run(frame, l.sr, vec, ps.pending, engine.Options{Workers: 1, Tolerance: l.scTol()})
-	s.scVec[cu] = res.X
+	res := ts.run.Run(frame, vec, nil, engine.Options{Workers: 1, Tolerance: l.scTol()})
 	return acts + res.Activations, true
 }
 
@@ -791,38 +747,51 @@ func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 // their candidates, and a local fixpoint settles the rest, setting the
 // parents of what it changes. Reports the F applications and whether the
 // vector moved.
-func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ps *patchScratch) (int64, bool) {
+func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ts *taskScratch) (int64, bool) {
 	lf := s.Local
 	vec := s.scVec[cu]
 	par := s.scParent[cu]
 	zero, one := l.sr.Zero(), l.sr.One()
-	defer ps.clear(zero)
 	var acts int64
 
 	// The reset set is the dependency subtrees of the targets of cu's
-	// removed seeding edges and of removed dependency edges.
-	ps.roots = ps.roots[:0]
+	// removed seeding edges and of removed dependency edges. The walk
+	// follows the edited frame: absorbing rows, plus cu's own seeding row
+	// (cu is absorbing, so its values' children hang off that row).
+	self := graph.VertexID(cu)
+	ts.roots = ts.roots[:0]
 	for _, e := range seed.del {
-		ps.roots = append(ps.roots, e.to)
+		ts.roots = append(ts.roots, e.to)
 	}
 	for _, e := range ab.del {
 		if par[e.to] == e.from {
-			ps.roots = append(ps.roots, e.to)
+			ts.roots = append(ts.roots, e.to)
 		}
 	}
-	ps.trim.Trim(vec, par, zero, &delta.Applied{}, ps.roots)
-	tagged := &ps.trim.Tagged
+	ts.trim.Trim(vec, par, zero, &delta.Applied{}, ts.roots, func(c graph.VertexID, visit func(graph.VertexID)) {
+		for _, e := range lf.absorbOut[c] {
+			visit(e.To)
+		}
+		if c == self {
+			for _, e := range lf.out[cu] {
+				visit(e.To)
+			}
+		}
+	})
+	tagged := &ts.trim.Tagged
 	resets := tagged.List
 
+	seeded := false
 	relax := func(c, src graph.VertexID, m float64) {
 		acts++
 		if m != zero && l.sr.Plus(vec[c], m) != vec[c] {
-			ps.offer(l.sr, c, m, src)
+			ts.run.Seed(c, m, src)
+			ts.run.Activate(c)
+			seeded = true
 		}
 	}
 	// Offers for reset targets from intact sources: cu's direct edges plus
 	// non-tagged absorbing-frame in-neighbors.
-	self := graph.VertexID(cu)
 	for _, c := range resets {
 		for _, e := range lf.out[cu] {
 			if e.To == c {
@@ -844,24 +813,14 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 			relax(e.to, e.from, l.sr.Times(vec[e.from], e.w))
 		}
 	}
-	if len(ps.act) == 0 && len(resets) == 0 {
+	if !seeded && len(resets) == 0 {
 		return acts, false
 	}
-	if len(ps.act) > 0 {
-		res := engine.Run(frame, l.sr, vec, ps.pending, engine.Options{
-			Workers: 1, Tolerance: l.scTol(), InitialActive: ps.act, TrackParents: true, TrackChanged: true,
-		})
+	if seeded {
+		// The run sets the parent of every value it changes: the in-run
+		// sender, or the seed's source.
+		res := ts.run.Run(frame, vec, par, engine.Options{Workers: 1, Tolerance: l.scTol()})
 		acts += res.Activations
-		s.scVec[cu] = res.X
-		for _, c := range res.Changed {
-			// A value set by a seed has no in-run parent: the seed's
-			// source is its parent.
-			p := res.Parent[c]
-			if p == engine.NoParent {
-				p = ps.from[c]
-			}
-			par[c] = p
-		}
 	}
 	return acts, true
 }

@@ -80,6 +80,9 @@ func (r Role) IsBoundary() bool {
 	return r == RoleEntry || r == RoleExit || r == RoleEntryExit
 }
 
+// onUp reports whether the role places a vertex on Lup.
+func (r Role) onUp() bool { return r == RoleOutlier || r.IsBoundary() }
+
 // NoSubgraph marks vertices outside every dense subgraph.
 const NoSubgraph = int32(-1)
 
@@ -192,12 +195,6 @@ type localFrame struct {
 	// fusion sizes pool tasks by it, and the density test of an edited
 	// subgraph reads it as |E_i|.
 	edges int
-	// x0Buf/m0Buf seed the per-subgraph upload fixpoints and fromBuf holds
-	// the flat source of each min-scheme seed, reused across updates: a
-	// subgraph is processed by at most one pool task at a time and
-	// engine.Run copies its inputs, so reuse is race-free.
-	x0Buf, m0Buf []float64
-	fromBuf      []graph.VertexID
 	// edit holds this update's pre-edit rows of the vertices editFrame
 	// changed; patchShortcuts derives the net frame diff from it.
 	edit frameEdit
@@ -318,6 +315,10 @@ type Layph struct {
 	upOut [][]engine.WEdge
 	upIn  [][]engine.WEdge
 
+	// live and skel count the vertices whose role is not RoleDead and
+	// those on Lup; setRole maintains them.
+	live, skel int
+
 	// Memoized computation state over the flat ID space.
 	x      []float64
 	parent []graph.VertexID // idempotent algorithms only
@@ -329,6 +330,10 @@ type Layph struct {
 	// (dense sets and O(n) vectors) so steady-state batches stop paying
 	// per-vertex map allocations.
 	scratch updScratch
+	// lup runs the skeleton iteration in place; tasks is the free list of
+	// the pool tasks' compact-frame working sets.
+	lup   *engine.Runner
+	tasks taskPool
 	// epoch numbers the layeredUpdate calls; frame edit snapshots carry it.
 	epoch uint32
 	// evaluations counts density evaluations of a community's prospective
@@ -382,9 +387,25 @@ func (l *Layph) flatAlive(v graph.VertexID) bool {
 func (l *Layph) flatN() int { return len(l.flatOut) }
 
 // onUp reports whether a flat vertex participates in the global iteration.
-func (l *Layph) onUp(v graph.VertexID) bool {
-	r := l.role[v]
-	return r == RoleOutlier || r.IsBoundary()
+func (l *Layph) onUp(v graph.VertexID) bool { return l.role[v].onUp() }
+
+// setRole changes v's role and keeps the live and skeleton counts in step,
+// so the SkeletonFraction gauge reads them instead of scanning the flat ID
+// space. Every role change goes through it: fresh slots start as RoleDead,
+// and remapProxies only moves roles. A role is RoleDead exactly when the
+// vertex is not alive (CheckInvariants holds roles to roleOf).
+func (l *Layph) setRole(v graph.VertexID, r Role) {
+	count := func(r Role, sign int) {
+		if r != RoleDead {
+			l.live += sign
+		}
+		if r.onUp() {
+			l.skel += sign
+		}
+	}
+	count(l.role[v], -1)
+	count(r, 1)
+	l.role[v] = r
 }
 
 // Name returns "layph".

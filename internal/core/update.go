@@ -413,7 +413,7 @@ func (l *Layph) growForNewVertices(applied *delta.Applied) {
 	}
 	for _, v := range applied.AddedVertices {
 		l.subOf[v] = NoSubgraph
-		l.role[v] = RoleOutlier
+		l.setRole(v, RoleOutlier)
 		l.x[v] = l.a.InitState(v)
 		if l.parent != nil {
 			l.parent[v] = engine.NoParent

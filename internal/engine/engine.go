@@ -4,20 +4,30 @@
 // until no significant messages remain.
 //
 // The engine operates on a Frame — a semiring-weighted projection of a graph
-// under an algorithm — rather than on the graph directly, so the same runner
-// serves four roles: the batch "Restart" baseline, the propagation core of
-// the incremental baseline engines, Layph's local per-subgraph fixpoints
-// (shortcut deduction and message upload), and Layph's global iteration on
-// the upper-layer skeleton (whose edges are shortcuts, not graph edges).
+// under an algorithm — rather than on the graph directly, so one propagation
+// loop serves four roles: the batch "Restart" baseline, the propagation core
+// of the incremental engines, Layph's local per-subgraph fixpoints (shortcut
+// deduction, shortcut patches and message upload), and Layph's global
+// iteration on the upper-layer skeleton (whose edges are shortcuts, not
+// graph edges).
+//
+// The loop is Runner's. A Runner works in place on the caller's state and
+// parent vectors, takes its start as seeds — (vertex, message, source) — and
+// keeps its buffers across runs, clearing only what a run touched, so an
+// incremental run costs in proportion to what it reaches rather than to the
+// frame. Run is its one-shot form for batch computations: it copies its
+// inputs and runs a fresh Runner.
 package engine
 
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"layph/internal/algo"
 	"layph/internal/graph"
+	"layph/internal/scratch"
 )
 
 // WEdge is a directed edge annotated with its semiring weight (the value F
@@ -100,17 +110,10 @@ type Options struct {
 	// semirings: pending aggregates with |m| <= Tolerance do not activate.
 	Tolerance float64
 	// TrackParents maintains, for idempotent semirings, the dependency
-	// parent of every state (the in-neighbor whose message set it). The
-	// memoization-path incremental engines require it.
+	// parent of every state (the in-neighbor whose message set it). Run
+	// allocates the parent vector; Runner.Run writes into the one its caller
+	// passes and panics when the option is set without one.
 	TrackParents bool
-	// InitialActive overrides the initial active set. When nil, every vertex
-	// whose m0 differs from the semiring zero is active. Vertices in the
-	// initial set propagate even if their pending message does not improve
-	// their state (needed to re-seed propagation from reset frontiers).
-	InitialActive []graph.VertexID
-	// TrackChanged collects the set of vertices whose state changed during
-	// the run (deduplicated) into Result.Changed.
-	TrackChanged bool
 }
 
 func (o Options) workers() int {
@@ -129,22 +132,141 @@ func (o Options) maxRounds() int {
 
 // Result is the outcome of a Run.
 type Result struct {
-	// X holds the converged vertex states.
-	X []float64
-	// Parent holds dependency parents when Options.TrackParents was set.
+	// X holds the converged vertex states and Parent the dependency parents
+	// when Options.TrackParents was set (one-shot Run; a Runner leaves both
+	// nil, its results being in the caller's vectors).
+	X      []float64
 	Parent []graph.VertexID
 	// Activations counts F applications that emitted a non-zero message
 	// (the paper's "edge activations", Figures 1 and 6).
 	Activations int64
 	// Rounds is the number of synchronized propagation rounds executed.
 	Rounds int
-	// Changed lists the vertices whose state changed, when
-	// Options.TrackChanged was set.
+	// Changed lists the vertices whose state changed, in first-change
+	// order. A Runner owns it until its next run.
 	Changed []graph.VertexID
 }
 
-// Run executes the fixpoint over the frame. x0 and m0 must have length
-// f.N(); they are not mutated. The returned Result owns its slices.
+// Run executes the fixpoint over the frame once. x0 and m0 must have length
+// f.N(); they are not mutated. The returned Result owns its slices. Run is
+// the one-shot form of Runner: it copies x0, seeds every message of m0 that
+// differs from the semiring zero and runs a fresh Runner, so the batch
+// computations and the incremental engines share one propagation loop.
+func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
+	n := f.N()
+	if len(x0) != n || len(m0) != n {
+		panic("engine: x0/m0 length mismatch")
+	}
+	r := NewRunner(sr)
+	zero := sr.Zero()
+	for v, m := range m0 {
+		if m != zero {
+			r.Seed(graph.VertexID(v), m, NoParent)
+		}
+	}
+	x := append([]float64(nil), x0...)
+	var parent []graph.VertexID
+	if opt.TrackParents && sr.Idempotent() {
+		parent = make([]graph.VertexID, n)
+		for i := range parent {
+			parent[i] = NoParent
+		}
+	}
+	res := r.Run(f, x, parent, opt)
+	res.X, res.Parent = x, parent
+	return &res
+}
+
+// Runner runs the fixpoint in place on a caller's state vector and keeps
+// its working buffers — pending messages and their sources, per-worker
+// message buffers, epoch-stamped touched, changed and per-round seen sets —
+// across calls. Every buffer grows on demand and is cleared through what the
+// run touched, so a run costs time and memory in proportion to the vertices
+// it reaches, not to the frame. A Runner serves one semiring and one run at a
+// time; its zero value is not usable (NewRunner).
+//
+// A run starts from seeds: Seed folds a message, with the source that sent
+// it, into a vertex's pending message, and Activate puts a vertex in the
+// initial active set. Run consumes both.
+type Runner struct {
+	sr   algo.Semiring
+	zero float64
+	idem bool
+
+	// pending[v] is the semiring zero except at touched vertices; from[v]
+	// (idempotent) is the source of pending[v], valid at touched vertices.
+	pending []float64
+	from    []graph.VertexID
+	touched scratch.Set
+	// activated is the explicit initial active set; changed the vertices
+	// whose state the run changed; seen the vertices a round's merge
+	// reached, in first-touch order.
+	activated scratch.Set
+	changed   scratch.Set
+	seen      scratch.Set
+	active    []graph.VertexID
+	bufs      []*msgBuffer
+	acts      []int64
+}
+
+// NewRunner returns an empty Runner for semiring sr.
+func NewRunner(sr algo.Semiring) *Runner {
+	r := &Runner{sr: sr, zero: sr.Zero(), idem: sr.Idempotent()}
+	r.touched.Reset(0)
+	r.activated.Reset(0)
+	return r
+}
+
+// grow makes pending and from cover vertex ids below n.
+func (r *Runner) grow(n int) {
+	if len(r.pending) >= n {
+		return
+	}
+	c := n + n/2
+	pending := make([]float64, c)
+	copy(pending, r.pending)
+	for i := len(r.pending); i < c; i++ {
+		pending[i] = r.zero
+	}
+	r.pending = pending
+	if r.idem {
+		from := make([]graph.VertexID, c)
+		copy(from, r.from)
+		r.from = from
+	}
+}
+
+// Seed folds message m, sent by src, into v's pending message: the better
+// one under ⊕ for idempotent semirings (a tie keeps the earlier source), the
+// sum otherwise. A value the run sets from the seed takes src as its
+// dependency parent.
+func (r *Runner) Seed(v graph.VertexID, m float64, src graph.VertexID) {
+	r.grow(int(v) + 1)
+	r.touched.Add(v)
+	if !r.idem {
+		r.pending[v] += m
+		return
+	}
+	if p := r.sr.Plus(r.pending[v], m); p != r.pending[v] {
+		r.pending[v], r.from[v] = p, src
+	}
+}
+
+// Activate puts v in the initial active set of the next run: v applies its
+// pending message and propagates its state even if the message does not
+// improve it (re-seeding from reset frontiers needs that).
+func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
+
+// Run executes the fixpoint over the frame in place on x, which must have
+// length f.N(), and consumes the seeds. The initial active set is the
+// Activate set in call order when there is one; otherwise every seeded
+// vertex whose pending message is significant — not the semiring zero for
+// idempotent semirings, above opt.Tolerance otherwise — in ascending ID
+// order. With a non-nil parent (idempotent semirings only) every state the
+// run sets records its dependency parent there: the in-run sender, or the
+// seed's source. opt.TrackParents asks for parents: with an idempotent
+// semiring it requires a parent vector, so no caller sets it and silently
+// gets none.
 //
 // Semantics per round: every active vertex applies its pending aggregated
 // message to its state with ⊕ (idempotent semirings keep the better value and
@@ -153,132 +275,58 @@ type Result struct {
 // idempotent semirings and the applied delta otherwise. Messages are folded
 // per destination with ⊕ and the next active set is the set of vertices whose
 // pending aggregate is still significant.
-func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
+func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options) Result {
 	n := f.N()
-	if len(x0) != n || len(m0) != n {
-		panic("engine: x0/m0 length mismatch")
+	if len(x) != n || (parent != nil && len(parent) != n) {
+		panic("engine: state/parent length mismatch")
 	}
-	zero := sr.Zero()
-	idem := sr.Idempotent()
-
-	x := append([]float64(nil), x0...)
-	pending := append([]float64(nil), m0...)
-	pendingFrom := make([]graph.VertexID, 0)
-	var parent []graph.VertexID
-	if opt.TrackParents && idem {
-		parent = make([]graph.VertexID, n)
-		pendingFrom = make([]graph.VertexID, n)
-		for i := range parent {
-			parent[i] = NoParent
-			pendingFrom[i] = NoParent
-		}
+	if opt.TrackParents && r.idem && parent == nil {
+		panic("engine: TrackParents without a parent vector")
 	}
-
-	var active []graph.VertexID
-	if opt.InitialActive != nil {
-		active = append(active, opt.InitialActive...)
-	} else if idem {
-		for v := 0; v < n; v++ {
-			if pending[v] != zero {
-				active = append(active, graph.VertexID(v))
-			}
-		}
+	if !r.idem {
+		parent = nil
+	}
+	r.grow(n)
+	r.changed.Reset(0)
+	active := r.active[:0]
+	if len(r.activated.List) > 0 {
+		active = append(active, r.activated.List...)
 	} else {
-		// Non-idempotent: sub-tolerance seeds are ignorable by definition
-		// and would otherwise trigger full processing rounds.
-		for v := 0; v < n; v++ {
-			if math.Abs(pending[v]) > opt.Tolerance {
-				active = append(active, graph.VertexID(v))
+		slices.Sort(r.touched.List)
+		for _, v := range r.touched.List {
+			if r.pending[v] != r.zero && (r.idem || math.Abs(r.pending[v]) > opt.Tolerance) {
+				active = append(active, v)
 			}
 		}
 	}
 
-	workers := opt.workers()
-	if workers > len(active) && len(active) > 0 {
-		workers = len(active)
+	// The worker count is fixed by the initial active set, so the message
+	// folding order — and with it the whole run — is reproducible for a
+	// fixed opt.Workers.
+	workers := min(opt.workers(), len(active))
+	for len(r.bufs) < workers {
+		r.bufs = append(r.bufs, &msgBuffer{})
 	}
-	if workers < 1 {
-		workers = 1
+	for _, b := range r.bufs[:workers] {
+		b.grow(n, r.idem)
 	}
-	bufs := make([]*msgBuffer, workers)
-	for i := range bufs {
-		bufs[i] = newMsgBuffer(n, parent != nil)
+	if cap(r.acts) < workers {
+		r.acts = make([]int64, workers)
 	}
-	var changed []bool
-	if opt.TrackChanged {
-		changed = make([]bool, n)
-	}
-	// seen/seenList track which vertices received messages this round in
-	// first-touch order, so the next active set — and therefore the whole
-	// run, message folding included — is reproducible for a fixed worker
-	// count (and allocation-free per round, unlike a map).
-	seen := make([]bool, n)
-	var seenList []graph.VertexID
 
-	res := &Result{Rounds: 0}
-	var wg sync.WaitGroup
+	var res Result
 	for rounds := 0; len(active) > 0 && rounds < opt.maxRounds(); rounds++ {
 		res.Rounds++
 		// Process phase: partition the active list, apply pending messages,
-		// emit F over out-edges into per-worker buffers.
-		w := workers
-		if w > len(active) {
-			w = len(active)
+		// emit F over out-edges into per-worker buffers. One worker runs
+		// inline.
+		w := min(workers, len(active))
+		acts := r.acts[:w]
+		if w == 1 {
+			acts[0] = r.process(f, x, parent, active, r.bufs[0])
+		} else {
+			r.fanOut(f, x, parent, active, acts)
 		}
-		chunk := (len(active) + w - 1) / w
-		acts := make([]int64, w)
-		for wi := 0; wi < w; wi++ {
-			lo := wi * chunk
-			if lo >= len(active) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(active) {
-				hi = len(active)
-			}
-			wg.Add(1)
-			go func(wi, lo, hi int) {
-				defer wg.Done()
-				buf := bufs[wi]
-				var emitted int64
-				for _, v := range active[lo:hi] {
-					var val float64
-					if idem {
-						cand := pending[v]
-						if sr.Plus(x[v], cand) != x[v] {
-							x[v] = sr.Plus(x[v], cand)
-							if parent != nil {
-								parent[v] = pendingFrom[v]
-							}
-							if changed != nil {
-								changed[v] = true
-							}
-						}
-						val = x[v]
-					} else {
-						val = pending[v]
-						pending[v] = zero
-						x[v] += val
-						if changed != nil && val != zero {
-							changed[v] = true
-						}
-					}
-					if val == zero {
-						continue
-					}
-					for _, e := range f.Out[v] {
-						msg := sr.Times(val, e.W)
-						if msg == zero {
-							continue
-						}
-						emitted++
-						buf.fold(sr, e.To, msg, v)
-					}
-				}
-				acts[wi] = emitted
-			}(wi, lo, hi)
-		}
-		wg.Wait()
 		for _, a := range acts {
 			res.Activations += a
 		}
@@ -286,46 +334,104 @@ func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
 		// Merge phase: fold worker buffers into pending in fixed buffer
 		// order, rebuild the active set in first-touch order.
 		active = active[:0]
-		seenList = seenList[:0]
-		for _, buf := range bufs {
+		r.seen.Reset(0)
+		for _, buf := range r.bufs[:w] {
+			for _, v := range buf.changed {
+				r.changed.Add(v)
+			}
+			buf.changed = buf.changed[:0]
 			for _, v := range buf.touched {
 				val := buf.vals[v]
-				if idem {
-					if sr.Plus(pending[v], val) != pending[v] {
-						pending[v] = val
+				r.touched.Add(v)
+				if r.idem {
+					if r.sr.Plus(r.pending[v], val) != r.pending[v] {
+						r.pending[v] = val
 						if parent != nil {
-							pendingFrom[v] = buf.from[v]
+							r.from[v] = buf.from[v]
 						}
 					}
 				} else {
-					pending[v] += val
+					r.pending[v] += val
 				}
-				if !seen[v] {
-					seen[v] = true
-					seenList = append(seenList, v)
-				}
-				buf.clear(v, zero)
+				r.seen.Add(v)
+				buf.clear(v)
 			}
 			buf.touched = buf.touched[:0]
 		}
-		for _, v := range seenList {
-			seen[v] = false
-			if significant(sr, idem, x[v], pending[v], opt.Tolerance) {
+		for _, v := range r.seen.List {
+			if significant(r.sr, r.idem, x[v], r.pending[v], opt.Tolerance) {
 				active = append(active, v)
 			}
 		}
 	}
 
-	if changed != nil {
-		for v, c := range changed {
-			if c {
-				res.Changed = append(res.Changed, graph.VertexID(v))
+	// Leave every buffer clean for the next run: a run cut by MaxRounds
+	// may still hold messages in flight.
+	for _, v := range r.touched.List {
+		r.pending[v] = r.zero
+	}
+	r.touched.Reset(0)
+	r.activated.Reset(0)
+	r.active = active[:0]
+	res.Changed = r.changed.List
+	return res
+}
+
+// fanOut runs the process phase of one round on len(acts) workers, one
+// contiguous chunk of active each.
+func (r *Runner) fanOut(f *Frame, x []float64, parent []graph.VertexID, active []graph.VertexID, acts []int64) {
+	w := len(acts)
+	chunk := (len(active) + w - 1) / w
+	var wg sync.WaitGroup
+	for wi := 0; wi < w; wi++ {
+		lo := min(wi*chunk, len(active))
+		hi := min(lo+chunk, len(active))
+		wg.Add(1)
+		go func(wi int, part []graph.VertexID) {
+			defer wg.Done()
+			acts[wi] = r.process(f, x, parent, part, r.bufs[wi])
+		}(wi, active[lo:hi])
+	}
+	wg.Wait()
+}
+
+// process applies the pending messages of part and emits its out-edge
+// messages into buf. Returns the F applications that emitted a message.
+func (r *Runner) process(f *Frame, x []float64, parent []graph.VertexID, part []graph.VertexID, buf *msgBuffer) int64 {
+	sr, zero := r.sr, r.zero
+	var emitted int64
+	for _, v := range part {
+		var val float64
+		if r.idem {
+			if cand := sr.Plus(x[v], r.pending[v]); cand != x[v] {
+				x[v] = cand
+				if parent != nil {
+					parent[v] = r.from[v]
+				}
+				buf.changed = append(buf.changed, v)
+			}
+			val = x[v]
+		} else {
+			val = r.pending[v]
+			r.pending[v] = zero
+			x[v] += val
+			if val != zero {
+				buf.changed = append(buf.changed, v)
 			}
 		}
+		if val == zero {
+			continue
+		}
+		for _, e := range f.Out[v] {
+			msg := sr.Times(val, e.W)
+			if msg == zero {
+				continue
+			}
+			emitted++
+			buf.fold(sr, e.To, msg, v)
+		}
 	}
-	res.X = x
-	res.Parent = parent
-	return res
+	return emitted
 }
 
 func significant(sr algo.Semiring, idem bool, x, pending, tol float64) bool {
@@ -335,22 +441,29 @@ func significant(sr algo.Semiring, idem bool, x, pending, tol float64) bool {
 	return math.Abs(pending) > tol
 }
 
+// msgBuffer is one worker's per-round message store: the folded message
+// (and, idempotent, its sender) per destination, plus the destinations in
+// first-touch order and the states the worker changed. vals and inUse are
+// clear outside touched.
 type msgBuffer struct {
 	vals    []float64
 	from    []graph.VertexID
 	inUse   []bool
 	touched []graph.VertexID
+	changed []graph.VertexID
 }
 
-func newMsgBuffer(n int, trackFrom bool) *msgBuffer {
-	b := &msgBuffer{
-		vals:  make([]float64, n),
-		inUse: make([]bool, n),
+// grow makes the buffer cover vertex ids below n.
+func (b *msgBuffer) grow(n int, trackFrom bool) {
+	if len(b.vals) >= n {
+		return
 	}
+	c := n + n/2
+	b.vals = append(b.vals, make([]float64, c-len(b.vals))...)
+	b.inUse = append(b.inUse, make([]bool, c-len(b.inUse))...)
 	if trackFrom {
-		b.from = make([]graph.VertexID, n)
+		b.from = append(b.from, make([]graph.VertexID, c-len(b.from))...)
 	}
-	return b
 }
 
 func (b *msgBuffer) fold(sr algo.Semiring, v graph.VertexID, msg float64, src graph.VertexID) {
@@ -370,8 +483,7 @@ func (b *msgBuffer) fold(sr algo.Semiring, v graph.VertexID, msg float64, src gr
 	b.vals[v] = folded
 }
 
-func (b *msgBuffer) clear(v graph.VertexID, zero float64) {
-	b.vals[v] = zero
+func (b *msgBuffer) clear(v graph.VertexID) {
 	b.inUse[v] = false
 }
 

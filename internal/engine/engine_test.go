@@ -189,14 +189,14 @@ func TestInitialActiveOverride(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	sr := algo.Tropical{}
 	f := BuildFrame(g, algo.NewSSSP(0))
-	x0 := []float64{0, math.Inf(1), math.Inf(1)}
-	m0 := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	res := Run(f, sr, x0, m0, Options{InitialActive: []graph.VertexID{0}})
+	x := []float64{0, math.Inf(1), math.Inf(1)}
+	r := NewRunner(algo.Tropical{})
+	r.Activate(0)
+	r.Run(f, x, nil, Options{})
 	want := []float64{0, 1, 2}
-	if !algo.StatesClose(res.X, want, 0) {
-		t.Fatalf("states = %v, want %v", res.X, want)
+	if !algo.StatesClose(x, want, 0) {
+		t.Fatalf("states = %v, want %v", x, want)
 	}
 }
 

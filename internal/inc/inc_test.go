@@ -86,18 +86,20 @@ func TestSumDeduction(t *testing.T) {
 	g.AddEdge(0, 2, 1)
 	a := algo.NewPageRank(0.85, 1e-9)
 	k := NewKernel(g, a, engine.Options{})
-	x0 := k.States()[0]
+	x0, x1, x2 := k.States()[0], k.States()[1], k.States()[2]
 	// Delete (0,2): out-degree 2 -> 1, so the weight of (0,1) changes too.
 	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 2}}))
 	if st.Activations == 0 {
 		t.Fatal("no activations counted")
 	}
-	// Vertex 2 loses x0*0.425; vertex 1 gains x0*(0.85-0.425).
-	if math.Abs(k.pending[2]-(-x0*0.425)) > 1e-12 {
-		t.Fatalf("pending[2] = %v", k.pending[2])
+	// Vertex 2 loses x0*0.425; vertex 1 gains x0*(0.85-0.425). Neither
+	// has out-edges, so the revision messages are the whole change.
+	x := k.States()
+	if want := x2 - x0*0.425; math.Abs(x[2]-want) > 1e-12 {
+		t.Fatalf("x[2] = %v, want %v", x[2], want)
 	}
-	if math.Abs(k.pending[1]-x0*0.425) > 1e-12 {
-		t.Fatalf("pending[1] = %v", k.pending[1])
+	if want := x1 + x0*0.425; math.Abs(x[1]-want) > 1e-12 {
+		t.Fatalf("x[1] = %v, want %v", x[1], want)
 	}
 }
 
@@ -110,9 +112,9 @@ func TestDeduceMinTagsSubtree(t *testing.T) {
 		t.Fatalf("resets: %d %v", st.Resets, k.trim.Tagged.List)
 	}
 	// Offer for 3 via the surviving path through 2 (cost 6), recorded with
-	// its source.
-	if k.pending[3] != 6 || k.from[3] != 2 {
-		t.Fatalf("offer for 3: %v from %v", k.pending[3], k.from[3])
+	// its source as 3's parent.
+	if k.States()[3] != 6 || k.Parents()[3] != 2 {
+		t.Fatalf("offer for 3: %v from %v", k.States()[3], k.Parents()[3])
 	}
 	if st.Activations == 0 {
 		t.Fatal("offer scans not counted")
@@ -125,12 +127,13 @@ func TestDeduceMinTagsSubtree(t *testing.T) {
 func TestDeduceMinAddedEdgeCandidate(t *testing.T) {
 	g := buildDiamond()
 	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
-	k.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 4, W: 1}}))
-	if k.pending[4] != 1 {
-		t.Fatalf("candidate for 4: %v", k.pending[4])
+	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 4, W: 1}}))
+	if k.States()[4] != 1 {
+		t.Fatalf("candidate for 4: %v", k.States()[4])
 	}
-	if a := k.active.List; len(a) != 1 || a[0] != 4 {
-		t.Fatalf("active: %v", a)
+	// Only 4 was seeded, and it has no out-edges: one round, one change.
+	if c := k.Changed(); len(c) != 1 || c[0] != 4 || st.Rounds != 1 {
+		t.Fatalf("changed %v in %d rounds", c, st.Rounds)
 	}
 	if k.Parents()[4] != 0 {
 		t.Fatalf("parent of 4 = %v, want 0", k.Parents()[4])
@@ -141,11 +144,11 @@ func TestDeduceMinAddedVertex(t *testing.T) {
 	g := buildDiamond()
 	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
 	id := g.AddVertex()
-	k.Update(&delta.Applied{AddedVertices: []graph.VertexID{id}})
+	st := k.Update(&delta.Applied{AddedVertices: []graph.VertexID{id}})
 	if !math.IsInf(k.States()[id], 1) {
 		t.Fatalf("new vertex state: %v", k.States()[id])
 	}
-	if len(k.active.List) != 0 {
+	if st.Rounds != 0 {
 		t.Fatal("isolated non-source vertex should not activate")
 	}
 }

@@ -43,9 +43,7 @@ type Kernel struct {
 	touched scratch.Set      // sources whose rows were re-projected
 	oldRows [][]engine.WEdge // sum scheme: pre-update rows, parallel to touched.List
 	trim    Trimmer          // min scheme: invalidated vertices
-	active  scratch.Set      // min scheme: vertices seeded with a message
-	pending []float64
-	from    []graph.VertexID // min scheme: source of each seeded message
+	run     *engine.Runner   // in-place propagation from the update's seeds
 	changed []graph.VertexID
 }
 
@@ -63,7 +61,7 @@ func NewKernel(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Kernel {
 		opt.Tolerance = a.Tolerance()
 	}
 	sr := a.Semiring()
-	k := &Kernel{g: g, a: a, sr: sr, zero: sr.Zero(), opt: opt, frame: engine.BuildFrame(g, a)}
+	k := &Kernel{g: g, a: a, sr: sr, zero: sr.Zero(), opt: opt, frame: engine.BuildFrame(g, a), run: engine.NewRunner(sr)}
 	x0, m0 := engine.InitVectors(g, a)
 	opt.TrackParents = sr.Idempotent()
 	res := engine.Run(k.frame, sr, x0, m0, opt)
@@ -78,6 +76,15 @@ func (k *Kernel) States() []float64 { return k.x }
 // Parents returns the dependency parent of every state (idempotent
 // semirings only; live view, do not mutate).
 func (k *Kernel) Parents() []graph.VertexID { return k.parent }
+
+// Row returns v's out-row in the kernel's frame: the projection of the
+// graph as of the last Update (live view; do not mutate).
+func (k *Kernel) Row(v graph.VertexID) []engine.WEdge {
+	if int(v) < len(k.frame.Out) {
+		return k.frame.Out[v]
+	}
+	return nil
+}
 
 // Changed lists the vertices the last Update changed or invalidated, in no
 // particular order and possibly with repeats.
@@ -112,7 +119,7 @@ func (k *Kernel) Update(applied *delta.Applied) Stats {
 	if k.sr.Idempotent() {
 		st = k.updateMin(applied, n)
 	} else {
-		st = k.updateSum(applied, n)
+		st = k.updateSum(applied)
 	}
 	k.touch, k.invalid, k.offers = k.touch[:0], k.invalid[:0], k.offers[:0]
 	st.Duration = time.Since(start)
@@ -157,18 +164,36 @@ func (k *Kernel) refreshRows(applied *delta.Applied, n int) {
 	}
 }
 
+// Succ calls visit for every target of v's current out-row.
+type Succ func(v graph.VertexID, visit func(c graph.VertexID))
+
+// RowSucc is the Succ of a row-per-vertex adjacency.
+func RowSucc(out [][]engine.WEdge) Succ {
+	return func(v graph.VertexID, visit func(graph.VertexID)) {
+		for _, e := range out[v] {
+			visit(e.To)
+		}
+	}
+}
+
 // Trimmer is the ⊥ cancellation of the idempotent scheme, with its
 // scratch reused across updates.
 type Trimmer struct {
 	// Tagged holds the vertices the last Trim reset.
 	Tagged scratch.Set
-	forest scratch.Forest
 }
 
 // Trim resets to zero, with no parent, the whole dependency subtrees of
 // the targets of removed dependency edges, of removed vertices and of
 // extra. parent must cover every vertex id of the batch.
-func (t *Trimmer) Trim(x []float64, parent []graph.VertexID, zero float64, applied *delta.Applied, extra []graph.VertexID) {
+//
+// There is no child index: as in KickStarter, the children of a tagged v
+// are the vertices on v's current out-row (succ) whose parent is v. Every
+// parent is an in-neighbour whose edge was on its row, so a child whose
+// parent edge has left the row is already a root — a removed dependency
+// edge, or an edge of a removed vertex, which applied.RemovedEdges lists
+// too.
+func (t *Trimmer) Trim(x []float64, parent []graph.VertexID, zero float64, applied *delta.Applied, extra []graph.VertexID, succ Succ) {
 	t.Tagged.Reset(len(parent))
 	for _, e := range applied.RemovedEdges {
 		if parent[e.To] == e.From {
@@ -181,14 +206,16 @@ func (t *Trimmer) Trim(x []float64, parent []graph.VertexID, zero float64, appli
 	for _, v := range extra {
 		t.Tagged.Add(v)
 	}
-	if len(t.Tagged.List) > 0 {
-		t.forest.Build(parent)
-		// The set's insertion-ordered list doubles as the BFS queue.
-		for i := 0; i < len(t.Tagged.List); i++ {
-			for _, c := range t.forest.Children(t.Tagged.List[i]) {
-				t.Tagged.Add(c)
-			}
+	// The set's insertion-ordered list doubles as the BFS queue.
+	var v graph.VertexID
+	visit := func(c graph.VertexID) {
+		if parent[c] == v {
+			t.Tagged.Add(c)
 		}
+	}
+	for i := 0; i < len(t.Tagged.List); i++ {
+		v = t.Tagged.List[i]
+		succ(v, visit)
 	}
 	for _, v := range t.Tagged.List {
 		x[v] = zero
@@ -204,19 +231,15 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 	k.parent = GrowParents(k.parent, n)
 	var st Stats
 
-	k.trim.Trim(k.x, k.parent, zero, applied, k.invalid)
+	k.trim.Trim(k.x, k.parent, zero, applied, k.invalid, RowSucc(k.frame.Out))
 	tagged := &k.trim.Tagged
 	st.Resets = len(tagged.List)
 
-	k.pending = filled(k.pending, n, zero)
-	k.from = filled(k.from, n, engine.NoParent)
-	k.active.Reset(n)
-	// seed folds m, sent by src, into v's pending message when it improves
-	// both v's state and the messages v already holds.
+	// seed offers m, sent by src, to v when it improves v's state.
 	seed := func(v, src graph.VertexID, m float64) {
-		if p := sr.Plus(k.pending[v], m); p != k.pending[v] && sr.Plus(k.x[v], m) != k.x[v] {
-			k.pending[v], k.from[v] = p, src
-			k.active.Add(v)
+		if sr.Plus(k.x[v], m) != k.x[v] {
+			k.run.Seed(v, m, src)
+			k.run.Activate(v)
 		}
 	}
 	weight := func(u, v graph.VertexID, w float64) float64 {
@@ -251,35 +274,16 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 	for _, v := range applied.AddedVertices {
 		k.x[v] = k.a.InitState(v)
 		if m0 := k.a.InitMessage(v); m0 != zero {
-			if p := sr.Plus(k.pending[v], m0); p != k.pending[v] {
-				k.pending[v], k.from[v] = p, engine.NoParent
-			}
-			k.active.Add(v)
+			k.run.Seed(v, m0, engine.NoParent)
+			k.run.Activate(v)
 		}
 	}
 	for _, o := range k.offers {
 		seed(o.v, engine.NoParent, o.m)
 	}
 
-	res := engine.Run(k.frame, sr, k.x, k.pending, engine.Options{
-		Workers:       k.opt.Workers,
-		MaxRounds:     k.opt.MaxRounds,
-		InitialActive: k.active.List,
-		TrackParents:  true,
-		TrackChanged:  true,
-	})
-	k.x = res.X
-	k.changed = append(append(k.changed[:0], tagged.List...), applied.AddedVertices...)
-	for _, v := range res.Changed {
-		// A value the run set from a seeded message has no in-run parent;
-		// its parent is the source that seeded it.
-		p := res.Parent[v]
-		if p == engine.NoParent {
-			p = k.from[v]
-		}
-		k.parent[v] = p
-		k.changed = append(k.changed, v)
-	}
+	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{Workers: k.opt.Workers, MaxRounds: k.opt.MaxRounds})
+	k.changed = append(append(append(k.changed[:0], tagged.List...), applied.AddedVertices...), res.Changed...)
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st
@@ -288,9 +292,8 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 // updateSum is the memoization-free scheme: every re-projected row cancels
 // x(u)·w over its previous edges and compensates over its new ones, added
 // vertices contribute their root messages, and the deltas propagate.
-func (k *Kernel) updateSum(applied *delta.Applied, n int) Stats {
+func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	var st Stats
-	k.pending = filled(k.pending, n, 0)
 	for i, u := range k.touched.List {
 		xu := k.x[u]
 		if xu == 0 {
@@ -298,30 +301,28 @@ func (k *Kernel) updateSum(applied *delta.Applied, n int) Stats {
 		}
 		for _, e := range k.oldRows[i] {
 			if m := xu * e.W; m != 0 {
-				k.pending[e.To] -= m
+				k.run.Seed(e.To, -m, engine.NoParent)
 				st.Activations++
 			}
 		}
 		for _, e := range k.frame.Out[u] {
 			if m := xu * e.W; m != 0 {
-				k.pending[e.To] += m
+				k.run.Seed(e.To, m, engine.NoParent)
 				st.Activations++
 			}
 		}
 	}
 	for _, v := range applied.AddedVertices {
-		k.pending[v] += k.a.InitMessage(v)
+		k.run.Seed(v, k.a.InitMessage(v), engine.NoParent)
 	}
 	for _, o := range k.offers {
-		k.pending[o.v] += o.m
+		k.run.Seed(o.v, o.m, engine.NoParent)
 	}
-	res := engine.Run(k.frame, k.sr, k.x, k.pending, engine.Options{
-		Workers:      k.opt.Workers,
-		MaxRounds:    k.opt.MaxRounds,
-		Tolerance:    k.opt.Tolerance,
-		TrackChanged: true,
+	res := k.run.Run(k.frame, k.x, nil, engine.Options{
+		Workers:   k.opt.Workers,
+		MaxRounds: k.opt.MaxRounds,
+		Tolerance: k.opt.Tolerance,
 	})
-	k.x = res.X
 	// A removed vertex's root message was delivered through its (now
 	// cancelled) out-edges; the residue parked on the vertex itself goes.
 	for _, v := range applied.RemovedVertices {
@@ -331,17 +332,4 @@ func (k *Kernel) updateSum(applied *delta.Applied, n int) Stats {
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st
-}
-
-// filled returns buf resized to n with every entry set to v, reusing its
-// storage when it is large enough.
-func filled[T any](buf []T, n int, v T) []T {
-	if cap(buf) < n {
-		buf = make([]T, n, n+n/2)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = v
-	}
-	return buf
 }

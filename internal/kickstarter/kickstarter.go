@@ -26,6 +26,7 @@ import (
 	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
+	"layph/internal/scratch"
 )
 
 // Engine is a KickStarter instance bound to one graph and one algorithm.
@@ -37,7 +38,8 @@ type Engine struct {
 	// InitialStats records the cost of the initial batch run.
 	InitialStats inc.Stats
 
-	trim inc.Trimmer
+	trim   inc.Trimmer
+	inWork scratch.Set // vertices on the correction worklist
 }
 
 // New builds the engine and runs the batch computation, memoizing the value
@@ -63,6 +65,13 @@ func (e *Engine) Name() string { return "kickstarter" }
 // States returns the converged states (live view; do not mutate).
 func (e *Engine) States() []float64 { return e.x }
 
+// succ visits v's out-neighbours in the graph: the rows Trim walks.
+func (e *Engine) succ(v graph.VertexID, visit func(graph.VertexID)) {
+	for _, oe := range e.g.Out(v) {
+		visit(oe.To)
+	}
+}
+
 // Update trims the dependency subtrees invalidated by the batch and runs the
 // pull-based correction loop.
 func (e *Engine) Update(applied *delta.Applied) inc.Stats {
@@ -78,14 +87,14 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 	// Trim phase: reset the dependency subtrees the batch invalidated. The
 	// correction loop re-derives trimmed values by pulling (and counts
 	// those pulls).
-	e.trim.Trim(e.x, e.parent, zero, applied, nil)
+	e.trim.Trim(e.x, e.parent, zero, applied, nil, e.succ)
 	st.Resets = len(e.trim.Tagged.List)
 
-	inWork := make([]bool, n)
+	inWork := &e.inWork
+	inWork.Reset(n)
 	var work []graph.VertexID
 	push := func(v graph.VertexID) {
-		if int(v) < n && !inWork[v] && e.g.Alive(v) {
-			inWork[v] = true
+		if int(v) < n && e.g.Alive(v) && inWork.Add(v) {
 			work = append(work, v)
 		}
 	}
@@ -107,9 +116,7 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 	for len(work) > 0 {
 		st.Rounds++
 		next := work[:0:0]
-		for _, v := range work {
-			inWork[v] = false
-		}
+		inWork.Reset(n)
 		for _, v := range work {
 			best := e.a.InitMessage(v)
 			bestFrom := engine.NoParent
@@ -129,8 +136,7 @@ func (e *Engine) Update(applied *delta.Applied) inc.Stats {
 				e.x[v] = best
 				e.parent[v] = bestFrom
 				for _, oe := range e.g.Out(v) {
-					if !inWork[oe.To] {
-						inWork[oe.To] = true
+					if inWork.Add(oe.To) {
 						next = append(next, oe.To)
 					}
 				}

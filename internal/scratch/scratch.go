@@ -1,14 +1,11 @@
-// Package scratch holds the dense, reusable working structures the
-// incremental engines share: an epoch-stamped vertex set and a CSR over a
-// dependency forest. Both are sized to the flat ID space and recycled
-// across updates, so a steady-state batch allocates in proportion to what
-// it touches rather than to the graph.
+// Package scratch holds the dense, reusable working set the engines
+// share: an epoch-stamped vertex set, grown on demand and recycled across
+// updates, so a steady-state batch allocates in proportion to what it
+// touches rather than to the graph. There is no dependency-forest index:
+// the ⊥ walk (inc.Trimmer) finds a vertex's dependents on its out-row.
 package scratch
 
-import (
-	"layph/internal/engine"
-	"layph/internal/graph"
-)
+import "layph/internal/graph"
 
 // Set is an epoch-stamped dense vertex set. Membership tests and inserts
 // are O(1) array probes, reset is O(1) (an epoch bump), and iteration over
@@ -55,56 +52,4 @@ func (s *Set) Add(v graph.VertexID) bool {
 // Has reports whether v is in the set.
 func (s *Set) Has(v graph.VertexID) bool {
 	return int(v) < len(s.stamp) && s.stamp[v] == s.epoch
-}
-
-// Forest is a CSR over a dependency forest (children of v =
-// buf[off[v]:off[v+1]]), rebuilt per update that resets.
-type Forest struct {
-	off []int32
-	buf []graph.VertexID
-}
-
-// Build builds the CSR from a parent vector: two counting passes over
-// parent, no per-parent slice allocations.
-func (f *Forest) Build(parent []graph.VertexID) {
-	n := len(parent)
-	if cap(f.off) < n+1 {
-		f.off = make([]int32, n+1+n/2)
-	}
-	off := f.off[:n+1]
-	for i := range off {
-		off[i] = 0
-	}
-	for _, p := range parent {
-		if p != engine.NoParent {
-			off[p+1]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	if cap(f.buf) < int(off[n]) {
-		f.buf = make([]graph.VertexID, int(off[n])+int(off[n])/2)
-	}
-	buf := f.buf[:off[n]]
-	// Fill with a moving cursor per parent, then shift the offsets back
-	// down one slot: after the fill off[p] is the END of p's segment,
-	// which is exactly the start of segment p+1.
-	for v, p := range parent {
-		if p != engine.NoParent {
-			buf[off[p]] = graph.VertexID(v)
-			off[p]++
-		}
-	}
-	for i := n; i > 0; i-- {
-		off[i] = off[i-1]
-	}
-	off[0] = 0
-	f.off = off
-	f.buf = buf
-}
-
-// Children returns v's dependency children from the last Build.
-func (f *Forest) Children(v graph.VertexID) []graph.VertexID {
-	return f.buf[f.off[v]:f.off[v+1]]
 }

@@ -69,7 +69,6 @@ type unit struct {
 	pins []float64
 
 	// Tag-closure scratch (min scheme), reused across batches.
-	forest scratch.Forest
 	tagged scratch.Set
 
 	// cumulative counters for Info

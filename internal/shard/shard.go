@@ -416,7 +416,8 @@ func (gr *Group) significant(nx, old float64) bool {
 
 // tagClosure computes the cross-shard invalidation closure of the min
 // scheme: each shard's local seeds (removed dependency edges, removed
-// vertices) cascade down its dependency forest; when a tagged vertex is
+// vertices) cascade down its dependency forest, walked over the kernel's
+// out-rows; when a tagged vertex is
 // mirrored elsewhere, the tag crosses into those shards and cascades
 // there too. Owned tagged boundary vertices have their published value
 // reset to zero so their post-recompute value is republished even when it
@@ -424,9 +425,7 @@ func (gr *Group) significant(nx, old float64) bool {
 // must invalidate (its own seeds are rediscovered by its kernel).
 func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 	cap := gr.global.Cap()
-	// Dependency forests from the pre-batch parent vectors.
 	for _, u := range gr.engines {
-		u.forest.Build(u.k.Parents())
 		u.tagged.Reset(cap)
 	}
 	type ev struct {
@@ -447,8 +446,13 @@ func (gr *Group) tagClosure(subs []*delta.Applied) [][]graph.VertexID {
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		for _, c := range gr.engines[e.s].forest.Children(e.v) {
-			push(e.s, c)
+		// The kernel's rows and parents are still pre-batch here, so the
+		// children of e.v are the targets on its row that it parents.
+		k := gr.engines[e.s].k
+		for _, r := range k.Row(e.v) {
+			if k.Parents()[r.To] == e.v {
+				push(e.s, r.To)
+			}
 		}
 		if gr.owner[e.v] == int32(e.s) {
 			for t := 0; t < gr.k; t++ {
