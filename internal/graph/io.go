@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -13,24 +14,124 @@ import (
 // lie below Cap() are preserved implicitly: a header line "# vertices N"
 // records the ID space so a round trip restores identical IDs.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# vertices %d\n", g.Cap()); err != nil {
-		return err
-	}
+	lw := newLineWriter(w, g.Cap())
 	for u := range g.out {
 		if !g.alive[u] {
-			if _, err := fmt.Fprintf(bw, "# dead %d\n", u); err != nil {
-				return err
-			}
+			lw.dead(VertexID(u))
 			continue
 		}
 		for _, e := range g.out[u] {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", u, e.To, e.W); err != nil {
-				return err
-			}
+			lw.edge(VertexID(u), e.To, e.W)
 		}
 	}
-	return bw.Flush()
+	return lw.flush()
+}
+
+// EdgeImage is a flat copy of what WriteEdgeList writes: the ID space, the
+// tombstoned IDs and every out-edge in source order. Filling one copies
+// the edges without formatting them, so a caller can take the image while
+// it owns the graph and write the text later, on another goroutine, after
+// the graph has moved on. Fill reuses the image's storage.
+type EdgeImage struct {
+	n     int
+	dead  []VertexID
+	edges []imageEdge
+}
+
+type imageEdge struct {
+	u, v VertexID
+	w    float64
+}
+
+// Fill replaces the image's content with g's.
+func (im *EdgeImage) Fill(g *Graph) {
+	im.n = g.Cap()
+	im.dead = im.dead[:0]
+	im.edges = slices.Grow(im.edges[:0], g.numE)
+	for u := range g.out {
+		if !g.alive[u] {
+			im.dead = append(im.dead, VertexID(u))
+			continue
+		}
+		for _, e := range g.out[u] {
+			im.edges = append(im.edges, imageEdge{VertexID(u), e.To, e.W})
+		}
+	}
+}
+
+// WriteEdgeList writes the image in Graph.WriteEdgeList's format, byte for
+// byte what the graph would have written when the image was filled.
+func (im *EdgeImage) WriteEdgeList(w io.Writer) error {
+	lw := newLineWriter(w, im.n)
+	dead := im.dead
+	for _, e := range im.edges {
+		// A dead vertex has no out-edges, so its line goes before the
+		// first edge of any higher source.
+		for len(dead) > 0 && dead[0] < e.u {
+			lw.dead(dead[0])
+			dead = dead[1:]
+		}
+		lw.edge(e.u, e.v, e.w)
+	}
+	for _, d := range dead {
+		lw.dead(d)
+	}
+	return lw.flush()
+}
+
+// lineWriter formats edge-list lines into one reused buffer and hands it to
+// w in lineChunk pieces. Its lines are byte-identical to fmt's "%d %d %g\n"
+// and "# dead %d\n" at a fraction of fmt's cost. The first write error is
+// kept and returned by flush; later lines are dropped.
+type lineWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+const lineChunk = 64 << 10
+
+func newLineWriter(w io.Writer, n int) *lineWriter {
+	lw := &lineWriter{w: w, buf: make([]byte, 0, lineChunk+64)}
+	lw.buf = append(lw.buf, "# vertices "...)
+	lw.buf = strconv.AppendInt(lw.buf, int64(n), 10)
+	lw.buf = append(lw.buf, '\n')
+	return lw
+}
+
+func (lw *lineWriter) edge(u, v VertexID, w float64) {
+	b := strconv.AppendUint(lw.buf, uint64(u), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(v), 10)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, w, 'g', -1, 64)
+	lw.buf = append(b, '\n')
+	lw.spill()
+}
+
+func (lw *lineWriter) dead(u VertexID) {
+	lw.buf = append(lw.buf, "# dead "...)
+	lw.buf = strconv.AppendUint(lw.buf, uint64(u), 10)
+	lw.buf = append(lw.buf, '\n')
+	lw.spill()
+}
+
+func (lw *lineWriter) spill() {
+	if len(lw.buf) >= lineChunk {
+		lw.write()
+	}
+}
+
+func (lw *lineWriter) write() {
+	if lw.err == nil && len(lw.buf) > 0 {
+		_, lw.err = lw.w.Write(lw.buf)
+	}
+	lw.buf = lw.buf[:0]
+}
+
+func (lw *lineWriter) flush() error {
+	lw.write()
+	return lw.err
 }
 
 // ReadEdgeList parses the format produced by WriteEdgeList. It also accepts

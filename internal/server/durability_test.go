@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,5 +210,52 @@ func TestMetricsExposesWALAndRecovery(t *testing.T) {
 	}
 	if m.Recovery == nil || !m.Recovery.StatesVerified {
 		t.Fatalf("recovery section %+v", m.Recovery)
+	}
+}
+
+// failingDurable logs every batch but fails every post-publish hook, as
+// a WAL whose checkpoint writes hit a full disk does.
+type failingDurable struct{ countingDurable }
+
+func (f *failingDurable) AfterBatch(seq, updates uint64, g *graph.Graph, states []float64) error {
+	return errors.New("checkpoint: disk full")
+}
+
+// TestHealthzReportsDurabilityError: /healthz keeps answering 200 (the
+// process is alive) but stops saying ok once the stream holds a sticky
+// durability error, and names it.
+func TestHealthzReportsDurabilityError(t *testing.T) {
+	g, _ := gen.CommunityGraph(gen.CommunityConfig{
+		Vertices: 200, MeanCommunity: 20, IntraDegree: 5, InterDegree: 0.4,
+		Weighted: true, Seed: 35,
+	})
+	sys := core.New(g, algo.NewSSSP(0), core.Options{Workers: 1})
+	st := stream.New(g, sys, stream.Config{MaxBatch: 10, MaxDelay: -1, Durability: &failingDurable{}})
+	defer st.Close()
+	ts := httptest.NewServer(New(st, Config{}).Handler())
+	defer ts.Close()
+
+	health := func() map[string]any {
+		t.Helper()
+		var hz map[string]any
+		if code, raw := doJSON(t, http.MethodGet, ts.URL+"/healthz", "", nil, &hz); code != http.StatusOK {
+			t.Fatalf("healthz: %d %s", code, raw)
+		}
+		return hz
+	}
+	if hz := health(); hz["ok"] != true || hz["durability_error"] != nil {
+		t.Fatalf("healthz before any batch: %v", hz)
+	}
+	for _, u := range delta.NewGenerator(36).UnitSequence(g, 10, true) {
+		if err := st.Push(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Drain(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("drain over a failed durability hook: %v", err)
+	}
+	hz := health()
+	if msg, _ := hz["durability_error"].(string); hz["ok"] != false || !strings.Contains(msg, "disk full") {
+		t.Fatalf("healthz over a failed durability hook: %v", hz)
 	}
 }

@@ -609,6 +609,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if st := s.st.Load(); st != nil {
 		resp["ready"] = !st.Closed()
 		resp["seq"] = st.Query().Seq
+		// The process is alive (status stays 200), but a stream whose
+		// durability hook failed is not healthy: say so.
+		if err := st.DurabilityErr(); err != nil {
+			resp["ok"] = false
+			resp["durability_error"] = err.Error()
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

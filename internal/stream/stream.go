@@ -76,8 +76,10 @@ type Durable interface {
 	LogBatch(seq uint64, batch delta.Batch) error
 	// AfterBatch runs after the batch's snapshot has been published, with
 	// exclusive access to the graph and the (immutable) published states;
-	// wal.Log uses it to cut periodic checkpoints. Errors are recorded as
-	// sticky but do not stall the stream — the WAL already holds the
+	// wal.Log uses it to cut periodic checkpoints. The hook may keep the
+	// states slice after it returns, but must copy what it needs from g
+	// before returning: the next batch mutates it. Errors are recorded
+	// as sticky but do not stall the stream — the WAL already holds the
 	// batch, so a failed checkpoint only lengthens future recovery.
 	AfterBatch(seq, updates uint64, g *graph.Graph, states []float64) error
 }

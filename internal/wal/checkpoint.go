@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -28,46 +29,91 @@ import (
 // The file is written to a temp name, fsynced, and renamed into place,
 // then the directory is fsynced: a crash at any point leaves either the
 // previous checkpoint or a complete new one, never a partial file under
-// the live name. The trailing crc line catches the remaining failure
-// mode — a file that renamed fine but was corrupted at rest.
+// the live name (Open deletes a leftover temp file). The trailing crc
+// line catches the remaining failure mode — a file that renamed fine but
+// was corrupted at rest.
 
-// writeCheckpoint atomically persists checkpoint-<seq>.ckpt. The state
+// checkpoint is the content of one checkpoint file. graph is the live
+// graph for a synchronous write, or the edge image taken at a cut for a
+// background one; states is never written to after it is handed over.
+type checkpoint struct {
+	seq, updates uint64
+	meta         string
+	states       []float64
+	graph        interface{ WriteEdgeList(io.Writer) error }
+}
+
+// newCheckpoint checks a checkpoint's content against g. The state
 // vector may be longer than the graph's vertex space: engines that
 // append internal replicas (Layph's proxy vertices live past g.Cap() in
 // its flat ID space) are truncated to the real vertices — the replicas
 // are derived state, reconstructed when the engine is rebuilt on the
 // recovered graph, and their IDs are not stable across rebuilds anyway.
-func writeCheckpoint(dir string, seq, updates uint64, meta string, g *graph.Graph, states []float64) error {
+func newCheckpoint(seq, updates uint64, meta string, g *graph.Graph, states []float64) (*checkpoint, error) {
 	if len(states) < g.Cap() {
-		return fmt.Errorf("wal: checkpoint: %d states for a graph of %d vertices", len(states), g.Cap())
+		return nil, fmt.Errorf("wal: checkpoint: %d states for a graph of %d vertices", len(states), g.Cap())
 	}
-	states = states[:g.Cap()]
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "layph-checkpoint v1\n")
-	fmt.Fprintf(&buf, "seq %d\n", seq)
-	fmt.Fprintf(&buf, "updates %d\n", updates)
 	if strings.ContainsAny(meta, "\n\r") {
-		return fmt.Errorf("wal: checkpoint meta contains newline")
+		return nil, fmt.Errorf("wal: checkpoint meta contains newline")
 	}
-	fmt.Fprintf(&buf, "meta %s\n", meta)
-	fmt.Fprintf(&buf, "states %d\n", len(states))
-	for _, x := range states {
-		buf.WriteString(formatState(x))
-		buf.WriteByte('\n')
+	return &checkpoint{seq: seq, updates: updates, meta: meta, states: states[:g.Cap()], graph: g}, nil
+}
+
+// encode streams the checkpoint file to w, computing the crc trailer on
+// the way, so no copy of the whole file is held in memory.
+func (c *checkpoint) encode(w io.Writer) error {
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	fmt.Fprintf(bw, "layph-checkpoint v1\nseq %d\nupdates %d\nmeta %s\nstates %d\n",
+		c.seq, c.updates, c.meta, len(c.states))
+	for _, x := range c.states {
+		bw.WriteString(formatState(x))
+		bw.WriteByte('\n')
 	}
-	buf.WriteString("graph\n")
-	if err := g.WriteEdgeList(&buf); err != nil {
+	bw.WriteString("graph\n")
+	if err := c.graph.WriteEdgeList(bw); err != nil {
 		return fmt.Errorf("wal: checkpoint graph: %w", err)
 	}
-	fmt.Fprintf(&buf, "crc %d\n", crc32.ChecksumIEEE(buf.Bytes()))
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "crc %d\n", crc.Sum32())
+	return err
+}
 
-	final := checkpointPath(dir, seq)
-	tmp := final + ".tmp"
+// Steps of a checkpoint write, in order, as reported to a step hook.
+const (
+	stepWrite   = "write"   // temp file written
+	stepFsync   = "fsync"   // temp file fsynced and closed
+	stepRename  = "rename"  // renamed to its live name
+	stepSyncDir = "syncdir" // directory fsynced: the checkpoint is durable
+	stepPrune   = "prune"   // covered checkpoints and segments removed
+)
+
+// stepFunc is called after each step of a checkpoint write; a non-nil
+// error fails the write there, as an I/O error at that step would.
+type stepFunc func(step string) error
+
+func (f stepFunc) after(step string) error {
+	if f == nil {
+		return nil
+	}
+	return f(step)
+}
+
+// write persists checkpoint-<seq>.ckpt atomically: temp file, fsync,
+// rename, directory fsync.
+func (c *checkpoint) write(dir string, step stepFunc) error {
+	final := checkpointPath(dir, c.seq)
+	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if err = c.encode(f); err == nil {
+		err = step.after(stepWrite)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint write: %w", err)
@@ -77,7 +123,10 @@ func writeCheckpoint(dir string, seq, updates uint64, meta string, g *graph.Grap
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint sync: %w", err)
 	}
-	if err := f.Close(); err != nil {
+	if err = f.Close(); err == nil {
+		err = step.after(stepFsync)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint close: %w", err)
 	}
@@ -85,7 +134,13 @@ func writeCheckpoint(dir string, seq, updates uint64, meta string, g *graph.Grap
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint rename: %w", err)
 	}
-	return syncDir(dir)
+	if err := step.after(stepRename); err != nil {
+		return err
+	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	return step.after(stepSyncDir)
 }
 
 // readCheckpoint loads and verifies checkpoint-<seq>.ckpt.

@@ -50,6 +50,23 @@
 // to a temp file and atomically renamed, so a crash mid-checkpoint
 // leaves the previous one intact; a trailing CRC line guards the file's
 // integrity on load.
+//
+// A periodic checkpoint happens in two parts. The cut runs on the
+// stream's worker inside AfterBatch: it rotates to segment wal-<seq+1>
+// (flushing, syncing and closing the old one, syncing the directory)
+// and copies the graph into a flat edge image; the published state
+// vector is immutable and needs no copy. The write runs on one
+// background goroutine: it formats checkpoint-<seq>.ckpt from the image
+// and states, fsyncs it, renames it into place, syncs the directory and
+// only then prunes what the new checkpoint covers. At most one write is
+// in flight: a cut that finds the previous write still running waits
+// for it, and so do Start, Checkpoint, Wait and Close, before anything
+// else. Until a write is durable, the previous checkpoint and every
+// segment after it stay on disk, so a crash mid-write recovers from the
+// previous checkpoint and replays the segments before and after the cut
+// contiguously up to the last logged record. A failed write is counted
+// in Stats.Failures and returned by the next AfterBatch or Wait; the
+// segments it would have pruned stay.
 package wal
 
 import (
@@ -139,9 +156,11 @@ type Stats struct {
 	Batches, Updates, Bytes int64
 	// Fsyncs counts fdatasync calls on the live segment.
 	Fsyncs int64
-	// Checkpoints counts checkpoints cut (including the Start one);
-	// LastCheckpointSeq is the seq of the newest, and CheckpointSeconds
-	// the cumulative wall-clock time spent writing them.
+	// Checkpoints counts checkpoints cut (including the Start one) and
+	// LastCheckpointSeq is the seq of the newest, both counted when the
+	// cut happens, before a background write makes it durable.
+	// CheckpointSeconds is the cumulative wall-clock time spent writing
+	// checkpoint files (the cut's own cost shows in AfterBatch).
 	Checkpoints       int64
 	LastCheckpointSeq uint64
 	CheckpointSeconds float64
@@ -168,6 +187,19 @@ type Log struct {
 	lastSync  time.Time
 	sinceCkpt int
 	stats     Stats
+
+	img    *graph.EdgeImage // the cut's edge image, reused; nil before the first periodic cut
+	bg     *bgWrite         // the background checkpoint write, nil when none is in flight
+	bgErr  error            // a finished write's error, until AfterBatch or Wait reports it
+	onStep stepFunc         // test hook called after each step of a checkpoint write
+}
+
+// bgWrite is one background checkpoint write. err and secs are set
+// before done closes and read only after.
+type bgWrite struct {
+	done chan struct{}
+	err  error
+	secs float64
 }
 
 // bufWriter is a small fixed wrapper so flushing and counting live in
@@ -217,6 +249,13 @@ func Open(dir string, cfg Config) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// A crash mid-write leaves a checkpoint temp file that recovery
+	// ignores and no later write reuses unless it cuts the same seq.
+	if tmps, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"+tmpSuffix)); err == nil {
+		for _, tmp := range tmps {
+			os.Remove(tmp)
+		}
+	}
 	rec, err := Recover(dir)
 	if err != nil {
 		lock.Close()
@@ -232,19 +271,21 @@ func Open(dir string, cfg Config) (*Log, *Recovered, error) {
 // and up. For a fresh directory the caller passes its initial state
 // (seq 0); after recovery it passes the replayed position. Pre-existing
 // segments and older checkpoints are pruned — everything they held is
-// covered by the new checkpoint.
+// covered by the new checkpoint. The checkpoint is durable when Start
+// returns.
 func (l *Log) Start(seq, updates uint64, g *graph.Graph, states []float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	werr := l.waitLocked()
 	if l.f != nil {
-		return errors.New("wal: Start called twice")
+		return errors.Join(werr, errors.New("wal: Start called twice"))
 	}
 	if err := l.checkpointLocked(seq, updates, g, states); err != nil {
-		return err
+		return errors.Join(werr, err)
 	}
 	l.seq = seq
 	l.sinceCkpt = 0
-	return nil
+	return werr
 }
 
 // LogBatch appends one micro-batch record and makes it durable per the
@@ -303,63 +344,168 @@ func (l *Log) LogBatch(seq uint64, batch delta.Batch) error {
 
 // AfterBatch is the stream's post-publish hook: it counts batches toward
 // the checkpoint trigger and cuts one when CheckpointEvery is reached.
+// The cut copies g into the log's edge image and keeps states, which the
+// caller must not modify afterwards; the file is written in the
+// background (see the package doc). An error is either this cut's or
+// that of a background write that finished since the last report.
 func (l *Log) AfterBatch(seq, updates uint64, g *graph.Graph, states []float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.collectLocked(false)
 	l.sinceCkpt++
 	if l.cfg.CheckpointEvery <= 0 || l.sinceCkpt < l.cfg.CheckpointEvery {
-		return nil
+		return l.takeErrLocked()
 	}
-	if err := l.checkpointLocked(seq, updates, g, states); err != nil {
+	werr := l.waitLocked()
+	if err := l.cutLocked(seq, updates, g, states); err != nil {
 		// The WAL already holds every batch; a failed checkpoint only
 		// lengthens the next recovery, so report and carry on logging
 		// into the current segment.
-		return err
+		return errors.Join(werr, err)
 	}
 	l.sinceCkpt = 0
-	return nil
+	return werr
 }
 
 // Checkpoint cuts a checkpoint at the given position outside the
 // periodic schedule — e.g. the final checkpoint of a clean shutdown,
 // after the stream has been closed (making the next start replay-free).
+// It writes synchronously: the checkpoint is durable when it returns.
 func (l *Log) Checkpoint(seq, updates uint64, g *graph.Graph, states []float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	werr := l.waitLocked()
 	if err := l.checkpointLocked(seq, updates, g, states); err != nil {
-		return err
+		return errors.Join(werr, err)
 	}
 	l.sinceCkpt = 0
+	return werr
+}
+
+// Wait blocks until no checkpoint write is in flight and returns the
+// error of a background write not yet reported by AfterBatch.
+func (l *Log) Wait() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitLocked()
+}
+
+// waitLocked is Wait with l.mu held. The writer never takes l.mu, so
+// holding it while waiting cannot deadlock.
+func (l *Log) waitLocked() error {
+	l.collectLocked(true)
+	return l.takeErrLocked()
+}
+
+// collectLocked folds a finished background write into the stats; with
+// wait set it first blocks until the write in flight, if any, finishes.
+// Must hold l.mu.
+func (l *Log) collectLocked(wait bool) {
+	if l.bg == nil {
+		return
+	}
+	if wait {
+		<-l.bg.done
+	} else {
+		select {
+		case <-l.bg.done:
+		default:
+			return
+		}
+	}
+	l.stats.CheckpointSeconds += l.bg.secs
+	if l.bg.err != nil {
+		l.stats.Failures++
+		l.bgErr = l.bg.err
+	}
+	l.bg = nil
+}
+
+func (l *Log) takeErrLocked() error {
+	err := l.bgErr
+	l.bgErr = nil
+	return err
+}
+
+// checkpointLocked writes checkpoint-<seq>.ckpt synchronously, rotates
+// to a fresh segment wal-<seq+1>.log, and prunes everything the new
+// checkpoint covers. The file goes first: a crash before it is durable
+// must not leave a directory holding a new segment but no checkpoint.
+// Must hold l.mu with no write in flight.
+func (l *Log) checkpointLocked(seq, updates uint64, g *graph.Graph, states []float64) error {
+	start := time.Now()
+	c, err := newCheckpoint(seq, updates, l.cfg.Meta, g, states)
+	if err != nil {
+		return l.fail(err)
+	}
+	if err := c.write(l.dir, l.onStep); err != nil {
+		return l.fail(err)
+	}
+	if err := l.rotateLocked(seq); err != nil {
+		return l.fail(err)
+	}
+	if err := l.pruneObsolete(seq); err != nil {
+		return l.fail(err)
+	}
+	l.stats.Checkpoints++
+	l.stats.LastCheckpointSeq = seq
+	l.stats.CheckpointSeconds += time.Since(start).Seconds()
 	return nil
 }
 
-// checkpointLocked writes checkpoint-<seq>.ckpt atomically, rotates to a
-// fresh segment wal-<seq+1>.log, and prunes everything the new
-// checkpoint covers. Must hold l.mu.
-func (l *Log) checkpointLocked(seq, updates uint64, g *graph.Graph, states []float64) error {
-	start := time.Now()
-	if err := writeCheckpoint(l.dir, seq, updates, l.cfg.Meta, g, states); err != nil {
+// cutLocked is the worker's part of a periodic checkpoint: it rotates to
+// wal-<seq+1>.log, fills the edge image, and starts the background write
+// of checkpoint-<seq>.ckpt. Must hold l.mu with no write in flight.
+func (l *Log) cutLocked(seq, updates uint64, g *graph.Graph, states []float64) error {
+	c, err := newCheckpoint(seq, updates, l.cfg.Meta, g, states)
+	if err != nil {
 		return l.fail(err)
 	}
-	// Rotate: further records go to a segment strictly newer than the
-	// checkpoint, so pruning stays segment-granular. When the live
-	// segment already IS wal-<seq+1> (a checkpoint at an unchanged seq,
-	// e.g. clean shutdown right after the last one), it holds no records
-	// and is simply kept.
+	if err := l.rotateLocked(seq); err != nil {
+		return l.fail(err)
+	}
+	if l.img == nil {
+		l.img = new(graph.EdgeImage)
+	}
+	l.img.Fill(g)
+	c.graph = l.img
+	l.stats.Checkpoints++
+	l.stats.LastCheckpointSeq = seq
+
+	bg := &bgWrite{done: make(chan struct{})}
+	l.bg = bg
+	go func() {
+		defer close(bg.done)
+		start := time.Now()
+		bg.err = c.write(l.dir, l.onStep)
+		if bg.err == nil {
+			bg.err = l.pruneObsolete(seq)
+		}
+		bg.secs = time.Since(start).Seconds()
+	}()
+	return nil
+}
+
+// rotateLocked makes wal-<seq+1>.log the live segment, so further records
+// go to a segment strictly newer than the checkpoint at seq and pruning
+// stays segment-granular. When the live segment already IS wal-<seq+1> (a
+// checkpoint at an unchanged seq, e.g. clean shutdown right after the
+// last one), it holds no records and is simply kept. Must hold l.mu.
+func (l *Log) rotateLocked(seq uint64) error {
 	target := segmentPath(l.dir, seq+1)
 	if l.f == nil || l.segPath != target {
 		if l.f != nil {
 			if err := l.bw.flush(); err != nil {
-				return l.fail(err)
+				return err
 			}
 			if l.cfg.Sync != SyncOff {
 				if err := l.f.Sync(); err != nil {
-					return l.fail(err)
+					return err
 				}
 				l.stats.Fsyncs++
 			}
 			if err := l.f.Close(); err != nil {
-				return l.fail(err)
+				return err
 			}
 			l.f = nil
 		}
@@ -369,33 +515,28 @@ func (l *Log) checkpointLocked(seq, updates uint64, g *graph.Graph, states []flo
 		// discard permanent instead of appending live records behind it.
 		f, err := os.OpenFile(target, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
-			return l.fail(fmt.Errorf("wal: open segment: %w", err))
+			return fmt.Errorf("wal: open segment: %w", err)
 		}
 		l.f = f
 		l.segPath = target
 		l.bw = &bufWriter{f: f}
 	}
 	l.lastSync = time.Now()
-	if err := syncDir(l.dir); err != nil {
-		return l.fail(err)
-	}
-	pruneObsolete(l.dir, seq)
-	l.stats.Checkpoints++
-	l.stats.LastCheckpointSeq = seq
-	l.stats.CheckpointSeconds += time.Since(start).Seconds()
-	return nil
+	return syncDir(l.dir)
 }
 
 // Close flushes and syncs the live segment and releases the file. It
 // does not checkpoint; pair with Checkpoint for a clean shutdown.
+// A background checkpoint write in flight is finished first, and its
+// error, if not yet reported, is returned.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	first := l.waitLocked()
 	// Release the directory lock even when Start was never called (the
 	// durable-open error paths Close a Log that has no live segment).
-	var first error
 	if l.lock != nil {
-		if err := l.lock.Close(); err != nil {
+		if err := l.lock.Close(); err != nil && first == nil {
 			first = err
 		}
 		l.lock = nil
@@ -425,6 +566,7 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.collectLocked(false)
 	return l.stats
 }
 
@@ -443,21 +585,26 @@ func checkpointPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.ckpt", seq))
 }
 
+// tmpSuffix marks a checkpoint file that is still being written.
+const tmpSuffix = ".tmp"
+
 // pruneObsolete removes checkpoints older than seq and segments whose
 // records are all covered by the checkpoint at seq (best-effort: a
-// leftover file only wastes space, recovery skips covered records).
-func pruneObsolete(dir string, seq uint64) {
-	cks, segs, _ := scanDir(dir)
+// leftover file only wastes space, recovery skips covered records), then
+// reports the prune step.
+func (l *Log) pruneObsolete(seq uint64) error {
+	cks, segs, _ := scanDir(l.dir)
 	for _, c := range cks {
 		if c < seq {
-			os.Remove(checkpointPath(dir, c))
+			os.Remove(checkpointPath(l.dir, c))
 		}
 	}
 	for _, s := range segs {
 		if s <= seq {
-			os.Remove(segmentPath(dir, s))
+			os.Remove(segmentPath(l.dir, s))
 		}
 	}
+	return l.onStep.after(stepPrune)
 }
 
 // scanDir lists checkpoint seqs and segment first-seqs, ascending.

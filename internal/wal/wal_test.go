@@ -24,6 +24,16 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// writeCheckpoint persists checkpoint-<seq>.ckpt of g and states the
+// way Log.Start and Log.Checkpoint do, without a Log.
+func writeCheckpoint(dir string, seq, updates uint64, meta string, g *graph.Graph, states []float64) error {
+	c, err := newCheckpoint(seq, updates, meta, g, states)
+	if err != nil {
+		return err
+	}
+	return c.write(dir, nil)
+}
+
 func edgeList(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	var buf bytes.Buffer

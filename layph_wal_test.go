@@ -83,7 +83,8 @@ func TestCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 	}
 
 	// Drive the stream one micro-batch at a time; after each published
-	// boundary, snapshot the WAL directory as crash image #seq.
+	// boundary, snapshot the WAL directory as crash image #seq. Crashes
+	// in the middle of a checkpoint write are covered in internal/wal.
 	nBatches := nUpdates / batchSize
 	for b := 0; b < nBatches; b++ {
 		for _, u := range seq[b*batchSize : (b+1)*batchSize] {
@@ -97,6 +98,11 @@ func TestCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 		snap := ds.Stream.Query()
 		if snap.Seq != uint64(b+1) || snap.Updates != uint64((b+1)*batchSize) {
 			t.Fatalf("after batch %d: seq=%d updates=%d", b, snap.Seq, snap.Updates)
+		}
+		// A checkpoint cut at this boundary is written in the
+		// background; the image is taken once it is durable.
+		if err := ds.Log.Wait(); err != nil {
+			t.Fatal(err)
 		}
 		copyDir(t, dir, filepath.Join(images, fmt.Sprintf("crash-%03d", b+1)))
 	}
@@ -232,6 +238,9 @@ func TestCrashRecoveryWithProxyVertices(t *testing.T) {
 	}
 	snap := ds.Stream.Query()
 	img := t.TempDir()
+	if err := ds.Log.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	copyDir(t, dir, img) // crash image with 5 batches, checkpoint at 4
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
