@@ -110,7 +110,7 @@ func RunDrift(o Options) DriftReport {
 
 	mkGraph := func() *graph.Graph {
 		g, _ := gen.CommunityGraph(gen.CommunityConfig{
-			Vertices:      vertices,
+			Vertices: vertices,
 			// Tight communities under the MaxSize=64 floor with a thin
 			// boundary: the skeleton compresses to ~25% of vertices, so
 			// layering drift (boundary eviction pushing that toward 100%)

@@ -93,7 +93,7 @@ func RunShard(o Options) ShardReport {
 	}
 	// One shared update sequence, generated once against the initial graph
 	// shape so every shard count absorbs identical work.
-	seq := delta.NewGenerator(o.Seed + 1).UnitSequence(mkGraph(), 200_000, true)
+	seq := delta.NewGenerator(o.Seed+1).UnitSequence(mkGraph(), 200_000, true)
 
 	rep := ShardReport{
 		Graph:        fmt.Sprintf("community-%d", vertices),

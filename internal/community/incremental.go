@@ -151,7 +151,7 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 			bestGain = wTo[cur] - dv*ctot[cur]/total2
 		}
 		// Scan candidate communities in ascending id order so that ties
-		// (gains within MinGain of each other) resolve to the lowest id
+		// (gains within minGain of each other) resolve to the lowest id
 		// regardless of Go's map iteration order. This is what keeps the
 		// determinism contract (byte-identical min-scheme runs at fixed
 		// Threads) intact when adjustment runs inside the live pipeline.
@@ -167,7 +167,7 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 			if cfg.MaxSize > 0 && csize[c]+1 > cfg.MaxSize {
 				continue
 			}
-			if gain := wTo[c] - dv*ctot[c]/total2; gain > bestGain+cfg.minGain() {
+			if gain := wTo[c] - dv*ctot[c]/total2; gain > bestGain+minGain {
 				bestGain = gain
 				best = c
 			}

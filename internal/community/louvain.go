@@ -22,34 +22,16 @@ type Config struct {
 	// MaxSize caps the number of vertices per community (the paper's K).
 	// 0 means no cap.
 	MaxSize int
-	// MaxLevels bounds the Louvain aggregation hierarchy (default 10).
-	MaxLevels int
-	// MaxSweeps bounds local-move sweeps per level (default 10).
-	MaxSweeps int
-	// MinGain is the modularity-gain threshold for a move (default 1e-9).
-	MinGain float64
 }
 
-func (c Config) maxLevels() int {
-	if c.MaxLevels > 0 {
-		return c.MaxLevels
-	}
-	return 10
-}
-
-func (c Config) maxSweeps() int {
-	if c.MaxSweeps > 0 {
-		return c.MaxSweeps
-	}
-	return 10
-}
-
-func (c Config) minGain() float64 {
-	if c.MinGain > 0 {
-		return c.MinGain
-	}
-	return 1e-9
-}
+const (
+	// maxLevels bounds the Louvain aggregation hierarchy.
+	maxLevels = 10
+	// maxSweeps bounds local-move sweeps per level.
+	maxSweeps = 10
+	// minGain is the modularity-gain threshold for a move.
+	minGain = 1e-9
+)
 
 // Partition is a community assignment over a graph's ID space. Dead
 // vertices carry the sentinel NoCommunity.
@@ -186,7 +168,7 @@ func (s *louvainState) localMoves(cfg Config) bool {
 			order = append(order, i)
 		}
 	}
-	for sweep := 0; sweep < cfg.maxSweeps(); sweep++ {
+	for sweep := 0; sweep < maxSweeps; sweep++ {
 		moved := false
 		for _, v := range order {
 			if s.moveVertex(int32(v), cfg) {
@@ -225,7 +207,7 @@ func (s *louvainState) moveVertex(v int32, cfg Config) bool {
 	m2 := s.total2
 	baseGain := wTo[cur] - s.deg[v]*s.ctot[cur]/m2
 	// Ascending-id candidate scan with a strict improvement test: ties within
-	// MinGain resolve to the lowest community id, independent of map order.
+	// minGain resolve to the lowest community id, independent of map order.
 	cands := make([]int32, 0, len(wTo))
 	for c := range wTo {
 		cands = append(cands, c)
@@ -239,7 +221,7 @@ func (s *louvainState) moveVertex(v int32, cfg Config) bool {
 			continue
 		}
 		gain := (wTo[c] - s.deg[v]*s.ctot[c]/m2) - baseGain
-		if gain > bestGain+cfg.minGain() {
+		if gain > bestGain+minGain {
 			bestGain = gain
 			best = c
 		}
@@ -328,7 +310,7 @@ func Detect(g *graph.Graph, cfg Config) *Partition {
 			vertexNode[v] = -1
 		}
 	}
-	for level := 0; level < cfg.maxLevels(); level++ {
+	for level := 0; level < maxLevels; level++ {
 		s.initSingletons()
 		if !s.localMoves(cfg) {
 			break

@@ -11,14 +11,14 @@ import (
 // TestAdaptiveDriftMigratesAndHoldsInvariants drives an adaptive engine
 // through community-migration churn and pins that (a) the incremental
 // adjustment actually migrates memberships, (b) every update leaves the
-// layered structure invariant-clean (SelfCheck), and (c) the quality
+// layered structure invariant-clean (CheckInvariants after each Update), and (c) the quality
 // gauges stay in range.
 func TestAdaptiveDriftMigratesAndHoldsInvariants(t *testing.T) {
 	g, _ := gen.CommunityGraph(gen.CommunityConfig{
 		Vertices: 600, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.4,
 		Weighted: true, Seed: 3,
 	})
-	l := New(g, algo.NewSSSP(0), Options{Workers: 2, AdaptiveCommunities: true, SelfCheck: true})
+	l := New(g, algo.NewSSSP(0), Options{Workers: 2, AdaptiveCommunities: true})
 	genr := delta.NewGenerator(17)
 	var moves int64
 	for i := 0; i < 10; i++ {
@@ -26,8 +26,8 @@ func TestAdaptiveDriftMigratesAndHoldsInvariants(t *testing.T) {
 		batch = append(batch, genr.EdgeBatch(g, 40, true)...)
 		st := l.Update(delta.Apply(g, batch))
 		moves += st.MembershipMoves
-		if l.LastCheck != nil {
-			t.Fatalf("batch %d: invariants violated after adaptive update: %v", i, l.LastCheck)
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatalf("batch %d: invariants violated after adaptive update: %v", i, err)
 		}
 		if st.TouchedSubgraphRatio < 0 || st.TouchedSubgraphRatio > 1 {
 			t.Fatalf("batch %d: touched ratio out of range: %v", i, st.TouchedSubgraphRatio)

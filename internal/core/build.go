@@ -30,10 +30,7 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	}
 	l.pool = pool.New(opt.Workers)
 	l.lup = engine.NewRunner(l.sr)
-	l.tol = opt.Tolerance
-	if l.tol == 0 {
-		l.tol = a.Tolerance()
-	}
+	l.tol = a.Tolerance()
 	if l.opt.Community.MaxSize == 0 {
 		k := g.NumVertices() / 1000 // the paper's rule of thumb: ~0.1% of |V|
 		if k < 64 {

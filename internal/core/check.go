@@ -18,8 +18,7 @@ import (
 // inside a concurrent subgraph task: a sibling task's in-progress state
 // writes would be reported as (phantom) violations. Every parallel phase
 // of Update joins all of its tasks before returning, so the end of Update
-// is always a safe point; Options.SelfCheck runs the check there
-// automatically and records the result in Layph.LastCheck.
+// is always a safe point: tests call the check right after Update returns.
 func (l *Layph) CheckInvariants() error {
 	n := l.flatN()
 	if len(l.flatIn) != n || len(l.upOut) != n || len(l.upIn) != n ||

@@ -50,6 +50,17 @@ func TestBuildInvariants(t *testing.T) {
 	}
 }
 
+// TestDefaultCommunityCap pins the K that New picks when
+// Options.Community.MaxSize is 0: ~0.1% of |V|, floored at 64.
+func TestDefaultCommunityCap(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{20000, 64}, {150000, 150}} {
+		l := New(graph.New(tc.n), algo.NewSSSP(0), Options{Workers: 1})
+		if got := l.opt.Community.MaxSize; got != tc.k {
+			t.Errorf("|V| = %d: K = %d, want %d", tc.n, got, tc.k)
+		}
+	}
+}
+
 // The flat layered graph (proxy rewiring, no shortcuts) must be message-
 // equivalent to the original graph: batch runs agree on original vertices.
 func TestFlatGraphEquivalence(t *testing.T) {

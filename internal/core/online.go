@@ -40,15 +40,12 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 	ph.Time("layered-update", func() { d = l.layeredUpdate(applied) })
 	st.Activations += d.shortcutActivations
 	st.SubgraphsParallel += d.parallelSubs
-	l.LastActs = map[string]int64{"layered-update": d.shortcutActivations}
-	before := st.Activations
 
 	if l.sr.Idempotent() {
 		l.updateMin(applied, d, ph, &st)
 	} else {
 		l.updateSum(applied, d, ph, &st)
 	}
-	l.LastActs["online"] = st.Activations - before
 	l.LastPhases = ph
 
 	// Layering-quality gauges (the stream drift controller's inputs).
@@ -60,11 +57,6 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 
 	st.Duration = time.Since(start)
 	st.PoolUtilization = pool.Utilization(poolBefore, l.pool.Stats(), st.Duration, l.pool.Size())
-	if l.opt.SelfCheck {
-		// All pool tasks are joined by now (each phase ends with a merge
-		// barrier), so the full-structure invariant scan is race-free.
-		l.LastCheck = l.CheckInvariants()
-	}
 	return st
 }
 
@@ -295,11 +287,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	offerVal := rawBuf(&sc.offerVal, n)
 	offerFrom := rawBuf(&sc.offerFrom, n)
 
-	actsMark := func(name string, before int64) int64 {
-		l.LastActs[name] = st.Activations - before
-		return st.Activations
-	}
-	mark := st.Activations
 	ph.Time("upload", func() {
 		// ⊥ cancellation: reset the dependency subtrees hanging off removed
 		// flat dependency edges, removed vertices, dead sources and rebuilt
@@ -397,7 +384,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 		}
 	})
-	mark = actsMark("upload", mark)
 
 	ph.Time("lup-iteration", func() {
 		run := l.lup
@@ -501,7 +487,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			}
 		}
 	})
-	mark = actsMark("lup-iteration", mark)
 
 	ph.Time("assignment", func() {
 		sc.changedUp.Reset(n)
@@ -592,8 +577,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			scHits += r.hits
 		}
 	})
-
-	actsMark("assignment", mark)
 
 	// Quality gauges: the touched set is every subgraph whose interior this
 	// update entered — upload work (structure-affected or reset-holding) plus

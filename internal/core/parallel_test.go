@@ -14,12 +14,13 @@ import (
 // replaySequence builds a Layph with the given worker count and replays a
 // fixed seeded update sequence (edge churn plus vertex add/del mixes),
 // returning the engine, a copy of its final states and the accumulated
-// stats. With selfCheck set it fails the test on the first post-barrier
-// invariant violation.
+// stats. With selfCheck set it runs CheckInvariants after every Update
+// (all pool tasks are joined by then) and fails the test on the first
+// violation.
 func replaySequence(t *testing.T, mk func() algo.Algorithm, workers int, seed int64, selfCheck bool) (*Layph, []float64, inc.Stats) {
 	t.Helper()
 	g := testGraph(seed)
-	l := New(g, mk(), Options{Workers: workers, SelfCheck: selfCheck})
+	l := New(g, mk(), Options{Workers: workers})
 	genr := delta.NewGenerator(seed * 31)
 	var total inc.Stats
 	batches := 4
@@ -37,9 +38,11 @@ func replaySequence(t *testing.T, mk func() algo.Algorithm, workers int, seed in
 		applied := delta.Apply(g, batch)
 		st := l.Update(applied)
 		total.Add(st)
-		if selfCheck && l.LastCheck != nil {
-			t.Fatalf("workers=%d seed=%d batch=%d: invariants violated after update: %v",
-				workers, seed, b, l.LastCheck)
+		if selfCheck {
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("workers=%d seed=%d batch=%d: invariants violated after update: %v",
+					workers, seed, b, err)
+			}
 		}
 	}
 	return l, append([]float64(nil), l.States()...), total
@@ -115,9 +118,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Invariants must hold after every parallel update: SelfCheck runs
-// CheckInvariants at the post-phase merge barrier, where no pool task is
-// in flight.
+// Invariants must hold after every parallel update: CheckInvariants runs
+// once Update returns, at the post-phase merge barrier where no pool task
+// is in flight.
 func TestInvariantsAfterParallelUpdate(t *testing.T) {
 	for name, mk := range map[string]func() algo.Algorithm{
 		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },

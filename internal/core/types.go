@@ -227,7 +227,7 @@ type proxyKey struct {
 // Options configures layered-graph construction and the online engine.
 type Options struct {
 	// Community configures dense-subgraph discovery; MaxSize is the paper's
-	// K (0 lets Build pick ~0.1% of |V|, clamped to [8, 4096]).
+	// K (0 lets New pick ~0.1% of |V|, clamped to [64, 4096]).
 	Community community.Config
 	// ReplicationThreshold is R: an external vertex with at least R parallel
 	// edges into/out of one subgraph is replicated as a proxy (default 3).
@@ -240,13 +240,6 @@ type Options struct {
 	// (upload fixpoints, shortcut deduction, assignment replay)
 	// concurrently. Workers=1 is strictly sequential.
 	Workers int
-	// Tolerance overrides the algorithm's message-significance threshold.
-	Tolerance float64
-	// SelfCheck makes every Update run CheckInvariants once after the
-	// final merge barrier (all pool tasks joined) and record the result
-	// in LastCheck. Testing/debugging aid; costs a full structure scan
-	// per update.
-	SelfCheck bool
 	// AdaptiveCommunities makes every Update run the incremental community
 	// adjustment (community.AdjustDetailed) on the applied batch and migrate
 	// dense-subgraph membership to follow the partition — subgraph splits
@@ -342,15 +335,9 @@ type Layph struct {
 	evaluations, builds int64
 
 	// OfflineStats records construction + initial batch run cost (Fig 11b);
-	// LastPhases records the most recent Update's per-phase runtime (Fig 7);
-	// LastActs records the per-phase edge activations of the last Update.
+	// LastPhases records the most recent Update's per-phase runtime (Fig 7).
 	OfflineStats OfflineStats
 	LastPhases   *metrics.Phases
-	LastActs     map[string]int64
-	// LastCheck is the result of the post-update invariant check when
-	// Options.SelfCheck is set (nil = structure valid after the last
-	// Update's merge barrier).
-	LastCheck error
 }
 
 // NoHost marks non-proxy vertices in proxyHost.

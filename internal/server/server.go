@@ -468,35 +468,11 @@ type engineMetrics struct {
 	BoundaryPins int64 `json:"boundary_pins,omitempty"`
 }
 
-// relayerMetrics is the JSON shape of stream.RelayerMetrics — the adaptive
-// re-layering drift controller (see stream.RelayerConfig).
-type relayerMetrics struct {
-	FullRelayers     int64   `json:"full_relayers"`
-	InFlight         bool    `json:"in_flight"`
-	ReplayedBatches  int64   `json:"replayed_batches"`
-	TouchedRatioEWMA float64 `json:"touched_ratio_ewma"`
-	ShortcutHitEWMA  float64 `json:"shortcut_hit_ewma"`
-	SkeletonFraction float64 `json:"skeleton_fraction"`
-	SkeletonBaseline float64 `json:"skeleton_baseline"`
-	MembershipMoves  int64   `json:"membership_moves"`
-	LiveCommunities  int     `json:"live_communities,omitempty"`
-	CommunityIDs     int     `json:"community_ids,omitempty"`
-	LastSwapSeq      uint64  `json:"last_swap_seq"`
-	LastTrigger      string  `json:"last_trigger,omitempty"`
-}
-
-// walMetrics is the JSON shape of wal.Stats.
+// walMetrics is the /metrics wal block: the log's own counters plus the
+// stream's count of batches it could not log.
 type walMetrics struct {
-	Policy            string  `json:"policy"`
-	Batches           int64   `json:"batches"`
-	Updates           int64   `json:"updates"`
-	Bytes             int64   `json:"bytes"`
-	Fsyncs            int64   `json:"fsyncs"`
-	Checkpoints       int64   `json:"checkpoints"`
-	LastCheckpointSeq uint64  `json:"last_checkpoint_seq"`
-	CheckpointSeconds float64 `json:"checkpoint_seconds"`
-	Failures          int64   `json:"failures"`
-	LogFailures       int64   `json:"log_failures"`
+	wal.Stats
+	LogFailures int64 `json:"log_failures"`
 }
 
 // metricsResponse summarizes daemon and stream health.
@@ -520,7 +496,7 @@ type metricsResponse struct {
 	Shards []shard.Info `json:"shards,omitempty"`
 	// Relayer appears only when the stream runs the adaptive re-layering
 	// controller (StreamConfig.Relayer).
-	Relayer *relayerMetrics `json:"relayer,omitempty"`
+	Relayer *stream.RelayerMetrics `json:"relayer,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -562,36 +538,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if src := s.shards.Load(); src != nil {
 		resp.Shards = (*src).ShardInfos()
 	}
-	if rl := m.Relayer; rl.Enabled {
-		resp.Relayer = &relayerMetrics{
-			FullRelayers:     rl.FullRelayers,
-			InFlight:         rl.InFlight,
-			ReplayedBatches:  rl.ReplayedBatches,
-			TouchedRatioEWMA: rl.TouchedRatioEWMA,
-			ShortcutHitEWMA:  rl.ShortcutHitEWMA,
-			SkeletonFraction: rl.SkeletonFraction,
-			SkeletonBaseline: rl.SkeletonBaseline,
-			MembershipMoves:  rl.MembershipMoves,
-			LiveCommunities:  rl.LiveCommunities,
-			CommunityIDs:     rl.CommunityIDs,
-			LastSwapSeq:      rl.LastSwapSeq,
-			LastTrigger:      rl.LastTrigger,
-		}
+	if m.Relayer.Enabled {
+		resp.Relayer = &m.Relayer
 	}
 	if l := s.wal.Load(); l != nil {
-		ws := l.Stats()
-		resp.WAL = &walMetrics{
-			Policy:            ws.Policy,
-			Batches:           ws.Batches,
-			Updates:           ws.Updates,
-			Bytes:             ws.Bytes,
-			Fsyncs:            ws.Fsyncs,
-			Checkpoints:       ws.Checkpoints,
-			LastCheckpointSeq: ws.LastCheckpointSeq,
-			CheckpointSeconds: ws.CheckpointSeconds,
-			Failures:          ws.Failures,
-			LogFailures:       m.LogFailures,
-		}
+		resp.WAL = &walMetrics{Stats: l.Stats(), LogFailures: m.LogFailures}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

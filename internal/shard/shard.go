@@ -63,24 +63,18 @@ type Options struct {
 	Threads int
 	// Community tunes the Louvain detection used to pack shards.
 	Community community.Config
-	// MaxRounds caps the boundary-exchange rounds per batch (0 = 1000).
-	// Exceeding it panics: it means the exchange failed to reach a global
-	// fixpoint, which would otherwise serve silently wrong states.
-	MaxRounds int
 }
+
+// maxRounds caps the boundary-exchange rounds per batch. Exceeding it
+// panics: it means the exchange failed to reach a global fixpoint, which
+// would otherwise serve silently wrong states.
+const maxRounds = 1000
 
 func (o Options) shards() int {
 	if o.Shards < 1 {
 		return 1
 	}
 	return o.Shards
-}
-
-func (o Options) maxRounds() int {
-	if o.MaxRounds > 0 {
-		return o.MaxRounds
-	}
-	return 1000
 }
 
 // Info is a point-in-time summary of one shard, exposed via /metrics.
@@ -337,8 +331,8 @@ func (gr *Group) exchange(applied *delta.Applied, subs []*delta.Applied, cur [][
 				break
 			}
 		}
-		if rounds >= gr.opt.maxRounds() {
-			panic(fmt.Sprintf("shard: boundary exchange did not reach a fixpoint within %d rounds", gr.opt.maxRounds()))
+		if rounds >= maxRounds {
+			panic(fmt.Sprintf("shard: boundary exchange did not reach a fixpoint within %d rounds", maxRounds))
 		}
 		var wg sync.WaitGroup
 		for s := 0; s < gr.k; s++ {

@@ -43,13 +43,6 @@ type RelayerConfig struct {
 	// re-layer compacts them; engines expose the gauge via
 	// CommunityStats() (live, ids int).
 	DeadCommunityFraction float64
-	// MinShortcutHitRate, when positive, triggers when the EWMA shortcut
-	// hit rate (improving replays / replays, idempotent schemes) falls
-	// below it. Default 0 = disabled; the hit rate is primarily a
-	// diagnostic.
-	MinShortcutHitRate float64
-	// Alpha is the EWMA smoothing factor (0 = 0.2).
-	Alpha float64
 	// MinBatches is the cooldown: applied batches that must pass after a
 	// (re)build before the next trigger evaluation (0 = 16).
 	MinBatches int
@@ -75,9 +68,6 @@ func (c RelayerConfig) withDefaults() RelayerConfig {
 	if c.DeadCommunityFraction == 0 {
 		c.DeadCommunityFraction = 0.5
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.2
-	}
 	if c.MinBatches == 0 {
 		c.MinBatches = 16
 	}
@@ -87,34 +77,39 @@ func (c RelayerConfig) withDefaults() RelayerConfig {
 	return c
 }
 
-// RelayerMetrics is the /metrics-visible state of the drift controller.
+// relayerAlpha is the smoothing factor of the quality-signal EWMAs.
+const relayerAlpha = 0.2
+
+// RelayerMetrics is the state of the drift controller; the json tags name
+// the keys of the /metrics "relayer" block.
 type RelayerMetrics struct {
-	// Enabled reports whether a relayer is configured on the stream.
-	Enabled bool
+	// Enabled reports whether a relayer is configured on the stream
+	// (/metrics shows the block only then).
+	Enabled bool `json:"-"`
 	// FullRelayers counts completed background re-layer swaps; InFlight
 	// reports a build currently running.
-	FullRelayers int64
-	InFlight     bool
+	FullRelayers int64 `json:"full_relayers"`
+	InFlight     bool  `json:"in_flight"`
 	// ReplayedBatches counts micro-batches replayed onto fresh engines
 	// before their swaps (cumulative).
-	ReplayedBatches int64
+	ReplayedBatches int64 `json:"replayed_batches"`
 	// TouchedRatioEWMA / ShortcutHitEWMA are the smoothed quality signals;
 	// SkeletonFraction is the last observed raw value and SkeletonBaseline
 	// the post-(re)layer reference it is compared against.
-	TouchedRatioEWMA float64
-	ShortcutHitEWMA  float64
-	SkeletonFraction float64
-	SkeletonBaseline float64
+	TouchedRatioEWMA float64 `json:"touched_ratio_ewma"`
+	ShortcutHitEWMA  float64 `json:"shortcut_hit_ewma"`
+	SkeletonFraction float64 `json:"skeleton_fraction"`
+	SkeletonBaseline float64 `json:"skeleton_baseline"`
 	// MembershipMoves accumulates the engine's adaptive migration count.
-	MembershipMoves int64
+	MembershipMoves int64 `json:"membership_moves"`
 	// LiveCommunities / CommunityIDs mirror the engine's CommunityStats at
 	// the last trigger evaluation (0/0 when the engine does not expose it).
-	LiveCommunities int
-	CommunityIDs    int
+	LiveCommunities int `json:"live_communities,omitempty"`
+	CommunityIDs    int `json:"community_ids,omitempty"`
 	// LastSwapSeq is the snapshot sequence the latest swap landed on;
 	// LastTrigger names the threshold that fired it.
-	LastSwapSeq uint64
-	LastTrigger string
+	LastSwapSeq uint64 `json:"last_swap_seq"`
+	LastTrigger string `json:"last_trigger,omitempty"`
 }
 
 type relayerResult struct {
@@ -161,14 +156,13 @@ func (s *Stream) relayerStep(batch delta.Batch, st inc.Stats, applied bool, snap
 	}
 	if applied {
 		rl.sinceBuild++
-		a := rl.cfg.Alpha
 		if !rl.ewmaSeeded {
 			rl.ewmaSeeded = true
 			rl.m.TouchedRatioEWMA = st.TouchedSubgraphRatio
 			rl.m.ShortcutHitEWMA = st.ShortcutHitRate
 		} else {
-			rl.m.TouchedRatioEWMA += a * (st.TouchedSubgraphRatio - rl.m.TouchedRatioEWMA)
-			rl.m.ShortcutHitEWMA += a * (st.ShortcutHitRate - rl.m.ShortcutHitEWMA)
+			rl.m.TouchedRatioEWMA += relayerAlpha * (st.TouchedSubgraphRatio - rl.m.TouchedRatioEWMA)
+			rl.m.ShortcutHitEWMA += relayerAlpha * (st.ShortcutHitRate - rl.m.ShortcutHitEWMA)
 		}
 		rl.m.SkeletonFraction = st.SkeletonFraction
 		if !rl.baseSeeded {
@@ -195,9 +189,6 @@ func (s *Stream) relayerMaybeTrigger() {
 	case rl.baseSeeded && rl.m.SkeletonBaseline > 0 &&
 		rl.m.SkeletonFraction > rl.m.SkeletonBaseline*rl.cfg.SkeletonGrowthFactor:
 		reason = "skeleton-growth"
-	case rl.cfg.MinShortcutHitRate > 0 && rl.ewmaSeeded &&
-		rl.m.ShortcutHitEWMA < rl.cfg.MinShortcutHitRate:
-		reason = "shortcut-hit-rate"
 	default:
 		if cs, ok := s.sys.(interface{ CommunityStats() (int, int) }); ok {
 			live, ids := cs.CommunityStats()

@@ -98,9 +98,6 @@ type Config struct {
 	QueueCap int
 	// Policy is the backpressure policy on a full queue (default Block).
 	Policy Policy
-	// Window is how many recent batches the rolling throughput/latency
-	// metrics cover (0 = 64).
-	Window int
 	// OnBatch, when non-nil, is invoked on the worker goroutine after
 	// each micro-batch is applied and its snapshot published. It must be
 	// fast; it stalls ingestion while it runs.
@@ -139,11 +136,12 @@ func (c Config) withDefaults() Config {
 			c.QueueCap = 65536
 		}
 	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
 	return c
 }
+
+// rollingWindow is how many recent batches the rolling throughput and
+// latency metrics cover.
+const rollingWindow = 64
 
 // Snapshot is an immutable, consistent view of the system state between
 // micro-batches. States must not be mutated by readers.
@@ -255,7 +253,7 @@ func New(g *graph.Graph, sys inc.System, cfg Config) *Stream {
 		g: g, sys: sys, cfg: cfg,
 		in:     make(chan item, cfg.QueueCap),
 		done:   make(chan struct{}),
-		window: metrics.NewRolling(cfg.Window),
+		window: metrics.NewRolling(rollingWindow),
 		agg:    cfg.StartStats,
 	}
 	if cfg.Relayer != nil && cfg.Relayer.Build != nil {

@@ -149,25 +149,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time summary of WAL activity.
+// Stats is a point-in-time summary of WAL activity; the json tags name
+// the keys of the /metrics "wal" block.
 type Stats struct {
 	// Batches/Updates/Bytes count appended records, the unit updates in
 	// them, and the framed bytes written.
-	Batches, Updates, Bytes int64
+	Batches int64 `json:"batches"`
+	Updates int64 `json:"updates"`
+	Bytes   int64 `json:"bytes"`
 	// Fsyncs counts fdatasync calls on the live segment.
-	Fsyncs int64
+	Fsyncs int64 `json:"fsyncs"`
 	// Checkpoints counts checkpoints cut (including the Start one) and
 	// LastCheckpointSeq is the seq of the newest, both counted when the
 	// cut happens, before a background write makes it durable.
 	// CheckpointSeconds is the cumulative wall-clock time spent writing
 	// checkpoint files (the cut's own cost shows in AfterBatch).
-	Checkpoints       int64
-	LastCheckpointSeq uint64
-	CheckpointSeconds float64
+	Checkpoints       int64   `json:"checkpoints"`
+	LastCheckpointSeq uint64  `json:"last_checkpoint_seq"`
+	CheckpointSeconds float64 `json:"checkpoint_seconds"`
 	// Failures counts append/checkpoint errors surfaced to the stream.
-	Failures int64
+	Failures int64 `json:"failures"`
 	// Policy echoes the configured fsync policy.
-	Policy string
+	Policy string `json:"policy"`
 }
 
 // Log is the append side of the durability layer. It implements the

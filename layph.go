@@ -152,7 +152,8 @@ type Config struct {
 	// rounding level. Across different Threads values, results agree
 	// within the algorithm's convergence tolerance.
 	Threads int
-	// MaxCommunitySize is the paper's K (0 = ~0.1% of |V|).
+	// MaxCommunitySize is the paper's K (0 = ~0.1% of |V|, clamped to
+	// [64, 4096]).
 	MaxCommunitySize int
 	// ReplicationThreshold is the paper's R (0 = 3).
 	ReplicationThreshold int
@@ -250,17 +251,6 @@ type RelayerConfig = stream.RelayerConfig
 // and the /metrics "relayer" block).
 type RelayerMetrics = stream.RelayerMetrics
 
-// LayphRelayer returns a RelayerConfig whose Build hook performs a full
-// re-layer with NewLayph — fresh community detection (which compacts the
-// id space the incremental adjustment left gaps in), layer construction
-// and the initial run — using the given algorithm and engine config.
-// Thresholds are zero (defaults); override on the returned value.
-func LayphRelayer(a Algorithm, cfg Config) *RelayerConfig {
-	return &RelayerConfig{
-		Build: func(g *Graph) System { return NewLayph(g, a, cfg) },
-	}
-}
-
 // Backpressure policies for StreamConfig.Policy.
 const (
 	// BlockWhenFull makes Stream.Push wait for queue space (lossless).
@@ -300,7 +290,7 @@ type ShardConfig struct {
 	// Threads is the worker count of each shard engine (0 = GOMAXPROCS).
 	Threads int
 	// MaxCommunitySize caps community size for the shard packing
-	// (0 = the paper's default, ~0.1% of |V|).
+	// (0 = uncapped).
 	MaxCommunitySize int
 }
 
@@ -317,15 +307,6 @@ func NewShardedSystem(g *Graph, a Algorithm, cfg ShardConfig) *ShardedGroup {
 		Threads:   cfg.Threads,
 		Community: community.Config{MaxSize: cfg.MaxCommunitySize},
 	})
-}
-
-// NewShardedStream is NewStream over a sharded execution group: incoming
-// micro-batches are split by destination shard, the shard engines run
-// concurrently, and every published snapshot is the deterministic merge of
-// one global exchange round — so /query reads spanning shards are always
-// mutually consistent.
-func NewShardedStream(g *Graph, a Algorithm, cfg ShardConfig, scfg StreamConfig) *Stream {
-	return stream.New(g, NewShardedSystem(g, a, cfg), scfg)
 }
 
 // ParseUpdate parses one line of the text wire format used by `layph

@@ -57,7 +57,7 @@ func TestStreamedMatchesRestart10k(t *testing.T) {
 }
 
 // TestShardedStreamMatchesRestart pushes a seeded unit-update sequence
-// through layph.NewShardedStream (4 community-aware shards) and checks
+// through NewStream over NewShardedSystem (4 community-aware shards) and checks
 // the final snapshot against the from-scratch restart baseline, plus the
 // scatter-gather surface (Owner totality, per-shard infos).
 func TestShardedStreamMatchesRestart(t *testing.T) {
@@ -67,7 +67,7 @@ func TestShardedStreamMatchesRestart(t *testing.T) {
 	})
 	seq := NewBatchGenerator(19).UnitSequence(g, 3000, true)
 
-	st := NewShardedStream(g, SSSP(0), ShardConfig{Shards: 4, Threads: 1},
+	st := NewStream(g, NewShardedSystem(g, SSSP(0), ShardConfig{Shards: 4, Threads: 1}),
 		StreamConfig{MaxBatch: 300, MaxDelay: -1})
 	for _, u := range seq {
 		if err := st.Push(u); err != nil {

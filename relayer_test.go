@@ -40,7 +40,7 @@ func TestStreamRelayerSwapsUnderDrift(t *testing.T) {
 		Weighted: true, Seed: 11,
 	})
 	driver := g.Clone()
-	rc := LayphRelayer(SSSP(0), cfg)
+	rc := &RelayerConfig{Build: func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }}
 	rc.MinBatches = 2
 	rc.SkeletonGrowthFactor = 1.05
 	st := NewStream(g, NewLayph(g, SSSP(0), cfg), StreamConfig{
@@ -112,7 +112,7 @@ func TestStreamRelayerMinDeterminism(t *testing.T) {
 			Weighted: true, Seed: 31,
 		})
 		driver := g.Clone()
-		rc := LayphRelayer(SSSP(0), cfg)
+		rc := &RelayerConfig{Build: func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }}
 		rc.MinBatches = 1
 		rc.SkeletonGrowthFactor = 1.01
 		rc.SwapLagBatches = 2
