@@ -69,9 +69,12 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	// pending holds fresh revision messages not yet applied to any state;
 	// fromLocal holds boundary deltas the local upload runs already applied
 	// to their vertices (the skeleton run must propagate them without
-	// re-applying).
-	pending := floatBuf(&sc.pending, n)
-	fromLocal := floatBuf(&sc.fromLocal, n)
+	// re-applying). Both are zero between updates: seeds lists every slot
+	// this update writes, and the Lup seeding clears them through it.
+	pending := rawBuf(&sc.pending, n)
+	fromLocal := rawBuf(&sc.fromLocal, n)
+	seeds := &sc.sumSeeds
+	seeds.Reset(0)
 	// Entry caches (Equation 9) are deltas against the pre-update states:
 	// entries absorb both local-upload arrivals and skeleton arrivals, and
 	// the assignment phase replays their total delta through the
@@ -88,12 +91,14 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				for _, e := range old {
 					if m := xu * e.W; m != 0 {
 						pending[e.To] -= m
+						seeds.Add(e.To)
 						st.Activations++
 					}
 				}
 				for _, e := range l.flatOut[u] {
 					if m := xu * e.W; m != 0 {
 						pending[e.To] += m
+						seeds.Add(e.To)
 						st.Activations++
 					}
 				}
@@ -104,6 +109,7 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		}
 		for _, v := range applied.AddedVertices {
 			pending[v] += l.a.InitMessage(v)
+			seeds.Add(v)
 		}
 
 		// Local absorption: one fixpoint per affected subgraph consumes the
@@ -130,21 +136,28 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		for _, a := range acts {
 			st.Activations += a
 		}
+		// The uploads wrote fromLocal only at their subgraphs' members.
+		for _, s := range d.affectedSubs {
+			for _, v := range s.Local.ids {
+				if fromLocal[v] != 0 {
+					seeds.Add(v)
+				}
+			}
+		}
 	})
 
 	ph.Time("lup-iteration", func() {
 		any := false
-		for v := 0; v < n; v++ {
-			seed := pending[v] + fromLocal[v]
-			if seed == 0 {
-				continue
-			}
+		for _, v := range seeds.List {
 			// Only the already-applied part is backed out of the state; the
 			// run re-applies the whole seed, so fresh messages land once
 			// and local deltas land exactly once overall.
-			l.x[v] -= fromLocal[v]
-			l.lup.Seed(graph.VertexID(v), seed, engine.NoParent)
-			any = true
+			if seed := pending[v] + fromLocal[v]; seed != 0 {
+				l.x[v] -= fromLocal[v]
+				l.lup.Seed(v, seed, engine.NoParent)
+				any = true
+			}
+			pending[v], fromLocal[v] = 0, 0
 		}
 		if !any {
 			return

@@ -55,9 +55,12 @@ type updScratch struct {
 	resetSubs  scratch.Set
 	trigSubs   scratch.Set
 
-	// Sum-scheme O(n) vectors, re-zeroed (or re-copied) per update.
+	// Sum-scheme vectors: pending and fromLocal stay zero outside the
+	// slots sumSeeds lists, which updateSum clears; xPre is re-copied per
+	// update.
 	pending   []float64
 	fromLocal []float64
+	sumSeeds  scratch.Set
 	xPre      []float64
 	// offerVal and offerFrom hold the folded direct candidate of each
 	// offerSet member and its source; only members' slots are read.
@@ -134,18 +137,6 @@ func sameRow(a, b []engine.WEdge) bool {
 	return true
 }
 
-// floatBuf returns a zeroed n-sized view of one of the reusable vectors.
-func floatBuf(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n+n/2)
-	}
-	b := (*buf)[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
 // copyBuf returns a view of the buffer holding a copy of src.
 func copyBuf(buf *[]float64, src []float64) []float64 {
 	if cap(*buf) < len(src) {
@@ -157,7 +148,8 @@ func copyBuf(buf *[]float64, src []float64) []float64 {
 }
 
 // rawBuf returns an n-sized view of a reusable vector without clearing
-// it: callers write a slot before they read it.
+// it: callers write a slot before they read it, or keep the vector zero
+// by clearing what they write (a grown vector starts zeroed).
 func rawBuf[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n+n/2)

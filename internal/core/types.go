@@ -238,7 +238,10 @@ type Options struct {
 	// worker count of the global (Lup) iteration and the size of the
 	// shared pool that runs independent lower-layer subgraph tasks
 	// (upload fixpoints, shortcut deduction, assignment replay)
-	// concurrently. Workers=1 is strictly sequential.
+	// concurrently. Workers=1 is strictly sequential. A sum-scheme Lup run
+	// from a sparse start (every incremental batch in practice) is the
+	// engine's sequential worklist, identical for every Workers; the Lup
+	// workers serve min-scheme runs and dense sum starts.
 	Workers int
 	// AdaptiveCommunities makes every Update run the incremental community
 	// adjustment (community.AdjustDetailed) on the applied batch and migrate

@@ -17,6 +17,24 @@
 // incremental run costs in proportion to what it reaches rather than to the
 // frame. Run is its one-shot form for batch computations: it copies its
 // inputs and runs a fresh Runner.
+//
+// A run takes one of two schedules, chosen from its initial active set:
+//
+//   - Rounds: synchronous rounds over Workers goroutines. Every active
+//     vertex applies its pending message, the emitted messages are folded
+//     per destination behind a merge barrier, and the next round is the set
+//     of vertices still significant. Idempotent (min) runs always take it,
+//     and so does a sum run from a dense start — at least half the frame's
+//     vertices active, as in the batch computations from m0.
+//   - Worklist: a sum run from a sparse start (fewer than half the frame's
+//     vertices active) is one sequential in-place FIFO worklist, the
+//     accumulative scheduling of Maiter (Zhang et al., TPDS 2014). A
+//     message is added to its target's pending delta at once, and a queued
+//     vertex keeps folding what arrives until it is popped, so it moves a
+//     delta on without waiting a round for it. Workers does not apply.
+//
+// No option selects the schedule: a Runner and the one-shot Run given the
+// same inputs take the same one and agree bit for bit.
 package engine
 
 import (
@@ -102,9 +120,12 @@ const NoParent = graph.VertexID(math.MaxUint32)
 
 // Options tunes a Run.
 type Options struct {
-	// Workers is the parallelism degree (default GOMAXPROCS).
+	// Workers is the parallelism degree of a run in rounds (default
+	// GOMAXPROCS). A sum run from a sparse start is sequential whatever
+	// its value.
 	Workers int
-	// MaxRounds bounds the outer loop as a safety net (default 1_000_000).
+	// MaxRounds bounds the rounds — the worklist's queue generations — as a
+	// safety net (default 1_000_000).
 	MaxRounds int
 	// Tolerance is the message-significance threshold for non-idempotent
 	// semirings: pending aggregates with |m| <= Tolerance do not activate.
@@ -140,7 +161,9 @@ type Result struct {
 	// Activations counts F applications that emitted a non-zero message
 	// (the paper's "edge activations", Figures 1 and 6).
 	Activations int64
-	// Rounds is the number of synchronized propagation rounds executed.
+	// Rounds is the number of synchronized propagation rounds executed; on
+	// the worklist, the number of queue generations (the initial active
+	// set, then the vertices queued while the previous generation ran).
 	Rounds int
 	// Changed lists the vertices whose state changed, in first-change
 	// order. A Runner owns it until its next run.
@@ -179,11 +202,12 @@ func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
 
 // Runner runs the fixpoint in place on a caller's state vector and keeps
 // its working buffers — pending messages and their sources, per-worker
-// message buffers, epoch-stamped touched, changed and per-round seen sets —
-// across calls. Every buffer grows on demand and is cleared through what the
-// run touched, so a run costs time and memory in proportion to the vertices
-// it reaches, not to the frame. A Runner serves one semiring and one run at a
-// time; its zero value is not usable (NewRunner).
+// message buffers, epoch-stamped touched, changed and per-round seen sets,
+// the worklist's ring and queued flags — across calls. Every buffer grows
+// on demand and is cleared through what the run touched, so a run costs
+// time and memory in proportion to the vertices it reaches, not to the
+// frame. A Runner serves one semiring and one run at a time; its zero
+// value is not usable (NewRunner).
 //
 // A run starts from seeds: Seed folds a message, with the source that sent
 // it, into a vertex's pending message, and Activate puts a vertex in the
@@ -207,6 +231,10 @@ type Runner struct {
 	active    []graph.VertexID
 	bufs      []*msgBuffer
 	acts      []int64
+	// ring is the worklist's FIFO and queued its membership flags; both
+	// cover the largest frame served, and queued is false outside a run.
+	ring   []graph.VertexID
+	queued []bool
 }
 
 // NewRunner returns an empty Runner for semiring sr.
@@ -268,6 +296,10 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // semiring it requires a parent vector, so no caller sets it and silently
 // gets none.
 //
+// The schedule follows from the initial active set (see the package doc):
+// a non-idempotent run with fewer than half the frame's vertices active
+// runs as a worklist, every other run in rounds.
+//
 // Semantics per round: every active vertex applies its pending aggregated
 // message to its state with ⊕ (idempotent semirings keep the better value and
 // record the parent; non-idempotent ones accumulate the delta), then emits
@@ -275,6 +307,13 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // idempotent semirings and the applied delta otherwise. Messages are folded
 // per destination with ⊕ and the next active set is the set of vertices whose
 // pending aggregate is still significant.
+//
+// On the worklist, a popped vertex whose pending delta is no longer
+// significant is skipped (an activated vertex of the first generation is
+// not); otherwise it accumulates the delta into its state and adds
+// val ⊗ w to each target's pending delta, queueing a target that is not
+// queued once its delta turns significant. A run cut by MaxRounds drops
+// the deltas still in flight, as a cut run in rounds does.
 func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options) Result {
 	n := f.N()
 	if len(x) != n || (parent != nil && len(parent) != n) {
@@ -299,7 +338,29 @@ func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options
 			}
 		}
 	}
+	r.active = active[:0]
 
+	var res Result
+	if !r.idem && 2*len(active) < n {
+		res = r.worklist(f, x, active, opt)
+	} else {
+		res = r.rounds(f, x, parent, active, opt)
+	}
+
+	// Leave every buffer clean for the next run: a run cut by MaxRounds
+	// may still hold messages in flight.
+	for _, v := range r.touched.List {
+		r.pending[v] = r.zero
+	}
+	r.touched.Reset(0)
+	r.activated.Reset(0)
+	res.Changed = r.changed.List
+	return res
+}
+
+// rounds runs the fixpoint in synchronous rounds from active.
+func (r *Runner) rounds(f *Frame, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
+	n := f.N()
 	// The worker count is fixed by the initial active set, so the message
 	// folding order — and with it the whole run — is reproducible for a
 	// fixed opt.Workers.
@@ -364,16 +425,85 @@ func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options
 			}
 		}
 	}
-
-	// Leave every buffer clean for the next run: a run cut by MaxRounds
-	// may still hold messages in flight.
-	for _, v := range r.touched.List {
-		r.pending[v] = r.zero
-	}
-	r.touched.Reset(0)
-	r.activated.Reset(0)
 	r.active = active[:0]
-	res.Changed = r.changed.List
+	return res
+}
+
+// worklist runs a sum-semiring fixpoint from a sparse active set as one
+// in-place FIFO worklist. When active is the explicit Activate set, its
+// vertices apply their pending delta however small.
+func (r *Runner) worklist(f *Frame, x []float64, active []graph.VertexID, opt Options) Result {
+	n := f.N()
+	forced := len(r.activated.List) > 0
+	if len(r.ring) < n {
+		r.ring = make([]graph.VertexID, n+n/2)
+		r.queued = make([]bool, n+n/2)
+	}
+	ring, queued, pending := r.ring[:n], r.queued, r.pending
+	tol, maxRounds := opt.Tolerance, opt.maxRounds()
+	head, size := 0, copy(ring, active)
+	for _, v := range active {
+		queued[v] = true
+	}
+
+	var res Result
+	// gen counts the pops left in the current queue generation.
+	for gen := 0; size > 0; {
+		if gen == 0 {
+			if res.Rounds == maxRounds {
+				break
+			}
+			res.Rounds++
+			gen = size
+		}
+		v := ring[head]
+		if head++; head == n {
+			head = 0
+		}
+		size--
+		gen--
+		queued[v] = false
+		val := pending[v]
+		if math.Abs(val) <= tol && !(forced && res.Rounds == 1) {
+			continue
+		}
+		pending[v] = 0
+		x[v] += val
+		if val == 0 {
+			continue
+		}
+		r.changed.Add(v)
+		for _, e := range f.Out[v] {
+			msg := val * e.W
+			if msg == 0 {
+				continue
+			}
+			res.Activations++
+			// A non-zero pending delta is already in touched.
+			p := pending[e.To]
+			if p == 0 {
+				r.touched.Add(e.To)
+			}
+			p += msg
+			pending[e.To] = p
+			if math.Abs(p) > tol && !queued[e.To] {
+				queued[e.To] = true
+				tail := head + size
+				if tail >= n {
+					tail -= n
+				}
+				ring[tail] = e.To
+				size++
+			}
+		}
+	}
+	// A run cut by MaxRounds leaves vertices queued.
+	for ; size > 0; size-- {
+		queued[ring[head]] = false
+		if head++; head == n {
+			head = 0
+		}
+	}
 	return res
 }
 

@@ -152,6 +152,82 @@ func TestRunnerTrackParentsNeedsVector(t *testing.T) {
 	r.Run(f, x, nil, Options{TrackParents: true})
 }
 
+// TestSparseSumRunIsWorklist pins the schedule choice of a sum run: one
+// seed on a converged PageRank state is a sparse start and runs as the
+// in-place worklist, while the same seed with every vertex activated is a
+// dense start and runs in rounds (the activations add no message: every
+// other pending delta is zero). Both must reach the same fixpoint within
+// what the tolerance leaves behind, and the worklist, which folds late
+// deltas into queued vertices instead of moving each on a round later,
+// must spend strictly fewer activations.
+func TestSparseSumRunIsWorklist(t *testing.T) {
+	const n, d, tol = 2000, 0.85, 1e-9
+	a := algo.NewPageRank(d, tol)
+	sr := a.Semiring()
+	g := randomFrameGraph(9, n)
+	f := BuildFrame(g, a)
+	x0, m0 := InitVectors(g, a)
+	conv := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tol}).X
+
+	run := func(dense bool) ([]float64, Result) {
+		x := append([]float64(nil), conv...)
+		r := NewRunner(sr)
+		r.Seed(17, 0.5, NoParent)
+		if dense {
+			r.Activate(17)
+			for v := 0; v < n; v++ {
+				r.Activate(graph.VertexID(v))
+			}
+		}
+		return x, r.Run(f, x, nil, Options{Workers: 2, Tolerance: tol})
+	}
+	xs, sparse := run(false)
+	xd, dense := run(true)
+	// Each run stops with every pending delta at most tol; a unit of
+	// undelivered delta is worth at most 1/(1-d) of state, so each run is
+	// within n·tol/(1-d) of the fixpoint and the two within twice that.
+	if bound := 2 * n * tol / (1 - d); !algo.StatesClose(xs, xd, bound) {
+		t.Fatalf("worklist and rounds differ by %v, bound %v", algo.MaxStateDiff(xs, xd), bound)
+	}
+	if sparse.Activations >= dense.Activations {
+		t.Fatalf("sparse start spent %d activations, rounds %d: want strictly fewer", sparse.Activations, dense.Activations)
+	}
+	t.Logf("activations %d (worklist) vs %d (rounds); rounds %d vs %d", sparse.Activations, dense.Activations, sparse.Rounds, dense.Rounds)
+}
+
+// TestWorklistMaxRounds pins MaxRounds on the worklist: a damping-1 PHP
+// cycle seeded at one vertex never converges, and each queue generation
+// holds the one vertex the delta has reached. The run must stop after
+// exactly MaxRounds generations with the delta still in flight, and leave
+// the Runner clean: its next run matches a fresh Runner's.
+func TestWorklistMaxRounds(t *testing.T) {
+	const n, maxRounds = 16, 50
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n), 1)
+	}
+	a := algo.NewPHP(0, 1.0, 0)
+	sr := a.Semiring()
+	f := BuildFrame(g, a)
+	r := NewRunner(sr)
+	x := make([]float64, n)
+	r.Seed(0, 1, NoParent)
+	res := r.Run(f, x, nil, Options{MaxRounds: maxRounds})
+	if res.Rounds != maxRounds || res.Activations != maxRounds {
+		t.Fatalf("cut run: %d rounds, %d activations; want %d of each", res.Rounds, res.Activations, maxRounds)
+	}
+
+	next := runnerCase{f: f, x0: make([]float64, n), m0: make([]float64, n)}
+	next.m0[5] = 0.25
+	opt := Options{MaxRounds: 3}
+	xr, _, got := runReused(r, sr, next, opt)
+	xf, _, want := runReused(NewRunner(sr), sr, next, opt)
+	if !sameBits(xr, xf) || !slices.Equal(got.Changed, want.Changed) ||
+		got.Activations != want.Activations || got.Rounds != want.Rounds {
+		t.Fatalf("reused runner after a cut run: x %v %+v, fresh runner: x %v %+v", xr, got, xf, want)
+	}
+}
+
 // BenchmarkRunner measures the overhead case of an in-place run: a 70k
 // vertex frame and one active vertex whose messages improve nothing. The
 // reused Runner's cost is the vertex's row; the one-shot Run pays for the
@@ -171,6 +247,28 @@ func BenchmarkRunner(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r.Activate(graph.VertexID(i % n))
 			r.Run(f, x, parent, Options{Workers: 1})
+		}
+	})
+	// The sum case: one seed on a converged PageRank state, a sparse start
+	// the worklist runs. Its ring and queued flags are frame-sized and
+	// reused, so a steady-state run allocates nothing.
+	b.Run("pagerank-reused", func(b *testing.B) {
+		a := algo.NewPageRank(0.85, 1e-6)
+		sr := a.Semiring()
+		f := BuildFrame(g, a)
+		x0, m0 := InitVectors(g, a)
+		x := Run(f, sr, x0, m0, Options{Tolerance: a.Tolerance()}).X
+		r := NewRunner(sr)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Alternate the sign so the state does not drift.
+			m := 0.01
+			if i%2 == 1 {
+				m = -m
+			}
+			r.Seed(graph.VertexID(i/2%n), m, NoParent)
+			r.Run(f, x, nil, Options{Tolerance: a.Tolerance()})
 		}
 	})
 	b.Run("oneshot", func(b *testing.B) {

@@ -150,7 +150,9 @@ type Config struct {
 	// agree within StatesClose tolerance: floating-point accumulation
 	// order inside the multi-worker global iteration may differ at
 	// rounding level. Across different Threads values, results agree
-	// within the algorithm's convergence tolerance.
+	// within the algorithm's convergence tolerance. A sum-semiring global
+	// iteration from a sparse start (an incremental batch's) is the
+	// engine's sequential worklist, identical for every Threads.
 	Threads int
 	// MaxCommunitySize is the paper's K (0 = ~0.1% of |V|, clamped to
 	// [64, 4096]).
