@@ -14,7 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
 	"layph/internal/algo"
 	"layph/internal/bench"
@@ -51,12 +54,86 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.StringVar(&ef.preset, "preset", "UK", "generated preset: UK, IT, SK, WB")
 	fs.Float64Var(&ef.scale, "scale", 0.25, "preset scale factor")
 	fs.StringVar(&ef.algoName, "algo", "sssp", "sssp | bfs | cc | pagerank | php")
-	fs.StringVar(&ef.system, "system", "layph", "layph | ingress | kickstarter | risgraph | graphbolt | dzig | restart")
+	fs.StringVar(&ef.system, "system", "layph", "layph | layph-norepl | ingress | kickstarter | risgraph | graphbolt | dzig | restart")
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
 	fs.IntVar(&ef.threads, "threads", 0, "worker threads (0 = GOMAXPROCS)")
 	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
 	fs.BoolVar(&ef.adaptive, "adaptive", false, "adaptive community migration: split/merge subgraphs incrementally on every update (requires -system layph, unsharded)")
 	return ef
+}
+
+// algorithms maps each -algo value to its constructor.
+var algorithms = map[string]func(source graph.VertexID) algo.Algorithm{
+	"sssp":     func(s graph.VertexID) algo.Algorithm { return algo.NewSSSP(s) },
+	"bfs":      func(s graph.VertexID) algo.Algorithm { return algo.NewBFS(s) },
+	"cc":       func(graph.VertexID) algo.Algorithm { return algo.NewCC() },
+	"pagerank": func(graph.VertexID) algo.Algorithm { return algo.NewPageRank(0.85, 1e-6) },
+	"php":      func(s graph.VertexID) algo.Algorithm { return algo.NewPHP(s, 0.8, 1e-6) },
+}
+
+// systems maps each -system value to the algorithm schemes it runs:
+// KickStarter and RisGraph are min-only, GraphBolt and DZiG sum-only.
+var systems = map[bench.SystemKind]struct{ min, sum bool }{
+	bench.Layph:       {true, true},
+	bench.LayphNoRepl: {true, true},
+	bench.Ingress:     {true, true},
+	bench.Restart:     {true, true},
+	bench.KickStarter: {true, false},
+	bench.RisGraph:    {true, false},
+	bench.GraphBolt:   {false, true},
+	bench.DZiG:        {false, true},
+}
+
+// validate rejects flag values the engines cannot run, before any graph is
+// loaded: an unknown -algo, -system or -preset, a system that does not
+// support the algorithm's scheme, and -adaptive outside unsharded Layph.
+func (ef *engineFlags) validate() error {
+	mk, ok := algorithms[ef.algoName]
+	if !ok {
+		return fmt.Errorf("unknown -algo %q (want one of: %s)", ef.algoName, oneOf(slices.Sorted(maps.Keys(algorithms))))
+	}
+	if ef.graphPath == "" && !slices.Contains(gen.AllPresets, gen.Preset(ef.preset)) {
+		return fmt.Errorf("unknown -preset %q (want one of: %s)", ef.preset, oneOf(gen.AllPresets))
+	}
+	kind := bench.SystemKind(ef.system)
+	sys, ok := systems[kind]
+	if !ok {
+		return fmt.Errorf("unknown -system %q (want one of: %s)", ef.system, oneOf(slices.Sorted(maps.Keys(systems))))
+	}
+	if ef.adaptive && ef.shards > 1 {
+		return fmt.Errorf("-adaptive is not supported with -shards")
+	}
+	if ef.adaptive && kind != bench.Layph {
+		return fmt.Errorf("-adaptive requires -system layph")
+	}
+	if ef.shards > 1 {
+		return nil // -shards overrides -system
+	}
+	if idem := mk(0).Semiring().Idempotent(); idem && !sys.min || !idem && !sys.sum {
+		scheme := "sum"
+		if idem {
+			scheme = "min"
+		}
+		return fmt.Errorf("-system %s does not run %s-scheme algorithms such as -algo %s", ef.system, scheme, ef.algoName)
+	}
+	return nil
+}
+
+// oneOf lists a flag's valid values for an error message.
+func oneOf[S ~string](vals []S) string {
+	names := make([]string, len(vals))
+	for i, v := range vals {
+		names[i] = string(v)
+	}
+	return strings.Join(names, ", ")
+}
+
+// mustValidate exits with status 2 on a flag value validate rejects.
+func (ef *engineFlags) mustValidate() {
+	if err := ef.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 }
 
 // build loads the selected graph, prints its stats, and constructs the
@@ -84,17 +161,9 @@ func (ef *engineFlags) loadGraph() *graph.Graph {
 func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
 	if ef.shards > 1 {
-		if ef.adaptive {
-			fmt.Fprintln(os.Stderr, "-adaptive is not supported with -shards")
-			os.Exit(2)
-		}
 		return shard.New(g, mk(), shard.Options{Shards: ef.shards, Threads: ef.threads}), nil
 	}
 	if ef.adaptive {
-		if bench.SystemKind(ef.system) != bench.Layph {
-			fmt.Fprintln(os.Stderr, "-adaptive requires -system layph")
-			os.Exit(2)
-		}
 		l := core.New(g, mk(), core.Options{Workers: ef.threads, AdaptiveCommunities: true})
 		return l, l
 	}
@@ -112,6 +181,7 @@ func runMain(args []string) {
 		seed      = fs.Int64("seed", 42, "update stream seed")
 	)
 	fs.Parse(args)
+	ef.mustValidate()
 
 	g, sys, layered := ef.build()
 	if layered != nil {
@@ -137,25 +207,9 @@ func runMain(args []string) {
 }
 
 // makeAlgo returns a factory for the named workload (systems must not
-// share algorithm instances).
+// share algorithm instances); validate has checked the name.
 func makeAlgo(name string, source graph.VertexID) bench.AlgoMaker {
-	return func() algo.Algorithm {
-		switch name {
-		case "sssp":
-			return algo.NewSSSP(source)
-		case "bfs":
-			return algo.NewBFS(source)
-		case "cc":
-			return algo.NewCC()
-		case "pagerank":
-			return algo.NewPageRank(0.85, 1e-6)
-		case "php":
-			return algo.NewPHP(source, 0.8, 1e-6)
-		}
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", name)
-		os.Exit(2)
-		return nil
-	}
+	return func() algo.Algorithm { return algorithms[name](source) }
 }
 
 func loadGraph(path, preset string, scale float64) (*graph.Graph, error) {

@@ -62,6 +62,7 @@ func serveMain(args []string) {
 		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "fsync period for -fsync interval")
 	)
 	fs.Parse(args)
+	ef.mustValidate()
 
 	if *listen == "" && *input == "" && *randN <= 0 {
 		fmt.Fprintln(os.Stderr, "serve: need -input FILE, -input -, -rand N, or -listen ADDR")

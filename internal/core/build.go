@@ -177,8 +177,8 @@ func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
 
 // subgraphTask is one subgraph's share of a shortcut fan-out: it may fan
 // out over the subgraph's entries when parallelEntries is set, appends the
-// entries whose shortcut lists it re-derived to listed, and returns the F
-// applications spent.
+// entries whose skeleton rows its shortcut changes made stale to listed,
+// and returns the F applications spent.
 type subgraphTask func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64)
 
 // forSubgraphs runs task over subs on the worker pool and merges the

@@ -204,7 +204,7 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 		return fmt.Errorf("sub %d: frame does not cover the members", c)
 	}
 	k := lf.size()
-	if len(s.scVec) != k || len(s.scToB) != k || len(s.scToI) != k {
+	if len(s.scVec) != k {
 		return fmt.Errorf("sub %d: shortcut storage not frame-sized", c)
 	}
 	edges, absorbing := 0, 0
@@ -234,21 +234,11 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 					return err
 				}
 			}
-			for _, e := range s.scToB[ci] {
-				if t, ok := l.compactID(s, e.To); !ok || (e.To != v && l.role[e.To] == RoleInternal) {
-					return fmt.Errorf("sub %d: boundary shortcut (%d,%d) targets slot %d of role %v", c, v, e.To, t, l.role[e.To])
-				}
-			}
-			for _, e := range s.scToI[ci] {
-				if t, ok := l.compactID(s, e.To); !ok || l.role[e.To] != RoleInternal {
-					return fmt.Errorf("sub %d: internal shortcut (%d,%d) targets slot %d of role %v", c, v, e.To, t, l.role[e.To])
-				}
-			}
 		} else {
 			if !sameEdges(lf.absorbOut[ci], lf.out[ci]) {
 				return fmt.Errorf("sub %d: absorbing row of non-entry %d differs from its frame row", c, v)
 			}
-			if s.scVec[ci] != nil || len(s.scToB[ci])+len(s.scToI[ci]) != 0 {
+			if s.scVec[ci] != nil {
 				return fmt.Errorf("sub %d: non-entry %d has shortcuts", c, v)
 			}
 			absorbing += len(lf.absorbOut[ci])

@@ -362,12 +362,25 @@ func TestRemoveThenReviveProxyHost(t *testing.T) {
 // of state an in-place edit has to keep in step, and expects
 // CheckInvariants to report it.
 func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
+	// slot returns the first shortcut slot of entry cu's vector in s whose
+	// member is another boundary vertex (internal false) or an internal
+	// vertex (internal true), or -1.
+	slot := func(l *Layph, s *Subgraph, cu int32, internal bool) int {
+		vec := s.scVec[cu]
+		for c := range vec {
+			if c != int(cu) && l.isShortcut(vec, int(cu), c) && (l.role[s.Local.ids[c]] == RoleInternal) == internal {
+				return c
+			}
+		}
+		return -1
+	}
 	// pick returns block 2's subgraph, one of its entries with a non-empty
-	// frame row and boundary shortcuts, and one internal member.
+	// frame row and shortcuts to both boundary and internal members, and
+	// one internal member.
 	pick := func(l *Layph) (s *Subgraph, entry, internal graph.VertexID) {
 		s = l.subs[l.subOf[13]]
 		for _, v := range s.Entries {
-			if cu := l.localIdx[v]; len(s.Local.out[cu]) > 0 && len(s.scToB[cu]) > 0 && len(s.scToI[cu]) > 0 {
+			if cu := l.localIdx[v]; len(s.Local.out[cu]) > 0 && slot(l, s, cu, false) >= 0 && slot(l, s, cu, true) >= 0 {
 				entry = v
 			}
 		}
@@ -407,21 +420,17 @@ func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
 			s, _, v := pick(l)
 			s.scVec[l.localIdx[v]] = make([]float64, s.Local.size())
 		},
-		"internal shortcut to a boundary vertex": func(l *Layph) {
+		"skeleton row off its shortcut vector": func(l *Layph) {
+			// A boundary slot moves but upOut is not refreshed: the up-row
+			// check must catch the stale skeleton edge.
 			s, u, _ := pick(l)
 			cu := l.localIdx[u]
-			s.scToI[cu] = append(slices.Clone(s.scToI[cu]), s.scToB[cu][0])
-		},
-		"boundary shortcut to an internal vertex": func(l *Layph) {
-			s, u, _ := pick(l)
-			cu := l.localIdx[u]
-			s.scToB[cu] = append(slices.Clone(s.scToB[cu]), s.scToI[cu][0])
-			l.refreshUpVertex(u) // keep the skeleton in step with the lists
+			s.scVec[cu][slot(l, s, cu, false)]++
 		},
 		"deduction parent off the frame": func(l *Layph) {
 			s, u, _ := pick(l)
 			cu := l.localIdx[u]
-			c := l.localIdx[s.scToI[cu][0].To]
+			c := slot(l, s, cu, true)
 			s.scParent[cu][c] = graph.VertexID(c)
 		},
 		"skeleton count off its roles": func(l *Layph) {

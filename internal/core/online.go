@@ -189,9 +189,12 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 						if math.Abs(mu) <= l.tol {
 							continue
 						}
-						for _, sc := range s.scToI[l.localIdx[u]] {
-							l.x[sc.To] += mu * sc.W
-							a++
+						vec := s.scVec[l.localIdx[u]]
+						for _, t := range s.Internal {
+							if w := vec[l.localIdx[t]]; w != 0 {
+								l.x[t] += mu * w
+								a++
+							}
 						}
 					}
 				}
@@ -569,12 +572,17 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 							continue
 						}
 						cu := l.localIdx[u]
-						for _, e := range s.scToI[cu] {
-							cand := l.sr.Times(l.x[u], e.W)
+						vec := s.scVec[cu]
+						for _, t := range s.Internal {
+							ct := l.localIdx[t]
+							if vec[ct] == zero {
+								continue
+							}
+							cand := l.sr.Times(l.x[u], vec[ct])
 							r.acts++
-							if l.sr.Plus(l.x[e.To], cand) != l.x[e.To] {
-								l.x[e.To] = cand
-								l.parent[e.To] = s.lastHop(cu, l.localIdx[e.To])
+							if l.sr.Plus(l.x[t], cand) != l.x[t] {
+								l.x[t] = cand
+								l.parent[t] = s.lastHop(cu, ct)
 								r.hits++
 							}
 						}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"layph/internal/algo"
 	"layph/internal/delta"
 	"layph/internal/engine"
+	"layph/internal/enginetest"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -86,6 +88,30 @@ func TestDeterministicParallelSum(t *testing.T) {
 			_, x2, _ := replaySequence(t, mk, 8, 5, false)
 			if !algo.StatesClose(x1, x2, 1e-9) {
 				t.Fatalf("identical Threads=8 runs differ beyond tolerance (max diff %v)", algo.MaxStateDiff(x1, x2))
+			}
+		})
+	}
+}
+
+// Determinism contract, sequential half: two identical Threads=1 runs are
+// byte-identical for every algorithm, states and dependency parents alike.
+// It holds only because delta.Apply lists a batch's changes in a fixed
+// order: sum-scheme corrections fold them in that order.
+func TestDeterministicSequential(t *testing.T) {
+	for name, mk := range enginetest.AllAlgorithms() {
+		t.Run(name, func(t *testing.T) {
+			l1, x1, _ := replaySequence(t, mk, 1, 5, false)
+			l2, x2, _ := replaySequence(t, mk, 1, 5, false)
+			if len(x1) != len(x2) {
+				t.Fatalf("state lengths differ: %d vs %d", len(x1), len(x2))
+			}
+			for v := range x1 {
+				if math.Float64bits(x1[v]) != math.Float64bits(x2[v]) {
+					t.Fatalf("vertex %d: %v vs %v — identical Threads=1 runs not byte-identical", v, x1[v], x2[v])
+				}
+			}
+			if !slices.Equal(l1.parent, l2.parent) {
+				t.Fatal("identical Threads=1 runs ended with different dependency parents")
 			}
 		})
 	}

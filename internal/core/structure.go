@@ -349,8 +349,6 @@ func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	lf := s.Local
 	k := lf.size()
 	var acts int64
-	s.scToB = make([][]engine.WEdge, k)
-	s.scToI = make([][]engine.WEdge, k)
 	s.scVec = make([][]float64, k)
 	if l.sr.Idempotent() {
 		s.scParent = make([][]graph.VertexID, k)
@@ -366,7 +364,7 @@ func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	//
 	// Each entry's fixpoint only reads the frozen local frame, so the
 	// per-entry deductions can fan out over the worker pool; the shared
-	// shortcut maps are filled sequentially after the join, in entry
+	// shortcut storage is filled sequentially after the join, in entry
 	// order, keeping results deterministic.
 	frame := &engine.Frame{Out: lf.absorbOut}
 	results := make([]entryRes, len(s.Entries))
@@ -389,7 +387,6 @@ func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 		if s.scParent != nil {
 			s.scParent[cu] = results[i].par
 		}
-		l.rebuildShortcutLists(s, u)
 	}
 	return acts
 }
@@ -429,51 +426,6 @@ func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) 
 	res := ts.run.Run(frame, r.vec, r.par, engine.Options{Workers: 1, Tolerance: l.scTol()})
 	r.acts += res.Activations
 	return r
-}
-
-// rebuildShortcutLists re-derives entry u's shortcut lists from its
-// memoized vector.
-func (l *Layph) rebuildShortcutLists(s *Subgraph, u graph.VertexID) {
-	zero := l.sr.Zero()
-	lf := s.Local
-	cu := l.localIdx[u]
-	vec := s.scVec[cu]
-	// Self-shortcut: cycles that return to the entry. For idempotent
-	// semirings cycles cannot improve anything.
-	self := vec[cu] != zero && !l.sr.Idempotent()
-	// Size both lists first so they share one exact allocation.
-	nB, nI := 0, 0
-	if self {
-		nB++
-	}
-	for ci, w := range vec {
-		if w != zero && ci != int(cu) {
-			if l.role[lf.ids[ci]] == RoleInternal {
-				nI++
-			} else {
-				nB++
-			}
-		}
-	}
-	buf := make([]engine.WEdge, 0, nB+nI)
-	toB, toI := buf[:0:nB], buf[nB:nB:nB+nI]
-	for ci, w := range vec {
-		if w == zero {
-			continue
-		}
-		v := lf.ids[ci]
-		switch {
-		case ci == int(cu):
-			if self {
-				toB = append(toB, engine.WEdge{To: u, W: w})
-			}
-		case l.role[v] == RoleInternal:
-			toI = append(toI, engine.WEdge{To: v, W: w})
-		default:
-			toB = append(toB, engine.WEdge{To: v, W: w})
-		}
-	}
-	s.scToB[cu], s.scToI[cu] = toB, toI
 }
 
 // editFrame re-syncs member v's rows in the frame of its (non-rebuilt)
@@ -606,12 +558,12 @@ const patchBudget = 32
 //   - a vertex that stopped being an entry re-joined it (an added diff) and
 //     its vector is dropped;
 //   - every persisting entry absorbs the frame diff, plus any change to its
-//     own seeding row, with revision messages (updateEntryMin/Sum);
-//   - a flip between the internal and boundary classes re-splits every
-//     entry's scToB/scToI lists.
+//     own seeding row, with revision messages (updateEntryMin/Sum).
 //
-// Entries whose shortcut lists were re-derived are appended to listed (their
-// skeleton rows are stale). Returns listed and the F applications spent.
+// Entries whose skeleton rows are stale — their vector moved, or a member
+// flipped between the internal and boundary classes, which moves slots in
+// or out of every entry's row — are appended to listed. Returns listed and
+// the F applications spent.
 func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.VertexID, int64) {
 	lf := s.Local
 	ed := &lf.edit
@@ -641,7 +593,7 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 		case entry && !hasVec:
 			fresh = append(fresh, v)
 		case !entry && hasVec:
-			s.scVec[ci], s.scToB[ci], s.scToI[ci] = nil, nil, nil
+			s.scVec[ci] = nil
 			if idem {
 				s.scParent[ci] = nil
 			}
@@ -683,7 +635,6 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 			acts += a
 		}
 		if changed || reclass {
-			l.rebuildShortcutLists(s, u)
 			listed = append(listed, u)
 		}
 	}
@@ -695,7 +646,6 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 			s.scParent[cu] = r.par
 		}
 		acts += r.acts
-		l.rebuildShortcutLists(s, u)
 		listed = append(listed, u)
 	}
 	return listed, acts
@@ -827,7 +777,7 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 
 // appendUpOut appends v's upper-layer out-list to out: flat edges leaving
 // its subgraph (or any flat edge, for outliers) plus, for entries, their
-// boundary shortcuts.
+// shortcuts to non-internal members, read off the vector in compact order.
 func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) || !l.onUp(v) {
 		return out
@@ -841,7 +791,12 @@ func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge
 	}
 	if l.role[v].IsEntry() {
 		if s := l.subs[sv]; s != nil {
-			out = append(out, l.ShortcutsToBoundary(s, v)...)
+			vec, cu := l.shortcutVec(s, v), int(l.localIdx[v])
+			for c, w := range vec {
+				if t := s.Local.ids[c]; l.isShortcut(vec, cu, c) && l.role[t] != RoleInternal {
+					out = append(out, engine.WEdge{To: t, W: w})
+				}
+			}
 		}
 	}
 	return out

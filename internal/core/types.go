@@ -108,38 +108,21 @@ type Subgraph struct {
 	origMembers []graph.VertexID
 	proxies     []graph.VertexID
 
-	// Shortcut storage, indexed by the entry's compact ID (only entry
-	// slots are populated): scToB[cu] holds entry Local.ids[cu]'s
-	// shortcuts targeting boundary vertices (these become Lup edges),
-	// scToI[cu] those targeting internal vertices (these connect the
-	// layers). Weights are semiring weights deduced per Equation (6).
-	// Dense slices instead of per-entry maps keep the upload/assignment
-	// hot paths free of map lookups; external callers go through
-	// Layph.ShortcutsToBoundary / ShortcutsToInternal.
-	scToB [][]engine.WEdge
-	scToI [][]engine.WEdge
-	// Memoized per-entry shortcut state for incremental maintenance
-	// (Section IV-B): scVec[cu] holds the local fixpoint values over
-	// compact IDs; scParent[cu] (idempotent algorithms only) the deduction
-	// fixpoint's compact dependency parents — cu for a value its own edge
-	// seeded, otherwise the absorbing-frame in-neighbour whose message set
-	// it — so that internal edge changes are absorbed with revision
-	// messages instead of full re-deduction, and a shortcut's flat parent is
-	// the last hop of its deduction path.
+	// Shortcuts, indexed by the entry's compact ID (only entry slots are
+	// populated). scVec[cu] is entry Local.ids[cu]'s local fixpoint over
+	// compact IDs (Equation 6): slot c is the weight of the shortcut to
+	// member Local.ids[c], the semiring zero for none. It is the only store
+	// of shortcuts: the skeleton rows take the slots of boundary members
+	// (appendUpOut) and assignment those of internal members, each reading
+	// the member's current role. The vectors are memoized for incremental
+	// maintenance (Section IV-B): internal edge changes are absorbed with
+	// revision messages instead of full re-deduction. scParent[cu]
+	// (idempotent algorithms only) holds the deduction fixpoint's compact
+	// dependency parents — cu for a value its own edge seeded, otherwise
+	// the absorbing-frame in-neighbour whose message set it — so a
+	// shortcut's flat parent is the last hop of its deduction path.
 	scVec    [][]float64
 	scParent [][]graph.VertexID
-}
-
-// NumShortcuts returns the total shortcut count of the subgraph.
-func (s *Subgraph) NumShortcuts() int {
-	n := 0
-	for _, l := range s.scToB {
-		n += len(l)
-	}
-	for _, l := range s.scToI {
-		n += len(l)
-	}
-	return n
 }
 
 // compactID returns v's compact index within subgraph s, or (-1, false)
@@ -159,22 +142,21 @@ func (l *Layph) compactID(s *Subgraph, v graph.VertexID) (int32, bool) {
 	return -1, false
 }
 
-// ShortcutsToBoundary returns entry u's shortcuts to boundary vertices of s
-// (nil for non-entries). The slice is owned by the engine.
-func (l *Layph) ShortcutsToBoundary(s *Subgraph, u graph.VertexID) []engine.WEdge {
-	if cu, ok := l.compactID(s, u); ok && int(cu) < len(s.scToB) {
-		return s.scToB[cu]
+// shortcutVec returns entry u's shortcut vector in s (nil for
+// non-entries).
+func (l *Layph) shortcutVec(s *Subgraph, u graph.VertexID) []float64 {
+	if cu, ok := l.compactID(s, u); ok && int(cu) < len(s.scVec) {
+		return s.scVec[cu]
 	}
 	return nil
 }
 
-// ShortcutsToInternal returns entry u's shortcuts to internal vertices of s
-// (nil for non-entries). The slice is owned by the engine.
-func (l *Layph) ShortcutsToInternal(s *Subgraph, u graph.VertexID) []engine.WEdge {
-	if cu, ok := l.compactID(s, u); ok && int(cu) < len(s.scToI) {
-		return s.scToI[cu]
-	}
-	return nil
+// isShortcut reports whether slot c of entry cu's vector vec is a
+// shortcut: a nonzero weight, where the entry's own slot counts only under
+// a sum semiring (a cycle back to the entry cannot improve an idempotent
+// value).
+func (l *Layph) isShortcut(vec []float64, cu, c int) bool {
+	return vec[c] != l.sr.Zero() && (c != cu || !l.sr.Idempotent())
 }
 
 // localFrame is a compact-ID projection of a subgraph's internal edges.
@@ -427,7 +409,13 @@ func (l *Layph) UpperLayerSize() (vertices, edges int) {
 func (l *Layph) ShortcutCount() int {
 	n := 0
 	for _, s := range l.subs {
-		n += s.NumShortcuts()
+		for cu, vec := range s.scVec {
+			for c := range vec {
+				if l.isShortcut(vec, cu, c) {
+					n++
+				}
+			}
+		}
 	}
 	return n
 }

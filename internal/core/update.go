@@ -65,7 +65,7 @@ type flatEdge struct {
 //   - rebuilds the structurally changed subgraphs and patches the shortcuts
 //     of the edited ones (patchShortcuts), fanned out over the worker pool,
 //   - refreshes the skeleton rows of every vertex whose row, role or
-//     shortcut lists changed.
+//     shortcuts changed.
 func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	d := &layeredDiff{}
 	l.growForNewVertices(applied)
@@ -222,7 +222,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	d.parallelSubs += tasks
 
 	// Skeleton rows move with a vertex's flat row (queued by refresh), its
-	// role, its subgraph's layout (a rebuild) or its shortcut lists.
+	// role, its subgraph's layout (a rebuild) or its shortcuts.
 	for _, v := range sc.roleSeen.List {
 		if l.role[v] != sc.oldRole[v] {
 			sc.upDirty.Add(v)
@@ -382,7 +382,7 @@ func (l *Layph) editFrames() []int32 {
 // maintainShortcuts is the per-subgraph task of the shortcut phase: a
 // restructured subgraph gets its member lists, frame and every shortcut
 // rebuilt, an edited one is patched in place (listing the entries whose
-// shortcut lists it re-derived).
+// skeleton rows went stale).
 func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
 	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
 		l.classifyMembers(s)
@@ -439,17 +439,14 @@ func (l *Layph) remapProxies(newCap int) {
 			vs[i] = mapID(v)
 		}
 	}
-	moveList := func(list []engine.WEdge) []engine.WEdge {
-		out := make([]engine.WEdge, len(list))
-		for i, e := range list {
-			out[i] = engine.WEdge{To: mapID(e.To), W: e.W}
-		}
-		return out
-	}
 	moveRows := func(rows [][]engine.WEdge) [][]engine.WEdge {
 		rows = moved(rows, newN, nil, move)
 		for v, row := range rows {
-			rows[v] = moveList(row)
+			out := make([]engine.WEdge, len(row))
+			for i, e := range row {
+				out[i] = engine.WEdge{To: mapID(e.To), W: e.W}
+			}
+			rows[v] = out
 		}
 		return rows
 	}
@@ -486,14 +483,8 @@ func (l *Layph) remapProxies(newCap int) {
 				l.localIdx[v] = int32(i)
 			}
 		}
-		// Shortcut lists target global flat IDs; their vectors and parents
-		// live in compact-ID space and survive the remap untouched.
-		for i, list := range s.scToB {
-			s.scToB[i] = moveList(list)
-		}
-		for i, list := range s.scToI {
-			s.scToI[i] = moveList(list)
-		}
+		// Shortcut vectors and parents live in compact-ID space and survive
+		// the remap untouched.
 	}
 }
 

@@ -56,7 +56,13 @@ func TestRoleFlipInternalToEntry(t *testing.T) {
 	}
 	// The new entry must have shortcuts and be on the skeleton.
 	s := l.subs[l.subOf[victim]]
-	if len(l.ShortcutsToInternal(s, victim))+len(l.ShortcutsToBoundary(s, victim)) == 0 {
+	vec, shortcuts := l.shortcutVec(s, victim), 0
+	for c := range vec {
+		if l.isShortcut(vec, int(l.localIdx[victim]), c) {
+			shortcuts++
+		}
+	}
+	if shortcuts == 0 {
 		t.Fatal("new entry has no shortcuts")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -68,7 +74,7 @@ func TestRoleFlipInternalToEntry(t *testing.T) {
 	if l.role[victim] != RoleInternal {
 		t.Fatalf("role after removing the external in-edge: %v", l.role[victim])
 	}
-	if len(l.ShortcutsToInternal(s, victim)) != 0 {
+	if l.shortcutVec(s, victim) != nil {
 		t.Fatal("stale shortcut origin for demoted entry")
 	}
 	if err := l.CheckInvariants(); err != nil {

@@ -6,7 +6,9 @@ package delta
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"layph/internal/graph"
 )
@@ -70,7 +72,9 @@ type Batch []Update
 type Applied struct {
 	// AddedEdges lists edges present after the batch that were absent (or
 	// had a different weight) before it; for weight changes the matching
-	// previous edge appears in RemovedEdges.
+	// previous edge appears in RemovedEdges. Both edge lists are ordered by
+	// (From, To) and both vertex lists ascending, so the same batch on the
+	// same graph always yields the same slices.
 	AddedEdges []graph.DeletedEdge
 	// RemovedEdges lists edges present before the batch that are absent (or
 	// reweighted) after it (weight = old weight).
@@ -183,8 +187,11 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 		}
 	}
 
-	// Net edge summaries.
-	for k, b0 := range beforeE {
+	// Net edge summaries, in ascending key order, i.e. by (From, To): map
+	// order would make every consumer that folds the changes in list order
+	// differ from run to run.
+	for _, k := range slices.Sorted(maps.Keys(beforeE)) {
+		b0 := beforeE[k]
 		u := graph.VertexID(k >> 32)
 		v := graph.VertexID(k & 0xffffffff)
 		w1, exists1 := g.HasEdge(u, v)
@@ -198,9 +205,9 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 			a.AddedEdges = append(a.AddedEdges, graph.DeletedEdge{From: u, To: v, W: w1})
 		}
 	}
-	// Net vertex summaries.
-	for v, was := range beforeV {
-		is := g.Alive(v)
+	// Net vertex summaries, in ascending order.
+	for _, v := range slices.Sorted(maps.Keys(beforeV)) {
+		was, is := beforeV[v], g.Alive(v)
 		switch {
 		case !was && is:
 			a.AddedVertices = append(a.AddedVertices, v)

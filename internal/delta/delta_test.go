@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +191,37 @@ func TestUpdateStrings(t *testing.T) {
 	} {
 		if u.String() == "?" || u.Kind.String() == "" {
 			t.Fatalf("bad string for %+v", u)
+		}
+	}
+}
+
+// TestApplyDeterministic applies one batch to 20 clones of a graph: the net
+// summaries must be the same slices every time, edges by (From, To) and
+// vertices ascending.
+func TestApplyDeterministic(t *testing.T) {
+	g, _ := gen.CommunityGraph(gen.CommunityConfig{Vertices: 300, MeanCommunity: 20, IntraDegree: 5, InterDegree: 0.3, Weighted: true, Seed: 3})
+	gn := NewGenerator(5)
+	b := append(gn.EdgeBatch(g, 200, true), gn.VertexBatch(g, 15, 15, 2, true)...)
+	var first *Applied
+	for i := 0; i < 20; i++ {
+		a := Apply(g.Clone(), b)
+		if first == nil {
+			first = a
+			byEdge := func(x, y graph.DeletedEdge) int {
+				return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+			}
+			if !slices.IsSortedFunc(a.AddedEdges, byEdge) || !slices.IsSortedFunc(a.RemovedEdges, byEdge) ||
+				!slices.IsSorted(a.AddedVertices) || !slices.IsSorted(a.RemovedVertices) {
+				t.Fatal("net summaries are not sorted")
+			}
+			if len(a.AddedEdges) == 0 || len(a.RemovedEdges) == 0 || len(a.AddedVertices) == 0 || len(a.RemovedVertices) == 0 {
+				t.Fatalf("batch left a summary empty: %d/%d/%d/%d", len(a.AddedEdges), len(a.RemovedEdges), len(a.AddedVertices), len(a.RemovedVertices))
+			}
+			continue
+		}
+		if !slices.Equal(a.AddedEdges, first.AddedEdges) || !slices.Equal(a.RemovedEdges, first.RemovedEdges) ||
+			!slices.Equal(a.AddedVertices, first.AddedVertices) || !slices.Equal(a.RemovedVertices, first.RemovedVertices) {
+			t.Fatalf("clone %d: net summaries differ from clone 0", i)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package pool provides the shared bounded worker pool behind Layph's
 // two-level parallelism: one pool per engine instance, sized by
 // Config.Threads, shared by every parallel phase (subgraph-local upload
-// fixpoints, shortcut deduction fan-outs, assignment replay, parent
-// repair). The lower-layer subgraphs touched by an update batch are
-// independent by construction — disjoint member sets, disjoint state
-// writes — so each subgraph-local refinement is an isolated task.
+// fixpoints, shortcut deduction fan-outs, assignment replay). The
+// lower-layer subgraphs touched by an update batch are independent by
+// construction — disjoint member sets, disjoint state writes — so each
+// subgraph-local refinement is an isolated task.
 //
 // A Pool of size k allows at most k tasks to execute concurrently: up to
 // k-1 on pool-owned goroutines plus the submitting goroutine itself,
@@ -143,8 +143,8 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 
 // ForEachChunk splits [0, n) into contiguous chunks of at most chunk
 // elements and runs fn(lo, hi) per chunk with pool-bounded parallelism —
-// the right shape for cheap per-element work like dependency-parent
-// repair, where per-element tasks would drown in scheduling overhead.
+// the right shape for cheap per-element work, where per-element tasks
+// would drown in scheduling overhead.
 func (p *Pool) ForEachChunk(n, chunk int, fn func(lo, hi int)) {
 	if chunk <= 0 {
 		chunk = 1

@@ -110,15 +110,3 @@ func sortedVertices(vs []graph.VertexID) []graph.VertexID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// sortedEdges returns a copy of es ordered by (From, To).
-func sortedEdges(es []graph.DeletedEdge) []graph.DeletedEdge {
-	out := append([]graph.DeletedEdge(nil), es...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}

@@ -246,26 +246,21 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 	cap := gr.global.Cap()
 	gr.growTo(cap)
 
-	added := sortedVertices(applied.AddedVertices)
-	for _, v := range added {
+	for _, v := range applied.AddedVertices {
 		if gr.owner[v] < 0 {
 			gr.owner[v] = assignOwner(v, gr.k, gr.owner, applied)
 		}
 	}
 
-	removed := sortedVertices(applied.RemovedVertices)
-	addedE := sortedEdges(applied.AddedEdges)
-	removedE := sortedEdges(applied.RemovedEdges)
-
 	subs := make([]*delta.Applied, gr.k)
 	for s := range subs {
-		subs[s] = &delta.Applied{AddedVertices: added, RemovedVertices: removed}
+		subs[s] = &delta.Applied{AddedVertices: applied.AddedVertices, RemovedVertices: applied.RemovedVertices}
 	}
-	for _, e := range removedE {
+	for _, e := range applied.RemovedEdges {
 		s := gr.owner[e.To]
 		subs[s].RemovedEdges = append(subs[s].RemovedEdges, e)
 	}
-	for _, e := range addedE {
+	for _, e := range applied.AddedEdges {
 		s := gr.owner[e.To]
 		subs[s].AddedEdges = append(subs[s].AddedEdges, e)
 	}
@@ -274,7 +269,7 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 	// recomputation, so no shard rebuilds a value out of mirror pins that
 	// are themselves about to be invalidated (ghost cycles).
 	var extraResets [][]graph.VertexID
-	if gr.idem && (len(removedE) > 0 || len(removed) > 0) {
+	if gr.idem && (len(applied.RemovedEdges) > 0 || len(applied.RemovedVertices) > 0) {
 		extraResets = gr.tagClosure(subs)
 	}
 
@@ -283,7 +278,7 @@ func (gr *Group) Update(applied *delta.Applied) inc.Stats {
 	// value there before the first run.
 	cur := make([][]pinUpdate, gr.k)
 	var boundary int64
-	for _, e := range addedE {
+	for _, e := range applied.AddedEdges {
 		s := gr.owner[e.To]
 		u := e.From
 		if gr.owner[u] == s || gr.mirror[s][u] {
