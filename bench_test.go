@@ -154,8 +154,8 @@ func BenchmarkFig7_Breakdown(b *testing.B) {
 				l.Update(delta.Apply(g, batch))
 			}
 			b.StopTimer()
-			for _, name := range l.LastPhases.Names() {
-				b.ReportMetric(l.LastPhases.Fractions()[name], name+"-frac")
+			for name, frac := range l.LastPhases.Fractions() {
+				b.ReportMetric(frac, name+"-frac")
 			}
 		})
 	}

@@ -64,7 +64,6 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l.flatOut = make([][]engine.WEdge, n)
 	l.flatIn = make([][]engine.WEdge, n)
 	l.upOut = make([][]engine.WEdge, n)
-	l.upIn = make([][]engine.WEdge, n)
 	l.x = make([]float64, n) // placeholder; re-initialized before the batch run
 
 	// Dense-subgraph selection and proxy allocation.

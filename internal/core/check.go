@@ -21,7 +21,7 @@ import (
 // is always a safe point: tests call the check right after Update returns.
 func (l *Layph) CheckInvariants() error {
 	n := l.flatN()
-	if len(l.flatIn) != n || len(l.upOut) != n || len(l.upIn) != n ||
+	if len(l.flatIn) != n || len(l.upOut) != n ||
 		len(l.role) != n || len(l.subOf) != n || len(l.x) != n || (l.parent != nil && len(l.parent) != n) {
 		return fmt.Errorf("vector length mismatch (n=%d)", n)
 	}
@@ -175,8 +175,8 @@ func (l *Layph) checkParents() error {
 // Entries, Exits and Internal classify them by role; every frame row is the
 // compact projection of the member's flat row; an entry has an empty
 // absorbing row and a shortcut vector, every other member an absorbing row
-// equal to its frame row and none; absorbIn mirrors absorbOut; and every
-// shortcut targets a member of the matching class.
+// equal to its frame row and none; and an entry's deduction parents (min
+// scheme) are supported by its own row or by absorbing in-edges.
 func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	c := s.ID
 	if l.subs[c] != s {
@@ -207,7 +207,7 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	if len(s.scVec) != k {
 		return fmt.Errorf("sub %d: shortcut storage not frame-sized", c)
 	}
-	edges, absorbing := 0, 0
+	edges := 0
 	for ci, v := range lf.ids {
 		if s.Members[ci] != v || l.localIdx[v] != int32(ci) {
 			return fmt.Errorf("sub %d: member %d not at compact slot %d", c, v, ci)
@@ -241,23 +241,10 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 			if s.scVec[ci] != nil {
 				return fmt.Errorf("sub %d: non-entry %d has shortcuts", c, v)
 			}
-			absorbing += len(lf.absorbOut[ci])
 		}
 	}
 	if edges != lf.edges {
 		return fmt.Errorf("sub %d: frame counts %d edges, rows hold %d", c, lf.edges, edges)
-	}
-	mirrored := 0
-	for ci, in := range lf.absorbIn {
-		mirrored += len(in)
-		for _, e := range in {
-			if !slices.Contains(lf.absorbOut[e.To], engine.WEdge{To: graph.VertexID(ci), W: e.W}) {
-				return fmt.Errorf("sub %d: absorbIn edge (%d,%d) has no absorbing row edge", c, e.To, ci)
-			}
-		}
-	}
-	if mirrored != absorbing {
-		return fmt.Errorf("sub %d: absorbIn holds %d edges, absorbOut %d", c, mirrored, absorbing)
 	}
 	return nil
 }
@@ -273,9 +260,9 @@ func (l *Layph) checkShortcutParents(s *Subgraph, cu graph.VertexID) error {
 		for _, e := range lf.out[cu] {
 			ok = ok || (p == cu && int(e.To) == c && near(l.sr.Times(l.sr.One(), e.W), x))
 		}
-		for _, e := range lf.absorbIn[c] {
-			ok = ok || (e.To == p && near(l.sr.Times(vec[p], e.W), x))
-		}
+		l.absorbIn(s, graph.VertexID(c), func(a graph.VertexID, w float64) {
+			ok = ok || (a == p && near(l.sr.Times(vec[p], w), x))
+		})
 		if !ok {
 			return fmt.Errorf("sub %d: entry %d's shortcut to slot %d has unsupported deduction parent %d", s.ID, lf.ids[cu], c, p)
 		}

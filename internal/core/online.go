@@ -423,18 +423,17 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 					offered = true
 				}
 			}
-			for _, e := range l.upIn[v] {
-				src := e.To
+			l.upIn(v, func(src graph.VertexID, w float64) {
 				if l.x[src] == zero {
-					continue
+					return
 				}
-				offer := l.sr.Times(l.x[src], e.W)
+				offer := l.sr.Times(l.x[src], w)
 				st.Activations++
 				if offer != zero {
 					run.Seed(v, offer, src)
 					offered = true
 				}
-			}
+			})
 			if offered {
 				activate(v)
 			}

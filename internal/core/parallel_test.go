@@ -16,10 +16,9 @@ import (
 // replaySequence builds a Layph with the given worker count and replays a
 // fixed seeded update sequence (edge churn plus vertex add/del mixes),
 // returning the engine, a copy of its final states and the accumulated
-// stats. With selfCheck set it runs CheckInvariants after every Update
-// (all pool tasks are joined by then) and fails the test on the first
-// violation.
-func replaySequence(t *testing.T, mk func() algo.Algorithm, workers int, seed int64, selfCheck bool) (*Layph, []float64, inc.Stats) {
+// stats. A non-nil after runs once every Update has returned (all pool
+// tasks are joined by then) with the batch index.
+func replaySequence(t *testing.T, mk func() algo.Algorithm, workers int, seed int64, after func(l *Layph, b int)) (*Layph, []float64, inc.Stats) {
 	t.Helper()
 	g := testGraph(seed)
 	l := New(g, mk(), Options{Workers: workers})
@@ -40,11 +39,8 @@ func replaySequence(t *testing.T, mk func() algo.Algorithm, workers int, seed in
 		applied := delta.Apply(g, batch)
 		st := l.Update(applied)
 		total.Add(st)
-		if selfCheck {
-			if err := l.CheckInvariants(); err != nil {
-				t.Fatalf("workers=%d seed=%d batch=%d: invariants violated after update: %v",
-					workers, seed, b, err)
-			}
+		if after != nil {
+			after(l, b)
 		}
 	}
 	return l, append([]float64(nil), l.States()...), total
@@ -60,8 +56,8 @@ func TestDeterministicParallelMin(t *testing.T) {
 		"bfs":  func() algo.Algorithm { return algo.NewBFS(0) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, x1, _ := replaySequence(t, mk, 8, 3, false)
-			_, x2, _ := replaySequence(t, mk, 8, 3, false)
+			_, x1, _ := replaySequence(t, mk, 8, 3, nil)
+			_, x2, _ := replaySequence(t, mk, 8, 3, nil)
 			if len(x1) != len(x2) {
 				t.Fatalf("state lengths differ: %d vs %d", len(x1), len(x2))
 			}
@@ -84,8 +80,8 @@ func TestDeterministicParallelSum(t *testing.T) {
 		"php":      func() algo.Algorithm { return algo.NewPHP(0, 0.8, 1e-10) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, x1, _ := replaySequence(t, mk, 8, 5, false)
-			_, x2, _ := replaySequence(t, mk, 8, 5, false)
+			_, x1, _ := replaySequence(t, mk, 8, 5, nil)
+			_, x2, _ := replaySequence(t, mk, 8, 5, nil)
 			if !algo.StatesClose(x1, x2, 1e-9) {
 				t.Fatalf("identical Threads=8 runs differ beyond tolerance (max diff %v)", algo.MaxStateDiff(x1, x2))
 			}
@@ -100,8 +96,8 @@ func TestDeterministicParallelSum(t *testing.T) {
 func TestDeterministicSequential(t *testing.T) {
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			l1, x1, _ := replaySequence(t, mk, 1, 5, false)
-			l2, x2, _ := replaySequence(t, mk, 1, 5, false)
+			l1, x1, _ := replaySequence(t, mk, 1, 5, nil)
+			l2, x2, _ := replaySequence(t, mk, 1, 5, nil)
 			if len(x1) != len(x2) {
 				t.Fatalf("state lengths differ: %d vs %d", len(x1), len(x2))
 			}
@@ -125,8 +121,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		"pagerank": func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			l1, x1, _ := replaySequence(t, mk, 1, 9, false)
-			l8, x8, _ := replaySequence(t, mk, 8, 9, false)
+			l1, x1, _ := replaySequence(t, mk, 1, 9, nil)
+			l8, x8, _ := replaySequence(t, mk, 8, 9, nil)
 			g := l8.Graph()
 			want := engine.RunBatch(g, mk(), engine.Options{Workers: 2})
 			ok := true
@@ -146,16 +142,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // Invariants must hold after every parallel update: CheckInvariants runs
 // once Update returns, at the post-phase merge barrier where no pool task
-// is in flight.
+// is in flight. The sequence must also contain a batch that rebuilds one
+// subgraph while patchShortcuts revises another's entries in the same
+// fan-out, so the race build covers a patch's flatIn reads beside a
+// rebuild's localIdx writes.
 func TestInvariantsAfterParallelUpdate(t *testing.T) {
 	for name, mk := range map[string]func() algo.Algorithm{
 		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },
 		"pagerank": func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			l, _, _ := replaySequence(t, mk, 8, 13, true)
-			if err := l.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			var builds int64
+			mixed := false
+			replaySequence(t, mk, 8, 13, func(l *Layph, b int) {
+				if err := l.CheckInvariants(); err != nil {
+					t.Fatalf("batch %d: invariants violated after update: %v", b, err)
+				}
+				// A rebuilt frame is fresh; a patched one keeps the
+				// snapshot epoch of this update's edits.
+				patched := false
+				for _, s := range l.subs {
+					patched = patched || s.Local.edit.epoch == l.epoch
+				}
+				mixed = mixed || (l.builds > builds && patched)
+				builds = l.builds
+			})
+			if !mixed {
+				t.Fatal("no batch rebuilt a subgraph while patching another")
 			}
 		})
 	}
@@ -164,7 +177,7 @@ func TestInvariantsAfterParallelUpdate(t *testing.T) {
 // The update must report its lower-layer parallelism: subgraph tasks
 // dispatched and pool utilization within [0, 1].
 func TestParallelStatsReported(t *testing.T) {
-	_, _, st := replaySequence(t, func() algo.Algorithm { return algo.NewSSSP(0) }, 4, 17, false)
+	_, _, st := replaySequence(t, func() algo.Algorithm { return algo.NewSSSP(0) }, 4, 17, nil)
 	if st.SubgraphsParallel == 0 {
 		t.Fatal("no subgraph tasks reported on a community graph")
 	}

@@ -41,8 +41,8 @@ type updScratch struct {
 	// cands collects the current round's frame-edit candidates.
 	cands []graph.VertexID
 
-	// rows diffs out-rows for the flat and skeleton refreshes; rowBuf and
-	// upBuf are editFrame's and refreshUpVertex's row buffers.
+	// rows diffs out-rows for the flat refresh; rowBuf and upBuf are
+	// editFrame's and refreshUpVertex's row buffers.
 	rows   rowDiff
 	rowBuf []engine.WEdge
 	upBuf  []engine.WEdge

@@ -146,7 +146,6 @@ func (l *Layph) growFlat(sub int32, role Role, host graph.VertexID, alive bool) 
 	l.flatOut = append(l.flatOut, nil)
 	l.flatIn = append(l.flatIn, nil)
 	l.upOut = append(l.upOut, nil)
-	l.upIn = append(l.upIn, nil)
 	l.x = append(l.x, l.sr.Zero())
 	if l.parent != nil {
 		l.parent = append(l.parent, engine.NoParent)
@@ -318,7 +317,6 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 	}
 	lf.out = make([][]engine.WEdge, len(lf.ids))
 	lf.absorbOut = make([][]engine.WEdge, len(lf.ids))
-	lf.absorbIn = make([][]engine.WEdge, len(lf.ids))
 	for ci, v := range lf.ids {
 		for _, e := range l.flatOut[v] {
 			if tj, ok := l.compactID(s, e.To); ok {
@@ -328,11 +326,6 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 		lf.edges += len(lf.out[ci])
 		if !l.role[v].IsEntry() {
 			lf.absorbOut[ci] = lf.out[ci]
-		}
-	}
-	for ci := range lf.absorbOut {
-		for _, e := range lf.absorbOut[ci] {
-			lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: graph.VertexID(ci), W: e.W})
 		}
 	}
 }
@@ -431,11 +424,11 @@ func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) 
 // editFrame re-syncs member v's rows in the frame of its (non-rebuilt)
 // subgraph s with v's flat row and current role, in place: the compact
 // out-row is re-projected, and the absorbing row is emptied for an entry or
-// set to the out-row otherwise, with absorbIn mirrored. The first edit of a
-// vertex in an update snapshots its previous rows for patchShortcuts;
-// roleFlip forces the snapshot even when no row moved, so the patch also
-// sees flips that only change v's boundary/internal class. Reports whether
-// anything was recorded.
+// set to the out-row otherwise. The first edit of a vertex in an update
+// snapshots its previous rows for patchShortcuts; roleFlip forces the
+// snapshot even when no row moved, so the patch also sees flips that only
+// change v's boundary/internal class. Reports whether anything was
+// recorded.
 func (l *Layph) editFrame(s *Subgraph, v graph.VertexID, roleFlip bool) bool {
 	lf := s.Local
 	ci := graph.VertexID(l.localIdx[v])
@@ -465,12 +458,6 @@ func (l *Layph) editFrame(s *Subgraph, v graph.VertexID, roleFlip bool) bool {
 		lf.out[ci] = out
 	}
 	if absChanged {
-		for _, e := range lf.absorbOut[ci] {
-			lf.absorbIn[e.To] = dropEdge(lf.absorbIn[e.To], ci)
-		}
-		for _, e := range abs {
-			lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: ci, W: e.W})
-		}
 		lf.absorbOut[ci] = abs
 	}
 	return true
@@ -748,11 +735,11 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 				relax(c, self, l.sr.Times(one, e.W))
 			}
 		}
-		for _, ie := range lf.absorbIn[c] {
-			if a := ie.To; !tagged.Has(a) && vec[a] != zero {
-				relax(c, a, l.sr.Times(vec[a], ie.W))
+		l.absorbIn(s, c, func(a graph.VertexID, w float64) {
+			if !tagged.Has(a) && vec[a] != zero {
+				relax(c, a, l.sr.Times(vec[a], w))
 			}
-		}
+		})
 	}
 	// Compensation candidates from added edges.
 	for _, e := range seed.add {
@@ -802,23 +789,51 @@ func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge
 	return out
 }
 
-// refreshUpVertex recomputes v's Lup out-list and mirrors the diff into the
-// Lup in-lists. The list is built in a scratch buffer, so an unchanged one
-// costs no allocation.
-func (l *Layph) refreshUpVertex(v graph.VertexID) {
-	old := l.upOut[v]
-	fresh := l.appendUpOut(l.scratch.upBuf[:0], v)
-	l.scratch.upBuf = fresh
-	if sameRow(old, fresh) {
+// upIn calls visit with the source and weight of each of skeleton vertex
+// v's Lup in-edges, the reverse of appendUpOut: v's flat in-edges from
+// outside its subgraph (all of them, for an outlier) and the shortcuts into
+// v in its subgraph's entry vectors.
+func (l *Layph) upIn(v graph.VertexID, visit func(src graph.VertexID, w float64)) {
+	sv := l.subOf[v]
+	for _, e := range l.flatIn[v] {
+		if sv == NoSubgraph || l.subOf[e.To] != sv {
+			visit(e.To, e.W)
+		}
+	}
+	s := l.subs[sv]
+	if s == nil {
 		return
 	}
-	fresh = slices.Clone(fresh)
-	l.upOut[v] = fresh
-	added, removed := l.scratch.rows.diff(old, fresh)
-	for _, e := range removed {
-		l.upIn[e.To] = dropEdge(l.upIn[e.To], v)
+	cv := int(l.localIdx[v])
+	for _, u := range s.Entries {
+		cu := int(l.localIdx[u])
+		if vec := s.scVec[cu]; vec != nil && l.isShortcut(vec, cu, cv) {
+			visit(u, vec[cv])
+		}
 	}
-	for _, e := range added {
-		l.upIn[e.To] = append(l.upIn[e.To], engine.WEdge{To: v, W: e.W})
+}
+
+// absorbIn calls visit with the compact source and weight of each of
+// compact member c's in-edges in s's absorbing frame, the reverse of
+// absorbOut: c's flat in-edges from members that are not entries. It runs
+// in pool tasks beside other subgraphs' rebuilds: their members fail
+// compactID's subOf gate before the localIdx slots the rebuilds rewrite are
+// read, and flatIn, subOf and roles do not change in that phase.
+func (l *Layph) absorbIn(s *Subgraph, c graph.VertexID, visit func(src graph.VertexID, w float64)) {
+	for _, e := range l.flatIn[s.Local.ids[c]] {
+		if ca, ok := l.compactID(s, e.To); ok && !l.role[e.To].IsEntry() {
+			visit(graph.VertexID(ca), e.W)
+		}
+	}
+}
+
+// refreshUpVertex recomputes v's Lup out-list into a scratch buffer and
+// stores a copy only when it changed, so an unchanged row costs no
+// allocation.
+func (l *Layph) refreshUpVertex(v graph.VertexID) {
+	fresh := l.appendUpOut(l.scratch.upBuf[:0], v)
+	l.scratch.upBuf = fresh
+	if !sameRow(l.upOut[v], fresh) {
+		l.upOut[v] = slices.Clone(fresh)
 	}
 }

@@ -166,13 +166,12 @@ func (l *Layph) isShortcut(vec []float64, cu, c int) bool {
 // holds is propagated internally by shortcut application instead (shortcut
 // weights count internal paths that avoid intermediate entries, so Lup
 // shortcut composition covers through-entry paths exactly once — no double
-// counting in the sum semiring). absorbIn mirrors absorbOut for the
-// incremental shortcut updater's offer scans.
+// counting in the sum semiring). Its in-edges are read off the flat
+// in-rows (Layph.absorbIn).
 type localFrame struct {
 	ids       []graph.VertexID // compact -> global (global -> compact is Layph.localIdx)
 	out       [][]engine.WEdge // full internal adjacency
 	absorbOut [][]engine.WEdge // adjacency with absorbing entries
-	absorbIn  [][]engine.WEdge // reverse of absorbOut (To = source)
 	// edges counts the internal adjacency's entries; the chunked task
 	// fusion sizes pool tasks by it, and the density test of an edited
 	// subgraph reads it as |E_i|.
@@ -286,12 +285,12 @@ type Layph struct {
 	// orphanProxy and remapProxies keep it current.
 	entryProxiesOf map[graph.VertexID][]graph.VertexID
 
-	// Flat layered graph (original + proxy rewiring, semiring weights).
+	// Flat layered graph (original + proxy rewiring, semiring weights);
+	// flatIn is the only in-adjacency (skeleton ones: upIn, frame: absorbIn).
 	flatOut [][]engine.WEdge
 	flatIn  [][]engine.WEdge
 	// Upper-layer skeleton (cross edges + proxy links + entry shortcuts).
 	upOut [][]engine.WEdge
-	upIn  [][]engine.WEdge
 
 	// live and skel count the vertices whose role is not RoleDead and
 	// those on Lup; setRole maintains them.

@@ -460,8 +460,7 @@ func (l *Layph) remapProxies(newCap int) {
 		l.parent = moved(l.parent, newN, engine.NoParent, move)
 		mapAll(l.parent)
 	}
-	l.flatOut, l.flatIn = moveRows(l.flatOut), moveRows(l.flatIn)
-	l.upOut, l.upIn = moveRows(l.upOut), moveRows(l.upIn)
+	l.flatOut, l.flatIn, l.upOut = moveRows(l.flatOut), moveRows(l.flatIn), moveRows(l.upOut)
 	for k, p := range l.entryProxy {
 		l.entryProxy[k] = mapID(p)
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,6 +253,117 @@ func TestVertexGrowthRemapsProxies(t *testing.T) {
 	if !algo.StatesClose(l.States()[:g.Cap()], want.X, 1e-9) {
 		t.Fatal("states diverge after proxy remap")
 	}
+}
+
+// The skeleton and absorbing-frame in-edges are read off the flat in-rows.
+// After build and after every churn batch (edge churn, vertex adds and
+// deletes, on a layout with proxies) they must be exactly the reverse of
+// the stored out-rows, upOut and absorbOut.
+func TestDerivedInEdgesReverseOutRows(t *testing.T) {
+	for name, mk := range map[string]func() algo.Algorithm{
+		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },
+		"pagerank": func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, _ := gen.CommunityGraph(gen.CommunityConfig{
+				Vertices: 800, MeanCommunity: 40, IntraDegree: 8, InterDegree: 0.2,
+				HubFraction: 0.03, HubDegree: 40, Weighted: true, Seed: 12,
+			})
+			l := New(g, mk(), Options{Workers: 2})
+			if l.OfflineStats.Proxies == 0 {
+				t.Fatal("layout has no proxies")
+			}
+			genr := delta.NewGenerator(21)
+			for b := 0; ; b++ {
+				if err := derivedInEdgesDiff(l); err != nil {
+					t.Fatalf("after %d batches: %v", b, err)
+				}
+				if b == 5 {
+					break
+				}
+				batch := genr.EdgeBatch(g, 80, true)
+				for _, u := range genr.VertexBatch(g, 2, 2, 2, true) {
+					if u.Kind != delta.DelVertex || u.U != 0 { // keep the source alive
+						batch = append(batch, u)
+					}
+				}
+				l.Update(delta.Apply(g, batch))
+			}
+		})
+	}
+}
+
+// A deletion resets a boundary vertex whose only intact skeleton in-edge is
+// another entry's shortcut. In twoBlockGraph plus source edges 0→12 and
+// 0→20 and an exit edge 20→5, vertex 20 takes its value from the source;
+// deleting 0→20 resets it while it stays an exit, and the shortcut from
+// entry 12 (whose value the deletion leaves intact) is the only skeleton
+// in-edge left to re-seed it from. The answer must equal a restart.
+func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
+	g := twoBlockGraph()
+	g.AddEdge(0, 12, 1)
+	g.AddEdge(0, 20, 1)
+	g.AddEdge(20, 5, 5)
+	l := New(g, algo.NewSSSP(0), Options{Community: commCfg(12), Workers: 1})
+	const v = graph.VertexID(20)
+	if l.parent[v] != 0 || l.parent[12] != 0 {
+		t.Fatalf("parents of 20 and 12 are %d and %d, want the source", l.parent[v], l.parent[12])
+	}
+	l.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: v}}))
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var srcs []graph.VertexID
+	l.upIn(v, func(src graph.VertexID, _ float64) { srcs = append(srcs, src) })
+	if l.role[v] != RoleExit || !slices.Equal(srcs, []graph.VertexID{12}) {
+		t.Fatalf("vertex 20 is %v with skeleton in-edges from %v, want an exit with entry 12's shortcut only", l.role[v], srcs)
+	}
+	want := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{})
+	if !algo.StatesClose(l.States()[:g.Cap()], want.X, 1e-9) {
+		t.Fatal("states diverge from restart")
+	}
+}
+
+// derivedInEdgesDiff compares upIn on every live skeleton vertex with the
+// reverse of upOut, and absorbIn on every frame member with the reverse of
+// absorbOut, as edge multisets.
+func derivedInEdgesDiff(l *Layph) error {
+	var got []engine.WEdge
+	add := func(src graph.VertexID, w float64) { got = append(got, engine.WEdge{To: src, W: w}) }
+	reverse := func(rows [][]engine.WEdge) [][]engine.WEdge {
+		rev := make([][]engine.WEdge, len(rows))
+		for u, row := range rows {
+			for _, e := range row {
+				rev[e.To] = append(rev[e.To], engine.WEdge{To: graph.VertexID(u), W: e.W})
+			}
+		}
+		return rev
+	}
+	same := func(a, b []engine.WEdge) bool {
+		byEdge := func(x, y engine.WEdge) int { return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.W, y.W)) }
+		return slices.Equal(slices.SortedFunc(slices.Values(a), byEdge), slices.SortedFunc(slices.Values(b), byEdge))
+	}
+	upWant := reverse(l.upOut)
+	for v := range l.flatN() {
+		vid := graph.VertexID(v)
+		if !l.flatAlive(vid) || !l.onUp(vid) {
+			continue
+		}
+		got = got[:0]
+		if l.upIn(vid, add); !same(got, upWant[v]) {
+			return fmt.Errorf("skeleton vertex %d: in-edges %v, reverse of upOut %v", v, got, upWant[v])
+		}
+	}
+	for _, s := range subgraphList(l.subs) {
+		absWant := reverse(s.Local.absorbOut)
+		for c := range s.Local.ids {
+			got = got[:0]
+			if l.absorbIn(s, graph.VertexID(c), add); !same(got, absWant[c]) {
+				return fmt.Errorf("sub %d member %d: absorbing in-edges %v, reverse of absorbOut %v", s.ID, s.Local.ids[c], got, absWant[c])
+			}
+		}
+	}
+	return nil
 }
 
 func commCfg(maxSize int) (c community.Config) { c.MaxSize = maxSize; return c }

@@ -1,15 +1,19 @@
+// Package dzig holds the tests of the DZiG baseline as the public facade
+// builds it: layph.NewDZiG, the sparsity-aware mode of package graphbolt
+// under DZiG's system identity. The directory has no non-test code.
 package dzig
 
 import (
 	"testing"
 
+	"layph"
 	"layph/internal/algo"
 	"layph/internal/enginetest"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
 
-func factory(g *graph.Graph, a algo.Algorithm) inc.System { return New(g, a) }
+func factory(g *graph.Graph, a algo.Algorithm) inc.System { return layph.NewDZiG(g, a) }
 
 func TestEquivalenceSumAlgorithms(t *testing.T) {
 	for name, mk := range enginetest.SumAlgorithms() {
@@ -22,7 +26,7 @@ func TestEquivalenceSumAlgorithms(t *testing.T) {
 func TestIdentity(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1)
-	e := New(g, algo.NewPageRank(0.85, 1e-8))
+	e := layph.NewDZiG(g, algo.NewPageRank(0.85, 1e-8))
 	if e.Name() != "dzig" {
 		t.Fatalf("name = %q", e.Name())
 	}
@@ -37,5 +41,5 @@ func TestRejectsMonotonic(t *testing.T) {
 			t.Fatal("expected panic for BFS")
 		}
 	}()
-	New(graph.New(1), algo.NewBFS(0))
+	layph.NewDZiG(graph.New(1), algo.NewBFS(0))
 }

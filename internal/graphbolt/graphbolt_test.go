@@ -47,12 +47,16 @@ func TestEquivalenceWithVertexUpdates(t *testing.T) {
 }
 
 func TestRejectsMonotonic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for SSSP")
-		}
-	}()
-	New(graph.New(1), algo.NewSSSP(0), ModePull)
+	for _, mode := range []Mode{ModePull, ModeSparseAware} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("mode %v: expected panic for SSSP", mode)
+				}
+			}()
+			New(graph.New(1), algo.NewSSSP(0), mode)
+		}()
+	}
 }
 
 func TestNames(t *testing.T) {

@@ -65,9 +65,6 @@ func (p *Phases) Total() time.Duration {
 	return t
 }
 
-// Names returns the phase names in first-recorded order.
-func (p *Phases) Names() []string { return append([]string(nil), p.order...) }
-
 // Fractions returns each phase's share of the total, keyed by name.
 func (p *Phases) Fractions() map[string]float64 {
 	total := p.Total()
@@ -78,13 +75,6 @@ func (p *Phases) Fractions() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Merge adds every phase of other into p.
-func (p *Phases) Merge(other *Phases) {
-	for _, name := range other.order {
-		p.Add(name, other.dur[name])
-	}
 }
 
 // String renders the phases as "name=dur(frac%)" in recorded order.

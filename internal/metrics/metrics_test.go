@@ -44,9 +44,8 @@ func TestPhasesAccumulate(t *testing.T) {
 	if fr["a"] != 0.4 || fr["b"] != 0.6 {
 		t.Fatalf("fractions = %v", fr)
 	}
-	names := p.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	if s := p.String(); !strings.HasPrefix(s, "a=") || !strings.Contains(s, " b=") {
+		t.Fatalf("String() = %q, want a then b", s)
 	}
 }
 
@@ -58,18 +57,6 @@ func TestPhasesTimeAndString(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "work=") {
 		t.Fatalf("String() = %q", p.String())
-	}
-}
-
-func TestPhasesMerge(t *testing.T) {
-	a := NewPhases()
-	a.Add("x", time.Millisecond)
-	b := NewPhases()
-	b.Add("x", time.Millisecond)
-	b.Add("y", 3*time.Millisecond)
-	a.Merge(b)
-	if a.Get("x") != 2*time.Millisecond || a.Get("y") != 3*time.Millisecond {
-		t.Fatalf("merge: %v", a.String())
 	}
 }
 
