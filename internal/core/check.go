@@ -25,7 +25,11 @@ func (l *Layph) CheckInvariants() error {
 		len(l.role) != n || len(l.subOf) != n || len(l.x) != n || (l.parent != nil && len(l.parent) != n) {
 		return fmt.Errorf("vector length mismatch (n=%d)", n)
 	}
-	// Original vertices must map identically; proxies must carry hosts.
+	// Original vertices must map identically, over the graph's whole ID
+	// space; proxies must carry hosts.
+	if l.origCap != l.g.Cap() {
+		return fmt.Errorf("original segment ends at %d, graph cap is %d", l.origCap, l.g.Cap())
+	}
 	for v := 0; v < n; v++ {
 		isProxy := l.proxyHost[v] != NoHost
 		if (v < l.origCap) == isProxy {

@@ -12,7 +12,6 @@ import (
 	"layph/internal/inc"
 	"layph/internal/metrics"
 	"layph/internal/pool"
-	"layph/internal/scratch"
 )
 
 // Update incrementally adjusts the memoized result to the applied batch
@@ -84,25 +83,12 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	ph.Time("upload", func() {
 		// Revision-message deduction: cancel old contributions over the old
 		// flat lists, compensate over the new ones.
+		emit := func(v graph.VertexID, m float64) {
+			pending[v] += m
+			seeds.Add(v)
+		}
 		for i, u := range d.oldSrc {
-			old := d.oldRows[i]
-			xu := l.x[u]
-			if xu != 0 {
-				for _, e := range old {
-					if m := xu * e.W; m != 0 {
-						pending[e.To] -= m
-						seeds.Add(e.To)
-						st.Activations++
-					}
-				}
-				for _, e := range l.flatOut[u] {
-					if m := xu * e.W; m != 0 {
-						pending[e.To] += m
-						seeds.Add(e.To)
-						st.Activations++
-					}
-				}
-			}
+			st.Activations += inc.Revise(l.x[u], d.oldRows[i], l.flatOut[u], emit)
 			if !l.flatAlive(u) {
 				l.x[u] = 0 // removed vertices and orphaned proxies
 			}
@@ -269,13 +255,16 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 	return res.Activations
 }
 
-// updateMin is the idempotent (memoization-path) online path: dependency-
-// tree resets, local recomputation in affected subgraphs, skeleton
-// iteration with offer re-seeding, and shortcut assignment. Every phase
-// sets a dependency parent where it sets a value, as inc.Kernel does: the
-// flat in-neighbour whose message the fixpoint took, or the source that
-// seeded it. A value that came through a shortcut takes the last hop of the
-// shortcut's deduction path (lastHop), from one ranked entry per tie.
+// updateMin is the idempotent (memoization-path) online path, the scheme of
+// inc.Kernel's updateMin over the layered graph: dependency-tree resets,
+// then one offer store for every compensation — a reset vertex's re-seed
+// and an added edge's offer alike — consumed by local recomputation in the
+// active subgraphs and, for skeleton targets outside them, by the skeleton
+// iteration; then shortcut assignment. Every phase sets a dependency parent
+// where it sets a value, as inc.Kernel does: the flat in-neighbour whose
+// message the fixpoint took, or the source that seeded it. A value that
+// came through a shortcut takes the last hop of the shortcut's deduction
+// path (lastHop), from one ranked entry per tie.
 //
 // No phase walks the flat ID space: the sets are epoch-stamped, the offer
 // store is read only at its members, and the runs work in place.
@@ -283,7 +272,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	n := l.flatN()
 	zero := l.sr.Zero()
 	sc := &l.scratch
-	tagged := &sc.trim.Tagged
 	var resets []graph.VertexID
 
 	var localChanged []graph.VertexID
@@ -291,11 +279,11 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	var triggered []*Subgraph // assignment-phase subgraphs (hoisted for the quality gauges)
 	var scApps, scHits int64  // shortcut replays / improving replays
 	// Subgraphs holding resets, and the active subgraphs (filled during
-	// upload; lup-iteration consults the set to route the offer candidates
-	// the local fixpoints did not consume), both keyed by subgraph ID; and
-	// the dense offer store replacing the per-update offer maps: offerSet
-	// marks targets, offerVal carries the folded candidate (read only at
-	// offerSet members, so it needs no fill).
+	// upload; lup-iteration consults the set to route the offers the local
+	// fixpoints did not consume), both keyed by subgraph ID; and the dense
+	// offer store: offerSet marks targets, offerVal carries the folded
+	// offer and offerFrom its source (read only at offerSet members, so
+	// they need no fill).
 	sc.resetSubs.Reset(0)
 	sc.activeSubs.Reset(0)
 	var active []*Subgraph
@@ -325,7 +313,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		}
 		sc.roots = roots
 		sc.trim.Trim(l.x, l.parent, zero, &delta.Applied{}, roots, inc.RowSucc(l.flatOut))
-		resets = tagged.List
+		resets = sc.trim.Tagged.List
 		for _, v := range resets {
 			if c := l.subOf[v]; c != NoSubgraph {
 				sc.resetSubs.Add(graph.VertexID(c))
@@ -345,22 +333,38 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		}
 		sortSubgraphs(active)
 
-		// Direct compensation candidates from added flat edges, folded into
-		// the dense offer store. An offer targeting a member of an active
-		// subgraph is consumed by that subgraph's local task (concurrent
-		// tasks only read the store, at their own members); the rest target
-		// skeleton vertices and are picked up by the skeleton phase.
+		// Every compensation is an offer, folded into the dense offer store
+		// from pre-upload values: each live reset vertex's root message and
+		// an offer from every flat in-neighbour with a value (reset ones
+		// hold zero), then the added flat edges. An offer targeting a member
+		// of an active subgraph — every reset member, as resetSubs ⊆ active
+		// — is consumed by that subgraph's local task (concurrent tasks only
+		// read the store, at their own members); the rest target skeleton
+		// vertices and are picked up by the skeleton phase. A source that
+		// improves during upload lands in localChanged and re-propagates.
+		offer := func(v, src graph.VertexID, m float64) {
+			if m != zero && (sc.offerSet.Add(v) || l.sr.Plus(offerVal[v], m) != offerVal[v]) {
+				offerVal[v], offerFrom[v] = m, src
+			}
+		}
+		for _, v := range resets {
+			if !l.flatAlive(v) {
+				continue
+			}
+			if int(v) < l.origCap {
+				offer(v, engine.NoParent, l.a.InitMessage(v))
+			}
+			for _, e := range l.flatIn[v] {
+				if l.x[e.To] != zero {
+					st.Activations++
+					offer(v, e.To, l.sr.Times(l.x[e.To], e.W))
+				}
+			}
+		}
 		for _, e := range d.added {
-			if !l.flatAlive(e.to) || l.x[e.from] == zero {
-				continue
-			}
-			offer := l.sr.Times(l.x[e.from], e.w)
-			st.Activations++
-			if offer == zero {
-				continue
-			}
-			if sc.offerSet.Add(e.to) || l.sr.Plus(offerVal[e.to], offer) != offerVal[e.to] {
-				offerVal[e.to], offerFrom[e.to] = offer, e.from
+			if l.flatAlive(e.to) && l.x[e.from] != zero {
+				st.Activations++
+				offer(e.to, e.from, l.sr.Times(l.x[e.from], e.w))
 			}
 		}
 
@@ -385,7 +389,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				var r upRes
 				for _, s := range cs {
 					var a int64
-					r.settled, a = l.uploadMinSubgraph(s, tagged, offerVal, offerFrom, &sc.offerSet, r.settled)
+					r.settled, a = l.uploadMinSubgraph(s, r.settled)
 					r.acts += a
 				}
 				results[i] = r
@@ -410,34 +414,6 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			run.Activate(v)
 			seeded = true
 		}
-		// Re-seed tagged skeleton vertices from intact skeleton in-edges and
-		// root messages.
-		for _, v := range resets {
-			if !l.flatAlive(v) || !l.onUp(v) {
-				continue
-			}
-			offered := false
-			if int(v) < l.origCap {
-				if m := l.a.InitMessage(v); m != zero {
-					run.Seed(v, m, engine.NoParent)
-					offered = true
-				}
-			}
-			l.upIn(v, func(src graph.VertexID, w float64) {
-				if l.x[src] == zero {
-					return
-				}
-				offer := l.sr.Times(l.x[src], w)
-				st.Activations++
-				if offer != zero {
-					run.Seed(v, offer, src)
-					offered = true
-				}
-			})
-			if offered {
-				activate(v)
-			}
-		}
 		// Boundary members whose value changed during local absorption
 		// propagate over the skeleton.
 		for _, v := range localChanged {
@@ -445,9 +421,8 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 				activate(v)
 			}
 		}
-		// Remaining direct candidates on skeleton targets: offers whose
-		// target sits in an active subgraph were already consumed by that
-		// subgraph's local task.
+		// Offers to skeleton vertices outside active subgraphs (those
+		// inside were consumed by their subgraph's local task).
 		for _, v := range sc.offerSet.List {
 			if c := l.subOf[v]; c != NoSubgraph && sc.activeSubs.Has(graph.VertexID(c)) {
 				continue
@@ -664,17 +639,17 @@ type settled struct {
 	p graph.VertexID
 }
 
-// uploadMinSubgraph recomputes one subgraph locally: offers for tagged
-// members from valid flat in-neighbors (plus root messages and the
-// subgraph's share of added-edge candidates), then a local fixpoint.
-// Appends the members whose value changed, with their new values and
-// parents, to out and returns it with the F applications spent.
+// uploadMinSubgraph recomputes one subgraph locally: each member's offer
+// in the store — a reset member's re-seed from its whole flat in-row, an
+// added edge's compensation — seeds a local fixpoint when it improves the
+// member. Appends the members whose value changed, with their new values
+// and parents, to out and returns it with the F applications spent.
 //
 // Safe to run concurrently with other subgraphs' uploads: it only reads
 // l.x and the shared offer store (at this subgraph's own members), which
 // no task writes, and works on its own compact copy.
-func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, offerVal []float64, offerFrom []graph.VertexID, offerSet *scratch.Set, out []settled) ([]settled, int64) {
-	zero := l.sr.Zero()
+func (l *Layph) uploadMinSubgraph(s *Subgraph, out []settled) ([]settled, int64) {
+	sc := &l.scratch
 	lf := s.Local
 	k := lf.size()
 	ts := l.getTask()
@@ -685,57 +660,28 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, offerVal []f
 	// ext[j]: the run's parent vector then holds in-run (compact) and
 	// seeded (flat) parents alike.
 	ts.ext = ts.ext[:0]
-	var acts int64
 	activated := false
 	for i, v := range lf.ids {
-		ci := graph.VertexID(i)
 		x[i] = l.x[v]
-		offered := false
-		offer := func(m float64, src graph.VertexID) {
-			if l.sr.Plus(x[i], m) == x[i] {
-				return
-			}
-			if src != engine.NoParent {
-				ts.ext = append(ts.ext, src)
-				src = graph.VertexID(k + len(ts.ext) - 1)
-			}
-			run.Seed(ci, m, src)
-			offered = true
+		if !sc.offerSet.Has(v) || l.sr.Plus(x[i], sc.offerVal[v]) == x[i] {
+			continue
 		}
-		if tagged.Has(v) && l.flatAlive(v) {
-			if int(v) < l.origCap {
-				if m := l.a.InitMessage(v); m != zero {
-					offer(m, engine.NoParent)
-				}
-			}
-			for _, e := range l.flatIn[v] {
-				src := e.To
-				if tagged.Has(src) || l.x[src] == zero {
-					continue
-				}
-				m := l.sr.Times(l.x[src], e.W)
-				acts++
-				if m != zero {
-					offer(m, src)
-				}
-			}
+		src := sc.offerFrom[v]
+		if src != engine.NoParent {
+			ts.ext = append(ts.ext, src)
+			src = graph.VertexID(k + len(ts.ext) - 1)
 		}
-		if offerSet.Has(v) {
-			offer(offerVal[v], offerFrom[v])
-		}
-		if offered {
-			run.Activate(ci)
-			activated = true
-		}
+		run.Seed(graph.VertexID(i), sc.offerVal[v], src)
+		run.Activate(graph.VertexID(i))
+		activated = true
 	}
 	if !activated {
-		return out, acts
+		return out, 0
 	}
 	res := run.Run(&engine.Frame{Out: lf.absorbOut}, x, par, engine.Options{
 		Workers:   1,
 		Tolerance: l.tol,
 	})
-	acts += res.Activations
 	for _, ci := range res.Changed {
 		p := par[ci]
 		switch {
@@ -747,5 +693,5 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, tagged *scratch.Set, offerVal []f
 		}
 		out = append(out, settled{v: lf.ids[ci], x: x[ci], p: p})
 	}
-	return out, acts
+	return out, res.Activations
 }

@@ -789,30 +789,6 @@ func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge
 	return out
 }
 
-// upIn calls visit with the source and weight of each of skeleton vertex
-// v's Lup in-edges, the reverse of appendUpOut: v's flat in-edges from
-// outside its subgraph (all of them, for an outlier) and the shortcuts into
-// v in its subgraph's entry vectors.
-func (l *Layph) upIn(v graph.VertexID, visit func(src graph.VertexID, w float64)) {
-	sv := l.subOf[v]
-	for _, e := range l.flatIn[v] {
-		if sv == NoSubgraph || l.subOf[e.To] != sv {
-			visit(e.To, e.W)
-		}
-	}
-	s := l.subs[sv]
-	if s == nil {
-		return
-	}
-	cv := int(l.localIdx[v])
-	for _, u := range s.Entries {
-		cu := int(l.localIdx[u])
-		if vec := s.scVec[cu]; vec != nil && l.isShortcut(vec, cu, cv) {
-			visit(u, vec[cv])
-		}
-	}
-}
-
 // absorbIn calls visit with the compact source and weight of each of
 // compact member c's in-edges in s's absorbing frame, the reverse of
 // absorbOut: c's flat in-edges from members that are not entries. It runs

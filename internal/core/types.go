@@ -286,7 +286,8 @@ type Layph struct {
 	entryProxiesOf map[graph.VertexID][]graph.VertexID
 
 	// Flat layered graph (original + proxy rewiring, semiring weights);
-	// flatIn is the only in-adjacency (skeleton ones: upIn, frame: absorbIn).
+	// flatIn is the only in-adjacency (absorbing-frame in-edges are read off
+	// it by absorbIn).
 	flatOut [][]engine.WEdge
 	flatIn  [][]engine.WEdge
 	// Upper-layer skeleton (cross edges + proxy links + entry shortcuts).

@@ -392,16 +392,14 @@ func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool, listed []gr
 	return l.patchShortcuts(s, listed)
 }
 
-// growForNewVertices extends all flat-space vectors when the graph gained
-// vertices. The invariant "original vertex v is flat vertex v" must hold, so
-// when fresh original IDs would collide with previously allocated proxy IDs,
-// the proxy segment is relocated past the new cap.
+// growForNewVertices extends all flat-space vectors when the graph's ID
+// space grew, which a batch that creates a vertex and deletes it again does
+// without listing an added vertex. The invariant "original vertex v is flat
+// vertex v" must hold, so when fresh original IDs would collide with
+// previously allocated proxy IDs, the proxy segment is relocated past the
+// new cap.
 func (l *Layph) growForNewVertices(applied *delta.Applied) {
-	if len(applied.AddedVertices) == 0 {
-		return
-	}
-	capNow := l.g.Cap()
-	if capNow > l.origCap {
+	if capNow := l.g.Cap(); capNow > l.origCap {
 		if l.flatN() > l.origCap {
 			l.remapProxies(capNow)
 		} else {

@@ -241,24 +241,35 @@ func TestVertexGrowthRemapsProxies(t *testing.T) {
 	if l.OfflineStats.Proxies == 0 {
 		t.Skip("no proxies on this layout")
 	}
-	// Adding vertices forces the proxy segment past the new cap.
+	// Adding vertices forces the proxy segment past the new cap; so does a
+	// vertex the same batch creates and deletes again, which grows the ID
+	// space without listing an added vertex.
 	genr := delta.NewGenerator(5)
-	batch := genr.VertexBatch(g, 10, 0, 4, true)
-	applied := delta.Apply(g, batch)
-	l.Update(applied)
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	want := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{})
-	if !algo.StatesClose(l.States()[:g.Cap()], want.X, 1e-9) {
-		t.Fatal("states diverge after proxy remap")
+	for b, batch := range []func() delta.Batch{
+		func() delta.Batch { return genr.VertexBatch(g, 10, 0, 4, true) },
+		func() delta.Batch {
+			v := graph.VertexID(g.Cap())
+			return delta.Batch{{Kind: delta.AddVertex, U: v}, {Kind: delta.DelVertex, U: v}}
+		},
+	} {
+		l.Update(delta.Apply(g, batch()))
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if i := slices.IndexFunc(l.proxyHost[:g.Cap()], func(h graph.VertexID) bool { return h != NoHost }); i >= 0 {
+			t.Fatalf("batch %d: graph vertex %d holds a proxy", b, i)
+		}
+		want := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{})
+		if !algo.StatesClose(l.States()[:g.Cap()], want.X, 1e-9) {
+			t.Fatalf("batch %d: states diverge after proxy remap", b)
+		}
 	}
 }
 
-// The skeleton and absorbing-frame in-edges are read off the flat in-rows.
-// After build and after every churn batch (edge churn, vertex adds and
-// deletes, on a layout with proxies) they must be exactly the reverse of
-// the stored out-rows, upOut and absorbOut.
+// The absorbing-frame in-edges are read off the flat in-rows. After build
+// and after every churn batch (edge churn, vertex adds and deletes, on a
+// layout with proxies) they must be exactly the reverse of the stored
+// out-rows, absorbOut.
 func TestDerivedInEdgesReverseOutRows(t *testing.T) {
 	for name, mk := range map[string]func() algo.Algorithm{
 		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },
@@ -297,8 +308,9 @@ func TestDerivedInEdgesReverseOutRows(t *testing.T) {
 // another entry's shortcut. In twoBlockGraph plus source edges 0→12 and
 // 0→20 and an exit edge 20→5, vertex 20 takes its value from the source;
 // deleting 0→20 resets it while it stays an exit, and the shortcut from
-// entry 12 (whose value the deletion leaves intact) is the only skeleton
-// in-edge left to re-seed it from. The answer must equal a restart.
+// entry 12 (whose value the deletion leaves intact) is its only skeleton
+// in-edge left. Its subgraph's upload re-seeds it from its whole flat
+// in-row; the answer must equal a restart.
 func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
 	g := twoBlockGraph()
 	g.AddEdge(0, 12, 1)
@@ -314,7 +326,13 @@ func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
 		t.Fatal(err)
 	}
 	var srcs []graph.VertexID
-	l.upIn(v, func(src graph.VertexID, _ float64) { srcs = append(srcs, src) })
+	for u, row := range l.upOut {
+		for _, e := range row {
+			if e.To == v {
+				srcs = append(srcs, graph.VertexID(u))
+			}
+		}
+	}
 	if l.role[v] != RoleExit || !slices.Equal(srcs, []graph.VertexID{12}) {
 		t.Fatalf("vertex 20 is %v with skeleton in-edges from %v, want an exit with entry 12's shortcut only", l.role[v], srcs)
 	}
@@ -324,9 +342,8 @@ func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
 	}
 }
 
-// derivedInEdgesDiff compares upIn on every live skeleton vertex with the
-// reverse of upOut, and absorbIn on every frame member with the reverse of
-// absorbOut, as edge multisets.
+// derivedInEdgesDiff compares absorbIn on every frame member with the
+// reverse of absorbOut, as edge multisets.
 func derivedInEdgesDiff(l *Layph) error {
 	var got []engine.WEdge
 	add := func(src graph.VertexID, w float64) { got = append(got, engine.WEdge{To: src, W: w}) }
@@ -342,17 +359,6 @@ func derivedInEdgesDiff(l *Layph) error {
 	same := func(a, b []engine.WEdge) bool {
 		byEdge := func(x, y engine.WEdge) int { return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.W, y.W)) }
 		return slices.Equal(slices.SortedFunc(slices.Values(a), byEdge), slices.SortedFunc(slices.Values(b), byEdge))
-	}
-	upWant := reverse(l.upOut)
-	for v := range l.flatN() {
-		vid := graph.VertexID(v)
-		if !l.flatAlive(vid) || !l.onUp(vid) {
-			continue
-		}
-		got = got[:0]
-		if l.upIn(vid, add); !same(got, upWant[v]) {
-			return fmt.Errorf("skeleton vertex %d: in-edges %v, reverse of upOut %v", v, got, upWant[v])
-		}
 	}
 	for _, s := range subgraphList(l.subs) {
 		absWant := reverse(s.Local.absorbOut)

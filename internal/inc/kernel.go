@@ -294,23 +294,9 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 // vertices contribute their root messages, and the deltas propagate.
 func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	var st Stats
+	seed := func(v graph.VertexID, m float64) { k.run.Seed(v, m, engine.NoParent) }
 	for i, u := range k.touched.List {
-		xu := k.x[u]
-		if xu == 0 {
-			continue
-		}
-		for _, e := range k.oldRows[i] {
-			if m := xu * e.W; m != 0 {
-				k.run.Seed(e.To, -m, engine.NoParent)
-				st.Activations++
-			}
-		}
-		for _, e := range k.frame.Out[u] {
-			if m := xu * e.W; m != 0 {
-				k.run.Seed(e.To, m, engine.NoParent)
-				st.Activations++
-			}
-		}
+		st.Activations += Revise(k.x[u], k.oldRows[i], k.frame.Out[u], seed)
 	}
 	for _, v := range applied.AddedVertices {
 		k.run.Seed(v, k.a.InitMessage(v), engine.NoParent)
@@ -332,4 +318,28 @@ func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st
+}
+
+// Revise emits the revision messages of a source with state x whose
+// out-row changed from old to fresh: x·w cancelled over old's edges and
+// compensated over fresh's. Zero messages are skipped; it returns the
+// number emitted.
+func Revise(x float64, old, fresh []engine.WEdge, emit func(v graph.VertexID, m float64)) int64 {
+	if x == 0 {
+		return 0
+	}
+	var n int64
+	for _, e := range old {
+		if m := x * e.W; m != 0 {
+			emit(e.To, -m)
+			n++
+		}
+	}
+	for _, e := range fresh {
+		if m := x * e.W; m != 0 {
+			emit(e.To, m)
+			n++
+		}
+	}
+	return n
 }
