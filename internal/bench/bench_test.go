@@ -135,7 +135,6 @@ func TestExperimentsRunQuickly(t *testing.T) {
 	t.Chdir(t.TempDir()) // the parallel experiment writes BENCH_parallel.json
 	o := tiny()
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
 			e.Run(&buf, o)

@@ -154,7 +154,7 @@ func TestAdjustKeepsPartitionValid(t *testing.T) {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 4, 4, 3, false)...)
 		applied := delta.Apply(g, batch)
-		changed := Adjust(g, p, Config{MaxSize: 80}, applied)
+		changed := AdjustDetailed(g, p, Config{MaxSize: 80}, applied).Changed
 		if len(p.Comm) < g.Cap() {
 			t.Fatal("assignment not grown")
 		}
@@ -188,7 +188,7 @@ func TestAdjustReportsChangedCommunities(t *testing.T) {
 	})
 	c := p.Comm[victim]
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelVertex, U: victim}})
-	changed := Adjust(g, p, Config{}, applied)
+	changed := AdjustDetailed(g, p, Config{}, applied).Changed
 	if _, ok := changed[c]; !ok {
 		t.Fatalf("community %d of deleted vertex not reported (got %v)", c, changed)
 	}
@@ -211,7 +211,7 @@ func TestAdjustNewVertexJoinsNeighborCommunity(t *testing.T) {
 		}
 	})
 	applied := delta.Apply(g, batch)
-	Adjust(g, p, Config{}, applied)
+	AdjustDetailed(g, p, Config{}, applied)
 	if p.Comm[nv] != target {
 		t.Fatalf("new vertex joined %d, want %d", p.Comm[nv], target)
 	}
@@ -232,7 +232,7 @@ func TestAdjustDeterministic(t *testing.T) {
 			batch := genr.EdgeBatch(g, 60, true)
 			batch = append(batch, genr.VertexBatch(g, 5, 3, 3, true)...)
 			applied := delta.Apply(g, batch)
-			Adjust(g, p, Config{MaxSize: 80}, applied)
+			AdjustDetailed(g, p, Config{MaxSize: 80}, applied)
 		}
 		return append([]int32(nil), p.Comm...)
 	}
@@ -303,7 +303,7 @@ func TestAdjustLongChurnBoundedComms(t *testing.T) {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 6, 6, 3, false)...)
 		applied := delta.Apply(g, batch)
-		Adjust(g, p, Config{MaxSize: 60}, applied)
+		AdjustDetailed(g, p, Config{MaxSize: 60}, applied)
 		if p.LiveComms() > p.NumComms {
 			t.Fatalf("round %d: live %d > NumComms %d", i, p.LiveComms(), p.NumComms)
 		}
@@ -342,7 +342,7 @@ func TestAdjustIsolatedNewVertexGetsSingleton(t *testing.T) {
 	before := p.NumComms
 	nv := graph.VertexID(g.Cap())
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.AddVertex, U: nv}})
-	Adjust(g, p, Config{}, applied)
+	AdjustDetailed(g, p, Config{}, applied)
 	if p.Comm[nv] < 0 {
 		t.Fatal("isolated new vertex unassigned")
 	}

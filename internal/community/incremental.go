@@ -27,7 +27,7 @@ type AdjustResult struct {
 	Moved []VertexMove
 }
 
-// Adjust incrementally maintains a partition after a graph update, in the
+// AdjustDetailed incrementally maintains a partition after a graph update, in the
 // spirit of DynaMo / C-Blondel: instead of re-running detection from
 // scratch, only the vertices touched by ΔG (and fresh vertices) are
 // re-evaluated with Louvain local moves against the current partition.
@@ -38,12 +38,8 @@ type AdjustResult struct {
 //
 // It returns the set of community ids whose membership changed (including
 // ids that gained or lost vertices), which is exactly the set of subgraphs
-// whose layer structures must be refreshed.
-func Adjust(g *graph.Graph, p *Partition, cfg Config, applied *delta.Applied) map[int32]struct{} {
-	return AdjustDetailed(g, p, cfg, applied).Changed
-}
-
-// AdjustDetailed is Adjust plus the per-vertex move log (see AdjustResult).
+// whose layer structures must be refreshed, plus the per-vertex move log
+// (see AdjustResult).
 func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.Applied) AdjustResult {
 	res := AdjustResult{Changed: make(map[int32]struct{})}
 	changed := res.Changed

@@ -162,69 +162,48 @@ func sortSubgraphs(subs []*Subgraph) {
 	sort.Slice(subs, func(a, b int) bool { return subs[a].ID < subs[b].ID })
 }
 
-// buildSubgraphs (re)constructs each listed subgraph — member
-// classification, local frame, full shortcut deduction — and returns the
-// total F applications spent plus the number of pool tasks dispatched.
+// buildSubgraphs (re)constructs each listed subgraph and returns the total
+// F applications spent plus the number of pool tasks dispatched.
 func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
-	_, acts, tasks := l.forSubgraphs(subs, func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
-		l.classifyMembers(s)
-		l.buildLocalFrame(s)
-		return listed, l.deduceShortcuts(s, parallelEntries)
-	})
-	return acts, tasks
+	return l.forSubgraphs(subs, l.buildSubgraph)
+}
+
+// buildSubgraph (re)constructs one subgraph — member classification, local
+// frame, full shortcut deduction — and returns the F applications spent.
+func (l *Layph) buildSubgraph(s *Subgraph, parallelEntries bool) int64 {
+	l.classifyMembers(s)
+	l.buildLocalFrame(s)
+	return l.deduceShortcuts(s, parallelEntries)
 }
 
 // subgraphTask is one subgraph's share of a shortcut fan-out: it may fan
-// out over the subgraph's entries when parallelEntries is set, appends the
-// entries whose skeleton rows its shortcut changes made stale to listed,
-// and returns the F applications spent.
-type subgraphTask func(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64)
+// out over the subgraph's entries when parallelEntries is set, and returns
+// the F applications spent.
+type subgraphTask func(s *Subgraph, parallelEntries bool) int64
 
-// forSubgraphs runs task over subs on the worker pool and merges the
-// results in task order. The fan-out axis adapts to the work shape: with
-// several subgraphs, one pool task per fused chunk of subgraphs (entries
-// within each handled sequentially); with a single subgraph, the task may
-// fan out over its entries instead. One level of fan-out either way keeps
-// the pool's busy-time accounting exact (no task ever blocks inside another
-// task); the pool's inline fallback would keep even accidental nesting
-// deadlock-free. Tasks write only their own subgraph and read shared
-// structure that is frozen for the duration of the fan-out. Returns the
-// listed entries, the F applications and the number of pool tasks.
-func (l *Layph) forSubgraphs(subs []*Subgraph, task subgraphTask) ([]graph.VertexID, int64, int64) {
-	if len(subs) == 0 {
-		return nil, 0, 0
-	}
+// forSubgraphs runs task over subs on the worker pool. The fan-out axis
+// adapts to the work shape: with several subgraphs, one pool task per fused
+// chunk of subgraphs (entries within each handled sequentially); with a
+// single subgraph, the task may fan out over its entries instead. One level
+// of fan-out either way keeps the pool's busy-time accounting exact (no
+// task ever blocks inside another task); the pool's inline fallback would
+// keep even accidental nesting deadlock-free. Tasks write only their own
+// subgraph and read shared structure that is frozen for the duration of
+// the fan-out. Returns the F applications and the number of pool tasks.
+func (l *Layph) forSubgraphs(subs []*Subgraph, task subgraphTask) (acts, tasks int64) {
 	if len(subs) == 1 {
-		listed, acts := task(subs[0], true, nil)
-		return listed, acts, 1
+		return task(subs[0], true), 1
 	}
-	chunks := l.subgraphChunks(subs)
-	type result struct {
-		listed []graph.VertexID
-		acts   int64
+	results := eachChunk(l, subs, func(ch []*Subgraph) (a int64) {
+		for _, s := range ch {
+			a += task(s, false)
+		}
+		return a
+	})
+	for _, a := range results {
+		acts += a
 	}
-	results := make([]result, len(chunks))
-	grp := l.pool.Group()
-	for i, ch := range chunks {
-		i, ch := i, ch
-		grp.Go(func() {
-			var r result
-			for _, s := range ch {
-				var a int64
-				r.listed, a = task(s, false, r.listed)
-				r.acts += a
-			}
-			results[i] = r
-		})
-	}
-	grp.Wait()
-	var listed []graph.VertexID
-	var acts int64
-	for _, r := range results {
-		listed = append(listed, r.listed...)
-		acts += r.acts
-	}
-	return listed, acts, int64(len(chunks))
+	return acts, int64(len(results))
 }
 
 // classifyMembers fills the subgraph's member and role lists from the

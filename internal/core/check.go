@@ -177,9 +177,8 @@ func (l *Layph) checkParents() error {
 // checkSubgraph validates one subgraph against the flat graph and roles:
 // its members are the live vertices assigned to it, in compact-ID order;
 // Entries, Exits and Internal classify them by role; every frame row is the
-// compact projection of the member's flat row; an entry has an empty
-// absorbing row and a shortcut vector, every other member an absorbing row
-// equal to its frame row and none; and an entry's deduction parents (min
+// compact projection of the member's flat row; an entry has a shortcut
+// vector and every other member none; and an entry's deduction parents (min
 // scheme) are supported by its own row or by absorbing in-edges.
 func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	c := s.ID
@@ -227,9 +226,6 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 		}
 		edges += len(lf.out[ci])
 		if l.role[v].IsEntry() {
-			if len(lf.absorbOut[ci]) != 0 {
-				return fmt.Errorf("sub %d: entry %d has an absorbing row", c, v)
-			}
 			if len(s.scVec[ci]) != k || (l.sr.Idempotent() && len(s.scParent[ci]) != k) {
 				return fmt.Errorf("sub %d: entry %d has no shortcut vector", c, v)
 			}
@@ -238,13 +234,8 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 					return err
 				}
 			}
-		} else {
-			if !sameEdges(lf.absorbOut[ci], lf.out[ci]) {
-				return fmt.Errorf("sub %d: absorbing row of non-entry %d differs from its frame row", c, v)
-			}
-			if s.scVec[ci] != nil {
-				return fmt.Errorf("sub %d: non-entry %d has shortcuts", c, v)
-			}
+		} else if s.scVec[ci] != nil {
+			return fmt.Errorf("sub %d: non-entry %d has shortcuts", c, v)
 		}
 	}
 	if edges != lf.edges {

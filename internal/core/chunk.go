@@ -72,3 +72,19 @@ func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	}
 	return out
 }
+
+// eachChunk runs task on every chunk of subs (subgraphChunks), one pool task
+// per chunk, and returns the results in chunk order.
+func eachChunk[R any](l *Layph, subs []*Subgraph, task func([]*Subgraph) R) []R {
+	chunks := l.subgraphChunks(subs)
+	results := make([]R, len(chunks))
+	if len(chunks) == 0 {
+		return results
+	}
+	grp := l.pool.Group()
+	for i, ch := range chunks {
+		grp.Go(func() { results[i] = task(ch) })
+	}
+	grp.Wait()
+	return results
+}

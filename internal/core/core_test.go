@@ -106,7 +106,7 @@ func TestShortcutWeightsMatchLocalFixpoint(t *testing.T) {
 			for _, s := range subgraphList(l.subs) {
 				for _, u := range s.Entries {
 					cu := l.localIdx[u]
-					want := localFixpoint(l.sr, s.Local, cu)
+					want := localFixpoint(l.sr, s.Local, l.role, cu)
 					for c, w := range s.scVec[cu] {
 						if w != want[c] && !(math.Abs(w-want[c]) <= tol) {
 							t.Fatalf("sub %d entry %d: shortcut to %d weight %v, want %v", s.ID, u, s.Local.ids[c], w, want[c])
@@ -129,8 +129,9 @@ func TestShortcutWeightsMatchLocalFixpoint(t *testing.T) {
 }
 
 // localFixpoint recomputes entry cu's shortcut vector by Jacobi iteration
-// over the entry-absorbing frame, seeding from cu's own out-edges.
-func localFixpoint(sr algo.Semiring, lf *localFrame, cu int32) []float64 {
+// over the frame with the rows of entries (by role) skipped, seeding from
+// cu's own out-edges.
+func localFixpoint(sr algo.Semiring, lf *localFrame, role []Role, cu int32) []float64 {
 	x := make([]float64, lf.size())
 	for c := range x {
 		x[c] = sr.Zero()
@@ -143,8 +144,8 @@ func localFixpoint(sr algo.Semiring, lf *localFrame, cu int32) []float64 {
 		for _, e := range lf.out[cu] {
 			next[e.To] = sr.Plus(next[e.To], sr.Times(sr.One(), e.W))
 		}
-		for c, row := range lf.absorbOut {
-			if x[c] == sr.Zero() {
+		for c, row := range lf.out {
+			if x[c] == sr.Zero() || role[lf.ids[c]].IsEntry() {
 				continue
 			}
 			for _, e := range row {

@@ -403,15 +403,6 @@ func TestCheckInvariantsCatchesStaleEdits(t *testing.T) {
 			row[0].W++
 			s.Local.out[cu] = row
 		},
-		"entry keeps an absorbing row": func(l *Layph) {
-			s, u, _ := pick(l)
-			cu := l.localIdx[u]
-			s.Local.absorbOut[cu] = s.Local.out[cu]
-		},
-		"internal vertex without its absorbing row": func(l *Layph) {
-			s, _, v := pick(l)
-			s.Local.absorbOut[l.localIdx[v]] = nil
-		},
 		"entry without a shortcut vector": func(l *Layph) {
 			s, u, _ := pick(l)
 			s.scVec[l.localIdx[u]] = nil

@@ -104,21 +104,13 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// sets and each task reads/writes pending, fromLocal and l.x only
 		// at its own members, so the fused chunks run as independent pool
 		// tasks; results are identical to sequential execution.
-		chunks := l.subgraphChunks(d.affectedSubs)
-		st.SubgraphsParallel += int64(len(chunks))
-		acts := make([]int64, len(chunks))
-		grp := l.pool.Group()
-		for i, ch := range chunks {
-			i, ch := i, ch
-			grp.Go(func() {
-				var a int64
-				for _, s := range ch {
-					a += l.uploadSumSubgraph(s, pending, fromLocal)
-				}
-				acts[i] = a
-			})
-		}
-		grp.Wait()
+		acts := eachChunk(l, d.affectedSubs, func(ch []*Subgraph) (a int64) {
+			for _, s := range ch {
+				a += l.uploadSumSubgraph(s, pending, fromLocal)
+			}
+			return a
+		})
+		st.SubgraphsParallel += int64(len(acts))
 		for _, a := range acts {
 			st.Activations += a
 		}
@@ -161,33 +153,25 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// vertices, not written here) and writes only its own subgraphs'
 		// internal vertices via the entry→internal shortcuts — disjoint
 		// across subgraphs, hence across chunks.
-		chunks := l.subgraphChunks(subgraphList(l.subs))
-		st.SubgraphsParallel += int64(len(chunks))
-		acts := make([]int64, len(chunks))
-		grp := l.pool.Group()
-		for i, ch := range chunks {
-			i, ch := i, ch
-			grp.Go(func() {
-				var a int64
-				for _, s := range ch {
-					for _, u := range s.Entries {
-						mu := l.x[u] - xPre[u]
-						if math.Abs(mu) <= l.tol {
-							continue
-						}
-						vec := s.scVec[l.localIdx[u]]
-						for _, t := range s.Internal {
-							if w := vec[l.localIdx[t]]; w != 0 {
-								l.x[t] += mu * w
-								a++
-							}
+		acts := eachChunk(l, subgraphList(l.subs), func(ch []*Subgraph) (a int64) {
+			for _, s := range ch {
+				for _, u := range s.Entries {
+					mu := l.x[u] - xPre[u]
+					if math.Abs(mu) <= l.tol {
+						continue
+					}
+					vec := s.scVec[l.localIdx[u]]
+					for _, t := range s.Internal {
+						if w := vec[l.localIdx[t]]; w != 0 {
+							l.x[t] += mu * w
+							a++
 						}
 					}
 				}
-				acts[i] = a
-			})
-		}
-		grp.Wait()
+			}
+			return a
+		})
+		st.SubgraphsParallel += int64(len(acts))
 		for _, a := range acts {
 			st.Activations += a
 		}
@@ -239,7 +223,7 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 	if !seeded {
 		return 0
 	}
-	res := ts.run.Run(&engine.Frame{Out: lf.absorbOut}, x, nil, engine.Options{
+	res := ts.run.Run(l.absorbing(s), x, nil, engine.Options{
 		Workers:   1,
 		Tolerance: l.tol,
 	})
@@ -375,27 +359,19 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// a boundary member whose value improves during upload lands in
 		// localChanged and is re-propagated by the skeleton iteration and
 		// assignment phases.
-		chunks := l.subgraphChunks(active)
-		st.SubgraphsParallel += int64(len(chunks))
 		type upRes struct {
 			settled []settled
 			acts    int64
 		}
-		results := make([]upRes, len(chunks))
-		grp := l.pool.Group()
-		for i, cs := range chunks {
-			i, cs := i, cs
-			grp.Go(func() {
-				var r upRes
-				for _, s := range cs {
-					var a int64
-					r.settled, a = l.uploadMinSubgraph(s, r.settled)
-					r.acts += a
-				}
-				results[i] = r
-			})
-		}
-		grp.Wait()
+		results := eachChunk(l, active, func(cs []*Subgraph) (r upRes) {
+			for _, s := range cs {
+				var a int64
+				r.settled, a = l.uploadMinSubgraph(s, r.settled)
+				r.acts += a
+			}
+			return r
+		})
+		st.SubgraphsParallel += int64(len(results))
 		for _, r := range results {
 			st.Activations += r.acts
 			for _, u := range r.settled {
@@ -522,50 +498,42 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		// in that order, so the first improving replay to reach the final
 		// value wins, and the skeleton values that came through shortcuts
 		// are re-attributed the same way.
-		chunks := l.subgraphChunks(triggered)
-		st.SubgraphsParallel += int64(len(chunks))
 		type asgRes struct {
 			acts, hits int64
 		}
-		results := make([]asgRes, len(chunks))
-		grp := l.pool.Group()
-		for i, cs := range chunks {
-			i, cs := i, cs
-			grp.Go(func() {
-				var r asgRes
-				var order []graph.VertexID
-				for _, s := range cs {
-					order = l.rankedEntries(order, s)
-					for _, v := range s.Members {
-						if sc.viaShortcut.Has(v) {
-							l.parent[v] = l.shortcutParent(s, order, v, l.parent[v])
-						}
+		results := eachChunk(l, triggered, func(cs []*Subgraph) (r asgRes) {
+			var order []graph.VertexID
+			for _, s := range cs {
+				order = l.rankedEntries(order, s)
+				for _, v := range s.Members {
+					if sc.viaShortcut.Has(v) {
+						l.parent[v] = l.shortcutParent(s, order, v, l.parent[v])
 					}
-					for _, u := range order {
-						if l.x[u] == zero {
+				}
+				for _, u := range order {
+					if l.x[u] == zero {
+						continue
+					}
+					cu := l.localIdx[u]
+					vec := s.scVec[cu]
+					for _, t := range s.Internal {
+						ct := l.localIdx[t]
+						if vec[ct] == zero {
 							continue
 						}
-						cu := l.localIdx[u]
-						vec := s.scVec[cu]
-						for _, t := range s.Internal {
-							ct := l.localIdx[t]
-							if vec[ct] == zero {
-								continue
-							}
-							cand := l.sr.Times(l.x[u], vec[ct])
-							r.acts++
-							if l.sr.Plus(l.x[t], cand) != l.x[t] {
-								l.x[t] = cand
-								l.parent[t] = s.lastHop(cu, ct)
-								r.hits++
-							}
+						cand := l.sr.Times(l.x[u], vec[ct])
+						r.acts++
+						if l.sr.Plus(l.x[t], cand) != l.x[t] {
+							l.x[t] = cand
+							l.parent[t] = s.lastHop(cu, ct)
+							r.hits++
 						}
 					}
 				}
-				results[i] = r
-			})
-		}
-		grp.Wait()
+			}
+			return r
+		})
+		st.SubgraphsParallel += int64(len(results))
 		for _, r := range results {
 			st.Activations += r.acts
 			scApps += r.acts
@@ -678,7 +646,7 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, out []settled) ([]settled, int64)
 	if !activated {
 		return out, 0
 	}
-	res := run.Run(&engine.Frame{Out: lf.absorbOut}, x, par, engine.Options{
+	res := run.Run(l.absorbing(s), x, par, engine.Options{
 		Workers:   1,
 		Tolerance: l.tol,
 	})

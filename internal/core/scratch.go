@@ -22,9 +22,9 @@ type updScratch struct {
 	// recompute in the current round of layeredUpdate.
 	touched scratch.Set
 	dirty   scratch.Set
-	upDirty scratch.Set
-	// roleSeen lists every vertex whose role was recomputed in this update;
-	// oldRole[v] holds its pre-update role while roleSeen.Has(v).
+	// roleSeen lists every vertex whose role was recomputed in this update,
+	// whose skeleton row layeredUpdate refreshes; oldRole[v] holds its
+	// pre-update role while roleSeen.Has(v).
 	roleSeen scratch.Set
 	oldRole  []Role
 

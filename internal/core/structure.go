@@ -316,7 +316,6 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 		lf.ids = append(lf.ids, v)
 	}
 	lf.out = make([][]engine.WEdge, len(lf.ids))
-	lf.absorbOut = make([][]engine.WEdge, len(lf.ids))
 	for ci, v := range lf.ids {
 		for _, e := range l.flatOut[v] {
 			if tj, ok := l.compactID(s, e.To); ok {
@@ -324,9 +323,6 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 			}
 		}
 		lf.edges += len(lf.out[ci])
-		if !l.role[v].IsEntry() {
-			lf.absorbOut[ci] = lf.out[ci]
-		}
 	}
 }
 
@@ -359,12 +355,11 @@ func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	// per-entry deductions can fan out over the worker pool; the shared
 	// shortcut storage is filled sequentially after the join, in entry
 	// order, keeping results deterministic.
-	frame := &engine.Frame{Out: lf.absorbOut}
+	frame := l.absorbing(s)
 	results := make([]entryRes, len(s.Entries))
 	if parallelEntries {
 		grp := l.pool.Group()
 		for i, u := range s.Entries {
-			i, u := i, u
 			grp.Go(func() { results[i] = l.deduceEntry(s, frame, u) })
 		}
 		grp.Wait()
@@ -393,7 +388,7 @@ type entryRes struct {
 }
 
 // deduceEntry runs Equation (6) for entry u over the absorbing frame.
-func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) entryRes {
+func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID) entryRes {
 	lf := s.Local
 	k := lf.size()
 	zero := l.sr.Zero()
@@ -421,14 +416,12 @@ func (l *Layph) deduceEntry(s *Subgraph, frame *engine.Frame, u graph.VertexID) 
 	return r
 }
 
-// editFrame re-syncs member v's rows in the frame of its (non-rebuilt)
-// subgraph s with v's flat row and current role, in place: the compact
-// out-row is re-projected, and the absorbing row is emptied for an entry or
-// set to the out-row otherwise. The first edit of a vertex in an update
-// snapshots its previous rows for patchShortcuts; roleFlip forces the
-// snapshot even when no row moved, so the patch also sees flips that only
-// change v's boundary/internal class. Reports whether anything was
-// recorded.
+// editFrame re-syncs member v's row in the frame of its (non-rebuilt)
+// subgraph s with v's flat row, in place. The first edit of a vertex in an
+// update snapshots its previous row for patchShortcuts; roleFlip forces the
+// snapshot even when the row did not move, since a flip moves the vertex
+// in or out of the absorbing view and between the boundary and internal
+// classes. Reports whether anything was recorded.
 func (l *Layph) editFrame(s *Subgraph, v graph.VertexID, roleFlip bool) bool {
 	lf := s.Local
 	ci := graph.VertexID(l.localIdx[v])
@@ -439,31 +432,19 @@ func (l *Layph) editFrame(s *Subgraph, v graph.VertexID, roleFlip bool) bool {
 		}
 	}
 	l.scratch.rowBuf = row
-	out := lf.out[ci]
-	outChanged := !sameRow(out, row)
-	if outChanged {
-		out = slices.Clone(row)
-	}
-	var abs []engine.WEdge
-	if !l.role[v].IsEntry() {
-		abs = out
-	}
-	absChanged := !sameRow(lf.absorbOut[ci], abs)
-	if !outChanged && !absChanged && !roleFlip {
+	same := sameRow(lf.out[ci], row)
+	if same && !roleFlip {
 		return false
 	}
 	lf.snapshot(ci, l.epoch)
-	if outChanged {
-		lf.edges += len(out) - len(lf.out[ci])
-		lf.out[ci] = out
-	}
-	if absChanged {
-		lf.absorbOut[ci] = abs
+	if !same {
+		lf.edges += len(row) - len(lf.out[ci])
+		lf.out[ci] = slices.Clone(row)
 	}
 	return true
 }
 
-// snapshot records compact vertex ci's current rows at its first edit in
+// snapshot records compact vertex ci's current row at its first edit in
 // the update numbered epoch.
 func (lf *localFrame) snapshot(ci graph.VertexID, epoch uint32) {
 	ed := &lf.edit
@@ -480,14 +461,12 @@ func (lf *localFrame) snapshot(ci graph.VertexID, epoch uint32) {
 	ed.mark[ci] = epoch
 	ed.cis = append(ed.cis, ci)
 	ed.oldOut = append(ed.oldOut, lf.out[ci])
-	ed.oldAbs = append(ed.oldAbs, lf.absorbOut[ci])
 }
 
 // done drops the snapshots (and the old rows they keep alive).
 func (ed *frameEdit) done() {
 	clear(ed.oldOut)
-	clear(ed.oldAbs)
-	ed.cis, ed.oldOut, ed.oldAbs = ed.cis[:0], ed.oldOut[:0], ed.oldAbs[:0]
+	ed.cis, ed.oldOut = ed.cis[:0], ed.oldOut[:0]
 }
 
 // cDiff is an edge change in a subgraph's compact ID space.
@@ -547,15 +526,16 @@ const patchBudget = 32
 //   - every persisting entry absorbs the frame diff, plus any change to its
 //     own seeding row, with revision messages (updateEntryMin/Sum).
 //
-// Entries whose skeleton rows are stale — their vector moved, or a member
-// flipped between the internal and boundary classes, which moves slots in
-// or out of every entry's row — are appended to listed. Returns listed and
-// the F applications spent.
-func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.VertexID, int64) {
+// An edited vertex's old absorbing row is empty when its pre-update role
+// (scratch.oldRole, recorded for every vertex editFrames edits) was an
+// entry role, and its snapshot row otherwise. The skeleton rows of the
+// subgraph's entries are refreshed after the fan-out (layeredUpdate).
+// Returns the F applications spent.
+func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 	lf := s.Local
 	ed := &lf.edit
 	if ed.epoch != l.epoch || len(ed.cis) == 0 {
-		return listed, 0
+		return 0
 	}
 	defer ed.done()
 	idem := l.sr.Idempotent()
@@ -563,18 +543,21 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 		lf.patches++
 		if lf.patches > patchBudget {
 			lf.patches = 0
-			acts := l.deduceShortcuts(s, false)
-			return append(listed, s.Entries...), acts
+			return l.deduceShortcuts(s, false)
 		}
 	}
 
+	frame := l.absorbing(s)
 	var ab compactDiff
 	var seeds []seedDiff
 	var fresh []graph.VertexID
-	reclass := false
 	for i, ci := range ed.cis {
 		v := lf.ids[ci]
-		ab.diffRow(ci, ed.oldAbs[i], lf.absorbOut[ci])
+		var oldRow []engine.WEdge // the old absorbing row: none for an entry
+		if !l.scratch.oldRole[v].IsEntry() {
+			oldRow = ed.oldOut[i]
+		}
+		ab.diffRow(ci, oldRow, frame.Row(ci))
 		entry, hasVec := l.role[v].IsEntry(), s.scVec[ci] != nil
 		switch {
 		case entry && !hasVec:
@@ -591,12 +574,8 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 				seeds = append(seeds, sd)
 			}
 		}
-		if (l.scratch.oldRole[v] == RoleInternal) != (l.role[v] == RoleInternal) {
-			reclass = true
-		}
 	}
 
-	frame := &engine.Frame{Out: lf.absorbOut}
 	ts := l.getTask()
 	defer l.putTask(ts)
 	var acts int64
@@ -611,18 +590,12 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 				seed = sd.compactDiff
 			}
 		}
-		changed := false
-		if !ab.empty() || !seed.empty() {
-			var a int64
-			if idem {
-				a, changed = l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
-			} else {
-				a, changed = l.updateEntrySum(s, cu, frame, &ab, &seed, ts)
-			}
-			acts += a
-		}
-		if changed || reclass {
-			listed = append(listed, u)
+		switch {
+		case ab.empty() && seed.empty():
+		case idem:
+			acts += l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
+		default:
+			acts += l.updateEntrySum(s, cu, frame, &ab, &seed, ts)
 		}
 	}
 	for _, u := range fresh {
@@ -633,18 +606,16 @@ func (l *Layph) patchShortcuts(s *Subgraph, listed []graph.VertexID) ([]graph.Ve
 			s.scParent[cu] = r.par
 		}
 		acts += r.acts
-		listed = append(listed, u)
 	}
-	return listed, acts
+	return acts
 }
 
 // updateEntrySum applies exact inverse deltas for entry cu's vector: with x
 // the old fixpoint, the new one is x + (x·ΔA + Δs)(I - A')⁻¹, so every
 // removed absorbing-frame edge seeds -x[from]·w, every added one
 // +x[from]·w, and a changed seeding edge ∓w, and the run propagates them
-// over the new frame. Reports the F applications and whether the vector
-// moved.
-func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ts *taskScratch) (int64, bool) {
+// over the new frame. Returns the F applications spent.
+func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame engine.Rows, ab, seed *compactDiff, ts *taskScratch) int64 {
 	vec := s.scVec[cu]
 	var acts int64
 	put := func(to graph.VertexID, m float64) {
@@ -667,10 +638,10 @@ func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 		put(e.to, one*e.w)
 	}
 	if acts == 0 {
-		return acts, false
+		return 0
 	}
 	res := ts.run.Run(frame, vec, nil, engine.Options{Workers: 1, Tolerance: l.scTol()})
-	return acts + res.Activations, true
+	return acts + res.Activations
 }
 
 // scTol is the tolerance of shortcut-maintenance fixpoints: tighter than the
@@ -682,9 +653,8 @@ func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 // cu's vector: the dependency subtrees hanging off removed edges are reset,
 // re-offered from intact in-neighbours and cu's own row, added edges offer
 // their candidates, and a local fixpoint settles the rest, setting the
-// parents of what it changes. Reports the F applications and whether the
-// vector moved.
-func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, seed *compactDiff, ts *taskScratch) (int64, bool) {
+// parents of what it changes. Returns the F applications spent.
+func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, seed *compactDiff, ts *taskScratch) int64 {
 	lf := s.Local
 	vec := s.scVec[cu]
 	par := s.scParent[cu]
@@ -706,7 +676,7 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 		}
 	}
 	ts.trim.Trim(vec, par, zero, &delta.Applied{}, ts.roots, func(c graph.VertexID, visit func(graph.VertexID)) {
-		for _, e := range lf.absorbOut[c] {
+		for _, e := range frame.Row(c) {
 			visit(e.To)
 		}
 		if c == self {
@@ -750,16 +720,13 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame *engine.Frame, ab, s
 			relax(e.to, e.from, l.sr.Times(vec[e.from], e.w))
 		}
 	}
-	if !seeded && len(resets) == 0 {
-		return acts, false
-	}
 	if seeded {
 		// The run sets the parent of every value it changes: the in-run
 		// sender, or the seed's source.
 		res := ts.run.Run(frame, vec, par, engine.Options{Workers: 1, Tolerance: l.scTol()})
 		acts += res.Activations
 	}
-	return acts, true
+	return acts
 }
 
 // appendUpOut appends v's upper-layer out-list to out: flat edges leaving
@@ -790,8 +757,8 @@ func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge
 }
 
 // absorbIn calls visit with the compact source and weight of each of
-// compact member c's in-edges in s's absorbing frame, the reverse of
-// absorbOut: c's flat in-edges from members that are not entries. It runs
+// compact member c's in-edges in s's absorbing frame, the reverse of its
+// absorbing view: c's flat in-edges from members that are not entries. It runs
 // in pool tasks beside other subgraphs' rebuilds: their members fail
 // compactID's subOf gate before the localIdx slots the rebuilds rewrite are
 // read, and flatIn, subOf and roles do not change in that phase.

@@ -161,17 +161,16 @@ func (l *Layph) isShortcut(vec []float64, cu, c int) bool {
 
 // localFrame is a compact-ID projection of a subgraph's internal edges.
 //
-// absorbOut is the same adjacency with entry vertices' out-lists removed:
-// entries are absorbing in local fixpoints, because everything an entry
-// holds is propagated internally by shortcut application instead (shortcut
-// weights count internal paths that avoid intermediate entries, so Lup
-// shortcut composition covers through-entry paths exactly once — no double
-// counting in the sum semiring). Its in-edges are read off the flat
-// in-rows (Layph.absorbIn).
+// Local fixpoints run on its absorbing view (Layph.absorbing), which reads
+// an entry's row as empty: entries are absorbing in local fixpoints, because
+// everything an entry holds is propagated internally by shortcut
+// application instead (shortcut weights count internal paths that avoid
+// intermediate entries, so Lup shortcut composition covers through-entry
+// paths exactly once — no double counting in the sum semiring). The view's
+// in-edges are read off the flat in-rows (Layph.absorbIn).
 type localFrame struct {
-	ids       []graph.VertexID // compact -> global (global -> compact is Layph.localIdx)
-	out       [][]engine.WEdge // full internal adjacency
-	absorbOut [][]engine.WEdge // adjacency with absorbing entries
+	ids []graph.VertexID // compact -> global (global -> compact is Layph.localIdx)
+	out [][]engine.WEdge // internal adjacency
 	// edges counts the internal adjacency's entries; the chunked task
 	// fusion sizes pool tasks by it, and the density test of an edited
 	// subgraph reads it as |E_i|.
@@ -186,14 +185,34 @@ type localFrame struct {
 
 // frameEdit snapshots, at their first edit in an update, the rows of the
 // compact vertices whose frame rows or roles an update changed. Entries of
-// cis, oldOut and oldAbs are parallel; mark[ci] == epoch flags a snapshot
-// taken in the current update.
+// cis and oldOut are parallel; mark[ci] == epoch flags a snapshot taken in
+// the current update.
 type frameEdit struct {
 	epoch  uint32
 	mark   []uint32
 	cis    []graph.VertexID
 	oldOut [][]engine.WEdge
-	oldAbs [][]engine.WEdge
+}
+
+// absorbing is the absorbing view of a local frame under the roles it was
+// built with: an entry's row is empty, every other member's is its frame
+// row.
+type absorbing struct {
+	lf   *localFrame
+	role []Role
+}
+
+// absorbing returns s's absorbing view under the current roles. The roles
+// are frozen while subgraph tasks run, so a view serves a whole fan-out.
+func (l *Layph) absorbing(s *Subgraph) engine.Rows { return absorbing{s.Local, l.role} }
+
+func (a absorbing) N() int { return a.lf.size() }
+
+func (a absorbing) Row(c graph.VertexID) []engine.WEdge {
+	if a.role[a.lf.ids[c]].IsEntry() {
+		return nil
+	}
+	return a.lf.out[c]
 }
 
 func (lf *localFrame) size() int { return len(lf.ids) }
@@ -210,11 +229,11 @@ type Options struct {
 	// Community configures dense-subgraph discovery; MaxSize is the paper's
 	// K (0 lets New pick ~0.1% of |V|, clamped to [64, 4096]).
 	Community community.Config
-	// ReplicationThreshold is R: an external vertex with at least R parallel
-	// edges into/out of one subgraph is replicated as a proxy (default 3).
-	// DisableReplication turns the optimization off (Figure 8's ablation).
-	ReplicationThreshold int
-	DisableReplication   bool
+	// DisableReplication turns vertex replication off (Figure 8's
+	// ablation); otherwise an external vertex with at least
+	// replicationThreshold parallel edges into/out of one subgraph is
+	// replicated as a proxy.
+	DisableReplication bool
 	// Workers is the parallelism of both layers (0 = GOMAXPROCS): the
 	// worker count of the global (Lup) iteration and the size of the
 	// shared pool that runs independent lower-layer subgraph tasks
@@ -233,14 +252,15 @@ type Options struct {
 	AdaptiveCommunities bool
 }
 
+// replicationThreshold is the paper's R.
+const replicationThreshold = 3
+
+// replication returns R, or 0 when replication is disabled.
 func (o Options) replication() int {
 	if o.DisableReplication {
 		return 0
 	}
-	if o.ReplicationThreshold > 0 {
-		return o.ReplicationThreshold
-	}
-	return 3
+	return replicationThreshold
 }
 
 // Layph is the layered incremental engine (implements inc.System).

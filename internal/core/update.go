@@ -64,8 +64,8 @@ type flatEdge struct {
 //     more refresh-and-roles round for the rows that depended on it,
 //   - rebuilds the structurally changed subgraphs and patches the shortcuts
 //     of the edited ones (patchShortcuts), fanned out over the worker pool,
-//   - refreshes the skeleton rows of every vertex whose row, role or
-//     shortcuts changed.
+//   - refreshes the skeleton rows by one rule: every vertex whose role was
+//     recomputed and every entry of an affected subgraph.
 func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	d := &layeredDiff{}
 	l.growForNewVertices(applied)
@@ -77,7 +77,6 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	sc.roleSeen.Reset(n)
 	sc.oldSeen.Reset(n)
 	sc.oldRows = sc.oldRows[:0]
-	sc.upDirty.Reset(n)
 	sc.structural.Reset(0)
 	sc.edited.Reset(0)
 
@@ -169,9 +168,6 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		if sc.oldSeen.Add(v) {
 			sc.oldRows = append(sc.oldRows, old)
 		}
-		if len(added)+len(removed) > 0 {
-			sc.upDirty.Add(v)
-		}
 		for _, e := range added {
 			d.added = append(d.added, flatEdge{from: v, to: e.To, w: e.W})
 			sc.dirty.Add(e.To)
@@ -217,27 +213,21 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	d.affectedSubs = append(append(d.affectedSubs, d.rebuiltSubs...), edited...)
 	sortSubgraphs(d.affectedSubs)
 	l.builds += int64(len(d.rebuiltSubs))
-	listed, acts, tasks := l.forSubgraphs(d.affectedSubs, l.maintainShortcuts)
-	d.shortcutActivations += acts
-	d.parallelSubs += tasks
+	d.shortcutActivations, d.parallelSubs = l.forSubgraphs(d.affectedSubs, l.maintainShortcuts)
 
-	// Skeleton rows move with a vertex's flat row (queued by refresh), its
-	// role, its subgraph's layout (a rebuild) or its shortcuts.
+	// A skeleton row reads the vertex's flat row, its role, the subOf of
+	// its targets and, for an entry, its subgraph's shortcuts and member
+	// roles. roleSeen holds every refreshed flat row (a target whose subOf
+	// moved had its in-neighbours' rows refreshed), every role recompute
+	// and every member of a restructured or migrated subgraph; shortcuts
+	// and member roles change only in affected subgraphs.
 	for _, v := range sc.roleSeen.List {
-		if l.role[v] != sc.oldRole[v] {
-			sc.upDirty.Add(v)
-		}
-	}
-	for _, s := range d.rebuiltSubs {
-		for _, v := range s.Members {
-			sc.upDirty.Add(v)
-		}
-	}
-	for _, v := range listed {
-		sc.upDirty.Add(v)
-	}
-	for _, v := range sc.upDirty.List {
 		l.refreshUpVertex(v)
+	}
+	for _, s := range d.affectedSubs {
+		for _, u := range s.Entries {
+			l.refreshUpVertex(u)
+		}
 	}
 	return d
 }
@@ -380,16 +370,12 @@ func (l *Layph) editFrames() []int32 {
 }
 
 // maintainShortcuts is the per-subgraph task of the shortcut phase: a
-// restructured subgraph gets its member lists, frame and every shortcut
-// rebuilt, an edited one is patched in place (listing the entries whose
-// skeleton rows went stale).
-func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool, listed []graph.VertexID) ([]graph.VertexID, int64) {
+// restructured subgraph is rebuilt, an edited one is patched in place.
+func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
-		l.classifyMembers(s)
-		l.buildLocalFrame(s)
-		return listed, l.deduceShortcuts(s, parallelEntries)
+		return l.buildSubgraph(s, parallelEntries)
 	}
-	return l.patchShortcuts(s, listed)
+	return l.patchShortcuts(s)
 }
 
 // growForNewVertices extends all flat-space vectors when the graph's ID

@@ -268,8 +268,8 @@ func TestVertexGrowthRemapsProxies(t *testing.T) {
 
 // The absorbing-frame in-edges are read off the flat in-rows. After build
 // and after every churn batch (edge churn, vertex adds and deletes, on a
-// layout with proxies) they must be exactly the reverse of the stored
-// out-rows, absorbOut.
+// layout with proxies) they must be exactly the reverse of the absorbing
+// view's out-rows.
 func TestDerivedInEdgesReverseOutRows(t *testing.T) {
 	for name, mk := range map[string]func() algo.Algorithm{
 		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },
@@ -343,14 +343,14 @@ func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
 }
 
 // derivedInEdgesDiff compares absorbIn on every frame member with the
-// reverse of absorbOut, as edge multisets.
+// reverse of the absorbing view l.absorbing(s), as edge multisets.
 func derivedInEdgesDiff(l *Layph) error {
 	var got []engine.WEdge
 	add := func(src graph.VertexID, w float64) { got = append(got, engine.WEdge{To: src, W: w}) }
-	reverse := func(rows [][]engine.WEdge) [][]engine.WEdge {
-		rev := make([][]engine.WEdge, len(rows))
-		for u, row := range rows {
-			for _, e := range row {
+	reverse := func(rows engine.Rows) [][]engine.WEdge {
+		rev := make([][]engine.WEdge, rows.N())
+		for u := range rev {
+			for _, e := range rows.Row(graph.VertexID(u)) {
 				rev[e.To] = append(rev[e.To], engine.WEdge{To: graph.VertexID(u), W: e.W})
 			}
 		}
@@ -361,11 +361,11 @@ func derivedInEdgesDiff(l *Layph) error {
 		return slices.Equal(slices.SortedFunc(slices.Values(a), byEdge), slices.SortedFunc(slices.Values(b), byEdge))
 	}
 	for _, s := range subgraphList(l.subs) {
-		absWant := reverse(s.Local.absorbOut)
+		absWant := reverse(l.absorbing(s))
 		for c := range s.Local.ids {
 			got = got[:0]
 			if l.absorbIn(s, graph.VertexID(c), add); !same(got, absWant[c]) {
-				return fmt.Errorf("sub %d member %d: absorbing in-edges %v, reverse of absorbOut %v", s.ID, s.Local.ids[c], got, absWant[c])
+				return fmt.Errorf("sub %d member %d: absorbing in-edges %v, reverse of the absorbing view %v", s.ID, s.Local.ids[c], got, absWant[c])
 			}
 		}
 	}

@@ -456,24 +456,3 @@ func liveVertices(g *graph.Graph) []graph.VertexID {
 	g.Vertices(func(v graph.VertexID) { live = append(live, v) })
 	return live
 }
-
-// TouchedVertices returns the set of vertices incident to any effective
-// change in a; engines use it to seed revision-message deduction.
-func (a *Applied) TouchedVertices() map[graph.VertexID]struct{} {
-	s := make(map[graph.VertexID]struct{})
-	for _, e := range a.AddedEdges {
-		s[e.From] = struct{}{}
-		s[e.To] = struct{}{}
-	}
-	for _, e := range a.RemovedEdges {
-		s[e.From] = struct{}{}
-		s[e.To] = struct{}{}
-	}
-	for _, v := range a.AddedVertices {
-		s[v] = struct{}{}
-	}
-	for _, v := range a.RemovedVertices {
-		s[v] = struct{}{}
-	}
-	return s
-}

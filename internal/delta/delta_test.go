@@ -167,21 +167,6 @@ func TestVertexBatchShape(t *testing.T) {
 	}
 }
 
-func TestTouchedVertices(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	a := Apply(g, Batch{
-		{Kind: DelEdge, U: 0, V: 1},
-		{Kind: AddEdge, U: 2, V: 3, W: 1},
-	})
-	touched := a.TouchedVertices()
-	for _, v := range []graph.VertexID{0, 1, 2, 3} {
-		if _, ok := touched[v]; !ok {
-			t.Fatalf("vertex %d missing from touched set %v", v, touched)
-		}
-	}
-}
-
 func TestUpdateStrings(t *testing.T) {
 	for _, u := range []Update{
 		{Kind: AddEdge, U: 1, V: 2, W: 3},

@@ -4,10 +4,11 @@
 // until no significant messages remain.
 //
 // The engine operates on a Frame — a semiring-weighted projection of a graph
-// under an algorithm — rather than on the graph directly, so one propagation
-// loop serves four roles: the batch "Restart" baseline, the propagation core
-// of the incremental engines, Layph's local per-subgraph fixpoints (shortcut
-// deduction, shortcut patches and message upload), and Layph's global
+// under an algorithm — or on any Rows view of one, rather than on the graph
+// directly, so one propagation loop serves four roles: the batch "Restart"
+// baseline, the propagation core of the incremental engines, Layph's local
+// per-subgraph fixpoints (shortcut deduction, shortcut patches and message
+// upload, over absorbing views of the subgraph frames), and Layph's global
 // iteration on the upper-layer skeleton (whose edges are shortcuts, not
 // graph edges).
 //
@@ -55,6 +56,15 @@ type WEdge struct {
 	W  float64
 }
 
+// Rows is what a Runner propagates over: the out-rows of semiring-weighted
+// edges of a dense ID space [0, N()). A Frame stores them; a view may
+// derive them from one, as Layph's absorbing frames empty the rows of
+// entry vertices.
+type Rows interface {
+	N() int
+	Row(v graph.VertexID) []WEdge
+}
+
 // Frame is the message-passing structure: per-vertex out-lists of
 // semiring-weighted edges over a dense ID space. The incremental engines
 // replace rows in place between runs.
@@ -64,6 +74,9 @@ type Frame struct {
 
 // N returns the size of the frame's ID space.
 func (f *Frame) N() int { return len(f.Out) }
+
+// Row returns v's out-list.
+func (f *Frame) Row(v graph.VertexID) []WEdge { return f.Out[v] }
 
 // NumEdges returns the total weighted-edge count.
 func (f *Frame) NumEdges() int {
@@ -285,7 +298,7 @@ func (r *Runner) Seed(v graph.VertexID, m float64, src graph.VertexID) {
 // improve it (re-seeding from reset frontiers needs that).
 func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 
-// Run executes the fixpoint over the frame in place on x, which must have
+// Run executes the fixpoint over the rows in place on x, which must have
 // length f.N(), and consumes the seeds. The initial active set is the
 // Activate set in call order when there is one; otherwise every seeded
 // vertex whose pending message is significant — not the semiring zero for
@@ -314,7 +327,7 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // val ⊗ w to each target's pending delta, queueing a target that is not
 // queued once its delta turns significant. A run cut by MaxRounds drops
 // the deltas still in flight, as a cut run in rounds does.
-func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options) Result {
+func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) Result {
 	n := f.N()
 	if len(x) != n || (parent != nil && len(parent) != n) {
 		panic("engine: state/parent length mismatch")
@@ -359,7 +372,7 @@ func (r *Runner) Run(f *Frame, x []float64, parent []graph.VertexID, opt Options
 }
 
 // rounds runs the fixpoint in synchronous rounds from active.
-func (r *Runner) rounds(f *Frame, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
+func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
 	n := f.N()
 	// The worker count is fixed by the initial active set, so the message
 	// folding order — and with it the whole run — is reproducible for a
@@ -432,7 +445,7 @@ func (r *Runner) rounds(f *Frame, x []float64, parent []graph.VertexID, active [
 // worklist runs a sum-semiring fixpoint from a sparse active set as one
 // in-place FIFO worklist. When active is the explicit Activate set, its
 // vertices apply their pending delta however small.
-func (r *Runner) worklist(f *Frame, x []float64, active []graph.VertexID, opt Options) Result {
+func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Options) Result {
 	n := f.N()
 	forced := len(r.activated.List) > 0
 	if len(r.ring) < n {
@@ -473,7 +486,7 @@ func (r *Runner) worklist(f *Frame, x []float64, active []graph.VertexID, opt Op
 			continue
 		}
 		r.changed.Add(v)
-		for _, e := range f.Out[v] {
+		for _, e := range f.Row(v) {
 			msg := val * e.W
 			if msg == 0 {
 				continue
@@ -509,7 +522,7 @@ func (r *Runner) worklist(f *Frame, x []float64, active []graph.VertexID, opt Op
 
 // fanOut runs the process phase of one round on len(acts) workers, one
 // contiguous chunk of active each.
-func (r *Runner) fanOut(f *Frame, x []float64, parent []graph.VertexID, active []graph.VertexID, acts []int64) {
+func (r *Runner) fanOut(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, acts []int64) {
 	w := len(acts)
 	chunk := (len(active) + w - 1) / w
 	var wg sync.WaitGroup
@@ -527,7 +540,7 @@ func (r *Runner) fanOut(f *Frame, x []float64, parent []graph.VertexID, active [
 
 // process applies the pending messages of part and emits its out-edge
 // messages into buf. Returns the F applications that emitted a message.
-func (r *Runner) process(f *Frame, x []float64, parent []graph.VertexID, part []graph.VertexID, buf *msgBuffer) int64 {
+func (r *Runner) process(f Rows, x []float64, parent []graph.VertexID, part []graph.VertexID, buf *msgBuffer) int64 {
 	sr, zero := r.sr, r.zero
 	var emitted int64
 	for _, v := range part {
@@ -552,7 +565,7 @@ func (r *Runner) process(f *Frame, x []float64, parent []graph.VertexID, part []
 		if val == zero {
 			continue
 		}
-		for _, e := range f.Out[v] {
+		for _, e := range f.Row(v) {
 			msg := sr.Times(val, e.W)
 			if msg == zero {
 				continue

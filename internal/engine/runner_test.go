@@ -195,6 +195,86 @@ func TestSparseSumRunIsWorklist(t *testing.T) {
 	t.Logf("activations %d (worklist) vs %d (rounds); rounds %d vs %d", sparse.Activations, dense.Activations, sparse.Rounds, dense.Rounds)
 }
 
+// maskedRows is a Rows view that reads a frame's rows and empties the
+// masked ones, the shape of Layph's absorbing frames.
+type maskedRows struct {
+	f    *Frame
+	mask []bool
+}
+
+func (m maskedRows) N() int { return m.f.N() }
+
+func (m maskedRows) Row(v graph.VertexID) []WEdge {
+	if m.mask[v] {
+		return nil
+	}
+	return m.f.Out[v]
+}
+
+// TestRunnerOverRowsView pins that a Runner reads a frame only through
+// Rows: a run over a view that empties chosen rows gives bit-identical
+// states, parents, activations and changed set to a run over a Frame whose
+// rows were emptied — for min runs with parents, sum runs from a sparse
+// start (a few seeds on a converged state: the worklist) and sum runs from
+// a dense start (the batch start: rounds), on Workers 1 and 2.
+func TestRunnerOverRowsView(t *testing.T) {
+	const n = 300
+	for _, tc := range []struct {
+		name  string
+		a     algo.Algorithm
+		dense bool
+	}{
+		{"min", algo.NewSSSP(0), true},
+		{"sum-worklist", algo.NewPageRank(0.85, 1e-9), false},
+		{"sum-rounds", algo.NewPageRank(0.85, 1e-9), true},
+	} {
+		sr := tc.a.Semiring()
+		for _, w := range []int{1, 2} {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for trial := 0; trial < 10; trial++ {
+				g := randomFrameGraph(rng.Int63(), n)
+				f := BuildFrame(g, tc.a)
+				view := maskedRows{f: f, mask: make([]bool, n)}
+				cut := &Frame{Out: slices.Clone(f.Out)}
+				for v := 1; v < n; v++ { // the SSSP source keeps its row
+					if rng.Intn(4) == 0 {
+						view.mask[v], cut.Out[v] = true, nil
+					}
+				}
+				x0, m0 := InitVectors(g, tc.a)
+				if !tc.dense {
+					x0 = Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tc.a.Tolerance()}).X
+					clear(m0)
+					for j := 0; j < 5; j++ {
+						m0[rng.Intn(n)] = rng.Float64() - 0.5
+					}
+				}
+				opt := Options{Workers: w, Tolerance: tc.a.Tolerance(), TrackParents: sr.Idempotent()}
+				xw, pw, want := runReused(NewRunner(sr), sr, runnerCase{f: cut, x0: x0, m0: m0}, opt)
+				x := slices.Clone(x0)
+				var parent []graph.VertexID
+				if sr.Idempotent() {
+					parent = slices.Repeat([]graph.VertexID{NoParent}, n)
+				}
+				r := NewRunner(sr)
+				for v, m := range m0 {
+					if m != sr.Zero() {
+						r.Seed(graph.VertexID(v), m, NoParent)
+					}
+				}
+				got := r.Run(view, x, parent, opt)
+				if !sameBits(x, xw) || !slices.Equal(parent, pw) {
+					t.Fatalf("%s w=%d trial %d: states or parents differ", tc.name, w, trial)
+				}
+				if got.Activations != want.Activations || got.Rounds != want.Rounds || !slices.Equal(got.Changed, want.Changed) {
+					t.Fatalf("%s w=%d trial %d: %d acts/%d rounds/%d changed, want %d/%d/%d", tc.name, w, trial,
+						got.Activations, got.Rounds, len(got.Changed), want.Activations, want.Rounds, len(want.Changed))
+				}
+			}
+		}
+	}
+}
+
 // TestWorklistMaxRounds pins MaxRounds on the worklist: a damping-1 PHP
 // cycle seeded at one vertex never converges, and each queue generation
 // holds the one vertex the delta has reached. The run must stop after

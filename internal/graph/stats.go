@@ -57,12 +57,6 @@ type CSRStats struct {
 // CSRStats returns the zero record.
 func (g *Graph) CSRStats() CSRStats { return CSRStats{} }
 
-// UndirectedDegree returns the degree of v counting both directions, with
-// reciprocal edges counted twice. Community detection works on this view.
-func (g *Graph) UndirectedDegree(v VertexID) int {
-	return g.OutDegree(v) + g.InDegree(v)
-}
-
 // UndirectedWeight returns the total incident weight of v in the undirected
 // view (out plus in).
 func (g *Graph) UndirectedWeight(v VertexID) float64 {

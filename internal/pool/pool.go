@@ -128,35 +128,3 @@ func (g *Group) Go(fn func()) {
 
 // Wait blocks until all tasks submitted via Go have completed.
 func (g *Group) Wait() { g.wg.Wait() }
-
-// ForEach runs fn(i) for every i in [0, n) with pool-bounded parallelism
-// and returns once all calls have completed. Iteration order across
-// workers is unspecified; callers must make iterations independent.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	g := p.Group()
-	for i := 0; i < n; i++ {
-		i := i
-		g.Go(func() { fn(i) })
-	}
-	g.Wait()
-}
-
-// ForEachChunk splits [0, n) into contiguous chunks of at most chunk
-// elements and runs fn(lo, hi) per chunk with pool-bounded parallelism —
-// the right shape for cheap per-element work, where per-element tasks
-// would drown in scheduling overhead.
-func (p *Pool) ForEachChunk(n, chunk int, fn func(lo, hi int)) {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	g := p.Group()
-	for lo := 0; lo < n; lo += chunk {
-		lo := lo
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		g.Go(func() { fn(lo, hi) })
-	}
-	g.Wait()
-}

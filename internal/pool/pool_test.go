@@ -32,7 +32,6 @@ func TestSizeOneIsSequential(t *testing.T) {
 	var order []int
 	g := p.Group()
 	for i := 0; i < 50; i++ {
-		i := i
 		g.Go(func() { order = append(order, i) })
 	}
 	g.Wait()
@@ -95,22 +94,6 @@ func TestNestedGroupsDoNotDeadlock(t *testing.T) {
 	}
 	if n.Load() != 64 {
 		t.Fatalf("ran %d inner tasks, want 64", n.Load())
-	}
-}
-
-func TestForEachAndChunks(t *testing.T) {
-	p := New(4)
-	hit := make([]int32, 1000)
-	p.ForEach(len(hit), func(i int) { atomic.AddInt32(&hit[i], 1) })
-	p.ForEachChunk(len(hit), 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hit[i], 1)
-		}
-	})
-	for i, h := range hit {
-		if h != 2 {
-			t.Fatalf("index %d visited %d times, want 2", i, h)
-		}
 	}
 }
 

@@ -20,12 +20,12 @@ const unowned = int32(-1)
 // weight of the edges each shard will host. An edge is charged to its
 // target's community because shards store in-edges of the vertices they
 // own. Dead ids stay unowned until they are first revived.
-func buildOwners(g *graph.Graph, k int, ccfg community.Config) []int32 {
+func buildOwners(g *graph.Graph, k int) []int32 {
 	owner := make([]int32, g.Cap())
 	for i := range owner {
 		owner[i] = unowned
 	}
-	p := community.Detect(g, ccfg)
+	p := community.Detect(g, community.Config{})
 	load := make([]float64, p.NumComms)
 	g.Vertices(func(v graph.VertexID) {
 		if c := p.Comm[v]; c >= 0 {

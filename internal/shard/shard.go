@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"layph/internal/algo"
-	"layph/internal/community"
 	"layph/internal/delta"
 	"layph/internal/graph"
 	"layph/internal/inc"
@@ -61,8 +60,6 @@ type Options struct {
 	// Threads is the worker count of EACH shard engine (0 = GOMAXPROCS).
 	// Shards themselves always run in their own goroutines.
 	Threads int
-	// Community tunes the Louvain detection used to pack shards.
-	Community community.Config
 }
 
 // maxRounds caps the boundary-exchange rounds per batch. Exceeding it
@@ -128,7 +125,7 @@ func New(g *graph.Graph, base algo.Algorithm, opt Options) *Group {
 		workers: opt.Threads, idem: base.Semiring().Idempotent(),
 	}
 	gr.zero = gr.sr.Zero()
-	gr.owner = buildOwners(g, k, opt.Community)
+	gr.owner = buildOwners(g, k)
 
 	cap := g.Cap()
 	shardGraphs := make([]*graph.Graph, k)

@@ -17,7 +17,6 @@ import (
 func factories(counts ...int) []enginetest.NamedFactory {
 	var out []enginetest.NamedFactory
 	for _, k := range counts {
-		k := k
 		out = append(out, enginetest.NamedFactory{
 			Name: fmt.Sprintf("sharded-%d", k),
 			New: func(g *graph.Graph, a algo.Algorithm) inc.System {
@@ -39,7 +38,6 @@ func TestShardedDifferential(t *testing.T) {
 	}
 	engines := factories(1, 2, 4)
 	for name, mk := range enginetest.AllAlgorithms() {
-		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			enginetest.RunDifferential(t, engines, mk, cfg)

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"layph/internal/algo"
-	"layph/internal/community"
 	"layph/internal/core"
 	"layph/internal/delta"
 	"layph/internal/engine"
@@ -154,12 +153,10 @@ type Config struct {
 	// iteration from a sparse start (an incremental batch's) is the
 	// engine's sequential worklist, identical for every Threads.
 	Threads int
-	// MaxCommunitySize is the paper's K (0 = ~0.1% of |V|, clamped to
-	// [64, 4096]).
-	MaxCommunitySize int
-	// ReplicationThreshold is the paper's R (0 = 3).
-	ReplicationThreshold int
 	// DisableReplication turns vertex replication off (Figure 8 ablation).
+	// The paper's other two parameters are fixed: the replication
+	// threshold R is 3, and the community size cap K is ~0.1% of |V|,
+	// clamped to [64, 4096].
 	DisableReplication bool
 	// AdaptiveCommunities wires the incremental community adjustment into
 	// every Update: vertex migrations, subgraph splits and merges are
@@ -175,11 +172,9 @@ type Config struct {
 // initial batch computation, and returns the incremental engine.
 func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 	return core.New(g, a, core.Options{
-		Workers:              cfg.Threads,
-		ReplicationThreshold: cfg.ReplicationThreshold,
-		DisableReplication:   cfg.DisableReplication,
-		Community:            community.Config{MaxSize: cfg.MaxCommunitySize},
-		AdaptiveCommunities:  cfg.AdaptiveCommunities,
+		Workers:             cfg.Threads,
+		DisableReplication:  cfg.DisableReplication,
+		AdaptiveCommunities: cfg.AdaptiveCommunities,
 	})
 }
 
@@ -290,10 +285,8 @@ type ShardConfig struct {
 	// Shards is K, the number of partitioned engines (0 or 1 = one).
 	Shards int
 	// Threads is the worker count of each shard engine (0 = GOMAXPROCS).
+	// The communities packed onto shards are uncapped in size.
 	Threads int
-	// MaxCommunitySize caps community size for the shard packing
-	// (0 = uncapped).
-	MaxCommunitySize int
 }
 
 // NewShardedSystem partitions g into cfg.Shards community-aware shards,
@@ -304,11 +297,7 @@ type ShardConfig struct {
 // results (and results across different shard counts) agree within the
 // algorithm's convergence tolerance.
 func NewShardedSystem(g *Graph, a Algorithm, cfg ShardConfig) *ShardedGroup {
-	return shard.New(g, a, shard.Options{
-		Shards:    cfg.Shards,
-		Threads:   cfg.Threads,
-		Community: community.Config{MaxSize: cfg.MaxCommunitySize},
-	})
+	return shard.New(g, a, shard.Options{Shards: cfg.Shards, Threads: cfg.Threads})
 }
 
 // ParseUpdate parses one line of the text wire format used by `layph
