@@ -118,7 +118,7 @@ func serveMain(args []string) {
 		if ef.shards > 1 {
 			meta += fmt.Sprintf(" shards=%d", ef.shards)
 		}
-		if hasDurableState(*walDir) {
+		if wal.HasDurableState(*walDir) {
 			fmt.Printf("wal: recovering from %s (-graph/-preset ignored)\n", *walDir)
 		} else {
 			g = ef.loadGraph()
@@ -201,22 +201,6 @@ func serveMain(args []string) {
 	printFinal(s, *top)
 }
 
-// hasDurableState reports whether a WAL directory already holds
-// checkpoints or segments (i.e. a restart should recover, not load a
-// fresh graph).
-func hasDurableState(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "checkpoint-") || strings.HasPrefix(e.Name(), "wal-") {
-			return true
-		}
-	}
-	return false
-}
-
 // closeDurable cuts the final checkpoint and closes the WAL (nil-safe),
 // printing the log's lifetime totals.
 func closeDurable(dur *layph.DurableStream) {
@@ -240,9 +224,6 @@ func daemonMain(s *stream.Stream, dur *layph.DurableStream, addr string, idCap g
 	srv := server.New(s, server.Config{Addr: addr, MaxVertexID: idCap})
 	if dur != nil {
 		srv.AttachDurability(dur.Log, dur.Recovery)
-	}
-	if gr, ok := s.System().(server.ShardSource); ok {
-		srv.AttachShards(gr)
 	}
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "listen:", err)

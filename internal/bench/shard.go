@@ -113,7 +113,6 @@ func RunShard(o Options) ShardReport {
 		sys := shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k, Threads: 1})
 		st := stream.New(g, sys, stream.Config{MaxBatch: 256, MaxDelay: 5 * time.Millisecond})
 		srv := server.New(st, server.Config{})
-		srv.AttachShards(sys)
 		ts := httptest.NewServer(srv.Handler())
 
 		m0 := st.Metrics()

@@ -99,6 +99,7 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 		if len(live) < 2 {
 			continue
 		}
+		l.evaluations++
 		if dec := l.evaluateCommunity(c, live); !dec.dense {
 			continue
 		}

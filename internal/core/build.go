@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"layph/internal/community"
 	"layph/internal/engine"
 	"layph/internal/graph"
+	"layph/internal/inc"
 	"layph/internal/metrics"
 	"layph/internal/pool"
 )
@@ -15,6 +17,14 @@ import (
 // New builds the layered graph for g under algorithm a (offline phase) and
 // runs the initial batch computation over the flat layered graph, memoizing
 // states (and dependency parents for idempotent algorithms).
+//
+// Construction is the update's structural rebuild applied to everything: it
+// detects the communities, lays out a flat graph in which every live vertex
+// is an outlier with its row queued, registers one shell subgraph per
+// community, and lets settle decide each one — dense-subgraph selection and
+// vertex replication (restructure), flat rows and roles, frames and
+// shortcut deduction, skeleton rows — exactly as an update re-decides a
+// structurally changed subgraph.
 func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l := &Layph{
 		g:          g,
@@ -32,114 +42,58 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l.lup = engine.NewRunner(l.sr)
 	l.tol = a.Tolerance()
 	if l.opt.Community.MaxSize == 0 {
-		k := g.NumVertices() / 1000 // the paper's rule of thumb: ~0.1% of |V|
-		if k < 64 {
-			k = 64 // floor keeps small graphs from fragmenting below density
-		}
-		if k > 4096 {
-			k = 4096
-		}
-		l.opt.Community.MaxSize = k
+		// The paper's rule of thumb, ~0.1% of |V|; the floor keeps small
+		// graphs from fragmenting below density.
+		l.opt.Community.MaxSize = min(max(g.NumVertices()/1000, 64), 4096)
 	}
 
 	buildStart := time.Now()
 	l.part = community.Detect(g, l.opt.Community)
 
-	n := g.Cap()
-	l.origCap = n
-	l.subOf = make([]int32, n)
-	l.role = make([]Role, n)
-	l.proxyHost = make([]graph.VertexID, n)
-	l.proxyAlive = make([]bool, n)
-	l.localIdx = make([]int32, n)
-	for v := 0; v < n; v++ {
-		l.subOf[v] = NoSubgraph
-		l.role[v] = RoleDead
-		l.proxyHost[v] = NoHost
-		l.localIdx[v] = -1
-		if g.Alive(graph.VertexID(v)) {
-			l.setRole(graph.VertexID(v), RoleOutlier)
-		}
-	}
-	l.flatOut = make([][]engine.WEdge, n)
-	l.flatIn = make([][]engine.WEdge, n)
-	l.upOut = make([][]engine.WEdge, n)
-	l.x = make([]float64, n) // placeholder; re-initialized before the batch run
-
-	// Dense-subgraph selection and proxy allocation.
+	l.origCap = g.Cap()
+	l.growFlat(l.origCap, NoSubgraph, RoleDead, NoHost, false)
+	l.beginLayering()
+	g.Vertices(func(v graph.VertexID) {
+		l.setRole(v, RoleOutlier)
+		l.touch(v)
+	})
 	members := l.part.Members()
-	for c := int32(0); int(c) < len(members); c++ {
-		ms := members[c]
-		d := l.evaluateCommunity(c, ms)
-		if !d.dense {
-			continue
-		}
-		s := &Subgraph{ID: c, origMembers: append([]graph.VertexID(nil), ms...)}
+	pending := make([]int32, len(members))
+	for c, ms := range members {
+		l.subs[int32(c)] = &Subgraph{ID: int32(c), origMembers: slices.Clone(ms)}
 		for _, v := range ms {
-			l.subOf[v] = c
+			l.subOf[v] = int32(c)
 		}
-		for _, h := range d.entryHosts {
-			s.proxies = append(s.proxies, l.allocProxy(true, c, h))
-		}
-		for _, h := range d.exitHosts {
-			s.proxies = append(s.proxies, l.allocProxy(false, c, h))
-		}
-		l.subs[c] = s
+		pending[c] = int32(c)
 	}
 	if l.opt.AdaptiveCommunities {
 		// members was just materialized from the fresh partition; keep it as
 		// the per-community index adaptMembership maintains incrementally.
 		l.commVerts = members
 	}
-
-	// Flat graph over the final ID space.
-	fn := l.flatN()
-	for v := 0; v < fn; v++ {
-		l.flatOut[v] = l.computeFlatOut(graph.VertexID(v))
-	}
-	for v := 0; v < fn; v++ {
-		for _, e := range l.flatOut[v] {
-			l.flatIn[e.To] = append(l.flatIn[e.To], engine.WEdge{To: graph.VertexID(v), W: e.W})
-		}
-	}
-
-	// Roles, member lists, local frames, shortcuts. Subgraphs are
-	// disjoint and their construction only reads the (now frozen) flat
-	// adjacency and role vectors, so the per-subgraph pass fans out over
-	// the worker pool.
-	all := make([]graph.VertexID, fn)
-	for v := range all {
-		all[v] = graph.VertexID(v)
-	}
-	l.recomputeRoles(all)
-	scActs, _ := l.buildSubgraphs(subgraphList(l.subs))
-	l.OfflineStats.ShortcutActivations += scActs
+	// Every flat edge is added once: size the diff for it up front.
+	d := &layeredDiff{added: make([]flatEdge, 0, g.NumEdges())}
+	l.settle(d, pending)
+	l.OfflineStats.ShortcutActivations = d.shortcutActivations
 	l.OfflineStats.ShortcutCount = l.ShortcutCount()
 	l.OfflineStats.DenseSubgraphs = len(l.subs)
-	l.OfflineStats.Proxies = fn - n
-
-	// Upper layer.
-	for v := 0; v < fn; v++ {
-		l.refreshUpVertex(graph.VertexID(v))
-	}
+	l.OfflineStats.Proxies = l.flatN() - l.origCap
+	// The counters pin the structural work of updates, and the working sets
+	// were sized for the whole graph.
+	l.evaluations, l.builds = 0, 0
+	l.scratch = updScratch{}
 	l.OfflineStats.BuildSeconds = time.Since(buildStart).Seconds()
 
 	// Initial batch run on the flat layered graph.
 	initStart := time.Now()
-	x0 := make([]float64, fn)
-	m0 := make([]float64, fn)
-	for v := 0; v < fn; v++ {
-		x0[v], m0[v] = l.sr.Zero(), l.sr.Zero()
-		if v < g.Cap() && g.Alive(graph.VertexID(v)) {
-			x0[v] = a.InitState(graph.VertexID(v))
-			m0[v] = a.InitMessage(graph.VertexID(v))
-		}
-	}
-	res := engine.Run(&engine.Frame{Out: l.flatOut}, l.sr, x0, m0, engine.Options{
-		Workers:      opt.Workers,
-		Tolerance:    l.tol,
-		TrackParents: l.sr.Idempotent(),
-	})
+	x0, m0 := engine.InitVectors(g, a)
+	fn := l.flatN()
+	res := engine.Run(&engine.Frame{Out: l.flatOut}, l.sr,
+		inc.GrowVectors(x0, fn, l.sr.Zero()), inc.GrowVectors(m0, fn, l.sr.Zero()), engine.Options{
+			Workers:      opt.Workers,
+			Tolerance:    l.tol,
+			TrackParents: l.sr.Idempotent(),
+		})
 	l.x = res.X
 	l.parent = res.Parent
 	l.OfflineStats.InitialSeconds = time.Since(initStart).Seconds()
@@ -160,12 +114,6 @@ func subgraphList(m map[int32]*Subgraph) []*Subgraph {
 
 func sortSubgraphs(subs []*Subgraph) {
 	sort.Slice(subs, func(a, b int) bool { return subs[a].ID < subs[b].ID })
-}
-
-// buildSubgraphs (re)constructs each listed subgraph and returns the total
-// F applications spent plus the number of pool tasks dispatched.
-func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
-	return l.forSubgraphs(subs, l.buildSubgraph)
 }
 
 // buildSubgraph (re)constructs one subgraph — member classification, local

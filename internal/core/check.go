@@ -178,8 +178,9 @@ func (l *Layph) checkParents() error {
 // its members are the live vertices assigned to it, in compact-ID order;
 // Entries, Exits and Internal classify them by role; every frame row is the
 // compact projection of the member's flat row; an entry has a shortcut
-// vector and every other member none; and an entry's deduction parents (min
-// scheme) are supported by its own row or by absorbing in-edges.
+// vector and every other member none; an entry's deduction parents (min
+// scheme) are supported by its own row or by absorbing in-edges; and its
+// live proxies replicate exactly the hosts the replication rule picks.
 func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	c := s.ID
 	if l.subs[c] != s {
@@ -240,6 +241,33 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	}
 	if edges != lf.edges {
 		return fmt.Errorf("sub %d: frame counts %d edges, rows hold %d", c, lf.edges, edges)
+	}
+	return l.checkReplication(s)
+}
+
+// checkReplication compares s's live proxies with the entry and exit hosts
+// evaluateCommunity picks over s's live original members.
+func (l *Layph) checkReplication(s *Subgraph) error {
+	var live, entries, exits []graph.VertexID
+	for _, v := range s.origMembers {
+		if l.g.Alive(v) {
+			live = append(live, v)
+		}
+	}
+	for _, p := range s.proxies {
+		if !l.proxyAlive[p] {
+			return fmt.Errorf("sub %d: dead proxy %d", s.ID, p)
+		}
+		if h := l.proxyHost[p]; l.entryProxy[proxyKey{s.ID, h}] == p {
+			entries = append(entries, h)
+		} else {
+			exits = append(exits, h)
+		}
+	}
+	want := l.evaluateCommunity(s.ID, live)
+	if !sameVertices(entries, want.entryHosts) || !sameVertices(exits, want.exitHosts) {
+		return fmt.Errorf("sub %d: proxies replicate hosts %v into and %v out of it, the replication rule picks %v and %v",
+			s.ID, entries, exits, want.entryHosts, want.exitHosts)
 	}
 	return nil
 }

@@ -19,11 +19,11 @@ import (
 // is race-free.
 type updScratch struct {
 	// touched and dirty hold the flat rows to refresh and the roles to
-	// recompute in the current round of layeredUpdate.
+	// recompute in the current round of settle.
 	touched scratch.Set
 	dirty   scratch.Set
 	// roleSeen lists every vertex whose role was recomputed in this update,
-	// whose skeleton row layeredUpdate refreshes; oldRole[v] holds its
+	// whose skeleton row settle refreshes; oldRole[v] holds its
 	// pre-update role while roleSeen.Has(v).
 	roleSeen scratch.Set
 	oldRole  []Role
@@ -34,7 +34,7 @@ type updScratch struct {
 	oldSeen scratch.Set
 	oldRows [][]engine.WEdge
 
-	// Subgraph-ID sets of layeredUpdate: structural holds the subgraphs
+	// Subgraph-ID sets of settle: structural holds the subgraphs
 	// rebuilt or dissolved, edited those whose frames were edited in place.
 	structural scratch.Set
 	edited     scratch.Set

@@ -6,12 +6,13 @@ import (
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
+	"layph/internal/inc"
 )
 
 // denseEnough is the paper's density test (Definition 2), |V_I|·|V_O| <
 // |E_i|: a subgraph keeps its shortcuts only while its internal edges
 // outnumber the entry×exit pairs they stand for. evaluateCommunity applies
-// it to a community's prospective layout, layeredUpdate to the frame of a
+// it to a community's prospective layout, settle to the frame of a
 // subgraph whose roles an update edited.
 func denseEnough(entries, exits, internalEdges int) bool {
 	return entries*exits < internalEdges
@@ -29,7 +30,6 @@ type denseDecision struct {
 // community as they would look after replication, and applies the density
 // test.
 func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecision {
-	l.evaluations++
 	var d denseDecision
 	if len(members) < 2 {
 		return d
@@ -126,7 +126,7 @@ func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.Ver
 	} else {
 		p = graph.VertexID(l.flatN())
 		reg[k] = p
-		l.growFlat(sub, RoleInternal, host, true) // the role is refined by recomputeRoles
+		l.growFlat(1, sub, RoleInternal, host, true) // the role is refined by recomputeDirtyRoles
 	}
 	if entry {
 		l.entryProxiesOf[host] = append(l.entryProxiesOf[host], p)
@@ -134,21 +134,25 @@ func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.Ver
 	return p
 }
 
-// growFlat appends one slot to every flat-space vector: a vertex with no
-// state, parent or rows, outside every frame.
-func (l *Layph) growFlat(sub int32, role Role, host graph.VertexID, alive bool) {
-	l.subOf = append(l.subOf, sub)
-	l.role = append(l.role, RoleDead)
-	l.setRole(graph.VertexID(len(l.role)-1), role)
-	l.proxyHost = append(l.proxyHost, host)
-	l.proxyAlive = append(l.proxyAlive, alive)
-	l.localIdx = append(l.localIdx, -1)
-	l.flatOut = append(l.flatOut, nil)
-	l.flatIn = append(l.flatIn, nil)
-	l.upOut = append(l.upOut, nil)
-	l.x = append(l.x, l.sr.Zero())
+// growFlat appends k slots to every flat-space vector: vertices with no
+// state, parent or rows, outside every frame. Each vector is reallocated
+// at most once.
+func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID, alive bool) {
+	n := l.flatN()
+	l.subOf = inc.GrowVectors(l.subOf, n+k, sub)
+	l.role = inc.GrowVectors(l.role, n+k, RoleDead)
+	for v := n; v < n+k; v++ {
+		l.setRole(graph.VertexID(v), role)
+	}
+	l.proxyHost = inc.GrowVectors(l.proxyHost, n+k, host)
+	l.proxyAlive = inc.GrowVectors(l.proxyAlive, n+k, alive)
+	l.localIdx = inc.GrowVectors(l.localIdx, n+k, -1)
+	l.flatOut = inc.GrowVectors(l.flatOut, n+k, nil)
+	l.flatIn = inc.GrowVectors(l.flatIn, n+k, nil)
+	l.upOut = inc.GrowVectors(l.upOut, n+k, nil)
+	l.x = inc.GrowVectors(l.x, n+k, l.sr.Zero())
 	if l.parent != nil {
-		l.parent = append(l.parent, engine.NoParent)
+		l.parent = inc.GrowVectors(l.parent, n+k, engine.NoParent)
 	}
 }
 
@@ -237,21 +241,18 @@ func (l *Layph) computeProxyOut(p graph.VertexID) []engine.WEdge {
 	return out
 }
 
-// refreshFlatVertex recomputes v's flat out-list, updates the mirrored
-// in-lists, and returns the previous list together with the diff (the
-// diff slices are reused by the next call).
-func (l *Layph) refreshFlatVertex(v graph.VertexID) (old, added, removed []engine.WEdge) {
-	old = l.flatOut[v]
-	fresh := l.computeFlatOut(v)
-	l.flatOut[v] = fresh
-	added, removed = l.scratch.rows.diff(old, fresh)
+// mirrorFlatRow diffs v's recomputed flat out-list against its previous
+// list old, updates the mirrored in-lists, and returns the diff (the diff
+// slices are reused by the next call).
+func (l *Layph) mirrorFlatRow(v graph.VertexID, old []engine.WEdge) (added, removed []engine.WEdge) {
+	added, removed = l.scratch.rows.diff(old, l.flatOut[v])
 	for _, e := range removed {
 		l.flatIn[e.To] = dropEdge(l.flatIn[e.To], v)
 	}
 	for _, e := range added {
 		l.flatIn[e.To] = append(l.flatIn[e.To], engine.WEdge{To: v, W: e.W})
 	}
-	return old, added, removed
+	return added, removed
 }
 
 func dropEdge(list []engine.WEdge, to graph.VertexID) []engine.WEdge {
@@ -261,13 +262,6 @@ func dropEdge(list []engine.WEdge, to graph.VertexID) []engine.WEdge {
 		}
 	}
 	return list
-}
-
-// recomputeRoles reassigns roles for the given flat vertices.
-func (l *Layph) recomputeRoles(vs []graph.VertexID) {
-	for _, v := range vs {
-		l.setRole(v, l.roleOf(v))
-	}
 }
 
 // roleOf classifies a flat vertex from the flat adjacency and subgraph
@@ -332,7 +326,7 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 // parallelEntries the independent per-entry deductions fan out over the
 // worker pool; callers already running one task per subgraph pass false so
 // entry deductions stay sequential inside the task — one level of fan-out
-// keeps pool busy-time accounting exact (see buildSubgraphs). Returns the F
+// keeps pool busy-time accounting exact (see forSubgraphs). Returns the F
 // applications spent.
 func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	lf := s.Local
@@ -529,7 +523,7 @@ const patchBudget = 32
 // An edited vertex's old absorbing row is empty when its pre-update role
 // (scratch.oldRole, recorded for every vertex editFrames edits) was an
 // entry role, and its snapshot row otherwise. The skeleton rows of the
-// subgraph's entries are refreshed after the fan-out (layeredUpdate).
+// subgraph's entries are refreshed after the fan-out (settle).
 // Returns the F applications spent.
 func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 	lf := s.Local

@@ -332,7 +332,7 @@ type Layph struct {
 	// the pool tasks' compact-frame working sets.
 	lup   *engine.Runner
 	tasks taskPool
-	// epoch numbers the layeredUpdate calls; frame edit snapshots carry it.
+	// epoch numbers the layering passes; frame edit snapshots carry it.
 	epoch uint32
 	// evaluations counts density evaluations of a community's prospective
 	// layout and builds the subgraphs updates rebuilt, so tests can pin

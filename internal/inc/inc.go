@@ -24,6 +24,7 @@
 package inc
 
 import (
+	"slices"
 	"time"
 
 	"layph/internal/delta"
@@ -130,9 +131,10 @@ type System interface {
 	Update(applied *delta.Applied) Stats
 }
 
-// GrowVectors extends state/message vectors (and optional parent vectors) to
-// n entries, filling new slots with fill (resp. NoParent).
-func GrowVectors(x []float64, n int, fill float64) []float64 {
+// GrowVectors extends a per-vertex vector to n entries, filling new slots
+// with fill; the vector is reallocated at most once.
+func GrowVectors[T any](x []T, n int, fill T) []T {
+	x = slices.Grow(x, max(n-len(x), 0))
 	for len(x) < n {
 		x = append(x, fill)
 	}

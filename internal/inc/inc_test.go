@@ -48,6 +48,9 @@ func TestGrowVectors(t *testing.T) {
 	if len(x) != 3 || x[1] != 9 || x[2] != 9 || x[0] != 1 {
 		t.Fatalf("grow: %v", x)
 	}
+	if x = GrowVectors(x, 2, 7); len(x) != 3 {
+		t.Fatalf("a shorter target shrank the vector: %v", x)
+	}
 	p := GrowParents(nil, 2)
 	if len(p) != 2 || p[0] != engine.NoParent {
 		t.Fatalf("parents: %v", p)

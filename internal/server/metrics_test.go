@@ -15,6 +15,7 @@ import (
 	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
+	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -135,4 +136,47 @@ func TestMetricsBlockKeys(t *testing.T) {
 	defer l.Close()
 	durable := metricsKeys(t, stream.Config{}, l)
 	check("durable", durable, "wal", walAll)
+}
+
+// TestMetricsShardsFollowServingEngine: the shards block is read off the
+// engine serving the attached stream, so a sharded stream reports one
+// summary per shard with no extra wiring, and the block goes away once an
+// unsharded stream is attached in its place.
+func TestMetricsShardsFollowServingEngine(t *testing.T) {
+	mkGraph := func() *graph.Graph {
+		g, _ := gen.CommunityGraph(gen.CommunityConfig{
+			Vertices: 300, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
+			Weighted: true, Seed: 43,
+		})
+		return g
+	}
+	const k = 3
+	g := mkGraph()
+	sharded := stream.New(g, shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k, Threads: 1}), stream.Config{})
+	defer sharded.Close()
+	srv := New(sharded, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var resp struct {
+		Shards []json.RawMessage `json:"shards"`
+	}
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", "", nil, &resp); code != http.StatusOK {
+		t.Fatalf("metrics: %d %s", code, raw)
+	}
+	if len(resp.Shards) != k {
+		t.Fatalf("sharded stream reports %d shards, want %d", len(resp.Shards), k)
+	}
+
+	g2 := mkGraph()
+	plain := stream.New(g2, core.New(g2, algo.NewSSSP(0), core.Options{Workers: 1}), stream.Config{})
+	defer plain.Close()
+	srv.Attach(plain)
+	var blocks map[string]json.RawMessage
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", "", nil, &blocks); code != http.StatusOK {
+		t.Fatalf("metrics: %d %s", code, raw)
+	}
+	if _, ok := blocks["shards"]; ok {
+		t.Fatalf("unsharded stream still reports shards: %s", blocks["shards"])
+	}
 }

@@ -93,7 +93,6 @@ type Server struct {
 	st       atomic.Pointer[stream.Stream]
 	wal      atomic.Pointer[wal.Log]
 	recovery atomic.Pointer[wal.RecoveryInfo]
-	shards   atomic.Pointer[ShardSource]
 	draining atomic.Bool
 
 	mux       *http.ServeMux
@@ -132,21 +131,6 @@ func (s *Server) AttachDurability(l *wal.Log, info *wal.RecoveryInfo) {
 	}
 	if info != nil {
 		s.recovery.Store(info)
-	}
-}
-
-// ShardSource is the scatter-gather view a sharded engine exposes; the
-// per-shard summaries are served through /metrics. (*shard.Group
-// implements it.)
-type ShardSource interface {
-	ShardInfos() []shard.Info
-}
-
-// AttachShards exposes a sharded engine's per-shard summaries through
-// /metrics. Nil-safe.
-func (s *Server) AttachShards(src ShardSource) {
-	if src != nil {
-		s.shards.Store(&src)
 	}
 }
 
@@ -492,7 +476,7 @@ type metricsResponse struct {
 	// Server.AttachDurability).
 	WAL      *walMetrics       `json:"wal,omitempty"`
 	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
-	// Shards appears only on a sharded engine (see Server.AttachShards).
+	// Shards appears only while a sharded engine serves the stream.
 	Shards []shard.Info `json:"shards,omitempty"`
 	// Relayer appears only when the stream runs the adaptive re-layering
 	// controller (StreamConfig.Relayer).
@@ -535,8 +519,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		Recovery: s.recovery.Load(),
 	}
-	if src := s.shards.Load(); src != nil {
-		resp.Shards = (*src).ShardInfos()
+	if sh, ok := st.System().(interface{ ShardInfos() []shard.Info }); ok {
+		resp.Shards = sh.ShardInfos()
 	}
 	if m.Relayer.Enabled {
 		resp.Relayer = &m.Relayer

@@ -49,6 +49,14 @@ type Recovered struct {
 	LoadDuration time.Duration
 }
 
+// HasDurableState reports whether dir holds a checkpoint or a WAL segment,
+// so that Open will recover from it rather than start fresh. A checkpoint
+// temp file left by a crash does not count: Open deletes it.
+func HasDurableState(dir string) bool {
+	cks, segs, err := scanDir(dir)
+	return err == nil && len(cks)+len(segs) > 0
+}
+
 // Recover reads the durability directory without mutating it: it loads
 // the newest checkpoint that verifies, then scans every segment for
 // records past it. Returns (nil, nil) when the directory holds no

@@ -368,6 +368,25 @@ func TestRecoverEmptyAndMissingDir(t *testing.T) {
 	}
 }
 
+// TestTornCheckpointIsNotDurableState: a crash during the first
+// checkpoint leaves only its temp file, and the directory must read as
+// fresh so a restart loads its graph; a finished checkpoint is state.
+func TestTornCheckpointIsNotDurableState(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(checkpointPath(dir, 0)+tmpSuffix, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if HasDurableState(dir) {
+		t.Fatal("a torn checkpoint temp file reads as durable state")
+	}
+	if err := writeCheckpoint(dir, 0, 0, "", testGraph(t), make([]float64, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if !HasDurableState(dir) {
+		t.Fatal("a checkpoint does not read as durable state")
+	}
+}
+
 func TestSegmentsWithoutCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(segmentPath(dir, 1), []byte("junk"), 0o644); err != nil {
