@@ -186,8 +186,8 @@ func runMain(args []string) {
 	g, sys, layered := ef.build()
 	if layered != nil {
 		st := layered.OfflineStats
-		fmt.Printf("offline: build=%.3fs initial=%.3fs subgraphs=%d proxies=%d shortcuts=%d\n",
-			st.BuildSeconds, st.InitialSeconds, st.DenseSubgraphs, st.Proxies, st.ShortcutCount)
+		fmt.Printf("offline: build=%.3fs (detect=%.3fs) initial=%.3fs subgraphs=%d proxies=%d shortcuts=%d\n",
+			st.BuildSeconds, st.DetectSeconds, st.InitialSeconds, st.DenseSubgraphs, st.Proxies, st.ShortcutCount)
 		upV, upE := layered.UpperLayerSize()
 		fmt.Printf("skeleton: %d vertices, %d edges (graph: %d / %d)\n",
 			upV, upE, g.NumVertices(), g.NumEdges())

@@ -1,7 +1,7 @@
 package community
 
 import (
-	"sort"
+	"slices"
 
 	"layph/internal/delta"
 	"layph/internal/graph"
@@ -64,11 +64,14 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 		return res
 	}
 
+	// Weight from the candidate to each neighbor community, by id.
+	acc := newAccumulator(p.NumComms)
 	newCommunity := func(v graph.VertexID) int32 {
 		id := int32(p.NumComms)
 		p.NumComms++
 		ctot = append(ctot, 0)
 		csize = append(csize, 0)
+		acc.grow(p.NumComms)
 		p.Comm[v] = id
 		return id
 	}
@@ -91,16 +94,15 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 		}
 	}
 
-	// Candidates for re-evaluation: added vertices plus endpoints of
-	// changed edges.
-	seen := make(map[graph.VertexID]struct{})
+	// Candidates for re-evaluation: live added vertices plus live endpoints
+	// of changed edges, each once, in ascending vertex id. Earlier moves
+	// shift the community aggregates seen by later candidates, and
+	// delta.Applied's net summaries come out of maps in arbitrary order —
+	// without a pinned evaluation order the final assignment would differ
+	// run to run.
 	var cands []graph.VertexID
 	add := func(v graph.VertexID) {
-		if !g.Alive(v) {
-			return
-		}
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
+		if g.Alive(v) {
 			cands = append(cands, v)
 		}
 	}
@@ -115,22 +117,16 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 		add(e.From)
 		add(e.To)
 	}
-	// Evaluate candidates in ascending vertex id. Earlier moves shift the
-	// community aggregates seen by later candidates, and delta.Applied's
-	// net summaries come out of maps in arbitrary order — without a pinned
-	// evaluation order the final assignment would differ run to run.
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
 
-	var nbr []int32 // neighbor-community scratch, reused across candidates
 	for _, v := range cands {
-		// Weight from v to each neighbor community.
-		wTo := make(map[int32]float64)
 		g.NeighborsUndirected(v, func(u graph.VertexID, w float64) {
 			if u == v {
 				return
 			}
 			if c := p.Comm[u]; c >= 0 {
-				wTo[c] += w
+				acc.add(c, w)
 			}
 		})
 		dv := g.UndirectedWeight(v)
@@ -144,30 +140,25 @@ func AdjustDetailed(g *graph.Graph, p *Partition, cfg Config, applied *delta.App
 		best := cur
 		bestGain := 0.0
 		if cur >= 0 {
-			bestGain = wTo[cur] - dv*ctot[cur]/total2
+			bestGain = acc.w[cur] - dv*ctot[cur]/total2
 		}
 		// Scan candidate communities in ascending id order so that ties
-		// (gains within minGain of each other) resolve to the lowest id
-		// regardless of Go's map iteration order. This is what keeps the
-		// determinism contract (byte-identical min-scheme runs at fixed
-		// Threads) intact when adjustment runs inside the live pipeline.
-		nbr = nbr[:0]
-		for c := range wTo {
-			nbr = append(nbr, c)
-		}
-		sort.Slice(nbr, func(i, j int) bool { return nbr[i] < nbr[j] })
-		for _, c := range nbr {
+		// (gains within minGain of each other) resolve to the lowest id,
+		// as in Detect's local moves.
+		slices.Sort(acc.touched)
+		for _, c := range acc.touched {
 			if c == cur {
 				continue
 			}
 			if cfg.MaxSize > 0 && csize[c]+1 > cfg.MaxSize {
 				continue
 			}
-			if gain := wTo[c] - dv*ctot[c]/total2; gain > bestGain+minGain {
+			if gain := acc.w[c] - dv*ctot[c]/total2; gain > bestGain+minGain {
 				bestGain = gain
 				best = c
 			}
 		}
+		acc.reset()
 		switch {
 		case best == cur && cur >= 0:
 			ctot[cur] += dv

@@ -9,9 +9,25 @@
 // K is set around 0.002–0.2% of the total number of vertices") because
 // oversized subgraphs imbalance the shortcut workload; the cap is enforced
 // during local moves and aggregation.
+//
+// Layout. Each Louvain level is one CSR (off, nbr, wt) over that level's
+// nodes; an entry carries the summed weight of both edge directions, and
+// self-loops are folded into the node's degree, the only place they are
+// read. A local move sums its neighbours' weights per community into a
+// dense accumulator indexed by community id, remembering the ids it touched
+// and clearing through that list, so no map is built per visit. Aggregation
+// numbers super-nodes in first-seen order of their communities,
+// counting-sorts the old nodes by super-node and builds each super-node's
+// row through the same accumulator. AdjustDetailed uses it too.
+//
+// Tie-break. A move scans the touched communities in ascending id and takes
+// a candidate only if it beats the best gain so far by more than minGain, so
+// exact ties go to the lowest id. Scanning in first-touch order instead
+// would be cheaper but picks different partitions.
 package community
 
 import (
+	"slices"
 	"sort"
 
 	"layph/internal/graph"
@@ -108,40 +124,113 @@ func (p *Partition) Compact() []int32 {
 	return remap
 }
 
-// louvainState is the weighted undirected projection Louvain operates on.
+// accumulator sums weights per dense id (a vertex, node or community) and
+// remembers which ids it touched, so clearing costs the touched ids rather
+// than the id space. An id counts as touched from its first add, whatever
+// the weight: a community reached only through zero-weight edges is still a
+// candidate.
+type accumulator struct {
+	w       []float64
+	seen    []bool
+	touched []int32
+}
+
+func newAccumulator(n int) *accumulator {
+	return &accumulator{w: make([]float64, n), seen: make([]bool, n)}
+}
+
+func (a *accumulator) add(id int32, w float64) {
+	if !a.seen[id] {
+		a.seen[id] = true
+		a.touched = append(a.touched, id)
+	}
+	a.w[id] += w
+}
+
+// grow extends the id space to n.
+func (a *accumulator) grow(n int) {
+	for len(a.w) < n {
+		a.w = append(a.w, 0)
+		a.seen = append(a.seen, false)
+	}
+}
+
+// reset clears the touched ids.
+func (a *accumulator) reset() {
+	for _, id := range a.touched {
+		a.w[id] = 0
+		a.seen[id] = false
+	}
+	a.touched = a.touched[:0]
+}
+
+// flush appends the touched ids and their weights as one CSR row, in
+// first-touch order, and resets.
+func (a *accumulator) flush(nbr []int32, wt []float64) ([]int32, []float64) {
+	for _, id := range a.touched {
+		nbr = append(nbr, id)
+		wt = append(wt, a.w[id])
+	}
+	a.reset()
+	return nbr, wt
+}
+
+// louvainState is one level of the weighted undirected projection Louvain
+// operates on, as a CSR: node i's neighbours are nbr[off[i]:off[i+1]] with
+// the summed weights of both edge directions in wt. Self-loops (and, after
+// aggregation, intra-community edges) appear only in deg.
 type louvainState struct {
 	n      int
-	adj    []map[int32]float64 // undirected weighted adjacency (self-loops allowed)
-	deg    []float64           // weighted degree incl. 2*self-loop
-	size   []int               // vertices of the original graph folded into this node
+	off    []int
+	nbr    []int32
+	wt     []float64
+	deg    []float64 // weighted degree incl. 2*self-loop
+	size   []int     // vertices of the original graph folded into this node
 	comm   []int32
-	ctot   []float64 // total degree per community
-	csize  []int     // original-vertex count per community
-	total2 float64   // 2m (total degree)
+	ctot   []float64    // total degree per community
+	csize  []int        // original-vertex count per community
+	total2 float64      // 2m (total degree)
+	acc    *accumulator // shared by every level, sized for the first
 }
 
 func projectGraph(g *graph.Graph) *louvainState {
-	s := &louvainState{n: g.Cap()}
-	s.adj = make([]map[int32]float64, s.n)
-	s.deg = make([]float64, s.n)
-	s.size = make([]int, s.n)
-	for i := 0; i < s.n; i++ {
-		s.adj[i] = make(map[int32]float64)
+	n := g.Cap()
+	s := &louvainState{
+		n:    n,
+		off:  make([]int, n+1),
+		nbr:  make([]int32, 0, 2*g.NumEdges()),
+		wt:   make([]float64, 0, 2*g.NumEdges()),
+		deg:  make([]float64, n),
+		size: make([]int, n),
+		acc:  newAccumulator(n),
 	}
-	g.Vertices(func(v graph.VertexID) { s.size[v] = 1 })
 	g.Edges(func(u, v graph.VertexID, w float64) {
 		if u == v {
-			s.adj[u][int32(u)] += w
 			s.deg[u] += 2 * w
-			s.total2 += 2 * w
-			return
+		} else {
+			s.deg[u] += w
+			s.deg[v] += w
 		}
-		s.adj[u][int32(v)] += w
-		s.adj[v][int32(u)] += w
-		s.deg[u] += w
-		s.deg[v] += w
 		s.total2 += 2 * w
 	})
+	for u := 0; u < n; u++ {
+		v := graph.VertexID(u)
+		if g.Alive(v) {
+			s.size[u] = 1
+			for _, e := range g.Out(v) {
+				if e.To != v {
+					s.acc.add(int32(e.To), e.W)
+				}
+			}
+			for _, e := range g.In(v) {
+				if e.To != v {
+					s.acc.add(int32(e.To), e.W)
+				}
+			}
+			s.nbr, s.wt = s.acc.flush(s.nbr, s.wt)
+		}
+		s.off[u+1] = len(s.nbr)
+	}
 	return s
 }
 
@@ -189,12 +278,9 @@ func (s *louvainState) localMoves(cfg Config) bool {
 func (s *louvainState) moveVertex(v int32, cfg Config) bool {
 	cur := s.comm[v]
 	// Weights from v to each neighboring community.
-	wTo := map[int32]float64{}
-	for u, w := range s.adj[v] {
-		if u == v {
-			continue
-		}
-		wTo[s.comm[u]] += w
+	acc := s.acc
+	for k := s.off[v]; k < s.off[v+1]; k++ {
+		acc.add(s.comm[s.nbr[k]], s.wt[k])
 	}
 	// Detach v.
 	s.ctot[cur] -= s.deg[v]
@@ -205,27 +291,24 @@ func (s *louvainState) moveVertex(v int32, cfg Config) bool {
 	// Gain of joining community c: w(v,c)/m - deg(v)*ctot(c)/(2m^2); constant
 	// factors dropped since we only compare.
 	m2 := s.total2
-	baseGain := wTo[cur] - s.deg[v]*s.ctot[cur]/m2
+	baseGain := acc.w[cur] - s.deg[v]*s.ctot[cur]/m2
 	// Ascending-id candidate scan with a strict improvement test: ties within
-	// minGain resolve to the lowest community id, independent of map order.
-	cands := make([]int32, 0, len(wTo))
-	for c := range wTo {
-		cands = append(cands, c)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, c := range cands {
+	// minGain resolve to the lowest community id, not the first touched.
+	slices.Sort(acc.touched)
+	for _, c := range acc.touched {
 		if c == cur {
 			continue
 		}
 		if cfg.MaxSize > 0 && s.csize[c]+s.size[v] > cfg.MaxSize {
 			continue
 		}
-		gain := (wTo[c] - s.deg[v]*s.ctot[c]/m2) - baseGain
+		gain := (acc.w[c] - s.deg[v]*s.ctot[c]/m2) - baseGain
 		if gain > bestGain+minGain {
 			bestGain = gain
 			best = c
 		}
 	}
+	acc.reset()
 	s.ctot[best] += s.deg[v]
 	s.csize[best] += s.size[v]
 	s.comm[v] = best
@@ -233,66 +316,68 @@ func (s *louvainState) moveVertex(v int32, cfg Config) bool {
 }
 
 // aggregate folds communities into super-nodes and returns the mapping from
-// old node to new node id.
+// old node to new node id. New nodes are numbered in first-seen order of
+// their communities; a counting sort groups the old nodes by new node, and
+// each super-node's row sums its members' rows through the accumulator.
 func (s *louvainState) aggregate() ([]int32, *louvainState) {
-	remap := make(map[int32]int32)
-	for i := 0; i < s.n; i++ {
-		if s.size[i] == 0 {
-			continue
-		}
-		c := s.comm[i]
-		if _, ok := remap[c]; !ok {
-			remap[c] = int32(len(remap))
-		}
-	}
-	next := &louvainState{n: len(remap)}
-	next.adj = make([]map[int32]float64, next.n)
-	next.deg = make([]float64, next.n)
-	next.size = make([]int, next.n)
-	for i := range next.adj {
-		next.adj[i] = make(map[int32]float64)
-	}
-	next.total2 = s.total2
 	nodeMap := make([]int32, s.n)
+	newID := make([]int32, s.n) // community -> new node, -1 before first seen
+	for i := range newID {
+		newID[i] = -1
+	}
+	nn := int32(0)
 	for i := 0; i < s.n; i++ {
 		if s.size[i] == 0 {
 			nodeMap[i] = -1
 			continue
 		}
-		nodeMap[i] = remap[s.comm[i]]
+		c := s.comm[i]
+		if newID[c] < 0 {
+			newID[c] = nn
+			nn++
+		}
+		nodeMap[i] = newID[c]
 	}
-	for i := 0; i < s.n; i++ {
-		if s.size[i] == 0 {
-			continue
+	start := make([]int, nn+1)
+	for _, ni := range nodeMap {
+		if ni >= 0 {
+			start[ni+1]++
 		}
-		ni := nodeMap[i]
-		next.size[ni] += s.size[i]
-		for u, w := range s.adj[i] {
-			if s.size[u] == 0 {
-				continue
-			}
-			nu := nodeMap[u]
-			if int32(i) == u {
-				next.adj[ni][ni] += w
-				next.deg[ni] += 2 * w
-				continue
-			}
-			// Each undirected edge appears in both adjacency maps; process
-			// each pair once (i < u); intra-super-node pairs fold into a
-			// self-loop.
-			if int32(i) >= u {
-				continue
-			}
-			if ni == nu {
-				next.adj[ni][ni] += w
-				next.deg[ni] += 2 * w
-			} else {
-				next.adj[ni][nu] += w
-				next.adj[nu][ni] += w
-				next.deg[ni] += w
-				next.deg[nu] += w
+	}
+	for ni := int32(0); ni < nn; ni++ {
+		start[ni+1] += start[ni]
+	}
+	members := make([]int32, start[nn])
+	fill := slices.Clone(start[:nn])
+	for i, ni := range nodeMap {
+		if ni >= 0 {
+			members[fill[ni]] = int32(i)
+			fill[ni]++
+		}
+	}
+
+	next := &louvainState{
+		n:      int(nn),
+		off:    make([]int, nn+1),
+		deg:    make([]float64, nn),
+		size:   make([]int, nn),
+		total2: s.total2,
+		acc:    s.acc,
+	}
+	for ni := int32(0); ni < nn; ni++ {
+		for _, i := range members[start[ni]:start[ni+1]] {
+			next.size[ni] += s.size[i]
+			next.deg[ni] += s.deg[i]
+			for k := s.off[i]; k < s.off[i+1]; k++ {
+				// Intra-super-node edges become a self-loop, which deg
+				// already carries.
+				if nu := nodeMap[s.nbr[k]]; nu != ni {
+					s.acc.add(nu, s.wt[k])
+				}
 			}
 		}
+		next.nbr, next.wt = s.acc.flush(next.nbr, next.wt)
+		next.off[ni+1] = len(next.nbr)
 	}
 	return nodeMap, next
 }
@@ -331,22 +416,24 @@ func Detect(g *graph.Graph, cfg Config) *Partition {
 }
 
 // canonicalize renumbers community labels densely in first-seen order.
+// Labels are node ids of some level, so they lie below len(labels).
 func canonicalize(g *graph.Graph, labels []int32) *Partition {
 	p := &Partition{Comm: make([]int32, len(labels))}
-	remap := make(map[int32]int32)
-	for v := range labels {
-		if !g.Alive(graph.VertexID(v)) || labels[v] < 0 {
+	remap := make([]int32, len(labels))
+	for i := range remap {
+		remap[i] = NoCommunity
+	}
+	for v, l := range labels {
+		if !g.Alive(graph.VertexID(v)) || l < 0 {
 			p.Comm[v] = NoCommunity
 			continue
 		}
-		id, ok := remap[labels[v]]
-		if !ok {
-			id = int32(len(remap))
-			remap[labels[v]] = id
+		if remap[l] == NoCommunity {
+			remap[l] = int32(p.NumComms)
+			p.NumComms++
 		}
-		p.Comm[v] = id
+		p.Comm[v] = remap[l]
 	}
-	p.NumComms = len(remap)
 	return p
 }
 
@@ -358,8 +445,12 @@ func Modularity(g *graph.Graph, p *Partition) float64 {
 	if m == 0 {
 		return 0
 	}
-	win := make(map[int32]float64)
-	deg := make(map[int32]float64)
+	k := 0
+	for _, c := range p.Comm {
+		k = max(k, int(c)+1)
+	}
+	win := make([]float64, k)
+	deg := make([]float64, k)
 	g.Edges(func(u, v graph.VertexID, w float64) {
 		cu, cv := p.Comm[u], p.Comm[v]
 		if cu >= 0 && cu == cv {
@@ -373,15 +464,9 @@ func Modularity(g *graph.Graph, p *Partition) float64 {
 		}
 	})
 	q := 0.0
-	for c, w := range win {
-		q += w / m
+	for c := range win {
 		d := deg[c] / (2 * m)
-		q -= d * d
-	}
-	for c, d := range deg {
-		if _, ok := win[c]; !ok {
-			q -= (d / (2 * m)) * (d / (2 * m))
-		}
+		q += win[c]/m - d*d
 	}
 	return q
 }

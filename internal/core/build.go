@@ -49,6 +49,7 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 
 	buildStart := time.Now()
 	l.part = community.Detect(g, l.opt.Community)
+	l.OfflineStats.DetectSeconds = time.Since(buildStart).Seconds()
 
 	l.origCap = g.Cap()
 	l.growFlat(l.origCap, NoSubgraph, RoleDead, NoHost, false)

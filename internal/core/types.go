@@ -351,9 +351,11 @@ const NoHost = graph.VertexID(engine.NoParent)
 // OfflineStats describes the one-time preprocessing cost.
 type OfflineStats struct {
 	// BuildSeconds is layered-graph construction time (detection,
-	// replication, shortcut deduction); InitialSeconds is the initial batch
-	// run on the flat graph.
+	// replication, shortcut deduction), DetectSeconds the community
+	// detection share of it; InitialSeconds is the initial batch run on the
+	// flat graph.
 	BuildSeconds   float64
+	DetectSeconds  float64
 	InitialSeconds float64
 	// ShortcutCount is the number of deduced shortcut weights (Fig 11a);
 	// ShortcutActivations the F applications spent deducing them.
