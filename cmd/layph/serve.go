@@ -49,12 +49,12 @@ func serveMain(args []string) {
 		maxVertex = fs.Uint("maxvertex", 0, "reject updates referencing vertex ids >= this (0 = |V| + 1048576)")
 		listen    = fs.String("listen", "", "serve the HTTP API on this address (e.g. 127.0.0.1:8090) until SIGINT")
 
-		relayer        = fs.Bool("relayer", false, "adaptive re-layering drift controller: background full re-layer + atomic swap when layering quality decays (pairs with -adaptive)")
+		relayer        = fs.Bool("relayer", false, "adaptive re-layering drift controller (-system layph): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs (pairs with -adaptive)")
 		relayerTouched = fs.Float64("relayer-touched", 0, "touched-subgraph-ratio EWMA trigger threshold (0 = 0.35)")
 		relayerGrowth  = fs.Float64("relayer-skeleton-growth", 0, "skeleton-fraction growth factor over the post-build baseline that triggers (0 = 1.5)")
 		relayerDead    = fs.Float64("relayer-dead", 0, "dead community-id fraction that triggers (0 = 0.5)")
 		relayerMinB    = fs.Int("relayer-min-batches", 0, "cooldown: applied batches after a (re)build before triggers re-arm (0 = 16)")
-		relayerSwapLag = fs.Int("relayer-swap-lag", 0, "applied batches between trigger and the deterministic swap boundary (0 = 8)")
+		relayerSwapLag = fs.Int("relayer-swap-lag", 0, "applied batches between trigger and the deterministic landing boundary (0 = 8)")
 
 		walDir        = fs.String("wal", "", "durability directory: write-ahead log + checkpoints; a restart on the same directory recovers and resumes")
 		ckptEvery     = fs.Int("checkpoint-every", 64, "cut a snapshot checkpoint after this many micro-batches (with -wal)")
@@ -85,13 +85,6 @@ func serveMain(args []string) {
 	}
 	if *relayer {
 		scfg.Relayer = &stream.RelayerConfig{
-			// The rebuild hook is the same construction path as the serving
-			// engine, so a swap lands an identically-configured engine (with
-			// fresh community detection) over the cloned graph.
-			Build: func(g2 *graph.Graph) inc.System {
-				sys, _ := ef.buildOn(g2)
-				return sys
-			},
 			TouchedRatioThreshold: *relayerTouched,
 			SkeletonGrowthFactor:  *relayerGrowth,
 			DeadCommunityFraction: *relayerDead,
@@ -270,8 +263,8 @@ func printFinal(s *stream.Stream, top int) {
 			len(gr.ShardInfos()), m.Engine.ShardRounds, m.Engine.BoundaryPins)
 	}
 	if rl := m.Relayer; rl.Enabled {
-		fmt.Printf("relayer totals: full-relayers=%d replayed-batches=%d touched-ewma=%.3f skeleton=%.3f/%.3f moves=%d last-trigger=%s\n",
-			rl.FullRelayers, rl.ReplayedBatches, rl.TouchedRatioEWMA,
+		fmt.Printf("relayer totals: full-relayers=%d touched-ewma=%.3f skeleton=%.3f/%.3f moves=%d last-trigger=%s\n",
+			rl.FullRelayers, rl.TouchedRatioEWMA,
 			rl.SkeletonFraction, rl.SkeletonBaseline, rl.MembershipMoves, rl.LastTrigger)
 	}
 	fmt.Printf("final snapshot: seq=%d updates=%d %s\n", snap.Seq, snap.Updates, sampleStates(snap.States, top))

@@ -1,6 +1,7 @@
 package community
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -292,13 +293,14 @@ func TestAdjustDetailedMovesMatchAssignment(t *testing.T) {
 
 // TestAdjustLongChurnBoundedComms pins the dead-id-leak fix: under sustained
 // churn NumComms grows monotonically (ids are stable between re-layers), but
-// periodic Compact — the stand-in for a full re-layer — must reclaim dead ids
-// and keep the live count bounded by the vertex count.
+// a periodic re-detection aligned onto the adjusted partition — what a
+// re-layer lands — must reclaim dead ids and keep the live count bounded by
+// the vertex count.
 func TestAdjustLongChurnBoundedComms(t *testing.T) {
 	g, _ := plantedGraph(31, 300, 25)
 	p := Detect(g, Config{MaxSize: 60})
 	genr := delta.NewGenerator(5)
-	maxAfterCompact := 0
+	maxAfterAlign := 0
 	for i := 0; i < 40; i++ {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 6, 6, 3, false)...)
@@ -308,31 +310,94 @@ func TestAdjustLongChurnBoundedComms(t *testing.T) {
 			t.Fatalf("round %d: live %d > NumComms %d", i, p.LiveComms(), p.NumComms)
 		}
 		if i%10 == 9 {
-			before := append([]int32(nil), p.Comm...)
-			remap := p.Compact()
+			fresh := Detect(g, Config{MaxSize: 60})
+			before := append([]int32(nil), fresh.Comm...)
+			remap := Align(p, fresh)
+			p = fresh
 			if p.NumComms != p.LiveComms() {
-				t.Fatalf("round %d: Compact left %d ids for %d live communities", i, p.NumComms, p.LiveComms())
+				t.Fatalf("round %d: Align left %d ids for %d live communities", i, p.NumComms, p.LiveComms())
 			}
 			for v, c := range before {
 				switch {
 				case c < 0 && p.Comm[v] != NoCommunity:
-					t.Fatalf("round %d: Compact assigned dead/fresh vertex %d", i, v)
+					t.Fatalf("round %d: Align assigned dead/fresh vertex %d", i, v)
 				case c >= 0 && p.Comm[v] != remap[c]:
 					t.Fatalf("round %d: vertex %d remapped to %d, want remap[%d]=%d", i, v, p.Comm[v], c, remap[c])
 				}
 			}
-			if p.NumComms > maxAfterCompact {
-				maxAfterCompact = p.NumComms
+			if p.NumComms > maxAfterAlign {
+				maxAfterAlign = p.NumComms
 			}
 		}
 	}
-	if maxAfterCompact > g.Cap() {
-		t.Fatalf("compacted NumComms %d exceeds vertex capacity %d", maxAfterCompact, g.Cap())
+	if maxAfterAlign > g.Cap() {
+		t.Fatalf("aligned NumComms %d exceeds vertex capacity %d", maxAfterAlign, g.Cap())
 	}
 	// The real assertion: churn created and emptied many singleton ids; after
-	// the final compaction the id space must be dense again.
+	// the final alignment the id space must be dense again.
 	if p.NumComms != p.LiveComms() {
 		t.Fatalf("final: %d ids vs %d live communities", p.NumComms, p.LiveComms())
+	}
+}
+
+// TestAlign pins the id policy of a landing re-detection: identical
+// partitions map to themselves, a community whose members stay together
+// keeps its id through a renumbering, and empty communities are dropped
+// with the freed ids handed out in ascending order.
+func TestAlign(t *testing.T) {
+	g, _ := plantedGraph(37, 300, 25)
+	live := Detect(g, Config{MaxSize: 60})
+	fresh := &Partition{Comm: slices.Clone(live.Comm), NumComms: live.NumComms}
+	for c, to := range Align(live, fresh) {
+		if to != int32(c) {
+			t.Fatalf("identical partitions: id %d mapped to %d", c, to)
+		}
+	}
+	if !slices.Equal(fresh.Comm, live.Comm) || fresh.NumComms != live.NumComms {
+		t.Fatal("identical partitions: Align changed the assignment")
+	}
+
+	// Reverse the fresh ids: overlap alone must restore the live ones.
+	n := int32(live.NumComms)
+	fresh = &Partition{Comm: slices.Clone(live.Comm), NumComms: live.NumComms}
+	for v, c := range fresh.Comm {
+		if c >= 0 {
+			fresh.Comm[v] = n - 1 - c
+		}
+	}
+	Align(live, fresh)
+	if !slices.Equal(fresh.Comm, live.Comm) {
+		t.Fatal("renumbered partition not aligned back onto the live ids")
+	}
+
+	// live: {0,1} {2,3} {4,5} with ids 0, 1, 2. fresh merges the last two
+	// communities under id 5 and leaves ids 1..4 empty, so the id space
+	// shrinks to 2 and live id 2 is no longer eligible: the merged
+	// community takes 1.
+	live = &Partition{Comm: []int32{0, 0, 1, 1, 2, 2, NoCommunity}, NumComms: 3}
+	fresh = &Partition{Comm: []int32{0, 0, 5, 5, 5, 5, NoCommunity}, NumComms: 6}
+	remap := Align(live, fresh)
+	if want := []int32{0, NoCommunity, NoCommunity, NoCommunity, NoCommunity, 1}; !slices.Equal(remap, want) {
+		t.Fatalf("remap %v, want %v", remap, want)
+	}
+	if want := []int32{0, 0, 1, 1, 1, 1, NoCommunity}; !slices.Equal(fresh.Comm, want) || fresh.NumComms != 2 {
+		t.Fatalf("aligned %v (%d ids), want %v (2 ids)", fresh.Comm, fresh.NumComms, want)
+	}
+
+	// Equal overlaps go to the lower live id.
+	live = &Partition{Comm: []int32{0, 0, 1, 1, 2}, NumComms: 3}
+	fresh = &Partition{Comm: []int32{0, 0, 0, 0, 1}, NumComms: 2}
+	Align(live, fresh)
+	if want := []int32{0, 0, 0, 0, 1}; !slices.Equal(fresh.Comm, want) {
+		t.Fatalf("tie: aligned %v, want %v", fresh.Comm, want)
+	}
+
+	// A community whose best live id is out of range takes a free id.
+	live = &Partition{Comm: []int32{3, 3, 0, 0}, NumComms: 4}
+	fresh = &Partition{Comm: []int32{0, 0, 1, 1}, NumComms: 2}
+	Align(live, fresh)
+	if want := []int32{1, 1, 0, 0}; !slices.Equal(fresh.Comm, want) {
+		t.Fatalf("aligned %v, want %v", fresh.Comm, want)
 	}
 }
 

@@ -33,8 +33,8 @@ type AdjustResult struct {
 // re-evaluated with Louvain local moves against the current partition.
 // Community ids are kept stable — the layered-graph updater relies on id
 // stability to localize shortcut recomputation. Emptied communities keep
-// their (now unused) id until the next full re-layer compacts them;
-// vertices moving to a fresh singleton get a new id.
+// their (now unused) id until a re-detection is aligned onto the partition
+// (Align); vertices moving to a fresh singleton get a new id.
 //
 // It returns the set of community ids whose membership changed (including
 // ids that gained or lost vertices), which is exactly the set of subgraphs

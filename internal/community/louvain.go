@@ -27,6 +27,7 @@
 package community
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -86,7 +87,7 @@ func (p *Partition) Sizes() []int {
 // LiveComms returns the number of community ids with at least one member.
 // Under incremental adjustment (AdjustDetailed) ids are stable, so emptied
 // communities keep their slot; the gap between LiveComms and NumComms is
-// the dead-id bloat that Compact (or a full re-layer) reclaims.
+// the dead-id bloat that a re-detection aligned by Align reclaims.
 func (p *Partition) LiveComms() int {
 	live := 0
 	for _, n := range p.Sizes() {
@@ -97,30 +98,60 @@ func (p *Partition) LiveComms() int {
 	return live
 }
 
-// Compact densely renumbers community ids in ascending old-id order,
-// dropping ids that no longer have members, and returns the old→new
-// mapping (dropped ids map to NoCommunity). This is the id-reclamation
-// point of the id-stability contract: ids are stable between re-layers,
-// and a full re-layer (or an explicit Compact) is the only place they are
-// recycled — callers holding per-community state must renumber through
-// the returned mapping.
-func (p *Partition) Compact() []int32 {
-	remap := make([]int32, p.NumComms)
-	next := int32(0)
-	for c, n := range p.Sizes() {
-		if n > 0 {
-			remap[c] = next
-			next++
-		} else {
-			remap[c] = NoCommunity
+// Align renumbers fresh, a partition detected anew, onto the ids of live,
+// the partition it replaces, and is where dead ids are reclaimed. The k
+// non-empty communities of fresh take the ids [0, k): greedily by overlap,
+// each takes the id below k of the live community it shares the most
+// vertices with (ties to the lower live id, then the lower fresh id); the
+// rest take the free ids in ascending order. It returns the old→new
+// mapping of fresh's ids (NoCommunity for the dropped empty ones).
+func Align(live, fresh *Partition) []int32 {
+	sizes := fresh.Sizes()
+	k := 0
+	for _, n := range sizes {
+		k += min(n, 1)
+	}
+	// Sorted (fresh, live) keys, one per shared vertex: a run is an overlap.
+	var keys []uint64
+	for v, c := range fresh.Comm {
+		if v < len(live.Comm) && c >= 0 && live.Comm[v] >= 0 && int(live.Comm[v]) < k {
+			keys = append(keys, uint64(c)<<32|uint64(live.Comm[v]))
 		}
 	}
-	for v, c := range p.Comm {
+	slices.Sort(keys)
+	type overlap struct{ n, fresh, live int32 }
+	var pairs []overlap
+	for i, key := range keys {
+		if i == 0 || key != keys[i-1] {
+			pairs = append(pairs, overlap{0, int32(key >> 32), int32(uint32(key))})
+		}
+		pairs[len(pairs)-1].n++
+	}
+	slices.SortFunc(pairs, func(a, b overlap) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.live, b.live), cmp.Compare(a.fresh, b.fresh))
+	})
+	remap := slices.Repeat([]int32{NoCommunity}, fresh.NumComms)
+	taken := make([]bool, k)
+	for _, o := range pairs {
+		if remap[o.fresh] == NoCommunity && !taken[o.live] {
+			remap[o.fresh], taken[o.live] = o.live, true
+		}
+	}
+	free := int32(0)
+	for c, n := range sizes {
+		if n > 0 && remap[c] == NoCommunity {
+			for taken[free] {
+				free++
+			}
+			remap[c], taken[free] = free, true
+		}
+	}
+	for v, c := range fresh.Comm {
 		if c >= 0 {
-			p.Comm[v] = remap[c]
+			fresh.Comm[v] = remap[c]
 		}
 	}
-	p.NumComms = int(next)
+	fresh.NumComms = k
 	return remap
 }
 

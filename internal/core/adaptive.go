@@ -1,88 +1,118 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"layph/internal/community"
 	"layph/internal/delta"
 	"layph/internal/graph"
+	"layph/internal/inc"
 )
 
 // adaptMembership is the adaptive half of the layered update (Options.
 // AdaptiveCommunities): it runs the incremental community adjustment
-// (community.AdjustDetailed) against the already-applied batch and migrates
-// dense-subgraph membership to follow the partition, so the layering tracks
-// community drift instead of freezing the memberships computed at build
-// time.
-//
-// For every vertex the adjustment moved, the per-community member index and
-// the subgraph origMembers lists are updated, subOf is repointed (dense
-// subgraphs only — communities without one are outlier territory), and the
-// vertex plus its in-neighbors are marked for flat-row refresh. Changed
-// communities that back a dense subgraph are returned as forced structural
-// rebuilds; changed communities without one are re-evaluated for density
-// and promoted to a fresh subgraph when they qualify (a split or merge that
-// crossed the density threshold).
-//
-// Community ids stay stable across adjustments — dead ids are reclaimed
-// only at a full re-layer (a fresh engine build), which is the id-stability
-// contract the shortcut localization relies on.
+// (community.AdjustDetailed) against the already-applied batch, keeps the
+// per-community member index in step, and migrates dense-subgraph
+// membership to follow the partition. Community ids stay stable across
+// adjustments — the shortcut localization relies on it — and dead ids are
+// reclaimed only when a re-detection lands (Redetect).
 func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves int64) {
 	res := community.AdjustDetailed(l.g, l.part, l.opt.Community, applied)
-	if len(res.Changed) == 0 {
-		return nil, 0
-	}
 	for len(l.commVerts) < l.part.NumComms {
 		l.commVerts = append(l.commVerts, nil)
 	}
-	sc := &l.scratch
-	mark := func(v graph.VertexID) {
-		if int(v) < l.flatN() {
-			sc.touched.Add(v)
-			sc.dirty.Add(v)
-		}
-	}
 	for _, m := range res.Moved {
-		moves++
 		if m.From >= 0 {
 			l.commVerts[m.From] = removeVertex(l.commVerts[m.From], m.V)
-			if s, ok := l.subs[m.From]; ok {
-				s.origMembers = removeVertex(s.origMembers, m.V)
-			}
 		}
 		if m.To >= 0 {
 			l.commVerts[m.To] = append(l.commVerts[m.To], m.V)
 		}
-		if int(m.V) < len(l.subOf) {
-			if s, ok := l.subs[m.To]; m.To >= 0 && ok {
-				s.origMembers = append(s.origMembers, m.V)
-				l.subOf[m.V] = m.To
-			} else {
-				l.subOf[m.V] = NoSubgraph
-			}
+	}
+	return l.migrate(res.Moved), int64(len(res.Moved))
+}
+
+// Redetect runs community detection on g, a clone of the engine's graph
+// that the caller owns, and may run on any goroutine. The returned landing
+// must run where Update runs, after any number of further batches: it
+// renumbers the fresh partition onto the live ids (community.Align), makes
+// the vertices the graph gained or lost since the clone outliers of it,
+// migrates every live vertex whose id changed, and runs an update over an
+// empty batch, which rebuilds only the changed communities.
+func (l *Layph) Redetect(g *graph.Graph) func() inc.Stats {
+	fresh := community.Detect(g, l.opt.Community)
+	return func() inc.Stats { return l.update(&delta.Applied{}, fresh) }
+}
+
+// land makes fresh the engine's partition and returns the communities to
+// rebuild (see Redetect).
+func (l *Layph) land(fresh *community.Partition) (forced []int32, moves int64) {
+	pad := func(comm []int32) []int32 {
+		return append(comm, slices.Repeat([]int32{community.NoCommunity}, max(l.g.Cap()-len(comm), 0))...)
+	}
+	fresh.Comm, l.part.Comm = pad(fresh.Comm), pad(l.part.Comm)
+	for v := range fresh.Comm {
+		if !l.g.Alive(graph.VertexID(v)) {
+			fresh.Comm[v] = community.NoCommunity
 		}
-		if !l.flatAlive(m.V) {
-			continue
+	}
+	community.Align(l.part, fresh)
+	var moved []community.VertexMove
+	for v, to := range fresh.Comm {
+		if from := l.part.Comm[v]; from != to && l.g.Alive(graph.VertexID(v)) {
+			moved = append(moved, community.VertexMove{V: graph.VertexID(v), From: from, To: to})
 		}
-		// The mover's flat row must be re-routed against its new subgraph,
-		// and so must every in-neighbor's (their edges to the mover may gain
-		// or lose proxy indirection).
-		mark(m.V)
-		for _, ie := range l.g.In(m.V) {
+	}
+	// Subgraphs of ids the fresh partition no longer has keep an (empty)
+	// member list until their restructure dissolves them.
+	l.commVerts = append(fresh.Members(), make([][]graph.VertexID, max(l.part.NumComms-fresh.NumComms, 0))...)
+	l.part = fresh
+	return l.migrate(moved), int64(len(moved))
+}
+
+// migrate applies community moves, already recorded in the partition and
+// in commVerts, to the layering. For every moved vertex subOf is repointed
+// (dense subgraphs only — communities without one are outlier territory),
+// and the vertex plus its in-neighbors are marked for flat-row refresh.
+// Changed communities that back a dense subgraph are returned as forced
+// structural rebuilds; changed communities without one are re-evaluated
+// for density and promoted to a fresh subgraph when they qualify (a split
+// or merge that crossed the density threshold).
+func (l *Layph) migrate(moved []community.VertexMove) (forced []int32) {
+	sc := &l.scratch
+	// The vertex's flat row must be re-routed against its new subgraph, and
+	// so must every in-neighbor's (their edges to it may gain or lose proxy
+	// indirection).
+	reroute := func(v graph.VertexID) {
+		sc.touched.Add(v)
+		sc.dirty.Add(v)
+		for _, ie := range l.g.In(v) {
 			if int(ie.To) < l.flatN() {
 				sc.touched.Add(ie.To)
 			}
 		}
 	}
+	var changed []int32
+	for _, m := range moved {
+		if m.From >= 0 {
+			changed = append(changed, m.From)
+		}
+		if m.To >= 0 {
+			changed = append(changed, m.To)
+		}
+		l.subOf[m.V] = NoSubgraph
+		if _, ok := l.subs[m.To]; ok {
+			l.subOf[m.V] = m.To
+		}
+		if l.flatAlive(m.V) {
+			reroute(m.V)
+		}
+	}
 
 	// Changed communities in ascending id order (deterministic rebuild and
-	// promotion order regardless of map iteration).
-	ids := make([]int32, 0, len(res.Changed))
-	for c := range res.Changed {
-		ids = append(ids, c)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, c := range ids {
+	// promotion order).
+	slices.Sort(changed)
+	for _, c := range slices.Compact(changed) {
 		if _, ok := l.subs[c]; ok {
 			forced = append(forced, c)
 			continue
@@ -103,20 +133,14 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 		if dec := l.evaluateCommunity(c, live); !dec.dense {
 			continue
 		}
-		s := &Subgraph{ID: c, origMembers: live}
 		for _, v := range live {
 			l.subOf[v] = c
-			mark(v)
-			for _, ie := range l.g.In(v) {
-				if int(ie.To) < l.flatN() {
-					sc.touched.Add(ie.To)
-				}
-			}
+			reroute(v)
 		}
-		l.subs[c] = s
+		l.subs[c] = &Subgraph{ID: c}
 		forced = append(forced, c)
 	}
-	return forced, moves
+	return forced
 }
 
 // removeVertex deletes the first occurrence of v from list, preserving order
@@ -131,10 +155,10 @@ func removeVertex(list []graph.VertexID, v graph.VertexID) []graph.VertexID {
 }
 
 // CommunityStats reports the partition's live community count against its
-// allocated id count. Ids are stable between full re-layers, so under churn
+// allocated id count. Ids are stable between re-detections, so under churn
 // the gap (dead, unreclaimed ids) grows; the stream drift controller uses
-// the ratio as one of its full-re-layer triggers, and a fresh build (which
-// re-runs detection) compacts the id space again.
+// the ratio as one of its re-layer triggers, and a landing (Redetect)
+// makes the id space dense again.
 func (l *Layph) CommunityStats() (live, ids int) {
 	return l.part.LiveComms(), l.part.NumComms
 }

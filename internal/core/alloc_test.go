@@ -296,3 +296,17 @@ func BenchmarkUpdate(b *testing.B) {
 		run("spread/", spreadWorkload, 1000)
 	}
 }
+
+// BenchmarkNew measures construction — detection, layering and the initial
+// run — on the benchmark's UK ×1 graph under SSSP; run with -benchmem to
+// track the bytes a build allocates:
+//
+//	go test ./internal/core -run '^$' -bench BenchmarkNew -benchmem
+func BenchmarkNew(b *testing.B) {
+	g := gen.Build(gen.PresetUK, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(g, algo.NewSSSP(0), Options{Workers: 1})
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -61,21 +60,14 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	members := l.part.Members()
 	pending := make([]int32, len(members))
 	for c, ms := range members {
-		l.subs[int32(c)] = &Subgraph{ID: int32(c), origMembers: slices.Clone(ms)}
+		l.subs[int32(c)] = &Subgraph{ID: int32(c)}
 		for _, v := range ms {
 			l.subOf[v] = int32(c)
 		}
 		pending[c] = int32(c)
 	}
-	if l.opt.AdaptiveCommunities {
-		// members was just materialized from the fresh partition; keep it as
-		// the per-community index adaptMembership maintains incrementally.
-		l.commVerts = members
-	}
-	// Every flat edge is added once: size the diff for it up front.
-	d := &layeredDiff{added: make([]flatEdge, 0, g.NumEdges())}
-	l.settle(d, pending)
-	l.OfflineStats.ShortcutActivations = d.shortcutActivations
+	l.commVerts = members
+	l.OfflineStats.ShortcutActivations = l.settle(nil, pending).shortcutActivations
 	l.OfflineStats.ShortcutCount = l.ShortcutCount()
 	l.OfflineStats.DenseSubgraphs = len(l.subs)
 	l.OfflineStats.Proxies = l.flatN() - l.origCap
@@ -159,7 +151,7 @@ func (l *Layph) forSubgraphs(subs []*Subgraph, task subgraphTask) (acts, tasks i
 // current liveness and role assignments.
 func (l *Layph) classifyMembers(s *Subgraph) {
 	s.Members = s.Members[:0]
-	for _, v := range s.origMembers {
+	for _, v := range l.commVerts[s.ID] {
 		if l.flatAlive(v) && l.subOf[v] == s.ID {
 			s.Members = append(s.Members, v)
 		}

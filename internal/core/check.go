@@ -249,7 +249,7 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 // evaluateCommunity picks over s's live original members.
 func (l *Layph) checkReplication(s *Subgraph) error {
 	var live, entries, exits []graph.VertexID
-	for _, v := range s.origMembers {
+	for _, v := range l.commVerts[s.ID] {
 		if l.g.Alive(v) {
 			live = append(live, v)
 		}

@@ -18,7 +18,7 @@ const chunksPerWorker = 4
 // edges plus members when a local frame exists, member count otherwise
 // (rebuild tasks construct the frame inside the task, so only a member
 // count is available up front).
-func subWeight(s *Subgraph) int {
+func (l *Layph) subWeight(s *Subgraph) int {
 	if s.Local != nil {
 		if w := s.Local.edges + len(s.Local.ids); w > 0 {
 			return w
@@ -27,7 +27,7 @@ func subWeight(s *Subgraph) int {
 	if n := len(s.Members); n > 0 {
 		return n
 	}
-	if n := len(s.origMembers); n > 0 {
+	if n := len(l.commVerts[s.ID]); n > 0 {
 		return n
 	}
 	return 1
@@ -52,7 +52,7 @@ func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	}
 	total := 0
 	for _, s := range subs {
-		total += subWeight(s)
+		total += l.subWeight(s)
 	}
 	target := (total + maxChunks - 1) / maxChunks
 	if target < 1 {
@@ -61,7 +61,7 @@ func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	out := make([][]*Subgraph, 0, maxChunks)
 	start, acc := 0, 0
 	for i, s := range subs {
-		acc += subWeight(s)
+		acc += l.subWeight(s)
 		if acc >= target {
 			out = append(out, subs[start:i+1:i+1])
 			start, acc = i+1, 0

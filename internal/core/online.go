@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"layph/internal/community"
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
@@ -29,14 +30,18 @@ import (
 // Update as a whole still presents the sequential phase order. The number
 // of subgraph tasks dispatched and the pool's utilization over the update
 // are reported in the returned Stats.
-func (l *Layph) Update(applied *delta.Applied) inc.Stats {
+func (l *Layph) Update(applied *delta.Applied) inc.Stats { return l.update(applied, nil) }
+
+// update is Update with, for a landing re-detection (Redetect), the fresh
+// partition the layered-update phase migrates to.
+func (l *Layph) update(applied *delta.Applied, fresh *community.Partition) inc.Stats {
 	start := time.Now()
 	poolBefore := l.pool.Stats()
 	ph := metrics.NewPhases()
 	var st inc.Stats
 
 	var d *layeredDiff
-	ph.Time("layered-update", func() { d = l.layeredUpdate(applied) })
+	ph.Time("layered-update", func() { d = l.layeredUpdate(applied, fresh) })
 	st.Activations += d.shortcutActivations
 	st.SubgraphsParallel += d.parallelSubs
 

@@ -102,11 +102,9 @@ type Subgraph struct {
 	// edges; shortcut deduction and upload fixpoints run on it.
 	Local *localFrame
 
-	// origMembers are the community's original vertices (kept across
-	// rebuilds, filtered for liveness); proxies are this subgraph's live
-	// proxy vertices.
-	origMembers []graph.VertexID
-	proxies     []graph.VertexID
+	// proxies are this subgraph's live proxy vertices; its original
+	// vertices are its community's members (Layph.commVerts).
+	proxies []graph.VertexID
 
 	// Shortcuts, indexed by the entry's compact ID (only entry slots are
 	// populated). scVec[cu] is entry Local.ids[cu]'s local fixpoint over
@@ -248,7 +246,8 @@ type Options struct {
 	// dense-subgraph membership to follow the partition — subgraph splits
 	// and merges are applied in place, refreshing only the affected
 	// subgraphs' layer structures. Off (the default) the memberships
-	// computed at build time stay frozen until a full re-layer.
+	// computed at build time stay frozen until a re-detection lands
+	// (Redetect).
 	AdaptiveCommunities bool
 }
 
@@ -275,14 +274,14 @@ type Layph struct {
 	pool *pool.Pool
 
 	// part holds the community membership of original vertices — frozen
-	// between full re-layers unless Options.AdaptiveCommunities is set, in
-	// which case adaptMembership evolves it incrementally every Update.
+	// between landings (Redetect) unless Options.AdaptiveCommunities is
+	// set, in which case adaptMembership evolves it every Update.
 	part *community.Partition
-	// commVerts indexes live member lists by community id (adaptive mode
-	// only; nil otherwise). Maintained through AdjustDetailed's move log so
-	// promotion of drifted communities to fresh subgraphs needs no full
-	// partition rescan. May retain dead vertices — readers filter by
-	// liveness.
+	// commVerts indexes member lists by community id: built from the
+	// partition, kept in step with AdjustDetailed's move log and replaced
+	// by a landing, so neither a rebuild nor the promotion of a drifted
+	// community rescans the partition. May retain dead vertices — readers
+	// filter by liveness, and a restructure drops them.
 	commVerts [][]graph.VertexID
 	// subs maps community id -> dense subgraph (absent = dissolved/sparse).
 	subs map[int32]*Subgraph

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"layph/internal/community"
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/graph"
@@ -20,6 +21,14 @@ type layeredDiff struct {
 	// added/removed are flat-level edge diffs with semiring weights.
 	added   []flatEdge
 	removed []flatEdge
+	settledSubs
+	// membershipMoves counts the vertices the adaptive community adjustment
+	// or a landing re-detection migrated during this update.
+	membershipMoves int64
+}
+
+// settledSubs is what settle reports about the subgraphs it changed.
+type settledSubs struct {
 	// affectedSubs are the subgraphs whose interior changed (rebuilt or
 	// edited in place), in ID order; the upload phase runs local
 	// fixpoints on them.
@@ -29,9 +38,6 @@ type layeredDiff struct {
 	rebuiltSubs []*Subgraph
 	// shortcutActivations counts F applications spent maintaining shortcuts.
 	shortcutActivations int64
-	// membershipMoves counts the vertices the adaptive community adjustment
-	// migrated during this update (0 when AdaptiveCommunities is off).
-	membershipMoves int64
 	// parallelSubs counts the subgraph tasks dispatched to the worker pool
 	// during shortcut maintenance (rebuilds + patches).
 	parallelSubs int64
@@ -48,29 +54,33 @@ type flatEdge struct {
 // prologue
 //
 //   - grows the flat ID space for fresh vertices (they join Lup as outliers;
-//     by default memberships are frozen between full rebuilds, as the paper
-//     prescribes: "we update the dense subgraphs only when enough ΔG are
-//     accumulated" — with Options.AdaptiveCommunities the adaptMembership
-//     phase instead migrates memberships incrementally),
+//     by default memberships are frozen until a re-detection lands, as the
+//     paper prescribes: "we update the dense subgraphs only when enough ΔG
+//     are accumulated" — with Options.AdaptiveCommunities the
+//     adaptMembership phase instead migrates memberships incrementally),
 //   - queues the flat rows whose out-edges the batch changed, and
 //   - decides the structural rebuilds: a subgraph is re-decided (proxies
 //     re-allocated, or dissolved when it fails the density test) only when
 //     a changed cross edge flips a replication decision, adaptive migration
-//     changed its membership, or one of its members was removed;
+//     or a landing (of fresh, see Redetect) changed its membership, or one
+//     of its members was removed;
 //
 // settle then carries the queued rows and rebuilds through.
-func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
+func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition) *layeredDiff {
 	d := &layeredDiff{}
 	l.growForNewVertices(applied)
 	l.beginLayering()
 
-	// Adaptive phase: evolve the community partition with the batch and
-	// migrate subgraph membership before any flat row is refreshed, so the
-	// refresh snapshots true pre-batch routing and the refreshed rows
-	// already reflect the new memberships. Subgraphs whose membership
-	// changed are rebuilt.
+	// Migration phase: evolve the community partition with the batch (or
+	// land a re-detected one) and migrate subgraph membership before any
+	// flat row is refreshed, so the refresh snapshots true pre-batch routing
+	// and the refreshed rows already reflect the new memberships. Subgraphs
+	// whose membership changed are rebuilt.
 	var pending []int32
-	if l.opt.AdaptiveCommunities {
+	switch {
+	case fresh != nil:
+		pending, d.membershipMoves = l.land(fresh)
+	case l.opt.AdaptiveCommunities:
 		pending, d.membershipMoves = l.adaptMembership(applied)
 	}
 
@@ -122,7 +132,8 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	for _, v := range applied.RemovedVertices {
 		pending = append(pending, subOfSafe(v))
 	}
-	l.settle(d, pending)
+	d.settledSubs = l.settle(d, pending)
+	d.oldSrc, d.oldRows = l.scratch.oldSeen.List, l.scratch.oldRows
 	return d
 }
 
@@ -144,8 +155,9 @@ func (l *Layph) beginLayering() {
 // settle is the structural half of the layered update, shared by every
 // update and by New: it carries the queued flat rows (scratch.touched) and
 // the pending structural rebuilds (subgraph IDs; NoSubgraph, dissolved and
-// repeated entries are skipped) through to a consistent layering, filling
-// d. It
+// repeated entries are skipped) through to a consistent layering, and
+// reports the subgraphs it changed. The flat edge diff and the pre-update
+// rows go to d; New, which has no states to repair, passes nil. It
 //
 //   - restructures the pending subgraphs in ID order (restructure),
 //   - refreshes every touched flat row once, against the settled proxy
@@ -159,7 +171,7 @@ func (l *Layph) beginLayering() {
 //     of the edited ones (patchShortcuts), fanned out over the worker pool,
 //   - refreshes the skeleton rows by one rule: every vertex whose role was
 //     recomputed and every entry of an affected subgraph.
-func (l *Layph) settle(d *layeredDiff, pending []int32) {
+func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	sc := &l.scratch
 	var round []int32
 	for _, c := range pending {
@@ -169,6 +181,18 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 	}
 	refresh := func(v graph.VertexID, old []engine.WEdge) {
 		added, removed := l.mirrorFlatRow(v, old)
+		for _, e := range added {
+			sc.dirty.Add(e.To)
+		}
+		for _, e := range removed {
+			if int(e.To) < l.flatN() {
+				sc.dirty.Add(e.To)
+			}
+		}
+		sc.dirty.Add(v)
+		if d == nil {
+			return
+		}
 		// Keep the FIRST (true pre-batch) list if v is refreshed in a later
 		// round: the sum-scheme corrections must cancel against the
 		// pre-batch contributions.
@@ -177,15 +201,10 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 		}
 		for _, e := range added {
 			d.added = append(d.added, flatEdge{from: v, to: e.To, w: e.W})
-			sc.dirty.Add(e.To)
 		}
 		for _, e := range removed {
 			d.removed = append(d.removed, flatEdge{from: v, to: e.To, w: e.W})
-			if int(e.To) < l.flatN() {
-				sc.dirty.Add(e.To)
-			}
 		}
-		sc.dirty.Add(v)
 	}
 	// Rounds: restructure, refresh, recompute roles, edit frames. Only a
 	// subgraph that an edit thinned below the density test starts another
@@ -195,7 +214,7 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 		slices.Sort(round)
 		for _, c := range round {
 			if s := l.restructure(l.subs[c], dissolve); s != nil {
-				d.rebuiltSubs = append(d.rebuiltSubs, s)
+				out.rebuiltSubs = append(out.rebuiltSubs, s)
 			}
 		}
 		// Every touched row is recomputed before any in-list is mirrored.
@@ -217,7 +236,6 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 		sc.touched.Reset(l.flatN())
 		sc.dirty.Reset(l.flatN())
 	}
-	d.oldSrc, d.oldRows = sc.oldSeen.List, sc.oldRows
 
 	var edited []*Subgraph
 	for _, c := range sc.edited.List {
@@ -225,10 +243,10 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 			edited = append(edited, s)
 		}
 	}
-	d.affectedSubs = append(append(d.affectedSubs, d.rebuiltSubs...), edited...)
-	sortSubgraphs(d.affectedSubs)
-	l.builds += int64(len(d.rebuiltSubs))
-	d.shortcutActivations, d.parallelSubs = l.forSubgraphs(d.affectedSubs, l.maintainShortcuts)
+	out.affectedSubs = append(slices.Clone(out.rebuiltSubs), edited...)
+	sortSubgraphs(out.affectedSubs)
+	l.builds += int64(len(out.rebuiltSubs))
+	out.shortcutActivations, out.parallelSubs = l.forSubgraphs(out.affectedSubs, l.maintainShortcuts)
 
 	// A skeleton row reads the vertex's flat row, its role, the subOf of
 	// its targets and, for an entry, its subgraph's shortcuts and member
@@ -239,11 +257,12 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) {
 	for _, v := range sc.roleSeen.List {
 		l.refreshUpVertex(v)
 	}
-	for _, s := range d.affectedSubs {
+	for _, s := range out.affectedSubs {
 		for _, u := range s.Entries {
 			l.refreshUpVertex(u)
 		}
 	}
+	return out
 }
 
 // touch queues v's flat row for refresh in the current round.
@@ -290,13 +309,13 @@ func (l *Layph) restructure(s *Subgraph, dissolve bool) *Subgraph {
 	}
 	s.proxies = s.proxies[:0]
 
-	live := s.origMembers[:0]
-	for _, v := range s.origMembers {
+	live := l.commVerts[c][:0]
+	for _, v := range l.commVerts[c] {
 		if l.g.Alive(v) {
 			live = append(live, v)
 		}
 	}
-	s.origMembers = live
+	l.commVerts[c] = live
 	var dec denseDecision
 	if !dissolve {
 		l.evaluations++

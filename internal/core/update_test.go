@@ -204,7 +204,7 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 				l.Update(delta.Apply(gLocal, crossBatch(rng, l, 20)))
 			}
 			for _, s := range l.subs {
-				fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies,
+				fresh := &Subgraph{ID: s.ID, proxies: s.proxies,
 					Members: s.Members, Entries: s.Entries, Exits: s.Exits, Internal: s.Internal}
 				l.buildLocalFrame(fresh)
 				l.deduceShortcuts(fresh, true)

@@ -310,9 +310,9 @@ func (gen *Generator) EdgeBatch(g *graph.Graph, n int, weighted bool) Batch {
 	return b
 }
 
-// VertexBatch builds a batch with adds/2 fresh vertices (each wired with
+// VertexBatch builds a batch with adds fresh vertices (each wired with
 // wiring random edges to existing vertices so they participate in
-// computation) and dels/2 deletions of random live vertices.
+// computation) and dels deletions of random live vertices.
 func (gen *Generator) VertexBatch(g *graph.Graph, adds, dels, wiring int, weighted bool) Batch {
 	var b Batch
 	live := liveVertices(g)

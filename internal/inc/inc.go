@@ -71,7 +71,7 @@ type Stats struct {
 
 	// The layering-quality signal (Layph only; the drift controller in
 	// internal/stream reads these to decide when the two-layer structure
-	// has decayed enough to warrant a background full re-layer).
+	// has decayed enough to warrant a background re-detection).
 
 	// TouchedSubgraphRatio is the fraction of dense subgraphs whose lower
 	// layers this update had to enter (0..1). The paper's whole advantage

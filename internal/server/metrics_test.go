@@ -32,9 +32,6 @@ func metricsKeys(t *testing.T, scfg stream.Config, l *wal.Log) map[string]string
 	})
 	opt := core.Options{Workers: 2, AdaptiveCommunities: true}
 	sys := core.New(g, algo.NewSSSP(0), opt)
-	if scfg.Relayer != nil {
-		scfg.Relayer.Build = func(g2 *graph.Graph) inc.System { return core.New(g2, algo.NewSSSP(0), opt) }
-	}
 	if l != nil {
 		if err := l.Start(0, 0, g, sys.States()); err != nil {
 			t.Fatal(err)
@@ -87,9 +84,9 @@ func TestMetricsBlockKeys(t *testing.T) {
 	const (
 		engineAlways  = "activations pool_utilization resets rounds subgraphs_parallel update_seconds"
 		engineAll     = "activations boundary_pins pool_utilization replayed_batches resets rounds shard_rounds subgraphs_parallel update_seconds"
-		relayerAlways = "full_relayers in_flight last_swap_seq membership_moves replayed_batches shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
-		relayerComms  = "community_ids full_relayers in_flight last_swap_seq live_communities membership_moves replayed_batches shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
-		relayerSwap   = "full_relayers in_flight last_swap_seq last_trigger membership_moves replayed_batches shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
+		relayerAlways = "full_relayers in_flight last_swap_seq membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
+		relayerComms  = "community_ids full_relayers in_flight last_swap_seq live_communities membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
+		relayerSwap   = "full_relayers in_flight last_swap_seq last_trigger membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
 		walAll        = "batches bytes checkpoint_seconds checkpoints failures fsyncs last_checkpoint_seq log_failures policy updates"
 	)
 	check := func(name string, got map[string]string, block, want string) {

@@ -19,7 +19,6 @@ import (
 	"layph/internal/engine"
 	"layph/internal/gen"
 	"layph/internal/graph"
-	"layph/internal/inc"
 	"layph/internal/ingress"
 	"layph/internal/stream"
 )
@@ -457,12 +456,9 @@ func TestMetricsRelayerBlock(t *testing.T) {
 		Vertices: 600, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
 		Weighted: true, Seed: 15,
 	})
-	build := func(g2 *graph.Graph) inc.System {
-		return core.New(g2, algo.NewSSSP(0), core.Options{Workers: 2, AdaptiveCommunities: true})
-	}
-	st := stream.New(g, build(g), stream.Config{
+	st := stream.New(g, core.New(g, algo.NewSSSP(0), core.Options{Workers: 2, AdaptiveCommunities: true}), stream.Config{
 		MaxBatch: 50, MaxDelay: -1,
-		Relayer: &stream.RelayerConfig{Build: build},
+		Relayer: &stream.RelayerConfig{},
 	})
 	srv := New(st, Config{})
 	ts := httptest.NewServer(srv.Handler())

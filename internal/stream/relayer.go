@@ -3,7 +3,6 @@ package stream
 import (
 	"time"
 
-	"layph/internal/delta"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -12,23 +11,15 @@ import (
 // Config.Relayer). After every applied micro-batch the controller folds the
 // engine's layering-quality signal (inc.Stats: touched-subgraph ratio,
 // skeleton fraction, shortcut hit rate) into exponentially-weighted moving
-// averages; when quality decays past the thresholds it launches a full
-// re-layer — Build on a clone of the live graph — in the background, keeps
-// streaming on the old engine while recording the applied micro-batches,
-// then replays that tail on the fresh engine and atomically swaps it in at
-// a deterministic batch boundary (SwapLagBatches after the trigger). The incremental half of adaptivity (per-batch subgraph
-// splits/merges) lives in the engine itself (core.Options.
-// AdaptiveCommunities); the controller is the backstop that bounds drift
-// the incremental adjustment cannot repair, and a full re-layer is the
-// point where dead community ids are reclaimed.
+// averages; when quality decays past the thresholds it re-detects the
+// communities of a clone of the live graph in the background while the
+// stream keeps applying batches, and lands them on the live engine at a
+// deterministic batch boundary (SwapLagBatches after the trigger),
+// rebuilding only the changed communities. It is the backstop for the drift
+// that the engine's per-batch adjustment (core.Options.AdaptiveCommunities)
+// cannot repair, or that a frozen layering accumulates.
 type RelayerConfig struct {
-	// Build constructs a fresh engine over a snapshot graph: full community
-	// re-detection, layer construction and the initial batch run. Required.
-	// It runs on a background goroutine and must not share state with the
-	// live engine.
-	Build func(*graph.Graph) inc.System
-
-	// TouchedRatioThreshold triggers a full re-layer when the EWMA of the
+	// TouchedRatioThreshold triggers a re-layer when the EWMA of the
 	// per-update touched-subgraph ratio exceeds it (0 = 0.35). A drifted
 	// layering forces updates into ever more subgraphs.
 	TouchedRatioThreshold float64
@@ -39,23 +30,32 @@ type RelayerConfig struct {
 	SkeletonGrowthFactor float64
 	// DeadCommunityFraction triggers when the fraction of allocated
 	// community ids without members exceeds it (0 = 0.5). Incremental
-	// adjustment keeps ids stable, so dead ids accumulate until a full
-	// re-layer compacts them; engines expose the gauge via
-	// CommunityStats() (live, ids int).
+	// adjustment keeps ids stable, so dead ids accumulate until a landing
+	// reclaims them.
 	DeadCommunityFraction float64
 	// MinBatches is the cooldown: applied batches that must pass after a
 	// (re)build before the next trigger evaluation (0 = 16).
 	MinBatches int
-	// SwapLagBatches fixes the batch boundary the swap lands on: exactly
-	// this many applied micro-batches after the trigger (0 = 8). The
-	// background build has that window to complete; if it is still running
-	// at the boundary the worker waits for it there. Pinning the boundary
-	// to the update sequence — instead of "whenever the build happens to
-	// finish" — is what keeps the determinism contract intact with the
-	// relayer enabled: which layering serves which batch is a pure function
-	// of the input stream, never of scheduling, so min-scheme runs stay
-	// byte-identical across repeats.
+	// SwapLagBatches fixes the batch boundary the landing happens at:
+	// exactly this many applied micro-batches after the trigger (0 = 8).
+	// The background detection has that window to complete; if it is still
+	// running at the boundary the worker waits for it there. Pinning the
+	// boundary to the update sequence — instead of "whenever detection
+	// happens to finish" — is what keeps the determinism contract intact
+	// with the relayer enabled: which layering serves which batch is a pure
+	// function of the input stream, never of scheduling, so min-scheme runs
+	// stay byte-identical across repeats.
 	SwapLagBatches int
+}
+
+// redetector is an engine whose layering the relayer can renew
+// (core.Layph). Redetect detects communities on g, a graph clone the caller
+// owns, on any goroutine; the returned landing must run on the goroutine
+// that updates the engine. CommunityStats reports (live, allocated)
+// community ids.
+type redetector interface {
+	Redetect(g *graph.Graph) func() inc.Stats
+	CommunityStats() (live, ids int)
 }
 
 func (c RelayerConfig) withDefaults() RelayerConfig {
@@ -86,13 +86,10 @@ type RelayerMetrics struct {
 	// Enabled reports whether a relayer is configured on the stream
 	// (/metrics shows the block only then).
 	Enabled bool `json:"-"`
-	// FullRelayers counts completed background re-layer swaps; InFlight
-	// reports a build currently running.
+	// FullRelayers counts completed re-layer landings; InFlight reports a
+	// re-layer between its trigger and its landing.
 	FullRelayers int64 `json:"full_relayers"`
 	InFlight     bool  `json:"in_flight"`
-	// ReplayedBatches counts micro-batches replayed onto fresh engines
-	// before their swaps (cumulative).
-	ReplayedBatches int64 `json:"replayed_batches"`
 	// TouchedRatioEWMA / ShortcutHitEWMA are the smoothed quality signals;
 	// SkeletonFraction is the last observed raw value and SkeletonBaseline
 	// the post-(re)layer reference it is compared against.
@@ -103,55 +100,46 @@ type RelayerMetrics struct {
 	// MembershipMoves accumulates the engine's adaptive migration count.
 	MembershipMoves int64 `json:"membership_moves"`
 	// LiveCommunities / CommunityIDs mirror the engine's CommunityStats at
-	// the last trigger evaluation (0/0 when the engine does not expose it).
+	// the last trigger evaluation that reached the dead-community check.
 	LiveCommunities int `json:"live_communities,omitempty"`
 	CommunityIDs    int `json:"community_ids,omitempty"`
-	// LastSwapSeq is the snapshot sequence the latest swap landed on;
-	// LastTrigger names the threshold that fired it.
+	// LastSwapSeq is the snapshot sequence the latest landing
+	// re-published; LastTrigger names the threshold that fired it.
 	LastSwapSeq uint64 `json:"last_swap_seq"`
 	LastTrigger string `json:"last_trigger,omitempty"`
-}
-
-type relayerResult struct {
-	g   *graph.Graph
-	sys inc.System
 }
 
 // relayerState is worker-goroutine-owned; Metrics() reads the copy the
 // worker publishes under Stream.mu after every step.
 type relayerState struct {
-	cfg     RelayerConfig
-	resultC chan relayerResult
-	// tail holds the micro-batches applied to the live engine since the
-	// in-flight build's graph clone was taken; they are replayed on the
-	// fresh engine before the swap so it lands at the same logical
-	// position.
-	tail     []delta.Batch
-	inFlight bool
-	// swapDue counts down the applied batches remaining until the
-	// deterministic swap boundary (meaningful only while inFlight).
-	swapDue    int
+	cfg RelayerConfig
+	sys redetector
+	// landC carries the landing of the in-flight re-detection (buffered, so
+	// a detection that finishes after the stream closed does not block).
+	landC chan func() inc.Stats
+	// landDue counts down the applied batches remaining until the
+	// deterministic landing boundary (meaningful only while m.InFlight).
+	landDue    int
 	sinceBuild int
 	ewmaSeeded bool
 	baseSeeded bool
 	m          RelayerMetrics
 }
 
-// relayerStep runs on the worker after each flushed micro-batch: collect
-// the tail while a build is in flight (swapping at the deterministic
-// boundary), fold the quality signal, and evaluate the triggers.
-func (s *Stream) relayerStep(batch delta.Batch, st inc.Stats, applied bool, snap *Snapshot) {
+// relayerStep runs on the worker after each flushed micro-batch: land the
+// in-flight re-detection at its deterministic boundary, fold the quality
+// signal, and evaluate the triggers.
+func (s *Stream) relayerStep(st inc.Stats, applied bool, snap *Snapshot) {
 	rl := s.rl
-	if rl.inFlight {
-		rl.tail = append(rl.tail, batch)
+	if rl.m.InFlight {
 		if applied {
-			rl.swapDue--
+			rl.landDue--
 		}
-		if rl.swapDue <= 0 {
-			// The deterministic boundary: block for the build if it is
+		if rl.landDue <= 0 {
+			// The deterministic boundary: block for the detection if it is
 			// still running (the SwapLagBatches window is its headroom), so
-			// the swap position depends only on the update sequence.
-			s.relayerSwap(<-rl.resultC, snap)
+			// the landing position depends only on the update sequence.
+			s.relayerLand(<-rl.landC, snap)
 		}
 	}
 	if applied {
@@ -179,7 +167,7 @@ func (s *Stream) relayerStep(batch delta.Batch, st inc.Stats, applied bool, snap
 
 func (s *Stream) relayerMaybeTrigger() {
 	rl := s.rl
-	if rl.inFlight || rl.sinceBuild < rl.cfg.MinBatches {
+	if rl.m.InFlight || rl.sinceBuild < rl.cfg.MinBatches {
 		return
 	}
 	reason := ""
@@ -190,12 +178,10 @@ func (s *Stream) relayerMaybeTrigger() {
 		rl.m.SkeletonFraction > rl.m.SkeletonBaseline*rl.cfg.SkeletonGrowthFactor:
 		reason = "skeleton-growth"
 	default:
-		if cs, ok := s.sys.(interface{ CommunityStats() (int, int) }); ok {
-			live, ids := cs.CommunityStats()
-			rl.m.LiveCommunities, rl.m.CommunityIDs = live, ids
-			if ids > 0 && float64(ids-live)/float64(ids) > rl.cfg.DeadCommunityFraction {
-				reason = "dead-communities"
-			}
+		live, ids := rl.sys.CommunityStats()
+		rl.m.LiveCommunities, rl.m.CommunityIDs = live, ids
+		if ids > 0 && float64(ids-live)/float64(ids) > rl.cfg.DeadCommunityFraction {
+			reason = "dead-communities"
 		}
 	}
 	if reason == "" {
@@ -203,50 +189,36 @@ func (s *Stream) relayerMaybeTrigger() {
 	}
 	rl.m.LastTrigger = reason
 	rl.m.InFlight = true
-	rl.inFlight = true
-	rl.swapDue = rl.cfg.SwapLagBatches
-	rl.tail = nil
-	// The clone is taken at a batch boundary, so the background build sees
-	// a consistent graph it exclusively owns; everything applied to the
-	// live engine from here on is recorded in the tail.
+	rl.landDue = rl.cfg.SwapLagBatches
+	// The clone is taken at a batch boundary, so the background detection
+	// sees a consistent graph it exclusively owns; the landing accounts for
+	// what the live graph gains and loses meanwhile.
 	g2 := s.g.Clone()
-	build := rl.cfg.Build
-	go func() {
-		// resultC is buffered: if the stream closes before the build lands,
-		// the send completes and the result is simply dropped.
-		rl.resultC <- relayerResult{g: g2, sys: build(g2)}
-	}()
+	go func() { rl.landC <- rl.sys.Redetect(g2) }()
 }
 
-// relayerSwap replays the tail on the freshly built engine and swaps it
-// into the stream. Runs on the worker at a batch boundary: producers keep
-// queueing, no published snapshot ever mixes old and new engines, and the
-// swapped-in states are re-published under the current sequence number
+// relayerLand lands the re-detected partition on the live engine. Runs on
+// the worker at a batch boundary: producers keep queueing, the landing
+// rebuilds only the communities that changed and repairs the states, and
+// the repaired states are re-published under the current sequence number
 // (idempotent schemes converge to the identical fixpoint; non-idempotent
 // ones agree within the engine tolerance).
-func (s *Stream) relayerSwap(res relayerResult, snap *Snapshot) {
+func (s *Stream) relayerLand(land func() inc.Stats, snap *Snapshot) {
+	st := land()
 	rl := s.rl
-	for _, b := range rl.tail {
-		if ap := delta.Apply(res.g, b); !ap.Empty() {
-			res.sys.Update(ap)
-		}
-		rl.m.ReplayedBatches++
-	}
-	rl.tail = nil
-	rl.inFlight = false
 	rl.sinceBuild = 0
 	rl.baseSeeded = false
 	rl.m.InFlight = false
 	rl.m.FullRelayers++
 	rl.m.LastSwapSeq = snap.Seq
+	rl.m.MembershipMoves += st.MembershipMoves
 	s.mu.Lock()
-	s.g = res.g
-	s.sys = res.sys
+	s.agg.Add(st)
 	s.mu.Unlock()
 	s.snap.Store(&Snapshot{
 		Seq:     snap.Seq,
 		Updates: snap.Updates,
-		States:  copyStates(res.sys.States()),
+		States:  copyStates(s.sys.States()),
 		At:      time.Now(),
 	})
 }

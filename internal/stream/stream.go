@@ -115,11 +115,9 @@ type Config struct {
 	// StartStats pre-loads the lifetime engine aggregate (Metrics.Engine),
 	// letting recovery fold the WAL tail's replay work into /metrics.
 	StartStats inc.Stats
-	// Relayer, when non-nil (and carrying a Build hook), enables the
-	// adaptive re-layering controller: layering-quality signals from each
-	// update feed drift thresholds, and decayed quality launches a
-	// background full re-layer that is atomically swapped in at a batch
-	// boundary. See RelayerConfig.
+	// Relayer, when non-nil, enables the adaptive re-layering controller
+	// (see RelayerConfig) over a system with Redetect (core.Layph); over any
+	// other system it is ignored.
 	Relayer *RelayerConfig
 }
 
@@ -230,7 +228,7 @@ type Stream struct {
 	logFailures metrics.Counter
 	window      *metrics.Rolling
 
-	mu     sync.Mutex // guards agg, durErr, rlm, and g/sys swaps
+	mu     sync.Mutex // guards agg, durErr and rlm
 	agg    inc.Stats
 	durErr error // first durability failure, sticky
 
@@ -256,10 +254,11 @@ func New(g *graph.Graph, sys inc.System, cfg Config) *Stream {
 		window: metrics.NewRolling(rollingWindow),
 		agg:    cfg.StartStats,
 	}
-	if cfg.Relayer != nil && cfg.Relayer.Build != nil {
+	if rd, ok := sys.(redetector); ok && cfg.Relayer != nil {
 		s.rl = &relayerState{
-			cfg:     cfg.Relayer.withDefaults(),
-			resultC: make(chan relayerResult, 1),
+			cfg:   cfg.Relayer.withDefaults(),
+			sys:   rd,
+			landC: make(chan func() inc.Stats, 1),
 		}
 		s.rl.m.Enabled = true
 		s.rlm = s.rl.m
@@ -352,14 +351,9 @@ func (s *Stream) recordDurErr(err error) {
 }
 
 // Graph exposes the graph the stream mutates. It must not be touched
-// while the stream is running (the worker goroutine owns it, and with a
-// relayer configured the identity changes at swap boundaries); durability
+// while the stream is running (the worker goroutine owns it); durability
 // helpers use it after Close to cut a final checkpoint.
-func (s *Stream) Graph() *graph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g
-}
+func (s *Stream) Graph() *graph.Graph { return s.g }
 
 // Close drains the queue, flushes the pending micro-batch, publishes the
 // final snapshot and stops the worker. It is idempotent; only the first
@@ -405,13 +399,8 @@ func (s *Stream) Metrics() Metrics {
 }
 
 // System exposes the driven engine (for Name etc.). The engine's live
-// state must not be read while the stream is running (a relayer swap also
-// changes the identity); use Query.
-func (s *Stream) System() inc.System {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sys
-}
+// state must not be read while the stream is running; use Query.
+func (s *Stream) System() inc.System { return s.sys }
 
 func (s *Stream) loop() {
 	defer close(s.done)
@@ -485,7 +474,7 @@ func (s *Stream) loop() {
 		s.agg.Add(st)
 		s.mu.Unlock()
 		if s.rl != nil && !final {
-			s.relayerStep(batch, st, !applied.Empty(), snap)
+			s.relayerStep(st, !applied.Empty(), snap)
 		}
 		if s.cfg.OnBatch != nil {
 			s.cfg.OnBatch(BatchResult{

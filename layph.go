@@ -161,10 +161,10 @@ type Config struct {
 	// AdaptiveCommunities wires the incremental community adjustment into
 	// every Update: vertex migrations, subgraph splits and merges are
 	// applied in place (refreshing only the affected subgraphs' layer
-	// structures) instead of freezing memberships until a full rebuild.
-	// The adjustment and the structural migration are deterministic, so
-	// the determinism contract above is unaffected. Pair with
-	// StreamConfig.Relayer for the background full-re-layer backstop.
+	// structures) instead of freezing memberships until a re-detection
+	// lands. The adjustment and the structural migration are
+	// deterministic, so the determinism contract above is unaffected. Pair
+	// with StreamConfig.Relayer for the background re-detection backstop.
 	AdaptiveCommunities bool
 }
 
@@ -239,9 +239,8 @@ type StreamSnapshot = stream.Snapshot
 type StreamMetrics = stream.Metrics
 
 // RelayerConfig configures the adaptive re-layering controller of a Stream
-// (StreamConfig.Relayer): layering-quality signals from every update feed
-// drift thresholds, and decayed quality triggers a background full
-// re-layer swapped in atomically at a batch boundary.
+// over Layph (StreamConfig.Relayer): decayed layering quality triggers a
+// background re-detection that lands on the live engine at a batch boundary.
 type RelayerConfig = stream.RelayerConfig
 
 // RelayerMetrics reports the drift controller's state (StreamMetrics.Relayer

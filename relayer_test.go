@@ -1,8 +1,12 @@
 package layph
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"layph/internal/stream"
 )
 
 // pushAll feeds a batch into the stream as unit updates and drains it.
@@ -40,7 +44,7 @@ func TestStreamRelayerSwapsUnderDrift(t *testing.T) {
 		Weighted: true, Seed: 11,
 	})
 	driver := g.Clone()
-	rc := &RelayerConfig{Build: func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }}
+	rc := &RelayerConfig{}
 	rc.MinBatches = 2
 	rc.SkeletonGrowthFactor = 1.05
 	st := NewStream(g, NewLayph(g, SSSP(0), cfg), StreamConfig{
@@ -112,7 +116,7 @@ func TestStreamRelayerMinDeterminism(t *testing.T) {
 			Weighted: true, Seed: 31,
 		})
 		driver := g.Clone()
-		rc := &RelayerConfig{Build: func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }}
+		rc := &RelayerConfig{}
 		rc.MinBatches = 1
 		rc.SkeletonGrowthFactor = 1.01
 		rc.SwapLagBatches = 2
@@ -162,5 +166,85 @@ func TestStreamRelayerDisabledMetrics(t *testing.T) {
 	m := st.Metrics().Relayer
 	if m.Enabled || m.FullRelayers != 0 || m.InFlight {
 		t.Fatalf("relayer should be disabled: %+v", m)
+	}
+}
+
+// TestRelayerCrashRecovery composes the relayer with the write-ahead log: a
+// durable stream re-layers under drift, and at every batch from a trigger
+// to two batches past its landing the OnBatch hook snapshots the
+// durability directory as a kill -9 would leave it. Every image must
+// recover with verified checkpoint states and serve the restart fixpoint
+// of its logical graph.
+func TestRelayerCrashRecovery(t *testing.T) {
+	cfg := Config{Threads: 2, AdaptiveCommunities: true}
+	build := func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }
+	g := GenerateCommunityGraph(CommunityGraphConfig{
+		Vertices: 500, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
+		Weighted: true, Seed: 47,
+	})
+	driver := g.Clone()
+	dir, images := t.TempDir(), t.TempDir()
+	walCfg := WALConfig{Sync: SyncOff, CheckpointEvery: 3, Meta: "algo=sssp system=layph"}
+	image := func(seq uint64) string { return filepath.Join(images, fmt.Sprintf("crash-%03d", seq)) }
+
+	var ds *DurableStream
+	var imaged []uint64
+	// One micro-batch per round: every drift round is pushed and drained
+	// whole, so batch seq is the round number.
+	scfg := StreamConfig{MaxBatch: 1 << 20, MaxDelay: -1,
+		Relayer: &RelayerConfig{MinBatches: 2, SkeletonGrowthFactor: 1.02, TouchedRatioThreshold: 0.95, SwapLagBatches: 2},
+		OnBatch: func(r stream.BatchResult) {
+			m := ds.Stream.Metrics().Relayer
+			if !m.InFlight && (m.FullRelayers == 0 || r.Seq > m.LastSwapSeq+2) {
+				return
+			}
+			if err := ds.Log.Wait(); err != nil {
+				t.Error(err)
+			}
+			copyDir(t, dir, image(r.Seq))
+			imaged = append(imaged, r.Seq)
+		},
+	}
+	var err error
+	ds, err = OpenStream(g, build, DurableStreamConfig{Dir: dir, WAL: walCfg, Stream: scfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewBatchGenerator(53)
+	logical := []*Graph{driver.Clone()} // logical[seq]: the graph after batch seq
+	for round := 0; round < 14; round++ {
+		b := driftRound(gen, driver)
+		b = append(b, gen.VertexBatch(driver, 2, 2, 3, true)...)
+		ApplyBatch(driver, b)
+		pushAll(t, ds.Stream, b)
+		logical = append(logical, driver.Clone())
+	}
+	landings := ds.Stream.Metrics().Relayer.FullRelayers
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d landings, crash images at seqs %v", landings, imaged)
+	if landings == 0 || len(imaged) < 3 {
+		t.Fatalf("%d landings, %d crash images: thresholds too lax for the schedule", landings, len(imaged))
+	}
+
+	for _, seq := range imaged {
+		rds, err := OpenStream(nil, build, DurableStreamConfig{
+			Dir: image(seq), WAL: walCfg, Stream: StreamConfig{MaxBatch: 64, MaxDelay: -1},
+		})
+		if err != nil {
+			t.Fatalf("recover crash image %d: %v", seq, err)
+		}
+		if rds.Recovery == nil || !rds.Recovery.StatesVerified {
+			t.Fatalf("crash image %d: checkpoint states failed verification (%+v)", seq, rds.Recovery)
+		}
+		snap := rds.Stream.Query()
+		want := Run(logical[seq], SSSP(0), 2)
+		if snap.Seq != seq || len(snap.States) < len(want) || !StatesClose(snap.States[:len(want)], want, 1e-6) {
+			t.Fatalf("crash image %d: resumed at seq %d with states diverging from restart", seq, snap.Seq)
+		}
+		if err := rds.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
