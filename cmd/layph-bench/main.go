@@ -7,8 +7,8 @@
 //	layph-bench -experiment all -scale 1.0 -threads 16
 //
 // Each experiment prints rows shaped like the corresponding plot of the
-// paper's evaluation section; EXPERIMENTS.md records a captured run next to
-// the paper's numbers.
+// paper's evaluation section; README's `layph-bench` section lists the
+// experiments and the BENCH_<id>.json records some of them write.
 package main
 
 import (

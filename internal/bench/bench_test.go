@@ -211,55 +211,3 @@ func TestSortedSystems(t *testing.T) {
 		t.Fatalf("order: %v", out)
 	}
 }
-
-func TestRecoveryReportJSON(t *testing.T) {
-	rep, err := RunRecovery(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.WritePath) != 4 || rep.WritePath[0].Mode != "no-wal" {
-		t.Fatalf("write-path points: %+v", rep.WritePath)
-	}
-	if rep.WritePath[0].Overhead != 1 {
-		t.Fatalf("baseline overhead = %v, want 1", rep.WritePath[0].Overhead)
-	}
-	for _, p := range rep.WritePath {
-		if p.UPS <= 0 || p.Batches <= 0 {
-			t.Fatalf("point %+v not measured", p)
-		}
-		if p.Mode != "no-wal" && p.WALBytes <= 0 {
-			t.Fatalf("mode %s logged no bytes", p.Mode)
-		}
-	}
-	if rep.WritePath[3].Mode != "fsync-batch" || rep.WritePath[3].Fsyncs != rep.WritePath[3].Batches {
-		t.Fatalf("fsync-batch point %+v: want one fsync per batch", rep.WritePath[3])
-	}
-	if len(rep.Recovery) != len(recoveryCheckpointIntervals) {
-		t.Fatalf("recovery points: %+v", rep.Recovery)
-	}
-	for _, p := range rep.Recovery {
-		// The micro-batch sizing guarantees a non-empty replayable tail
-		// at every measured cadence.
-		if p.TailBatches <= 0 || p.ReplayedUpdates <= 0 {
-			t.Fatalf("cadence %d left no tail: %+v", p.CheckpointEvery, p)
-		}
-		if p.RecoverMillis <= 0 || p.RecoverMillis < p.ReplayMillis {
-			t.Fatalf("cadence %d timing inconsistent: %+v", p.CheckpointEvery, p)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	if err := WriteRecoveryJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RecoveryReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Algo != "SSSP" || len(back.Recovery) != len(rep.Recovery) {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-}

@@ -111,72 +111,43 @@ func sortSubgraphs(subs []*Subgraph) {
 
 // buildSubgraph (re)constructs one subgraph — member classification, local
 // frame, full shortcut deduction — and returns the F applications spent.
-func (l *Layph) buildSubgraph(s *Subgraph, parallelEntries bool) int64 {
+func (l *Layph) buildSubgraph(s *Subgraph) int64 {
 	l.classifyMembers(s)
 	l.buildLocalFrame(s)
-	return l.deduceShortcuts(s, parallelEntries)
+	return l.deduceShortcuts(s)
 }
 
-// subgraphTask is one subgraph's share of a shortcut fan-out: it may fan
-// out over the subgraph's entries when parallelEntries is set, and returns
-// the F applications spent.
-type subgraphTask func(s *Subgraph, parallelEntries bool) int64
-
-// forSubgraphs runs task over subs on the worker pool. The fan-out axis
-// adapts to the work shape: with several subgraphs, one pool task per fused
-// chunk of subgraphs (entries within each handled sequentially); with a
-// single subgraph, the task may fan out over its entries instead. One level
-// of fan-out either way keeps the pool's busy-time accounting exact (no
-// task ever blocks inside another task); the pool's inline fallback would
-// keep even accidental nesting deadlock-free. Tasks write only their own
-// subgraph and read shared structure that is frozen for the duration of
-// the fan-out. Returns the F applications and the number of pool tasks.
-func (l *Layph) forSubgraphs(subs []*Subgraph, task subgraphTask) (acts, tasks int64) {
-	if len(subs) == 1 {
-		return task(subs[0], true), 1
-	}
-	results := eachChunk(l, subs, func(ch []*Subgraph) (a int64) {
-		for _, s := range ch {
-			a += task(s, false)
-		}
-		return a
-	})
-	for _, a := range results {
-		acts += a
-	}
-	return acts, int64(len(results))
-}
-
-// classifyMembers fills the subgraph's member and role lists from the
-// current liveness and role assignments.
+// classifyMembers gives the subgraph a new frame holding its members, from
+// the current liveness and assignments, and classifies them by role.
 func (l *Layph) classifyMembers(s *Subgraph) {
-	s.Members = s.Members[:0]
+	lf := &localFrame{ids: make([]graph.VertexID, 0, len(s.members()))}
 	for _, v := range l.commVerts[s.ID] {
 		if l.flatAlive(v) && l.subOf[v] == s.ID {
-			s.Members = append(s.Members, v)
+			lf.ids = append(lf.ids, v)
 		}
 	}
 	for _, p := range s.proxies {
 		if l.flatAlive(p) && l.subOf[p] == s.ID {
-			s.Members = append(s.Members, p)
+			lf.ids = append(lf.ids, p)
 		}
 	}
+	s.Local = lf
 	l.classifyRoles(s)
 }
 
-// classifyRoles re-partitions the subgraph's members into its Entries,
-// Exits and Internal lists by their current roles.
+// classifyRoles re-partitions the subgraph's members into its Entries and
+// Internal lists and recounts NumExits by their current roles.
 func (l *Layph) classifyRoles(s *Subgraph) {
 	s.Entries = s.Entries[:0]
-	s.Exits = s.Exits[:0]
+	s.NumExits = 0
 	s.Internal = s.Internal[:0]
-	for _, v := range s.Members {
+	for _, v := range s.Local.ids {
 		r := l.role[v]
 		if r.IsEntry() {
 			s.Entries = append(s.Entries, v)
 		}
 		if r == RoleExit || r == RoleEntryExit {
-			s.Exits = append(s.Exits, v)
+			s.NumExits++
 		}
 		if r == RoleInternal {
 			s.Internal = append(s.Internal, v)

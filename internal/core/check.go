@@ -175,9 +175,9 @@ func (l *Layph) checkParents() error {
 }
 
 // checkSubgraph validates one subgraph against the flat graph and roles:
-// its members are the live vertices assigned to it, in compact-ID order;
-// Entries, Exits and Internal classify them by role; every frame row is the
-// compact projection of the member's flat row; an entry has a shortcut
+// its frame's ids are the live vertices assigned to it; Entries, NumExits
+// and Internal classify them by role; every frame row is the compact
+// projection of the member's flat row; an entry has a shortcut
 // vector and every other member none; an entry's deduction parents (min
 // scheme) are supported by its own row or by absorbing in-edges; and its
 // live proxies replicate exactly the hosts the replication rule picks.
@@ -186,7 +186,8 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	if l.subs[c] != s {
 		return fmt.Errorf("subgraph id mismatch %d", c)
 	}
-	for _, v := range s.Members {
+	members := s.members()
+	for _, v := range members {
 		if l.subOf[v] != c {
 			return fmt.Errorf("member %d of sub %d has subOf %d", v, c, l.subOf[v])
 		}
@@ -194,18 +195,18 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 			return fmt.Errorf("dead member %d in sub %d", v, c)
 		}
 	}
-	if len(s.Members) != assigned {
-		return fmt.Errorf("sub %d: %d members but %d live vertices assigned", c, len(s.Members), assigned)
-	}
-	want := &Subgraph{Members: s.Members}
-	l.classifyRoles(want)
-	if !sameVertices(s.Entries, want.Entries) || !sameVertices(s.Exits, want.Exits) || !sameVertices(s.Internal, want.Internal) {
-		return fmt.Errorf("sub %d: role lists (%d/%d/%d entries/exits/internal) differ from the roles (%d/%d/%d)",
-			c, len(s.Entries), len(s.Exits), len(s.Internal), len(want.Entries), len(want.Exits), len(want.Internal))
+	if len(members) != assigned {
+		return fmt.Errorf("sub %d: %d members but %d live vertices assigned", c, len(members), assigned)
 	}
 	lf := s.Local
-	if lf == nil || lf.size() != len(s.Members) {
-		return fmt.Errorf("sub %d: frame does not cover the members", c)
+	if lf == nil {
+		return fmt.Errorf("sub %d: no frame", c)
+	}
+	want := &Subgraph{Local: lf}
+	l.classifyRoles(want)
+	if !sameVertices(s.Entries, want.Entries) || s.NumExits != want.NumExits || !sameVertices(s.Internal, want.Internal) {
+		return fmt.Errorf("sub %d: role lists (%d/%d/%d entries/exits/internal) differ from the roles (%d/%d/%d)",
+			c, len(s.Entries), s.NumExits, len(s.Internal), len(want.Entries), want.NumExits, len(want.Internal))
 	}
 	k := lf.size()
 	if len(s.scVec) != k {
@@ -213,7 +214,7 @@ func (l *Layph) checkSubgraph(s *Subgraph, assigned int) error {
 	}
 	edges := 0
 	for ci, v := range lf.ids {
-		if s.Members[ci] != v || l.localIdx[v] != int32(ci) {
+		if l.localIdx[v] != int32(ci) {
 			return fmt.Errorf("sub %d: member %d not at compact slot %d", c, v, ci)
 		}
 		var want []engine.WEdge

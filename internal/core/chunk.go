@@ -15,17 +15,14 @@ package core
 const chunksPerWorker = 4
 
 // subWeight estimates the fixpoint cost of one subgraph task: internal
-// edges plus members when a local frame exists, member count otherwise
-// (rebuild tasks construct the frame inside the task, so only a member
-// count is available up front).
+// edges plus members when a local frame exists, the community's size
+// otherwise (a shell subgraph's first build constructs the frame inside
+// the task).
 func (l *Layph) subWeight(s *Subgraph) int {
 	if s.Local != nil {
 		if w := s.Local.edges + len(s.Local.ids); w > 0 {
 			return w
 		}
-	}
-	if n := len(s.Members); n > 0 {
-		return n
 	}
 	if n := len(l.commVerts[s.ID]); n > 0 {
 		return n

@@ -139,7 +139,7 @@ func TestFlipOnlyBatchIsAnEdit(t *testing.T) {
 			t.Fatal("block 2 is not a dense subgraph with a proxy")
 		}
 		var victim graph.VertexID
-		for _, v := range s.Members {
+		for _, v := range s.Local.ids {
 			if l.role[v] == RoleInternal && v != 13 {
 				victim = v
 				break
@@ -240,7 +240,7 @@ func TestSumDriftStaysBounded(t *testing.T) {
 	l := New(g, algo.NewPageRank(0.85, 1e-10), Options{Community: commCfg(12), Workers: 1})
 	sub := l.subOf[13]
 	var victims []graph.VertexID
-	for _, v := range l.subs[sub].Members {
+	for _, v := range l.subs[sub].Local.ids {
 		if l.role[v] == RoleInternal {
 			victims = append(victims, v)
 		}
@@ -284,8 +284,8 @@ func assertFreshShortcuts(t *testing.T, l *Layph, tol float64) {
 
 func freshShortcutsDiff(l *Layph, tol float64) error {
 	for _, s := range subgraphList(l.subs) {
-		fresh := &Subgraph{ID: s.ID, Local: s.Local, Members: s.Members, Entries: s.Entries}
-		l.deduceShortcuts(fresh, true)
+		fresh := &Subgraph{ID: s.ID, Local: s.Local, Entries: s.Entries}
+		l.deduceShortcuts(fresh)
 		for _, u := range s.Entries {
 			cu := l.localIdx[u]
 			mem, ref := s.scVec[cu], fresh.scVec[cu]

@@ -510,7 +510,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			var order []graph.VertexID
 			for _, s := range cs {
 				order = l.rankedEntries(order, s)
-				for _, v := range s.Members {
+				for _, v := range s.Local.ids {
 					if sc.viaShortcut.Has(v) {
 						l.parent[v] = l.shortcutParent(s, order, v, l.parent[v])
 					}

@@ -298,16 +298,15 @@ func (l *Layph) roleOf(v graph.VertexID) Role {
 	return RoleInternal
 }
 
-// buildLocalFrame projects the subgraph's internal flat edges onto compact
-// IDs. It (re)assigns the members' slots in the shared localIdx vector;
-// concurrent builds of different subgraphs write disjoint slots because
-// memberships are disjoint.
+// buildLocalFrame projects the subgraph's internal flat edges onto the
+// compact IDs of its new frame (classifyMembers). It (re)assigns the
+// members' slots in the shared localIdx vector; concurrent builds of
+// different subgraphs write disjoint slots because memberships are
+// disjoint.
 func (l *Layph) buildLocalFrame(s *Subgraph) {
-	lf := &localFrame{ids: make([]graph.VertexID, 0, len(s.Members))}
-	s.Local = lf
-	for _, v := range s.Members {
-		l.localIdx[v] = int32(len(lf.ids))
-		lf.ids = append(lf.ids, v)
+	lf := s.Local
+	for ci, v := range lf.ids {
+		l.localIdx[v] = int32(ci)
 	}
 	lf.out = make([][]engine.WEdge, len(lf.ids))
 	for ci, v := range lf.ids {
@@ -322,13 +321,10 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 
 // deduceShortcuts runs Equation (6) for every entry vertex of the subgraph:
 // inject the semiring unit at the entry, run the local fixpoint over the
-// compact frame, and read off the aggregates as shortcut weights. With
-// parallelEntries the independent per-entry deductions fan out over the
-// worker pool; callers already running one task per subgraph pass false so
-// entry deductions stay sequential inside the task — one level of fan-out
-// keeps pool busy-time accounting exact (see forSubgraphs). Returns the F
-// applications spent.
-func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
+// compact frame, and read off the aggregates as shortcut weights. The
+// entries are deduced in order inside the caller's subgraph task. Returns
+// the F applications spent.
+func (l *Layph) deduceShortcuts(s *Subgraph) int64 {
 	lf := s.Local
 	k := lf.size()
 	var acts int64
@@ -344,30 +340,14 @@ func (l *Layph) deduceShortcuts(s *Subgraph, parallelEntries bool) int64 {
 	// absorbing frame. Through-entry and revisiting paths are then covered
 	// exactly once by shortcut composition on Lup (including the self-
 	// shortcut for sum-semiring cycles back to the entry).
-	//
-	// Each entry's fixpoint only reads the frozen local frame, so the
-	// per-entry deductions can fan out over the worker pool; the shared
-	// shortcut storage is filled sequentially after the join, in entry
-	// order, keeping results deterministic.
 	frame := l.absorbing(s)
-	results := make([]entryRes, len(s.Entries))
-	if parallelEntries {
-		grp := l.pool.Group()
-		for i, u := range s.Entries {
-			grp.Go(func() { results[i] = l.deduceEntry(s, frame, u) })
-		}
-		grp.Wait()
-	} else {
-		for i, u := range s.Entries {
-			results[i] = l.deduceEntry(s, frame, u)
-		}
-	}
-	for i, u := range s.Entries {
+	for _, u := range s.Entries {
+		r := l.deduceEntry(s, frame, u)
 		cu := l.localIdx[u]
-		acts += results[i].acts
-		s.scVec[cu] = results[i].vec
+		acts += r.acts
+		s.scVec[cu] = r.vec
 		if s.scParent != nil {
-			s.scParent[cu] = results[i].par
+			s.scParent[cu] = r.par
 		}
 	}
 	return acts
@@ -537,7 +517,7 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 		lf.patches++
 		if lf.patches > patchBudget {
 			lf.patches = 0
-			return l.deduceShortcuts(s, false)
+			return l.deduceShortcuts(s)
 		}
 	}
 

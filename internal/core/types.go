@@ -90,16 +90,16 @@ const NoSubgraph = int32(-1)
 type Subgraph struct {
 	// ID is the community id backing this subgraph (stable across updates).
 	ID int32
-	// Members are the flat vertices of the subgraph: live original members
-	// plus this subgraph's proxies.
-	Members []graph.VertexID
-	// Entries, Exits and Internal partition Members by role (entry+exit
-	// vertices appear in both Entries and Exits).
+	// Entries and Internal list the subgraph's members by role, and
+	// NumExits counts its exits (an entry+exit vertex is in Entries and
+	// counted in NumExits).
 	Entries  []graph.VertexID
-	Exits    []graph.VertexID
+	NumExits int
 	Internal []graph.VertexID
-	// Local is the compact message-passing frame over Members' internal
-	// edges; shortcut deduction and upload fixpoints run on it.
+	// Local is the compact message-passing frame over the members' internal
+	// edges; shortcut deduction and upload fixpoints run on it. Its ids are
+	// the members: live original members plus this subgraph's proxies.
+	// A shell subgraph that was never built has none.
 	Local *localFrame
 
 	// proxies are this subgraph's live proxy vertices; its original
@@ -121,6 +121,15 @@ type Subgraph struct {
 	// shortcut's flat parent is the last hop of its deduction path.
 	scVec    [][]float64
 	scParent [][]graph.VertexID
+}
+
+// members returns the subgraph's flat vertices in compact-ID order, none
+// for a shell subgraph.
+func (s *Subgraph) members() []graph.VertexID {
+	if s.Local == nil {
+		return nil
+	}
+	return s.Local.ids
 }
 
 // compactID returns v's compact index within subgraph s, or (-1, false)

@@ -246,7 +246,18 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	out.affectedSubs = append(slices.Clone(out.rebuiltSubs), edited...)
 	sortSubgraphs(out.affectedSubs)
 	l.builds += int64(len(out.rebuiltSubs))
-	out.shortcutActivations, out.parallelSubs = l.forSubgraphs(out.affectedSubs, l.maintainShortcuts)
+	// Each task writes only its own subgraphs and reads structure that is
+	// frozen for the duration of the fan-out.
+	acts := eachChunk(l, out.affectedSubs, func(ch []*Subgraph) (a int64) {
+		for _, s := range ch {
+			a += l.maintainShortcuts(s)
+		}
+		return a
+	})
+	out.parallelSubs = int64(len(acts))
+	for _, a := range acts {
+		out.shortcutActivations += a
+	}
 
 	// A skeleton row reads the vertex's flat row, its role, the subOf of
 	// its targets and, for an entry, its subgraph's shortcuts and member
@@ -291,7 +302,7 @@ func (l *Layph) touchSource(v graph.VertexID) {
 func (l *Layph) restructure(s *Subgraph, dissolve bool) *Subgraph {
 	sc := &l.scratch
 	c := s.ID
-	for _, v := range s.Members {
+	for _, v := range s.members() {
 		sc.dirty.Add(v)
 		l.touchSource(v)
 		if int(v) < l.g.Cap() && l.g.Alive(v) {
@@ -395,7 +406,7 @@ func (l *Layph) editFrames() []int32 {
 			}
 		}
 		l.classifyRoles(s)
-		if flipped && !denseEnough(len(s.Entries), len(s.Exits), s.Local.edges) {
+		if flipped && !denseEnough(len(s.Entries), s.NumExits, s.Local.edges) {
 			sc.structural.Add(graph.VertexID(c))
 			failed = append(failed, c)
 		}
@@ -405,9 +416,9 @@ func (l *Layph) editFrames() []int32 {
 
 // maintainShortcuts is the per-subgraph task of the shortcut phase: a
 // restructured subgraph is rebuilt, an edited one is patched in place.
-func (l *Layph) maintainShortcuts(s *Subgraph, parallelEntries bool) int64 {
+func (l *Layph) maintainShortcuts(s *Subgraph) int64 {
 	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
-		return l.buildSubgraph(s, parallelEntries)
+		return l.buildSubgraph(s)
 	}
 	return l.patchShortcuts(s)
 }
@@ -488,9 +499,7 @@ func (l *Layph) remapProxies(newCap int) {
 	}
 	for _, s := range l.subs {
 		mapAll(s.proxies)
-		mapAll(s.Members)
 		mapAll(s.Entries)
-		mapAll(s.Exits)
 		mapAll(s.Internal)
 		if s.Local != nil {
 			mapAll(s.Local.ids)

@@ -153,7 +153,7 @@ func crossBatch(rng *rand.Rand, l *Layph, n int) delta.Batch {
 	g := l.Graph()
 	var members []graph.VertexID
 	for _, s := range subgraphList(l.subs) {
-		for _, v := range s.Members {
+		for _, v := range s.Local.ids {
 			if int(v) < g.Cap() {
 				members = append(members, v)
 			}
@@ -205,9 +205,9 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 			}
 			for _, s := range l.subs {
 				fresh := &Subgraph{ID: s.ID, proxies: s.proxies,
-					Members: s.Members, Entries: s.Entries, Exits: s.Exits, Internal: s.Internal}
+					Local: &localFrame{ids: s.Local.ids}, Entries: s.Entries, NumExits: s.NumExits, Internal: s.Internal}
 				l.buildLocalFrame(fresh)
-				l.deduceShortcuts(fresh, true)
+				l.deduceShortcuts(fresh)
 				for _, u := range s.Entries {
 					cu := l.localIdx[u]
 					mem, ref := s.scVec[cu], fresh.scVec[cu]

@@ -2,8 +2,8 @@
 // stand-ins for the paper's datasets (UK-2005, IT-2004, SK-2005, Sinaweibo).
 //
 // The generators are seeded and reproducible: the same parameters and seed
-// always produce the identical graph, which makes the benchmark harness and
-// the EXPERIMENTS.md numbers repeatable.
+// always produce the identical graph, which makes the benchmarks and the
+// `layph-bench` runs (README's `layph-bench` section) repeatable.
 //
 // The structural property that matters for Layph is the community structure:
 // web graphs consist of many small dense subgraphs (sites) with sparse

@@ -1,29 +1,14 @@
-// Package metrics provides the counters and timers the paper's evaluation
-// reports: edge activations (one per F application — Figures 1 and 6) and
-// per-phase runtime breakdown (Figure 7).
+// Package metrics provides the timers behind the paper's per-phase runtime
+// breakdown (Figure 7) and the stream's rolling throughput and latency
+// window.
 package metrics
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a concurrency-safe monotonically increasing counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // Phases accumulates named wall-clock durations, e.g. Layph's four online
 // phases (layered-graph update, messages upload, Lup iteration, messages

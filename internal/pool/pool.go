@@ -9,11 +9,11 @@
 // A Pool of size k allows at most k tasks to execute concurrently: up to
 // k-1 on pool-owned goroutines plus the submitting goroutine itself,
 // which runs a task inline whenever the pool is saturated. Running in
-// the caller when no slot is free makes nested fan-outs (a subgraph
-// rebuild task fanning out per-entry deduction tasks) deadlock-free by
-// construction, and makes a size-1 pool strictly sequential — tasks run
-// inline in submission order, which is the determinism baseline the
-// differential tests compare against.
+// the caller when no slot is free makes a size-1 pool strictly
+// sequential — tasks run inline in submission order, which is the
+// determinism baseline the differential tests compare against — and
+// keeps a saturated pool from blocking the submitter. Every Layph
+// fan-out is single-level: no pool task submits tasks of its own.
 package pool
 
 import (
@@ -54,11 +54,10 @@ type Stats struct {
 	// because the pool was saturated.
 	Inline int64
 	// Busy is the cumulative task execution time across all workers. Each
-	// task's span covers its whole body, so a task that itself submits to
-	// a nested Group and blocks in Wait would have its children's time
-	// counted twice; for Busy (and Utilization) to be exact, keep
-	// fan-outs single-level — nested Groups remain safe and
-	// deadlock-free, they only blur this accounting.
+	// task's span covers its whole body, so it is exact as long as no task
+	// submits to a nested Group and blocks in Wait (its children's time
+	// would count twice). No Layph code path nests pool tasks; a nested
+	// Group stays deadlock-free, it only blurs this accounting.
 	Busy time.Duration
 }
 

@@ -136,9 +136,9 @@ func TestMetricsBlockKeys(t *testing.T) {
 }
 
 // TestMetricsShardsFollowServingEngine: the shards block is read off the
-// engine serving the attached stream, so a sharded stream reports one
-// summary per shard with no extra wiring, and the block goes away once an
-// unsharded stream is attached in its place.
+// engine serving the stream, so a sharded stream reports one summary per
+// shard with no extra wiring, and a server over an unsharded stream has
+// no block.
 func TestMetricsShardsFollowServingEngine(t *testing.T) {
 	mkGraph := func() *graph.Graph {
 		g, _ := gen.CommunityGraph(gen.CommunityConfig{
@@ -168,9 +168,10 @@ func TestMetricsShardsFollowServingEngine(t *testing.T) {
 	g2 := mkGraph()
 	plain := stream.New(g2, core.New(g2, algo.NewSSSP(0), core.Options{Workers: 1}), stream.Config{})
 	defer plain.Close()
-	srv.Attach(plain)
+	ts2 := httptest.NewServer(New(plain, Config{}).Handler())
+	defer ts2.Close()
 	var blocks map[string]json.RawMessage
-	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", "", nil, &blocks); code != http.StatusOK {
+	if code, raw := doJSON(t, http.MethodGet, ts2.URL+"/metrics", "", nil, &blocks); code != http.StatusOK {
 		t.Fatalf("metrics: %d %s", code, raw)
 	}
 	if _, ok := blocks["shards"]; ok {

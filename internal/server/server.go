@@ -90,7 +90,7 @@ func (c Config) withDefaults() Config {
 // Handler on any mux or call Start/Shutdown for a managed listener.
 type Server struct {
 	cfg      Config
-	st       atomic.Pointer[stream.Stream]
+	st       *stream.Stream
 	wal      atomic.Pointer[wal.Log]
 	recovery atomic.Pointer[wal.RecoveryInfo]
 	draining atomic.Bool
@@ -102,15 +102,12 @@ type Server struct {
 	serveErr  error
 }
 
-// New returns a daemon over st (which must already be running). st may
-// be nil — e.g. while the engine's initial batch computation is still
-// building — in which case /query, /push and /metrics answer 503 until
-// Attach is called; /healthz reports ready=false but stays 200.
+// New returns a daemon over st, which must already be running.
 func New(st *stream.Stream, cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), serveDone: make(chan struct{})}
-	if st != nil {
-		s.st.Store(st)
+	if st == nil {
+		panic("server: nil stream")
 	}
+	s := &Server{cfg: cfg.withDefaults(), st: st, serveDone: make(chan struct{})}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/push", s.handlePush)
 	s.mux.HandleFunc("/query", s.handleQuery)
@@ -118,9 +115,6 @@ func New(st *stream.Stream, cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
 }
-
-// Attach sets (or replaces) the stream backing the API.
-func (s *Server) Attach(st *stream.Stream) { s.st.Store(st) }
 
 // AttachDurability exposes the stream's WAL and (optionally) the crash
 // recovery that produced it through /metrics. info may be nil (fresh
@@ -174,12 +168,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // and idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	var first error
-	if st := s.st.Load(); st != nil {
-		if err := st.Close(); err != nil {
-			first = err
-		}
-	}
+	first := s.st.Close()
 	if s.hs != nil {
 		if err := s.hs.Shutdown(ctx); err != nil && first == nil {
 			first = err
@@ -217,19 +206,14 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "push requires POST")
 		return
 	}
-	st := s.st.Load()
-	if st == nil {
-		httpError(w, http.StatusServiceUnavailable, "no stream attached yet")
-		return
-	}
-	if s.draining.Load() || st.Closed() {
+	if s.draining.Load() || s.st.Closed() {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	idCap := s.cfg.MaxVertexID
 	if idCap == 0 {
-		idCap = capFromSnapshot(st)
+		idCap = capFromSnapshot(s.st)
 	}
 	var (
 		batch delta.Batch
@@ -251,7 +235,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp pushResponse
 	for _, u := range batch {
-		switch err := st.Push(u); {
+		switch err := s.st.Push(u); {
 		case err == nil:
 			resp.Accepted++
 		case errors.Is(err, stream.ErrQueueFull):
@@ -376,11 +360,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "query requires GET")
 		return
 	}
-	st := s.st.Load()
-	if st == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot published yet")
-		return
-	}
 	q := r.URL.Query()
 	vParam, topkParam := q.Get("v"), q.Get("topk")
 	if vParam == "" && topkParam == "" {
@@ -388,7 +367,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	snap := st.Query() // one snapshot serves the whole request
+	snap := s.st.Query() // one snapshot serves the whole request
 	resp := queryResponse{Seq: snap.Seq, Updates: snap.Updates, At: snap.At}
 
 	if vParam != "" {
@@ -488,13 +467,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "metrics requires GET")
 		return
 	}
-	st := s.st.Load()
-	if st == nil {
-		httpError(w, http.StatusServiceUnavailable, "no stream attached yet")
-		return
-	}
-	m := st.Metrics()
-	snap := st.Query()
+	m := s.st.Metrics()
+	snap := s.st.Query()
 	resp := metricsResponse{
 		Ready:           true,
 		Draining:        s.draining.Load(),
@@ -519,7 +493,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		Recovery: s.recovery.Load(),
 	}
-	if sh, ok := st.System().(interface{ ShardInfos() []shard.Info }); ok {
+	if sh, ok := s.st.System().(interface{ ShardInfos() []shard.Info }); ok {
 		resp.Shards = sh.ShardInfos()
 	}
 	if m.Relayer.Enabled {
@@ -538,18 +512,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := map[string]any{
 		"ok":       true,
-		"ready":    false,
+		"ready":    !s.st.Closed(),
 		"draining": s.draining.Load(),
+		"seq":      s.st.Query().Seq,
 	}
-	if st := s.st.Load(); st != nil {
-		resp["ready"] = !st.Closed()
-		resp["seq"] = st.Query().Seq
-		// The process is alive (status stays 200), but a stream whose
-		// durability hook failed is not healthy: say so.
-		if err := st.DurabilityErr(); err != nil {
-			resp["ok"] = false
-			resp["durability_error"] = err.Error()
-		}
+	// The process is alive (status stays 200), but a stream whose
+	// durability hook failed is not healthy: say so.
+	if err := s.st.DurabilityErr(); err != nil {
+		resp["ok"] = false
+		resp["durability_error"] = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -297,46 +297,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestQueryBeforeFirstSnapshot covers the warm-up window: a daemon whose
-// engine is still running its initial batch computation has no stream
-// yet — reads and writes answer 503 while /healthz stays alive.
-func TestQueryBeforeFirstSnapshot(t *testing.T) {
-	srv := New(nil, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, path := range []string{"/query?v=0", "/metrics"} {
-		if code, _ := doJSON(t, http.MethodGet, ts.URL+path, "", nil, nil); code != http.StatusServiceUnavailable {
-			t.Fatalf("GET %s before attach: %d, want 503", path, code)
-		}
-	}
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/push", "", []byte("a 0 1\n"), nil); code != http.StatusServiceUnavailable {
-		t.Fatal("push before attach must 503")
-	}
-	var hz map[string]any
-	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", "", nil, &hz); code != http.StatusOK {
-		t.Fatal("healthz must stay 200 before attach")
-	}
-	if hz["ready"] != false {
-		t.Fatalf("healthz ready=%v before attach, want false", hz["ready"])
-	}
-
-	// Attach flips everything to serving.
-	g := graph.New(10)
-	g.AddEdge(0, 1, 2)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 1})
-	st := stream.New(g, sys, stream.Config{MaxDelay: -1})
-	defer st.Close()
-	srv.Attach(st)
-	var qr apiQueryResponse
-	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/query?v=0", "", nil, &qr); code != http.StatusOK {
-		t.Fatalf("query after attach: %d %s", code, raw)
-	}
-	if len(qr.States) != 1 || qr.States[0].X != 0 {
-		t.Fatalf("source state %v, want 0", qr.States)
-	}
-}
-
 // TestGracefulShutdown verifies the drain ordering end to end: everything
 // acknowledged before Shutdown is in the final snapshot, pushes after
 // Shutdown fail with 503, and Shutdown is idempotent.

@@ -221,11 +221,11 @@ type Stream struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	accepted    metrics.Counter
-	dropped     metrics.Counter
-	applied     metrics.Counter
-	batches     metrics.Counter
-	logFailures metrics.Counter
+	accepted    atomic.Int64
+	dropped     atomic.Int64
+	applied     atomic.Int64
+	batches     atomic.Int64
+	logFailures atomic.Int64
 	window      *metrics.Rolling
 
 	mu     sync.Mutex // guards agg, durErr and rlm
@@ -386,13 +386,13 @@ func (s *Stream) Metrics() Metrics {
 	rlm := s.rlm
 	s.mu.Unlock()
 	return Metrics{
-		Accepted:         s.accepted.Value(),
-		Dropped:          s.dropped.Value(),
-		Applied:          s.applied.Value(),
-		Batches:          s.batches.Value(),
+		Accepted:         s.accepted.Load(),
+		Dropped:          s.dropped.Load(),
+		Applied:          s.applied.Load(),
+		Batches:          s.batches.Load(),
 		Throughput:       s.window.Rate(),
 		MeanBatchLatency: s.window.MeanDuration(),
-		LogFailures:      s.logFailures.Value(),
+		LogFailures:      s.logFailures.Load(),
 		Engine:           agg,
 		Relayer:          rlm,
 	}
