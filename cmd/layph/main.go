@@ -46,6 +46,8 @@ type engineFlags struct {
 	threads                             int
 	shards                              int
 	adaptive                            bool
+	// relayer is serve's -relayer, validated here with the engine it needs.
+	relayer bool
 }
 
 func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
@@ -86,7 +88,8 @@ var systems = map[bench.SystemKind]struct{ min, sum bool }{
 
 // validate rejects flag values the engines cannot run, before any graph is
 // loaded: an unknown -algo, -system or -preset, a system that does not
-// support the algorithm's scheme, and -adaptive outside unsharded Layph.
+// support the algorithm's scheme, -adaptive outside unsharded Layph, and
+// -relayer on an engine that cannot re-detect communities.
 func (ef *engineFlags) validate() error {
 	mk, ok := algorithms[ef.algoName]
 	if !ok {
@@ -105,6 +108,9 @@ func (ef *engineFlags) validate() error {
 	}
 	if ef.adaptive && kind != bench.Layph {
 		return fmt.Errorf("-adaptive requires -system layph")
+	}
+	if ef.relayer && (ef.shards > 1 || kind != bench.Layph && kind != bench.LayphNoRepl) {
+		return fmt.Errorf("-relayer requires -system layph or layph-norepl, unsharded")
 	}
 	if ef.shards > 1 {
 		return nil // -shards overrides -system

@@ -36,6 +36,7 @@ import (
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("layph serve", flag.ExitOnError)
 	ef := registerEngineFlags(fs)
+	fs.BoolVar(&ef.relayer, "relayer", false, "adaptive re-layering drift controller (-system layph or layph-norepl, unsharded): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs (pairs with -adaptive)")
 	var (
 		input     = fs.String("input", "", "update stream file ('-' = stdin; empty requires -rand or -listen)")
 		randN     = fs.Int("rand", 0, "synthesize this many random updates instead of reading -input")
@@ -49,7 +50,6 @@ func serveMain(args []string) {
 		maxVertex = fs.Uint("maxvertex", 0, "reject updates referencing vertex ids >= this (0 = |V| + 1048576)")
 		listen    = fs.String("listen", "", "serve the HTTP API on this address (e.g. 127.0.0.1:8090) until SIGINT")
 
-		relayer        = fs.Bool("relayer", false, "adaptive re-layering drift controller (-system layph): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs (pairs with -adaptive)")
 		relayerTouched = fs.Float64("relayer-touched", 0, "touched-subgraph-ratio EWMA trigger threshold (0 = 0.35)")
 		relayerGrowth  = fs.Float64("relayer-skeleton-growth", 0, "skeleton-fraction growth factor over the post-build baseline that triggers (0 = 1.5)")
 		relayerDead    = fs.Float64("relayer-dead", 0, "dead community-id fraction that triggers (0 = 0.5)")
@@ -83,7 +83,7 @@ func serveMain(args []string) {
 		MaxBatch: *maxBatch, MaxDelay: *maxDelay,
 		QueueCap: *queueCap, Policy: pol,
 	}
-	if *relayer {
+	if ef.relayer {
 		scfg.Relayer = &stream.RelayerConfig{
 			TouchedRatioThreshold: *relayerTouched,
 			SkeletonGrowthFactor:  *relayerGrowth,

@@ -11,7 +11,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"layph/internal/algo"
@@ -267,17 +266,6 @@ func (t *Table) Print(w io.Writer) {
 	for _, r := range t.rows {
 		printRow(r)
 	}
-}
-
-// SortedSystems orders results in the paper's legend order.
-func SortedSystems(rs []SystemResult, order []SystemKind) []SystemResult {
-	rank := make(map[SystemKind]int, len(order))
-	for i, k := range order {
-		rank[k] = i
-	}
-	out := append([]SystemResult(nil), rs...)
-	sort.SliceStable(out, func(a, b int) bool { return rank[out[a].System] < rank[out[b].System] })
-	return out
 }
 
 // Build constructs the named system over g (running the initial batch

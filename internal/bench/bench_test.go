@@ -203,11 +203,3 @@ func TestVertexWorkload(t *testing.T) {
 		t.Fatal("no time")
 	}
 }
-
-func TestSortedSystems(t *testing.T) {
-	rs := []SystemResult{{System: Layph}, {System: Restart}, {System: Ingress}}
-	out := SortedSystems(rs, []SystemKind{Restart, Ingress, Layph})
-	if out[0].System != Restart || out[2].System != Layph {
-		t.Fatalf("order: %v", out)
-	}
-}

@@ -114,12 +114,6 @@ func TestMembersAndSizes(t *testing.T) {
 	if total != g.NumVertices() {
 		t.Fatalf("partition covers %d of %d vertices", total, g.NumVertices())
 	}
-	ids := p.SortedBySize()
-	for i := 1; i < len(ids); i++ {
-		if sizes[ids[i-1]] < sizes[ids[i]] {
-			t.Fatal("SortedBySize not descending")
-		}
-	}
 }
 
 func TestModularityBounds(t *testing.T) {
@@ -155,7 +149,7 @@ func TestAdjustKeepsPartitionValid(t *testing.T) {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 4, 4, 3, false)...)
 		applied := delta.Apply(g, batch)
-		changed := AdjustDetailed(g, p, Config{MaxSize: 80}, applied).Changed
+		Adjust(g, p, Config{MaxSize: 80}, applied)
 		if len(p.Comm) < g.Cap() {
 			t.Fatal("assignment not grown")
 		}
@@ -173,7 +167,6 @@ func TestAdjustKeepsPartitionValid(t *testing.T) {
 				t.Fatalf("batch %d: dead vertex %d keeps community", i, v)
 			}
 		}
-		_ = changed
 	}
 }
 
@@ -189,8 +182,8 @@ func TestAdjustReportsChangedCommunities(t *testing.T) {
 	})
 	c := p.Comm[victim]
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelVertex, U: victim}})
-	changed := AdjustDetailed(g, p, Config{}, applied).Changed
-	if _, ok := changed[c]; !ok {
+	changed := changedComms(Adjust(g, p, Config{}, applied))
+	if !slices.Contains(changed, c) {
 		t.Fatalf("community %d of deleted vertex not reported (got %v)", c, changed)
 	}
 }
@@ -212,7 +205,7 @@ func TestAdjustNewVertexJoinsNeighborCommunity(t *testing.T) {
 		}
 	})
 	applied := delta.Apply(g, batch)
-	AdjustDetailed(g, p, Config{}, applied)
+	Adjust(g, p, Config{}, applied)
 	if p.Comm[nv] != target {
 		t.Fatalf("new vertex joined %d, want %d", p.Comm[nv], target)
 	}
@@ -233,7 +226,7 @@ func TestAdjustDeterministic(t *testing.T) {
 			batch := genr.EdgeBatch(g, 60, true)
 			batch = append(batch, genr.VertexBatch(g, 5, 3, 3, true)...)
 			applied := delta.Apply(g, batch)
-			AdjustDetailed(g, p, Config{MaxSize: 80}, applied)
+			Adjust(g, p, Config{MaxSize: 80}, applied)
 		}
 		return append([]int32(nil), p.Comm...)
 	}
@@ -251,9 +244,9 @@ func TestAdjustDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdjustDetailedMovesMatchAssignment cross-checks the move log: replaying
-// Moved over the pre-adjust assignment must reproduce the post-adjust one.
-func TestAdjustDetailedMovesMatchAssignment(t *testing.T) {
+// TestAdjustMovesMatchAssignment cross-checks the move log: replaying it
+// over the pre-adjust assignment must reproduce the post-adjust one.
+func TestAdjustMovesMatchAssignment(t *testing.T) {
 	g, _ := plantedGraph(29, 300, 30)
 	p := Detect(g, Config{MaxSize: 60})
 	genr := delta.NewGenerator(3)
@@ -262,26 +255,19 @@ func TestAdjustDetailedMovesMatchAssignment(t *testing.T) {
 		batch := genr.EdgeBatch(g, 50, false)
 		batch = append(batch, genr.VertexBatch(g, 4, 3, 3, false)...)
 		applied := delta.Apply(g, batch)
-		res := AdjustDetailed(g, p, Config{MaxSize: 60}, applied)
+		moves := Adjust(g, p, Config{MaxSize: 60}, applied)
 		replay := append([]int32(nil), before...)
 		for len(replay) < len(p.Comm) {
 			replay = append(replay, NoCommunity)
 		}
-		for _, m := range res.Moved {
+		for _, m := range moves {
 			if replay[m.V] != m.From {
 				t.Fatalf("batch %d: move %+v expects From=%d but vertex was in %d", i, m, m.From, replay[m.V])
 			}
+			if m.From == m.To {
+				t.Fatalf("batch %d: move %+v does not change community", i, m)
+			}
 			replay[m.V] = m.To
-			if m.From >= 0 {
-				if _, ok := res.Changed[m.From]; !ok {
-					t.Fatalf("batch %d: move %+v source community not in Changed", i, m)
-				}
-			}
-			if m.To >= 0 {
-				if _, ok := res.Changed[m.To]; !ok {
-					t.Fatalf("batch %d: move %+v target community not in Changed", i, m)
-				}
-			}
 		}
 		for v := range p.Comm {
 			if replay[v] != p.Comm[v] {
@@ -305,7 +291,7 @@ func TestAdjustLongChurnBoundedComms(t *testing.T) {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 6, 6, 3, false)...)
 		applied := delta.Apply(g, batch)
-		AdjustDetailed(g, p, Config{MaxSize: 60}, applied)
+		Adjust(g, p, Config{MaxSize: 60}, applied)
 		if p.LiveComms() > p.NumComms {
 			t.Fatalf("round %d: live %d > NumComms %d", i, p.LiveComms(), p.NumComms)
 		}
@@ -407,11 +393,34 @@ func TestAdjustIsolatedNewVertexGetsSingleton(t *testing.T) {
 	before := p.NumComms
 	nv := graph.VertexID(g.Cap())
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.AddVertex, U: nv}})
-	AdjustDetailed(g, p, Config{}, applied)
+	Adjust(g, p, Config{}, applied)
 	if p.Comm[nv] < 0 {
 		t.Fatal("isolated new vertex unassigned")
 	}
 	if p.NumComms != before+1 {
 		t.Fatalf("NumComms %d, want %d", p.NumComms, before+1)
+	}
+}
+
+// TestAdjustEdgelessGraph covers a graph without edge weight, where no move
+// can gain: a deleted vertex still leaves its community and a fresh vertex
+// still opens its own.
+func TestAdjustEdgelessGraph(t *testing.T) {
+	g := graph.New(3)
+	p := Detect(g, Config{})
+	before := p.NumComms
+	applied := delta.Apply(g, delta.Batch{
+		{Kind: delta.AddVertex, U: 3},
+		{Kind: delta.DelVertex, U: 0},
+	})
+	moves := Adjust(g, p, Config{}, applied)
+	if p.Comm[0] != NoCommunity {
+		t.Fatalf("deleted vertex 0 keeps community %d", p.Comm[0])
+	}
+	if p.Comm[3] != int32(before) || p.NumComms != before+1 {
+		t.Fatalf("fresh vertex 3 in %d of %d communities, want %d of %d", p.Comm[3], p.NumComms, before, before+1)
+	}
+	if len(moves) != 2 {
+		t.Fatalf("moves %v, want the deletion and the fresh vertex", moves)
 	}
 }

@@ -18,7 +18,13 @@
 // and clearing through that list, so no map is built per visit. Aggregation
 // numbers super-nodes in first-seen order of their communities,
 // counting-sorts the old nodes by super-node and builds each super-node's
-// row through the same accumulator. AdjustDetailed uses it too.
+// row through the same accumulator.
+//
+// One move rule. Detection and the incremental adjustment (Adjust) share
+// Louvain's local move, mover.move: detection gathers a node's CSR row into
+// the accumulator, Adjust a live vertex's graph neighbours, and the same
+// move detaches it, picks the best gain under the cap and attaches it.
+// Adjust returns only the moves it made, its move log.
 //
 // Tie-break. A move scans the touched communities in ascending id and takes
 // a candidate only if it beats the best gain so far by more than minGain, so
@@ -29,7 +35,6 @@ package community
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"layph/internal/graph"
 )
@@ -85,7 +90,7 @@ func (p *Partition) Sizes() []int {
 }
 
 // LiveComms returns the number of community ids with at least one member.
-// Under incremental adjustment (AdjustDetailed) ids are stable, so emptied
+// Under incremental adjustment (Adjust) ids are stable, so emptied
 // communities keep their slot; the gap between LiveComms and NumComms is
 // the dead-id bloat that a re-detection aligned by Align reclaims.
 func (p *Partition) LiveComms() int {
@@ -206,34 +211,82 @@ func (a *accumulator) flush(nbr []int32, wt []float64) ([]int32, []float64) {
 	return nbr, wt
 }
 
-// louvainState is one level of the weighted undirected projection Louvain
-// operates on, as a CSR: node i's neighbours are nbr[off[i]:off[i+1]] with
-// the summed weights of both edge directions in wt. Self-loops (and, after
-// aggregation, intra-community edges) appear only in deg.
-type louvainState struct {
-	n      int
-	off    []int
-	nbr    []int32
-	wt     []float64
-	deg    []float64 // weighted degree incl. 2*self-loop
-	size   []int     // vertices of the original graph folded into this node
+// mover holds the community aggregates a local move reads and writes over
+// some id space: detection's nodes of one level, or the adjustment's live
+// vertices.
+type mover struct {
 	comm   []int32
 	ctot   []float64    // total degree per community
 	csize  []int        // original-vertex count per community
 	total2 float64      // 2m (total degree)
-	acc    *accumulator // shared by every level, sized for the first
+	acc    *accumulator // v's neighbour weight per community, filled by the caller
+}
+
+// move is Louvain's local move: it detaches v, takes the community with the
+// best positive modularity gain under the size cap, attaches v there and
+// returns v's old and new community. A vertex without a community is
+// evaluated detached; it stays without one (NoCommunity) when no community
+// gains. The accumulator must hold v's neighbour weights per community,
+// self-loops excluded; move resets it.
+func (m *mover) move(v int32, deg float64, size, maxSize int) (from, to int32) {
+	cur := m.comm[v]
+	acc := m.acc
+	// Gain of joining community c: w(v,c)/m - deg(v)*ctot(c)/(2m^2); constant
+	// factors dropped since we only compare.
+	baseGain := 0.0
+	if cur >= 0 {
+		m.ctot[cur] -= deg
+		m.csize[cur] -= size
+		baseGain = acc.w[cur] - deg*m.ctot[cur]/m.total2
+	}
+	best := cur
+	bestGain := 0.0
+	// Ascending-id candidate scan with a strict improvement test: ties within
+	// minGain resolve to the lowest community id, not the first touched.
+	slices.Sort(acc.touched)
+	for _, c := range acc.touched {
+		if c == cur || maxSize > 0 && m.csize[c]+size > maxSize {
+			continue
+		}
+		if gain := (acc.w[c] - deg*m.ctot[c]/m.total2) - baseGain; gain > bestGain+minGain {
+			bestGain = gain
+			best = c
+		}
+	}
+	acc.reset()
+	if best >= 0 {
+		m.ctot[best] += deg
+		m.csize[best] += size
+	}
+	m.comm[v] = best
+	return cur, best
+}
+
+// louvainState is one level of the weighted undirected projection Louvain
+// operates on, as a CSR: node i's neighbours are nbr[off[i]:off[i+1]] with
+// the summed weights of both edge directions in wt. Self-loops (and, after
+// aggregation, intra-community edges) appear only in deg. The accumulator
+// is shared by every level, sized for the first.
+type louvainState struct {
+	mover
+	n    int
+	off  []int
+	nbr  []int32
+	wt   []float64
+	deg  []float64 // weighted degree incl. 2*self-loop
+	size []int     // vertices of the original graph folded into this node
 }
 
 func projectGraph(g *graph.Graph) *louvainState {
 	n := g.Cap()
 	s := &louvainState{
-		n:    n,
-		off:  make([]int, n+1),
-		nbr:  make([]int32, 0, 2*g.NumEdges()),
-		wt:   make([]float64, 0, 2*g.NumEdges()),
-		deg:  make([]float64, n),
-		size: make([]int, n),
-		acc:  newAccumulator(n),
+		n:     n,
+		off:   make([]int, n+1),
+		nbr:   make([]int32, 0, 2*g.NumEdges()),
+		wt:    make([]float64, 0, 2*g.NumEdges()),
+		deg:   make([]float64, n),
+		size:  make([]int, n),
+		mover: mover{acc: newAccumulator(n)},
 	}
 	g.Edges(func(u, v graph.VertexID, w float64) {
 		if u == v {
@@ -304,46 +357,14 @@ func (s *louvainState) localMoves(cfg Config) bool {
 	return movedAny
 }
 
-// moveVertex relocates v to the neighbor community with the best positive
-// modularity gain, respecting the size cap. Returns whether v moved.
+// moveVertex gathers v's row per community and runs the local move.
+// Returns whether v moved.
 func (s *louvainState) moveVertex(v int32, cfg Config) bool {
-	cur := s.comm[v]
-	// Weights from v to each neighboring community.
-	acc := s.acc
 	for k := s.off[v]; k < s.off[v+1]; k++ {
-		acc.add(s.comm[s.nbr[k]], s.wt[k])
+		s.acc.add(s.comm[s.nbr[k]], s.wt[k])
 	}
-	// Detach v.
-	s.ctot[cur] -= s.deg[v]
-	s.csize[cur] -= s.size[v]
-
-	best := cur
-	bestGain := 0.0
-	// Gain of joining community c: w(v,c)/m - deg(v)*ctot(c)/(2m^2); constant
-	// factors dropped since we only compare.
-	m2 := s.total2
-	baseGain := acc.w[cur] - s.deg[v]*s.ctot[cur]/m2
-	// Ascending-id candidate scan with a strict improvement test: ties within
-	// minGain resolve to the lowest community id, not the first touched.
-	slices.Sort(acc.touched)
-	for _, c := range acc.touched {
-		if c == cur {
-			continue
-		}
-		if cfg.MaxSize > 0 && s.csize[c]+s.size[v] > cfg.MaxSize {
-			continue
-		}
-		gain := (acc.w[c] - s.deg[v]*s.ctot[c]/m2) - baseGain
-		if gain > bestGain+minGain {
-			bestGain = gain
-			best = c
-		}
-	}
-	acc.reset()
-	s.ctot[best] += s.deg[v]
-	s.csize[best] += s.size[v]
-	s.comm[v] = best
-	return best != cur
+	from, to := s.move(v, s.deg[v], s.size[v], cfg.MaxSize)
+	return from != to
 }
 
 // aggregate folds communities into super-nodes and returns the mapping from
@@ -388,12 +409,11 @@ func (s *louvainState) aggregate() ([]int32, *louvainState) {
 	}
 
 	next := &louvainState{
-		n:      int(nn),
-		off:    make([]int, nn+1),
-		deg:    make([]float64, nn),
-		size:   make([]int, nn),
-		total2: s.total2,
-		acc:    s.acc,
+		mover: mover{total2: s.total2, acc: s.acc},
+		n:     int(nn),
+		off:   make([]int, nn+1),
+		deg:   make([]float64, nn),
+		size:  make([]int, nn),
 	}
 	for ni := int32(0); ni < nn; ni++ {
 		for _, i := range members[start[ni]:start[ni+1]] {
@@ -500,15 +520,4 @@ func Modularity(g *graph.Graph, p *Partition) float64 {
 		q += win[c]/m - d*d
 	}
 	return q
-}
-
-// SortedBySize returns community ids in decreasing vertex-count order.
-func (p *Partition) SortedBySize() []int32 {
-	sizes := p.Sizes()
-	ids := make([]int32, p.NumComms)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool { return sizes[ids[a]] > sizes[ids[b]] })
-	return ids
 }

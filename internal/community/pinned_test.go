@@ -27,6 +27,21 @@ func hashComm(comm []int32) uint64 {
 	return h.Sum64()
 }
 
+// changedComms returns the communities a move log leaves or enters, each
+// once and ascending: the subgraphs whose layer structures need a refresh.
+func changedComms(moves []VertexMove) []int32 {
+	var ids []int32
+	for _, m := range moves {
+		ids = append(ids, m.From, m.To)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if len(ids) > 0 && ids[0] == NoCommunity {
+		ids = ids[1:]
+	}
+	return ids
+}
+
 // hashMoves is an FNV-64a over the (V, From, To) move sequence.
 func hashMoves(moves []VertexMove) uint64 {
 	h := fnv.New64a()
@@ -76,28 +91,23 @@ func TestDetectPinnedPartitions(t *testing.T) {
 	}
 }
 
-// TestAdjustPinnedChurn pins AdjustDetailed's exact output over a churn
-// sequence: the final assignment, every move in order, and each batch's
-// changed set. Every third batch adds unwired vertices, which open fresh
-// singleton communities.
+// TestAdjustPinnedChurn pins Adjust's exact output over a churn sequence:
+// the final assignment, every move in order, and each batch's changed set,
+// the communities its moves leave or enter. Every third batch adds unwired
+// vertices, which open fresh singleton communities.
 func TestAdjustPinnedChurn(t *testing.T) {
 	g := gen.Build(gen.PresetUK, 0.2)
 	cfg := Config{MaxSize: defaultK(g)}
 	p := Detect(g, cfg)
 	genr := delta.NewGenerator(7)
 	var moves []VertexMove
-	var changed []int32 // each batch's Changed set, ascending
+	var changed []int32 // each batch's changed communities, ascending
 	for i := 0; i < 20; i++ {
 		batch := genr.EdgeBatch(g, 300, true)
 		batch = append(batch, genr.VertexBatch(g, 8, 8, i%3, true)...)
-		res := AdjustDetailed(g, p, cfg, delta.Apply(g, batch))
-		moves = append(moves, res.Moved...)
-		ids := make([]int32, 0, len(res.Changed))
-		for c := range res.Changed {
-			ids = append(ids, c)
-		}
-		slices.Sort(ids)
-		changed = append(changed, ids...)
+		moved := Adjust(g, p, cfg, delta.Apply(g, batch))
+		moves = append(moves, moved...)
+		changed = append(changed, changedComms(moved)...)
 	}
 	const (
 		wantComms   = 315

@@ -11,17 +11,17 @@ import (
 
 // adaptMembership is the adaptive half of the layered update (Options.
 // AdaptiveCommunities): it runs the incremental community adjustment
-// (community.AdjustDetailed) against the already-applied batch, keeps the
-// per-community member index in step, and migrates dense-subgraph
+// (community.Adjust) against the already-applied batch, applies its move
+// log to the per-community member index, and migrates dense-subgraph
 // membership to follow the partition. Community ids stay stable across
 // adjustments — the shortcut localization relies on it — and dead ids are
 // reclaimed only when a re-detection lands (Redetect).
 func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves int64) {
-	res := community.AdjustDetailed(l.g, l.part, l.opt.Community, applied)
+	moved := community.Adjust(l.g, l.part, l.opt.Community, applied)
 	for len(l.commVerts) < l.part.NumComms {
 		l.commVerts = append(l.commVerts, nil)
 	}
-	for _, m := range res.Moved {
+	for _, m := range moved {
 		if m.From >= 0 {
 			l.commVerts[m.From] = removeVertex(l.commVerts[m.From], m.V)
 		}
@@ -29,7 +29,7 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 			l.commVerts[m.To] = append(l.commVerts[m.To], m.V)
 		}
 	}
-	return l.migrate(res.Moved), int64(len(res.Moved))
+	return l.migrate(moved), int64(len(moved))
 }
 
 // Redetect runs community detection on g, a clone of the engine's graph

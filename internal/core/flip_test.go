@@ -14,16 +14,19 @@ import (
 	"layph/internal/graph"
 )
 
-// confinedBatch draws n updates alternating add and delete with both
-// endpoints in members, valid against g's current edges.
-func confinedBatch(rng *rand.Rand, g *graph.Graph, members []graph.VertexID, n int) delta.Batch {
-	in := make(map[graph.VertexID]bool, len(members))
-	for _, v := range members {
-		in[v] = true
-	}
+// confinedBatch draws n updates alternating add and delete, valid against
+// g's current edges, with both endpoints of each in one of comms, the
+// member lists of planted communities (comm is the planted assignment).
+// Each update draws its community at random; a single community costs no
+// draw, so its sequences do not depend on the community count.
+func confinedBatch(rng *rand.Rand, g *graph.Graph, comm []int, comms [][]graph.VertexID, n int) delta.Batch {
 	used := map[[2]graph.VertexID]bool{}
 	var b delta.Batch
 	for tries := 0; len(b) < n && tries < 100*n; tries++ {
+		members := comms[0]
+		if len(comms) > 1 {
+			members = comms[rng.Intn(len(comms))]
+		}
 		u := members[rng.Intn(len(members))]
 		var upd delta.Update
 		if len(b)%2 == 0 {
@@ -38,7 +41,7 @@ func confinedBatch(rng *rand.Rand, g *graph.Graph, members []graph.VertexID, n i
 				continue
 			}
 			v := outs[rng.Intn(len(outs))].To
-			if !in[v] {
+			if comm[v] != comm[u] {
 				continue
 			}
 			upd = delta.Update{Kind: delta.DelEdge, U: u, V: v}
@@ -51,61 +54,107 @@ func confinedBatch(rng *rand.Rand, g *graph.Graph, members []graph.VertexID, n i
 	return b
 }
 
-// TestConfinedSplitCommunityMatchesRestart replays batches confined to a
-// planted community just larger than K = 64 (65–72 vertices), which
-// community detection splits into two subgraphs: "internal" edits of the
-// community cross subgraphs, flip roles on both sides and re-route the
-// proxies of neighbours. Every batch must land on the restart answer.
-// Rebuilding every subgraph a flip touched used to leave stale flat rows on
-// the entry proxies replicating rebuilt members and stale roles in the
-// neighbouring subgraph, which put PageRank off by 0.1–0.2 within 24
-// batches on three of these four sequences (two of them within the 12 that
-// -short replays).
+// TestConfinedSplitCommunityMatchesRestart replays batches confined to
+// planted communities larger than K = 64, which community detection splits
+// into several subgraphs: "internal" edits of such a community cross
+// subgraphs, flip roles on both sides and re-route the proxies of
+// neighbours. Every batch must land on the restart answer.
+//
+// The first row confines each sequence to one community just larger than
+// K (65–72 vertices) at UK ×0.1. Rebuilding every subgraph a flip touched
+// used to leave stale flat rows on the entry proxies replicating rebuilt
+// members and stale roles in the neighbouring subgraph, which put PageRank
+// off by 0.1–0.2 within 24 batches on three of these four sequences (two
+// of them within the 12 that -short replays).
+//
+// The second row is the benchmark's local workload without its
+// community-size limit: batches of 256 adds and deletes at UK ×0.25, each
+// update inside one of the planted communities larger than K. An add that
+// crosses subgraphs there once left states above the restart's
+// (benchmark/README.md, "Found while building"). Shortcut sums round
+// differently from the flat relaxation, hence its SSSP tolerance.
 func TestConfinedSplitCommunityMatchesRestart(t *testing.T) {
-	batches := 24
-	if testing.Short() {
-		batches = 12
-	}
-	g0, comm := gen.CommunityGraph(gen.PresetConfig(gen.PresetUK, 0.1))
-	byComm := map[int][]graph.VertexID{}
-	for v, c := range comm {
-		byComm[c] = append(byComm[c], graph.VertexID(v))
-	}
-	var split []int
-	for c := 0; c < len(byComm); c++ {
-		if n := len(byComm[c]); n >= 65 && n <= 72 {
-			split = append(split, c)
-		}
-	}
-	if len(split) == 0 {
-		t.Fatal("no planted community just larger than K")
-	}
+	sssp := func() algo.Algorithm { return algo.NewSSSP(0) }
+	pagerank := func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) }
 	// The restart reference converges to refTol, well inside tol.
-	for _, tc := range []struct {
+	type run struct {
 		name        string
 		mk          func() algo.Algorithm
 		tol, refTol float64
+	}
+	for _, row := range []struct {
+		scale            float64
+		minSize, maxSize int  // planted community sizes drawn from
+		together         bool // one sequence over all of them, not one each
+		batchSize        int
+		batches, short   int // batches per sequence, in full and under -short
+		seeds            []int64
+		shortSeeds       int // how many of seeds -short replays
+		workers          int
+		runs             []run
 	}{
-		{"sssp", func() algo.Algorithm { return algo.NewSSSP(0) }, 1e-9, 0},
-		{"pagerank", func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) }, 1e-4, 1e-7},
+		{0.1, 65, 72, false, 16, 24, 12, []int64{3, 5}, 2, 1, []run{
+			{"sssp", sssp, 1e-9, 0},
+			{"pagerank", pagerank, 1e-4, 1e-7},
+		}},
+		{0.25, 65, math.MaxInt, true, 256, 60, 10, []int64{1, 2, 3}, 1, 2, []run{
+			{"sssp", sssp, 1e-6, 0},
+		}},
 	} {
-		for _, c := range split {
-			for _, seed := range []int64{3, 5} {
-				t.Run(fmt.Sprintf("%s/comm=%d/seed=%d", tc.name, c, seed), func(t *testing.T) {
-					g := g0.Clone()
-					l := New(g, tc.mk(), Options{Workers: 1})
-					rng := rand.New(rand.NewSource(seed))
-					for b := 0; b < batches; b++ {
-						l.Update(delta.Apply(g, confinedBatch(rng, g, byComm[c], 16)))
-						want := engine.RunBatch(g, tc.mk(), engine.Options{Tolerance: tc.refTol})
-						if got := l.States()[:g.Cap()]; !algo.StatesClose(got, want.X, tc.tol) {
-							t.Fatalf("batch %d: states differ from restart by %g", b, algo.MaxStateDiff(got, want.X))
+		batches, seeds := row.batches, row.seeds
+		if testing.Short() {
+			batches, seeds = row.short, seeds[:row.shortSeeds]
+		}
+		g0, comm := gen.CommunityGraph(gen.PresetConfig(gen.PresetUK, row.scale))
+		byComm := map[int][]graph.VertexID{}
+		for v, c := range comm {
+			byComm[c] = append(byComm[c], graph.VertexID(v))
+		}
+		var groups [][][]graph.VertexID
+		var labels []string
+		for c := 0; c < len(byComm); c++ {
+			if n := len(byComm[c]); n < row.minSize || n > row.maxSize {
+				continue
+			}
+			if row.together && len(groups) > 0 {
+				groups[0] = append(groups[0], byComm[c])
+				continue
+			}
+			groups = append(groups, [][]graph.VertexID{byComm[c]})
+			labels = append(labels, fmt.Sprint(c))
+		}
+		if row.together {
+			labels[0] = fmt.Sprintf("%d-above-K", len(groups[0]))
+		}
+		if len(groups) == 0 || row.together && len(groups[0]) < 2 {
+			t.Fatalf("UK ×%g: too few planted communities of %d–%d vertices", row.scale, row.minSize, row.maxSize)
+		}
+		for _, r := range row.runs {
+			for i, comms := range groups {
+				for _, seed := range seeds {
+					t.Run(fmt.Sprintf("%s/comm=%s/seed=%d", r.name, labels[i], seed), func(t *testing.T) {
+						g := g0.Clone()
+						l := New(g, r.mk(), Options{Workers: row.workers})
+						if l.opt.Community.MaxSize != 64 {
+							t.Fatalf("default K = %d, want 64", l.opt.Community.MaxSize)
 						}
-						if err := l.CheckInvariants(); err != nil {
-							t.Fatalf("batch %d: %v", b, err)
+						rng := rand.New(rand.NewSource(seed))
+						for b := 0; b < batches; b++ {
+							batch := confinedBatch(rng, g, comm, comms, row.batchSize)
+							if len(batch) != row.batchSize {
+								t.Fatalf("batch %d: drew %d updates, want %d", b, len(batch), row.batchSize)
+							}
+							l.Update(delta.Apply(g, batch))
+							want := engine.RunBatch(g, r.mk(), engine.Options{Tolerance: r.refTol})
+							if got := l.States()[:g.Cap()]; !algo.StatesClose(got, want.X, r.tol) {
+								t.Fatalf("batch %d: states differ from restart by %g", b, algo.MaxStateDiff(got, want.X))
+							}
+							if err := l.CheckInvariants(); err != nil {
+								t.Fatalf("batch %d: %v", b, err)
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

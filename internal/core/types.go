@@ -251,8 +251,8 @@ type Options struct {
 	// workers serve min-scheme runs and dense sum starts.
 	Workers int
 	// AdaptiveCommunities makes every Update run the incremental community
-	// adjustment (community.AdjustDetailed) on the applied batch and migrate
-	// dense-subgraph membership to follow the partition — subgraph splits
+	// adjustment (community.Adjust) on the applied batch and migrate
+	// dense-subgraph membership along its move log — subgraph splits
 	// and merges are applied in place, refreshing only the affected
 	// subgraphs' layer structures. Off (the default) the memberships
 	// computed at build time stay frozen until a re-detection lands
@@ -287,7 +287,7 @@ type Layph struct {
 	// set, in which case adaptMembership evolves it every Update.
 	part *community.Partition
 	// commVerts indexes member lists by community id: built from the
-	// partition, kept in step with AdjustDetailed's move log and replaced
+	// partition, kept in step with community.Adjust's move log and replaced
 	// by a landing, so neither a rebuild nor the promotion of a drifted
 	// community rescans the partition. May retain dead vertices — readers
 	// filter by liveness, and a restructure drops them.

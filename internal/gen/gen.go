@@ -8,8 +8,7 @@
 // The structural property that matters for Layph is the community structure:
 // web graphs consist of many small dense subgraphs (sites) with sparse
 // cross-links, while social networks have fewer, much larger and less clearly
-// separated communities. CommunityGraph models both regimes directly; RMAT is
-// provided as a community-free adversarial workload.
+// separated communities. CommunityGraph models both regimes directly.
 package gen
 
 import (
@@ -152,54 +151,6 @@ func powerLawSize(rng *rand.Rand, mean, max int) int {
 		s = 2
 	}
 	return int(s)
-}
-
-// RMATConfig parameterizes RMAT.
-type RMATConfig struct {
-	Scale    int // 2^Scale vertices
-	EdgeFac  int // edges = EdgeFac * vertices
-	A, B, C  float64
-	Weighted bool
-	Seed     int64
-}
-
-// RMAT generates a recursive-matrix power-law graph (Chakrabarti et al.).
-// It has heavy-tailed degrees but no planted community structure, making it
-// the adversarial case for skeleton extraction.
-func RMAT(cfg RMATConfig) *graph.Graph {
-	if cfg.A == 0 && cfg.B == 0 && cfg.C == 0 {
-		cfg.A, cfg.B, cfg.C = 0.57, 0.19, 0.19
-	}
-	n := 1 << cfg.Scale
-	m := cfg.EdgeFac * n
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(n)
-	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for bit := n >> 1; bit > 0; bit >>= 1 {
-			r := rng.Float64()
-			switch {
-			case r < cfg.A:
-			case r < cfg.A+cfg.B:
-				v |= bit
-			case r < cfg.A+cfg.B+cfg.C:
-				u |= bit
-			default:
-				u |= bit
-				v |= bit
-			}
-		}
-		if u == v {
-			continue
-		}
-		w := 1.0
-		if cfg.Weighted {
-			w = 1 + 9*rng.Float64()
-		}
-		g.AddEdge(graph.VertexID(u), graph.VertexID(v), w)
-	}
-	g.SortAdjacency()
-	return g
 }
 
 // Preset names one of the scaled dataset stand-ins from Table I.

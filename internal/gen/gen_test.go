@@ -61,23 +61,6 @@ func TestCommunityGraphUnweighted(t *testing.T) {
 	})
 }
 
-func TestRMAT(t *testing.T) {
-	g := RMAT(RMATConfig{Scale: 10, EdgeFac: 8, Seed: 1})
-	if g.NumVertices() != 1024 {
-		t.Fatalf("V = %d", g.NumVertices())
-	}
-	if g.NumEdges() < 1024 { // duplicates and self-loops discarded, but most survive
-		t.Fatalf("E = %d, too few", g.NumEdges())
-	}
-	if err := g.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	s := graph.ComputeStats(g)
-	if s.MaxOutDegree < 20 {
-		t.Fatalf("RMAT should be heavy-tailed, max out-degree %d", s.MaxOutDegree)
-	}
-}
-
 func TestPresets(t *testing.T) {
 	for _, p := range AllPresets {
 		g := Build(p, 0.02)

@@ -470,7 +470,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.st.Metrics()
 	snap := s.st.Query()
 	resp := metricsResponse{
-		Ready:           true,
+		Ready:           !s.st.Closed(),
 		Draining:        s.draining.Load(),
 		Seq:             snap.Seq,
 		Updates:         snap.Updates,

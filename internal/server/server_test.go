@@ -338,6 +338,13 @@ func TestGracefulShutdown(t *testing.T) {
 	if hz["draining"] != true || hz["ready"] != false {
 		t.Fatalf("healthz after shutdown: %v", hz)
 	}
+	var mr metricsResponse
+	if code, raw := doJSON(t, http.MethodGet, d.ts.URL+"/metrics", "", nil, &mr); code != http.StatusOK {
+		t.Fatalf("metrics after shutdown: %d %s", code, raw)
+	}
+	if mr.Ready || !mr.Draining {
+		t.Fatalf("metrics after shutdown: ready=%v draining=%v, want false true", mr.Ready, mr.Draining)
+	}
 	if err := d.srv.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
