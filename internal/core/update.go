@@ -87,9 +87,11 @@ func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition
 	// Rows whose out-edges (or, for degree-dependent weights, out-weights)
 	// changed: sources of changed edges and removed vertices together with
 	// the entry proxies carrying their edges, and added vertices.
-	changedEdges := append(append([]graph.DeletedEdge(nil), applied.AddedEdges...), applied.RemovedEdges...)
-	for _, e := range changedEdges {
-		l.touchSource(e.From)
+	changedEdges := [2][]graph.DeletedEdge{applied.AddedEdges, applied.RemovedEdges}
+	for _, edges := range changedEdges {
+		for _, e := range edges {
+			l.touchSource(e.From)
+		}
 	}
 	for _, v := range applied.RemovedVertices {
 		l.touchSource(v)
@@ -120,13 +122,15 @@ func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition
 		}
 		return (r > 0 && count >= r) != l.hasProxy(reg, c, host)
 	}
-	for _, e := range changedEdges {
-		su, sv := subOfSafe(e.From), subOfSafe(e.To)
-		if sv != NoSubgraph && su != sv && flips(e.From, sv, l.g.Out(e.From), l.entryProxy) {
-			pending = append(pending, sv)
-		}
-		if su != NoSubgraph && su != sv && flips(e.To, su, l.g.In(e.To), l.exitProxy) {
-			pending = append(pending, su)
+	for _, edges := range changedEdges {
+		for _, e := range edges {
+			su, sv := subOfSafe(e.From), subOfSafe(e.To)
+			if sv != NoSubgraph && su != sv && flips(e.From, sv, l.g.Out(e.From), l.entryProxy) {
+				pending = append(pending, sv)
+			}
+			if su != NoSubgraph && su != sv && flips(e.To, su, l.g.In(e.To), l.exitProxy) {
+				pending = append(pending, su)
+			}
 		}
 	}
 	for _, v := range applied.RemovedVertices {

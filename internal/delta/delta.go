@@ -5,8 +5,8 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -68,7 +68,9 @@ type Batch []Update
 // Applied captures the NET effect of a batch on a graph plus a chronological
 // log, sufficient both for revision-message deduction by the engines (which
 // must see net pre-batch → post-batch differences, not intermediate churn)
-// and for undoing the batch exactly.
+// and for undoing the batch exactly. Apply nets the batch from the events
+// its own mutations report, stably sorted by key: the first event on a key
+// holds the pre-batch state and the last one the post-batch state.
 type Applied struct {
 	// AddedEdges lists edges present after the batch that were absent (or
 	// had a different weight) before it; for weight changes the matching
@@ -111,41 +113,52 @@ func (a *Applied) Empty() bool {
 		len(a.AddedVertices) == 0 && len(a.RemovedVertices) == 0
 }
 
+// edgeEvent is one write an edge mutation made to the pair key u<<32|v:
+// the edge's state just before it and just after it.
+type edgeEvent struct {
+	key       uint64
+	wasW, isW float64
+	was, is   bool
+}
+
+// adds reports whether the edge is in the graph after e with a weight it
+// did not have before; removes whether it was in the graph before e and is
+// gone or reweighted after it.
+func (e edgeEvent) adds() bool    { return e.is && (!e.was || e.wasW != e.isW) }
+func (e edgeEvent) removes() bool { return e.was && (!e.is || e.wasW != e.isW) }
+
+// vertexEvent is one liveness change of v; was is v's liveness before it.
+type vertexEvent struct {
+	v   graph.VertexID
+	was bool
+}
+
 // Apply mutates g according to the batch and returns the effective NET
 // changes. Updates that are no-ops on the current graph (deleting a missing
 // edge, adding an existing edge with identical weight, deleting a dead
 // vertex) are skipped silently — random streams legitimately contain such
 // collisions, and a batch that adds then deletes the same edge nets out to
 // nothing.
+//
+// Every mutation appends an event with the state it found and the state it
+// left, taken from what the graph call returns, so the graph is never
+// probed twice. A stable sort by key keeps each key's events in batch
+// order: its first event's before-state is the pre-batch state and its
+// last event's after-state the post-batch state.
 func Apply(g *graph.Graph, b Batch) *Applied {
-	a := &Applied{}
-	// before captures, at first touch, whether an edge / a vertex existed
-	// pre-batch and with what weight; net summaries compare it to the
-	// post-batch graph.
-	beforeE := make(map[uint64]edgeBefore)
-	beforeV := make(map[graph.VertexID]bool)
-	key := func(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
-	touchEdge := func(u, v graph.VertexID) {
-		k := key(u, v)
-		if _, seen := beforeE[k]; !seen {
-			w, ok := g.HasEdge(u, v)
-			beforeE[k] = edgeBefore{w: w, exists: ok}
-		}
-	}
-	touchVertex := func(v graph.VertexID) {
-		if _, seen := beforeV[v]; !seen {
-			beforeV[v] = g.Alive(v)
-		}
-	}
-
+	a := &Applied{log: make([]logRec, 0, len(b))}
+	ev := make([]edgeEvent, 0, len(b))
+	var vev []vertexEvent
 	for _, u := range b {
 		switch u.Kind {
 		case AddEdge:
 			if !g.Alive(u.U) || !g.Alive(u.V) || u.U == u.V {
 				continue
 			}
-			touchEdge(u.U, u.V)
 			prev, replaced := g.AddEdge(u.U, u.V, u.W)
+			// Recorded even when the weight compares equal: 0 and -0 do, and
+			// the graph now holds the new bits.
+			ev = append(ev, edgeEvent{key: edgeKey(u.U, u.V), wasW: prev, was: replaced, isW: u.W, is: true})
 			if replaced {
 				if prev == u.W {
 					continue // true no-op
@@ -155,8 +168,8 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 				a.log = append(a.log, logRec{op: opAddEdge, u: u.U, v: u.V, w: u.W})
 			}
 		case DelEdge:
-			touchEdge(u.U, u.V)
 			if w, ok := g.DeleteEdge(u.U, u.V); ok {
+				ev = append(ev, edgeEvent{key: edgeKey(u.U, u.V), wasW: w, was: true})
 				a.log = append(a.log, logRec{op: opDelEdge, u: u.U, v: u.V, w: w})
 			}
 		case AddVertex:
@@ -164,13 +177,13 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 				if g.Alive(u.U) {
 					continue
 				}
-				touchVertex(u.U)
+				vev = append(vev, vertexEvent{v: u.U})
 				g.ReviveVertex(u.U)
 				a.log = append(a.log, logRec{op: opRevive, u: u.U})
 			} else {
 				for int(u.U) >= g.Cap() {
 					id := g.AddVertex()
-					beforeV[id] = false
+					vev = append(vev, vertexEvent{v: id})
 					a.log = append(a.log, logRec{op: opNewVertex, u: id})
 				}
 			}
@@ -178,58 +191,102 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 			if !g.Alive(u.U) {
 				continue
 			}
-			touchVertex(u.U)
+			vev = append(vev, vertexEvent{v: u.U, was: true})
 			removed := g.DeleteVertex(u.U)
 			for _, d := range removed {
-				touchEdgeLate(beforeE, key(d.From, d.To), d.W)
+				ev = append(ev, edgeEvent{key: edgeKey(d.From, d.To), wasW: d.W, was: true})
 			}
 			a.log = append(a.log, logRec{op: opDelVertex, u: u.U, edges: removed})
 		}
 	}
+	if len(a.log) == 0 {
+		a.log = nil // a batch that changed nothing keeps no log
+	}
 
-	// Net edge summaries, in ascending key order, i.e. by (From, To): map
-	// order would make every consumer that folds the changes in list order
-	// differ from run to run.
-	for _, k := range slices.Sorted(maps.Keys(beforeE)) {
-		b0 := beforeE[k]
-		u := graph.VertexID(k >> 32)
-		v := graph.VertexID(k & 0xffffffff)
-		w1, exists1 := g.HasEdge(u, v)
-		switch {
-		case !b0.exists && exists1:
-			a.AddedEdges = append(a.AddedEdges, graph.DeletedEdge{From: u, To: v, W: w1})
-		case b0.exists && !exists1:
-			a.RemovedEdges = append(a.RemovedEdges, graph.DeletedEdge{From: u, To: v, W: b0.w})
-		case b0.exists && exists1 && b0.w != w1:
-			a.RemovedEdges = append(a.RemovedEdges, graph.DeletedEdge{From: u, To: v, W: b0.w})
-			a.AddedEdges = append(a.AddedEdges, graph.DeletedEdge{From: u, To: v, W: w1})
+	// Net edge summaries in ascending key order, i.e. by (From, To), so
+	// every consumer that folds the changes in list order sees one order.
+	// Each key's run of events folds, in place, into one net event: the
+	// first event's before-state and the last one's after-state.
+	ev = sortByKey(ev)
+	keys, nAdd, nRem := 0, 0, 0
+	for i := 0; i < len(ev); keys++ {
+		net := ev[i]
+		for i++; i < len(ev) && ev[i].key == net.key; i++ {
+		}
+		net.isW, net.is = ev[i-1].isW, ev[i-1].is
+		ev[keys] = net
+		if net.adds() {
+			nAdd++
+		}
+		if net.removes() {
+			nRem++
+		}
+	}
+	if nAdd > 0 {
+		a.AddedEdges = make([]graph.DeletedEdge, 0, nAdd)
+	}
+	if nRem > 0 {
+		a.RemovedEdges = make([]graph.DeletedEdge, 0, nRem)
+	}
+	for _, e := range ev[:keys] {
+		u, v := graph.VertexID(e.key>>32), graph.VertexID(e.key)
+		if e.removes() {
+			a.RemovedEdges = append(a.RemovedEdges, graph.DeletedEdge{From: u, To: v, W: e.wasW})
+		}
+		if e.adds() {
+			a.AddedEdges = append(a.AddedEdges, graph.DeletedEdge{From: u, To: v, W: e.isW})
 		}
 	}
 	// Net vertex summaries, in ascending order.
-	for _, v := range slices.Sorted(maps.Keys(beforeV)) {
-		was, is := beforeV[v], g.Alive(v)
-		switch {
-		case !was && is:
-			a.AddedVertices = append(a.AddedVertices, v)
-		case was && !is:
-			a.RemovedVertices = append(a.RemovedVertices, v)
+	slices.SortStableFunc(vev, func(x, y vertexEvent) int { return cmp.Compare(x.v, y.v) })
+	for i := 0; i < len(vev); {
+		first := vev[i]
+		for i++; i < len(vev) && vev[i].v == first.v; i++ {
+		}
+		switch is := g.Alive(first.v); {
+		case !first.was && is:
+			a.AddedVertices = append(a.AddedVertices, first.v)
+		case first.was && !is:
+			a.RemovedVertices = append(a.RemovedVertices, first.v)
 		}
 	}
 	return a
 }
 
-type edgeBefore struct {
-	w      float64
-	exists bool
-}
+func edgeKey(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
 
-// touchEdgeLate records a pre-batch edge observation for an edge removed as
-// a side effect of DeleteVertex: edges created earlier in the batch are
-// already in beforeE, so an unseen pair here genuinely predates the batch.
-func touchEdgeLate(beforeE map[uint64]edgeBefore, k uint64, w float64) {
-	if _, seen := beforeE[k]; !seen {
-		beforeE[k] = edgeBefore{w: w, exists: true}
+// sortByKey sorts ev by key and keeps events on one key in their order: an
+// LSD radix sort (stable by construction) with one counting pass per key
+// byte that is not the same in every event. It returns the sorted events,
+// in ev's backing array or in a scratch one.
+func sortByKey(ev []edgeEvent) []edgeEvent {
+	if len(ev) < 2 {
+		return ev
 	}
+	var count [8][256]int32
+	for _, e := range ev {
+		for b := range count {
+			count[b][byte(e.key>>(8*b))]++
+		}
+	}
+	src, dst := ev, make([]edgeEvent, len(ev))
+	for b := range count {
+		c := &count[b]
+		if c[byte(src[0].key>>(8*b))] == int32(len(src)) {
+			continue // every key has this byte
+		}
+		var sum int32
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, e := range src {
+			d := byte(e.key >> (8 * b))
+			dst[c[d]] = e
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Undo replays the batch log in reverse, restoring g to its exact pre-batch

@@ -58,30 +58,46 @@ func TestParseUpdateErrors(t *testing.T) {
 	}
 }
 
-// TestParseUpdateUntrustedInput covers the hostile shapes the wire format
-// receives once it fronts an HTTP endpoint: the parser must reject them
-// with an error (never panic, never let a poisoned value through).
+// untrustedRejects are the hostile shapes the wire format receives once it
+// fronts an HTTP endpoint: the parser must reject them with an error (never
+// panic, never let a poisoned value through).
+var untrustedRejects = []struct {
+	name, line string
+	wantErr    string
+}{
+	{"nan weight", "a 1 2 NaN", "non-finite"},
+	{"pos-inf weight", "a 1 2 Inf", "non-finite"},
+	{"neg-inf weight", "a 1 2 -Inf", "non-finite"},
+	{"negative weight", "a 1 2 -3.5", "negative weight"},
+	{"overflowing weight", "a 1 2 1e309", "bad weight"},
+	{"hex weight", "a 1 2 0xFF", "bad weight"},
+	{"id overflows uint32", "a 4294967296 2", "bad vertex id"},
+	{"negative id", "a 1 -2", "bad vertex id"},
+	{"float id", "a 1.5 2", "bad vertex id"},
+	{"empty after op", "a", "want 'a <u> <v> [w]'"},
+	{"extra fields", "a 1 2 3 4", "want 'a <u> <v> [w]'"},
+	{"delete with weight", "d 1 2 3", "want 'd <u> <v>'"},
+	{"unknown op", "addedge 1 2", "unknown update op"},
+	{"null bytes", "a \x00 2", "bad vertex id"},
+}
+
+// untrustedAccepts are benign shapes that stay accepted: zero weight,
+// omitted weight, big-but-valid ids, scientific notation, surrounding
+// whitespace.
+var untrustedAccepts = []struct {
+	line string
+	want Update
+}{
+	{"a 1 2 0", Update{Kind: AddEdge, U: 1, V: 2, W: 0}},
+	{"a 1 2", Update{Kind: AddEdge, U: 1, V: 2, W: 1}},
+	{"a 4294967295 0 2e-3", Update{Kind: AddEdge, U: 4294967295, V: 0, W: 0.002}},
+	{"  d   7   9  ", Update{Kind: DelEdge, U: 7, V: 9}},
+}
+
+// TestParseUpdateUntrustedInput requires untrustedRejects rejected with
+// their error and untrustedAccepts parsed as given.
 func TestParseUpdateUntrustedInput(t *testing.T) {
-	cases := []struct {
-		name, line string
-		wantErr    string
-	}{
-		{"nan weight", "a 1 2 NaN", "non-finite"},
-		{"pos-inf weight", "a 1 2 Inf", "non-finite"},
-		{"neg-inf weight", "a 1 2 -Inf", "non-finite"},
-		{"negative weight", "a 1 2 -3.5", "negative weight"},
-		{"overflowing weight", "a 1 2 1e309", "bad weight"},
-		{"hex weight", "a 1 2 0xFF", "bad weight"},
-		{"id overflows uint32", "a 4294967296 2", "bad vertex id"},
-		{"negative id", "a 1 -2", "bad vertex id"},
-		{"float id", "a 1.5 2", "bad vertex id"},
-		{"empty after op", "a", "want 'a <u> <v> [w]'"},
-		{"extra fields", "a 1 2 3 4", "want 'a <u> <v> [w]'"},
-		{"delete with weight", "d 1 2 3", "want 'd <u> <v>'"},
-		{"unknown op", "addedge 1 2", "unknown update op"},
-		{"null bytes", "a \x00 2", "bad vertex id"},
-	}
-	for _, tc := range cases {
+	for _, tc := range untrustedRejects {
 		t.Run(tc.name, func(t *testing.T) {
 			u, err := ParseUpdate(tc.line)
 			if err == nil {
@@ -92,18 +108,7 @@ func TestParseUpdateUntrustedInput(t *testing.T) {
 			}
 		})
 	}
-	// Benign shapes stay accepted: zero weight, omitted weight, big-but-
-	// valid ids, scientific notation, surrounding whitespace.
-	ok := []struct {
-		line string
-		want Update
-	}{
-		{"a 1 2 0", Update{Kind: AddEdge, U: 1, V: 2, W: 0}},
-		{"a 1 2", Update{Kind: AddEdge, U: 1, V: 2, W: 1}},
-		{"a 4294967295 0 2e-3", Update{Kind: AddEdge, U: 4294967295, V: 0, W: 0.002}},
-		{"  d   7   9  ", Update{Kind: DelEdge, U: 7, V: 9}},
-	}
-	for _, tc := range ok {
+	for _, tc := range untrustedAccepts {
 		u, err := ParseUpdate(tc.line)
 		if err != nil {
 			t.Fatalf("ParseUpdate(%q): %v", tc.line, err)
@@ -112,6 +117,34 @@ func TestParseUpdateUntrustedInput(t *testing.T) {
 			t.Fatalf("ParseUpdate(%q) = %v, want %v", tc.line, u, tc.want)
 		}
 	}
+}
+
+// FuzzParseUpdate: ParseUpdate never panics, an update it accepts has a
+// weight CheckWeight accepts, and FormatUpdate then ParseUpdate gives the
+// update back unchanged.
+func FuzzParseUpdate(f *testing.F) {
+	for _, tc := range untrustedRejects {
+		f.Add(tc.line)
+	}
+	for _, tc := range untrustedAccepts {
+		f.Add(tc.line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		u, err := ParseUpdate(line)
+		if err != nil {
+			return
+		}
+		if err := CheckWeight(u.W); err != nil {
+			t.Fatalf("ParseUpdate(%q) accepted %v: %v", line, u, err)
+		}
+		text, err := FormatUpdate(u)
+		if err != nil {
+			t.Fatalf("FormatUpdate(%v) of ParseUpdate(%q): %v", u, line, err)
+		}
+		if back, err := ParseUpdate(text); err != nil || back != u {
+			t.Fatalf("ParseUpdate(%q) = %v, %v; want %v (from %q)", text, back, err, u, line)
+		}
+	})
 }
 
 // A duplicate add/del of the same edge inside one batch must net out to
