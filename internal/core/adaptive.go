@@ -23,7 +23,8 @@ func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves i
 	}
 	for _, m := range moved {
 		if m.From >= 0 {
-			l.commVerts[m.From] = removeVertex(l.commVerts[m.From], m.V)
+			// Order feeds compact-ID assignment, so the list keeps it.
+			l.commVerts[m.From] = slices.DeleteFunc(l.commVerts[m.From], func(v graph.VertexID) bool { return v == m.V })
 		}
 		if m.To >= 0 {
 			l.commVerts[m.To] = append(l.commVerts[m.To], m.V)
@@ -130,7 +131,7 @@ func (l *Layph) migrate(moved []community.VertexMove) (forced []int32) {
 			continue
 		}
 		l.evaluations++
-		if dec := l.evaluateCommunity(c, live); !dec.dense {
+		if dec := l.evaluateCommunity(live); !dec.dense {
 			continue
 		}
 		for _, v := range live {
@@ -141,17 +142,6 @@ func (l *Layph) migrate(moved []community.VertexMove) (forced []int32) {
 		forced = append(forced, c)
 	}
 	return forced
-}
-
-// removeVertex deletes the first occurrence of v from list, preserving order
-// (order feeds compact-ID assignment, which must stay deterministic).
-func removeVertex(list []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	for i := range list {
-		if list[i] == v {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // CommunityStats reports the partition's live community count against its

@@ -31,11 +31,8 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 		sr:         a.Semiring(),
 		opt:        opt,
 		subs:       make(map[int32]*Subgraph),
-		entryProxy: make(map[proxyKey]graph.VertexID),
-		exitProxy:  make(map[proxyKey]graph.VertexID),
+		proxiesOf:  make(map[graph.VertexID][]proxyRef),
 		LastPhases: metrics.NewPhases(),
-
-		entryProxiesOf: make(map[graph.VertexID][]graph.VertexID),
 	}
 	l.pool = pool.New(opt.Workers)
 	l.lup = engine.NewRunner(l.sr)
@@ -51,7 +48,7 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l.OfflineStats.DetectSeconds = time.Since(buildStart).Seconds()
 
 	l.origCap = g.Cap()
-	l.growFlat(l.origCap, NoSubgraph, RoleDead, NoHost, false)
+	l.growFlat(l.origCap, NoSubgraph, RoleDead, NoHost)
 	l.beginLayering()
 	g.Vertices(func(v graph.VertexID) {
 		l.setRole(v, RoleOutlier)

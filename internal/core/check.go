@@ -36,6 +36,9 @@ func (l *Layph) CheckInvariants() error {
 			return fmt.Errorf("vertex %d: origCap=%d but proxyHost=%v", v, l.origCap, l.proxyHost[v])
 		}
 	}
+	if err := l.checkProxyTable(); err != nil {
+		return err
+	}
 	// flatIn mirrors flatOut.
 	inCount := 0
 	for v := 0; v < n; v++ {
@@ -256,19 +259,50 @@ func (l *Layph) checkReplication(s *Subgraph) error {
 		}
 	}
 	for _, p := range s.proxies {
-		if !l.proxyAlive[p] {
+		if !l.flatAlive(p) {
 			return fmt.Errorf("sub %d: dead proxy %d", s.ID, p)
 		}
-		if h := l.proxyHost[p]; l.entryProxy[proxyKey{s.ID, h}] == p {
+		h := l.proxyHost[p]
+		if q, ok := l.proxyOf(true, s.ID, h); ok && q == p {
 			entries = append(entries, h)
 		} else {
 			exits = append(exits, h)
 		}
 	}
-	want := l.evaluateCommunity(s.ID, live)
+	want := l.evaluateCommunity(live)
 	if !sameVertices(entries, want.entryHosts) || !sameVertices(exits, want.exitHosts) {
 		return fmt.Errorf("sub %d: proxies replicate hosts %v into and %v out of it, the replication rule picks %v and %v",
 			s.ID, entries, exits, want.entryHosts, want.exitHosts)
+	}
+	return nil
+}
+
+// checkProxyTable validates the proxy refs: each proxy slot has one ref,
+// filed under the proxy's host; a host has at most one ref per (subgraph,
+// side); and a proxy is live, in the ref's subgraph, exactly when that
+// subgraph lists it.
+func (l *Layph) checkProxyTable() error {
+	refs := 0
+	for h, rs := range l.proxiesOf {
+		refs += len(rs)
+		for i, r := range rs {
+			if int(r.p) < l.origCap || int(r.p) >= l.flatN() || l.proxyHost[r.p] != h {
+				return fmt.Errorf("host %d: ref to %d, which is not its proxy", h, r.p)
+			}
+			for _, o := range rs[:i] {
+				if o.sub == r.sub && o.entry == r.entry {
+					return fmt.Errorf("host %d: proxies %d and %d share sub %d, entry=%v", h, o.p, r.p, r.sub, r.entry)
+				}
+			}
+			s := l.subs[r.sub]
+			listed := s != nil && slices.Contains(s.proxies, r.p)
+			if live := l.flatAlive(r.p); live != listed || (live && l.subOf[r.p] != r.sub) {
+				return fmt.Errorf("host %d: proxy %d in sub %d: live=%v (subOf %d), listed=%v", h, r.p, r.sub, live, l.subOf[r.p], listed)
+			}
+		}
+	}
+	if slots := l.flatN() - l.origCap; refs != slots {
+		return fmt.Errorf("%d proxy refs for %d proxy slots", refs, slots)
 	}
 	return nil
 }

@@ -167,17 +167,17 @@ func localFixpoint(sr algo.Semiring, lf *localFrame, role []Role, cu int32) []fl
 func TestEquivalenceAllAlgorithms(t *testing.T) {
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "layph/"+name, factory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "layph/" + name, New: factory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }
 
 func TestEquivalenceWithVertexUpdates(t *testing.T) {
-	cfg := enginetest.DefaultConfig()
-	cfg.VertexUpdates = true
+	cfg := enginetest.EquivalenceConfig()
+	cfg.AddVertices, cfg.DelVertices = 3, 3
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "layph/"+name, factory, mk, cfg)
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "layph/" + name, New: factory}}, mk, cfg)
 		})
 	}
 }
@@ -185,7 +185,7 @@ func TestEquivalenceWithVertexUpdates(t *testing.T) {
 func TestEquivalenceWithoutReplication(t *testing.T) {
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "layph-norepl/"+name, factoryNoReplication, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "layph-norepl/" + name, New: factoryNoReplication}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }

@@ -365,8 +365,8 @@ func TestRemoveThenReviveProxyHost(t *testing.T) {
 			}
 			l := New(g, mk(), Options{Community: commCfg(12), Workers: 1})
 			sub := l.subOf[17]
-			p, ok := l.entryProxy[proxyKey{sub, host}]
-			if !ok || !l.proxyAlive[p] {
+			p, ok := l.proxyOf(true, sub, host)
+			if !ok {
 				t.Fatal("host is not replicated")
 			}
 			var revive delta.Batch
@@ -388,12 +388,12 @@ func TestRemoveThenReviveProxyHost(t *testing.T) {
 				}
 			}
 			l.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelVertex, U: host}}))
-			if l.proxyAlive[p] || len(l.entryProxiesOf[host]) != 0 {
+			if l.flatAlive(p) || slices.ContainsFunc(l.proxiesOf[host], func(r proxyRef) bool { return r.entry && l.flatAlive(r.p) }) {
 				t.Fatal("proxy of a removed host survived")
 			}
 			check("removed")
 			l.Update(delta.Apply(g, revive))
-			if !l.proxyAlive[p] || l.entryProxy[proxyKey{sub, host}] != p {
+			if q, ok := l.proxyOf(true, sub, host); !ok || q != p {
 				t.Fatal("revived host's proxy did not come back under its id")
 			}
 			check("revived")

@@ -41,6 +41,11 @@ type updScratch struct {
 	// cands collects the current round's frame-edit candidates.
 	cands []graph.VertexID
 
+	// evaluateCommunity's working set: the community's members and the
+	// external endpoints of their cross edges, sources and targets.
+	members        scratch.Set
+	extSrc, extDst []graph.VertexID
+
 	// rows diffs out-rows for the flat refresh; rowBuf and upBuf are
 	// editFrame's and refreshUpVertex's row buffers.
 	rows   rowDiff

@@ -26,118 +26,128 @@ type denseDecision struct {
 	exitHosts  []graph.VertexID // external targets to replicate (exit side)
 }
 
-// evaluateCommunity counts boundary vertices and internal edges of the
-// community as they would look after replication, and applies the density
-// test.
-func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecision {
+// evaluateCommunity counts the boundary vertices and internal edges of a
+// community's live members as they would look after replication, and
+// applies the density test.
+func (l *Layph) evaluateCommunity(members []graph.VertexID) denseDecision {
 	var d denseDecision
 	if len(members) < 2 {
 		return d
 	}
-	in := make(map[graph.VertexID]struct{}, len(members))
+	sc := &l.scratch
+	sc.members.Reset(0)
 	for _, v := range members {
-		in[v] = struct{}{}
+		sc.members.Add(v)
 	}
-	r := l.opt.replication()
-
-	inCount := make(map[graph.VertexID]int)  // external source -> #edges into c
-	outCount := make(map[graph.VertexID]int) // external target -> #edges out of c
-	intraEdges := 0
+	// One external endpoint per cross edge: the sources of edges into the
+	// community and the targets of edges out of it.
+	srcs, dsts := sc.extSrc[:0], sc.extDst[:0]
+	internalEdges := 0
 	for _, v := range members {
 		for _, e := range l.g.Out(v) {
-			if _, ok := in[e.To]; ok {
-				intraEdges++
+			if sc.members.Has(e.To) {
+				internalEdges++
 			} else {
-				outCount[e.To]++
+				dsts = append(dsts, e.To)
 			}
 		}
 		for _, e := range l.g.In(v) {
-			if _, ok := in[e.To]; !ok {
-				inCount[e.To]++
+			if !sc.members.Has(e.To) {
+				srcs = append(srcs, e.To)
 			}
 		}
 	}
-	entryProxied := make(map[graph.VertexID]struct{})
-	exitProxied := make(map[graph.VertexID]struct{})
-	if r > 0 {
-		for h, n := range inCount {
-			if n >= r {
-				entryProxied[h] = struct{}{}
-				d.entryHosts = append(d.entryHosts, h)
-			}
-		}
-		for h, n := range outCount {
-			if n >= r {
-				exitProxied[h] = struct{}{}
-				d.exitHosts = append(d.exitHosts, h)
-			}
-		}
-	}
-	slices.Sort(d.entryHosts)
-	slices.Sort(d.exitHosts)
+	sc.extSrc, sc.extDst = srcs, dsts
+	r := l.opt.replication()
+	d.entryHosts, d.exitHosts = replicated(srcs, r), replicated(dsts, r)
 
 	// Post-replication boundary/edge counts: an edge from a replicated host
 	// becomes internal (it now targets vertices from the in-subgraph proxy),
-	// so it stops conferring entry status; symmetrically for exits.
-	entries := make(map[graph.VertexID]struct{})
-	exits := make(map[graph.VertexID]struct{})
-	internalEdges := intraEdges
-	for _, v := range members {
-		for _, e := range l.g.In(v) {
-			if _, ok := in[e.To]; ok {
+	// so it stops conferring entry status; symmetrically for exits. boundary
+	// applies this to one member's in- or out-edges and returns 1 when the
+	// member stays a boundary vertex on that side.
+	boundary := func(edges []graph.Edge, hosts []graph.VertexID) int {
+		n := 0
+		for _, e := range edges {
+			if sc.members.Has(e.To) {
 				continue
 			}
-			if _, prox := entryProxied[e.To]; prox {
+			if _, prox := slices.BinarySearch(hosts, e.To); prox {
 				internalEdges++
 			} else {
-				entries[v] = struct{}{}
+				n = 1
 			}
 		}
-		for _, e := range l.g.Out(v) {
-			if _, ok := in[e.To]; ok {
-				continue
-			}
-			if _, prox := exitProxied[e.To]; prox {
-				internalEdges++
-			} else {
-				exits[v] = struct{}{}
-			}
-		}
+		return n
 	}
-	d.dense = denseEnough(len(entries)+len(d.entryHosts), len(exits)+len(d.exitHosts), internalEdges)
+	entries, exits := len(d.entryHosts), len(d.exitHosts)
+	for _, v := range members {
+		entries += boundary(l.g.In(v), d.entryHosts)
+		exits += boundary(l.g.Out(v), d.exitHosts)
+	}
+	d.dense = denseEnough(entries, exits, internalEdges)
 	return d
 }
 
-// allocProxy returns the entry (or exit) proxy id for (sub, host),
-// allocating a fresh flat vertex when absent, and revives it if orphaned.
-func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.VertexID {
-	reg := l.exitProxy
-	if entry {
-		reg = l.entryProxy
+// replicated sorts ext, the external endpoints of a community's cross
+// edges on one side, and returns in ascending order the hosts with at least
+// r edges: the vertices to replicate (none when r is 0, replication off).
+func replicated(ext []graph.VertexID, r int) []graph.VertexID {
+	if r == 0 {
+		return nil
 	}
-	k := proxyKey{sub: sub, host: host}
-	p, ok := reg[k]
-	if ok {
-		if l.proxyAlive[p] {
-			return p
+	slices.Sort(ext)
+	var hosts []graph.VertexID
+	for i := 0; i < len(ext); {
+		j := i + 1
+		for j < len(ext) && ext[j] == ext[i] {
+			j++
 		}
-		l.proxyAlive[p] = true
-		l.subOf[p] = sub
-	} else {
-		p = graph.VertexID(l.flatN())
-		reg[k] = p
-		l.growFlat(1, sub, RoleInternal, host, true) // the role is refined by recomputeDirtyRoles
+		if j-i >= r {
+			hosts = append(hosts, ext[i])
+		}
+		i = j
 	}
-	if entry {
-		l.entryProxiesOf[host] = append(l.entryProxiesOf[host], p)
+	return hosts
+}
+
+// proxyOf returns host's live proxy in subgraph sub on the entry (or exit)
+// side.
+func (l *Layph) proxyOf(entry bool, sub int32, host graph.VertexID) (graph.VertexID, bool) {
+	for _, r := range l.proxiesOf[host] {
+		if r.sub == sub && r.entry == entry && l.subOf[r.p] != NoSubgraph {
+			return r.p, true
+		}
 	}
+	return 0, false
+}
+
+// allocProxy returns host's entry (or exit) proxy in subgraph sub. It
+// revives an orphaned one, moving its ref to the end of the host's list,
+// and allocates a fresh flat vertex when the host never had one there.
+// Orphaning a proxy is setting its subOf to NoSubgraph.
+func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.VertexID {
+	refs := l.proxiesOf[host]
+	for i, r := range refs {
+		if r.sub != sub || r.entry != entry {
+			continue
+		}
+		if l.subOf[r.p] == NoSubgraph {
+			l.subOf[r.p] = sub
+			l.proxiesOf[host] = append(slices.Delete(refs, i, i+1), r)
+		}
+		return r.p
+	}
+	p := graph.VertexID(l.flatN())
+	l.proxiesOf[host] = append(refs, proxyRef{p: p, sub: sub, entry: entry})
+	l.growFlat(1, sub, RoleInternal, host) // the role is refined by recomputeDirtyRoles
 	return p
 }
 
 // growFlat appends k slots to every flat-space vector: vertices with no
 // state, parent or rows, outside every frame. Each vector is reallocated
 // at most once.
-func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID, alive bool) {
+func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID) {
 	n := l.flatN()
 	l.subOf = inc.GrowVectors(l.subOf, n+k, sub)
 	l.role = inc.GrowVectors(l.role, n+k, RoleDead)
@@ -145,7 +155,6 @@ func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID, alive
 		l.setRole(graph.VertexID(v), role)
 	}
 	l.proxyHost = inc.GrowVectors(l.proxyHost, n+k, host)
-	l.proxyAlive = inc.GrowVectors(l.proxyAlive, n+k, alive)
 	l.localIdx = inc.GrowVectors(l.localIdx, n+k, -1)
 	l.flatOut = inc.GrowVectors(l.flatOut, n+k, nil)
 	l.flatIn = inc.GrowVectors(l.flatIn, n+k, nil)
@@ -156,26 +165,9 @@ func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID, alive
 	}
 }
 
-// orphanProxy retires a live proxy: it leaves its subgraph and the host's
-// entry-proxy index. Its registry slot stays, so a later allocProxy revives
-// the same id.
-func (l *Layph) orphanProxy(p graph.VertexID) {
-	if !l.proxyAlive[p] {
-		return
-	}
-	l.proxyAlive[p] = false
-	l.subOf[p] = NoSubgraph
-	h := l.proxyHost[p]
-	if ps := removeVertex(l.entryProxiesOf[h], p); len(ps) > 0 {
-		l.entryProxiesOf[h] = ps
-	} else {
-		delete(l.entryProxiesOf, h)
-	}
-}
-
 // computeFlatOut derives the flat out-list of a flat vertex from the graph
-// and the current proxy registries. Precedence for a cross-subgraph edge
-// that qualifies for both sides: the exit-side proxy wins (the edge is
+// and the current proxies. Precedence for a cross-subgraph edge that
+// qualifies for both sides: the exit-side proxy wins (the edge is
 // swallowed into the source's subgraph).
 func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) {
@@ -190,27 +182,24 @@ func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
 	for _, e := range l.g.Out(v) {
 		w := l.a.EdgeWeight(l.g, v, e)
 		st := l.subOf[e.To]
-		switch {
-		case sv != NoSubgraph && st == sv:
-			out = append(out, engine.WEdge{To: e.To, W: w})
-		case sv != NoSubgraph && l.hasProxy(l.exitProxy, sv, e.To):
-			out = append(out, engine.WEdge{To: l.exitProxy[proxyKey{sv, e.To}], W: w})
-		case st != NoSubgraph && l.hasProxy(l.entryProxy, st, v):
-			if !slices.Contains(linked, st) {
-				linked = append(linked, st)
-				out = append(out, engine.WEdge{To: l.entryProxy[proxyKey{st, v}], W: l.sr.One()})
+		if sv != NoSubgraph && st != sv {
+			if p, ok := l.proxyOf(false, sv, e.To); ok {
+				out = append(out, engine.WEdge{To: p, W: w})
+				continue
 			}
-			// The real edge belongs to the proxy's out-list.
-		default:
-			out = append(out, engine.WEdge{To: e.To, W: w})
 		}
+		if st != NoSubgraph && st != sv {
+			if p, ok := l.proxyOf(true, st, v); ok {
+				if !slices.Contains(linked, st) {
+					linked = append(linked, st)
+					out = append(out, engine.WEdge{To: p, W: l.sr.One()})
+				}
+				continue // the real edge belongs to the proxy's out-list
+			}
+		}
+		out = append(out, engine.WEdge{To: e.To, W: w})
 	}
 	return out
-}
-
-func (l *Layph) hasProxy(reg map[proxyKey]graph.VertexID, sub int32, host graph.VertexID) bool {
-	p, ok := reg[proxyKey{sub, host}]
-	return ok && l.proxyAlive[p]
 }
 
 // computeProxyOut builds a proxy's out-list: an exit proxy links to its
@@ -219,7 +208,7 @@ func (l *Layph) hasProxy(reg map[proxyKey]graph.VertexID, sub int32, host graph.
 func (l *Layph) computeProxyOut(p graph.VertexID) []engine.WEdge {
 	host := l.proxyHost[p]
 	sub := l.subOf[p]
-	if l.hasProxy(l.exitProxy, sub, host) && l.exitProxy[proxyKey{sub, host}] == p {
+	if q, ok := l.proxyOf(false, sub, host); ok && q == p {
 		return []engine.WEdge{{To: host, W: l.sr.One()}}
 	}
 	var out []engine.WEdge
@@ -233,8 +222,10 @@ func (l *Layph) computeProxyOut(p graph.VertexID) []engine.WEdge {
 		}
 		// Exit-side precedence: the host's subgraph may have swallowed this
 		// edge into an exit proxy already.
-		if sh != NoSubgraph && l.hasProxy(l.exitProxy, sh, e.To) {
-			continue
+		if sh != NoSubgraph {
+			if _, ok := l.proxyOf(false, sh, e.To); ok {
+				continue
+			}
 		}
 		out = append(out, engine.WEdge{To: e.To, W: l.a.EdgeWeight(l.g, host, e)})
 	}

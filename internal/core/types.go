@@ -17,7 +17,11 @@
 // least R parallel edges into (out of) one dense subgraph is replicated
 // inside it as a proxy; the host↔proxy link carries the semiring unit, so
 // path algebra is preserved while many boundary vertices become internal and
-// the skeleton shrinks (Figure 8 measures the effect).
+// the skeleton shrinks (Figure 8 measures the effect). Proxies are stored
+// once, as one list of refs per host (Layph.proxiesOf) naming each proxy's
+// subgraph and side. A proxy is live while subOf names a subgraph; a retired
+// one keeps its ref and flat slot, and re-replicating the same host into the
+// same subgraph on the same side revives that slot.
 //
 // The package works on the "flat" layered graph: the original graph with
 // proxy rewiring applied but no shortcuts. The flat graph is
@@ -224,11 +228,13 @@ func (a absorbing) Row(c graph.VertexID) []engine.WEdge {
 
 func (lf *localFrame) size() int { return len(lf.ids) }
 
-// proxyKey identifies a proxy slot: one host vertex replicated into one
-// subgraph in one direction.
-type proxyKey struct {
-	sub  int32
-	host graph.VertexID
+// proxyRef is one proxy of a host: flat vertex p replicates the host into
+// subgraph sub, on the entry side (carrying the host's edges into sub) or
+// the exit side (collecting sub's edges to the host).
+type proxyRef struct {
+	p     graph.VertexID
+	sub   int32
+	entry bool
 }
 
 // Options configures layered-graph construction and the online engine.
@@ -295,23 +301,20 @@ type Layph struct {
 	// subs maps community id -> dense subgraph (absent = dissolved/sparse).
 	subs map[int32]*Subgraph
 
-	// Flat-vertex metadata; indices cover originals then proxies.
-	subOf      []int32
-	role       []Role
-	proxyHost  []graph.VertexID // NoHost for non-proxies
-	proxyAlive []bool
+	// Flat-vertex metadata; indices cover originals then proxies. A proxy
+	// is live exactly while its subOf names a subgraph.
+	subOf     []int32
+	role      []Role
+	proxyHost []graph.VertexID // NoHost for non-proxies
 	// localIdx maps a flat vertex to its compact index inside its own
 	// subgraph's local frame (-1 outside any frame). One shared dense
 	// vector works because subgraph memberships are disjoint; staleness
 	// after membership changes is caught by compactID's ids check.
-	localIdx   []int32
-	entryProxy map[proxyKey]graph.VertexID
-	exitProxy  map[proxyKey]graph.VertexID
-	// entryProxiesOf lists each host's live entry proxies. An entry proxy
-	// carries its host's out-edges, so any change to the host's out-list or
-	// to its subgraph's exit proxies dirties all of them. allocProxy,
-	// orphanProxy and remapProxies keep it current.
-	entryProxiesOf map[graph.VertexID][]graph.VertexID
+	localIdx []int32
+	// proxiesOf lists every proxy ever allocated for a host, live or not,
+	// at most one per (subgraph, side). A revived ref moves to the end, so
+	// the host's live entry proxies are listed in (re)activation order.
+	proxiesOf map[graph.VertexID][]proxyRef
 
 	// Flat layered graph (original + proxy rewiring, semiring weights);
 	// flatIn is the only in-adjacency (absorbing-frame in-edges are read off
@@ -379,10 +382,7 @@ func (l *Layph) flatAlive(v graph.VertexID) bool {
 	if int(v) < l.g.Cap() {
 		return l.g.Alive(v)
 	}
-	if int(v) < len(l.proxyAlive) {
-		return l.proxyAlive[v]
-	}
-	return false
+	return int(v) < len(l.subOf) && l.subOf[v] != NoSubgraph
 }
 
 // flatN returns the size of the flat ID space.

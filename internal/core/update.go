@@ -113,22 +113,23 @@ func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition
 	// Replication-decision flips on changed cross edges: a host crossed the
 	// threshold R into or out of a subgraph (a dead host has no edges).
 	r := l.opt.replication()
-	flips := func(host graph.VertexID, c int32, edges []graph.Edge, reg map[proxyKey]graph.VertexID) bool {
+	flips := func(entry bool, host graph.VertexID, c int32, edges []graph.Edge) bool {
 		count := 0
 		for _, e := range edges {
 			if subOfSafe(e.To) == c {
 				count++
 			}
 		}
-		return (r > 0 && count >= r) != l.hasProxy(reg, c, host)
+		_, proxied := l.proxyOf(entry, c, host)
+		return (r > 0 && count >= r) != proxied
 	}
 	for _, edges := range changedEdges {
 		for _, e := range edges {
 			su, sv := subOfSafe(e.From), subOfSafe(e.To)
-			if sv != NoSubgraph && su != sv && flips(e.From, sv, l.g.Out(e.From), l.entryProxy) {
+			if sv != NoSubgraph && su != sv && flips(true, e.From, sv, l.g.Out(e.From)) {
 				pending = append(pending, sv)
 			}
-			if su != NoSubgraph && su != sv && flips(e.To, su, l.g.In(e.To), l.exitProxy) {
+			if su != NoSubgraph && su != sv && flips(false, e.To, su, l.g.In(e.To)) {
 				pending = append(pending, su)
 			}
 		}
@@ -292,8 +293,10 @@ func (l *Layph) touch(v graph.VertexID) {
 // subgraphs.
 func (l *Layph) touchSource(v graph.VertexID) {
 	l.touch(v)
-	for _, p := range l.entryProxiesOf[v] {
-		l.touch(p)
+	for _, r := range l.proxiesOf[v] {
+		if r.entry && l.subOf[r.p] != NoSubgraph {
+			l.touch(r.p)
+		}
 	}
 }
 
@@ -318,7 +321,7 @@ func (l *Layph) restructure(s *Subgraph, dissolve bool) *Subgraph {
 		}
 	}
 	for _, p := range s.proxies {
-		l.orphanProxy(p)
+		l.subOf[p] = NoSubgraph // orphaned; allocProxy revives it
 		sc.dirty.Add(p)
 		l.touch(p)
 	}
@@ -334,7 +337,7 @@ func (l *Layph) restructure(s *Subgraph, dissolve bool) *Subgraph {
 	var dec denseDecision
 	if !dissolve {
 		l.evaluations++
-		dec = l.evaluateCommunity(c, live)
+		dec = l.evaluateCommunity(live)
 	}
 	if !dec.dense {
 		for _, v := range live {
@@ -438,7 +441,7 @@ func (l *Layph) growForNewVertices(applied *delta.Applied) {
 		if l.flatN() > l.origCap {
 			l.remapProxies(capNow)
 		} else {
-			l.growFlat(capNow-l.flatN(), NoSubgraph, RoleDead, NoHost, false)
+			l.growFlat(capNow-l.flatN(), NoSubgraph, RoleDead, NoHost)
 		}
 		l.origCap = capNow
 	}
@@ -484,7 +487,6 @@ func (l *Layph) remapProxies(newCap int) {
 	l.subOf = moved(l.subOf, newN, NoSubgraph, move)
 	l.role = moved(l.role, newN, RoleDead, move)
 	l.proxyHost = moved(l.proxyHost, newN, NoHost, move)
-	l.proxyAlive = moved(l.proxyAlive, newN, false, move)
 	l.x = moved(l.x, newN, l.sr.Zero(), move)
 	l.localIdx = moved[int32](nil, newN, -1, move)
 	if l.parent != nil {
@@ -492,14 +494,10 @@ func (l *Layph) remapProxies(newCap int) {
 		mapAll(l.parent)
 	}
 	l.flatOut, l.flatIn, l.upOut = moveRows(l.flatOut), moveRows(l.flatIn), moveRows(l.upOut)
-	for k, p := range l.entryProxy {
-		l.entryProxy[k] = mapID(p)
-	}
-	for k, p := range l.exitProxy {
-		l.exitProxy[k] = mapID(p)
-	}
-	for _, ps := range l.entryProxiesOf {
-		mapAll(ps)
+	for _, refs := range l.proxiesOf {
+		for i := range refs {
+			refs[i].p = mapID(refs[i].p)
+		}
 	}
 	for _, s := range l.subs {
 		mapAll(s.proxies)

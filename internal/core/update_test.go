@@ -124,7 +124,7 @@ func TestProxyDecisionFlip(t *testing.T) {
 	if sub2 == NoSubgraph {
 		t.Skip("block 2 not dense")
 	}
-	hadProxy := l.hasProxy(l.entryProxy, sub2, 0)
+	_, hadProxy := l.proxyOf(true, sub2, 0)
 	if !hadProxy {
 		t.Skip("replication threshold not crossed on this layout")
 	}
@@ -135,7 +135,7 @@ func TestProxyDecisionFlip(t *testing.T) {
 		{Kind: delta.DelEdge, U: 0, V: 15},
 	})
 	l.Update(applied)
-	if l.hasProxy(l.entryProxy, sub2, 0) {
+	if _, ok := l.proxyOf(true, sub2, 0); ok {
 		t.Fatal("proxy survived dropping below the replication threshold")
 	}
 	if err := l.CheckInvariants(); err != nil {

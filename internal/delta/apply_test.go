@@ -44,7 +44,7 @@ func referenceApply(g *graph.Graph, b Batch) *Applied {
 			touchEdge(u.U, u.V)
 			prev, replaced := g.AddEdge(u.U, u.V, u.W)
 			if replaced {
-				if prev == u.W {
+				if math.Float64bits(prev) == math.Float64bits(u.W) {
 					continue
 				}
 				a.log = append(a.log, logRec{op: opSetEdge, u: u.U, v: u.V, w: u.W, prevW: prev})
@@ -199,9 +199,9 @@ func checkApply(t *testing.T, g *graph.Graph, b Batch) {
 			t.Fatalf("batch %v: Undo left vertex %d alive=%v", b, v, g.Alive(graph.VertexID(v)))
 		}
 	}
-	// By value: a re-add of -0 over 0 is a no-op, so Undo keeps the -0.
+	// By bits: Undo restores the sign of a zero weight.
 	orig.Edges(func(u, v graph.VertexID, w float64) {
-		if got, ok := g.HasEdge(u, v); !ok || got != w {
+		if got, ok := g.HasEdge(u, v); !ok || math.Float64bits(got) != math.Float64bits(w) {
 			t.Fatalf("batch %v: Undo left edge (%d,%d) = %v,%v, want %v", b, u, v, got, ok, w)
 		}
 	})

@@ -7,6 +7,7 @@ package delta
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -135,7 +136,7 @@ type vertexEvent struct {
 
 // Apply mutates g according to the batch and returns the effective NET
 // changes. Updates that are no-ops on the current graph (deleting a missing
-// edge, adding an existing edge with identical weight, deleting a dead
+// edge, adding an existing edge with a bit-identical weight, deleting a dead
 // vertex) are skipped silently — random streams legitimately contain such
 // collisions, and a batch that adds then deletes the same edge nets out to
 // nothing.
@@ -156,13 +157,15 @@ func Apply(g *graph.Graph, b Batch) *Applied {
 				continue
 			}
 			prev, replaced := g.AddEdge(u.U, u.V, u.W)
-			// Recorded even when the weight compares equal: 0 and -0 do, and
-			// the graph now holds the new bits.
+			// Only a re-add of the same bits is a no-op: 0 and -0 compare
+			// equal, but Undo must restore the sign. Value plus sign bit is
+			// the bits test for every non-NaN weight, and unlike
+			// math.Float64bits it left the batch loop as fast as before.
+			if replaced && prev == u.W && math.Signbit(prev) == math.Signbit(u.W) {
+				continue
+			}
 			ev = append(ev, edgeEvent{key: edgeKey(u.U, u.V), wasW: prev, was: replaced, isW: u.W, is: true})
 			if replaced {
-				if prev == u.W {
-					continue // true no-op
-				}
 				a.log = append(a.log, logRec{op: opSetEdge, u: u.U, v: u.V, w: u.W, prevW: prev})
 			} else {
 				a.log = append(a.log, logRec{op: opAddEdge, u: u.U, v: u.V, w: u.W})

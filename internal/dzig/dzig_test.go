@@ -18,7 +18,7 @@ func factory(g *graph.Graph, a algo.Algorithm) inc.System { return layph.NewDZiG
 func TestEquivalenceSumAlgorithms(t *testing.T) {
 	for name, mk := range enginetest.SumAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "dzig/"+name, factory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "dzig/" + name, New: factory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }

@@ -58,6 +58,26 @@ func DefaultDifferentialConfig() DifferentialConfig {
 	}
 }
 
+// EquivalenceConfig returns the single-engine setup of the per-engine
+// packages: three seeds of four 60-update edge batches on 400 vertices
+// (callers that want vertex churn set AddVertices and DelVertices). Under
+// -short it keeps one seed and two batches, so the race-detector CI job
+// stays within budget.
+func EquivalenceConfig() DifferentialConfig {
+	c := DifferentialConfig{
+		Seeds:     []int64{1, 2, 3},
+		Vertices:  400,
+		Batches:   4,
+		BatchSize: 60,
+		Atol:      1e-6,
+		Weighted:  true,
+	}
+	if testing.Short() {
+		c.Seeds, c.Batches = c.Seeds[:1], 2
+	}
+	return c
+}
+
 // ShortDifferentialConfig returns the -short sizing: one seed, fewer and
 // smaller batches, so the fuzzer fits the race-detector CI budget.
 func ShortDifferentialConfig() DifferentialConfig {
@@ -96,9 +116,10 @@ func DriftDifferentialConfig() DifferentialConfig {
 	return c
 }
 
-// RunDifferential is the cross-engine differential fuzzer: every engine
-// is constructed on its own clone of the same seeded community graph,
-// then driven through an identical random update sequence (edge add/del
+// RunDifferential is the equivalence harness of one engine and the
+// cross-engine differential fuzzer of several: every engine is
+// constructed on its own clone of the same seeded community graph, then
+// driven through an identical random update sequence (edge add/del
 // plus vertex add/del mixes), and after every batch each engine's states
 // are checked against a from-scratch batch restart on the updated graph —
 // and therefore, transitively, against each other. A parallel engine that

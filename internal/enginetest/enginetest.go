@@ -7,12 +7,8 @@
 package enginetest
 
 import (
-	"testing"
-
 	"layph/internal/algo"
 	"layph/internal/delta"
-	"layph/internal/engine"
-	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -24,79 +20,6 @@ type Factory func(g *graph.Graph, a algo.Algorithm) inc.System
 // AlgoMaker builds an algorithm instance; source-rooted algorithms should
 // root at vertex 0 (the harness never deletes vertex 0).
 type AlgoMaker func() algo.Algorithm
-
-// Config tunes an equivalence run.
-type Config struct {
-	Seeds         []int64
-	Vertices      int
-	Batches       int // update batches per seed
-	BatchSize     int // edge updates per batch
-	VertexUpdates bool
-	Atol          float64 // state comparison tolerance
-	Weighted      bool
-}
-
-// DefaultConfig returns the standard small-graph equivalence setup.
-func DefaultConfig() Config {
-	return Config{
-		Seeds:     []int64{1, 2, 3},
-		Vertices:  400,
-		Batches:   4,
-		BatchSize: 60,
-		Atol:      1e-6,
-		Weighted:  true,
-	}
-}
-
-// RunEquivalence drives the engine through cfg.Batches random batches per
-// seed and fails the test on the first divergence from a batch restart.
-// Under -short the run is trimmed to one seed and two batches so the
-// race-detector CI job stays within budget.
-func RunEquivalence(t *testing.T, name string, factory Factory, mkAlgo AlgoMaker, cfg Config) {
-	t.Helper()
-	if testing.Short() {
-		if len(cfg.Seeds) > 1 {
-			cfg.Seeds = cfg.Seeds[:1]
-		}
-		if cfg.Batches > 2 {
-			cfg.Batches = 2
-		}
-	}
-	for _, seed := range cfg.Seeds {
-		g, _ := gen.CommunityGraph(gen.CommunityConfig{
-			Vertices:      cfg.Vertices,
-			MeanCommunity: 25,
-			IntraDegree:   6,
-			InterDegree:   0.4,
-			HubFraction:   0.01,
-			HubDegree:     10,
-			Weighted:      cfg.Weighted,
-			Seed:          seed,
-		})
-		sys := factory(g, mkAlgo())
-		genr := delta.NewGenerator(seed * 977)
-		for b := 0; b < cfg.Batches; b++ {
-			batch := genr.EdgeBatch(g, cfg.BatchSize, cfg.Weighted)
-			if cfg.VertexUpdates {
-				batch = append(batch, genr.VertexBatch(g, 3, 3, 2, cfg.Weighted)...)
-				batch = dropVertexZeroDeletes(batch)
-			}
-			applied := delta.Apply(g, batch)
-			sys.Update(applied)
-
-			want := engine.RunBatch(g, mkAlgo(), engine.Options{Workers: 4})
-			got := sys.States()
-			if len(got) < len(want.X) {
-				t.Fatalf("%s seed=%d batch=%d: state vector too short (%d < %d)",
-					name, seed, b, len(got), len(want.X))
-			}
-			if !statesCloseLive(g, got, want.X, cfg.Atol) {
-				t.Fatalf("%s seed=%d batch=%d: incremental != restart, max diff %v",
-					name, seed, b, maxDiffLive(g, got, want.X))
-			}
-		}
-	}
-}
 
 func dropVertexZeroDeletes(b delta.Batch) delta.Batch {
 	out := b[:0]

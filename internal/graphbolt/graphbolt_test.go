@@ -20,7 +20,7 @@ func sparseFactory(g *graph.Graph, a algo.Algorithm) inc.System {
 func TestEquivalenceSumAlgorithmsPull(t *testing.T) {
 	for name, mk := range enginetest.SumAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "graphbolt/"+name, pullFactory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "graphbolt/" + name, New: pullFactory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }
@@ -28,20 +28,20 @@ func TestEquivalenceSumAlgorithmsPull(t *testing.T) {
 func TestEquivalenceSumAlgorithmsSparse(t *testing.T) {
 	for name, mk := range enginetest.SumAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "dzig/"+name, sparseFactory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "dzig/" + name, New: sparseFactory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }
 
 func TestEquivalenceWithVertexUpdates(t *testing.T) {
-	cfg := enginetest.DefaultConfig()
-	cfg.VertexUpdates = true
+	cfg := enginetest.EquivalenceConfig()
+	cfg.AddVertices, cfg.DelVertices = 3, 3
 	for name, mk := range enginetest.SumAlgorithms() {
 		t.Run("pull/"+name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "graphbolt/"+name, pullFactory, mk, cfg)
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "graphbolt/" + name, New: pullFactory}}, mk, cfg)
 		})
 		t.Run("sparse/"+name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "dzig/"+name, sparseFactory, mk, cfg)
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "dzig/" + name, New: sparseFactory}}, mk, cfg)
 		})
 	}
 }

@@ -19,17 +19,17 @@ func factory(g *graph.Graph, a algo.Algorithm) inc.System {
 func TestEquivalenceAllAlgorithms(t *testing.T) {
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "ingress/"+name, factory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "ingress/" + name, New: factory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }
 
 func TestEquivalenceWithVertexUpdates(t *testing.T) {
-	cfg := enginetest.DefaultConfig()
-	cfg.VertexUpdates = true
+	cfg := enginetest.EquivalenceConfig()
+	cfg.AddVertices, cfg.DelVertices = 3, 3
 	for name, mk := range enginetest.AllAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "ingress/"+name, factory, mk, cfg)
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "ingress/" + name, New: factory}}, mk, cfg)
 		})
 	}
 }

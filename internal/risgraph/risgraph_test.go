@@ -19,17 +19,17 @@ func factory(g *graph.Graph, a algo.Algorithm) inc.System {
 func TestEquivalenceMinAlgorithms(t *testing.T) {
 	for name, mk := range enginetest.MinAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "risgraph/"+name, factory, mk, enginetest.DefaultConfig())
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "risgraph/" + name, New: factory}}, mk, enginetest.EquivalenceConfig())
 		})
 	}
 }
 
 func TestEquivalenceWithVertexUpdates(t *testing.T) {
-	cfg := enginetest.DefaultConfig()
-	cfg.VertexUpdates = true
+	cfg := enginetest.EquivalenceConfig()
+	cfg.AddVertices, cfg.DelVertices = 3, 3
 	for name, mk := range enginetest.MinAlgorithms() {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunEquivalence(t, "risgraph/"+name, factory, mk, cfg)
+			enginetest.RunDifferential(t, []enginetest.NamedFactory{{Name: "risgraph/" + name, New: factory}}, mk, cfg)
 		})
 	}
 }

@@ -77,6 +77,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -632,17 +633,9 @@ func scanDir(dir string) (checkpoints, segments []uint64, err error) {
 			}
 		}
 	}
-	sortU64(checkpoints)
-	sortU64(segments)
+	slices.Sort(checkpoints)
+	slices.Sort(segments)
 	return checkpoints, segments, nil
-}
-
-func sortU64(x []uint64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }
 
 // syncDir fsyncs a directory so renames and creates survive a crash.
