@@ -298,15 +298,26 @@ func BenchmarkUpdate(b *testing.B) {
 }
 
 // BenchmarkNew measures construction — detection, layering and the initial
-// run — on the benchmark's UK ×1 graph under SSSP; run with -benchmem to
-// track the bytes a build allocates:
+// run — on the benchmark's UK ×1 graph under SSSP and PageRank; run with
+// -benchmem to track the bytes a build allocates:
 //
 //	go test ./internal/core -run '^$' -bench BenchmarkNew -benchmem
+//
+// initial-s/op is the initial run's share (OfflineStats.InitialSeconds).
 func BenchmarkNew(b *testing.B) {
 	g := gen.Build(gen.PresetUK, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		New(g, algo.NewSSSP(0), Options{Workers: 1})
+	for _, mk := range []func() algo.Algorithm{
+		func() algo.Algorithm { return algo.NewSSSP(0) },
+		func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-6) },
+	} {
+		b.Run(mk().Name(), func(b *testing.B) {
+			initial := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				initial += New(g, mk(), Options{Workers: 1}).OfflineStats.InitialSeconds
+			}
+			b.ReportMetric(initial/float64(b.N), "initial-s/op")
+		})
 	}
 }

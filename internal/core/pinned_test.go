@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -12,52 +13,61 @@ import (
 	"layph/internal/gen"
 )
 
-// hashLayering is an FNV-64a over the layering and the memoized state: the
-// flat ID space's size, every slot's role, subgraph and proxy host, its
-// flat out-, flat in- and skeleton rows in order, and the bits of its
-// state and parent.
-func hashLayering(l *Layph) uint64 {
-	h := fnv.New64a()
-	put := func(x uint64) {
+// hashLayering returns two FNV-64a hashes. The structure hash covers the
+// layering: the flat ID space's size, every slot's role, subgraph and proxy
+// host, its flat out- and flat in-rows in order, and the targets of its
+// skeleton row. The value hash covers what the computation derived on it:
+// the skeleton row's weights (shortcut values come from local runs) and
+// the bits of every state and parent.
+func hashLayering(l *Layph) (structure, value uint64) {
+	hs, hv := fnv.New64a(), fnv.New64a()
+	put := func(h hash.Hash64, x uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], x)
 		h.Write(b[:])
 	}
 	putRow := func(row []engine.WEdge) {
-		put(uint64(len(row)))
+		put(hs, uint64(len(row)))
 		for _, e := range row {
-			put(uint64(e.To))
-			put(math.Float64bits(e.W))
+			put(hs, uint64(e.To))
+			put(hs, math.Float64bits(e.W))
 		}
 	}
-	put(uint64(l.flatN()))
+	put(hs, uint64(l.flatN()))
 	for v := 0; v < l.flatN(); v++ {
-		put(uint64(l.role[v]))
-		put(uint64(uint32(l.subOf[v])))
-		put(uint64(l.proxyHost[v]))
+		put(hs, uint64(l.role[v]))
+		put(hs, uint64(uint32(l.subOf[v])))
+		put(hs, uint64(l.proxyHost[v]))
 		putRow(l.flatOut[v])
-		putRow(l.upOut[v])
 		putRow(l.flatIn[v])
-		put(math.Float64bits(l.x[v]))
+		put(hs, uint64(len(l.upOut[v])))
+		for _, e := range l.upOut[v] {
+			put(hs, uint64(e.To))
+			put(hv, math.Float64bits(e.W))
+		}
+		put(hv, math.Float64bits(l.x[v]))
 		if l.parent != nil {
-			put(uint64(l.parent[v]))
+			put(hv, uint64(l.parent[v]))
 		}
 	}
-	return h.Sum64()
+	return hs.Sum64(), hv.Sum64()
 }
 
 // TestLayeringPinned pins the layering and the states bit for bit on two
 // presets with replicated hosts, after construction and after a churn
 // sequence whose vertex growth relocates the proxy segment and whose edge
 // and vertex churn orphans and revives proxies. Any change to the flat ID
-// space, its rows or its states shows up here as a different hash.
+// space or its rows shows up as a different structure hash; a change to the
+// computation alone (a schedule, a tolerance) moves only the value hash.
 // Under -short (the race-detector CI job) only the SSSP rows run.
 func TestLayeringPinned(t *testing.T) {
-	want := map[string][2]uint64{
-		"UK/sssp":     {0x1509d1d9a3898f0b, 0xc34f1218b7f9317f},
-		"UK/pagerank": {0x74196041c14edef1, 0xf0038390a6bdc31b},
-		"SK/sssp":     {0x6288fac10f0359da, 0x363e90ca0fe78ccc},
-		"SK/pagerank": {0x3c7dea50e76db26e, 0xba4fb62544675701},
+	// Each pair is {after New, after churn}.
+	type pin struct{ structure, value [2]uint64 }
+	want := map[string]pin{
+		"UK/sssp":     {[2]uint64{0x2d4757ac993a2c8a, 0xab33ff93baf20d35}, [2]uint64{0x1f48c7370bb987e8, 0x29740214fee32f93}},
+		"UK/pagerank": {[2]uint64{0x5716a52485754a6d, 0xd62616ed2bc46f41}, [2]uint64{0x41282494953656a1, 0xd3496d6466f126ee}},
+		"SK/sssp":     {[2]uint64{0x3dff9cef6a08d7ab, 0x054da0182f21314e}, [2]uint64{0x824b946b4001377c, 0xc31198635bc0c7b7}},
+		"SK/pagerank": {[2]uint64{0x84c0de4efb90f1cd, 0x0ea147b989a3cd07}, [2]uint64{0x7164bf6a80b6ee0a, 0x62074936473a5874}},
 	}
 	algos := []struct {
 		name string
@@ -75,8 +85,8 @@ func TestLayeringPinned(t *testing.T) {
 				}
 				g := gen.Build(preset, 0.2)
 				l := New(g, a.mk(), Options{Workers: 1})
-				var got [2]uint64
-				got[0] = hashLayering(l)
+				var got pin
+				got.structure[0], got.value[0] = hashLayering(l)
 				genr := delta.NewGenerator(7)
 				for b := 0; b < 12; b++ {
 					batch := genr.EdgeBatch(g, 400, true)
@@ -90,10 +100,15 @@ func TestLayeringPinned(t *testing.T) {
 				if err := l.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				got[1] = hashLayering(l)
-				if got != want[name] {
-					t.Errorf("layering hash after New %#x, after churn %#x; want %#x, %#x",
-						got[0], got[1], want[name][0], want[name][1])
+				got.structure[1], got.value[1] = hashLayering(l)
+				w := want[name]
+				if got.structure != w.structure {
+					t.Errorf("structure hash after New %#x, after churn %#x; want %#x, %#x",
+						got.structure[0], got.structure[1], w.structure[0], w.structure[1])
+				}
+				if got.value != w.value {
+					t.Errorf("value hash after New %#x, after churn %#x; want %#x, %#x",
+						got.value[0], got.value[1], w.value[0], w.value[1])
 				}
 			})
 		}

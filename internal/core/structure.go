@@ -123,20 +123,27 @@ func (l *Layph) proxyOf(entry bool, sub int32, host graph.VertexID) (graph.Verte
 }
 
 // allocProxy returns host's entry (or exit) proxy in subgraph sub. It
-// revives an orphaned one, moving its ref to the end of the host's list,
-// and allocates a fresh flat vertex when the host never had one there.
-// Orphaning a proxy is setting its subOf to NoSubgraph.
+// revives an orphaned one in place and allocates a fresh flat vertex when
+// the host never had one there. Orphaning a proxy is setting its subOf to
+// NoSubgraph.
+//
+// The order of a host's refs reaches nothing but the order in which
+// touchSource queues the host's entry proxies, and that order cannot reach
+// the layering: the proxies sit in distinct subgraphs and an entry proxy's
+// row targets members of its own, so their refreshes append to disjoint
+// flat in-rows, and a drop from one and an append from another commute.
+// The touched order also orders the layered diff (d.added, d.removed and
+// the old rows), which feeds sum revisions and min-scheme reset roots; but
+// the revision and offer targets of a host's entry proxies are disjoint
+// for the same reason, so their order among them cannot change any state
+// or parent either.
 func (l *Layph) allocProxy(entry bool, sub int32, host graph.VertexID) graph.VertexID {
 	refs := l.proxiesOf[host]
-	for i, r := range refs {
-		if r.sub != sub || r.entry != entry {
-			continue
-		}
-		if l.subOf[r.p] == NoSubgraph {
+	for _, r := range refs {
+		if r.sub == sub && r.entry == entry {
 			l.subOf[r.p] = sub
-			l.proxiesOf[host] = append(slices.Delete(refs, i, i+1), r)
+			return r.p
 		}
-		return r.p
 	}
 	p := graph.VertexID(l.flatN())
 	l.proxiesOf[host] = append(refs, proxyRef{p: p, sub: sub, entry: entry})

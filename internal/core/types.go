@@ -251,10 +251,10 @@ type Options struct {
 	// worker count of the global (Lup) iteration and the size of the
 	// shared pool that runs independent lower-layer subgraph tasks
 	// (upload fixpoints, shortcut deduction, assignment replay)
-	// concurrently. Workers=1 is strictly sequential. A sum-scheme Lup run
-	// from a sparse start (every incremental batch in practice) is the
+	// concurrently. Workers=1 is strictly sequential. Every sum-scheme run
+	// — the initial run, the Lup iteration and the local fixpoints — is the
 	// engine's sequential worklist, identical for every Workers; the Lup
-	// workers serve min-scheme runs and dense sum starts.
+	// workers serve min-scheme runs only.
 	Workers int
 	// AdaptiveCommunities makes every Update run the incremental community
 	// adjustment (community.Adjust) on the applied batch and migrate
@@ -312,8 +312,7 @@ type Layph struct {
 	// after membership changes is caught by compactID's ids check.
 	localIdx []int32
 	// proxiesOf lists every proxy ever allocated for a host, live or not,
-	// at most one per (subgraph, side). A revived ref moves to the end, so
-	// the host's live entry proxies are listed in (re)activation order.
+	// at most one per (subgraph, side), in allocation order.
 	proxiesOf map[graph.VertexID][]proxyRef
 
 	// Flat layered graph (original + proxy rewiring, semiring weights);

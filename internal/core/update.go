@@ -222,16 +222,12 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 				out.rebuiltSubs = append(out.rebuiltSubs, s)
 			}
 		}
-		// Every touched row is recomputed before any in-list is mirrored.
-		// Interleaving the two scatters the fresh rows over the heap, and
-		// the initial run of New, which scans every row, measured about 20%
-		// slower for it (PageRank, UK ×1).
-		olds := make([][]engine.WEdge, len(sc.touched.List))
-		for i, v := range sc.touched.List {
-			olds[i], l.flatOut[v] = l.flatOut[v], l.computeFlatOut(v)
-		}
-		for i, v := range sc.touched.List {
-			refresh(v, olds[i])
+		// A row's heap place does not matter here: New packs its rows
+		// before the initial run scans them all (packFlatOut).
+		for _, v := range sc.touched.List {
+			old := l.flatOut[v]
+			l.flatOut[v] = l.computeFlatOut(v)
+			refresh(v, old)
 		}
 		l.recomputeDirtyRoles()
 		if round = l.editFrames(); len(round) == 0 {

@@ -19,20 +19,22 @@
 // frame. Run is its one-shot form for batch computations: it copies its
 // inputs and runs a fresh Runner.
 //
-// A run takes one of two schedules, chosen from its initial active set:
+// A run takes one of two schedules, chosen by its semiring:
 //
-//   - Rounds: synchronous rounds over Workers goroutines. Every active
-//     vertex applies its pending message, the emitted messages are folded
-//     per destination behind a merge barrier, and the next round is the set
-//     of vertices still significant. Idempotent (min) runs always take it,
-//     and so does a sum run from a dense start — at least half the frame's
-//     vertices active, as in the batch computations from m0.
-//   - Worklist: a sum run from a sparse start (fewer than half the frame's
-//     vertices active) is one sequential in-place FIFO worklist, the
-//     accumulative scheduling of Maiter (Zhang et al., TPDS 2014). A
-//     message is added to its target's pending delta at once, and a queued
-//     vertex keeps folding what arrives until it is popped, so it moves a
-//     delta on without waiting a round for it. Workers does not apply.
+//   - Rounds: an idempotent (min) run goes in synchronous rounds over
+//     Workers goroutines. Every active vertex applies its pending message,
+//     the emitted messages are folded per destination behind a merge
+//     barrier, and the next round is the set of vertices the fold improved.
+//   - Worklist: a sum run, from a few seeds or from m0 on every vertex
+//     alike, is one sequential in-place FIFO worklist, the accumulative
+//     scheduling of Maiter (Zhang et al., TPDS 2014). A message is added to
+//     its target's pending delta at once, and a queued vertex keeps folding
+//     what arrives until it is popped, so it moves a delta on without
+//     waiting a round for it. Workers does not apply, so a sum run's result
+//     is the same bit for bit whatever its value. On a dense start (UK ×1
+//     PageRank from m0, 2 vCPUs) the worklist spent 24.0 M activations in
+//     0.32–0.48 s where the rounds spent 41.2 M in 0.99–1.22 s at 2
+//     workers; a machine with more cores is unverified.
 //
 // No option selects the schedule: a Runner and the one-shot Run given the
 // same inputs take the same one and agree bit for bit.
@@ -133,15 +135,16 @@ const NoParent = graph.VertexID(math.MaxUint32)
 
 // Options tunes a Run.
 type Options struct {
-	// Workers is the parallelism degree of a run in rounds (default
-	// GOMAXPROCS). A sum run from a sparse start is sequential whatever
-	// its value.
+	// Workers is the parallelism degree of an idempotent (min) run, which
+	// goes in rounds (default GOMAXPROCS). A sum run is the sequential
+	// worklist whatever its value.
 	Workers int
 	// MaxRounds bounds the rounds — the worklist's queue generations — as a
 	// safety net (default 1_000_000).
 	MaxRounds int
-	// Tolerance is the message-significance threshold for non-idempotent
-	// semirings: pending aggregates with |m| <= Tolerance do not activate.
+	// Tolerance is the worklist's message-significance threshold, so it
+	// applies to sum runs only: a pending delta with |m| <= Tolerance does
+	// not activate its vertex.
 	Tolerance float64
 	// TrackParents maintains, for idempotent semirings, the dependency
 	// parent of every state (the in-neighbor whose message set it). Run
@@ -309,17 +312,14 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // semiring it requires a parent vector, so no caller sets it and silently
 // gets none.
 //
-// The schedule follows from the initial active set (see the package doc):
-// a non-idempotent run with fewer than half the frame's vertices active
-// runs as a worklist, every other run in rounds.
+// The schedule follows from the semiring (see the package doc): an
+// idempotent run goes in rounds, a sum run as the worklist.
 //
 // Semantics per round: every active vertex applies its pending aggregated
-// message to its state with ⊕ (idempotent semirings keep the better value and
-// record the parent; non-idempotent ones accumulate the delta), then emits
-// F(val, w) = val ⊗ w along each out-edge, where val is the new state for
-// idempotent semirings and the applied delta otherwise. Messages are folded
-// per destination with ⊕ and the next active set is the set of vertices whose
-// pending aggregate is still significant.
+// message to its state with ⊕, keeping the better value and recording the
+// parent, then emits F(x, w) = x ⊗ w along each out-edge. Messages are
+// folded per destination with ⊕ and the next active set is the set of
+// vertices whose pending message improves their state.
 //
 // On the worklist, a popped vertex whose pending delta is no longer
 // significant is skipped (an activated vertex of the first generation is
@@ -354,7 +354,7 @@ func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) 
 	r.active = active[:0]
 
 	var res Result
-	if !r.idem && 2*len(active) < n {
+	if !r.idem {
 		res = r.worklist(f, x, active, opt)
 	} else {
 		res = r.rounds(f, x, parent, active, opt)
@@ -371,7 +371,7 @@ func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) 
 	return res
 }
 
-// rounds runs the fixpoint in synchronous rounds from active.
+// rounds runs an idempotent fixpoint in synchronous rounds from active.
 func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
 	n := f.N()
 	// The worker count is fixed by the initial active set, so the message
@@ -382,7 +382,7 @@ func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []g
 		r.bufs = append(r.bufs, &msgBuffer{})
 	}
 	for _, b := range r.bufs[:workers] {
-		b.grow(n, r.idem)
+		b.grow(n)
 	}
 	if cap(r.acts) < workers {
 		r.acts = make([]int64, workers)
@@ -417,15 +417,11 @@ func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []g
 			for _, v := range buf.touched {
 				val := buf.vals[v]
 				r.touched.Add(v)
-				if r.idem {
-					if r.sr.Plus(r.pending[v], val) != r.pending[v] {
-						r.pending[v] = val
-						if parent != nil {
-							r.from[v] = buf.from[v]
-						}
+				if r.sr.Plus(r.pending[v], val) != r.pending[v] {
+					r.pending[v] = val
+					if parent != nil {
+						r.from[v] = buf.from[v]
 					}
-				} else {
-					r.pending[v] += val
 				}
 				r.seen.Add(v)
 				buf.clear(v)
@@ -433,7 +429,7 @@ func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []g
 			buf.touched = buf.touched[:0]
 		}
 		for _, v := range r.seen.List {
-			if significant(r.sr, r.idem, x[v], r.pending[v], opt.Tolerance) {
+			if r.sr.Plus(x[v], r.pending[v]) != x[v] {
 				active = append(active, v)
 			}
 		}
@@ -442,9 +438,9 @@ func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []g
 	return res
 }
 
-// worklist runs a sum-semiring fixpoint from a sparse active set as one
-// in-place FIFO worklist. When active is the explicit Activate set, its
-// vertices apply their pending delta however small.
+// worklist runs a sum-semiring fixpoint from active as one in-place FIFO
+// worklist. When active is the explicit Activate set, its vertices apply
+// their pending delta however small.
 func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Options) Result {
 	n := f.N()
 	forced := len(r.activated.List) > 0
@@ -544,24 +540,14 @@ func (r *Runner) process(f Rows, x []float64, parent []graph.VertexID, part []gr
 	sr, zero := r.sr, r.zero
 	var emitted int64
 	for _, v := range part {
-		var val float64
-		if r.idem {
-			if cand := sr.Plus(x[v], r.pending[v]); cand != x[v] {
-				x[v] = cand
-				if parent != nil {
-					parent[v] = r.from[v]
-				}
-				buf.changed = append(buf.changed, v)
+		if cand := sr.Plus(x[v], r.pending[v]); cand != x[v] {
+			x[v] = cand
+			if parent != nil {
+				parent[v] = r.from[v]
 			}
-			val = x[v]
-		} else {
-			val = r.pending[v]
-			r.pending[v] = zero
-			x[v] += val
-			if val != zero {
-				buf.changed = append(buf.changed, v)
-			}
+			buf.changed = append(buf.changed, v)
 		}
+		val := x[v]
 		if val == zero {
 			continue
 		}
@@ -577,15 +563,8 @@ func (r *Runner) process(f Rows, x []float64, parent []graph.VertexID, part []gr
 	return emitted
 }
 
-func significant(sr algo.Semiring, idem bool, x, pending, tol float64) bool {
-	if idem {
-		return sr.Plus(x, pending) != x
-	}
-	return math.Abs(pending) > tol
-}
-
 // msgBuffer is one worker's per-round message store: the folded message
-// (and, idempotent, its sender) per destination, plus the destinations in
+// and its sender per destination, plus the destinations in
 // first-touch order and the states the worker changed. vals and inUse are
 // clear outside touched.
 type msgBuffer struct {
@@ -597,30 +576,25 @@ type msgBuffer struct {
 }
 
 // grow makes the buffer cover vertex ids below n.
-func (b *msgBuffer) grow(n int, trackFrom bool) {
+func (b *msgBuffer) grow(n int) {
 	if len(b.vals) >= n {
 		return
 	}
 	c := n + n/2
 	b.vals = append(b.vals, make([]float64, c-len(b.vals))...)
 	b.inUse = append(b.inUse, make([]bool, c-len(b.inUse))...)
-	if trackFrom {
-		b.from = append(b.from, make([]graph.VertexID, c-len(b.from))...)
-	}
+	b.from = append(b.from, make([]graph.VertexID, c-len(b.from))...)
 }
 
 func (b *msgBuffer) fold(sr algo.Semiring, v graph.VertexID, msg float64, src graph.VertexID) {
 	if !b.inUse[v] {
 		b.inUse[v] = true
-		b.vals[v] = msg
-		if b.from != nil {
-			b.from[v] = src
-		}
+		b.vals[v], b.from[v] = msg, src
 		b.touched = append(b.touched, v)
 		return
 	}
 	folded := sr.Plus(b.vals[v], msg)
-	if b.from != nil && folded != b.vals[v] {
+	if folded != b.vals[v] {
 		b.from[v] = src
 	}
 	b.vals[v] = folded

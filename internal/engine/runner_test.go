@@ -152,47 +152,34 @@ func TestRunnerTrackParentsNeedsVector(t *testing.T) {
 	r.Run(f, x, nil, Options{TrackParents: true})
 }
 
-// TestSparseSumRunIsWorklist pins the schedule choice of a sum run: one
-// seed on a converged PageRank state is a sparse start and runs as the
-// in-place worklist, while the same seed with every vertex activated is a
-// dense start and runs in rounds (the activations add no message: every
-// other pending delta is zero). Both must reach the same fixpoint within
-// what the tolerance leaves behind, and the worklist, which folds late
-// deltas into queued vertices instead of moving each on a round later,
-// must spend strictly fewer activations.
-func TestSparseSumRunIsWorklist(t *testing.T) {
-	const n, d, tol = 2000, 0.85, 1e-9
+// TestSumRunIsWorklist pins the one sum schedule on a dense start — m0 on
+// every vertex, as RunBatch seeds it. The run is the sequential worklist
+// whatever Workers says, so Workers 1, 2 and 4 give bit-identical states,
+// activations and generations. Each run stops with every pending delta at
+// most tol, and a unit of undelivered delta is worth at most 1/(1-d) of
+// state, so the states lie within n·tol/(1-d) of a reference run at
+// tolerance 1e-13 (plus that reference's own, far smaller, bound).
+func TestSumRunIsWorklist(t *testing.T) {
+	const n, d, tol, refTol = 2000, 0.85, 1e-9, 1e-13
 	a := algo.NewPageRank(d, tol)
 	sr := a.Semiring()
 	g := randomFrameGraph(9, n)
 	f := BuildFrame(g, a)
 	x0, m0 := InitVectors(g, a)
-	conv := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tol}).X
+	ref := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: refTol}).X
 
-	run := func(dense bool) ([]float64, Result) {
-		x := append([]float64(nil), conv...)
-		r := NewRunner(sr)
-		r.Seed(17, 0.5, NoParent)
-		if dense {
-			r.Activate(17)
-			for v := 0; v < n; v++ {
-				r.Activate(graph.VertexID(v))
-			}
+	base := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tol})
+	for _, w := range []int{2, 4} {
+		res := Run(f, sr, x0, m0, Options{Workers: w, Tolerance: tol})
+		if !sameBits(res.X, base.X) || res.Activations != base.Activations || res.Rounds != base.Rounds {
+			t.Fatalf("Workers %d: %d acts/%d generations, max state diff %v; Workers 1: %d/%d",
+				w, res.Activations, res.Rounds, algo.MaxStateDiff(res.X, base.X), base.Activations, base.Rounds)
 		}
-		return x, r.Run(f, x, nil, Options{Workers: 2, Tolerance: tol})
 	}
-	xs, sparse := run(false)
-	xd, dense := run(true)
-	// Each run stops with every pending delta at most tol; a unit of
-	// undelivered delta is worth at most 1/(1-d) of state, so each run is
-	// within n·tol/(1-d) of the fixpoint and the two within twice that.
-	if bound := 2 * n * tol / (1 - d); !algo.StatesClose(xs, xd, bound) {
-		t.Fatalf("worklist and rounds differ by %v, bound %v", algo.MaxStateDiff(xs, xd), bound)
+	if bound := n * (tol + refTol) / (1 - d); !algo.StatesClose(base.X, ref, bound) {
+		t.Fatalf("dense start differs from the reference by %v, bound %v", algo.MaxStateDiff(base.X, ref), bound)
 	}
-	if sparse.Activations >= dense.Activations {
-		t.Fatalf("sparse start spent %d activations, rounds %d: want strictly fewer", sparse.Activations, dense.Activations)
-	}
-	t.Logf("activations %d (worklist) vs %d (rounds); rounds %d vs %d", sparse.Activations, dense.Activations, sparse.Rounds, dense.Rounds)
+	t.Logf("dense start: %d activations, %d generations", base.Activations, base.Rounds)
 }
 
 // maskedRows is a Rows view that reads a frame's rows and empties the
@@ -214,9 +201,9 @@ func (m maskedRows) Row(v graph.VertexID) []WEdge {
 // TestRunnerOverRowsView pins that a Runner reads a frame only through
 // Rows: a run over a view that empties chosen rows gives bit-identical
 // states, parents, activations and changed set to a run over a Frame whose
-// rows were emptied — for min runs with parents, sum runs from a sparse
-// start (a few seeds on a converged state: the worklist) and sum runs from
-// a dense start (the batch start: rounds), on Workers 1 and 2.
+// rows were emptied — for min runs with parents (rounds), and for sum runs
+// (the worklist) from a sparse start (a few seeds on a converged state) and
+// from a dense start (the batch start), on Workers 1 and 2.
 func TestRunnerOverRowsView(t *testing.T) {
 	const n = 300
 	for _, tc := range []struct {
@@ -226,7 +213,7 @@ func TestRunnerOverRowsView(t *testing.T) {
 	}{
 		{"min", algo.NewSSSP(0), true},
 		{"sum-worklist", algo.NewPageRank(0.85, 1e-9), false},
-		{"sum-rounds", algo.NewPageRank(0.85, 1e-9), true},
+		{"sum-dense", algo.NewPageRank(0.85, 1e-9), true},
 	} {
 		sr := tc.a.Semiring()
 		for _, w := range []int{1, 2} {
@@ -349,6 +336,19 @@ func BenchmarkRunner(b *testing.B) {
 			}
 			r.Seed(graph.VertexID(i/2%n), m, NoParent)
 			r.Run(f, x, nil, Options{Tolerance: a.Tolerance()})
+		}
+	})
+	// The batch start: m0 on every vertex of the same frame under
+	// PageRank, the dense start the worklist runs in RunBatch and in
+	// Layph's initial run.
+	b.Run("pagerank-batch", func(b *testing.B) {
+		a := algo.NewPageRank(0.85, 1e-6)
+		f := BuildFrame(g, a)
+		x0, m0 := InitVectors(g, a)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Run(f, a.Semiring(), x0, m0, Options{Tolerance: a.Tolerance()})
 		}
 	})
 	b.Run("oneshot", func(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"layph/internal/delta"
 	"layph/internal/engine"
 	"layph/internal/enginetest"
+	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -66,31 +67,44 @@ func TestPaperExampleSSSP(t *testing.T) {
 	}
 }
 
+// TestIncrementalCheaperThanRestartSmallDelta pins that the
+// memoization-free (sum) scheme is local for small deltas: a 10-edge ΔG on
+// a community graph (the UK preset ×0.25) must cost under half the
+// activations of a restart. (The min-path scheme carries no such guarantee
+// — Figure 1 of the paper shows its activations approaching restart levels,
+// which is exactly the problem Layph attacks.) The chain of blocks is a
+// logged row only: on its one-way chain at tolerance 1e-8 an upstream edit
+// reaches every downstream block, so a small delta there is not a small
+// fraction of the work.
 func TestIncrementalCheaperThanRestartSmallDelta(t *testing.T) {
-	// The memoization-free (sum) scheme is strictly local for small deltas:
-	// a 10-edge ΔG must cost far fewer activations than a restart. (The
-	// min-path scheme carries no such guarantee — Figure 1 of the paper
-	// shows its activations approaching restart levels, which is exactly
-	// the problem Layph attacks.)
-	g, _ := buildBig(t)
 	a := algo.NewPageRank(0.85, 1e-8)
-	eng := New(g, a, engine.Options{Workers: 2})
-	genr := delta.NewGenerator(5)
-	batch := genr.EdgeBatch(g, 10, true)
-	applied := delta.Apply(g, batch)
-	st := eng.Update(applied)
-	restart := engine.RunBatch(g, a, engine.Options{Workers: 2})
-	if st.Activations*2 >= restart.Activations {
-		t.Fatalf("incremental activations %d not clearly below restart %d for a 10-edge delta",
-			st.Activations, restart.Activations)
+	chain, _ := buildBig(t)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		assert bool
+	}{
+		{"UK x0.25", gen.Build(gen.PresetUK, 0.25), true},
+		{"chain", chain, false},
+	} {
+		eng := New(tc.g, a, engine.Options{Workers: 2})
+		batch := delta.NewGenerator(5).EdgeBatch(tc.g, 10, true)
+		st := eng.Update(delta.Apply(tc.g, batch))
+		restart := engine.RunBatch(tc.g, a, engine.Options{Workers: 2})
+		t.Logf("%s: incremental %d activations, restart %d (ratio %.2f)", tc.name,
+			st.Activations, restart.Activations, float64(st.Activations)/float64(restart.Activations))
+		if tc.assert && st.Activations*2 >= restart.Activations {
+			t.Fatalf("%s: incremental activations %d not clearly below restart %d for a 10-edge delta",
+				tc.name, st.Activations, restart.Activations)
+		}
 	}
 }
 
 func buildBig(t *testing.T) (*graph.Graph, algo.Algorithm) {
 	t.Helper()
 	g := graph.New(0)
-	// Chain-of-blocks graph: deterministic, large enough that a 10-edge
-	// delta touches only a small fraction of it.
+	// Chain-of-blocks graph: deterministic; every block reaches the blocks
+	// after it.
 	const blocks, per = 40, 25
 	for i := 0; i < blocks*per; i++ {
 		g.AddVertex()

@@ -145,13 +145,12 @@ type Config struct {
 	// produce byte-identical state vectors for monotone min-semiring
 	// algorithms (SSSP, BFS) — subgraph tasks are independent, min
 	// folding is exact, and task results are merged in deterministic
-	// order. For sum-semiring algorithms (PageRank, PHP) identical runs
-	// agree within StatesClose tolerance: floating-point accumulation
-	// order inside the multi-worker global iteration may differ at
-	// rounding level. Across different Threads values, results agree
-	// within the algorithm's convergence tolerance. A sum-semiring global
-	// iteration from a sparse start (an incremental batch's) is the
-	// engine's sequential worklist, identical for every Threads.
+	// order. For sum-semiring algorithms (PageRank, PHP) the states are
+	// byte-identical for every Threads value: every sum run, the initial
+	// computation included, is the engine's sequential worklist, and the
+	// subgraph tasks are merged in deterministic order. Across different
+	// Threads values, min-semiring results agree within the algorithm's
+	// convergence tolerance.
 	Threads int
 	// DisableReplication turns vertex replication off (Figure 8 ablation).
 	// The paper's other two parameters are fixed: the replication

@@ -1,11 +1,13 @@
 package layph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"layph/internal/algo"
 	"layph/internal/enginetest"
+	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -225,6 +227,35 @@ func TestAdaptiveMinDeterminism(t *testing.T) {
 			if got[v] != want[v] {
 				t.Fatalf("rep %d: vertex %d = %v, want %v (byte-identical contract broken)", rep, v, got[v], want[v])
 			}
+		}
+	}
+}
+
+// TestSumStatesIndependentOfThreads pins the determinism contract's sum
+// half: every sum-semiring run, the initial one from m0 included, is the
+// engine's sequential worklist, so a PageRank build and five edge batches
+// on the UK preset give byte-identical states at Threads 1, 2 and 4.
+func TestSumStatesIndependentOfThreads(t *testing.T) {
+	run := func(threads int) []float64 {
+		g := gen.Build(gen.PresetUK, 0.2)
+		sys := NewLayph(g, PageRank(0.85, 1e-6), Config{Threads: threads})
+		bg := NewBatchGenerator(3)
+		for i := 0; i < 5; i++ {
+			sys.Update(ApplyBatch(g, bg.EdgeBatch(g, 400, true)))
+		}
+		return append([]float64(nil), sys.States()[:g.Cap()]...)
+	}
+	want := run(1)
+	for _, threads := range []int{2, 4} {
+		got := run(threads)
+		differ := 0
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("Threads %d: %d of %d states differ in their bits from Threads 1", threads, differ, len(want))
 		}
 	}
 }
