@@ -58,7 +58,7 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.StringVar(&ef.algoName, "algo", "sssp", "sssp | bfs | cc | pagerank | php")
 	fs.StringVar(&ef.system, "system", "layph", "layph | layph-norepl | ingress | kickstarter | risgraph | graphbolt | dzig | restart")
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
-	fs.IntVar(&ef.threads, "threads", 0, "worker threads (0 = GOMAXPROCS)")
+	fs.IntVar(&ef.threads, "threads", 0, "size of Layph's subgraph pool (0 = GOMAXPROCS); every other engine, and each shard, runs sequentially")
 	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
 	fs.BoolVar(&ef.adaptive, "adaptive", false, "adaptive community migration: split/merge subgraphs incrementally on every update (requires -system layph, unsharded)")
 	return ef
@@ -167,7 +167,7 @@ func (ef *engineFlags) loadGraph() *graph.Graph {
 func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
 	if ef.shards > 1 {
-		return shard.New(g, mk(), shard.Options{Shards: ef.shards, Threads: ef.threads}), nil
+		return shard.New(g, mk(), shard.Options{Shards: ef.shards}), nil
 	}
 	if ef.adaptive {
 		l := core.New(g, mk(), core.Options{Workers: ef.threads, AdaptiveCommunities: true})

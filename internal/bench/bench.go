@@ -136,17 +136,16 @@ type SystemResult struct {
 
 // restartSystem wraps batch recomputation behind the System interface.
 type restartSystem struct {
-	g       *graph.Graph
-	mk      AlgoMaker
-	threads int
-	x       []float64
+	g  *graph.Graph
+	mk AlgoMaker
+	x  []float64
 }
 
 func (r *restartSystem) Name() string      { return string(Restart) }
 func (r *restartSystem) States() []float64 { return r.x }
 func (r *restartSystem) Update(*delta.Applied) inc.Stats {
 	start := time.Now()
-	res := engine.RunBatch(r.g, r.mk(), engine.Options{Workers: r.threads})
+	res := engine.RunBatch(r.g, r.mk(), engine.Options{})
 	r.x = res.X
 	return inc.Stats{Activations: res.Activations, Rounds: res.Rounds, Duration: time.Since(start)}
 }
@@ -156,20 +155,20 @@ func (r *restartSystem) Update(*delta.Applied) inc.Stats {
 func buildSystem(kind SystemKind, g *graph.Graph, mk AlgoMaker, threads int) (inc.System, *core.Layph) {
 	switch kind {
 	case Restart:
-		r := &restartSystem{g: g, mk: mk, threads: threads}
-		res := engine.RunBatch(g, mk(), engine.Options{Workers: threads})
+		r := &restartSystem{g: g, mk: mk}
+		res := engine.RunBatch(g, mk(), engine.Options{})
 		r.x = res.X
 		return r, nil
 	case KickStarter:
-		return kickstarter.New(g, mk(), engine.Options{Workers: threads}), nil
+		return kickstarter.New(g, mk(), engine.Options{}), nil
 	case RisGraph:
-		return risgraph.New(g, mk(), engine.Options{Workers: threads}), nil
+		return risgraph.New(g, mk(), engine.Options{}), nil
 	case GraphBolt:
 		return graphbolt.New(g, mk(), graphbolt.ModePull), nil
 	case DZiG:
 		return graphbolt.New(g, mk(), graphbolt.ModeSparseAware), nil
 	case Ingress:
-		return ingress.New(g, mk(), engine.Options{Workers: threads}), nil
+		return ingress.New(g, mk(), engine.Options{}), nil
 	case Layph:
 		l := core.New(g, mk(), core.Options{Workers: threads})
 		return l, l
@@ -269,7 +268,8 @@ func (t *Table) Print(w io.Writer) {
 }
 
 // Build constructs the named system over g (running the initial batch
-// computation); the second return is non-nil for the Layph kinds.
+// computation); the second return is non-nil for the Layph kinds. threads
+// sizes Layph's subgraph pool; the other systems run sequentially.
 func Build(kind SystemKind, g *graph.Graph, mk AlgoMaker, threads int) (inc.System, *core.Layph) {
 	return buildSystem(kind, g, mk, threads)
 }

@@ -14,7 +14,8 @@ type Options struct {
 	// Scale multiplies the preset sizes (1.0 = full bench scale; the quick
 	// default keeps every experiment in seconds on a laptop).
 	Scale float64
-	// Threads is the worker count (the paper runs 16).
+	// Threads sizes Layph's subgraph pool (the paper runs 16 workers);
+	// the other systems run sequentially.
 	Threads int
 	// Batches is how many update batches are averaged per measurement.
 	Batches int

@@ -110,7 +110,7 @@ func RunShard(o Options) ShardReport {
 
 	for _, k := range shardCounts {
 		g := mkGraph()
-		sys := shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k, Threads: 1})
+		sys := shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k})
 		st := stream.New(g, sys, stream.Config{MaxBatch: 256, MaxDelay: 5 * time.Millisecond})
 		srv := server.New(st, server.Config{})
 		ts := httptest.NewServer(srv.Handler())

@@ -89,7 +89,7 @@ func spreadWorkload(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch
 // per-batch overhead.
 func leafWorkload(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch) {
 	g := allocGraph(vertices)
-	parent := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{Workers: 1, TrackParents: true}).Parent
+	parent := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{TrackParents: true}).Parent
 	hasChild := make([]bool, len(parent))
 	for _, p := range parent {
 		if p != engine.NoParent {
@@ -174,7 +174,7 @@ func steadyStateCycle(a algo.Algorithm, kernel bool, vertices, batch int) func()
 	g, delB, addB := leafWorkload(vertices, batch)
 	var update func(*delta.Applied)
 	if kernel {
-		k := inc.NewKernel(g, a, engine.Options{Workers: 1})
+		k := inc.NewKernel(g, a, engine.Options{})
 		update = func(ap *delta.Applied) { k.Update(ap) }
 	} else {
 		l := New(g, a, Options{Workers: 1})

@@ -72,7 +72,6 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	// were sized for the whole graph.
 	l.evaluations, l.builds = 0, 0
 	l.scratch = updScratch{}
-	l.packFlatOut()
 	l.OfflineStats.BuildSeconds = time.Since(buildStart).Seconds()
 
 	// Initial batch run on the flat layered graph.
@@ -81,7 +80,6 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	fn := l.flatN()
 	res := engine.Run(&engine.Frame{Out: l.flatOut}, l.sr,
 		inc.GrowVectors(x0, fn, l.sr.Zero()), inc.GrowVectors(m0, fn, l.sr.Zero()), engine.Options{
-			Workers:      opt.Workers,
 			Tolerance:    l.tol,
 			TrackParents: l.sr.Idempotent(),
 		})
@@ -89,28 +87,6 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l.parent = res.Parent
 	l.OfflineStats.InitialSeconds = time.Since(initStart).Seconds()
 	return l
-}
-
-// packFlatOut moves every flat out-row into one backing array in vertex
-// order, each row capped at its length, as engine.BuildFrame lays out a
-// frame: settle allocates the rows one by one, and the initial run, which
-// scans every row, then walks the edges in order instead of over the heap.
-// An update that replaces a row reallocates it (computeFlatOut), and the
-// cap makes an append to a packed row reallocate rather than clobber its
-// neighbour. The array stays alive while any packed row is, so it can keep
-// replaced rows alive: at most the flat edges at construction, the bound
-// inc.Kernel already accepts for the rows of engine.BuildFrame.
-func (l *Layph) packFlatOut() {
-	n := 0
-	for _, row := range l.flatOut {
-		n += len(row)
-	}
-	buf := make([]engine.WEdge, 0, n)
-	for v, row := range l.flatOut {
-		lo := len(buf)
-		buf = append(buf, row...)
-		l.flatOut[v] = buf[lo:len(buf):len(buf)]
-	}
 }
 
 // subgraphList collects a subgraph map's values in ascending ID order, so

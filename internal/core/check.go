@@ -118,7 +118,7 @@ func (l *Layph) CheckInvariants() error {
 	// Flat rows equal their derivation from the graph and proxy tables (a
 	// proxy whose host's layout changed must have been refreshed).
 	for v := 0; v < n; v++ {
-		if !sameEdges(l.flatOut[v], l.computeFlatOut(graph.VertexID(v))) {
+		if !sameEdges(l.flatOut[v], l.appendFlatOut(nil, graph.VertexID(v))) {
 			return fmt.Errorf("vertex %d: flat row stale", v)
 		}
 	}

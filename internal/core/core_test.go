@@ -71,7 +71,7 @@ func TestFlatGraphEquivalence(t *testing.T) {
 			g := testGraph(7)
 			a := mk()
 			l := New(g, a, Options{})
-			want := engine.RunBatch(g, mk(), engine.Options{Workers: 2})
+			want := engine.RunBatch(g, mk(), engine.Options{})
 			for v := 0; v < g.Cap(); v++ {
 				got, exp := l.States()[v], want.X[v]
 				if math.IsInf(got, 1) != math.IsInf(exp, 1) || (!math.IsInf(got, 1) && math.Abs(got-exp) > 1e-6) {

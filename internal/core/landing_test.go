@@ -79,7 +79,7 @@ func TestRedetectLanding(t *testing.T) {
 				if err := l.CheckInvariants(); err != nil {
 					t.Fatalf("invariants after landing: %v", err)
 				}
-				want := engine.RunBatch(g, tc.mk(), engine.Options{Workers: 1}).X
+				want := engine.RunBatch(g, tc.mk(), engine.Options{}).X
 				g.Vertices(func(v graph.VertexID) {
 					if !algo.StatesClose(l.States()[v:v+1], want[v:v+1], tc.atol) {
 						t.Fatalf("vertex %d: landed %v, restart %v", v, l.States()[v], want[v])
@@ -137,7 +137,7 @@ func TestRedetectLanding(t *testing.T) {
 				if err := l.CheckInvariants(); err != nil {
 					t.Fatalf("invariants after post-landing updates: %v", err)
 				}
-				want = engine.RunBatch(g, tc.mk(), engine.Options{Workers: 1}).X
+				want = engine.RunBatch(g, tc.mk(), engine.Options{}).X
 				g.Vertices(func(v graph.VertexID) {
 					if !algo.StatesClose(l.States()[v:v+1], want[v:v+1], tc.atol) {
 						t.Fatalf("after landing, vertex %d: %v, restart %v", v, l.States()[v], want[v])

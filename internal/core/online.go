@@ -146,7 +146,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			return
 		}
 		res := l.lup.Run(&engine.Frame{Out: l.upOut}, l.x, nil, engine.Options{
-			Workers:   l.opt.Workers,
 			Tolerance: l.tol,
 		})
 		st.Activations += res.Activations
@@ -229,7 +228,6 @@ func (l *Layph) uploadSumSubgraph(s *Subgraph, pending, fromLocal []float64) int
 		return 0
 	}
 	res := ts.run.Run(l.absorbing(s), x, nil, engine.Options{
-		Workers:   1,
 		Tolerance: l.tol,
 	})
 	for i, v := range lf.ids {
@@ -420,10 +418,7 @@ func (l *Layph) updateMin(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 		if !seeded {
 			return
 		}
-		res := run.Run(&engine.Frame{Out: l.upOut}, l.x, l.parent, engine.Options{
-			Workers:   l.opt.Workers,
-			Tolerance: l.tol,
-		})
+		res := run.Run(&engine.Frame{Out: l.upOut}, l.x, l.parent, engine.Options{})
 		st.Activations += res.Activations
 		st.Rounds = res.Rounds
 		lupChanged = res.Changed
@@ -651,10 +646,7 @@ func (l *Layph) uploadMinSubgraph(s *Subgraph, out []settled) ([]settled, int64)
 	if !activated {
 		return out, 0
 	}
-	res := run.Run(l.absorbing(s), x, par, engine.Options{
-		Workers:   1,
-		Tolerance: l.tol,
-	})
+	res := run.Run(l.absorbing(s), x, par, engine.Options{})
 	for _, ci := range res.Changed {
 		p := par[ci]
 		switch {

@@ -124,7 +124,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			l1, x1, _ := replaySequence(t, mk, 1, 9, nil)
 			l8, x8, _ := replaySequence(t, mk, 8, 9, nil)
 			g := l8.Graph()
-			want := engine.RunBatch(g, mk(), engine.Options{Workers: 2})
+			want := engine.RunBatch(g, mk(), engine.Options{})
 			ok := true
 			g.Vertices(func(v graph.VertexID) {
 				if !algo.StatesClose(x8[v:v+1], want.X[v:v+1], 1e-6) ||

@@ -46,8 +46,9 @@ type updScratch struct {
 	members        scratch.Set
 	extSrc, extDst []graph.VertexID
 
-	// rows diffs out-rows for the flat refresh; rowBuf and upBuf are
-	// editFrame's and refreshUpVertex's row buffers.
+	// rows diffs out-rows for the flat refresh; rowBuf is the flat
+	// refresh's and editFrame's row buffer, upBuf refreshUpVertex's and
+	// packUpOut's.
 	rows   rowDiff
 	rowBuf []engine.WEdge
 	upBuf  []engine.WEdge
@@ -140,6 +141,25 @@ func sameRow(a, b []engine.WEdge) bool {
 		}
 	}
 	return true
+}
+
+// exactRow returns a copy of row whose capacity is its length, or nil for an
+// empty row.
+func exactRow(row []engine.WEdge) []engine.WEdge {
+	if len(row) == 0 {
+		return nil
+	}
+	return append(make([]engine.WEdge, 0, len(row)), row...)
+}
+
+// packedRow returns the row appended to buf from lo on, capped at its
+// length so that an append to it reallocates rather than clobber the next
+// row, or nil for an empty row.
+func packedRow(buf []engine.WEdge, lo int) []engine.WEdge {
+	if hi := len(buf); hi > lo {
+		return buf[lo:hi:hi]
+	}
+	return nil
 }
 
 // copyBuf returns a view of the buffer holding a copy of src.

@@ -172,19 +172,18 @@ func (l *Layph) growFlat(k int, sub int32, role Role, host graph.VertexID) {
 	}
 }
 
-// computeFlatOut derives the flat out-list of a flat vertex from the graph
-// and the current proxies. Precedence for a cross-subgraph edge that
-// qualifies for both sides: the exit-side proxy wins (the edge is
-// swallowed into the source's subgraph).
-func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
+// appendFlatOut appends the flat out-list of a flat vertex, derived from
+// the graph and the current proxies, to out. Precedence for a
+// cross-subgraph edge that qualifies for both sides: the exit-side proxy
+// wins (the edge is swallowed into the source's subgraph).
+func (l *Layph) appendFlatOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) {
-		return nil
+		return out
 	}
 	if int(v) >= l.g.Cap() {
-		return l.computeProxyOut(v)
+		return l.appendProxyOut(out, v)
 	}
 	sv := l.subOf[v]
-	var out []engine.WEdge
 	var linked []int32 // subgraphs v already links to through its entry proxy
 	for _, e := range l.g.Out(v) {
 		w := l.a.EdgeWeight(l.g, v, e)
@@ -209,18 +208,17 @@ func (l *Layph) computeFlatOut(v graph.VertexID) []engine.WEdge {
 	return out
 }
 
-// computeProxyOut builds a proxy's out-list: an exit proxy links to its
-// host; an entry proxy carries the host's (non-exit-proxied) edges into the
-// subgraph, with the host's original semiring weights.
-func (l *Layph) computeProxyOut(p graph.VertexID) []engine.WEdge {
+// appendProxyOut appends a proxy's out-list to out: an exit proxy links to
+// its host; an entry proxy carries the host's (non-exit-proxied) edges into
+// the subgraph, with the host's original semiring weights.
+func (l *Layph) appendProxyOut(out []engine.WEdge, p graph.VertexID) []engine.WEdge {
 	host := l.proxyHost[p]
 	sub := l.subOf[p]
 	if q, ok := l.proxyOf(false, sub, host); ok && q == p {
-		return []engine.WEdge{{To: host, W: l.sr.One()}}
+		return append(out, engine.WEdge{To: host, W: l.sr.One()})
 	}
-	var out []engine.WEdge
 	if !l.g.Alive(host) {
-		return nil
+		return out
 	}
 	sh := l.subOf[host]
 	for _, e := range l.g.Out(host) {
@@ -383,7 +381,7 @@ func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID) en
 		ts.run.Seed(e.To, l.sr.Times(l.sr.One(), e.W), graph.VertexID(cu))
 		r.acts++
 	}
-	res := ts.run.Run(frame, r.vec, r.par, engine.Options{Workers: 1, Tolerance: l.scTol()})
+	res := ts.run.Run(frame, r.vec, r.par, engine.Options{Tolerance: l.scTol()})
 	r.acts += res.Activations
 	return r
 }
@@ -612,7 +610,7 @@ func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame engine.Rows, ab, see
 	if acts == 0 {
 		return 0
 	}
-	res := ts.run.Run(frame, vec, nil, engine.Options{Workers: 1, Tolerance: l.scTol()})
+	res := ts.run.Run(frame, vec, nil, engine.Options{Tolerance: l.scTol()})
 	return acts + res.Activations
 }
 
@@ -695,7 +693,7 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, see
 	if seeded {
 		// The run sets the parent of every value it changes: the in-run
 		// sender, or the seed's source.
-		res := ts.run.Run(frame, vec, par, engine.Options{Workers: 1, Tolerance: l.scTol()})
+		res := ts.run.Run(frame, vec, par, engine.Options{})
 		acts += res.Activations
 	}
 	return acts
@@ -749,6 +747,6 @@ func (l *Layph) refreshUpVertex(v graph.VertexID) {
 	fresh := l.appendUpOut(l.scratch.upBuf[:0], v)
 	l.scratch.upBuf = fresh
 	if !sameRow(l.upOut[v], fresh) {
-		l.upOut[v] = slices.Clone(fresh)
+		l.upOut[v] = exactRow(fresh)
 	}
 }

@@ -247,14 +247,12 @@ type Options struct {
 	// replicationThreshold parallel edges into/out of one subgraph is
 	// replicated as a proxy.
 	DisableReplication bool
-	// Workers is the parallelism of both layers (0 = GOMAXPROCS): the
-	// worker count of the global (Lup) iteration and the size of the
-	// shared pool that runs independent lower-layer subgraph tasks
-	// (upload fixpoints, shortcut deduction, assignment replay)
-	// concurrently. Workers=1 is strictly sequential. Every sum-scheme run
-	// — the initial run, the Lup iteration and the local fixpoints — is the
-	// engine's sequential worklist, identical for every Workers; the Lup
-	// workers serve min-scheme runs only.
+	// Workers sizes the shared pool that runs independent lower-layer
+	// subgraph tasks (upload fixpoints, shortcut deduction, assignment
+	// replay) concurrently (0 = GOMAXPROCS); Workers=1 is strictly
+	// sequential. It sizes nothing else: every engine run — the initial
+	// run, the Lup iteration and each local fixpoint, min and sum alike —
+	// is the engine's sequential worklist, identical for every Workers.
 	Workers int
 	// AdaptiveCommunities makes every Update run the incremental community
 	// adjustment (community.Adjust) on the applied batch and migrate
@@ -415,6 +413,10 @@ func (l *Layph) Name() string { return "layph" }
 // States returns the memoized states over the flat ID space; indices below
 // g.Cap() are the original vertices' states.
 func (l *Layph) States() []float64 { return l.x }
+
+// Parents returns the dependency parents over the flat ID space for a min
+// algorithm (engine.NoParent where a state has none), nil for a sum one.
+func (l *Layph) Parents() []graph.VertexID { return l.parent }
 
 // Graph returns the underlying graph.
 func (l *Layph) Graph() *graph.Graph { return l.g }

@@ -176,6 +176,9 @@ func (l *Layph) beginLayering() {
 //     of the edited ones (patchShortcuts), fanned out over the worker pool,
 //   - refreshes the skeleton rows by one rule: every vertex whose role was
 //     recomputed and every entry of an affected subgraph.
+//
+// New's call (d == nil) lays the first round's flat rows and all skeleton
+// rows out in one array each, in vertex order.
 func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	sc := &l.scratch
 	var round []int32
@@ -222,11 +225,27 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 				out.rebuiltSubs = append(out.rebuiltSubs, s)
 			}
 		}
-		// A row's heap place does not matter here: New packs its rows
-		// before the initial run scans them all (packFlatOut).
+		// Construction's first round writes every row into one array in
+		// touched order — the live vertices, then the proxies, ascending —
+		// as engine.BuildFrame does, so the initial run walks the edges in
+		// order. A row holds at most its vertex's out-degree, plus one link
+		// per entry proxy of the vertex, plus one edge per exit proxy, so
+		// the array never grows. Any other refresh stores an exact-size
+		// copy.
+		var packed []engine.WEdge
+		if d == nil && !dissolve {
+			packed = make([]engine.WEdge, 0, l.g.NumEdges()+l.flatN()-l.origCap)
+		}
 		for _, v := range sc.touched.List {
 			old := l.flatOut[v]
-			l.flatOut[v] = l.computeFlatOut(v)
+			if packed != nil {
+				lo := len(packed)
+				packed = l.appendFlatOut(packed, v)
+				l.flatOut[v] = packedRow(packed, lo)
+			} else {
+				sc.rowBuf = l.appendFlatOut(sc.rowBuf[:0], v)
+				l.flatOut[v] = exactRow(sc.rowBuf)
+			}
 			refresh(v, old)
 		}
 		l.recomputeDirtyRoles()
@@ -266,6 +285,10 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	// moved had its in-neighbours' rows refreshed), every role recompute
 	// and every member of a restructured or migrated subgraph; shortcuts
 	// and member roles change only in affected subgraphs.
+	if d == nil {
+		l.packUpOut()
+		return out
+	}
 	for _, v := range sc.roleSeen.List {
 		l.refreshUpVertex(v)
 	}
@@ -275,6 +298,24 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 		}
 	}
 	return out
+}
+
+// packUpOut lays every skeleton row into one array in vertex order, as the
+// flat rows are laid out at construction. A first pass sizes the array, so
+// the rows are stored once.
+func (l *Layph) packUpOut() {
+	n, buf := 0, l.scratch.upBuf
+	for v := range l.flatN() {
+		buf = l.appendUpOut(buf[:0], graph.VertexID(v))
+		n += len(buf)
+	}
+	l.scratch.upBuf = buf
+	packed := make([]engine.WEdge, 0, n)
+	for v := range l.flatN() {
+		lo := len(packed)
+		packed = l.appendUpOut(packed, graph.VertexID(v))
+		l.upOut[v] = packedRow(packed, lo)
+	}
 }
 
 // touch queues v's flat row for refresh in the current round.

@@ -1,5 +1,5 @@
-// Package engine implements the parallel asynchronous accumulative iterative
-// engine of Equation (1)/(2): repeated application of the message-generation
+// Package engine implements the asynchronous accumulative iterative engine
+// of Equation (1)/(2): repeated application of the message-generation
 // operation F over out-edges and the aggregation G per destination vertex
 // until no significant messages remain.
 //
@@ -19,32 +19,31 @@
 // frame. Run is its one-shot form for batch computations: it copies its
 // inputs and runs a fresh Runner.
 //
-// A run takes one of two schedules, chosen by its semiring:
+// Every run, whatever its semiring and however large its start, is one
+// sequential in-place FIFO worklist. A popped vertex sends its value along
+// its row, and a target takes what arrives at once, so it passes an
+// improvement on without waiting a round for it:
 //
-//   - Rounds: an idempotent (min) run goes in synchronous rounds over
-//     Workers goroutines. Every active vertex applies its pending message,
-//     the emitted messages are folded per destination behind a merge
-//     barrier, and the next round is the set of vertices the fold improved.
-//   - Worklist: a sum run, from a few seeds or from m0 on every vertex
-//     alike, is one sequential in-place FIFO worklist, the accumulative
-//     scheduling of Maiter (Zhang et al., TPDS 2014). A message is added to
-//     its target's pending delta at once, and a queued vertex keeps folding
-//     what arrives until it is popped, so it moves a delta on without
-//     waiting a round for it. Workers does not apply, so a sum run's result
-//     is the same bit for bit whatever its value. On a dense start (UK ×1
-//     PageRank from m0, 2 vCPUs) the worklist spent 24.0 M activations in
-//     0.32–0.48 s where the rounds spent 41.2 M in 0.99–1.22 s at 2
-//     workers; a machine with more cores is unverified.
+//   - Min (idempotent): a message that improves its target's state sets the
+//     state and the dependency parent and queues the target — the FIFO
+//     label-correcting order of Bellman–Ford–Moore.
+//   - Sum: a message is added to its target's pending delta, and a queued
+//     vertex keeps folding what arrives until it is popped — the
+//     accumulative scheduling of Maiter (Zhang et al., TPDS 2014). On a
+//     dense start (UK ×1 PageRank from m0, 2 vCPUs) the worklist spent
+//     24.0 M activations in 0.32–0.48 s where synchronous rounds had spent
+//     41.2 M in 0.99–1.22 s at 2 workers; a machine with more cores is
+//     unverified.
 //
-// No option selects the schedule: a Runner and the one-shot Run given the
-// same inputs take the same one and agree bit for bit.
+// The engine starts no goroutine and has no schedule option: a Runner and
+// the one-shot Run given the same inputs agree bit for bit, states and
+// parents alike. Parallelism lives in the callers, which run independent
+// frames (Layph's subgraphs) on their own pools.
 package engine
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"layph/internal/algo"
 	"layph/internal/graph"
@@ -135,29 +134,18 @@ const NoParent = graph.VertexID(math.MaxUint32)
 
 // Options tunes a Run.
 type Options struct {
-	// Workers is the parallelism degree of an idempotent (min) run, which
-	// goes in rounds (default GOMAXPROCS). A sum run is the sequential
-	// worklist whatever its value.
-	Workers int
-	// MaxRounds bounds the rounds — the worklist's queue generations — as a
-	// safety net (default 1_000_000).
+	// MaxRounds bounds the worklist's queue generations as a safety net
+	// (default 1_000_000).
 	MaxRounds int
-	// Tolerance is the worklist's message-significance threshold, so it
-	// applies to sum runs only: a pending delta with |m| <= Tolerance does
-	// not activate its vertex.
+	// Tolerance is the message-significance threshold of sum runs: a
+	// pending delta with |m| <= Tolerance does not activate its vertex.
+	// Min runs ignore it.
 	Tolerance float64
 	// TrackParents maintains, for idempotent semirings, the dependency
 	// parent of every state (the in-neighbor whose message set it). Run
 	// allocates the parent vector; Runner.Run writes into the one its caller
 	// passes and panics when the option is set without one.
 	TrackParents bool
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) maxRounds() int {
@@ -177,9 +165,8 @@ type Result struct {
 	// Activations counts F applications that emitted a non-zero message
 	// (the paper's "edge activations", Figures 1 and 6).
 	Activations int64
-	// Rounds is the number of synchronized propagation rounds executed; on
-	// the worklist, the number of queue generations (the initial active
-	// set, then the vertices queued while the previous generation ran).
+	// Rounds is the number of queue generations: the initial active set,
+	// then the vertices queued while the previous generation ran.
 	Rounds int
 	// Changed lists the vertices whose state changed, in first-change
 	// order. A Runner owns it until its next run.
@@ -217,12 +204,11 @@ func Run(f *Frame, sr algo.Semiring, x0, m0 []float64, opt Options) *Result {
 }
 
 // Runner runs the fixpoint in place on a caller's state vector and keeps
-// its working buffers — pending messages and their sources, per-worker
-// message buffers, epoch-stamped touched, changed and per-round seen sets,
-// the worklist's ring and queued flags — across calls. Every buffer grows
-// on demand and is cleared through what the run touched, so a run costs
-// time and memory in proportion to the vertices it reaches, not to the
-// frame. A Runner serves one semiring and one run at a time; its zero
+// its working buffers — pending messages and their sources, epoch-stamped
+// touched and changed sets, the worklist's ring and queued flags — across
+// calls. Every buffer grows on demand and is cleared through what the run
+// touched, so a run costs time and memory in proportion to the vertices it
+// reaches, not to the frame. A Runner serves one semiring and one run at a time; its zero
 // value is not usable (NewRunner).
 //
 // A run starts from seeds: Seed folds a message, with the source that sent
@@ -239,14 +225,10 @@ type Runner struct {
 	from    []graph.VertexID
 	touched scratch.Set
 	// activated is the explicit initial active set; changed the vertices
-	// whose state the run changed; seen the vertices a round's merge
-	// reached, in first-touch order.
+	// whose state the run changed.
 	activated scratch.Set
 	changed   scratch.Set
-	seen      scratch.Set
 	active    []graph.VertexID
-	bufs      []*msgBuffer
-	acts      []int64
 	// ring is the worklist's FIFO and queued its membership flags; both
 	// cover the largest frame served, and queued is false outside a run.
 	ring   []graph.VertexID
@@ -312,21 +294,25 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // semiring it requires a parent vector, so no caller sets it and silently
 // gets none.
 //
-// The schedule follows from the semiring (see the package doc): an
-// idempotent run goes in rounds, a sum run as the worklist.
+// The run is one FIFO worklist (see the package doc), started with the
+// initial active set as its first queue generation.
 //
-// Semantics per round: every active vertex applies its pending aggregated
-// message to its state with ⊕, keeping the better value and recording the
-// parent, then emits F(x, w) = x ⊗ w along each out-edge. Messages are
-// folded per destination with ⊕ and the next active set is the set of
-// vertices whose pending message improves their state.
+// Min: the active vertices first apply their seeds, a seed that improves
+// its vertex setting the state and taking the seed's source as parent.
+// Then a popped vertex sends x[v] ⊗ w along its row, and a target the
+// message improves takes it at once, records v as its parent, and is
+// queued unless it already is. Every vertex of the initial active set
+// propagates, improved or not (re-seeding from reset frontiers needs
+// that).
 //
-// On the worklist, a popped vertex whose pending delta is no longer
-// significant is skipped (an activated vertex of the first generation is
-// not); otherwise it accumulates the delta into its state and adds
-// val ⊗ w to each target's pending delta, queueing a target that is not
-// queued once its delta turns significant. A run cut by MaxRounds drops
-// the deltas still in flight, as a cut run in rounds does.
+// Sum: a popped vertex whose pending delta is no longer significant is
+// skipped (an activated vertex of the first generation is not); otherwise
+// it accumulates the delta into its state and adds val ⊗ w to each
+// target's pending delta, queueing a target that is not queued once its
+// delta turns significant.
+//
+// A run cut by MaxRounds drops what is still queued or in flight and
+// leaves the Runner clean.
 func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) Result {
 	n := f.N()
 	if len(x) != n || (parent != nil && len(parent) != n) {
@@ -353,12 +339,18 @@ func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) 
 	}
 	r.active = active[:0]
 
-	var res Result
-	if !r.idem {
-		res = r.worklist(f, x, active, opt)
-	} else {
-		res = r.rounds(f, x, parent, active, opt)
+	if r.idem {
+		for _, v := range active {
+			if cand := r.sr.Plus(x[v], r.pending[v]); cand != x[v] {
+				x[v] = cand
+				if parent != nil {
+					parent[v] = r.from[v]
+				}
+				r.changed.Add(v)
+			}
+		}
 	}
+	res := r.worklist(f, x, parent, active, opt)
 
 	// Leave every buffer clean for the next run: a run cut by MaxRounds
 	// may still hold messages in flight.
@@ -371,88 +363,31 @@ func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) 
 	return res
 }
 
-// rounds runs an idempotent fixpoint in synchronous rounds from active.
-func (r *Runner) rounds(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
-	n := f.N()
-	// The worker count is fixed by the initial active set, so the message
-	// folding order — and with it the whole run — is reproducible for a
-	// fixed opt.Workers.
-	workers := min(opt.workers(), len(active))
-	for len(r.bufs) < workers {
-		r.bufs = append(r.bufs, &msgBuffer{})
-	}
-	for _, b := range r.bufs[:workers] {
-		b.grow(n)
-	}
-	if cap(r.acts) < workers {
-		r.acts = make([]int64, workers)
-	}
-
-	var res Result
-	for rounds := 0; len(active) > 0 && rounds < opt.maxRounds(); rounds++ {
-		res.Rounds++
-		// Process phase: partition the active list, apply pending messages,
-		// emit F over out-edges into per-worker buffers. One worker runs
-		// inline.
-		w := min(workers, len(active))
-		acts := r.acts[:w]
-		if w == 1 {
-			acts[0] = r.process(f, x, parent, active, r.bufs[0])
-		} else {
-			r.fanOut(f, x, parent, active, acts)
-		}
-		for _, a := range acts {
-			res.Activations += a
-		}
-
-		// Merge phase: fold worker buffers into pending in fixed buffer
-		// order, rebuild the active set in first-touch order.
-		active = active[:0]
-		r.seen.Reset(0)
-		for _, buf := range r.bufs[:w] {
-			for _, v := range buf.changed {
-				r.changed.Add(v)
-			}
-			buf.changed = buf.changed[:0]
-			for _, v := range buf.touched {
-				val := buf.vals[v]
-				r.touched.Add(v)
-				if r.sr.Plus(r.pending[v], val) != r.pending[v] {
-					r.pending[v] = val
-					if parent != nil {
-						r.from[v] = buf.from[v]
-					}
-				}
-				r.seen.Add(v)
-				buf.clear(v)
-			}
-			buf.touched = buf.touched[:0]
-		}
-		for _, v := range r.seen.List {
-			if r.sr.Plus(x[v], r.pending[v]) != x[v] {
-				active = append(active, v)
-			}
-		}
-	}
-	r.active = active[:0]
-	return res
-}
-
-// worklist runs a sum-semiring fixpoint from active as one in-place FIFO
-// worklist. When active is the explicit Activate set, its vertices apply
-// their pending delta however small.
-func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Options) Result {
+// worklist runs the fixpoint from active as one in-place FIFO worklist.
+// When active is the explicit Activate set, its vertices propagate in the
+// first generation however small their sum delta.
+func (r *Runner) worklist(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, opt Options) Result {
 	n := f.N()
 	forced := len(r.activated.List) > 0
 	if len(r.ring) < n {
 		r.ring = make([]graph.VertexID, n+n/2)
 		r.queued = make([]bool, n+n/2)
 	}
+	sr, zero := r.sr, r.zero
 	ring, queued, pending := r.ring[:n], r.queued, r.pending
 	tol, maxRounds := opt.Tolerance, opt.maxRounds()
 	head, size := 0, copy(ring, active)
 	for _, v := range active {
 		queued[v] = true
+	}
+	push := func(t graph.VertexID) {
+		queued[t] = true
+		tail := head + size
+		if tail >= n {
+			tail -= n
+		}
+		ring[tail] = t
+		size++
 	}
 
 	var res Result
@@ -472,6 +407,31 @@ func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Opti
 		size--
 		gen--
 		queued[v] = false
+		if r.idem {
+			val := x[v]
+			if val == zero {
+				continue
+			}
+			for _, e := range f.Row(v) {
+				msg := sr.Times(val, e.W)
+				if msg == zero {
+					continue
+				}
+				res.Activations++
+				t := e.To
+				if cand := sr.Plus(x[t], msg); cand != x[t] {
+					x[t] = cand
+					if parent != nil {
+						parent[t] = v
+					}
+					r.changed.Add(t)
+					if !queued[t] {
+						push(t)
+					}
+				}
+			}
+			continue
+		}
 		val := pending[v]
 		if math.Abs(val) <= tol && !(forced && res.Rounds == 1) {
 			continue
@@ -496,13 +456,7 @@ func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Opti
 			p += msg
 			pending[e.To] = p
 			if math.Abs(p) > tol && !queued[e.To] {
-				queued[e.To] = true
-				tail := head + size
-				if tail >= n {
-					tail -= n
-				}
-				ring[tail] = e.To
-				size++
+				push(e.To)
 			}
 		}
 	}
@@ -514,94 +468,6 @@ func (r *Runner) worklist(f Rows, x []float64, active []graph.VertexID, opt Opti
 		}
 	}
 	return res
-}
-
-// fanOut runs the process phase of one round on len(acts) workers, one
-// contiguous chunk of active each.
-func (r *Runner) fanOut(f Rows, x []float64, parent []graph.VertexID, active []graph.VertexID, acts []int64) {
-	w := len(acts)
-	chunk := (len(active) + w - 1) / w
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		lo := min(wi*chunk, len(active))
-		hi := min(lo+chunk, len(active))
-		wg.Add(1)
-		go func(wi int, part []graph.VertexID) {
-			defer wg.Done()
-			acts[wi] = r.process(f, x, parent, part, r.bufs[wi])
-		}(wi, active[lo:hi])
-	}
-	wg.Wait()
-}
-
-// process applies the pending messages of part and emits its out-edge
-// messages into buf. Returns the F applications that emitted a message.
-func (r *Runner) process(f Rows, x []float64, parent []graph.VertexID, part []graph.VertexID, buf *msgBuffer) int64 {
-	sr, zero := r.sr, r.zero
-	var emitted int64
-	for _, v := range part {
-		if cand := sr.Plus(x[v], r.pending[v]); cand != x[v] {
-			x[v] = cand
-			if parent != nil {
-				parent[v] = r.from[v]
-			}
-			buf.changed = append(buf.changed, v)
-		}
-		val := x[v]
-		if val == zero {
-			continue
-		}
-		for _, e := range f.Row(v) {
-			msg := sr.Times(val, e.W)
-			if msg == zero {
-				continue
-			}
-			emitted++
-			buf.fold(sr, e.To, msg, v)
-		}
-	}
-	return emitted
-}
-
-// msgBuffer is one worker's per-round message store: the folded message
-// and its sender per destination, plus the destinations in
-// first-touch order and the states the worker changed. vals and inUse are
-// clear outside touched.
-type msgBuffer struct {
-	vals    []float64
-	from    []graph.VertexID
-	inUse   []bool
-	touched []graph.VertexID
-	changed []graph.VertexID
-}
-
-// grow makes the buffer cover vertex ids below n.
-func (b *msgBuffer) grow(n int) {
-	if len(b.vals) >= n {
-		return
-	}
-	c := n + n/2
-	b.vals = append(b.vals, make([]float64, c-len(b.vals))...)
-	b.inUse = append(b.inUse, make([]bool, c-len(b.inUse))...)
-	b.from = append(b.from, make([]graph.VertexID, c-len(b.from))...)
-}
-
-func (b *msgBuffer) fold(sr algo.Semiring, v graph.VertexID, msg float64, src graph.VertexID) {
-	if !b.inUse[v] {
-		b.inUse[v] = true
-		b.vals[v], b.from[v] = msg, src
-		b.touched = append(b.touched, v)
-		return
-	}
-	folded := sr.Plus(b.vals[v], msg)
-	if folded != b.vals[v] {
-		b.from[v] = src
-	}
-	b.vals[v] = folded
-}
-
-func (b *msgBuffer) clear(v graph.VertexID) {
-	b.inUse[v] = false
 }
 
 // RunBatch executes the algorithm on the graph from scratch — the paper's

@@ -3,6 +3,8 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,7 +67,7 @@ func TestSSSPAgainstDijkstra(t *testing.T) {
 			Vertices: 200, MeanCommunity: 25, IntraDegree: 5, InterDegree: 0.4, Weighted: true, Seed: seed,
 		})
 		src := graph.VertexID(int(uint64(seed)) % g.Cap())
-		res := RunBatch(g, algo.NewSSSP(src), Options{Workers: 4})
+		res := RunBatch(g, algo.NewSSSP(src), Options{})
 		want := dijkstra(g, src)
 		if !algo.StatesClose(res.X, want, 1e-9) {
 			t.Logf("seed %d src %d: max diff %v", seed, src, algo.MaxStateDiff(res.X, want))
@@ -96,7 +98,7 @@ func TestPageRankAgainstPowerIteration(t *testing.T) {
 	g, _ := gen.CommunityGraph(gen.CommunityConfig{
 		Vertices: 300, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.4, Seed: 11,
 	})
-	res := RunBatch(g, algo.NewPageRank(0.85, 1e-9), Options{Workers: 4})
+	res := RunBatch(g, algo.NewPageRank(0.85, 1e-9), Options{})
 	want := powerIteration(g, 0.85, 200)
 	if !algo.StatesClose(res.X, want, 1e-5) {
 		t.Fatalf("pagerank mismatch: max diff %v", algo.MaxStateDiff(res.X, want))
@@ -163,22 +165,29 @@ func TestActivationsCounted(t *testing.T) {
 	}
 }
 
+// TestWorkerCountInvariance pins that a run does not depend on the
+// processors available: the engine starts no goroutine, so SSSP states and
+// parents and PageRank states are bit-identical at GOMAXPROCS 1, 2 and 4.
 func TestWorkerCountInvariance(t *testing.T) {
 	g, _ := gen.CommunityGraph(gen.CommunityConfig{
 		Vertices: 400, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.4, Weighted: true, Seed: 21,
 	})
-	base := RunBatch(g, algo.NewSSSP(0), Options{Workers: 1})
-	for _, w := range []int{2, 4, 8} {
-		r := RunBatch(g, algo.NewSSSP(0), Options{Workers: w})
-		if !algo.StatesClose(base.X, r.X, 1e-12) {
-			t.Fatalf("workers=%d diverges: %v", w, algo.MaxStateDiff(base.X, r.X))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var base []*Result
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := []*Result{
+			RunBatch(g, algo.NewSSSP(0), Options{TrackParents: true}),
+			RunBatch(g, algo.NewPageRank(0.85, 1e-10), Options{}),
 		}
-	}
-	basePR := RunBatch(g, algo.NewPageRank(0.85, 1e-10), Options{Workers: 1})
-	for _, w := range []int{2, 8} {
-		r := RunBatch(g, algo.NewPageRank(0.85, 1e-10), Options{Workers: w})
-		if !algo.StatesClose(basePR.X, r.X, 1e-6) {
-			t.Fatalf("pagerank workers=%d diverges: %v", w, algo.MaxStateDiff(basePR.X, r.X))
+		if base == nil {
+			base = got
+			continue
+		}
+		for i, r := range got {
+			if !sameBits(r.X, base[i].X) || !slices.Equal(r.Parent, base[i].Parent) {
+				t.Fatalf("run %d at GOMAXPROCS %d diverges: %v", i, procs, algo.MaxStateDiff(r.X, base[i].X))
+			}
 		}
 	}
 }
@@ -265,7 +274,7 @@ func TestRandomGraphsSSSPvsDijkstraLarge(t *testing.T) {
 			}
 		}
 		src := graph.VertexID(rng.Intn(n))
-		res := RunBatch(g, algo.NewSSSP(src), Options{Workers: 3})
+		res := RunBatch(g, algo.NewSSSP(src), Options{})
 		if !algo.StatesClose(res.X, dijkstra(g, src), 1e-9) {
 			t.Fatalf("trial %d: mismatch", trial)
 		}

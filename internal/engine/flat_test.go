@@ -52,8 +52,8 @@ func TestFlatFrameMatchesRowFrame(t *testing.T) {
 	}
 
 	x0, m0 := InitVectors(g, a)
-	rf := Run(flat, a.Semiring(), x0, m0, Options{Workers: 2})
-	rr := Run(rows, a.Semiring(), x0, m0, Options{Workers: 2})
+	rf := Run(flat, a.Semiring(), x0, m0, Options{})
+	rr := Run(rows, a.Semiring(), x0, m0, Options{})
 	if !algo.StatesClose(rf.X, rr.X, 0) {
 		t.Fatalf("flat vs row states differ: %v", algo.MaxStateDiff(rf.X, rr.X))
 	}

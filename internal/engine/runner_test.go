@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -26,7 +27,7 @@ func randomRunnerCase(rng *rand.Rand, a algo.Algorithm, n int) runnerCase {
 	sr := a.Semiring()
 	x0, m0 := InitVectors(g, a)
 	if rng.Intn(2) == 0 {
-		x0 = Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: a.Tolerance()}).X
+		x0 = Run(f, sr, x0, m0, Options{Tolerance: a.Tolerance()}).X
 		for i := range m0 {
 			m0[i] = sr.Zero()
 		}
@@ -79,18 +80,18 @@ func sameBits(a, b []float64) bool {
 // frames — leaves nothing behind: every in-place run gives bit-identical
 // states, parents and changed sets to the one-shot Run (to a fresh Runner
 // when the case activates vertices explicitly), for both semiring kinds and
-// Workers 1, 2 and 8.
+// three generator seeds.
 func TestRunnerReuseMatchesRun(t *testing.T) {
 	algos := []algo.Algorithm{algo.NewSSSP(0), algo.NewPageRank(0.85, 1e-9)}
 	for _, a := range algos {
 		sr := a.Semiring()
-		for _, w := range []int{1, 2, 8} {
-			rng := rand.New(rand.NewSource(int64(w)))
+		for _, seed := range []int64{1, 2, 8} {
+			rng := rand.New(rand.NewSource(seed))
 			r := NewRunner(sr)
 			for trial := 0; trial < 30; trial++ {
 				n := []int{40, 300, 90, 700, 15}[trial%5]
 				c := randomRunnerCase(rng, a, n)
-				opt := Options{Workers: w, Tolerance: a.Tolerance(), TrackParents: true}
+				opt := Options{Tolerance: a.Tolerance(), TrackParents: true}
 				if trial%7 == 6 {
 					opt.MaxRounds = 2 // a run cut with messages in flight
 				}
@@ -102,17 +103,17 @@ func TestRunnerReuseMatchesRun(t *testing.T) {
 				}
 				x, parent, got := runReused(r, sr, c, opt)
 				if !sameBits(x, want.X) {
-					t.Fatalf("%s w=%d trial %d: states differ (max %v)", a.Name(), w, trial, algo.MaxStateDiff(x, want.X))
+					t.Fatalf("%s seed %d trial %d: states differ (max %v)", a.Name(), seed, trial, algo.MaxStateDiff(x, want.X))
 				}
 				if !slices.Equal(parent, want.Parent) {
-					t.Fatalf("%s w=%d trial %d: parents differ", a.Name(), w, trial)
+					t.Fatalf("%s seed %d trial %d: parents differ", a.Name(), seed, trial)
 				}
 				changed := slices.Sorted(slices.Values(got.Changed))
 				if wantChanged := slices.Sorted(slices.Values(want.Changed)); !slices.Equal(changed, wantChanged) {
-					t.Fatalf("%s w=%d trial %d: changed %v, want %v", a.Name(), w, trial, changed, wantChanged)
+					t.Fatalf("%s seed %d trial %d: changed %v, want %v", a.Name(), seed, trial, changed, wantChanged)
 				}
 				if got.Activations != want.Activations || got.Rounds != want.Rounds {
-					t.Fatalf("%s w=%d trial %d: %d acts/%d rounds, want %d/%d", a.Name(), w, trial,
+					t.Fatalf("%s seed %d trial %d: %d acts/%d rounds, want %d/%d", a.Name(), seed, trial,
 						got.Activations, got.Rounds, want.Activations, want.Rounds)
 				}
 			}
@@ -129,7 +130,7 @@ func TestRunnerNoSeeds(t *testing.T) {
 	x := Run(f, a.Semiring(), x0, m0, Options{}).X
 	before := append([]float64(nil), x...)
 	r := NewRunner(a.Semiring())
-	res := r.Run(f, x, nil, Options{Workers: 2})
+	res := r.Run(f, x, nil, Options{})
 	if len(res.Changed) != 0 || res.Rounds != 0 || res.Activations != 0 || !sameBits(x, before) {
 		t.Fatalf("empty run: %+v", res)
 	}
@@ -152,10 +153,8 @@ func TestRunnerTrackParentsNeedsVector(t *testing.T) {
 	r.Run(f, x, nil, Options{TrackParents: true})
 }
 
-// TestSumRunIsWorklist pins the one sum schedule on a dense start — m0 on
-// every vertex, as RunBatch seeds it. The run is the sequential worklist
-// whatever Workers says, so Workers 1, 2 and 4 give bit-identical states,
-// activations and generations. Each run stops with every pending delta at
+// TestSumRunIsWorklist pins the worklist on a dense sum start — m0 on every
+// vertex, as RunBatch seeds it. The run stops with every pending delta at
 // most tol, and a unit of undelivered delta is worth at most 1/(1-d) of
 // state, so the states lie within n·tol/(1-d) of a reference run at
 // tolerance 1e-13 (plus that reference's own, far smaller, bound).
@@ -166,20 +165,151 @@ func TestSumRunIsWorklist(t *testing.T) {
 	g := randomFrameGraph(9, n)
 	f := BuildFrame(g, a)
 	x0, m0 := InitVectors(g, a)
-	ref := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: refTol}).X
+	ref := Run(f, sr, x0, m0, Options{Tolerance: refTol}).X
 
-	base := Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tol})
-	for _, w := range []int{2, 4} {
-		res := Run(f, sr, x0, m0, Options{Workers: w, Tolerance: tol})
-		if !sameBits(res.X, base.X) || res.Activations != base.Activations || res.Rounds != base.Rounds {
-			t.Fatalf("Workers %d: %d acts/%d generations, max state diff %v; Workers 1: %d/%d",
-				w, res.Activations, res.Rounds, algo.MaxStateDiff(res.X, base.X), base.Activations, base.Rounds)
-		}
-	}
+	base := Run(f, sr, x0, m0, Options{Tolerance: tol})
 	if bound := n * (tol + refTol) / (1 - d); !algo.StatesClose(base.X, ref, bound) {
 		t.Fatalf("dense start differs from the reference by %v, bound %v", algo.MaxStateDiff(base.X, ref), bound)
 	}
 	t.Logf("dense start: %d activations, %d generations", base.Activations, base.Rounds)
+}
+
+// minReference is Dijkstra's fixpoint over the frame's rows: every vertex
+// starts from x0 ⊕ m0 and settles in order of value, so it is independent
+// of the worklist's schedule.
+func minReference(f *Frame, sr algo.Semiring, x0, m0 []float64) []float64 {
+	n := f.N()
+	x := make([]float64, n)
+	for v := range x {
+		x[v] = sr.Plus(x0[v], m0[v])
+	}
+	done := make([]bool, n)
+	for {
+		u := -1
+		for v := range x {
+			if !done[v] && x[v] != sr.Zero() && (u < 0 || x[v] < x[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return x
+		}
+		done[u] = true
+		for _, e := range f.Out[u] {
+			x[e.To] = sr.Plus(x[e.To], sr.Times(x[u], e.W))
+		}
+	}
+}
+
+// checkMinRun checks a finished min run against the reference: the states
+// are equal bit for bit, every recorded parent p of v has an edge p→v with
+// x[v] == x[p] ⊗ w, a state without a parent is its vertex's initial
+// message, and Changed lists exactly the vertices whose state moved from
+// before.
+func checkMinRun(t *testing.T, what string, f *Frame, sr algo.Semiring, m0, before, x, want []float64, parent []graph.VertexID, res Result) {
+	t.Helper()
+	if !sameBits(x, want) {
+		t.Fatalf("%s: states differ from the reference (max %v)", what, algo.MaxStateDiff(x, want))
+	}
+	for v, p := range parent {
+		if p == NoParent {
+			if x[v] != sr.Zero() && x[v] != m0[v] {
+				t.Fatalf("%s: state %v of %d has no parent", what, x[v], v)
+			}
+			continue
+		}
+		if !slices.ContainsFunc(f.Out[p], func(e WEdge) bool {
+			return int(e.To) == v && sr.Times(x[p], e.W) == x[v]
+		}) {
+			t.Fatalf("%s: parent %d of %d sets no edge to its state %v", what, p, v, x[v])
+		}
+	}
+	var moved []graph.VertexID
+	for v := range x {
+		if math.Float64bits(x[v]) != math.Float64bits(before[v]) {
+			moved = append(moved, graph.VertexID(v))
+		}
+	}
+	if changed := slices.Sorted(slices.Values(res.Changed)); !slices.Equal(changed, moved) {
+		t.Fatalf("%s: changed %v, want %v", what, changed, moved)
+	}
+}
+
+// TestMinRunIsWorklist pins the min worklist on random weighted frames
+// under SSSP, BFS and CC. A batch start (the source's message, or every
+// vertex's label for CC) and an incremental start — a random set of
+// converged states reset to the semiring zero and re-reached either by
+// activating their intact in-neighbours or by seeding them with offers
+// from those, as the incremental engines do — must both reach Dijkstra's
+// states exactly, record parents whose edge yields the state, and list
+// exactly the changed vertices. A run cut by MaxRounds must leave the
+// Runner as a fresh one.
+func TestMinRunIsWorklist(t *testing.T) {
+	const n = 150
+	for _, a := range []algo.Algorithm{algo.NewSSSP(3), algo.NewBFS(3), algo.NewCC()} {
+		sr := a.Semiring()
+		rng := rand.New(rand.NewSource(7))
+		r := NewRunner(sr)
+		for trial := 0; trial < 12; trial++ {
+			g := randomFrameGraph(rng.Int63(), n)
+			for v := 0; v < n; v += 1 + rng.Intn(40) {
+				g.DeleteVertex(graph.VertexID(v)) // split the frame now and then
+			}
+			f := BuildFrame(g, a)
+			x0, m0 := InitVectors(g, a)
+			want := minReference(f, sr, x0, m0)
+			what := fmt.Sprintf("%s trial %d", a.Name(), trial)
+
+			batch := Run(f, sr, x0, m0, Options{TrackParents: true})
+			checkMinRun(t, what+" batch", f, sr, m0, x0, batch.X, want, batch.Parent, Result{Changed: batch.Changed})
+
+			// Reset a random set, then re-reach it through r.
+			x, parent := slices.Clone(batch.X), slices.Clone(batch.Parent)
+			reset := make([]bool, n)
+			for v := range reset {
+				if rng.Intn(5) == 0 {
+					reset[v], x[v], parent[v] = true, sr.Zero(), NoParent
+				}
+			}
+			before := slices.Clone(x)
+			viaSeeds := trial%2 == 1
+			for u := range n {
+				for _, e := range f.Out[u] {
+					if reset[u] || !reset[e.To] || x[u] == sr.Zero() {
+						continue
+					}
+					if viaSeeds {
+						r.Seed(e.To, sr.Times(x[u], e.W), graph.VertexID(u))
+						r.Activate(e.To)
+					} else {
+						r.Activate(graph.VertexID(u))
+					}
+				}
+			}
+			// Reset vertices that are their own roots take their initial
+			// message back.
+			for v := range n {
+				if reset[v] && m0[v] != sr.Zero() {
+					r.Seed(graph.VertexID(v), m0[v], NoParent)
+					r.Activate(graph.VertexID(v))
+				}
+			}
+			res := r.Run(f, x, parent, Options{})
+			checkMinRun(t, fmt.Sprintf("%s reset (seeds %v)", what, viaSeeds), f, sr, m0, before, x, want, parent, res)
+
+			// A run cut after one generation leaves r clean: the next run
+			// matches a fresh Runner's bit for bit.
+			c := runnerCase{f: f, x0: x0, m0: m0}
+			runReused(r, sr, c, Options{MaxRounds: 1})
+			xr, pr, got := runReused(r, sr, c, Options{})
+			xf, pf, fresh := runReused(NewRunner(sr), sr, c, Options{})
+			if !sameBits(xr, xf) || !slices.Equal(pr, pf) || !slices.Equal(got.Changed, fresh.Changed) ||
+				got.Activations != fresh.Activations || got.Rounds != fresh.Rounds {
+				t.Fatalf("%s: run after a cut run differs from a fresh Runner's", what)
+			}
+			checkMinRun(t, what+" after cut", f, sr, m0, x0, xr, want, pr, got)
+		}
+	}
 }
 
 // maskedRows is a Rows view that reads a frame's rows and empties the
@@ -201,9 +331,9 @@ func (m maskedRows) Row(v graph.VertexID) []WEdge {
 // TestRunnerOverRowsView pins that a Runner reads a frame only through
 // Rows: a run over a view that empties chosen rows gives bit-identical
 // states, parents, activations and changed set to a run over a Frame whose
-// rows were emptied — for min runs with parents (rounds), and for sum runs
-// (the worklist) from a sparse start (a few seeds on a converged state) and
-// from a dense start (the batch start), on Workers 1 and 2.
+// rows were emptied — for min runs with parents, and for sum runs
+// from a sparse start (a few seeds on a converged state) and from a dense
+// start (the batch start), over two generator seeds.
 func TestRunnerOverRowsView(t *testing.T) {
 	const n = 300
 	for _, tc := range []struct {
@@ -216,8 +346,8 @@ func TestRunnerOverRowsView(t *testing.T) {
 		{"sum-dense", algo.NewPageRank(0.85, 1e-9), true},
 	} {
 		sr := tc.a.Semiring()
-		for _, w := range []int{1, 2} {
-			rng := rand.New(rand.NewSource(int64(w)))
+		for _, seed := range []int64{1, 2} {
+			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 10; trial++ {
 				g := randomFrameGraph(rng.Int63(), n)
 				f := BuildFrame(g, tc.a)
@@ -230,13 +360,13 @@ func TestRunnerOverRowsView(t *testing.T) {
 				}
 				x0, m0 := InitVectors(g, tc.a)
 				if !tc.dense {
-					x0 = Run(f, sr, x0, m0, Options{Workers: 1, Tolerance: tc.a.Tolerance()}).X
+					x0 = Run(f, sr, x0, m0, Options{Tolerance: tc.a.Tolerance()}).X
 					clear(m0)
 					for j := 0; j < 5; j++ {
 						m0[rng.Intn(n)] = rng.Float64() - 0.5
 					}
 				}
-				opt := Options{Workers: w, Tolerance: tc.a.Tolerance(), TrackParents: sr.Idempotent()}
+				opt := Options{Tolerance: tc.a.Tolerance(), TrackParents: sr.Idempotent()}
 				xw, pw, want := runReused(NewRunner(sr), sr, runnerCase{f: cut, x0: x0, m0: m0}, opt)
 				x := slices.Clone(x0)
 				var parent []graph.VertexID
@@ -251,10 +381,10 @@ func TestRunnerOverRowsView(t *testing.T) {
 				}
 				got := r.Run(view, x, parent, opt)
 				if !sameBits(x, xw) || !slices.Equal(parent, pw) {
-					t.Fatalf("%s w=%d trial %d: states or parents differ", tc.name, w, trial)
+					t.Fatalf("%s seed %d trial %d: states or parents differ", tc.name, seed, trial)
 				}
 				if got.Activations != want.Activations || got.Rounds != want.Rounds || !slices.Equal(got.Changed, want.Changed) {
-					t.Fatalf("%s w=%d trial %d: %d acts/%d rounds/%d changed, want %d/%d/%d", tc.name, w, trial,
+					t.Fatalf("%s seed %d trial %d: %d acts/%d rounds/%d changed, want %d/%d/%d", tc.name, seed, trial,
 						got.Activations, got.Rounds, len(got.Changed), want.Activations, want.Rounds, len(want.Changed))
 				}
 			}
@@ -313,7 +443,7 @@ func BenchmarkRunner(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r.Activate(graph.VertexID(i % n))
-			r.Run(f, x, parent, Options{Workers: 1})
+			r.Run(f, x, parent, Options{})
 		}
 	})
 	// The sum case: one seed on a converged PageRank state, a sparse start
@@ -351,6 +481,14 @@ func BenchmarkRunner(b *testing.B) {
 			Run(f, a.Semiring(), x0, m0, Options{Tolerance: a.Tolerance()})
 		}
 	})
+	// The min batch start: the source's message alone on the same frame,
+	// the start of RunBatch and of Layph's initial SSSP run.
+	b.Run("sssp-batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Run(f, sr, x0, m0, Options{TrackParents: true})
+		}
+	})
 	b.Run("oneshot", func(b *testing.B) {
 		m := make([]float64, n)
 		for i := range m {
@@ -362,7 +500,7 @@ func BenchmarkRunner(b *testing.B) {
 			// improving it, as Activate does.
 			v := i % n
 			m[v] = x[v]
-			Run(f, sr, x, m, Options{Workers: 1, TrackParents: true})
+			Run(f, sr, x, m, Options{TrackParents: true})
 			m[v] = sr.Zero()
 		}
 	})

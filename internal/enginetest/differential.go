@@ -161,7 +161,7 @@ func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg
 				batch = dropVertexZeroDeletes(batch)
 			}
 			delta.Apply(driver, batch)
-			want := engine.RunBatch(driver, mkAlgo(), engine.Options{Workers: 2})
+			want := engine.RunBatch(driver, mkAlgo(), engine.Options{})
 			for i, e := range engines {
 				applied := delta.Apply(graphs[i], batch)
 				sys[i].Update(applied)

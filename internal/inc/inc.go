@@ -38,8 +38,8 @@ import (
 type Stats struct {
 	// Activations is the number of F applications (edge activations).
 	Activations int64
-	// Rounds is the number of engine propagation rounds (queue generations
-	// of a worklist run, see engine.Result.Rounds).
+	// Rounds is the number of the engine's queue generations (see
+	// engine.Result.Rounds).
 	Rounds int
 	// Resets is the number of vertices invalidated by ⊥ cancellations
 	// (idempotent scheme only).

@@ -166,7 +166,7 @@ func TestParentsFromFixpoint(t *testing.T) {
 	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 2}, {3, 4}} {
 		g.AddEdge(e[0], e[1], 1)
 	}
-	k := NewKernel(g, algo.NewCC(), engine.Options{Workers: 1})
+	k := NewKernel(g, algo.NewCC(), engine.Options{})
 	if p := k.Parents(); p[2] != 1 || p[3] != 2 || p[4] != 3 {
 		t.Fatalf("initial parents: %v", p)
 	}

@@ -282,7 +282,7 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 		seed(o.v, engine.NoParent, o.m)
 	}
 
-	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{Workers: k.opt.Workers, MaxRounds: k.opt.MaxRounds})
+	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{MaxRounds: k.opt.MaxRounds})
 	k.changed = append(append(append(k.changed[:0], tagged.List...), applied.AddedVertices...), res.Changed...)
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
@@ -305,7 +305,6 @@ func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 		k.run.Seed(o.v, o.m, engine.NoParent)
 	}
 	res := k.run.Run(k.frame, k.x, nil, engine.Options{
-		Workers:   k.opt.Workers,
 		MaxRounds: k.opt.MaxRounds,
 		Tolerance: k.opt.Tolerance,
 	})

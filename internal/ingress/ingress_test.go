@@ -14,7 +14,7 @@ import (
 )
 
 func factory(g *graph.Graph, a algo.Algorithm) inc.System {
-	return New(g, a, engine.Options{Workers: 2})
+	return New(g, a, engine.Options{})
 }
 
 func TestEquivalenceAllAlgorithms(t *testing.T) {
@@ -87,10 +87,10 @@ func TestIncrementalCheaperThanRestartSmallDelta(t *testing.T) {
 		{"UK x0.25", gen.Build(gen.PresetUK, 0.25), true},
 		{"chain", chain, false},
 	} {
-		eng := New(tc.g, a, engine.Options{Workers: 2})
+		eng := New(tc.g, a, engine.Options{})
 		batch := delta.NewGenerator(5).EdgeBatch(tc.g, 10, true)
 		st := eng.Update(delta.Apply(tc.g, batch))
-		restart := engine.RunBatch(tc.g, a, engine.Options{Workers: 2})
+		restart := engine.RunBatch(tc.g, a, engine.Options{})
 		t.Logf("%s: incremental %d activations, restart %d (ratio %.2f)", tc.name,
 			st.Activations, restart.Activations, float64(st.Activations)/float64(restart.Activations))
 		if tc.assert && st.Activations*2 >= restart.Activations {

@@ -1,7 +1,8 @@
 // Package pool provides the shared bounded worker pool behind Layph's
-// two-level parallelism: one pool per engine instance, sized by
-// Config.Threads, shared by every parallel phase (subgraph-local upload
-// fixpoints, shortcut deduction fan-outs, assignment replay). The
+// parallelism, which lives in the lower layer: one pool per engine
+// instance, sized by Config.Threads, shared by every parallel phase
+// (subgraph-local upload fixpoints, shortcut deduction fan-outs,
+// assignment replay). The
 // lower-layer subgraphs touched by an update batch are independent by
 // construction — disjoint member sets, disjoint state writes — so each
 // subgraph-local refinement is an isolated task.

@@ -13,7 +13,7 @@ import (
 )
 
 func factory(g *graph.Graph, a algo.Algorithm) inc.System {
-	return New(g, a, engine.Options{Workers: 2})
+	return New(g, a, engine.Options{})
 }
 
 func TestEquivalenceMinAlgorithms(t *testing.T) {

@@ -149,7 +149,7 @@ func TestMetricsShardsFollowServingEngine(t *testing.T) {
 	}
 	const k = 3
 	g := mkGraph()
-	sharded := stream.New(g, shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k, Threads: 1}), stream.Config{})
+	sharded := stream.New(g, shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k}), stream.Config{})
 	defer sharded.Close()
 	srv := New(sharded, Config{})
 	ts := httptest.NewServer(srv.Handler())

@@ -167,7 +167,7 @@ func TestPushQueryRoundTripMatchesRestart(t *testing.T) {
 		}
 	}
 
-	want := engine.RunBatch(d.g, algo.NewSSSP(0), engine.Options{Workers: 2}).X
+	want := engine.RunBatch(d.g, algo.NewSSSP(0), engine.Options{}).X
 	if !algo.StatesClose(got, want[:snapLen], 1e-6) {
 		t.Fatal("HTTP-served states differ from restart baseline on the final graph")
 	}
@@ -355,7 +355,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestStartServesRealListener(t *testing.T) {
 	g := graph.New(10)
 	g.AddEdge(0, 1, 2)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 1})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	st := stream.New(g, sys, stream.Config{MaxDelay: -1})
 	srv := New(st, Config{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {

@@ -87,7 +87,7 @@ func (u *unit) owned(v graph.VertexID) bool {
 func newUnit(id int32, grp *Group, gs *graph.Graph) *unit {
 	u := &unit{id: id, grp: grp, gs: gs, base: grp.base, sr: grp.sr, zero: grp.sr.Zero()}
 	u.pins = inc.GrowVectors(nil, gs.Cap(), u.zero)
-	u.k = inc.NewKernel(gs, shardAlgo{u: u}, engine.Options{Workers: grp.workers})
+	u.k = inc.NewKernel(gs, shardAlgo{u: u}, engine.Options{})
 	u.activations = u.k.InitialStats.Activations
 	u.rounds = u.k.InitialStats.Rounds
 	return u

@@ -23,9 +23,9 @@
 //
 // Shard engines run concurrently but independently; their results meet
 // only at the merge barrier, which collects boundary changes in shard
-// order and sorted vertex order. With the per-shard worker count fixed,
-// the same input stream therefore reproduces the same states — the same
-// contract as layph.Config.Threads.
+// order and sorted vertex order. Each shard engine runs sequentially, so
+// for a fixed shard count the same input stream reproduces the same
+// states bit for bit.
 //
 // # Deletions under the min scheme
 //
@@ -56,10 +56,9 @@ import (
 type Options struct {
 	// Shards is K, the number of partitioned engines (0 or 1 = one shard,
 	// which is the plain single-engine path plus the routing layer).
+	// Shards always run in their own goroutines; each shard engine runs
+	// sequentially.
 	Shards int
-	// Threads is the worker count of EACH shard engine (0 = GOMAXPROCS).
-	// Shards themselves always run in their own goroutines.
-	Threads int
 }
 
 // maxRounds caps the boundary-exchange rounds per batch. Exceeding it
@@ -90,14 +89,13 @@ type Info struct {
 // exchange rounds to the global fixpoint, and maintains the merged state
 // vector that States and snapshots serve.
 type Group struct {
-	global  *graph.Graph
-	base    algo.Algorithm
-	sr      algo.Semiring
-	zero    float64
-	opt     Options
-	k       int
-	workers int
-	idem    bool
+	global *graph.Graph
+	base   algo.Algorithm
+	sr     algo.Semiring
+	zero   float64
+	opt    Options
+	k      int
+	idem   bool
 
 	owner     []int32
 	engines   []*unit
@@ -122,7 +120,7 @@ func New(g *graph.Graph, base algo.Algorithm, opt Options) *Group {
 	k := opt.shards()
 	gr := &Group{
 		global: g, base: base, sr: base.Semiring(), opt: opt, k: k,
-		workers: opt.Threads, idem: base.Semiring().Idempotent(),
+		idem: base.Semiring().Idempotent(),
 	}
 	gr.zero = gr.sr.Zero()
 	gr.owner = buildOwners(g, k)

@@ -20,7 +20,7 @@ func factories(counts ...int) []enginetest.NamedFactory {
 		out = append(out, enginetest.NamedFactory{
 			Name: fmt.Sprintf("sharded-%d", k),
 			New: func(g *graph.Graph, a algo.Algorithm) inc.System {
-				return New(g, a, Options{Shards: k, Threads: 2})
+				return New(g, a, Options{Shards: k})
 			},
 		})
 	}
@@ -90,7 +90,7 @@ func ring(n int) *graph.Graph {
 // check asserts a group's live states match a batch restart on g.
 func check(t *testing.T, g *graph.Graph, gr *Group, a algo.Algorithm, msg string) {
 	t.Helper()
-	want := engine.RunBatch(g, a, engine.Options{Workers: 2})
+	want := engine.RunBatch(g, a, engine.Options{})
 	got := gr.States()
 	ok := true
 	g.Vertices(func(v graph.VertexID) {
@@ -110,7 +110,7 @@ func TestRouterAdversarial(t *testing.T) {
 		mk := enginetest.AllAlgorithms()[mkName]
 		t.Run(mkName, func(t *testing.T) {
 			g := ring(60)
-			gr := New(g, mk(), Options{Shards: 3, Threads: 2})
+			gr := New(g, mk(), Options{Shards: 3})
 			check(t, g, gr, mk(), "initial")
 
 			steps := []struct {
@@ -176,7 +176,7 @@ func TestEmptyShards(t *testing.T) {
 		g.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
 	}
 	mk := enginetest.AllAlgorithms()["sssp"]
-	gr := New(g, mk(), Options{Shards: 8, Threads: 1})
+	gr := New(g, mk(), Options{Shards: 8})
 	check(t, g, gr, mk(), "initial")
 
 	empty := 0
@@ -204,7 +204,7 @@ func TestEmptyShards(t *testing.T) {
 // to -1).
 func TestOwnerAndInfos(t *testing.T) {
 	g := ring(50)
-	gr := New(g, algo.NewSSSP(0), Options{Shards: 4, Threads: 1})
+	gr := New(g, algo.NewSSSP(0), Options{Shards: 4})
 
 	live, owned, edges := 0, 0, 0
 	g.Vertices(func(v graph.VertexID) {

@@ -61,7 +61,7 @@ func (s *stubSys) Update(*delta.Applied) inc.Stats {
 
 func TestCountTrigger(t *testing.T) {
 	g := testGraph(1)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	results := make(chan BatchResult, 16)
 	s := New(g, sys, Config{
 		MaxBatch: 10, MaxDelay: -1, // time trigger off
@@ -103,7 +103,7 @@ func TestCountTrigger(t *testing.T) {
 
 func TestTimeTrigger(t *testing.T) {
 	g := testGraph(3)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	results := make(chan BatchResult, 4)
 	s := New(g, sys, Config{
 		MaxBatch: 1 << 20, MaxDelay: 20 * time.Millisecond,
@@ -127,7 +127,7 @@ func TestTimeTrigger(t *testing.T) {
 
 func TestDrainOnClose(t *testing.T) {
 	g := testGraph(5)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	s := New(g, sys, Config{MaxBatch: 1 << 20, MaxDelay: -1})
 	seq := updateSeq(g, 100, 6)
 	for _, u := range seq {
@@ -160,7 +160,7 @@ func TestDrainOnClose(t *testing.T) {
 
 func TestSnapshotConsistencyUnderConcurrentPushQuery(t *testing.T) {
 	g := testGraph(7)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	published := sync.Map{} // seq -> states hash
 	s := New(g, sys, Config{
 		MaxBatch: 20, MaxDelay: time.Millisecond,
@@ -232,7 +232,7 @@ func TestStreamedEqualsOneShot(t *testing.T) {
 	pristine := g.Clone()
 	seq := updateSeq(g, 1500, 10)
 
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	s := New(g, sys, Config{MaxBatch: 97, MaxDelay: -1}) // odd size: uneven boundaries
 	for _, u := range seq {
 		if err := s.Push(u); err != nil {
@@ -245,7 +245,7 @@ func TestStreamedEqualsOneShot(t *testing.T) {
 	streamed := s.Query().States
 
 	// One-shot: same sequence as a single batch through a fresh engine.
-	oneShot := ingress.New(pristine, algo.NewSSSP(0), engine.Options{Workers: 2})
+	oneShot := ingress.New(pristine, algo.NewSSSP(0), engine.Options{})
 	applied := delta.Apply(pristine, delta.Batch(seq))
 	oneShot.Update(applied)
 
@@ -254,7 +254,7 @@ func TestStreamedEqualsOneShot(t *testing.T) {
 		t.Fatal("streamed states differ from one-shot ApplyBatch+Update")
 	}
 	// And both must match a from-scratch restart on the final graph.
-	restart := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{Workers: 2}).X
+	restart := engine.RunBatch(g, algo.NewSSSP(0), engine.Options{}).X
 	if !algo.StatesClose(streamed[:n], restart[:n], 1e-9) {
 		t.Fatal("streamed states differ from restart baseline")
 	}
@@ -329,7 +329,7 @@ func TestBackpressureBlock(t *testing.T) {
 
 func TestMetricsRollup(t *testing.T) {
 	g := testGraph(11)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	s := New(g, sys, Config{MaxBatch: 50, MaxDelay: -1})
 	for _, u := range updateSeq(g, 500, 12) {
 		if err := s.Push(u); err != nil {
@@ -367,7 +367,7 @@ func TestCloseDuringInFlightPushesKeepsAcknowledged(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		g := testGraph(int64(20 + round))
-		sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+		sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 		s := New(g, sys, Config{MaxBatch: 16, MaxDelay: -1, QueueCap: 8})
 		seq := updateSeq(g, 600, int64(round))
 
@@ -419,7 +419,7 @@ func TestCloseDuringInFlightPushesKeepsAcknowledged(t *testing.T) {
 // acknowledged push is in the final snapshot.
 func TestDrainRacingClose(t *testing.T) {
 	g := testGraph(31)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 2})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	s := New(g, sys, Config{MaxBatch: 32, MaxDelay: -1, QueueCap: 16})
 	seq := updateSeq(g, 400, 32)
 	var acked atomic.Int64
@@ -559,7 +559,7 @@ func (d *recordingDurable) AfterBatch(seq, updates uint64, g *graph.Graph, state
 func TestDurableLogsBeforePublish(t *testing.T) {
 	g := testGraph(11)
 	seq := updateSeq(g, 2000, 12)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 1})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	dur := &recordingDurable{}
 	var published []uint64
 	s := New(g, sys, Config{
@@ -622,7 +622,7 @@ func TestDurableLogsBeforePublish(t *testing.T) {
 func TestDurableLogFailureStallsThenRecovers(t *testing.T) {
 	g := testGraph(13)
 	seq := updateSeq(g, 300, 14)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 1})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	dur := &recordingDurable{failLog: 2, errLog: errFull}
 	s := New(g, sys, Config{MaxBatch: 64, MaxDelay: 5 * time.Millisecond, Durability: dur})
 	for _, u := range seq[:100] {
@@ -673,7 +673,7 @@ func (errFullT) Error() string { return "wal: disk full (injected)" }
 func TestStartCountersResume(t *testing.T) {
 	g := testGraph(15)
 	seq := updateSeq(g, 200, 16)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{Workers: 1})
+	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
 	start := inc.Stats{Activations: 77, Rounds: 3, ReplayedBatches: 5}
 	s := New(g, sys, Config{
 		MaxBatch: 100, MaxDelay: -1,

@@ -129,28 +129,27 @@ func PHP(source VertexID, d, tol float64) Algorithm { return algo.NewPHP(source,
 func CC() Algorithm { return algo.NewCC() }
 
 // Run executes the algorithm on the graph from scratch and returns the
-// converged states — the paper's "Restart" baseline.
+// converged states — the paper's "Restart" baseline. The run is the
+// engine's sequential worklist: threads no longer changes anything and is
+// kept only because the repository benchmark passes it; a change to the
+// benchmark removes it.
 func Run(g *Graph, a Algorithm, threads int) []float64 {
-	return engine.RunBatch(g, a, engine.Options{Workers: threads}).X
+	return engine.RunBatch(g, a, engine.Options{}).X
 }
 
 // Config tunes Layph construction (zero value = paper defaults).
 type Config struct {
-	// Threads is the parallelism of both layers (0 = GOMAXPROCS): the
-	// worker count of the global upper-layer iteration and the size of
-	// the shared pool that refines independent touched subgraphs
-	// concurrently. Threads=1 runs strictly sequentially.
+	// Threads sizes the shared pool that refines independent touched
+	// subgraphs concurrently (0 = GOMAXPROCS); Threads=1 runs strictly
+	// sequentially. The upper-layer iteration, the initial computation
+	// and every subgraph's local fixpoint are each one sequential
+	// worklist in the engine, for min and sum semirings alike.
 	//
-	// Determinism contract: for a fixed Threads value, identical inputs
-	// produce byte-identical state vectors for monotone min-semiring
-	// algorithms (SSSP, BFS) — subgraph tasks are independent, min
-	// folding is exact, and task results are merged in deterministic
-	// order. For sum-semiring algorithms (PageRank, PHP) the states are
-	// byte-identical for every Threads value: every sum run, the initial
-	// computation included, is the engine's sequential worklist, and the
-	// subgraph tasks are merged in deterministic order. Across different
-	// Threads values, min-semiring results agree within the algorithm's
-	// convergence tolerance.
+	// Determinism contract: identical inputs produce byte-identical state
+	// vectors, and for min-semiring algorithms (SSSP, BFS, CC)
+	// byte-identical dependency parents, for every Threads value —
+	// subgraph tasks are independent, each engine run is sequential, and
+	// task results are merged in deterministic order.
 	Threads int
 	// DisableReplication turns vertex replication off (Figure 8 ablation).
 	// The paper's other two parameters are fixed: the replication
@@ -178,19 +177,24 @@ func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 }
 
 // NewIngress returns the Ingress baseline (memoization-free for PageRank and
-// PHP, memoization-path for SSSP and BFS) — the engine Layph extends.
+// PHP, memoization-path for SSSP and BFS) — the engine Layph extends. Its
+// runs are sequential: threads no longer changes anything and is kept only
+// because the repository benchmark passes it; a change to the benchmark
+// removes it.
 func NewIngress(g *Graph, a Algorithm, threads int) System {
-	return ingress.New(g, a, engine.Options{Workers: threads})
+	return ingress.New(g, a, engine.Options{})
 }
 
-// NewKickStarter returns the KickStarter baseline (SSSP/BFS only).
+// NewKickStarter returns the KickStarter baseline (SSSP/BFS only). threads
+// no longer changes anything, as for NewIngress.
 func NewKickStarter(g *Graph, a Algorithm, threads int) System {
-	return kickstarter.New(g, a, engine.Options{Workers: threads})
+	return kickstarter.New(g, a, engine.Options{})
 }
 
-// NewRisGraph returns the RisGraph baseline (SSSP/BFS only).
+// NewRisGraph returns the RisGraph baseline (SSSP/BFS only). threads no
+// longer changes anything, as for NewIngress.
 func NewRisGraph(g *Graph, a Algorithm, threads int) System {
-	return risgraph.New(g, a, engine.Options{Workers: threads})
+	return risgraph.New(g, a, engine.Options{})
 }
 
 // NewGraphBolt returns the GraphBolt baseline (PageRank/PHP only).
@@ -280,22 +284,20 @@ type ShardInfo = shard.Info
 
 // ShardConfig tunes sharded execution.
 type ShardConfig struct {
-	// Shards is K, the number of partitioned engines (0 or 1 = one).
+	// Shards is K, the number of partitioned engines (0 or 1 = one). Each
+	// runs sequentially in its own goroutine. The communities packed onto
+	// shards are uncapped in size.
 	Shards int
-	// Threads is the worker count of each shard engine (0 = GOMAXPROCS).
-	// The communities packed onto shards are uncapped in size.
-	Threads int
 }
 
 // NewShardedSystem partitions g into cfg.Shards community-aware shards,
 // runs one incremental engine per shard, and routes cross-shard edges
-// through boundary vertices exchanged at skeleton level each batch. The
-// determinism contract matches Config.Threads: with Shards and Threads
-// fixed, min-semiring results are byte-identical across runs; sum-semiring
-// results (and results across different shard counts) agree within the
-// algorithm's convergence tolerance.
+// through boundary vertices exchanged at skeleton level each batch. With
+// Shards fixed, results are byte-identical across runs; sum-semiring
+// results across different shard counts agree within the algorithm's
+// convergence tolerance.
 func NewShardedSystem(g *Graph, a Algorithm, cfg ShardConfig) *ShardedGroup {
-	return shard.New(g, a, shard.Options{Shards: cfg.Shards, Threads: cfg.Threads})
+	return shard.New(g, a, shard.Options{Shards: cfg.Shards})
 }
 
 // ParseUpdate parses one line of the text wire format used by `layph

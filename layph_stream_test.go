@@ -67,7 +67,7 @@ func TestShardedStreamMatchesRestart(t *testing.T) {
 	})
 	seq := NewBatchGenerator(19).UnitSequence(g, 3000, true)
 
-	st := NewStream(g, NewShardedSystem(g, SSSP(0), ShardConfig{Shards: 4, Threads: 1}),
+	st := NewStream(g, NewShardedSystem(g, SSSP(0), ShardConfig{Shards: 4}),
 		StreamConfig{MaxBatch: 300, MaxDelay: -1})
 	for _, u := range seq {
 		if err := st.Push(u); err != nil {

@@ -2,6 +2,7 @@ package layph
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func minBaselines() []enginetest.NamedFactory {
 		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a, 2) }},
 		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a, 2) }},
 		{Name: "sharded-2", New: func(g *graph.Graph, a algo.Algorithm) inc.System {
-			return NewShardedSystem(g, a, ShardConfig{Shards: 2, Threads: 2})
+			return NewShardedSystem(g, a, ShardConfig{Shards: 2})
 		}},
 	}
 }
@@ -256,6 +257,39 @@ func TestSumStatesIndependentOfThreads(t *testing.T) {
 		}
 		if differ > 0 {
 			t.Errorf("Threads %d: %d of %d states differ in their bits from Threads 1", threads, differ, len(want))
+		}
+	}
+}
+
+// TestMinStatesIndependentOfThreads pins the determinism contract's min
+// half: every min run is the engine's sequential worklist and the
+// subgraph tasks are merged in deterministic order, so SSSP, BFS and CC
+// builds and five edge batches on the UK preset give byte-identical states
+// and dependency parents at Threads 1, 2 and 4.
+func TestMinStatesIndependentOfThreads(t *testing.T) {
+	type result struct {
+		x      []float64
+		parent []VertexID
+	}
+	for _, a := range []Algorithm{SSSP(0), BFS(0), CC()} {
+		run := func(threads int) result {
+			g := gen.Build(gen.PresetUK, 0.2)
+			sys := NewLayph(g, a, Config{Threads: threads})
+			bg := NewBatchGenerator(3)
+			for i := 0; i < 5; i++ {
+				sys.Update(ApplyBatch(g, bg.EdgeBatch(g, 400, true)))
+			}
+			return result{slices.Clone(sys.States()), slices.Clone(sys.Parents())}
+		}
+		want := run(1)
+		for _, threads := range []int{2, 4} {
+			got := run(threads)
+			if !slices.EqualFunc(got.x, want.x, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s Threads %d: states differ in their bits from Threads 1 (max %v)", a.Name(), threads, algo.MaxStateDiff(got.x, want.x))
+			}
+			if !slices.Equal(got.parent, want.parent) {
+				t.Errorf("%s Threads %d: dependency parents differ from Threads 1", a.Name(), threads)
+			}
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 	refG := mkGraph()
 	for b := 1; b <= nBatches; b++ {
 		ApplyBatch(refG, Batch(seq[(b-1)*batchSize:b*batchSize]))
-		want := engine.RunBatch(refG, SSSP(0), engine.Options{Workers: 1}).X
+		want := engine.RunBatch(refG, SSSP(0), engine.Options{}).X
 
 		img := filepath.Join(images, fmt.Sprintf("crash-%03d", b))
 		rds, err := OpenStream(nil, build, DurableStreamConfig{
@@ -173,7 +173,7 @@ func TestCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 		t.Fatalf("post-recovery stream at seq=%d updates=%d", post.Seq, post.Updates)
 	}
 	ApplyBatch(refG, Batch(more))
-	want := engine.RunBatch(refG, SSSP(0), engine.Options{Workers: 1}).X
+	want := engine.RunBatch(refG, SSSP(0), engine.Options{}).X
 	if !StatesClose(post.States, want, 1e-6) {
 		t.Fatal("post-recovery pushes diverge from Restart reference")
 	}
