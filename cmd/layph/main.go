@@ -45,7 +45,6 @@ type engineFlags struct {
 	source                              uint
 	threads                             int
 	shards                              int
-	adaptive                            bool
 	// relayer is serve's -relayer, validated here with the engine it needs.
 	relayer bool
 }
@@ -60,7 +59,6 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
 	fs.IntVar(&ef.threads, "threads", 0, "size of Layph's subgraph pool (0 = GOMAXPROCS); every other engine, and each shard, runs sequentially")
 	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
-	fs.BoolVar(&ef.adaptive, "adaptive", false, "adaptive community migration: split/merge subgraphs incrementally on every update (requires -system layph, unsharded)")
 	return ef
 }
 
@@ -88,8 +86,8 @@ var systems = map[bench.SystemKind]struct{ min, sum bool }{
 
 // validate rejects flag values the engines cannot run, before any graph is
 // loaded: an unknown -algo, -system or -preset, a system that does not
-// support the algorithm's scheme, -adaptive outside unsharded Layph, and
-// -relayer on an engine that cannot re-detect communities.
+// support the algorithm's scheme, and -relayer on an engine that cannot
+// re-detect communities.
 func (ef *engineFlags) validate() error {
 	mk, ok := algorithms[ef.algoName]
 	if !ok {
@@ -102,12 +100,6 @@ func (ef *engineFlags) validate() error {
 	sys, ok := systems[kind]
 	if !ok {
 		return fmt.Errorf("unknown -system %q (want one of: %s)", ef.system, oneOf(slices.Sorted(maps.Keys(systems))))
-	}
-	if ef.adaptive && ef.shards > 1 {
-		return fmt.Errorf("-adaptive is not supported with -shards")
-	}
-	if ef.adaptive && kind != bench.Layph {
-		return fmt.Errorf("-adaptive requires -system layph")
 	}
 	if ef.relayer && (ef.shards > 1 || kind != bench.Layph && kind != bench.LayphNoRepl) {
 		return fmt.Errorf("-relayer requires -system layph or layph-norepl, unsharded")
@@ -168,10 +160,6 @@ func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
 	if ef.shards > 1 {
 		return shard.New(g, mk(), shard.Options{Shards: ef.shards}), nil
-	}
-	if ef.adaptive {
-		l := core.New(g, mk(), core.Options{Workers: ef.threads, AdaptiveCommunities: true})
-		return l, l
 	}
 	return bench.Build(bench.SystemKind(ef.system), g, mk, ef.threads)
 }

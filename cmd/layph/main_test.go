@@ -22,8 +22,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		"min-only system":         {func(ef *engineFlags) { ef.system, ef.algoName = "kickstarter", "pagerank" }, "does not run sum-scheme"},
 		"sum-only system":         {func(ef *engineFlags) { ef.system, ef.algoName = "dzig", "cc" }, "does not run min-scheme"},
 		"shards override system":  {func(ef *engineFlags) { ef.system, ef.algoName, ef.shards = "kickstarter", "pagerank", 2 }, ""},
-		"adaptive off layph":      {func(ef *engineFlags) { ef.adaptive, ef.system = true, "ingress" }, "requires -system layph"},
-		"adaptive with shards":    {func(ef *engineFlags) { ef.adaptive, ef.shards = true, 2 }, "not supported with -shards"},
 		"relayer on layph-norepl": {func(ef *engineFlags) { ef.relayer, ef.system = true, "layph-norepl" }, ""},
 		"relayer off layph":       {func(ef *engineFlags) { ef.relayer, ef.system = true, "ingress" }, "-relayer requires -system layph"},
 		"relayer with shards":     {func(ef *engineFlags) { ef.relayer, ef.shards = true, 2 }, "-relayer requires -system layph"},

@@ -36,7 +36,7 @@ import (
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("layph serve", flag.ExitOnError)
 	ef := registerEngineFlags(fs)
-	fs.BoolVar(&ef.relayer, "relayer", false, "adaptive re-layering drift controller (-system layph or layph-norepl, unsharded): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs (pairs with -adaptive)")
+	fs.BoolVar(&ef.relayer, "relayer", false, "re-layering drift controller (-system layph or layph-norepl, unsharded): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs; without it the layering stays frozen")
 	var (
 		input     = fs.String("input", "", "update stream file ('-' = stdin; empty requires -rand or -listen)")
 		randN     = fs.Int("rand", 0, "synthesize this many random updates instead of reading -input")
@@ -52,7 +52,6 @@ func serveMain(args []string) {
 
 		relayerTouched = fs.Float64("relayer-touched", 0, "touched-subgraph-ratio EWMA trigger threshold (0 = 0.35)")
 		relayerGrowth  = fs.Float64("relayer-skeleton-growth", 0, "skeleton-fraction growth factor over the post-build baseline that triggers (0 = 1.5)")
-		relayerDead    = fs.Float64("relayer-dead", 0, "dead community-id fraction that triggers (0 = 0.5)")
 		relayerMinB    = fs.Int("relayer-min-batches", 0, "cooldown: applied batches after a (re)build before triggers re-arm (0 = 16)")
 		relayerSwapLag = fs.Int("relayer-swap-lag", 0, "applied batches between trigger and the deterministic landing boundary (0 = 8)")
 
@@ -87,7 +86,6 @@ func serveMain(args []string) {
 		scfg.Relayer = &stream.RelayerConfig{
 			TouchedRatioThreshold: *relayerTouched,
 			SkeletonGrowthFactor:  *relayerGrowth,
-			DeadCommunityFraction: *relayerDead,
 			MinBatches:            *relayerMinB,
 			SwapLagBatches:        *relayerSwapLag,
 		}

@@ -29,19 +29,16 @@ func main() {
 	fmt.Printf("follower graph: %d users, %d ties\n", g.NumVertices(), g.NumEdges())
 
 	sys := layph.NewLayph(g, layph.PHP(seedUser, 0.8, 1e-6), layph.Config{})
-	base := layph.NewIngress(g.Clone(), layph.PHP(seedUser, 0.8, 1e-6), 0)
+	bg := g.Clone() // the baseline's own copy of the graph
+	base := layph.NewIngress(bg, layph.PHP(seedUser, 0.8, 1e-6), 0)
 
 	gen := layph.NewBatchGenerator(3)
-	gen2 := layph.NewBatchGenerator(3) // identical stream for the baseline
 	fmt.Println("wave  layph-time  ingress-time  proximity(user 77)")
 	for wave := 1; wave <= 4; wave++ {
 		// A wave of follows/unfollows.
 		b := gen.EdgeBatch(g, 500, true)
 		stL := sys.Update(layph.ApplyBatch(g, b))
-
-		bg := base.(interface{ Graph() *layph.Graph }).Graph()
-		b2 := gen2.EdgeBatch(bg, 500, true)
-		stI := base.Update(layph.ApplyBatch(bg, b2))
+		stI := base.Update(layph.ApplyBatch(bg, b))
 
 		fmt.Printf("%4d  %10v  %12v  %.6f\n",
 			wave, stL.Duration.Round(1000), stI.Duration.Round(1000), sys.States()[77])

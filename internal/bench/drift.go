@@ -2,15 +2,14 @@ package bench
 
 // Drift scenario: a long community-migration churn stream (every batch
 // rewires a vertex cluster into a different community neighborhood) replayed
-// through three configurations of the same Layph engine — frozen layering,
-// incremental adaptive migration, and adaptive + the stream relayer (the
-// drift controller). The per-window trends show the layering-drift bug and
-// its fix: under a frozen layering the skeleton fraction climbs
-// monotonically toward 1.0 (every migrated vertex is evicted to the
+// through two configurations of the same frozen Layph engine — alone, and
+// behind the stream relayer (the drift controller). The per-window trends
+// show layering drift and its repair: under a frozen layering the skeleton
+// fraction climbs toward 1.0 (every migrated vertex is evicted to the
 // skeleton and never re-absorbed) until the engine degenerates into a flat
-// unlayered one, while the relayer-backed pipeline holds latency flat and
-// restores compression at each landing. max_update_ms, the longest batch,
-// is the stall a landing puts on the worker.
+// unlayered one, while the relayer restores compression at each landing.
+// max_update_ms, the longest batch, is the stall a landing puts on the
+// worker.
 
 import (
 	"encoding/json"
@@ -90,7 +89,7 @@ func driftBatches(base *graph.Graph, total, migSize, migRewire, edgeChurn int, s
 	return out
 }
 
-// RunDrift measures the three configurations over the same churn stream.
+// RunDrift measures the two configurations over the same churn stream.
 func RunDrift(o Options) DriftReport {
 	o = o.normalize()
 	vertices := int(16000 * o.Scale)
@@ -138,7 +137,7 @@ func RunDrift(o Options) DriftReport {
 		MigrationRewire: migRewire,
 		EdgeChurn:       edgeChurn,
 	}
-	rep.Note = "frozen mean_update_ms DECLINES as drift degenerates the engine into a flat unlayered one (cheap per update, but skeleton_fraction -> 1.0 means the layered machinery is dead weight); relayer windows containing a landing absorb its rebuild of the changed communities, and max_update_ms is that worker stall — the claim under test is that the relayer trend is flat and its skeleton_fraction recovers at each landing, not that it wins raw ms on a small graph"
+	rep.Note = "frozen: skeleton_fraction climbs every window, as migrated vertices are evicted to the skeleton and never re-absorbed (mean_update_ms stays flat or falls while the engine degenerates toward a flat unlayered one); relayer, the same frozen engine behind the stream's drift controller: each landing pulls skeleton_fraction back down by rebuilding only the changed communities, windows containing a landing absorb that rebuild, and max_update_ms is the worker stall it causes, including any wait for the background detection at the landing boundary — the claim under test is that the relayer's skeleton_fraction recovers at each landing, not that it wins raw ms on a small graph"
 	if o.Threads > rep.GOMAXPROCS {
 		rep.Capped = true
 		rep.Note = fmt.Sprintf("capped: threads=%d > GOMAXPROCS=%d; workers time-share the cores, so latencies measure scheduling overhead on top of the drift trend; ", o.Threads, rep.GOMAXPROCS) + rep.Note
@@ -146,12 +145,12 @@ func RunDrift(o Options) DriftReport {
 
 	winOf := func(b int) int { return b * windows / totalBatches }
 
-	// Direct-drive modes: frozen layering and incremental adaptive
-	// migration, per-batch stats straight from Update.
-	direct := func(mode string, adaptive bool) DriftMode {
+	// Direct-drive mode: the frozen layering, per-batch stats straight from
+	// Update.
+	frozen := func() DriftMode {
 		g := mkGraph()
-		l := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads, AdaptiveCommunities: adaptive})
-		res := DriftMode{Mode: mode, Windows: make([]DriftWindow, windows)}
+		l := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads})
+		res := DriftMode{Mode: "frozen", Windows: make([]DriftWindow, windows)}
 		for i, b := range batches {
 			st := l.Update(delta.Apply(g, b))
 			w := &res.Windows[winOf(i)]
@@ -161,18 +160,17 @@ func RunDrift(o Options) DriftReport {
 			w.SkeletonFraction = st.SkeletonFraction
 			res.TotalUpdateSeconds += st.Duration.Seconds()
 			res.MaxUpdateMs = max(res.MaxUpdateMs, st.Duration.Seconds()*1e3)
-			res.MembershipMoves += st.MembershipMoves
 		}
 		finishDriftWindows(&res)
 		return res
 	}
 
-	// Stream-drive mode: adaptive engine behind the micro-batching pipeline
+	// Stream-drive mode: the same engine behind the micro-batching pipeline
 	// with the relayer; per-batch wall time includes the landing at the
 	// deterministic boundary, which is what a serving deployment pays.
 	relayer := func() DriftMode {
 		g := mkGraph()
-		sys := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads, AdaptiveCommunities: true})
+		sys := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads})
 		st := stream.New(g, sys, stream.Config{
 			MaxBatch: 1 << 20, MaxDelay: -1,
 			// Thresholds sit above the workload's steady-state noise
@@ -186,7 +184,7 @@ func RunDrift(o Options) DriftReport {
 				SwapLagBatches:        4,
 			},
 		})
-		res := DriftMode{Mode: "adaptive+relayer", Windows: make([]DriftWindow, windows)}
+		res := DriftMode{Mode: "relayer", Windows: make([]DriftWindow, windows)}
 		for i, b := range batches {
 			t0 := time.Now()
 			for _, u := range b {
@@ -216,7 +214,7 @@ func RunDrift(o Options) DriftReport {
 		return res
 	}
 
-	rep.Modes = append(rep.Modes, direct("frozen", false), direct("adaptive", true), relayer())
+	rep.Modes = append(rep.Modes, frozen(), relayer())
 	return rep
 }
 
@@ -251,14 +249,13 @@ func DriftExperiment(w io.Writer, o Options) {
 	for _, m := range rep.Modes {
 		fmt.Fprintf(w, "%s: total=%.3fs moves=%d relayers=%d\n", m.Mode, m.TotalUpdateSeconds, m.MembershipMoves, m.FullRelayers)
 	}
-	t := NewTable("window", "frozen-ms", "frozen-skel", "frozen-touched", "adaptive-ms", "relayer-ms", "relayer-skel", "relayer-touched", "relayer-landings")
-	frozen, adaptive, rl := rep.Modes[0], rep.Modes[1], rep.Modes[2]
+	t := NewTable("window", "frozen-ms", "frozen-skel", "frozen-touched", "relayer-ms", "relayer-skel", "relayer-touched", "relayer-landings")
+	frozen, rl := rep.Modes[0], rep.Modes[1]
 	for i := range frozen.Windows {
 		t.Row(i, frozen.Windows[i].MeanUpdateMs, frozen.Windows[i].SkeletonFraction,
 			frozen.Windows[i].MeanTouchedRate,
-			adaptive.Windows[i].MeanUpdateMs, rl.Windows[i].MeanUpdateMs,
-			rl.Windows[i].SkeletonFraction, rl.Windows[i].MeanTouchedRate,
-			rl.Windows[i].FullRelayers)
+			rl.Windows[i].MeanUpdateMs, rl.Windows[i].SkeletonFraction,
+			rl.Windows[i].MeanTouchedRate, rl.Windows[i].FullRelayers)
 	}
 	t.Print(w)
 	if err := WriteDriftJSON(DriftJSONPath, rep); err != nil {

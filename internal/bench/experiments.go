@@ -78,7 +78,7 @@ func All() []Experiment {
 		{"parallel", "Parallel: Layph incremental-update speedup vs threads, SSSP on the community graph", ParallelExperiment},
 		{"serve", "Serve: HTTP read QPS and latency under a live write stream", ServeExperiment},
 		{"shard", "Shard: update throughput and query latency vs community-aware shard count, SSSP on the community graph", ShardExperiment},
-		{"drift", "Drift: update latency and touched-subgraph-ratio trend under community-migration churn, frozen vs adaptive vs relayer, SSSP on the community graph", DriftExperiment},
+		{"drift", "Drift: update latency and touched-subgraph-ratio trend under community-migration churn, frozen vs relayer, SSSP on the community graph", DriftExperiment},
 	}
 }
 

@@ -141,148 +141,12 @@ func TestModularityBounds(t *testing.T) {
 	}
 }
 
-func TestAdjustKeepsPartitionValid(t *testing.T) {
-	g, _ := plantedGraph(11, 400, 30)
-	p := Detect(g, Config{MaxSize: 80})
-	genr := delta.NewGenerator(2)
-	for i := 0; i < 5; i++ {
-		batch := genr.EdgeBatch(g, 40, false)
-		batch = append(batch, genr.VertexBatch(g, 4, 4, 3, false)...)
-		applied := delta.Apply(g, batch)
-		Adjust(g, p, Config{MaxSize: 80}, applied)
-		if len(p.Comm) < g.Cap() {
-			t.Fatal("assignment not grown")
-		}
-		ok := true
-		g.Vertices(func(v graph.VertexID) {
-			if p.Comm[v] < 0 || int(p.Comm[v]) >= p.NumComms {
-				ok = false
-			}
-		})
-		if !ok {
-			t.Fatalf("batch %d: live vertex without community", i)
-		}
-		for v := 0; v < g.Cap(); v++ {
-			if !g.Alive(graph.VertexID(v)) && p.Comm[v] != NoCommunity {
-				t.Fatalf("batch %d: dead vertex %d keeps community", i, v)
-			}
-		}
-	}
-}
-
-func TestAdjustReportsChangedCommunities(t *testing.T) {
-	g, _ := plantedGraph(13, 300, 30)
-	p := Detect(g, Config{})
-	// Delete a vertex: its community must be reported.
-	var victim graph.VertexID
-	g.Vertices(func(v graph.VertexID) {
-		if victim == 0 && g.OutDegree(v) > 0 {
-			victim = v
-		}
-	})
-	c := p.Comm[victim]
-	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelVertex, U: victim}})
-	changed := changedComms(Adjust(g, p, Config{}, applied))
-	if !slices.Contains(changed, c) {
-		t.Fatalf("community %d of deleted vertex not reported (got %v)", c, changed)
-	}
-}
-
-func TestAdjustNewVertexJoinsNeighborCommunity(t *testing.T) {
-	g, _ := plantedGraph(17, 300, 30)
-	p := Detect(g, Config{})
-	// Wire a new vertex densely into community of vertex 0.
-	target := p.Comm[0]
-	var batch delta.Batch
-	nv := graph.VertexID(g.Cap())
-	batch = append(batch, delta.Update{Kind: delta.AddVertex, U: nv})
-	count := 0
-	g.Vertices(func(v graph.VertexID) {
-		if p.Comm[v] == target && count < 5 {
-			batch = append(batch, delta.Update{Kind: delta.AddEdge, U: nv, V: v, W: 1})
-			batch = append(batch, delta.Update{Kind: delta.AddEdge, U: v, V: nv, W: 1})
-			count++
-		}
-	})
-	applied := delta.Apply(g, batch)
-	Adjust(g, p, Config{}, applied)
-	if p.Comm[nv] != target {
-		t.Fatalf("new vertex joined %d, want %d", p.Comm[nv], target)
-	}
-}
-
-// TestAdjustDeterministic pins the determinism fix: identical graph,
-// partition, and batch sequence must produce byte-identical assignments
-// across repeated runs. Before the fix, the local-move loop ranged over a
-// Go map, so tie-broken community choices depended on iteration order.
-func TestAdjustDeterministic(t *testing.T) {
-	g0, _ := plantedGraph(23, 400, 30)
-	p0 := Detect(g0, Config{MaxSize: 80})
-	run := func() []int32 {
-		g := g0.Clone()
-		p := &Partition{Comm: append([]int32(nil), p0.Comm...), NumComms: p0.NumComms}
-		genr := delta.NewGenerator(7)
-		for i := 0; i < 8; i++ {
-			batch := genr.EdgeBatch(g, 60, true)
-			batch = append(batch, genr.VertexBatch(g, 5, 3, 3, true)...)
-			applied := delta.Apply(g, batch)
-			Adjust(g, p, Config{MaxSize: 80}, applied)
-		}
-		return append([]int32(nil), p.Comm...)
-	}
-	want := run()
-	for rep := 0; rep < 5; rep++ {
-		got := run()
-		if len(got) != len(want) {
-			t.Fatalf("rep %d: assignment length %d != %d", rep, len(got), len(want))
-		}
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("rep %d: vertex %d assigned %d, want %d (nondeterministic tie-break)", rep, v, got[v], want[v])
-			}
-		}
-	}
-}
-
-// TestAdjustMovesMatchAssignment cross-checks the move log: replaying it
-// over the pre-adjust assignment must reproduce the post-adjust one.
-func TestAdjustMovesMatchAssignment(t *testing.T) {
-	g, _ := plantedGraph(29, 300, 30)
-	p := Detect(g, Config{MaxSize: 60})
-	genr := delta.NewGenerator(3)
-	for i := 0; i < 6; i++ {
-		before := append([]int32(nil), p.Comm...)
-		batch := genr.EdgeBatch(g, 50, false)
-		batch = append(batch, genr.VertexBatch(g, 4, 3, 3, false)...)
-		applied := delta.Apply(g, batch)
-		moves := Adjust(g, p, Config{MaxSize: 60}, applied)
-		replay := append([]int32(nil), before...)
-		for len(replay) < len(p.Comm) {
-			replay = append(replay, NoCommunity)
-		}
-		for _, m := range moves {
-			if replay[m.V] != m.From {
-				t.Fatalf("batch %d: move %+v expects From=%d but vertex was in %d", i, m, m.From, replay[m.V])
-			}
-			if m.From == m.To {
-				t.Fatalf("batch %d: move %+v does not change community", i, m)
-			}
-			replay[m.V] = m.To
-		}
-		for v := range p.Comm {
-			if replay[v] != p.Comm[v] {
-				t.Fatalf("batch %d: replayed assignment diverges at %d: %d != %d", i, v, replay[v], p.Comm[v])
-			}
-		}
-	}
-}
-
-// TestAdjustLongChurnBoundedComms pins the dead-id-leak fix: under sustained
-// churn NumComms grows monotonically (ids are stable between re-layers), but
-// a periodic re-detection aligned onto the adjusted partition — what a
-// re-layer lands — must reclaim dead ids and keep the live count bounded by
-// the vertex count.
-func TestAdjustLongChurnBoundedComms(t *testing.T) {
+// TestAlignLongChurnBoundedComms pins id reclamation: a partition frozen
+// under sustained edge and vertex churn loses members to removals (and
+// gains none, as fresh vertices stay outliers until a landing), and a
+// periodic re-detection aligned onto it — what a landing does — must make
+// the id space dense again and keep it bounded by the vertex count.
+func TestAlignLongChurnBoundedComms(t *testing.T) {
 	g, _ := plantedGraph(31, 300, 25)
 	p := Detect(g, Config{MaxSize: 60})
 	genr := delta.NewGenerator(5)
@@ -291,7 +155,11 @@ func TestAdjustLongChurnBoundedComms(t *testing.T) {
 		batch := genr.EdgeBatch(g, 40, false)
 		batch = append(batch, genr.VertexBatch(g, 6, 6, 3, false)...)
 		applied := delta.Apply(g, batch)
-		Adjust(g, p, Config{MaxSize: 60}, applied)
+		for _, v := range applied.RemovedVertices {
+			if int(v) < len(p.Comm) {
+				p.Comm[v] = NoCommunity
+			}
+		}
 		if p.LiveComms() > p.NumComms {
 			t.Fatalf("round %d: live %d > NumComms %d", i, p.LiveComms(), p.NumComms)
 		}
@@ -319,8 +187,9 @@ func TestAdjustLongChurnBoundedComms(t *testing.T) {
 	if maxAfterAlign > g.Cap() {
 		t.Fatalf("aligned NumComms %d exceeds vertex capacity %d", maxAfterAlign, g.Cap())
 	}
-	// The real assertion: churn created and emptied many singleton ids; after
-	// the final alignment the id space must be dense again.
+	// The real assertion: churn emptied communities whose ids the frozen
+	// partition kept; after the final alignment the id space must be dense
+	// again.
 	if p.NumComms != p.LiveComms() {
 		t.Fatalf("final: %d ids vs %d live communities", p.NumComms, p.LiveComms())
 	}
@@ -384,43 +253,5 @@ func TestAlign(t *testing.T) {
 	Align(live, fresh)
 	if want := []int32{1, 1, 0, 0}; !slices.Equal(fresh.Comm, want) {
 		t.Fatalf("aligned %v, want %v", fresh.Comm, want)
-	}
-}
-
-func TestAdjustIsolatedNewVertexGetsSingleton(t *testing.T) {
-	g, _ := plantedGraph(19, 200, 25)
-	p := Detect(g, Config{})
-	before := p.NumComms
-	nv := graph.VertexID(g.Cap())
-	applied := delta.Apply(g, delta.Batch{{Kind: delta.AddVertex, U: nv}})
-	Adjust(g, p, Config{}, applied)
-	if p.Comm[nv] < 0 {
-		t.Fatal("isolated new vertex unassigned")
-	}
-	if p.NumComms != before+1 {
-		t.Fatalf("NumComms %d, want %d", p.NumComms, before+1)
-	}
-}
-
-// TestAdjustEdgelessGraph covers a graph without edge weight, where no move
-// can gain: a deleted vertex still leaves its community and a fresh vertex
-// still opens its own.
-func TestAdjustEdgelessGraph(t *testing.T) {
-	g := graph.New(3)
-	p := Detect(g, Config{})
-	before := p.NumComms
-	applied := delta.Apply(g, delta.Batch{
-		{Kind: delta.AddVertex, U: 3},
-		{Kind: delta.DelVertex, U: 0},
-	})
-	moves := Adjust(g, p, Config{}, applied)
-	if p.Comm[0] != NoCommunity {
-		t.Fatalf("deleted vertex 0 keeps community %d", p.Comm[0])
-	}
-	if p.Comm[3] != int32(before) || p.NumComms != before+1 {
-		t.Fatalf("fresh vertex 3 in %d of %d communities, want %d of %d", p.Comm[3], p.NumComms, before, before+1)
-	}
-	if len(moves) != 2 {
-		t.Fatalf("moves %v, want the deletion and the fresh vertex", moves)
 	}
 }

@@ -1,9 +1,10 @@
 // Package community implements the dense-subgraph discovery substrate of
 // Layph's offline phase: size-capped Louvain modularity optimization
-// (Blondel et al. 2008) over the undirected view of the graph, plus the
-// incremental maintenance (in the spirit of DynaMo / C-Blondel) the paper
-// prescribes for the online phase, so that the layered graph does not have
-// to be rebuilt from scratch on every ΔG.
+// (Blondel et al. 2008) over the undirected view of the graph, plus Align,
+// which renumbers a re-detection onto the live partition's ids. The paper
+// keeps the dense subgraphs frozen online and updates them "only when
+// enough ΔG are accumulated"; Align lets such a re-detection land by
+// rebuilding only the communities whose membership changed.
 //
 // The paper caps community sizes at a threshold K ("as a rule of thumb,
 // K is set around 0.002–0.2% of the total number of vertices") because
@@ -19,12 +20,6 @@
 // numbers super-nodes in first-seen order of their communities,
 // counting-sorts the old nodes by super-node and builds each super-node's
 // row through the same accumulator.
-//
-// One move rule. Detection and the incremental adjustment (Adjust) share
-// Louvain's local move, mover.move: detection gathers a node's CSR row into
-// the accumulator, Adjust a live vertex's graph neighbours, and the same
-// move detaches it, picks the best gain under the cap and attaches it.
-// Adjust returns only the moves it made, its move log.
 //
 // Tie-break. A move scans the touched communities in ascending id and takes
 // a candidate only if it beats the best gain so far by more than minGain, so
@@ -90,9 +85,9 @@ func (p *Partition) Sizes() []int {
 }
 
 // LiveComms returns the number of community ids with at least one member.
-// Under incremental adjustment (Adjust) ids are stable, so emptied
-// communities keep their slot; the gap between LiveComms and NumComms is
-// the dead-id bloat that a re-detection aligned by Align reclaims.
+// A partition frozen under churn keeps the id of a community whose members
+// were all removed; the gap between LiveComms and NumComms is the dead-id
+// bloat that a re-detection aligned by Align reclaims.
 func (p *Partition) LiveComms() int {
 	live := 0
 	for _, n := range p.Sizes() {
@@ -101,6 +96,15 @@ func (p *Partition) LiveComms() int {
 		}
 	}
 	return live
+}
+
+// VertexMove is one vertex changing community when a re-detection lands.
+// From/To carry NoCommunity when the vertex had no community before (a
+// vertex added since the last detection) or has none after.
+type VertexMove struct {
+	V    graph.VertexID
+	From int32
+	To   int32
 }
 
 // Align renumbers fresh, a partition detected anew, onto the ids of live,
@@ -183,14 +187,6 @@ func (a *accumulator) add(id int32, w float64) {
 	a.w[id] += w
 }
 
-// grow extends the id space to n.
-func (a *accumulator) grow(n int) {
-	for len(a.w) < n {
-		a.w = append(a.w, 0)
-		a.seen = append(a.seen, false)
-	}
-}
-
 // reset clears the touched ids.
 func (a *accumulator) reset() {
 	for _, id := range a.touched {
@@ -211,82 +207,35 @@ func (a *accumulator) flush(nbr []int32, wt []float64) ([]int32, []float64) {
 	return nbr, wt
 }
 
-// mover holds the community aggregates a local move reads and writes over
-// some id space: detection's nodes of one level, or the adjustment's live
-// vertices.
-type mover struct {
-	comm   []int32
-	ctot   []float64    // total degree per community
-	csize  []int        // original-vertex count per community
-	total2 float64      // 2m (total degree)
-	acc    *accumulator // v's neighbour weight per community, filled by the caller
-}
-
-// move is Louvain's local move: it detaches v, takes the community with the
-// best positive modularity gain under the size cap, attaches v there and
-// returns v's old and new community. A vertex without a community is
-// evaluated detached; it stays without one (NoCommunity) when no community
-// gains. The accumulator must hold v's neighbour weights per community,
-// self-loops excluded; move resets it.
-func (m *mover) move(v int32, deg float64, size, maxSize int) (from, to int32) {
-	cur := m.comm[v]
-	acc := m.acc
-	// Gain of joining community c: w(v,c)/m - deg(v)*ctot(c)/(2m^2); constant
-	// factors dropped since we only compare.
-	baseGain := 0.0
-	if cur >= 0 {
-		m.ctot[cur] -= deg
-		m.csize[cur] -= size
-		baseGain = acc.w[cur] - deg*m.ctot[cur]/m.total2
-	}
-	best := cur
-	bestGain := 0.0
-	// Ascending-id candidate scan with a strict improvement test: ties within
-	// minGain resolve to the lowest community id, not the first touched.
-	slices.Sort(acc.touched)
-	for _, c := range acc.touched {
-		if c == cur || maxSize > 0 && m.csize[c]+size > maxSize {
-			continue
-		}
-		if gain := (acc.w[c] - deg*m.ctot[c]/m.total2) - baseGain; gain > bestGain+minGain {
-			bestGain = gain
-			best = c
-		}
-	}
-	acc.reset()
-	if best >= 0 {
-		m.ctot[best] += deg
-		m.csize[best] += size
-	}
-	m.comm[v] = best
-	return cur, best
-}
-
 // louvainState is one level of the weighted undirected projection Louvain
 // operates on, as a CSR: node i's neighbours are nbr[off[i]:off[i+1]] with
 // the summed weights of both edge directions in wt. Self-loops (and, after
 // aggregation, intra-community edges) appear only in deg. The accumulator
 // is shared by every level, sized for the first.
 type louvainState struct {
-	mover
-	n    int
-	off  []int
-	nbr  []int32
-	wt   []float64
-	deg  []float64 // weighted degree incl. 2*self-loop
-	size []int     // vertices of the original graph folded into this node
+	n      int
+	off    []int
+	nbr    []int32
+	wt     []float64
+	deg    []float64 // weighted degree incl. 2*self-loop
+	size   []int     // vertices of the original graph folded into this node
+	comm   []int32
+	ctot   []float64    // total degree per community
+	csize  []int        // original-vertex count per community
+	total2 float64      // 2m (total degree)
+	acc    *accumulator // a node's neighbour weight per community
 }
 
 func projectGraph(g *graph.Graph) *louvainState {
 	n := g.Cap()
 	s := &louvainState{
-		n:     n,
-		off:   make([]int, n+1),
-		nbr:   make([]int32, 0, 2*g.NumEdges()),
-		wt:    make([]float64, 0, 2*g.NumEdges()),
-		deg:   make([]float64, n),
-		size:  make([]int, n),
-		mover: mover{acc: newAccumulator(n)},
+		n:    n,
+		off:  make([]int, n+1),
+		nbr:  make([]int32, 0, 2*g.NumEdges()),
+		wt:   make([]float64, 0, 2*g.NumEdges()),
+		deg:  make([]float64, n),
+		size: make([]int, n),
+		acc:  newAccumulator(n),
 	}
 	g.Edges(func(u, v graph.VertexID, w float64) {
 		if u == v {
@@ -357,14 +306,38 @@ func (s *louvainState) localMoves(cfg Config) bool {
 	return movedAny
 }
 
-// moveVertex gathers v's row per community and runs the local move.
-// Returns whether v moved.
+// moveVertex is Louvain's local move: it gathers v's row per community,
+// detaches v, takes the community with the best positive modularity gain
+// under the size cap and attaches v there. Returns whether v moved.
 func (s *louvainState) moveVertex(v int32, cfg Config) bool {
+	acc := s.acc
 	for k := s.off[v]; k < s.off[v+1]; k++ {
-		s.acc.add(s.comm[s.nbr[k]], s.wt[k])
+		acc.add(s.comm[s.nbr[k]], s.wt[k])
 	}
-	from, to := s.move(v, s.deg[v], s.size[v], cfg.MaxSize)
-	return from != to
+	cur, deg, size := s.comm[v], s.deg[v], s.size[v]
+	// Gain of joining community c: w(v,c)/m - deg(v)*ctot(c)/(2m^2); constant
+	// factors dropped since we only compare.
+	s.ctot[cur] -= deg
+	s.csize[cur] -= size
+	baseGain := acc.w[cur] - deg*s.ctot[cur]/s.total2
+	best, bestGain := cur, 0.0
+	// Ascending-id candidate scan with a strict improvement test: ties within
+	// minGain resolve to the lowest community id, not the first touched.
+	slices.Sort(acc.touched)
+	for _, c := range acc.touched {
+		if c == cur || cfg.MaxSize > 0 && s.csize[c]+size > cfg.MaxSize {
+			continue
+		}
+		if gain := (acc.w[c] - deg*s.ctot[c]/s.total2) - baseGain; gain > bestGain+minGain {
+			bestGain = gain
+			best = c
+		}
+	}
+	acc.reset()
+	s.ctot[best] += deg
+	s.csize[best] += size
+	s.comm[v] = best
+	return best != cur
 }
 
 // aggregate folds communities into super-nodes and returns the mapping from
@@ -409,11 +382,12 @@ func (s *louvainState) aggregate() ([]int32, *louvainState) {
 	}
 
 	next := &louvainState{
-		mover: mover{total2: s.total2, acc: s.acc},
-		n:     int(nn),
-		off:   make([]int, nn+1),
-		deg:   make([]float64, nn),
-		size:  make([]int, nn),
+		total2: s.total2,
+		acc:    s.acc,
+		n:      int(nn),
+		off:    make([]int, nn+1),
+		deg:    make([]float64, nn),
+		size:   make([]int, nn),
 	}
 	for ni := int32(0); ni < nn; ni++ {
 		for _, i := range members[start[ni]:start[ni+1]] {

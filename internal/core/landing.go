@@ -9,30 +9,6 @@ import (
 	"layph/internal/inc"
 )
 
-// adaptMembership is the adaptive half of the layered update (Options.
-// AdaptiveCommunities): it runs the incremental community adjustment
-// (community.Adjust) against the already-applied batch, applies its move
-// log to the per-community member index, and migrates dense-subgraph
-// membership to follow the partition. Community ids stay stable across
-// adjustments — the shortcut localization relies on it — and dead ids are
-// reclaimed only when a re-detection lands (Redetect).
-func (l *Layph) adaptMembership(applied *delta.Applied) (forced []int32, moves int64) {
-	moved := community.Adjust(l.g, l.part, l.opt.Community, applied)
-	for len(l.commVerts) < l.part.NumComms {
-		l.commVerts = append(l.commVerts, nil)
-	}
-	for _, m := range moved {
-		if m.From >= 0 {
-			// Order feeds compact-ID assignment, so the list keeps it.
-			l.commVerts[m.From] = slices.DeleteFunc(l.commVerts[m.From], func(v graph.VertexID) bool { return v == m.V })
-		}
-		if m.To >= 0 {
-			l.commVerts[m.To] = append(l.commVerts[m.To], m.V)
-		}
-	}
-	return l.migrate(moved), int64(len(moved))
-}
-
 // Redetect runs community detection on g, a clone of the engine's graph
 // that the caller owns, and may run on any goroutine. The returned landing
 // must run where Update runs, after any number of further batches: it
@@ -142,13 +118,4 @@ func (l *Layph) migrate(moved []community.VertexMove) (forced []int32) {
 		forced = append(forced, c)
 	}
 	return forced
-}
-
-// CommunityStats reports the partition's live community count against its
-// allocated id count. Ids are stable between re-detections, so under churn
-// the gap (dead, unreclaimed ids) grows; the stream drift controller uses
-// the ratio as one of its re-layer triggers, and a landing (Redetect)
-// makes the id space dense again.
-func (l *Layph) CommunityStats() (live, ids int) {
-	return l.part.LiveComms(), l.part.NumComms
 }

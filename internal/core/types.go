@@ -254,14 +254,6 @@ type Options struct {
 	// run, the Lup iteration and each local fixpoint, min and sum alike —
 	// is the engine's sequential worklist, identical for every Workers.
 	Workers int
-	// AdaptiveCommunities makes every Update run the incremental community
-	// adjustment (community.Adjust) on the applied batch and migrate
-	// dense-subgraph membership along its move log — subgraph splits
-	// and merges are applied in place, refreshing only the affected
-	// subgraphs' layer structures. Off (the default) the memberships
-	// computed at build time stay frozen until a re-detection lands
-	// (Redetect).
-	AdaptiveCommunities bool
 }
 
 // replicationThreshold is the paper's R.
@@ -286,15 +278,16 @@ type Layph struct {
 	// the independent lower-layer subgraph tasks of every parallel phase.
 	pool *pool.Pool
 
-	// part holds the community membership of original vertices — frozen
-	// between landings (Redetect) unless Options.AdaptiveCommunities is
-	// set, in which case adaptMembership evolves it every Update.
+	// part holds the community membership of original vertices, frozen
+	// between landings: a vertex added since the last detection is in no
+	// community (an outlier), a removed one keeps its stale id, and only a
+	// landing (Redetect) changes the partition.
 	part *community.Partition
 	// commVerts indexes member lists by community id: built from the
-	// partition, kept in step with community.Adjust's move log and replaced
-	// by a landing, so neither a rebuild nor the promotion of a drifted
-	// community rescans the partition. May retain dead vertices — readers
-	// filter by liveness, and a restructure drops them.
+	// partition and replaced by a landing, so neither a rebuild nor the
+	// promotion of a community a landing changed rescans the partition.
+	// May retain dead vertices — readers filter by liveness, and a
+	// restructure drops them.
 	commVerts [][]graph.VertexID
 	// subs maps community id -> dense subgraph (absent = dissolved/sparse).
 	subs map[int32]*Subgraph

@@ -22,8 +22,8 @@ type layeredDiff struct {
 	added   []flatEdge
 	removed []flatEdge
 	settledSubs
-	// membershipMoves counts the vertices the adaptive community adjustment
-	// or a landing re-detection migrated during this update.
+	// membershipMoves counts the vertices a landing re-detection migrated
+	// during this update.
 	membershipMoves int64
 }
 
@@ -54,16 +54,15 @@ type flatEdge struct {
 // prologue
 //
 //   - grows the flat ID space for fresh vertices (they join Lup as outliers;
-//     by default memberships are frozen until a re-detection lands, as the
-//     paper prescribes: "we update the dense subgraphs only when enough ΔG
-//     are accumulated" — with Options.AdaptiveCommunities the
-//     adaptMembership phase instead migrates memberships incrementally),
+//     memberships are frozen until a re-detection lands, as the paper
+//     prescribes: "we update the dense subgraphs only when enough ΔG are
+//     accumulated"),
 //   - queues the flat rows whose out-edges the batch changed, and
 //   - decides the structural rebuilds: a subgraph is re-decided (proxies
 //     re-allocated, or dissolved when it fails the density test) only when
-//     a changed cross edge flips a replication decision, adaptive migration
-//     or a landing (of fresh, see Redetect) changed its membership, or one
-//     of its members was removed;
+//     a changed cross edge flips a replication decision, a landing (of
+//     fresh, see Redetect) changed its membership, or one of its members
+//     was removed;
 //
 // settle then carries the queued rows and rebuilds through.
 func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition) *layeredDiff {
@@ -71,17 +70,14 @@ func (l *Layph) layeredUpdate(applied *delta.Applied, fresh *community.Partition
 	l.growForNewVertices(applied)
 	l.beginLayering()
 
-	// Migration phase: evolve the community partition with the batch (or
-	// land a re-detected one) and migrate subgraph membership before any
-	// flat row is refreshed, so the refresh snapshots true pre-batch routing
-	// and the refreshed rows already reflect the new memberships. Subgraphs
-	// whose membership changed are rebuilt.
+	// Landing: make a re-detected partition the engine's and migrate
+	// subgraph membership before any flat row is refreshed, so the refresh
+	// snapshots true pre-batch routing and the refreshed rows already
+	// reflect the new memberships. Subgraphs whose membership changed are
+	// rebuilt.
 	var pending []int32
-	switch {
-	case fresh != nil:
+	if fresh != nil {
 		pending, d.membershipMoves = l.land(fresh)
-	case l.opt.AdaptiveCommunities:
-		pending, d.membershipMoves = l.adaptMembership(applied)
 	}
 
 	// Rows whose out-edges (or, for degree-dependent weights, out-weights)

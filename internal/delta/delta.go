@@ -404,7 +404,7 @@ func (gen *Generator) VertexBatch(g *graph.Graph, adds, dels, wiring int, weight
 }
 
 // MigrationBatch builds a community-migration churn batch, the drift
-// workload for adaptive re-layering: a cluster of size live vertices
+// workload for re-layering: a cluster of size live vertices
 // around a random pivot is moved into a different community
 // neighborhood — ALL of each cluster vertex's existing out- and
 // in-edges are deleted, and rewire out- plus rewire in-edges to the

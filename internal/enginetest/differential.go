@@ -38,9 +38,9 @@ type DifferentialConfig struct {
 	// migration churn sub-batch into every batch (delta.MigrationBatch):
 	// a cluster of MigrationSize vertices is rewired with MigrationRewire
 	// edges each into a different community neighborhood. This is the
-	// drift schedule for adaptive re-layering: repeated migrations decay
-	// any frozen layering, so it stresses membership-migration paths in
-	// adaptive engines against the restart oracle.
+	// drift schedule for re-layering: repeated migrations decay any frozen
+	// layering, so it stresses the membership-migration path of a landing
+	// re-detection against the restart oracle.
 	MigrationSize, MigrationRewire int
 }
 
@@ -105,7 +105,7 @@ func ChurnDifferentialConfig() DifferentialConfig {
 // DriftDifferentialConfig returns the community-migration churn schedule:
 // every batch moves a vertex cluster into a different community
 // neighborhood on top of the usual edge/vertex churn, so frozen layerings
-// drift while adaptive ones migrate memberships each batch.
+// drift until a landing re-detection migrates their memberships.
 func DriftDifferentialConfig() DifferentialConfig {
 	c := DefaultDifferentialConfig()
 	c.Seeds = []int64{31}

@@ -238,18 +238,3 @@ func TestOutWeightSum(t *testing.T) {
 		t.Fatalf("OutWeightSum(1) = %v, want 0", s)
 	}
 }
-
-func TestUndirectedViews(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 0, 3)
-	g.AddEdge(2, 1, 5)
-	if w := g.UndirectedWeight(1); w != 10 {
-		t.Fatalf("UndirectedWeight(1) = %v, want 10", w)
-	}
-	seen := map[VertexID]int{}
-	g.NeighborsUndirected(1, func(u VertexID, w float64) { seen[u]++ })
-	if seen[0] != 2 || seen[2] != 1 {
-		t.Fatalf("NeighborsUndirected = %v", seen)
-	}
-}

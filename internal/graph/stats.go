@@ -56,27 +56,3 @@ type CSRStats struct {
 
 // CSRStats returns the zero record.
 func (g *Graph) CSRStats() CSRStats { return CSRStats{} }
-
-// UndirectedWeight returns the total incident weight of v in the undirected
-// view (out plus in).
-func (g *Graph) UndirectedWeight(v VertexID) float64 {
-	var s float64
-	for _, e := range g.out[v] {
-		s += e.W
-	}
-	for _, e := range g.in[v] {
-		s += e.W
-	}
-	return s
-}
-
-// NeighborsUndirected calls f once per incident edge in either direction
-// (u appearing both as in- and out-neighbor triggers two calls).
-func (g *Graph) NeighborsUndirected(v VertexID, f func(u VertexID, w float64)) {
-	for _, e := range g.out[v] {
-		f(e.To, e.W)
-	}
-	for _, e := range g.in[v] {
-		f(e.To, e.W)
-	}
-}

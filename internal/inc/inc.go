@@ -87,8 +87,9 @@ type Stats struct {
 	// the non-idempotent scheme applies every above-tolerance delta, so it
 	// reports ~1 and the gauge is diagnostic only there).
 	ShortcutHitRate float64
-	// MembershipMoves counts vertices migrated between communities by the
-	// incremental adjustment phase (Options.AdaptiveCommunities only).
+	// MembershipMoves counts vertices migrated between communities by a
+	// landing re-detection (core.Layph.Redetect); it is 0 on every other
+	// update.
 	MembershipMoves int64
 }
 

@@ -30,8 +30,7 @@ func metricsKeys(t *testing.T, scfg stream.Config, l *wal.Log) map[string]string
 		Vertices: 600, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
 		Weighted: true, Seed: 41,
 	})
-	opt := core.Options{Workers: 2, AdaptiveCommunities: true}
-	sys := core.New(g, algo.NewSSSP(0), opt)
+	sys := core.New(g, algo.NewSSSP(0), core.Options{Workers: 2})
 	if l != nil {
 		if err := l.Start(0, 0, g, sys.States()); err != nil {
 			t.Fatal(err)
@@ -85,7 +84,6 @@ func TestMetricsBlockKeys(t *testing.T) {
 		engineAlways  = "activations pool_utilization resets rounds subgraphs_parallel update_seconds"
 		engineAll     = "activations boundary_pins pool_utilization replayed_batches resets rounds shard_rounds subgraphs_parallel update_seconds"
 		relayerAlways = "full_relayers in_flight last_swap_seq membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
-		relayerComms  = "community_ids full_relayers in_flight last_swap_seq live_communities membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
 		relayerSwap   = "full_relayers in_flight last_swap_seq last_trigger membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
 		walAll        = "batches bytes checkpoint_seconds checkpoints failures fsyncs last_checkpoint_seq log_failures policy updates"
 	)
@@ -108,17 +106,16 @@ func TestMetricsBlockKeys(t *testing.T) {
 	check("seeded", seeded, "engine", engineAll)
 
 	// Eight batches under the default 16-batch cooldown: no trigger
-	// evaluation, so the community gauges and the trigger name are unset.
+	// evaluation, so the trigger name is unset.
 	cooldown := metricsKeys(t, stream.Config{Relayer: &stream.RelayerConfig{}}, nil)
 	check("cooldown", cooldown, "relayer", relayerAlways)
 
 	// Armed every batch with thresholds that cannot fire: the evaluation
-	// falls through to the dead-community check, which reads the engine's
-	// community gauges.
+	// runs and names no trigger.
 	armed := metricsKeys(t, stream.Config{Relayer: &stream.RelayerConfig{
-		MinBatches: 1, TouchedRatioThreshold: 1, SkeletonGrowthFactor: 1e6, DeadCommunityFraction: 1,
+		MinBatches: 1, TouchedRatioThreshold: 1, SkeletonGrowthFactor: 1e6,
 	}}, nil)
-	check("armed", armed, "relayer", relayerComms)
+	check("armed", armed, "relayer", relayerAlways)
 
 	// A touched-ratio trigger on the first evaluation names itself.
 	swapped := metricsKeys(t, stream.Config{Relayer: &stream.RelayerConfig{

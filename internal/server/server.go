@@ -457,7 +457,7 @@ type metricsResponse struct {
 	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
 	// Shards appears only while a sharded engine serves the stream.
 	Shards []shard.Info `json:"shards,omitempty"`
-	// Relayer appears only when the stream runs the adaptive re-layering
+	// Relayer appears only when the stream runs the re-layering drift
 	// controller (StreamConfig.Relayer).
 	Relayer *stream.RelayerMetrics `json:"relayer,omitempty"`
 }

@@ -423,7 +423,7 @@ func TestMetricsRelayerBlock(t *testing.T) {
 		Vertices: 600, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
 		Weighted: true, Seed: 15,
 	})
-	st := stream.New(g, core.New(g, algo.NewSSSP(0), core.Options{Workers: 2, AdaptiveCommunities: true}), stream.Config{
+	st := stream.New(g, core.New(g, algo.NewSSSP(0), core.Options{Workers: 2}), stream.Config{
 		MaxBatch: 50, MaxDelay: -1,
 		Relayer: &stream.RelayerConfig{},
 	})

@@ -7,7 +7,7 @@ import (
 	"layph/internal/inc"
 )
 
-// RelayerConfig configures the adaptive re-layering controller (set as
+// RelayerConfig configures the re-layering drift controller (set as
 // Config.Relayer). After every applied micro-batch the controller folds the
 // engine's layering-quality signal (inc.Stats: touched-subgraph ratio,
 // skeleton fraction, shortcut hit rate) into exponentially-weighted moving
@@ -15,9 +15,9 @@ import (
 // communities of a clone of the live graph in the background while the
 // stream keeps applying batches, and lands them on the live engine at a
 // deterministic batch boundary (SwapLagBatches after the trigger),
-// rebuilding only the changed communities. It is the backstop for the drift
-// that the engine's per-batch adjustment (core.Options.AdaptiveCommunities)
-// cannot repair, or that a frozen layering accumulates.
+// rebuilding only the changed communities. The engine keeps its layering
+// frozen between landings, so the relayer is its only drift repair: the
+// paper's "update the dense subgraphs only when enough ΔG are accumulated".
 type RelayerConfig struct {
 	// TouchedRatioThreshold triggers a re-layer when the EWMA of the
 	// per-update touched-subgraph ratio exceeds it (0 = 0.35). A drifted
@@ -28,11 +28,6 @@ type RelayerConfig struct {
 	// dissolves dense subgraphs and the skeleton — the global-iteration
 	// working set — swells.
 	SkeletonGrowthFactor float64
-	// DeadCommunityFraction triggers when the fraction of allocated
-	// community ids without members exceeds it (0 = 0.5). Incremental
-	// adjustment keeps ids stable, so dead ids accumulate until a landing
-	// reclaims them.
-	DeadCommunityFraction float64
 	// MinBatches is the cooldown: applied batches that must pass after a
 	// (re)build before the next trigger evaluation (0 = 16).
 	MinBatches int
@@ -51,11 +46,9 @@ type RelayerConfig struct {
 // redetector is an engine whose layering the relayer can renew
 // (core.Layph). Redetect detects communities on g, a graph clone the caller
 // owns, on any goroutine; the returned landing must run on the goroutine
-// that updates the engine. CommunityStats reports (live, allocated)
-// community ids.
+// that updates the engine.
 type redetector interface {
 	Redetect(g *graph.Graph) func() inc.Stats
-	CommunityStats() (live, ids int)
 }
 
 func (c RelayerConfig) withDefaults() RelayerConfig {
@@ -64,9 +57,6 @@ func (c RelayerConfig) withDefaults() RelayerConfig {
 	}
 	if c.SkeletonGrowthFactor == 0 {
 		c.SkeletonGrowthFactor = 1.5
-	}
-	if c.DeadCommunityFraction == 0 {
-		c.DeadCommunityFraction = 0.5
 	}
 	if c.MinBatches == 0 {
 		c.MinBatches = 16
@@ -97,12 +87,8 @@ type RelayerMetrics struct {
 	ShortcutHitEWMA  float64 `json:"shortcut_hit_ewma"`
 	SkeletonFraction float64 `json:"skeleton_fraction"`
 	SkeletonBaseline float64 `json:"skeleton_baseline"`
-	// MembershipMoves accumulates the engine's adaptive migration count.
+	// MembershipMoves accumulates the vertices the landings migrated.
 	MembershipMoves int64 `json:"membership_moves"`
-	// LiveCommunities / CommunityIDs mirror the engine's CommunityStats at
-	// the last trigger evaluation that reached the dead-community check.
-	LiveCommunities int `json:"live_communities,omitempty"`
-	CommunityIDs    int `json:"community_ids,omitempty"`
 	// LastSwapSeq is the snapshot sequence the latest landing
 	// re-published; LastTrigger names the threshold that fired it.
 	LastSwapSeq uint64 `json:"last_swap_seq"`
@@ -157,7 +143,6 @@ func (s *Stream) relayerStep(st inc.Stats, applied bool, snap *Snapshot) {
 			rl.baseSeeded = true
 			rl.m.SkeletonBaseline = st.SkeletonFraction
 		}
-		rl.m.MembershipMoves += st.MembershipMoves
 		s.relayerMaybeTrigger()
 	}
 	s.mu.Lock()
@@ -177,12 +162,6 @@ func (s *Stream) relayerMaybeTrigger() {
 	case rl.baseSeeded && rl.m.SkeletonBaseline > 0 &&
 		rl.m.SkeletonFraction > rl.m.SkeletonBaseline*rl.cfg.SkeletonGrowthFactor:
 		reason = "skeleton-growth"
-	default:
-		live, ids := rl.sys.CommunityStats()
-		rl.m.LiveCommunities, rl.m.CommunityIDs = live, ids
-		if ids > 0 && float64(ids-live)/float64(ids) > rl.cfg.DeadCommunityFraction {
-			reason = "dead-communities"
-		}
 	}
 	if reason == "" {
 		return

@@ -115,7 +115,7 @@ type Config struct {
 	// StartStats pre-loads the lifetime engine aggregate (Metrics.Engine),
 	// letting recovery fold the WAL tail's replay work into /metrics.
 	StartStats inc.Stats
-	// Relayer, when non-nil, enables the adaptive re-layering controller
+	// Relayer, when non-nil, enables the re-layering drift controller
 	// (see RelayerConfig) over a system with Redetect (core.Layph); over any
 	// other system it is ignored.
 	Relayer *RelayerConfig
@@ -191,7 +191,7 @@ type Metrics struct {
 	// Engine aggregates the per-batch inc.Stats over the stream lifetime
 	// (including Config.StartStats, i.e. recovery replay work).
 	Engine inc.Stats
-	// Relayer reports the adaptive re-layering controller's state
+	// Relayer reports the re-layering drift controller's state
 	// (Relayer.Enabled is false when no relayer is configured).
 	Relayer RelayerMetrics
 }

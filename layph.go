@@ -137,7 +137,10 @@ func Run(g *Graph, a Algorithm, threads int) []float64 {
 	return engine.RunBatch(g, a, engine.Options{}).X
 }
 
-// Config tunes Layph construction (zero value = paper defaults).
+// Config tunes Layph construction (zero value = paper defaults). The
+// engine keeps the dense subgraphs it detects at construction frozen, as
+// the paper does; a Stream's relayer (StreamConfig.Relayer) re-detects them
+// under drift and lands the result on the live engine.
 type Config struct {
 	// Threads sizes the shared pool that refines independent touched
 	// subgraphs concurrently (0 = GOMAXPROCS); Threads=1 runs strictly
@@ -156,23 +159,14 @@ type Config struct {
 	// threshold R is 3, and the community size cap K is ~0.1% of |V|,
 	// clamped to [64, 4096].
 	DisableReplication bool
-	// AdaptiveCommunities wires the incremental community adjustment into
-	// every Update: vertex migrations, subgraph splits and merges are
-	// applied in place (refreshing only the affected subgraphs' layer
-	// structures) instead of freezing memberships until a re-detection
-	// lands. The adjustment and the structural migration are
-	// deterministic, so the determinism contract above is unaffected. Pair
-	// with StreamConfig.Relayer for the background re-detection backstop.
-	AdaptiveCommunities bool
 }
 
 // NewLayph builds the layered graph for g under a (offline phase), runs the
 // initial batch computation, and returns the incremental engine.
 func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 	return core.New(g, a, core.Options{
-		Workers:             cfg.Threads,
-		DisableReplication:  cfg.DisableReplication,
-		AdaptiveCommunities: cfg.AdaptiveCommunities,
+		Workers:            cfg.Threads,
+		DisableReplication: cfg.DisableReplication,
 	})
 }
 
@@ -241,8 +235,9 @@ type StreamSnapshot = stream.Snapshot
 // StreamMetrics summarizes stream counters and rolling rates.
 type StreamMetrics = stream.Metrics
 
-// RelayerConfig configures the adaptive re-layering controller of a Stream
-// over Layph (StreamConfig.Relayer): decayed layering quality triggers a
+// RelayerConfig configures the re-layering drift controller of a Stream
+// over Layph (StreamConfig.Relayer), the engine's only drift repair: Layph
+// keeps its layering frozen, and decayed layering quality triggers a
 // background re-detection that lands on the live engine at a batch boundary.
 type RelayerConfig = stream.RelayerConfig
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"layph/internal/algo"
+	"layph/internal/core"
+	"layph/internal/delta"
 	"layph/internal/enginetest"
 	"layph/internal/gen"
 	"layph/internal/graph"
@@ -162,27 +164,63 @@ func TestDifferentialFuzzChurn(t *testing.T) {
 	})
 }
 
-// layphAdaptiveFactory is layphFactory with adaptive community migration
-// switched on: every update runs the incremental adjustment and migrates
-// subgraph memberships in place.
-func layphAdaptiveFactory(threads int) enginetest.Factory {
+// relanding is Layph with the relayer's drift repair made deterministic
+// for the fuzzer: every third batch it re-detects on a clone of its graph,
+// and it lands that partition after the next batch, so each landing also
+// migrates around the vertices added and removed since its clone.
+type relanding struct {
+	*core.Layph
+	g       *graph.Graph
+	batches int
+	land    func() inc.Stats
+	count   *relandCount
+}
+
+// relandCount tallies the landings and membership moves of every relanding
+// engine a test builds (RunDifferential drives them on one goroutine).
+type relandCount struct{ landings, moves int64 }
+
+func (r *relanding) Update(applied *delta.Applied) inc.Stats {
+	st := r.Layph.Update(applied)
+	if r.land != nil {
+		ls := r.land()
+		r.land = nil
+		r.count.landings++
+		r.count.moves += ls.MembershipMoves
+	}
+	if r.batches++; r.batches%3 == 0 {
+		r.land = r.Redetect(r.g.Clone())
+	}
+	return st
+}
+
+// layphRelandFactory builds relanding engines at a fixed thread count.
+func layphRelandFactory(threads int, count *relandCount) enginetest.Factory {
 	return func(g *graph.Graph, a algo.Algorithm) inc.System {
-		return NewLayph(g, a, Config{Threads: threads, AdaptiveCommunities: true})
+		return &relanding{Layph: NewLayph(g, a, Config{Threads: threads}), g: g, count: count}
 	}
 }
 
 // TestDifferentialFuzzDrift drives the community-migration churn schedule:
 // every batch rewires a vertex cluster into a different community
-// neighborhood, so a frozen layering drifts while the adaptive engines
-// split/merge subgraphs each batch. Adaptive Layph (sequential and
-// parallel) and frozen Layph are all checked against the restart oracle
-// after every batch; the cc run adds the min baselines on the seeds where
-// value-matched parents once made Layph diverge.
+// neighborhood, so a frozen layering drifts, while the relanding engines
+// repair it with a landing every third batch. Relanding Layph (sequential
+// and parallel) and frozen Layph are all checked against the restart
+// oracle after every batch; the cc run adds the min baselines on the seeds
+// where value-matched parents once made Layph diverge.
 func TestDifferentialFuzzDrift(t *testing.T) {
-	engines := []enginetest.NamedFactory{
-		{Name: "layph-adaptive-t1", New: layphAdaptiveFactory(1)},
-		{Name: "layph-adaptive-t8", New: layphAdaptiveFactory(8)},
-		{Name: "layph-frozen-t1", New: layphFactory(1)},
+	run := func(t *testing.T, extra []enginetest.NamedFactory, mk enginetest.AlgoMaker, cfg enginetest.DifferentialConfig) {
+		var count relandCount
+		engines := append([]enginetest.NamedFactory{
+			{Name: "layph-reland-t1", New: layphRelandFactory(1, &count)},
+			{Name: "layph-reland-t8", New: layphRelandFactory(8, &count)},
+			{Name: "layph-frozen-t1", New: layphFactory(1)},
+		}, extra...)
+		enginetest.RunDifferential(t, engines, mk, cfg)
+		t.Logf("%d landings, %d membership moves", count.landings, count.moves)
+		if count.moves == 0 {
+			t.Fatal("no landing moved a vertex")
+		}
 	}
 	cfg := enginetest.DriftDifferentialConfig()
 	if testing.Short() {
@@ -193,43 +231,13 @@ func TestDifferentialFuzzDrift(t *testing.T) {
 		"pagerank": enginetest.SumAlgorithms()["pagerank"],
 	}
 	for name, mk := range algos {
-		t.Run(name, func(t *testing.T) {
-			enginetest.RunDifferential(t, engines, mk, cfg)
-		})
+		t.Run(name, func(t *testing.T) { run(t, nil, mk, cfg) })
 	}
 	t.Run("cc", func(t *testing.T) {
 		cfg := enginetest.DriftDifferentialConfig()
 		cfg.Seeds, cfg.Batches = []int64{101, 114, 123, 124, 129, 133, 141, 150}, 12
-		enginetest.RunDifferential(t, append(engines, minBaselines()...), enginetest.MinAlgorithms()["cc"], cfg)
+		run(t, minBaselines(), enginetest.MinAlgorithms()["cc"], cfg)
 	})
-}
-
-// TestAdaptiveMinDeterminism pins the determinism contract with adaptive
-// communities enabled: at a fixed thread count, identical drift-churn
-// inputs must produce byte-identical min-scheme states, run to run —
-// including the incremental adjustment's move order and the forced
-// subgraph rebuilds it causes.
-func TestAdaptiveMinDeterminism(t *testing.T) {
-	run := func() []float64 {
-		g := demoGraph()
-		sys := NewLayph(g, SSSP(0), Config{Threads: 4, AdaptiveCommunities: true})
-		gen := NewBatchGenerator(99)
-		for i := 0; i < 6; i++ {
-			batch := gen.MigrationBatch(g, 12, 4, true)
-			batch = append(batch, gen.EdgeBatch(g, 40, true)...)
-			sys.Update(ApplyBatch(g, batch))
-		}
-		return append([]float64(nil), sys.States()[:g.Cap()]...)
-	}
-	want := run()
-	for rep := 0; rep < 3; rep++ {
-		got := run()
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("rep %d: vertex %d = %v, want %v (byte-identical contract broken)", rep, v, got[v], want[v])
-			}
-		}
-	}
 }
 
 // TestSumStatesIndependentOfThreads pins the determinism contract's sum

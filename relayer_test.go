@@ -30,7 +30,7 @@ func driftRound(gen *BatchGenerator, driver *Graph) Batch {
 	return b
 }
 
-// TestStreamRelayerSwapsUnderDrift runs the full pipeline: an adaptive
+// TestStreamRelayerSwapsUnderDrift runs the full pipeline: a frozen
 // Layph engine behind a stream with the drift controller enabled, under
 // community-migration churn. It asserts that (a) at least one background
 // full re-layer completes and is swapped in mid-stream, (b) every drained
@@ -38,7 +38,7 @@ func driftRound(gen *BatchGenerator, driver *Graph) Batch {
 // on the same logical graph (the atomic-swap consistency check), and (c)
 // the relayer metrics are coherent.
 func TestStreamRelayerSwapsUnderDrift(t *testing.T) {
-	cfg := Config{Threads: 2, AdaptiveCommunities: true}
+	cfg := Config{Threads: 2}
 	g := GenerateCommunityGraph(CommunityGraphConfig{
 		Vertices: 600, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.4,
 		Weighted: true, Seed: 11,
@@ -110,7 +110,7 @@ func TestStreamRelayerSwapsUnderDrift(t *testing.T) {
 // must produce byte-identical drained snapshots and the same swap count.
 func TestStreamRelayerMinDeterminism(t *testing.T) {
 	run := func() ([]float64, int64) {
-		cfg := Config{Threads: 4, AdaptiveCommunities: true}
+		cfg := Config{Threads: 4}
 		g := GenerateCommunityGraph(CommunityGraphConfig{
 			Vertices: 500, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
 			Weighted: true, Seed: 31,
@@ -176,7 +176,7 @@ func TestStreamRelayerDisabledMetrics(t *testing.T) {
 // recover with verified checkpoint states and serve the restart fixpoint
 // of its logical graph.
 func TestRelayerCrashRecovery(t *testing.T) {
-	cfg := Config{Threads: 2, AdaptiveCommunities: true}
+	cfg := Config{Threads: 2}
 	build := func(g *Graph) System { return NewLayph(g, SSSP(0), cfg) }
 	g := GenerateCommunityGraph(CommunityGraphConfig{
 		Vertices: 500, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
