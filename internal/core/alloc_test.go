@@ -262,8 +262,28 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 //
 // The spread cases draw uniformly random endpoints, so most batches flip
 // roles across the subgraphs they enter. The CC case runs the zero-weight
-// label ties through the shortcut-mapped dependency parents.
+// label ties through the shortcut-mapped dependency parents. The grow case
+// adds one vertex and one edge to it per batch on the benchmark's UK ×1
+// graph, whose layout has proxies, so every batch moves the proxy segment
+// past the grown ID space.
 func BenchmarkUpdate(b *testing.B) {
+	b.Run("SSSP/grow", func(b *testing.B) {
+		g := gen.Build(gen.PresetUK, 1)
+		l := New(g, algo.NewSSSP(0), Options{Workers: 1})
+		if l.OfflineStats.Proxies == 0 {
+			b.Fatal("no proxies to move on this layout")
+		}
+		grow := func() {
+			v := graph.VertexID(g.Cap())
+			l.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddVertex, U: v}, {Kind: delta.AddEdge, U: 1, V: v, W: 1}}))
+		}
+		grow() // warm scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			grow()
+		}
+	})
 	for _, name := range []string{"SSSP", "PageRank", "CC"} {
 		run := func(label string, workload func(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch), batch int) {
 			b.Run(fmt.Sprintf("%s/%sbatch=%d", name, label, batch), func(b *testing.B) {

@@ -106,11 +106,12 @@ func sortSubgraphs(subs []*Subgraph) {
 }
 
 // buildSubgraph (re)constructs one subgraph — member classification, local
-// frame, full shortcut deduction — and returns the F applications spent.
-func (l *Layph) buildSubgraph(s *Subgraph) int64 {
+// frame, full shortcut deduction on the task's working set ts — and returns
+// the F applications spent.
+func (l *Layph) buildSubgraph(s *Subgraph, ts *taskScratch) int64 {
 	l.classifyMembers(s)
 	l.buildLocalFrame(s)
-	return l.deduceShortcuts(s)
+	return l.deduceShortcuts(s, ts)
 }
 
 // classifyMembers gives the subgraph a new frame holding its members, from

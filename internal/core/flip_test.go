@@ -332,9 +332,11 @@ func assertFreshShortcuts(t *testing.T, l *Layph, tol float64) {
 }
 
 func freshShortcutsDiff(l *Layph, tol float64) error {
+	ts := l.getTask()
+	defer l.putTask(ts)
 	for _, s := range subgraphList(l.subs) {
 		fresh := &Subgraph{ID: s.ID, Local: s.Local, Entries: s.Entries}
-		l.deduceShortcuts(fresh)
+		l.deduceShortcuts(fresh, ts)
 		for _, u := range s.Entries {
 			cu := l.localIdx[u]
 			mem, ref := s.scVec[cu], fresh.scVec[cu]

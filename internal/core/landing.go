@@ -50,7 +50,12 @@ func (l *Layph) land(fresh *community.Partition) (forced []int32, moves int64) {
 // migrate applies community moves, already recorded in the partition and
 // in commVerts, to the layering. For every moved vertex subOf is repointed
 // (dense subgraphs only — communities without one are outlier territory),
-// and the vertex plus its in-neighbors are marked for flat-row refresh.
+// and the rows of the vertex and of its entry proxies are marked for
+// refresh. Its in-neighbours' rows need no mark here: an in-neighbour's
+// edge to it changes route only through the in-neighbour's entry proxy in
+// the subgraph the vertex left or joined, or when the vertex left or joined
+// the in-neighbour's own subgraph, and the restructure of that subgraph
+// queues the row (the old frame of the one it left still lists it).
 // Changed communities that back a dense subgraph are returned as forced
 // structural rebuilds; changed communities without one are re-evaluated
 // for density and promoted to a fresh subgraph when they qualify (a split
@@ -58,16 +63,11 @@ func (l *Layph) land(fresh *community.Partition) (forced []int32, moves int64) {
 func (l *Layph) migrate(moved []community.VertexMove) (forced []int32) {
 	sc := &l.scratch
 	// The vertex's flat row must be re-routed against its new subgraph, and
-	// so must every in-neighbor's (their edges to it may gain or lose proxy
-	// indirection).
+	// so must the rows of its entry proxies, which leave out the edges its
+	// subgraph's exit proxies carry.
 	reroute := func(v graph.VertexID) {
-		sc.touched.Add(v)
+		l.touchSource(v)
 		sc.dirty.Add(v)
-		for _, ie := range l.g.In(v) {
-			if int(ie.To) < l.flatN() {
-				sc.touched.Add(ie.To)
-			}
-		}
 	}
 	var changed []int32
 	for _, m := range moved {

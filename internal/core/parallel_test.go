@@ -145,7 +145,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // is in flight. The sequence must also contain a batch that rebuilds one
 // subgraph while patchShortcuts revises another's entries in the same
 // fan-out, so the race build covers a patch's flatIn reads beside a
-// rebuild's localIdx writes.
+// rebuild's localIdx writes, and a batch whose shortcut fan-out (with its
+// in-task skeleton-row refreshes) and whose refresh of the role-recomputed
+// rows (refreshUpRows) each run at least two chunks.
 func TestInvariantsAfterParallelUpdate(t *testing.T) {
 	for name, mk := range map[string]func() algo.Algorithm{
 		"sssp":     func() algo.Algorithm { return algo.NewSSSP(0) },
@@ -153,7 +155,7 @@ func TestInvariantsAfterParallelUpdate(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var builds int64
-			mixed := false
+			mixed, chunked := false, false
 			replaySequence(t, mk, 8, 13, func(l *Layph, b int) {
 				if err := l.CheckInvariants(); err != nil {
 					t.Fatalf("batch %d: invariants violated after update: %v", b, err)
@@ -166,9 +168,19 @@ func TestInvariantsAfterParallelUpdate(t *testing.T) {
 				}
 				mixed = mixed || (l.builds > builds && patched)
 				builds = l.builds
+				var affected []*Subgraph
+				for _, s := range subgraphList(l.subs) {
+					if c := graph.VertexID(s.ID); l.scratch.structural.Has(c) || l.scratch.edited.Has(c) {
+						affected = append(affected, s)
+					}
+				}
+				chunked = chunked || (len(l.subgraphChunks(affected)) >= 2 && len(l.scratch.roleSeen.List) >= 2*minUpChunk)
 			})
 			if !mixed {
 				t.Fatal("no batch rebuilt a subgraph while patching another")
+			}
+			if !chunked {
+				t.Fatal("no batch refreshed skeleton rows in two or more chunks of both fan-outs")
 			}
 		})
 	}

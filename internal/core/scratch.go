@@ -47,11 +47,10 @@ type updScratch struct {
 	extSrc, extDst []graph.VertexID
 
 	// rows diffs out-rows for the flat refresh; rowBuf is the flat
-	// refresh's and editFrame's row buffer, upBuf refreshUpVertex's and
-	// packUpOut's.
+	// refresh's and editFrame's row buffer. Skeleton rows are refreshed in
+	// pool tasks, on taskScratch.row.
 	rows   rowDiff
 	rowBuf []engine.WEdge
-	upBuf  []engine.WEdge
 
 	// updateMin working sets (subgraph-ID sets for activeSubs, resetSubs
 	// and trigSubs).
@@ -183,9 +182,14 @@ func rawBuf[T any](buf *[]T, n int) []T {
 }
 
 // taskScratch is one pool task's working set for the compact-frame runs —
-// upload fixpoints, shortcut deduction and entry patches: a runner, compact
-// state and parent vectors grown to the largest frame it has served, the
-// flat sources of an upload's seeds, and the ⊥ walk of an entry patch.
+// upload fixpoints, shortcut deduction and entry patches — and for the
+// skeleton-row refreshes: a runner, compact state and parent vectors grown
+// to the largest frame it has served, the flat sources of an upload's
+// seeds, and the ⊥ walk of an entry patch. A shortcut task (settle's
+// fan-out, maintainShortcuts) collects in moved the entries of its current
+// subgraph whose rows a patch can have changed and refreshes them on row;
+// the chunked refresh of the role-recomputed vertices after the fan-out
+// (refreshUpRows) uses row as well.
 type taskScratch struct {
 	run   *engine.Runner
 	x     []float64
@@ -193,6 +197,8 @@ type taskScratch struct {
 	ext   []graph.VertexID
 	trim  inc.Trimmer
 	roots []graph.VertexID
+	moved []graph.VertexID
+	row   []engine.WEdge
 }
 
 // taskPool is a free list of task working sets. A task takes one for the

@@ -318,9 +318,9 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 // deduceShortcuts runs Equation (6) for every entry vertex of the subgraph:
 // inject the semiring unit at the entry, run the local fixpoint over the
 // compact frame, and read off the aggregates as shortcut weights. The
-// entries are deduced in order inside the caller's subgraph task. Returns
-// the F applications spent.
-func (l *Layph) deduceShortcuts(s *Subgraph) int64 {
+// entries are deduced in order inside the caller's subgraph task, on its
+// working set ts. Returns the F applications spent.
+func (l *Layph) deduceShortcuts(s *Subgraph, ts *taskScratch) int64 {
 	lf := s.Local
 	k := lf.size()
 	var acts int64
@@ -338,7 +338,7 @@ func (l *Layph) deduceShortcuts(s *Subgraph) int64 {
 	// shortcut for sum-semiring cycles back to the entry).
 	frame := l.absorbing(s)
 	for _, u := range s.Entries {
-		r := l.deduceEntry(s, frame, u)
+		r := l.deduceEntry(s, frame, u, ts)
 		cu := l.localIdx[u]
 		acts += r.acts
 		s.scVec[cu] = r.vec
@@ -357,8 +357,9 @@ type entryRes struct {
 	acts int64
 }
 
-// deduceEntry runs Equation (6) for entry u over the absorbing frame.
-func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID) entryRes {
+// deduceEntry runs Equation (6) for entry u over the absorbing frame, on
+// the task's runner.
+func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID, ts *taskScratch) entryRes {
 	lf := s.Local
 	k := lf.size()
 	zero := l.sr.Zero()
@@ -373,8 +374,6 @@ func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID) en
 			r.par[j] = engine.NoParent
 		}
 	}
-	ts := l.getTask()
-	defer l.putTask(ts)
 	// u's own edges seed the vector, so a value they set has u as its
 	// parent.
 	for _, e := range lf.out[cu] {
@@ -498,14 +497,22 @@ const patchBudget = 32
 //
 // An edited vertex's old absorbing row is empty when its pre-update role
 // (scratch.oldRole, recorded for every vertex editFrames edits) was an
-// entry role, and its snapshot row otherwise. The skeleton rows of the
-// subgraph's entries are refreshed after the fan-out (settle).
-// Returns the F applications spent.
-func (l *Layph) patchShortcuts(s *Subgraph) int64 {
+// entry role, and its snapshot row otherwise. It runs in s's pool task, on
+// the task's working set ts.
+//
+// It also reports which of s's entries can have a changed skeleton row
+// (appendUpOut), for the same task to refresh. all is set when every entry
+// can: a member's role changed (the rows filter shortcut targets by role;
+// a fresh entry is such a member), or the sum scheme revised or re-deduced
+// vectors. Otherwise ts.moved lists the min-scheme entries whose vector
+// moved at a slot of another non-internal member (updateEntryMin). Returns
+// the F applications spent.
+func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bool) {
+	ts.moved = ts.moved[:0]
 	lf := s.Local
 	ed := &lf.edit
 	if ed.epoch != l.epoch || len(ed.cis) == 0 {
-		return 0
+		return 0, false
 	}
 	defer ed.done()
 	idem := l.sr.Idempotent()
@@ -513,7 +520,7 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 		lf.patches++
 		if lf.patches > patchBudget {
 			lf.patches = 0
-			return l.deduceShortcuts(s)
+			return l.deduceShortcuts(s, ts), true
 		}
 	}
 
@@ -524,9 +531,11 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 	for i, ci := range ed.cis {
 		v := lf.ids[ci]
 		var oldRow []engine.WEdge // the old absorbing row: none for an entry
-		if !l.scratch.oldRole[v].IsEntry() {
+		oldRole := l.scratch.oldRole[v]
+		if !oldRole.IsEntry() {
 			oldRow = ed.oldOut[i]
 		}
+		all = all || l.role[v] != oldRole
 		ab.diffRow(ci, oldRow, frame.Row(ci))
 		entry, hasVec := l.role[v].IsEntry(), s.scVec[ci] != nil
 		switch {
@@ -546,9 +555,6 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 		}
 	}
 
-	ts := l.getTask()
-	defer l.putTask(ts)
-	var acts int64
 	for _, u := range s.Entries {
 		cu := l.localIdx[u]
 		if s.scVec[cu] == nil {
@@ -563,13 +569,18 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 		switch {
 		case ab.empty() && seed.empty():
 		case idem:
-			acts += l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
+			a, moved := l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
+			acts += a
+			if moved {
+				ts.moved = append(ts.moved, u)
+			}
 		default:
 			acts += l.updateEntrySum(s, cu, frame, &ab, &seed, ts)
+			all = true
 		}
 	}
 	for _, u := range fresh {
-		r := l.deduceEntry(s, frame, u)
+		r := l.deduceEntry(s, frame, u, ts)
 		cu := l.localIdx[u]
 		s.scVec[cu] = r.vec
 		if idem {
@@ -577,7 +588,7 @@ func (l *Layph) patchShortcuts(s *Subgraph) int64 {
 		}
 		acts += r.acts
 	}
-	return acts
+	return acts, all
 }
 
 // updateEntrySum applies exact inverse deltas for entry cu's vector: with x
@@ -623,13 +634,14 @@ func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 // cu's vector: the dependency subtrees hanging off removed edges are reset,
 // re-offered from intact in-neighbours and cu's own row, added edges offer
 // their candidates, and a local fixpoint settles the rest, setting the
-// parents of what it changes. Returns the F applications spent.
-func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, seed *compactDiff, ts *taskScratch) int64 {
+// parents of what it changes. Returns the F applications spent, and
+// whether a reset or changed slot belongs to a non-internal member other
+// than cu, which is when cu's skeleton row can have changed.
+func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, seed *compactDiff, ts *taskScratch) (acts int64, moved bool) {
 	lf := s.Local
 	vec := s.scVec[cu]
 	par := s.scParent[cu]
 	zero, one := l.sr.Zero(), l.sr.One()
-	var acts int64
 
 	// The reset set is the dependency subtrees of the targets of cu's
 	// removed seeding edges and of removed dependency edges. The walk
@@ -657,6 +669,16 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, see
 	})
 	tagged := &ts.trim.Tagged
 	resets := tagged.List
+	// upSlot reports whether cs holds a slot cu's skeleton row reads.
+	upSlot := func(cs []graph.VertexID) bool {
+		for _, c := range cs {
+			if c != self && l.role[lf.ids[c]] != RoleInternal {
+				return true
+			}
+		}
+		return false
+	}
+	moved = upSlot(resets)
 
 	seeded := false
 	relax := func(c, src graph.VertexID, m float64) {
@@ -695,13 +717,15 @@ func (l *Layph) updateEntryMin(s *Subgraph, cu int32, frame engine.Rows, ab, see
 		// sender, or the seed's source.
 		res := ts.run.Run(frame, vec, par, engine.Options{})
 		acts += res.Activations
+		moved = moved || upSlot(res.Changed)
 	}
-	return acts
+	return acts, moved
 }
 
 // appendUpOut appends v's upper-layer out-list to out: flat edges leaving
 // its subgraph (or any flat edge, for outliers) plus, for entries, their
-// shortcuts to non-internal members, read off the vector in compact order.
+// shortcuts (isShortcut) to non-internal members, read off the vector in
+// compact order.
 func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge {
 	if !l.flatAlive(v) || !l.onUp(v) {
 		return out
@@ -716,8 +740,12 @@ func (l *Layph) appendUpOut(out []engine.WEdge, v graph.VertexID) []engine.WEdge
 	if l.role[v].IsEntry() {
 		if s := l.subs[sv]; s != nil {
 			vec, cu := l.shortcutVec(s, v), int(l.localIdx[v])
+			zero, idem := l.sr.Zero(), l.sr.Idempotent()
 			for c, w := range vec {
-				if t := s.Local.ids[c]; l.isShortcut(vec, cu, c) && l.role[t] != RoleInternal {
+				if w == zero || (c == cu && idem) {
+					continue
+				}
+				if t := s.Local.ids[c]; l.role[t] != RoleInternal {
 					out = append(out, engine.WEdge{To: t, W: w})
 				}
 			}
@@ -740,12 +768,14 @@ func (l *Layph) absorbIn(s *Subgraph, c graph.VertexID, visit func(src graph.Ver
 	}
 }
 
-// refreshUpVertex recomputes v's Lup out-list into a scratch buffer and
-// stores a copy only when it changed, so an unchanged row costs no
-// allocation.
-func (l *Layph) refreshUpVertex(v graph.VertexID) {
-	fresh := l.appendUpOut(l.scratch.upBuf[:0], v)
-	l.scratch.upBuf = fresh
+// refreshUpVertex recomputes v's Lup out-list into buf, the calling pool
+// task's row buffer, and stores a copy only when it changed, so an
+// unchanged row costs no allocation. settle decides which rows to refresh:
+// the entries maintainShortcuts reports, in their subgraph's task, and the
+// role-recomputed vertices in chunks after the shortcut fan-out.
+func (l *Layph) refreshUpVertex(v graph.VertexID, buf *[]engine.WEdge) {
+	fresh := l.appendUpOut((*buf)[:0], v)
+	*buf = fresh
 	if !sameRow(l.upOut[v], fresh) {
 		l.upOut[v] = exactRow(fresh)
 	}

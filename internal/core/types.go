@@ -30,6 +30,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"layph/internal/algo"
 	"layph/internal/community"
 	"layph/internal/engine"
@@ -337,8 +339,11 @@ type Layph struct {
 	epoch uint32
 	// evaluations counts density evaluations of a community's prospective
 	// layout and builds the subgraphs updates rebuilt, so tests can pin
-	// which updates do structural work.
+	// which updates do structural work. upRows counts the skeleton rows
+	// updates recomputed (refreshUpVertex), so tests can pin which rows a
+	// batch refreshes; pool tasks add to it.
 	evaluations, builds int64
+	upRows              atomic.Int64
 
 	// OfflineStats records construction + initial batch run cost (Fig 11b);
 	// LastPhases records the most recent Update's per-phase runtime (Fig 7).

@@ -169,12 +169,14 @@ func (l *Layph) beginLayering() {
 //     one that fails is dissolved as a structural change, which costs one
 //     more refresh-and-roles round for the rows that depended on it,
 //   - rebuilds the structurally changed subgraphs and patches the shortcuts
-//     of the edited ones (patchShortcuts), fanned out over the worker pool,
-//   - refreshes the skeleton rows by one rule: every vertex whose role was
-//     recomputed and every entry of an affected subgraph.
+//     of the edited ones (patchShortcuts), fanned out over the worker pool;
+//     each subgraph's task then refreshes the skeleton rows of those of its
+//     entries whose shortcuts can have changed (maintainShortcuts),
+//   - refreshes the skeleton rows of every vertex whose role was recomputed
+//     (roleSeen), in pool chunks after the fan-out.
 //
 // New's call (d == nil) lays the first round's flat rows and all skeleton
-// rows out in one array each, in vertex order.
+// rows out in one array each, in vertex order, and refreshes no row.
 func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	sc := &l.scratch
 	var round []int32
@@ -262,11 +264,14 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	out.affectedSubs = append(slices.Clone(out.rebuiltSubs), edited...)
 	sortSubgraphs(out.affectedSubs)
 	l.builds += int64(len(out.rebuiltSubs))
-	// Each task writes only its own subgraphs and reads structure that is
-	// frozen for the duration of the fan-out.
+	// Each task writes only its own subgraphs (and their entries' skeleton
+	// rows) and reads structure that is frozen for the duration of the
+	// fan-out.
 	acts := eachChunk(l, out.affectedSubs, func(ch []*Subgraph) (a int64) {
+		ts := l.getTask()
+		defer l.putTask(ts)
 		for _, s := range ch {
-			a += l.maintainShortcuts(s)
+			a += l.maintainShortcuts(s, ts, d != nil)
 		}
 		return a
 	})
@@ -280,32 +285,56 @@ func (l *Layph) settle(d *layeredDiff, pending []int32) (out settledSubs) {
 	// roles. roleSeen holds every refreshed flat row (a target whose subOf
 	// moved had its in-neighbours' rows refreshed), every role recompute
 	// and every member of a restructured or migrated subgraph; shortcuts
-	// and member roles change only in affected subgraphs.
+	// and member roles change only in affected subgraphs, whose tasks
+	// refreshed the rest.
 	if d == nil {
 		l.packUpOut()
 		return out
 	}
-	for _, v := range sc.roleSeen.List {
-		l.refreshUpVertex(v)
-	}
-	for _, s := range out.affectedSubs {
-		for _, u := range s.Entries {
-			l.refreshUpVertex(u)
+	l.refreshUpRows(sc.roleSeen.List)
+	return out
+}
+
+// minUpChunk is the fewest skeleton rows refreshUpRows hands one pool task:
+// a row costs well under a microsecond, so a smaller chunk would not repay
+// its dispatch.
+const minUpChunk = 64
+
+// refreshUpRows refreshes the skeleton rows of vs, which holds no vertex
+// twice, in contiguous chunks over the pool (chunksPerWorker per worker,
+// each of at least minUpChunk rows). A task writes the rows of its own
+// chunk and reads only settled structure.
+func (l *Layph) refreshUpRows(vs []graph.VertexID) {
+	refresh := func(ch []graph.VertexID) {
+		ts := l.getTask()
+		defer l.putTask(ts)
+		for _, v := range ch {
+			l.refreshUpVertex(v, &ts.row)
 		}
 	}
-	return out
+	if n := min(l.pool.Size()*chunksPerWorker, len(vs)/minUpChunk); n <= 1 {
+		refresh(vs)
+	} else {
+		grp := l.pool.Group()
+		for i := range n {
+			ch := vs[i*len(vs)/n : (i+1)*len(vs)/n]
+			grp.Go(func() { refresh(ch) })
+		}
+		grp.Wait()
+	}
+	l.upRows.Add(int64(len(vs)))
 }
 
 // packUpOut lays every skeleton row into one array in vertex order, as the
 // flat rows are laid out at construction. A first pass sizes the array, so
 // the rows are stored once.
 func (l *Layph) packUpOut() {
-	n, buf := 0, l.scratch.upBuf
+	var buf []engine.WEdge
+	n := 0
 	for v := range l.flatN() {
 		buf = l.appendUpOut(buf[:0], graph.VertexID(v))
 		n += len(buf)
 	}
-	l.scratch.upBuf = buf
 	packed := make([]engine.WEdge, 0, n)
 	for v := range l.flatN() {
 		lo := len(packed)
@@ -454,13 +483,39 @@ func (l *Layph) editFrames() []int32 {
 	return failed
 }
 
-// maintainShortcuts is the per-subgraph task of the shortcut phase: a
-// restructured subgraph is rebuilt, an edited one is patched in place.
-func (l *Layph) maintainShortcuts(s *Subgraph) int64 {
+// maintainShortcuts is the per-subgraph task of the shortcut phase, run on
+// the task's working set ts: a restructured subgraph is rebuilt, an edited
+// one is patched in place. With rows set (every update; New packs all rows
+// instead), the task then refreshes the skeleton rows of s's entries that
+// can have changed: all of them after a rebuild, else those patchShortcuts
+// reports. It skips the entries in roleSeen, whose rows settle refreshes
+// after the fan-out. The task owns these rows, and nothing appendUpOut
+// reads of them changes while the fan-out runs. Returns the F applications
+// spent.
+func (l *Layph) maintainShortcuts(s *Subgraph, ts *taskScratch, rows bool) int64 {
+	var acts int64
+	all := true
 	if l.scratch.structural.Has(graph.VertexID(s.ID)) {
-		return l.buildSubgraph(s)
+		acts = l.buildSubgraph(s, ts)
+	} else {
+		acts, all = l.patchShortcuts(s, ts)
 	}
-	return l.patchShortcuts(s)
+	if !rows {
+		return acts
+	}
+	entries := ts.moved
+	if all {
+		entries = s.Entries
+	}
+	n := 0
+	for _, u := range entries {
+		if !l.scratch.roleSeen.Has(u) {
+			l.refreshUpVertex(u, &ts.row)
+			n++
+		}
+	}
+	l.upRows.Add(int64(n))
+	return acts
 }
 
 // growForNewVertices extends all flat-space vectors when the graph's ID
@@ -490,43 +545,45 @@ func (l *Layph) growForNewVertices(applied *delta.Applied) {
 
 // remapProxies shifts the proxy segment [origCap, flatN) to start at
 // newCap, past the grown original-vertex segment. Proxy state (x, parents,
-// adjacency) moves with the proxies.
+// adjacency) moves with the proxies, within each vector's spare capacity
+// where it has some; rows stay where they are and only their targets are
+// renamed. No other slice shares a live row: frame rows and their edit
+// snapshots are in compact IDs, and the rows scratch.oldRows still holds
+// were replaced, not edited, and are read only by the update that took
+// them.
 func (l *Layph) remapProxies(newCap int) {
-	oldN, shift := l.flatN(), graph.VertexID(newCap-l.origCap)
-	newN := oldN + int(shift)
+	lo, oldN, shift := l.origCap, l.flatN(), newCap-l.origCap
 	mapID := func(v graph.VertexID) graph.VertexID {
-		if int(v) >= l.origCap && int(v) < oldN {
-			return v + shift
+		if int(v) >= lo && int(v) < oldN {
+			return v + graph.VertexID(shift)
 		}
 		return v
 	}
-	move := func(v int) int { return int(mapID(graph.VertexID(v))) }
 	mapAll := func(vs []graph.VertexID) {
 		for i, v := range vs {
 			vs[i] = mapID(v)
 		}
 	}
-	moveRows := func(rows [][]engine.WEdge) [][]engine.WEdge {
-		rows = moved(rows, newN, nil, move)
-		for v, row := range rows {
-			out := make([]engine.WEdge, len(row))
-			for i, e := range row {
-				out[i] = engine.WEdge{To: mapID(e.To), W: e.W}
+	for _, rows := range [][][]engine.WEdge{l.flatOut, l.flatIn, l.upOut} {
+		for _, row := range rows {
+			for i := range row {
+				row[i].To = mapID(row[i].To)
 			}
-			rows[v] = out
 		}
-		return rows
 	}
-	l.subOf = moved(l.subOf, newN, NoSubgraph, move)
-	l.role = moved(l.role, newN, RoleDead, move)
-	l.proxyHost = moved(l.proxyHost, newN, NoHost, move)
-	l.x = moved(l.x, newN, l.sr.Zero(), move)
-	l.localIdx = moved[int32](nil, newN, -1, move)
+	l.flatOut = shifted(l.flatOut, lo, shift, nil)
+	l.flatIn = shifted(l.flatIn, lo, shift, nil)
+	l.upOut = shifted(l.upOut, lo, shift, nil)
+	l.subOf = shifted(l.subOf, lo, shift, NoSubgraph)
+	l.role = shifted(l.role, lo, shift, RoleDead)
+	l.proxyHost = shifted(l.proxyHost, lo, shift, NoHost)
+	l.x = shifted(l.x, lo, shift, l.sr.Zero())
+	// A member's compact index moves with it.
+	l.localIdx = shifted(l.localIdx, lo, shift, -1)
 	if l.parent != nil {
-		l.parent = moved(l.parent, newN, engine.NoParent, move)
+		l.parent = shifted(l.parent, lo, shift, engine.NoParent)
 		mapAll(l.parent)
 	}
-	l.flatOut, l.flatIn, l.upOut = moveRows(l.flatOut), moveRows(l.flatIn), moveRows(l.upOut)
 	for _, refs := range l.proxiesOf {
 		for i := range refs {
 			refs[i].p = mapID(refs[i].p)
@@ -538,24 +595,21 @@ func (l *Layph) remapProxies(newCap int) {
 		mapAll(s.Internal)
 		if s.Local != nil {
 			mapAll(s.Local.ids)
-			for i, v := range s.Local.ids {
-				l.localIdx[v] = int32(i)
-			}
 		}
 		// Shortcut vectors and parents live in compact-ID space and survive
 		// the remap untouched.
 	}
 }
 
-// moved returns vec's entries at their indices under move in an n-sized
-// vector whose other slots hold fill.
-func moved[T any](vec []T, n int, fill T, move func(int) int) []T {
-	out := make([]T, n)
-	for i := range out {
-		out[i] = fill
+// shifted moves vec's entries from index lo on shift slots up, growing vec
+// by shift (in place when its capacity allows), and fills the freed slots
+// [lo, lo+shift) with fill.
+func shifted[T any](vec []T, lo, shift int, fill T) []T {
+	n := len(vec)
+	vec = slices.Grow(vec, shift)[:n+shift]
+	copy(vec[lo+shift:], vec[lo:n])
+	for i := lo; i < lo+shift; i++ {
+		vec[i] = fill
 	}
-	for v, x := range vec {
-		out[move(v)] = x
-	}
-	return out
+	return vec
 }

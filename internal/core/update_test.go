@@ -203,11 +203,12 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 			for b := 0; b < 3; b++ {
 				l.Update(delta.Apply(gLocal, crossBatch(rng, l, 20)))
 			}
+			ts := l.getTask()
 			for _, s := range l.subs {
 				fresh := &Subgraph{ID: s.ID, proxies: s.proxies,
 					Local: &localFrame{ids: s.Local.ids}, Entries: s.Entries, NumExits: s.NumExits, Internal: s.Internal}
 				l.buildLocalFrame(fresh)
-				l.deduceShortcuts(fresh)
+				l.deduceShortcuts(fresh, ts)
 				for _, u := range s.Entries {
 					cu := l.localIdx[u]
 					mem, ref := s.scVec[cu], fresh.scVec[cu]
@@ -340,6 +341,74 @@ func TestResetBoundaryReseededThroughShortcut(t *testing.T) {
 	if !algo.StatesClose(l.States()[:g.Cap()], want.X, 1e-9) {
 		t.Fatal("states diverge from restart")
 	}
+}
+
+// A batch confined to one subgraph recomputes the skeleton rows of the
+// vertices whose roles it recomputed and of the entries whose shortcut
+// vectors it moved at a slot of another non-internal member, and no other
+// entry's row. Each batch adds one edge between two internal members of a
+// subgraph: no role changes and nothing resets, so an entry moved exactly
+// when its vector's values changed at such a slot. The batches run until
+// one has moved some entries and left others outside the role-recomputed
+// set alone; CheckInvariants' upOut check must hold after every one.
+func TestSkeletonRowsFollowShortcutDiff(t *testing.T) {
+	g := testGraph(3)
+	l := New(g, algo.NewSSSP(0), Options{Workers: 2})
+	snapshot := func(s *Subgraph) map[graph.VertexID][]float64 {
+		vecs := map[graph.VertexID][]float64{}
+		for _, u := range s.Entries {
+			vecs[u] = slices.Clone(l.shortcutVec(s, u))
+		}
+		return vecs
+	}
+	tries := 0
+	for _, s := range subgraphList(l.subs) {
+		for _, u := range s.Internal {
+			for _, v := range s.Internal {
+				if _, ok := g.HasEdge(u, v); ok || u == v || int(u) >= g.Cap() || int(v) >= g.Cap() {
+					continue
+				}
+				if tries++; tries > 200 {
+					t.Fatal("no internal edge moved some entries and left others alone")
+				}
+				before, rows := snapshot(s), l.upRows.Load()
+				l.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: u, V: v, W: 1}}))
+				if err := l.CheckInvariants(); err != nil {
+					t.Fatalf("edge %d→%d: %v", u, v, err)
+				}
+				if l.role[u] != RoleInternal || l.role[v] != RoleInternal {
+					t.Fatalf("edge %d→%d changed an endpoint's role", u, v)
+				}
+				roleSeen := l.scratch.roleSeen
+				moved, still := 0, 0
+				for _, e := range s.Entries {
+					if roleSeen.Has(e) {
+						continue
+					}
+					old, vec, ce := before[e], l.shortcutVec(s, e), int(l.localIdx[e])
+					changed := false
+					for c := range vec {
+						changed = changed || (c != ce && vec[c] != old[c] && l.role[s.Local.ids[c]] != RoleInternal)
+					}
+					if changed {
+						moved++
+					} else {
+						still++
+					}
+				}
+				if got, want := l.upRows.Load()-rows, int64(len(roleSeen.List)+moved); got != want {
+					t.Fatalf("edge %d→%d: %d skeleton rows recomputed, want %d (%d role-recomputed vertices, %d moved entries)",
+						u, v, got, want, len(roleSeen.List), moved)
+				}
+				if moved > 0 && still > 0 {
+					t.Logf("edge %d→%d, batch %d: %d entries moved, %d left alone, %d role-recomputed vertices",
+						u, v, tries, moved, still, len(roleSeen.List))
+					return
+				}
+			}
+		}
+	}
+	t.Fatal("no subgraph has two internal members without an edge")
 }
 
 // derivedInEdgesDiff compares absorbIn on every frame member with the
