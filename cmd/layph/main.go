@@ -26,7 +26,6 @@ import (
 	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
-	"layph/internal/shard"
 )
 
 func main() {
@@ -44,7 +43,6 @@ type engineFlags struct {
 	scale                               float64
 	source                              uint
 	threads                             int
-	shards                              int
 	// relayer is serve's -relayer, validated here with the engine it needs.
 	relayer bool
 }
@@ -57,8 +55,7 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.StringVar(&ef.algoName, "algo", "sssp", "sssp | bfs | cc | pagerank | php")
 	fs.StringVar(&ef.system, "system", "layph", "layph | layph-norepl | ingress | kickstarter | risgraph | graphbolt | dzig | restart")
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
-	fs.IntVar(&ef.threads, "threads", 0, "size of Layph's subgraph pool (0 = GOMAXPROCS); every other engine, and each shard, runs sequentially")
-	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
+	fs.IntVar(&ef.threads, "threads", 0, "size of Layph's subgraph pool (0 = GOMAXPROCS); every other engine runs sequentially")
 	return ef
 }
 
@@ -101,11 +98,8 @@ func (ef *engineFlags) validate() error {
 	if !ok {
 		return fmt.Errorf("unknown -system %q (want one of: %s)", ef.system, oneOf(slices.Sorted(maps.Keys(systems))))
 	}
-	if ef.relayer && (ef.shards > 1 || kind != bench.Layph && kind != bench.LayphNoRepl) {
-		return fmt.Errorf("-relayer requires -system layph or layph-norepl, unsharded")
-	}
-	if ef.shards > 1 {
-		return nil // -shards overrides -system
+	if ef.relayer && kind != bench.Layph && kind != bench.LayphNoRepl {
+		return fmt.Errorf("-relayer requires -system layph or layph-norepl")
 	}
 	if idem := mk(0).Semiring().Idempotent(); idem && !sys.min || !idem && !sys.sum {
 		scheme := "sum"
@@ -158,9 +152,6 @@ func (ef *engineFlags) loadGraph() *graph.Graph {
 // the graph may come from a recovered checkpoint instead of -graph.
 func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
-	if ef.shards > 1 {
-		return shard.New(g, mk(), shard.Options{Shards: ef.shards}), nil
-	}
 	return bench.Build(bench.SystemKind(ef.system), g, mk, ef.threads)
 }
 

@@ -21,10 +21,9 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		"preset ignored by file":  {func(ef *engineFlags) { ef.preset, ef.graphPath = "XX", "web.el" }, ""},
 		"min-only system":         {func(ef *engineFlags) { ef.system, ef.algoName = "kickstarter", "pagerank" }, "does not run sum-scheme"},
 		"sum-only system":         {func(ef *engineFlags) { ef.system, ef.algoName = "dzig", "cc" }, "does not run min-scheme"},
-		"shards override system":  {func(ef *engineFlags) { ef.system, ef.algoName, ef.shards = "kickstarter", "pagerank", 2 }, ""},
+		"relayer on layph":        {func(ef *engineFlags) { ef.relayer = true }, ""},
 		"relayer on layph-norepl": {func(ef *engineFlags) { ef.relayer, ef.system = true, "layph-norepl" }, ""},
-		"relayer off layph":       {func(ef *engineFlags) { ef.relayer, ef.system = true, "ingress" }, "-relayer requires -system layph"},
-		"relayer with shards":     {func(ef *engineFlags) { ef.relayer, ef.shards = true, 2 }, "-relayer requires -system layph"},
+		"relayer off layph":       {func(ef *engineFlags) { ef.relayer, ef.system = true, "ingress" }, "-relayer requires -system layph or layph-norepl"},
 	} {
 		ef := ok
 		tc.edit(&ef)

@@ -28,7 +28,6 @@ import (
 	"layph/internal/graph"
 	"layph/internal/inc"
 	"layph/internal/server"
-	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -36,7 +35,7 @@ import (
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("layph serve", flag.ExitOnError)
 	ef := registerEngineFlags(fs)
-	fs.BoolVar(&ef.relayer, "relayer", false, "re-layering drift controller (-system layph or layph-norepl, unsharded): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs; without it the layering stays frozen")
+	fs.BoolVar(&ef.relayer, "relayer", false, "re-layering drift controller (-system layph or layph-norepl): when layering quality decays, re-detect communities in the background and land them on the live engine, rebuilding only the changed subgraphs; without it the layering stays frozen")
 	var (
 		input     = fs.String("input", "", "update stream file ('-' = stdin; empty requires -rand or -listen)")
 		randN     = fs.Int("rand", 0, "synthesize this many random updates instead of reading -input")
@@ -106,9 +105,6 @@ func serveMain(args []string) {
 		// The workload tag pins the directory to this algo/engine/source
 		// combination; resuming it under a different one is refused.
 		meta := fmt.Sprintf("algo=%s system=%s source=%d", ef.algoName, ef.system, ef.source)
-		if ef.shards > 1 {
-			meta += fmt.Sprintf(" shards=%d", ef.shards)
-		}
 		if wal.HasDurableState(*walDir) {
 			fmt.Printf("wal: recovering from %s (-graph/-preset ignored)\n", *walDir)
 		} else {
@@ -256,10 +252,6 @@ func printFinal(s *stream.Stream, top int) {
 	fmt.Printf("engine totals: activations=%d rounds=%d resets=%d update-time=%v subgraph-tasks=%d pool-util=%.0f%%\n",
 		m.Engine.Activations, m.Engine.Rounds, m.Engine.Resets, m.Engine.Duration.Round(time.Microsecond),
 		m.Engine.SubgraphsParallel, 100*m.Engine.PoolUtilization)
-	if gr, ok := s.System().(interface{ ShardInfos() []shard.Info }); ok {
-		fmt.Printf("shard totals: shards=%d exchange-rounds=%d boundary-pins=%d\n",
-			len(gr.ShardInfos()), m.Engine.ShardRounds, m.Engine.BoundaryPins)
-	}
 	if rl := m.Relayer; rl.Enabled {
 		fmt.Printf("relayer totals: full-relayers=%d touched-ewma=%.3f skeleton=%.3f/%.3f moves=%d last-trigger=%s\n",
 			rl.FullRelayers, rl.TouchedRatioEWMA,

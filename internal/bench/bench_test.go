@@ -184,6 +184,24 @@ func TestParallelReportJSON(t *testing.T) {
 	}
 }
 
+// TestMedian pins the helper PerfSmoke gates on: one outlier pair moves
+// the median no further than its neighbour, and the input keeps its order.
+func TestMedian(t *testing.T) {
+	speedups := []float64{1.14, 0.75, 1.2, 1.1, 1.3}
+	if got := median(speedups); got != 1.14 {
+		t.Fatalf("median of five = %v, want 1.14", got)
+	}
+	if speedups[0] != 1.14 || speedups[1] != 0.75 {
+		t.Fatalf("median reordered its input: %v", speedups)
+	}
+	if got := median([]float64{3, 1, 2, 4}); got != 2 {
+		t.Fatalf("median of four = %v, want the lower middle 2", got)
+	}
+	if got := median(nil); got != 0 {
+		t.Fatalf("median of none = %v, want 0", got)
+	}
+}
+
 func TestLookup(t *testing.T) {
 	if _, ok := Lookup("fig7"); !ok {
 		t.Fatal("fig7 missing")

@@ -56,7 +56,7 @@ type DriftMode struct {
 // DriftReport is the BENCH_drift.json payload. Capped is set when the
 // requested thread count oversubscribes the cores (the capture then
 // measures time-sharing, not parallel latency) — same honesty convention
-// as ParallelReport/ShardReport.
+// as ParallelReport.
 type DriftReport struct {
 	Graph           string      `json:"graph"`
 	Algo            string      `json:"algo"`

@@ -77,7 +77,6 @@ func All() []Experiment {
 		{"stream", "Streaming: sustained micro-batched ingestion throughput, SSSP on UK", StreamingExperiment},
 		{"parallel", "Parallel: Layph incremental-update speedup vs threads, SSSP on the community graph", ParallelExperiment},
 		{"serve", "Serve: HTTP read QPS and latency under a live write stream", ServeExperiment},
-		{"shard", "Shard: update throughput and query latency vs community-aware shard count, SSSP on the community graph", ShardExperiment},
 		{"drift", "Drift: update latency and touched-subgraph-ratio trend under community-migration churn, frozen vs relayer, SSSP on the community graph", DriftExperiment},
 	}
 }

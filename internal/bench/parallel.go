@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 
 	"layph/internal/gen"
@@ -126,12 +127,19 @@ func RunParallel(o Options) ParallelReport {
 	return rep
 }
 
+// perfSmokePairs is how many alternating t=1/t=4 pairs PerfSmoke times.
+// One pair of ~35 ms runs read 0.75x and 1.14x on the same code (2 vCPUs
+// at GOMAXPROCS 4); the median of several pairs does not hang on one
+// noisy run.
+const perfSmokePairs = 5
+
 // PerfSmoke is the CI guard against the task-granularity regression: it
 // replays the parallel workload through Layph at Threads=1 and Threads=4
-// (best of two runs each, to damp shared-runner noise) and returns a
-// nonzero exit code when parallel execution loses to sequential. On
-// runners with fewer than 4 cores the t=4 measurement would be capped
-// (oversubscription, not scaling), so the check self-skips and passes.
+// in perfSmokePairs alternating pairs, prints every pair's speedup, and
+// returns a nonzero exit code when the median speedup shows parallel
+// execution losing to sequential. On runners with fewer than 4 cores the
+// t=4 measurement would be capped (oversubscription, not scaling), so the
+// check self-skips and passes.
 func PerfSmoke(w io.Writer, o Options) int {
 	if np := runtime.GOMAXPROCS(0); np < 4 {
 		fmt.Fprintf(w, "perf smoke: SKIP — GOMAXPROCS=%d < 4, the t=4 point would be capped (measures oversubscription, not scaling)\n", np)
@@ -144,26 +152,30 @@ func PerfSmoke(w io.Writer, o Options) int {
 	}
 	wl := CommunityWorkload(vertices, o.Batches, o.BatchSize, o.Seed)
 	mk := Algorithms()["SSSP"]
-	best := func(threads int) SystemResult {
-		r := RunSystem(wl, Layph, mk, threads)
-		if r2 := RunSystem(wl, Layph, mk, threads); r2.UpdateSeconds < r.UpdateSeconds {
-			r = r2
+	fmt.Fprintf(w, "perf smoke: SSSP on %s, %d batches x %d updates, %d pairs\n", wl.Name, o.Batches, o.BatchSize, perfSmokePairs)
+	speedups := make([]float64, perfSmokePairs)
+	for i := range speedups {
+		r1 := RunSystem(wl, Layph, mk, 1)
+		r4 := RunSystem(wl, Layph, mk, 4)
+		if r4.UpdateSeconds > 0 {
+			speedups[i] = r1.UpdateSeconds / r4.UpdateSeconds
 		}
-		return r
+		fmt.Fprintf(w, "perf smoke: pair %d: t=1 %.4fs, t=4 %.4fs, speedup %.2fx, pool-util %.0f%%\n",
+			i+1, r1.UpdateSeconds, r4.UpdateSeconds, speedups[i], 100*r4.Stats.PoolUtilization)
 	}
-	r1, r4 := best(1), best(4)
-	speedup := 0.0
-	if r4.UpdateSeconds > 0 {
-		speedup = r1.UpdateSeconds / r4.UpdateSeconds
-	}
-	fmt.Fprintf(w, "perf smoke: SSSP on %s, %d batches x %d updates: t=1 %.4fs, t=4 %.4fs, speedup %.2fx, pool-util %.0f%%\n",
-		wl.Name, o.Batches, o.BatchSize, r1.UpdateSeconds, r4.UpdateSeconds, speedup, 100*r4.Stats.PoolUtilization)
+	speedup := median(speedups)
 	if speedup < 1.0 {
-		fmt.Fprintf(w, "perf smoke: FAIL — parallel lower layer loses to sequential (speedup %.2fx < 1.0); task granularity or hot-path layout regressed\n", speedup)
+		fmt.Fprintf(w, "perf smoke: FAIL — parallel lower layer loses to sequential (median speedup %.2fx < 1.0); task granularity or hot-path layout regressed\n", speedup)
 		return 1
 	}
-	fmt.Fprintln(w, "perf smoke: PASS")
+	fmt.Fprintf(w, "perf smoke: PASS (median speedup %.2fx)\n", speedup)
 	return 0
+}
+
+// median returns the middle of xs (the lower middle for an even count; 0
+// for none), leaving xs unchanged.
+func median(xs []float64) float64 {
+	return percentile(slices.Sorted(slices.Values(xs)), 0.5)
 }
 
 // WriteParallelJSON writes the report to path (pretty-printed, trailing

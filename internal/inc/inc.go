@@ -19,8 +19,7 @@
 //     x_old(u)·(w1−w0); no per-edge memoization beyond the converged states
 //     is needed. This is Ingress's memoization-free engine.
 //
-// Kernel runs both schemes over one frame; Ingress and the shard engines
-// are kernels.
+// Kernel runs both schemes over one frame; Ingress is a kernel.
 package inc
 
 import (
@@ -62,12 +61,6 @@ type Stats struct {
 	// tail batches during crash recovery rather than live traffic. In an
 	// aggregated record it separates recovery work from serving work.
 	ReplayedBatches int64
-	// ShardRounds counts the global boundary-exchange rounds of the
-	// sharded execution mode (internal/shard only; 0 elsewhere).
-	ShardRounds int64
-	// BoundaryPins counts cross-shard boundary values exchanged between
-	// shard engines (internal/shard only; 0 elsewhere).
-	BoundaryPins int64
 
 	// The layering-quality signal (Layph only; the drift controller in
 	// internal/stream reads these to decide when the two-layer structure
@@ -114,8 +107,6 @@ func (s *Stats) Add(o Stats) {
 	s.Resets += o.Resets
 	s.SubgraphsParallel += o.SubgraphsParallel
 	s.ReplayedBatches += o.ReplayedBatches
-	s.ShardRounds += o.ShardRounds
-	s.BoundaryPins += o.BoundaryPins
 	s.Duration += o.Duration
 }
 

@@ -23,13 +23,12 @@ func buildDiamond() *graph.Graph {
 func TestRefreshTouchesSources(t *testing.T) {
 	g := graph.New(8)
 	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
-	k.Touch(5)
 	k.Update(&delta.Applied{
 		AddedEdges:      []graph.DeletedEdge{{From: 1, To: 2}},
 		RemovedEdges:    []graph.DeletedEdge{{From: 3, To: 4}, {From: 1, To: 6}},
 		RemovedVertices: []graph.VertexID{7},
 	})
-	want := []graph.VertexID{1, 3, 7, 5}
+	want := []graph.VertexID{1, 3, 7}
 	if len(k.touched.List) != len(want) {
 		t.Fatalf("touched %v, want %v", k.touched.List, want)
 	}
@@ -37,9 +36,6 @@ func TestRefreshTouchesSources(t *testing.T) {
 		if k.touched.List[i] != v {
 			t.Fatalf("touched %v, want %v (edge targets are not sources)", k.touched.List, want)
 		}
-	}
-	if len(k.touch) != 0 {
-		t.Fatal("queued touches survive the update")
 	}
 }
 
@@ -134,9 +130,9 @@ func TestDeduceMinAddedEdgeCandidate(t *testing.T) {
 	if k.States()[4] != 1 {
 		t.Fatalf("candidate for 4: %v", k.States()[4])
 	}
-	// Only 4 was seeded, and it has no out-edges: one round, one change.
-	if c := k.Changed(); len(c) != 1 || c[0] != 4 || st.Rounds != 1 {
-		t.Fatalf("changed %v in %d rounds", c, st.Rounds)
+	// Only 4 was seeded, and it has no out-edges: one round.
+	if st.Rounds != 1 {
+		t.Fatalf("%d rounds, want 1", st.Rounds)
 	}
 	if k.Parents()[4] != 0 {
 		t.Fatalf("parent of 4 = %v, want 0", k.Parents()[4])

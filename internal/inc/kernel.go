@@ -10,11 +10,11 @@ import (
 	"layph/internal/scratch"
 )
 
-// Kernel is the incremental core Ingress and the shard engines share: the
-// semiring-weighted frame of one graph under one algorithm, the memoized
-// states and (idempotent scheme) dependency parents, and scratch reused
-// across updates. It has no policy of its own: Update runs the scheme the
-// semiring selects over whatever the batch and the queued seeds touched.
+// Kernel is the incremental core of Ingress: the semiring-weighted frame
+// of one graph under one algorithm, the memoized states and (idempotent
+// scheme) dependency parents, and scratch reused across updates. It has no
+// policy of its own: Update runs the scheme the semiring selects over
+// whatever the batch touched.
 //
 // Min-scheme parents come from the fixpoint that set each value — the
 // engine's parent tracking plus the source each deduction offer recorded —
@@ -34,22 +34,11 @@ type Kernel struct {
 	// parent is the dependency parent of every state (idempotent only).
 	parent []graph.VertexID
 
-	// Seeds queued by Touch, Invalidate and Offer for the next Update.
-	touch   []graph.VertexID
-	invalid []graph.VertexID
-	offers  []offer
-
 	// Per-update scratch.
 	touched scratch.Set      // sources whose rows were re-projected
 	oldRows [][]engine.WEdge // sum scheme: pre-update rows, parallel to touched.List
 	trim    Trimmer          // min scheme: invalidated vertices
 	run     *engine.Runner   // in-place propagation from the update's seeds
-	changed []graph.VertexID
-}
-
-type offer struct {
-	v graph.VertexID
-	m float64
 }
 
 // NewKernel projects g under a and runs the batch computation to
@@ -77,36 +66,8 @@ func (k *Kernel) States() []float64 { return k.x }
 // semirings only; live view, do not mutate).
 func (k *Kernel) Parents() []graph.VertexID { return k.parent }
 
-// Row returns v's out-row in the kernel's frame: the projection of the
-// graph as of the last Update (live view; do not mutate).
-func (k *Kernel) Row(v graph.VertexID) []engine.WEdge {
-	if int(v) < len(k.frame.Out) {
-		return k.frame.Out[v]
-	}
-	return nil
-}
-
-// Changed lists the vertices the last Update changed or invalidated, in no
-// particular order and possibly with repeats.
-func (k *Kernel) Changed() []graph.VertexID { return k.changed }
-
-// Touch makes the next Update re-project v's out-row even if the batch
-// did not change v's out-edges (its weights depend on state outside this
-// kernel's graph).
-func (k *Kernel) Touch(v graph.VertexID) { k.touch = append(k.touch, v) }
-
-// Invalidate makes the next Update treat v's value as unsupported
-// (idempotent scheme): v's dependency subtree is reset and recomputed from
-// intact offers plus v's root message.
-func (k *Kernel) Invalidate(v graph.VertexID) { k.invalid = append(k.invalid, v) }
-
-// Offer seeds the next Update with message m at v: a candidate value for
-// idempotent semirings, an additive delta otherwise.
-func (k *Kernel) Offer(v graph.VertexID, m float64) { k.offers = append(k.offers, offer{v, m}) }
-
-// Update adjusts the memoized states to the applied batch (nil for none)
-// and to the seeds queued since the last Update. The graph must already
-// reflect the batch (delta.Apply first).
+// Update adjusts the memoized states to the applied batch (nil for none).
+// The graph must already reflect the batch (delta.Apply first).
 func (k *Kernel) Update(applied *delta.Applied) Stats {
 	start := time.Now()
 	if applied == nil {
@@ -121,7 +82,6 @@ func (k *Kernel) Update(applied *delta.Applied) Stats {
 	} else {
 		st = k.updateSum(applied)
 	}
-	k.touch, k.invalid, k.offers = k.touch[:0], k.invalid[:0], k.offers[:0]
 	st.Duration = time.Since(start)
 	return st
 }
@@ -129,9 +89,9 @@ func (k *Kernel) Update(applied *delta.Applied) Stats {
 // refreshRows re-projects the out-row of every source whose semiring
 // weights may have changed: sources of added and removed edges (PageRank-
 // style weights depend on the source's degree, so any out-list change
-// reweights the whole row), removed vertices and touched vertices. The sum
-// scheme keeps the previous rows to cancel their contributions; the min
-// scheme overwrites them in place.
+// reweights the whole row) and removed vertices. The sum scheme keeps the
+// previous rows to cancel their contributions; the min scheme overwrites
+// them in place.
 func (k *Kernel) refreshRows(applied *delta.Applied, n int) {
 	for len(k.frame.Out) < n {
 		k.frame.Out = append(k.frame.Out, nil)
@@ -144,9 +104,6 @@ func (k *Kernel) refreshRows(applied *delta.Applied, n int) {
 		k.touched.Add(e.From)
 	}
 	for _, v := range applied.RemovedVertices {
-		k.touched.Add(v)
-	}
-	for _, v := range k.touch {
 		k.touched.Add(v)
 	}
 	k.oldRows = k.oldRows[:0]
@@ -231,7 +188,7 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 	k.parent = GrowParents(k.parent, n)
 	var st Stats
 
-	k.trim.Trim(k.x, k.parent, zero, applied, k.invalid, RowSucc(k.frame.Out))
+	k.trim.Trim(k.x, k.parent, zero, applied, nil, RowSucc(k.frame.Out))
 	tagged := &k.trim.Tagged
 	st.Resets = len(tagged.List)
 
@@ -278,12 +235,8 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 			k.run.Activate(v)
 		}
 	}
-	for _, o := range k.offers {
-		seed(o.v, engine.NoParent, o.m)
-	}
 
 	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{MaxRounds: k.opt.MaxRounds})
-	k.changed = append(append(append(k.changed[:0], tagged.List...), applied.AddedVertices...), res.Changed...)
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st
@@ -301,9 +254,6 @@ func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	for _, v := range applied.AddedVertices {
 		k.run.Seed(v, k.a.InitMessage(v), engine.NoParent)
 	}
-	for _, o := range k.offers {
-		k.run.Seed(o.v, o.m, engine.NoParent)
-	}
 	res := k.run.Run(k.frame, k.x, nil, engine.Options{
 		MaxRounds: k.opt.MaxRounds,
 		Tolerance: k.opt.Tolerance,
@@ -313,7 +263,6 @@ func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	for _, v := range applied.RemovedVertices {
 		k.x[v] = k.zero
 	}
-	k.changed = append(append(k.changed[:0], res.Changed...), applied.RemovedVertices...)
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st

@@ -13,9 +13,7 @@ import (
 	"layph/internal/core"
 	"layph/internal/delta"
 	"layph/internal/gen"
-	"layph/internal/graph"
 	"layph/internal/inc"
-	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -64,7 +62,7 @@ func metricsKeys(t *testing.T, scfg stream.Config, l *wal.Log) map[string]string
 	for name, raw := range blocks {
 		var obj map[string]json.RawMessage
 		if json.Unmarshal(raw, &obj) != nil {
-			continue // scalars and the shards array
+			continue // scalars
 		}
 		keys := make([]string, 0, len(obj))
 		for k := range obj {
@@ -82,7 +80,7 @@ func metricsKeys(t *testing.T, scfg stream.Config, l *wal.Log) map[string]string
 func TestMetricsBlockKeys(t *testing.T) {
 	const (
 		engineAlways  = "activations pool_utilization resets rounds subgraphs_parallel update_seconds"
-		engineAll     = "activations boundary_pins pool_utilization replayed_batches resets rounds shard_rounds subgraphs_parallel update_seconds"
+		engineAll     = "activations pool_utilization replayed_batches resets rounds subgraphs_parallel update_seconds"
 		relayerAlways = "full_relayers in_flight last_swap_seq membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
 		relayerSwap   = "full_relayers in_flight last_swap_seq last_trigger membership_moves shortcut_hit_ewma skeleton_baseline skeleton_fraction touched_ratio_ewma"
 		walAll        = "batches bytes checkpoint_seconds checkpoints failures fsyncs last_checkpoint_seq log_failures policy updates"
@@ -102,7 +100,7 @@ func TestMetricsBlockKeys(t *testing.T) {
 		}
 	}
 
-	seeded := metricsKeys(t, stream.Config{StartStats: inc.Stats{ReplayedBatches: 1, ShardRounds: 1, BoundaryPins: 1}}, nil)
+	seeded := metricsKeys(t, stream.Config{StartStats: inc.Stats{ReplayedBatches: 1}}, nil)
 	check("seeded", seeded, "engine", engineAll)
 
 	// Eight batches under the default 16-batch cooldown: no trigger
@@ -130,48 +128,4 @@ func TestMetricsBlockKeys(t *testing.T) {
 	defer l.Close()
 	durable := metricsKeys(t, stream.Config{}, l)
 	check("durable", durable, "wal", walAll)
-}
-
-// TestMetricsShardsFollowServingEngine: the shards block is read off the
-// engine serving the stream, so a sharded stream reports one summary per
-// shard with no extra wiring, and a server over an unsharded stream has
-// no block.
-func TestMetricsShardsFollowServingEngine(t *testing.T) {
-	mkGraph := func() *graph.Graph {
-		g, _ := gen.CommunityGraph(gen.CommunityConfig{
-			Vertices: 300, MeanCommunity: 25, IntraDegree: 6, InterDegree: 0.4,
-			Weighted: true, Seed: 43,
-		})
-		return g
-	}
-	const k = 3
-	g := mkGraph()
-	sharded := stream.New(g, shard.New(g, algo.NewSSSP(0), shard.Options{Shards: k}), stream.Config{})
-	defer sharded.Close()
-	srv := New(sharded, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var resp struct {
-		Shards []json.RawMessage `json:"shards"`
-	}
-	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", "", nil, &resp); code != http.StatusOK {
-		t.Fatalf("metrics: %d %s", code, raw)
-	}
-	if len(resp.Shards) != k {
-		t.Fatalf("sharded stream reports %d shards, want %d", len(resp.Shards), k)
-	}
-
-	g2 := mkGraph()
-	plain := stream.New(g2, core.New(g2, algo.NewSSSP(0), core.Options{Workers: 1}), stream.Config{})
-	defer plain.Close()
-	ts2 := httptest.NewServer(New(plain, Config{}).Handler())
-	defer ts2.Close()
-	var blocks map[string]json.RawMessage
-	if code, raw := doJSON(t, http.MethodGet, ts2.URL+"/metrics", "", nil, &blocks); code != http.StatusOK {
-		t.Fatalf("metrics: %d %s", code, raw)
-	}
-	if _, ok := blocks["shards"]; ok {
-		t.Fatalf("unsharded stream still reports shards: %s", blocks["shards"])
-	}
 }

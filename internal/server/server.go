@@ -46,7 +46,6 @@ import (
 
 	"layph/internal/delta"
 	"layph/internal/graph"
-	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -426,9 +425,6 @@ type engineMetrics struct {
 	SubgraphsParallel int64   `json:"subgraphs_parallel"`
 	PoolUtilization   float64 `json:"pool_utilization"`
 	ReplayedBatches   int64   `json:"replayed_batches,omitempty"`
-	// Sharded execution only (see internal/shard).
-	ShardRounds  int64 `json:"shard_rounds,omitempty"`
-	BoundaryPins int64 `json:"boundary_pins,omitempty"`
 }
 
 // walMetrics is the /metrics wal block: the log's own counters plus the
@@ -455,8 +451,6 @@ type metricsResponse struct {
 	// Server.AttachDurability).
 	WAL      *walMetrics       `json:"wal,omitempty"`
 	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
-	// Shards appears only while a sharded engine serves the stream.
-	Shards []shard.Info `json:"shards,omitempty"`
 	// Relayer appears only when the stream runs the re-layering drift
 	// controller (StreamConfig.Relayer).
 	Relayer *stream.RelayerMetrics `json:"relayer,omitempty"`
@@ -488,13 +482,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			SubgraphsParallel: m.Engine.SubgraphsParallel,
 			PoolUtilization:   m.Engine.PoolUtilization,
 			ReplayedBatches:   m.Engine.ReplayedBatches,
-			ShardRounds:       m.Engine.ShardRounds,
-			BoundaryPins:      m.Engine.BoundaryPins,
 		},
 		Recovery: s.recovery.Load(),
-	}
-	if sh, ok := s.st.System().(interface{ ShardInfos() []shard.Info }); ok {
-		resp.Shards = sh.ShardInfos()
 	}
 	if m.Relayer.Enabled {
 		resp.Relayer = &m.Relayer

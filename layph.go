@@ -54,7 +54,6 @@ import (
 	"layph/internal/kickstarter"
 	"layph/internal/risgraph"
 	"layph/internal/server"
-	"layph/internal/shard"
 	"layph/internal/stream"
 )
 
@@ -266,33 +265,6 @@ var (
 // by pushing updates into the stream.
 func NewStream(g *Graph, sys System, cfg StreamConfig) *Stream {
 	return stream.New(g, sys, cfg)
-}
-
-// ShardedGroup is the multi-shard execution mode: K community-partitioned
-// engines exchanging boundary state (see internal/shard). It implements
-// System.
-type ShardedGroup = shard.Group
-
-// ShardInfo is a per-shard summary exposed through ShardedGroup.ShardInfos
-// and the HTTP /metrics endpoint.
-type ShardInfo = shard.Info
-
-// ShardConfig tunes sharded execution.
-type ShardConfig struct {
-	// Shards is K, the number of partitioned engines (0 or 1 = one). Each
-	// runs sequentially in its own goroutine. The communities packed onto
-	// shards are uncapped in size.
-	Shards int
-}
-
-// NewShardedSystem partitions g into cfg.Shards community-aware shards,
-// runs one incremental engine per shard, and routes cross-shard edges
-// through boundary vertices exchanged at skeleton level each batch. With
-// Shards fixed, results are byte-identical across runs; sum-semiring
-// results across different shard counts agree within the algorithm's
-// convergence tolerance.
-func NewShardedSystem(g *Graph, a Algorithm, cfg ShardConfig) *ShardedGroup {
-	return shard.New(g, a, shard.Options{Shards: cfg.Shards})
 }
 
 // ParseUpdate parses one line of the text wire format used by `layph

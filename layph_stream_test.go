@@ -56,50 +56,6 @@ func TestStreamedMatchesRestart10k(t *testing.T) {
 	}
 }
 
-// TestShardedStreamMatchesRestart pushes a seeded unit-update sequence
-// through NewStream over NewShardedSystem (4 community-aware shards) and checks
-// the final snapshot against the from-scratch restart baseline, plus the
-// scatter-gather surface (Owner totality, per-shard infos).
-func TestShardedStreamMatchesRestart(t *testing.T) {
-	g := GenerateCommunityGraph(CommunityGraphConfig{
-		Vertices: 1000, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.3,
-		Weighted: true, Seed: 13,
-	})
-	seq := NewBatchGenerator(19).UnitSequence(g, 3000, true)
-
-	st := NewStream(g, NewShardedSystem(g, SSSP(0), ShardConfig{Shards: 4}),
-		StreamConfig{MaxBatch: 300, MaxDelay: -1})
-	for _, u := range seq {
-		if err := st.Push(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Query()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	gr, ok := st.System().(*ShardedGroup)
-	if !ok {
-		t.Fatalf("sharded stream serves a %T", st.System())
-	}
-	if gr.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", gr.NumShards())
-	}
-	if infos := gr.ShardInfos(); len(infos) != 4 {
-		t.Fatalf("ShardInfos has %d entries, want 4", len(infos))
-	}
-
-	n := g.Cap()
-	want := Run(g, SSSP(0), 2)
-	if !StatesClose(snap.States[:n], want[:n], 1e-6) {
-		t.Fatal("sharded streamed states differ from Run restart baseline")
-	}
-}
-
 // TestStreamTextFormatExposed exercises the public wire-format helpers.
 func TestStreamTextFormatExposed(t *testing.T) {
 	u, err := ParseUpdate("a 3 4 2.5")

@@ -130,9 +130,6 @@ func minBaselines() []enginetest.NamedFactory {
 		{Name: "ingress", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewIngress(g, a, 2) }},
 		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a, 2) }},
 		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a, 2) }},
-		{Name: "sharded-2", New: func(g *graph.Graph, a algo.Algorithm) inc.System {
-			return NewShardedSystem(g, a, ShardConfig{Shards: 2})
-		}},
 	}
 }
 
