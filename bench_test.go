@@ -51,9 +51,9 @@ func benchBuild(kind bench.SystemKind, g *Graph, mk bench.AlgoMaker) System {
 	case bench.Restart:
 		return &restartAdapter{g: g, mk: mk}
 	case bench.KickStarter:
-		return NewKickStarter(g, mk(), 0)
+		return NewKickStarter(g, mk())
 	case bench.RisGraph:
-		return NewRisGraph(g, mk(), 0)
+		return NewRisGraph(g, mk())
 	case bench.GraphBolt:
 		return NewGraphBolt(g, mk())
 	case bench.DZiG:

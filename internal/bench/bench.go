@@ -160,15 +160,15 @@ func buildSystem(kind SystemKind, g *graph.Graph, mk AlgoMaker, threads int) (in
 		r.x = res.X
 		return r, nil
 	case KickStarter:
-		return kickstarter.New(g, mk(), engine.Options{}), nil
+		return kickstarter.New(g, mk()), nil
 	case RisGraph:
-		return risgraph.New(g, mk(), engine.Options{}), nil
+		return risgraph.New(g, mk()), nil
 	case GraphBolt:
 		return graphbolt.New(g, mk(), graphbolt.ModePull), nil
 	case DZiG:
 		return graphbolt.New(g, mk(), graphbolt.ModeSparseAware), nil
 	case Ingress:
-		return ingress.New(g, mk(), engine.Options{}), nil
+		return ingress.New(g, mk()), nil
 	case Layph:
 		l := core.New(g, mk(), core.Options{Workers: threads})
 		return l, l

@@ -109,10 +109,11 @@ func leafWorkload(vertices, batch int) (*graph.Graph, delta.Batch, delta.Batch) 
 }
 
 // cycleOnce applies the add batch, updates, applies the inverse delete
-// batch, and updates again — one steady-state round trip.
-func cycleOnce(l *Layph, g *graph.Graph, addB, delB delta.Batch) {
-	l.Update(delta.Apply(g, addB))
-	l.Update(delta.Apply(g, delB))
+// batch, and updates again — one steady-state round trip. Returns the F
+// applications the two updates spent.
+func cycleOnce(l *Layph, g *graph.Graph, addB, delB delta.Batch) int64 {
+	acts := l.Update(delta.Apply(g, addB)).Activations
+	return acts + l.Update(delta.Apply(g, delB)).Activations
 }
 
 // steadyStateAllocs measures the allocation count of one warm add+del
@@ -174,7 +175,7 @@ func steadyStateCycle(a algo.Algorithm, kernel bool, vertices, batch int) func()
 	g, delB, addB := leafWorkload(vertices, batch)
 	var update func(*delta.Applied)
 	if kernel {
-		k := inc.NewKernel(g, a, engine.Options{})
+		k := inc.NewKernel(g, a)
 		update = func(ap *delta.Applied) { k.Update(ap) }
 	} else {
 		l := New(g, a, Options{Workers: 1})
@@ -260,12 +261,14 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 //
 //	go test ./internal/core -bench BenchmarkUpdate -benchmem
 //
-// The spread cases draw uniformly random endpoints, so most batches flip
-// roles across the subgraphs they enter. The CC case runs the zero-weight
-// label ties through the shortcut-mapped dependency parents. The grow case
-// adds one vertex and one edge to it per batch on the benchmark's UK ×1
-// graph, whose layout has proxies, so every batch moves the proxy segment
-// past the grown ID space.
+// Each cycle case also reports acts/op, the F applications (summed
+// Stats.Activations) of one cycle, so a change that trades work for
+// exactness shows its price beside ns/op. The spread cases draw uniformly
+// random endpoints, so most batches flip roles across the subgraphs they
+// enter. The CC case runs the zero-weight label ties through the
+// shortcut-mapped dependency parents. The grow case adds one vertex and one
+// edge to it per batch on the benchmark's UK ×1 graph, whose layout has
+// proxies, so every batch moves the proxy segment past the grown ID space.
 func BenchmarkUpdate(b *testing.B) {
 	b.Run("SSSP/grow", func(b *testing.B) {
 		g := gen.Build(gen.PresetUK, 1)
@@ -301,9 +304,11 @@ func BenchmarkUpdate(b *testing.B) {
 				cycleOnce(l, g, addB, delB) // warm scratch
 				b.ReportAllocs()
 				b.ResetTimer()
+				var acts int64
 				for i := 0; i < b.N; i++ {
-					cycleOnce(l, g, addB, delB)
+					acts += cycleOnce(l, g, addB, delB)
 				}
+				b.ReportMetric(float64(acts)/float64(b.N), "acts/op")
 			})
 		}
 		if name == "CC" {

@@ -96,8 +96,8 @@ func TestShortcutWeightsMatchLocalFixpoint(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := New(testGraph(3), a, Options{})
-			// Shortcut maintenance converges to scTol per message, so sum
-			// weights carry a bounded truncation error; min weights are exact.
+			// A sum deduction converges to scTol, so sum weights carry a
+			// bounded truncation error; min weights are exact.
 			tol := 1e-9
 			if !l.sr.Idempotent() {
 				tol = 1e-6

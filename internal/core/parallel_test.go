@@ -143,9 +143,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // Invariants must hold after every parallel update: CheckInvariants runs
 // once Update returns, at the post-phase merge barrier where no pool task
 // is in flight. The sequence must also contain a batch that rebuilds one
-// subgraph while patchShortcuts revises another's entries in the same
-// fan-out, so the race build covers a patch's flatIn reads beside a
-// rebuild's localIdx writes, and a batch whose shortcut fan-out (with its
+// subgraph while patchShortcuts brings another's shortcuts up to date in
+// the same fan-out, so the race build covers a patch's flatIn reads beside
+// a rebuild's localIdx writes, and a batch whose shortcut fan-out (with its
 // in-task skeleton-row refreshes) and whose refresh of the role-recomputed
 // rows (refreshUpRows) each run at least two chunks.
 func TestInvariantsAfterParallelUpdate(t *testing.T) {

@@ -182,14 +182,14 @@ func rawBuf[T any](buf *[]T, n int) []T {
 }
 
 // taskScratch is one pool task's working set for the compact-frame runs —
-// upload fixpoints, shortcut deduction and entry patches — and for the
-// skeleton-row refreshes: a runner, compact state and parent vectors grown
-// to the largest frame it has served, the flat sources of an upload's
-// seeds, and the ⊥ walk of an entry patch. A shortcut task (settle's
-// fan-out, maintainShortcuts) collects in moved the entries of its current
-// subgraph whose rows a patch can have changed and refreshes them on row;
-// the chunked refresh of the role-recomputed vertices after the fan-out
-// (refreshUpRows) uses row as well.
+// upload fixpoints, shortcut deduction and min-scheme entry revisions — and
+// for the skeleton-row refreshes: a runner, compact state and parent
+// vectors grown to the largest frame it has served, the flat sources of an
+// upload's seeds, and the ⊥ walk of an entry revision. A shortcut task
+// (settle's fan-out, maintainShortcuts) collects in moved the entries of
+// its current subgraph whose rows a revision can have changed and
+// refreshes them on row; the chunked refresh of the role-recomputed
+// vertices after the fan-out (refreshUpRows) uses row as well.
 type taskScratch struct {
 	run   *engine.Runner
 	x     []float64

@@ -477,23 +477,19 @@ type seedDiff struct {
 	compactDiff
 }
 
-// patchBudget is how many incremental patches a sum-scheme frame absorbs
-// before its shortcuts are deduced afresh. Every patch converges only to
-// scTol, so truncation error grows with the number of patches; a fixed
-// budget bounds it. Min-scheme patches are exact and need none.
-const patchBudget = 32
-
 // patchShortcuts brings a non-rebuilt subgraph's memoized shortcuts in line
-// with the frame edits of the current update — the paper's Section IV-B
-// deletion, addition and weight-update cases, applied as the net change of
-// the absorbing frame:
+// with the frame edits of the current update, so that they equal Equation
+// (6)'s deduction over the current frame. A sum-scheme subgraph with edits
+// is deduced afresh (deduceShortcuts), as construction and rebuilds do. A
+// min-scheme one gets the paper's Section IV-B deletion, addition and
+// weight-update cases, applied as the net change of the absorbing frame:
 //
 //   - a vertex that became an entry left the absorbing frame (its row is a
 //     deleted diff) and gets one fresh deduction;
 //   - a vertex that stopped being an entry re-joined it (an added diff) and
 //     its vector is dropped;
 //   - every persisting entry absorbs the frame diff, plus any change to its
-//     own seeding row, with revision messages (updateEntryMin/Sum).
+//     own seeding row, with ⊥-cancellation revisions (updateEntryMin).
 //
 // An edited vertex's old absorbing row is empty when its pre-update role
 // (scratch.oldRole, recorded for every vertex editFrames edits) was an
@@ -502,11 +498,11 @@ const patchBudget = 32
 //
 // It also reports which of s's entries can have a changed skeleton row
 // (appendUpOut), for the same task to refresh. all is set when every entry
-// can: a member's role changed (the rows filter shortcut targets by role;
-// a fresh entry is such a member), or the sum scheme revised or re-deduced
-// vectors. Otherwise ts.moved lists the min-scheme entries whose vector
-// moved at a slot of another non-internal member (updateEntryMin). Returns
-// the F applications spent.
+// can: the sum scheme re-deduced the vectors, or a member's role changed
+// (the rows filter shortcut targets by role; a fresh entry is such a
+// member). Otherwise ts.moved lists the entries whose vector moved at a
+// slot of another non-internal member (updateEntryMin). Returns the F
+// applications spent.
 func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bool) {
 	ts.moved = ts.moved[:0]
 	lf := s.Local
@@ -515,13 +511,8 @@ func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bo
 		return 0, false
 	}
 	defer ed.done()
-	idem := l.sr.Idempotent()
-	if !idem {
-		lf.patches++
-		if lf.patches > patchBudget {
-			lf.patches = 0
-			return l.deduceShortcuts(s, ts), true
-		}
+	if !l.sr.Idempotent() {
+		return l.deduceShortcuts(s, ts), true
 	}
 
 	frame := l.absorbing(s)
@@ -543,9 +534,7 @@ func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bo
 			fresh = append(fresh, v)
 		case !entry && hasVec:
 			s.scVec[ci] = nil
-			if idem {
-				s.scParent[ci] = nil
-			}
+			s.scParent[ci] = nil
 		case entry:
 			sd := seedDiff{cu: ci}
 			sd.diffRow(ci, ed.oldOut[i], lf.out[ci])
@@ -566,68 +555,29 @@ func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bo
 				seed = sd.compactDiff
 			}
 		}
-		switch {
-		case ab.empty() && seed.empty():
-		case idem:
-			a, moved := l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
-			acts += a
-			if moved {
-				ts.moved = append(ts.moved, u)
-			}
-		default:
-			acts += l.updateEntrySum(s, cu, frame, &ab, &seed, ts)
-			all = true
+		if ab.empty() && seed.empty() {
+			continue
+		}
+		a, moved := l.updateEntryMin(s, cu, frame, &ab, &seed, ts)
+		acts += a
+		if moved {
+			ts.moved = append(ts.moved, u)
 		}
 	}
 	for _, u := range fresh {
 		r := l.deduceEntry(s, frame, u, ts)
 		cu := l.localIdx[u]
 		s.scVec[cu] = r.vec
-		if idem {
-			s.scParent[cu] = r.par
-		}
+		s.scParent[cu] = r.par
 		acts += r.acts
 	}
 	return acts, all
 }
 
-// updateEntrySum applies exact inverse deltas for entry cu's vector: with x
-// the old fixpoint, the new one is x + (x·ΔA + Δs)(I - A')⁻¹, so every
-// removed absorbing-frame edge seeds -x[from]·w, every added one
-// +x[from]·w, and a changed seeding edge ∓w, and the run propagates them
-// over the new frame. Returns the F applications spent.
-func (l *Layph) updateEntrySum(s *Subgraph, cu int32, frame engine.Rows, ab, seed *compactDiff, ts *taskScratch) int64 {
-	vec := s.scVec[cu]
-	var acts int64
-	put := func(to graph.VertexID, m float64) {
-		if m != 0 {
-			ts.run.Seed(to, m, engine.NoParent)
-			acts++
-		}
-	}
-	one := l.sr.One()
-	for _, e := range ab.del {
-		put(e.to, -vec[e.from]*e.w)
-	}
-	for _, e := range ab.add {
-		put(e.to, vec[e.from]*e.w)
-	}
-	for _, e := range seed.del {
-		put(e.to, -one*e.w)
-	}
-	for _, e := range seed.add {
-		put(e.to, one*e.w)
-	}
-	if acts == 0 {
-		return 0
-	}
-	res := ts.run.Run(frame, vec, nil, engine.Options{Tolerance: l.scTol()})
-	return acts + res.Activations
-}
-
-// scTol is the tolerance of shortcut-maintenance fixpoints: tighter than the
-// propagation tolerance because shortcut weights are reused by every later
-// update, so truncation would accumulate across batches.
+// scTol is the tolerance of one shortcut deduction (deduceEntry), which
+// bounds its truncation: tighter than the propagation tolerance because
+// every later update reuses the weights until the subgraph is deduced
+// again. Min-scheme runs converge exactly and ignore it.
 func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 
 // updateEntryMin applies ⊥-cancellation resets and recomputation for entry

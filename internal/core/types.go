@@ -191,9 +191,6 @@ type localFrame struct {
 	// edit holds this update's pre-edit rows of the vertices editFrame
 	// changed; patchShortcuts derives the net frame diff from it.
 	edit frameEdit
-	// patches counts the incremental shortcut patches since the frame's
-	// last full deduction (see patchBudget).
-	patches int
 }
 
 // frameEdit snapshots, at their first edit in an update, the rows of the

@@ -485,13 +485,14 @@ func (l *Layph) editFrames() []int32 {
 
 // maintainShortcuts is the per-subgraph task of the shortcut phase, run on
 // the task's working set ts: a restructured subgraph is rebuilt, an edited
-// one is patched in place. With rows set (every update; New packs all rows
-// instead), the task then refreshes the skeleton rows of s's entries that
-// can have changed: all of them after a rebuild, else those patchShortcuts
-// reports. It skips the entries in roleSeen, whose rows settle refreshes
-// after the fan-out. The task owns these rows, and nothing appendUpOut
-// reads of them changes while the fan-out runs. Returns the F applications
-// spent.
+// one is brought up to date by patchShortcuts (a sum-scheme one deduced
+// afresh, a min-scheme one revised in place). With rows set (every update;
+// New packs all rows instead), the task then refreshes the skeleton rows of
+// s's entries that can have changed: all of them after a rebuild or a
+// re-deduction, else those patchShortcuts reports. It skips the entries in
+// roleSeen, whose rows settle refreshes after the fan-out. The task owns
+// these rows, and nothing appendUpOut reads of them changes while the
+// fan-out runs. Returns the F applications spent.
 func (l *Layph) maintainShortcuts(s *Subgraph, ts *taskScratch, rows bool) int64 {
 	var acts int64
 	all := true

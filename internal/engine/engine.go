@@ -7,10 +7,10 @@
 // under an algorithm — or on any Rows view of one, rather than on the graph
 // directly, so one propagation loop serves four roles: the batch "Restart"
 // baseline, the propagation core of the incremental engines, Layph's local
-// per-subgraph fixpoints (shortcut deduction, shortcut patches and message
-// upload, over absorbing views of the subgraph frames), and Layph's global
-// iteration on the upper-layer skeleton (whose edges are shortcuts, not
-// graph edges).
+// per-subgraph fixpoints (shortcut deduction, min-scheme shortcut
+// revisions and message upload, over absorbing views of the subgraph
+// frames), and Layph's global iteration on the upper-layer skeleton (whose
+// edges are shortcuts, not graph edges).
 //
 // The loop is Runner's. A Runner works in place on the caller's state and
 // parent vectors, takes its start as seeds — (vertex, message, source) — and

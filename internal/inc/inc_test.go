@@ -22,7 +22,7 @@ func buildDiamond() *graph.Graph {
 
 func TestRefreshTouchesSources(t *testing.T) {
 	g := graph.New(8)
-	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k := NewKernel(g, algo.NewSSSP(0))
 	k.Update(&delta.Applied{
 		AddedEdges:      []graph.DeletedEdge{{From: 1, To: 2}},
 		RemovedEdges:    []graph.DeletedEdge{{From: 3, To: 4}, {From: 1, To: 6}},
@@ -55,7 +55,7 @@ func TestGrowVectors(t *testing.T) {
 
 func TestRefreshFrame(t *testing.T) {
 	g := buildDiamond()
-	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k := NewKernel(g, algo.NewSSSP(0))
 	k.Update(delta.Apply(g, delta.Batch{
 		{Kind: delta.DelEdge, U: 1, V: 3},
 		{Kind: delta.AddEdge, U: 1, V: 4, W: 7},
@@ -69,7 +69,7 @@ func TestRefreshFrame(t *testing.T) {
 		t.Fatal("dead vertex keeps frame edges")
 	}
 	// The sum scheme keeps the previous row to cancel it.
-	s := NewKernel(g, algo.NewPageRank(0.85, 1e-9), engine.Options{})
+	s := NewKernel(g, algo.NewPageRank(0.85, 1e-9))
 	s.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 3, W: 1}}))
 	if len(s.oldRows) != 1 || len(s.oldRows[0]) != 1 || s.oldRows[0][0].To != 1 {
 		t.Fatalf("old rows: %v", s.oldRows)
@@ -84,7 +84,7 @@ func TestSumDeduction(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 1)
 	a := algo.NewPageRank(0.85, 1e-9)
-	k := NewKernel(g, a, engine.Options{})
+	k := NewKernel(g, a)
 	x0, x1, x2 := k.States()[0], k.States()[1], k.States()[2]
 	// Delete (0,2): out-degree 2 -> 1, so the weight of (0,1) changes too.
 	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 2}}))
@@ -104,7 +104,7 @@ func TestSumDeduction(t *testing.T) {
 
 func TestDeduceMinTagsSubtree(t *testing.T) {
 	g := buildDiamond()
-	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k := NewKernel(g, algo.NewSSSP(0))
 	// Delete the dependency edge (1,3): 3 and its child 4 must reset.
 	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 1, V: 3}}))
 	if st.Resets != 2 || len(k.trim.Tagged.List) != 2 {
@@ -125,7 +125,7 @@ func TestDeduceMinTagsSubtree(t *testing.T) {
 
 func TestDeduceMinAddedEdgeCandidate(t *testing.T) {
 	g := buildDiamond()
-	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k := NewKernel(g, algo.NewSSSP(0))
 	st := k.Update(delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 4, W: 1}}))
 	if k.States()[4] != 1 {
 		t.Fatalf("candidate for 4: %v", k.States()[4])
@@ -141,7 +141,7 @@ func TestDeduceMinAddedEdgeCandidate(t *testing.T) {
 
 func TestDeduceMinAddedVertex(t *testing.T) {
 	g := buildDiamond()
-	k := NewKernel(g, algo.NewSSSP(0), engine.Options{})
+	k := NewKernel(g, algo.NewSSSP(0))
 	id := g.AddVertex()
 	st := k.Update(&delta.Applied{AddedVertices: []graph.VertexID{id}})
 	if !math.IsInf(k.States()[id], 1) {
@@ -162,7 +162,7 @@ func TestParentsFromFixpoint(t *testing.T) {
 	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 2}, {3, 4}} {
 		g.AddEdge(e[0], e[1], 1)
 	}
-	k := NewKernel(g, algo.NewCC(), engine.Options{})
+	k := NewKernel(g, algo.NewCC())
 	if p := k.Parents(); p[2] != 1 || p[3] != 2 || p[4] != 3 {
 		t.Fatalf("initial parents: %v", p)
 	}

@@ -28,7 +28,6 @@ type Kernel struct {
 	a     algo.Algorithm
 	sr    algo.Semiring
 	zero  float64
-	opt   engine.Options
 	frame *engine.Frame
 	x     []float64
 	// parent is the dependency parent of every state (idempotent only).
@@ -42,18 +41,14 @@ type Kernel struct {
 }
 
 // NewKernel projects g under a and runs the batch computation to
-// convergence, memoizing the states and, for idempotent semirings, the
-// dependency parents. A zero opt.Tolerance takes the algorithm's.
-func NewKernel(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Kernel {
+// convergence at the algorithm's tolerance, memoizing the states and, for
+// idempotent semirings, the dependency parents.
+func NewKernel(g *graph.Graph, a algo.Algorithm) *Kernel {
 	start := time.Now()
-	if opt.Tolerance == 0 {
-		opt.Tolerance = a.Tolerance()
-	}
 	sr := a.Semiring()
-	k := &Kernel{g: g, a: a, sr: sr, zero: sr.Zero(), opt: opt, frame: engine.BuildFrame(g, a), run: engine.NewRunner(sr)}
+	k := &Kernel{g: g, a: a, sr: sr, zero: sr.Zero(), frame: engine.BuildFrame(g, a), run: engine.NewRunner(sr)}
 	x0, m0 := engine.InitVectors(g, a)
-	opt.TrackParents = sr.Idempotent()
-	res := engine.Run(k.frame, sr, x0, m0, opt)
+	res := engine.Run(k.frame, sr, x0, m0, engine.Options{Tolerance: a.Tolerance(), TrackParents: sr.Idempotent()})
 	k.x, k.parent = res.X, res.Parent
 	k.InitialStats = Stats{Activations: res.Activations, Rounds: res.Rounds, Duration: time.Since(start)}
 	return k
@@ -236,7 +231,7 @@ func (k *Kernel) updateMin(applied *delta.Applied, n int) Stats {
 		}
 	}
 
-	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{MaxRounds: k.opt.MaxRounds})
+	res := k.run.Run(k.frame, k.x, k.parent, engine.Options{})
 	st.Activations += res.Activations
 	st.Rounds = res.Rounds
 	return st
@@ -254,10 +249,7 @@ func (k *Kernel) updateSum(applied *delta.Applied) Stats {
 	for _, v := range applied.AddedVertices {
 		k.run.Seed(v, k.a.InitMessage(v), engine.NoParent)
 	}
-	res := k.run.Run(k.frame, k.x, nil, engine.Options{
-		MaxRounds: k.opt.MaxRounds,
-		Tolerance: k.opt.Tolerance,
-	})
+	res := k.run.Run(k.frame, k.x, nil, engine.Options{Tolerance: k.a.Tolerance()})
 	// A removed vertex's root message was delivered through its (now
 	// cancelled) out-edges; the residue parked on the vertex itself goes.
 	for _, v := range applied.RemovedVertices {

@@ -16,7 +16,6 @@ package ingress
 
 import (
 	"layph/internal/algo"
-	"layph/internal/engine"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
@@ -29,8 +28,8 @@ type Engine struct {
 
 // New builds an engine over g and runs the batch computation to convergence,
 // memoizing whatever the selected scheme needs.
-func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
-	return &Engine{inc.NewKernel(g, a, opt)}
+func New(g *graph.Graph, a algo.Algorithm) *Engine {
+	return &Engine{inc.NewKernel(g, a)}
 }
 
 // Name returns "ingress".

@@ -14,7 +14,7 @@ import (
 )
 
 func factory(g *graph.Graph, a algo.Algorithm) inc.System {
-	return New(g, a, engine.Options{})
+	return New(g, a)
 }
 
 func TestEquivalenceAllAlgorithms(t *testing.T) {
@@ -51,7 +51,7 @@ func TestPaperExampleSSSP(t *testing.T) {
 	} {
 		g.AddEdge(ed.u, ed.v, ed.w)
 	}
-	eng := New(g, algo.NewSSSP(0), engine.Options{})
+	eng := New(g, algo.NewSSSP(0))
 	applied := delta.Apply(g, delta.Batch{
 		{Kind: delta.DelEdge, U: 3, V: 4},
 		{Kind: delta.AddEdge, U: 3, V: 2, W: 2},
@@ -87,7 +87,7 @@ func TestIncrementalCheaperThanRestartSmallDelta(t *testing.T) {
 		{"UK x0.25", gen.Build(gen.PresetUK, 0.25), true},
 		{"chain", chain, false},
 	} {
-		eng := New(tc.g, a, engine.Options{})
+		eng := New(tc.g, a)
 		batch := delta.NewGenerator(5).EdgeBatch(tc.g, 10, true)
 		st := eng.Update(delta.Apply(tc.g, batch))
 		restart := engine.RunBatch(tc.g, a, engine.Options{})
@@ -125,7 +125,7 @@ func buildBig(t *testing.T) (*graph.Graph, algo.Algorithm) {
 func TestStatesViewIsLive(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
-	eng := New(g, algo.NewSSSP(0), engine.Options{})
+	eng := New(g, algo.NewSSSP(0))
 	if eng.States()[1] != 1 {
 		t.Fatalf("initial states: %v", eng.States())
 	}
@@ -142,7 +142,7 @@ func TestDeleteOnlyInEdgeOfSource(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	eng := New(g, algo.NewSSSP(0), engine.Options{})
+	eng := New(g, algo.NewSSSP(0))
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 1}})
 	eng.Update(applied)
 	if !math.IsInf(eng.States()[1], 1) || !math.IsInf(eng.States()[2], 1) {
@@ -153,7 +153,7 @@ func TestDeleteOnlyInEdgeOfSource(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1)
-	eng := New(g, algo.NewSSSP(0), engine.Options{})
+	eng := New(g, algo.NewSSSP(0))
 	if eng.Name() != "ingress" {
 		t.Fatal("name")
 	}

@@ -45,14 +45,13 @@ type Engine struct {
 // New builds the engine and runs the batch computation, memoizing the value
 // dependency tree. It panics for non-idempotent algorithms, which violate
 // the single-dependency requirement.
-func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
+func New(g *graph.Graph, a algo.Algorithm) *Engine {
 	if !a.Semiring().Idempotent() {
 		panic(fmt.Sprintf("kickstarter: %s is not a single-dependency (idempotent) algorithm", a.Name()))
 	}
 	e := &Engine{g: g, a: a}
 	start := time.Now()
-	opt.TrackParents = true
-	res := engine.RunBatch(g, a, opt)
+	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
 	e.x = res.X
 	e.parent = res.Parent
 	e.InitialStats = inc.Stats{Activations: res.Activations, Rounds: res.Rounds, Duration: time.Since(start)}

@@ -6,14 +6,13 @@ import (
 
 	"layph/internal/algo"
 	"layph/internal/delta"
-	"layph/internal/engine"
 	"layph/internal/enginetest"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
 
 func factory(g *graph.Graph, a algo.Algorithm) inc.System {
-	return New(g, a, engine.Options{})
+	return New(g, a)
 }
 
 func TestEquivalenceMinAlgorithms(t *testing.T) {
@@ -40,7 +39,7 @@ func TestRejectsNonMonotonic(t *testing.T) {
 			t.Fatal("expected panic for PageRank")
 		}
 	}()
-	New(graph.New(1), algo.NewPageRank(0.85, 1e-6), engine.Options{})
+	New(graph.New(1), algo.NewPageRank(0.85, 1e-6))
 }
 
 func TestDeletionTrimsAndRecovers(t *testing.T) {
@@ -51,7 +50,7 @@ func TestDeletionTrimsAndRecovers(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 3)
 	g.AddEdge(2, 3, 3)
-	e := New(g, algo.NewSSSP(0), engine.Options{})
+	e := New(g, algo.NewSSSP(0))
 	if e.States()[3] != 2 {
 		t.Fatalf("initial x3 = %v", e.States()[3])
 	}
@@ -69,7 +68,7 @@ func TestDisconnection(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	e := New(g, algo.NewBFS(0), engine.Options{})
+	e := New(g, algo.NewBFS(0))
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 0, V: 1}})
 	e.Update(applied)
 	if !math.IsInf(e.States()[1], 1) || !math.IsInf(e.States()[2], 1) {
@@ -91,7 +90,7 @@ func TestPullCountsActivations(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 3)
 	g.AddEdge(2, 3, 3)
-	e := New(g, algo.NewSSSP(0), engine.Options{})
+	e := New(g, algo.NewSSSP(0))
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.DelEdge, U: 1, V: 3}})
 	st := e.Update(applied)
 	if st.Activations == 0 {

@@ -47,14 +47,13 @@ type Engine struct {
 
 // New builds the engine and runs the batch computation. It panics for
 // non-monotonic algorithms (RisGraph's single-dependency requirement).
-func New(g *graph.Graph, a algo.Algorithm, opt engine.Options) *Engine {
+func New(g *graph.Graph, a algo.Algorithm) *Engine {
 	if !a.Semiring().Idempotent() {
 		panic(fmt.Sprintf("risgraph: %s violates the single-dependency requirement", a.Name()))
 	}
 	e := &Engine{g: g, a: a}
 	start := time.Now()
-	opt.TrackParents = true
-	res := engine.RunBatch(g, a, opt)
+	res := engine.RunBatch(g, a, engine.Options{TrackParents: true})
 	e.x = res.X
 	e.parent = res.Parent
 	e.children = make(map[graph.VertexID]map[graph.VertexID]struct{})

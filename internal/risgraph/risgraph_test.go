@@ -6,14 +6,13 @@ import (
 
 	"layph/internal/algo"
 	"layph/internal/delta"
-	"layph/internal/engine"
 	"layph/internal/enginetest"
 	"layph/internal/graph"
 	"layph/internal/inc"
 )
 
 func factory(g *graph.Graph, a algo.Algorithm) inc.System {
-	return New(g, a, engine.Options{})
+	return New(g, a)
 }
 
 func TestEquivalenceMinAlgorithms(t *testing.T) {
@@ -40,7 +39,7 @@ func TestRejectsNonMonotonic(t *testing.T) {
 			t.Fatal("expected panic for PHP")
 		}
 	}()
-	New(graph.New(1), algo.NewPHP(0, 0.8, 1e-6), engine.Options{})
+	New(graph.New(1), algo.NewPHP(0, 0.8, 1e-6))
 }
 
 func TestSafeClassification(t *testing.T) {
@@ -50,7 +49,7 @@ func TestSafeClassification(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 5)
 	g.AddEdge(1, 2, 1) // x2 = 2 via 1, dependency edge is (1,2)
-	e := New(g, algo.NewSSSP(0), engine.Options{})
+	e := New(g, algo.NewSSSP(0))
 	if e.States()[2] != 2 {
 		t.Fatalf("x2 = %v", e.States()[2])
 	}
@@ -78,7 +77,7 @@ func TestSafeClassification(t *testing.T) {
 func TestUnsafeClassification(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 5)
-	e := New(g, algo.NewSSSP(0), engine.Options{})
+	e := New(g, algo.NewSSSP(0))
 	// Improving insertion: unsafe, must propagate.
 	applied := delta.Apply(g, delta.Batch{{Kind: delta.AddEdge, U: 0, V: 1, W: 1}})
 	e.Update(applied)
@@ -107,7 +106,7 @@ func TestChainedSubtreeReset(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(0, 3, 10)
-	e := New(g, algo.NewSSSP(0), engine.Options{})
+	e := New(g, algo.NewSSSP(0))
 	if e.States()[3] != 3 {
 		t.Fatalf("x3 = %v", e.States()[3])
 	}
@@ -124,7 +123,7 @@ func TestChainedSubtreeReset(t *testing.T) {
 
 func TestName(t *testing.T) {
 	g := graph.New(1)
-	e := New(g, algo.NewBFS(0), engine.Options{})
+	e := New(g, algo.NewBFS(0))
 	if e.Name() != "risgraph" {
 		t.Fatal("name")
 	}

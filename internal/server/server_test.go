@@ -355,7 +355,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestStartServesRealListener(t *testing.T) {
 	g := graph.New(10)
 	g.AddEdge(0, 1, 2)
-	sys := ingress.New(g, algo.NewSSSP(0), engine.Options{})
+	sys := ingress.New(g, algo.NewSSSP(0))
 	st := stream.New(g, sys, stream.Config{MaxDelay: -1})
 	srv := New(st, Config{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {

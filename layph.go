@@ -175,19 +175,19 @@ func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 // because the repository benchmark passes it; a change to the benchmark
 // removes it.
 func NewIngress(g *Graph, a Algorithm, threads int) System {
-	return ingress.New(g, a, engine.Options{})
+	return ingress.New(g, a)
 }
 
-// NewKickStarter returns the KickStarter baseline (SSSP/BFS only). threads
-// no longer changes anything, as for NewIngress.
-func NewKickStarter(g *Graph, a Algorithm, threads int) System {
-	return kickstarter.New(g, a, engine.Options{})
+// NewKickStarter returns the KickStarter baseline (SSSP/BFS only), which
+// runs sequentially.
+func NewKickStarter(g *Graph, a Algorithm) System {
+	return kickstarter.New(g, a)
 }
 
-// NewRisGraph returns the RisGraph baseline (SSSP/BFS only). threads no
-// longer changes anything, as for NewIngress.
-func NewRisGraph(g *Graph, a Algorithm, threads int) System {
-	return risgraph.New(g, a, engine.Options{})
+// NewRisGraph returns the RisGraph baseline (SSSP/BFS only), which runs
+// sequentially.
+func NewRisGraph(g *Graph, a Algorithm) System {
+	return risgraph.New(g, a)
 }
 
 // NewGraphBolt returns the GraphBolt baseline (PageRank/PHP only).

@@ -45,8 +45,8 @@ func TestAllSystemConstructors(t *testing.T) {
 	minSystems := []System{
 		NewLayph(g.Clone(), SSSP(0), Config{}),
 		NewIngress(g.Clone(), SSSP(0), 2),
-		NewKickStarter(g.Clone(), SSSP(0), 2),
-		NewRisGraph(g.Clone(), SSSP(0), 2),
+		NewKickStarter(g.Clone(), SSSP(0)),
+		NewRisGraph(g.Clone(), SSSP(0)),
 	}
 	sumSystems := []System{
 		NewLayph(g.Clone(), PageRank(0.85, 1e-8), Config{}),
@@ -94,8 +94,8 @@ func TestDifferentialFuzzMin(t *testing.T) {
 		{Name: "layph-t1", New: layphFactory(1)},
 		{Name: "layph-t8", New: layphFactory(8)},
 		{Name: "ingress", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewIngress(g, a, 2) }},
-		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a, 2) }},
-		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a, 2) }},
+		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a) }},
+		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a) }},
 	}
 	for name, mk := range enginetest.MinAlgorithms() {
 		t.Run(name, func(t *testing.T) {
@@ -128,8 +128,8 @@ func TestDifferentialFuzzSum(t *testing.T) {
 func minBaselines() []enginetest.NamedFactory {
 	return []enginetest.NamedFactory{
 		{Name: "ingress", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewIngress(g, a, 2) }},
-		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a, 2) }},
-		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a, 2) }},
+		{Name: "kickstarter", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewKickStarter(g, a) }},
+		{Name: "risgraph", New: func(g *graph.Graph, a algo.Algorithm) inc.System { return NewRisGraph(g, a) }},
 	}
 }
 
