@@ -96,8 +96,8 @@ func TestShortcutWeightsMatchLocalFixpoint(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := New(testGraph(3), a, Options{})
-			// A sum deduction converges to scTol, so sum weights carry a
-			// bounded truncation error; min weights are exact.
+			// The reference fixpoint stops at a 1e-15 step, so sum weights
+			// compare within a bound; min weights are exact.
 			tol := 1e-9
 			if !l.sr.Idempotent() {
 				tol = 1e-6
@@ -125,6 +125,56 @@ func TestShortcutWeightsMatchLocalFixpoint(t *testing.T) {
 				t.Fatalf("%d slots and %d self-shortcuts checked", checked, selves)
 			}
 		})
+	}
+}
+
+// TestSumShortcutsSolveExactly checks the direct solve (solveShortcuts)
+// against a long iterative deduction: for every entry of every subgraph of
+// UK and SK, the worklist fixpoint of the entry's seeding row over the
+// absorbing frame at tolerance 1e-20. Every non-zero slot must agree to
+// 1e-12 relative, and the two must have the same zero slots, since a slot
+// no internal path reaches is a structural zero of the solve.
+func TestSumShortcutsSolveExactly(t *testing.T) {
+	scale := 0.2
+	if testing.Short() {
+		scale = 0.05
+	}
+	for _, preset := range []gen.Preset{gen.PresetUK, gen.PresetSK} {
+		g := gen.Build(preset, scale)
+		for _, a := range []algo.Algorithm{algo.NewPageRank(0.85, 1e-6), algo.NewPHP(0, 0.8, 1e-6)} {
+			t.Run(string(preset)+"/"+a.Name(), func(t *testing.T) {
+				l := New(g, a, Options{Workers: 1})
+				run := engine.NewRunner(l.sr)
+				slots, nonzero := 0, 0
+				for _, s := range subgraphList(l.subs) {
+					frame := l.absorbing(s)
+					for _, u := range s.Entries {
+						cu := l.localIdx[u]
+						want := make([]float64, s.Local.size())
+						for _, e := range s.Local.out[cu] {
+							run.Seed(e.To, e.W, graph.VertexID(cu))
+						}
+						run.Run(frame, want, nil, engine.Options{Tolerance: 1e-20})
+						for c, w := range s.scVec[cu] {
+							slots++
+							if (w == 0) != (want[c] == 0) {
+								t.Fatalf("sub %d entry %d slot %d: solved %v, iterated %v", s.ID, u, c, w, want[c])
+							}
+							if w == 0 {
+								continue
+							}
+							nonzero++
+							if rel := math.Abs(w-want[c]) / want[c]; rel > 1e-12 {
+								t.Fatalf("sub %d entry %d slot %d: solved %v, iterated %v (relative error %g)", s.ID, u, c, w, want[c], rel)
+							}
+						}
+					}
+				}
+				if nonzero == 0 || nonzero == slots {
+					t.Fatalf("%d of %d slots non-zero: nothing to compare", nonzero, slots)
+				}
+			})
+		}
 	}
 }
 
@@ -274,6 +324,10 @@ func TestReplicationShrinksSkeleton(t *testing.T) {
 	}
 }
 
+// TestOfflineStatsPopulated checks the construction record. Min-scheme
+// shortcuts are deduced by local fixpoints, whose F applications
+// ShortcutActivations counts; sum-scheme ones are solved directly and
+// spend none.
 func TestOfflineStatsPopulated(t *testing.T) {
 	g := testGraph(41)
 	l := New(g, algo.NewPageRank(0.85, 1e-8), Options{})
@@ -281,11 +335,14 @@ func TestOfflineStatsPopulated(t *testing.T) {
 	if os.BuildSeconds <= 0 || os.InitialSeconds <= 0 {
 		t.Fatalf("timings not recorded: %+v", os)
 	}
-	if os.ShortcutCount == 0 || os.ShortcutActivations == 0 {
-		t.Fatalf("shortcut stats not recorded: %+v", os)
+	if os.ShortcutCount == 0 || os.ShortcutActivations != 0 {
+		t.Fatalf("PageRank shortcut stats: %+v, want shortcuts solved without activations", os)
 	}
 	if l.ShortcutCount() != os.ShortcutCount {
 		t.Fatalf("live shortcut count %d != offline %d", l.ShortcutCount(), os.ShortcutCount)
+	}
+	if os := New(g, algo.NewSSSP(0), Options{}).OfflineStats; os.ShortcutCount == 0 || os.ShortcutActivations == 0 {
+		t.Fatalf("SSSP shortcut stats not recorded: %+v", os)
 	}
 }
 

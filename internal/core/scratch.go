@@ -185,11 +185,13 @@ func rawBuf[T any](buf *[]T, n int) []T {
 // upload fixpoints, shortcut deduction and min-scheme entry revisions — and
 // for the skeleton-row refreshes: a runner, compact state and parent
 // vectors grown to the largest frame it has served, the flat sources of an
-// upload's seeds, and the ⊥ walk of an entry revision. A shortcut task
-// (settle's fan-out, maintainShortcuts) collects in moved the entries of
-// its current subgraph whose rows a revision can have changed and
-// refreshes them on row; the chunked refresh of the role-recomputed
-// vertices after the fan-out (refreshUpRows) uses row as well.
+// upload's seeds, the ⊥ walk of an entry revision, and the dense k×k LU
+// factors of a sum-scheme solve (solveShortcuts), grown to the largest
+// frame solved. A shortcut task (settle's fan-out, maintainShortcuts)
+// collects in moved the entries of its current subgraph whose rows a
+// revision can have changed and refreshes them on row; the chunked
+// refresh of the role-recomputed vertices after the fan-out
+// (refreshUpRows) uses row as well.
 type taskScratch struct {
 	run   *engine.Runner
 	x     []float64
@@ -199,6 +201,7 @@ type taskScratch struct {
 	roots []graph.VertexID
 	moved []graph.VertexID
 	row   []engine.WEdge
+	lu    []float64
 }
 
 // taskPool is a free list of task working sets. A task takes one for the

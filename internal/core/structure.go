@@ -315,64 +315,130 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 	}
 }
 
-// deduceShortcuts runs Equation (6) for every entry vertex of the subgraph:
-// inject the semiring unit at the entry, run the local fixpoint over the
-// compact frame, and read off the aggregates as shortcut weights. The
-// entries are deduced in order inside the caller's subgraph task, on its
-// working set ts. Returns the F applications spent.
+// deduceShortcuts runs Equation (6) for every entry vertex of the subgraph
+// and reads off the aggregates as shortcut weights. A sum-scheme subgraph
+// solves for all its entries at once (solveShortcuts); a min-scheme one
+// injects the semiring unit at each entry in turn and runs the local
+// fixpoint over the compact frame (deduceEntry). It runs inside the
+// caller's subgraph task, on its working set ts. Returns the F
+// applications spent, which a solve does not count.
 func (l *Layph) deduceShortcuts(s *Subgraph, ts *taskScratch) int64 {
 	lf := s.Local
 	k := lf.size()
-	var acts int64
 	s.scVec = make([][]float64, k)
-	if l.sr.Idempotent() {
-		s.scParent = make([][]graph.VertexID, k)
-	} else {
-		s.scParent = nil
-	}
 	// Shortcut weights count internal paths whose intermediate vertices are
 	// not entries (the source included): the unit message is emitted over
-	// the source's out-edges directly and the fixpoint runs on the fully
+	// the source's out-edges directly and the aggregation runs on the fully
 	// absorbing frame. Through-entry and revisiting paths are then covered
 	// exactly once by shortcut composition on Lup (including the self-
 	// shortcut for sum-semiring cycles back to the entry).
 	frame := l.absorbing(s)
+	if !l.sr.Idempotent() {
+		s.scParent = nil
+		l.solveShortcuts(s, frame, ts)
+		return 0
+	}
+	s.scParent = make([][]graph.VertexID, k)
+	var acts int64
 	for _, u := range s.Entries {
 		r := l.deduceEntry(s, frame, u, ts)
 		cu := l.localIdx[u]
 		acts += r.acts
 		s.scVec[cu] = r.vec
-		if s.scParent != nil {
-			s.scParent[cu] = r.par
-		}
+		s.scParent[cu] = r.par
 	}
 	return acts
 }
 
-// entryRes is one entry's deduced shortcut vector, its compact dependency
-// parents (idempotent algorithms only) and the F applications spent.
+// solveShortcuts deduces a sum-scheme subgraph's shortcut vectors
+// directly. Entry u's vector v solves v = s_u + v·A, where s_u is u's
+// seeding row and A the absorbing frame's matrix, so vᵀ solves Mᵀ·vᵀ =
+// s_uᵀ with M = I − A. The task's buffer ts.lu holds Mᵀ, factored once in
+// place into L·U without pivoting, and each entry's vector is one forward
+// and one back substitution.
+//
+// The precondition is the contraction the iterative fixpoint needs as
+// well: every row of A sums to less than 1 (at most the damping factor),
+// so M is strictly row diagonally dominant and Mᵀ strictly column
+// diagonally dominant, which keeps every pivot positive. Mᵀ is an
+// M-matrix (its off-diagonal entries are −w ≤ 0), so L and U keep that
+// sign pattern and every substitution adds non-negative terms: nothing
+// cancels, and a slot no internal path reaches is only ever written from
+// exact zeros, so it stays exactly 0.
+func (l *Layph) solveShortcuts(s *Subgraph, frame engine.Rows, ts *taskScratch) {
+	lf := s.Local
+	k := lf.size()
+	m := rawBuf(&ts.lu, k*k)
+	clear(m)
+	// Mᵀ[t][c] = δ(t, c) − Σ w over the edges c→t of A: multi-edges and
+	// self-loops accumulate, and an entry's row of A is empty.
+	for c := range k {
+		m[c*k+c] = 1
+		for _, e := range frame.Row(graph.VertexID(c)) {
+			m[int(e.To)*k+c] -= e.W
+		}
+	}
+	for p := range k {
+		pivot, rp := m[p*k+p], m[p*k+p+1:p*k+k]
+		for i := p + 1; i < k; i++ {
+			f := m[i*k+p]
+			if f == 0 {
+				continue
+			}
+			f /= pivot
+			m[i*k+p] = f
+			ri := m[i*k+p+1 : i*k+k]
+			for j, w := range rp {
+				ri[j] -= f * w
+			}
+		}
+	}
+	for _, u := range s.Entries {
+		cu := l.localIdx[u]
+		x := make([]float64, k)
+		for _, e := range lf.out[cu] {
+			x[e.To] += e.W // the unit message 1̄ ⊗ w
+		}
+		// L·y = s_u, L unit lower triangular.
+		for j := range k {
+			if xj := x[j]; xj != 0 {
+				for i := j + 1; i < k; i++ {
+					x[i] -= m[i*k+j] * xj
+				}
+			}
+		}
+		// U·v = y.
+		for j := k - 1; j >= 0; j-- {
+			x[j] /= m[j*k+j]
+			if xj := x[j]; xj != 0 {
+				for i := range j {
+					x[i] -= m[i*k+j] * xj
+				}
+			}
+		}
+		s.scVec[cu] = x
+	}
+}
+
+// entryRes is one entry's deduced min-scheme shortcut vector, its compact
+// dependency parents and the F applications spent.
 type entryRes struct {
 	vec  []float64
 	par  []graph.VertexID
 	acts int64
 }
 
-// deduceEntry runs Equation (6) for entry u over the absorbing frame, on
-// the task's runner.
+// deduceEntry runs Equation (6) for entry u of a min-scheme subgraph over
+// the absorbing frame, on the task's runner.
 func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID, ts *taskScratch) entryRes {
 	lf := s.Local
 	k := lf.size()
 	zero := l.sr.Zero()
 	cu := l.localIdx[u]
-	r := entryRes{vec: make([]float64, k)}
+	r := entryRes{vec: make([]float64, k), par: make([]graph.VertexID, k)}
 	for j := range r.vec {
 		r.vec[j] = zero
-	}
-	if l.sr.Idempotent() {
-		r.par = make([]graph.VertexID, k)
-		for j := range r.par {
-			r.par[j] = engine.NoParent
-		}
+		r.par[j] = engine.NoParent
 	}
 	// u's own edges seed the vector, so a value they set has u as its
 	// parent.
@@ -380,7 +446,7 @@ func (l *Layph) deduceEntry(s *Subgraph, frame engine.Rows, u graph.VertexID, ts
 		ts.run.Seed(e.To, l.sr.Times(l.sr.One(), e.W), graph.VertexID(cu))
 		r.acts++
 	}
-	res := ts.run.Run(frame, r.vec, r.par, engine.Options{Tolerance: l.scTol()})
+	res := ts.run.Run(frame, r.vec, r.par, engine.Options{})
 	r.acts += res.Activations
 	return r
 }
@@ -573,12 +639,6 @@ func (l *Layph) patchShortcuts(s *Subgraph, ts *taskScratch) (acts int64, all bo
 	}
 	return acts, all
 }
-
-// scTol is the tolerance of one shortcut deduction (deduceEntry), which
-// bounds its truncation: tighter than the propagation tolerance because
-// every later update reuses the weights until the subgraph is deduced
-// again. Min-scheme runs converge exactly and ignore it.
-func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 
 // updateEntryMin applies ⊥-cancellation resets and recomputation for entry
 // cu's vector: the dependency subtrees hanging off removed edges are reset,

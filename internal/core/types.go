@@ -354,14 +354,16 @@ const NoHost = graph.VertexID(engine.NoParent)
 // OfflineStats describes the one-time preprocessing cost.
 type OfflineStats struct {
 	// BuildSeconds is layered-graph construction time (detection,
-	// replication, shortcut deduction), DetectSeconds the community
-	// detection share of it; InitialSeconds is the initial batch run on the
-	// flat graph.
+	// replication, shortcut deduction or solve), DetectSeconds the
+	// community detection share of it; InitialSeconds is the initial batch
+	// run on the flat graph.
 	BuildSeconds   float64
 	DetectSeconds  float64
 	InitialSeconds float64
-	// ShortcutCount is the number of deduced shortcut weights (Fig 11a);
-	// ShortcutActivations the F applications spent deducing them.
+	// ShortcutCount is the number of shortcut weights (Fig 11a);
+	// ShortcutActivations the F applications the min scheme's local
+	// fixpoints spent deducing them. A sum-scheme build solves its
+	// shortcuts directly (solveShortcuts) and records 0.
 	ShortcutCount       int
 	ShortcutActivations int64
 	// DenseSubgraphs and Proxies describe the structure.

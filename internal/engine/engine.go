@@ -7,10 +7,10 @@
 // under an algorithm — or on any Rows view of one, rather than on the graph
 // directly, so one propagation loop serves four roles: the batch "Restart"
 // baseline, the propagation core of the incremental engines, Layph's local
-// per-subgraph fixpoints (shortcut deduction, min-scheme shortcut
-// revisions and message upload, over absorbing views of the subgraph
-// frames), and Layph's global iteration on the upper-layer skeleton (whose
-// edges are shortcuts, not graph edges).
+// per-subgraph fixpoints (min-scheme shortcut deduction and revisions and
+// message upload, over absorbing views of the subgraph frames; sum-scheme
+// shortcuts are solved directly, not run), and Layph's global iteration on
+// the upper-layer skeleton (whose edges are shortcuts, not graph edges).
 //
 // The loop is Runner's. A Runner works in place on the caller's state and
 // parent vectors, takes its start as seeds — (vertex, message, source) — and
@@ -134,9 +134,9 @@ const NoParent = graph.VertexID(math.MaxUint32)
 
 // Options tunes a Run.
 type Options struct {
-	// MaxRounds bounds the worklist's queue generations as a safety net
-	// (default 1_000_000).
-	MaxRounds int
+	// maxRounds bounds the worklist's queue generations as a safety net
+	// (default 1_000_000); only the package's tests set it.
+	maxRounds int
 	// Tolerance is the message-significance threshold of sum runs: a
 	// pending delta with |m| <= Tolerance does not activate its vertex.
 	// Min runs ignore it.
@@ -148,9 +148,9 @@ type Options struct {
 	TrackParents bool
 }
 
-func (o Options) maxRounds() int {
-	if o.MaxRounds > 0 {
-		return o.MaxRounds
+func (o Options) roundCap() int {
+	if o.maxRounds > 0 {
+		return o.maxRounds
 	}
 	return 1_000_000
 }
@@ -311,7 +311,7 @@ func (r *Runner) Activate(v graph.VertexID) { r.activated.Add(v) }
 // target's pending delta, queueing a target that is not queued once its
 // delta turns significant.
 //
-// A run cut by MaxRounds drops what is still queued or in flight and
+// A run cut by the round cap drops what is still queued or in flight and
 // leaves the Runner clean.
 func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) Result {
 	n := f.N()
@@ -352,7 +352,7 @@ func (r *Runner) Run(f Rows, x []float64, parent []graph.VertexID, opt Options) 
 	}
 	res := r.worklist(f, x, parent, active, opt)
 
-	// Leave every buffer clean for the next run: a run cut by MaxRounds
+	// Leave every buffer clean for the next run: a run cut by the round cap
 	// may still hold messages in flight.
 	for _, v := range r.touched.List {
 		r.pending[v] = r.zero
@@ -375,7 +375,7 @@ func (r *Runner) worklist(f Rows, x []float64, parent []graph.VertexID, active [
 	}
 	sr, zero := r.sr, r.zero
 	ring, queued, pending := r.ring[:n], r.queued, r.pending
-	tol, maxRounds := opt.Tolerance, opt.maxRounds()
+	tol, roundCap := opt.Tolerance, opt.roundCap()
 	head, size := 0, copy(ring, active)
 	for _, v := range active {
 		queued[v] = true
@@ -394,7 +394,7 @@ func (r *Runner) worklist(f Rows, x []float64, parent []graph.VertexID, active [
 	// gen counts the pops left in the current queue generation.
 	for gen := 0; size > 0; {
 		if gen == 0 {
-			if res.Rounds == maxRounds {
+			if res.Rounds == roundCap {
 				break
 			}
 			res.Rounds++
@@ -460,7 +460,7 @@ func (r *Runner) worklist(f Rows, x []float64, parent []graph.VertexID, active [
 			}
 		}
 	}
-	// A run cut by MaxRounds leaves vertices queued.
+	// A run cut by the round cap leaves vertices queued.
 	for ; size > 0; size-- {
 		queued[ring[head]] = false
 		if head++; head == n {

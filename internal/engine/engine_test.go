@@ -241,11 +241,11 @@ func TestMismatchedVectorsPanic(t *testing.T) {
 }
 
 func TestMaxRoundsBounds(t *testing.T) {
-	// Two-cycle with damping 1 never converges; MaxRounds must stop it.
+	// Two-cycle with damping 1 never converges; the round cap must stop it.
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 0, 1)
-	res := RunBatch(g, algo.NewPHP(0, 1.0, 0), Options{MaxRounds: 50})
+	res := RunBatch(g, algo.NewPHP(0, 1.0, 0), Options{maxRounds: 50})
 	if res.Rounds != 50 {
 		t.Fatalf("rounds = %d, want 50", res.Rounds)
 	}

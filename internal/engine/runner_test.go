@@ -93,7 +93,7 @@ func TestRunnerReuseMatchesRun(t *testing.T) {
 				c := randomRunnerCase(rng, a, n)
 				opt := Options{Tolerance: a.Tolerance(), TrackParents: true}
 				if trial%7 == 6 {
-					opt.MaxRounds = 2 // a run cut with messages in flight
+					opt.maxRounds = 2 // a run cut with messages in flight
 				}
 				want := Run(c.f, sr, c.x0, c.m0, opt)
 				if c.active != nil {
@@ -242,7 +242,7 @@ func checkMinRun(t *testing.T, what string, f *Frame, sr algo.Semiring, m0, befo
 // activating their intact in-neighbours or by seeding them with offers
 // from those, as the incremental engines do — must both reach Dijkstra's
 // states exactly, record parents whose edge yields the state, and list
-// exactly the changed vertices. A run cut by MaxRounds must leave the
+// exactly the changed vertices. A run cut by the round cap must leave the
 // Runner as a fresh one.
 func TestMinRunIsWorklist(t *testing.T) {
 	const n = 150
@@ -300,7 +300,7 @@ func TestMinRunIsWorklist(t *testing.T) {
 			// A run cut after one generation leaves r clean: the next run
 			// matches a fresh Runner's bit for bit.
 			c := runnerCase{f: f, x0: x0, m0: m0}
-			runReused(r, sr, c, Options{MaxRounds: 1})
+			runReused(r, sr, c, Options{maxRounds: 1})
 			xr, pr, got := runReused(r, sr, c, Options{})
 			xf, pf, fresh := runReused(NewRunner(sr), sr, c, Options{})
 			if !sameBits(xr, xf) || !slices.Equal(pr, pf) || !slices.Equal(got.Changed, fresh.Changed) ||
@@ -392,10 +392,10 @@ func TestRunnerOverRowsView(t *testing.T) {
 	}
 }
 
-// TestWorklistMaxRounds pins MaxRounds on the worklist: a damping-1 PHP
-// cycle seeded at one vertex never converges, and each queue generation
-// holds the one vertex the delta has reached. The run must stop after
-// exactly MaxRounds generations with the delta still in flight, and leave
+// TestWorklistMaxRounds pins the round cap (Options.maxRounds) on the
+// worklist: a damping-1 PHP cycle seeded at one vertex never converges, and
+// each queue generation holds the one vertex the delta has reached. The run must stop after
+// exactly maxRounds generations with the delta still in flight, and leave
 // the Runner clean: its next run matches a fresh Runner's.
 func TestWorklistMaxRounds(t *testing.T) {
 	const n, maxRounds = 16, 50
@@ -409,14 +409,14 @@ func TestWorklistMaxRounds(t *testing.T) {
 	r := NewRunner(sr)
 	x := make([]float64, n)
 	r.Seed(0, 1, NoParent)
-	res := r.Run(f, x, nil, Options{MaxRounds: maxRounds})
+	res := r.Run(f, x, nil, Options{maxRounds: maxRounds})
 	if res.Rounds != maxRounds || res.Activations != maxRounds {
 		t.Fatalf("cut run: %d rounds, %d activations; want %d of each", res.Rounds, res.Activations, maxRounds)
 	}
 
 	next := runnerCase{f: f, x0: make([]float64, n), m0: make([]float64, n)}
 	next.m0[5] = 0.25
-	opt := Options{MaxRounds: 3}
+	opt := Options{maxRounds: 3}
 	xr, _, got := runReused(r, sr, next, opt)
 	xf, _, want := runReused(NewRunner(sr), sr, next, opt)
 	if !sameBits(xr, xf) || !slices.Equal(got.Changed, want.Changed) ||
